@@ -28,7 +28,7 @@ from repro.errors import DeadlineExceededError, LLMError
 from repro.llm.client import ChatResponse
 from repro.llm.oracle import KnowledgeOracle, stable_uniform
 from repro.llm.profiles import ModelProfile
-from repro.llm.tokenizer import count_tokens, count_tokens_fast
+from repro.llm.tokenizer import count_tokens
 from repro.llm.usage import UsageMeter
 
 # -- prompt protocol markers (shared with the prompt builders) ---------------
@@ -80,10 +80,6 @@ class MockChatModel:
         self.profile = profile
         self.meter = meter or UsageMeter()
         self.model_name = profile.name
-        # token counting is the model's hottest pure function; the fast
-        # counter returns identical numbers (optimize=False keeps the
-        # reference implementation for the pre-optimization benches)
-        self._count_tokens = count_tokens_fast if optimize else count_tokens
         self._optimize = optimize
         # see complete_many: batching beats threads for a zero-latency
         # CPU-bound client, but stays off on the reference path
@@ -105,8 +101,7 @@ class MockChatModel:
             raise LLMError(
                 f"prompt does not match any known protocol: {prompt[:120]!r}"
             )
-        count = self._count_tokens
-        usage = self.meter.record(count(prompt), count(text), label)
+        usage = self.meter.record(count_tokens(prompt), count_tokens(text), label)
         return ChatResponse(text, usage)
 
     def complete_many(self, prompts, labels, *, deadline=None) -> list[ChatResponse]:

@@ -87,6 +87,9 @@ class KnowledgeOracle:
         self._accuracy_cache: dict[tuple, float] = {}
         # multi-kind distractor pools per (value list, truth items)
         self._pool_cache: dict[tuple, list] = {}
+        # free-form confusion candidates per (expansion, column): each
+        # non-None truth value with its entry key and text, truth order
+        self._confusion_cache: dict[tuple[str, str], list[tuple]] = {}
         # question -> resolved (expansion, column), or None for a miss;
         # a batched run re-resolves the same question per map call
         self._attr_cache: dict[str, Optional[tuple]] = {}
@@ -434,11 +437,18 @@ class KnowledgeOracle:
         if "www." in text or text.endswith((".edu", ".org", ".com", ".net")):
             return self._mutate_url(text, seed_parts)
         # confusion: answer with another entity's value for the same column
-        truth_map = self.world.truth[expansion_name]
+        candidates = self._confusion_cache.get((expansion_name, column))
+        if candidates is None:
+            candidates = [
+                (entry_key, entry[column], str(entry[column]))
+                for entry_key, entry in self.world.truth[expansion_name].items()
+                if entry[column] is not None
+            ]
+            self._confusion_cache[(expansion_name, column)] = candidates
         others = [
-            entry[column]
-            for entry_key, entry in truth_map.items()
-            if entry_key != key and str(entry[column]) != text and entry[column] is not None
+            value
+            for entry_key, value, value_text in candidates
+            if entry_key != key and value_text != text
         ]
         if others:
             return stable_choice(others, "confuse", *seed_parts)

@@ -90,7 +90,7 @@ class PendingRequest:
     __slots__ = (
         "request", "start", "queue_wait", "overlay", "outstanding",
         "llm_calls", "input_tokens", "output_tokens", "shared_tokens",
-        "degraded_keys", "waves",
+        "degraded_keys", "waves", "query",
     )
 
     def __init__(
@@ -111,6 +111,9 @@ class PendingRequest:
         #: ids of the batch waves this request's items rode on (trace
         #: bookkeeping only — never read by the batching math)
         self.waves: list[str] = []
+        #: what the finalize pass executes: the request's SQL text, or
+        #: for a UDF request the statement planning already parsed
+        self.query = request.sql
 
 
 class _Item:

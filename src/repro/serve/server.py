@@ -80,6 +80,7 @@ from repro.serve.request import (
 )
 from repro.serve.scheduler import AgingPriorityQueue
 from repro.serve.trace import ServeTraceLog, TraceRecord, WaveRecord
+from repro.sqlparser import parse
 from repro.swan.benchmark import Swan
 from repro.swan.build import build_curated_database
 from repro.udf.executor import HybridQueryExecutor, _parse_map_answers
@@ -1062,7 +1063,13 @@ class QueryServer:
         if request.pipeline == "udf":
             state = self._udf_state(request.database)
             executor = state.executor
-            map_requests, qa_prompts = executor.plan_key_requests(request.sql)
+            try:
+                member.query = parse(request.sql)
+            except ReproError:
+                # keep the text: the finalize pass re-raises the typed
+                # error and the request degrades like any failed query
+                pass
+            map_requests, qa_prompts = executor.plan_key_requests(member.query)
             for call, keys in map_requests:
                 signature = call.signature()
                 wanted = list(dict.fromkeys(keys))
@@ -1320,7 +1327,7 @@ class QueryServer:
             saved_store = executor.mapping_store
             executor.mapping_store = member.overlay
             try:
-                result, report = executor.execute_with_report(request.sql)
+                result, report = executor.execute_with_report(member.query)
                 rows = len(result.rows)
                 degraded_keys = report.degraded_keys
                 call_sizes = list(report.call_sizes)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from repro.errors import IngredientError, ReproError
 from repro.llm.batching import (
@@ -213,8 +213,15 @@ class HybridQueryExecutor:
         result, _ = self.execute_with_report(hybrid_sql)
         return result
 
-    def execute_with_report(self, hybrid_sql: str) -> tuple[ResultSet, ExecutionReport]:
-        """Execute and also return pushdown/call diagnostics."""
+    def execute_with_report(
+        self, hybrid_sql: Union[str, ast.Select]
+    ) -> tuple[ResultSet, ExecutionReport]:
+        """Execute and also return pushdown/call diagnostics.
+
+        ``hybrid_sql`` may be the statement :func:`parse` returned for
+        the query text (a caller that already planned the query hands
+        over its tree); execution never mutates it.
+        """
         tel = self._tel
         if not tel.enabled:
             return self._execute_with_report(hybrid_sql)
@@ -225,12 +232,12 @@ class HybridQueryExecutor:
             return result, report
 
     def _execute_with_report(
-        self, hybrid_sql: str
+        self, hybrid_sql: Union[str, ast.Select]
     ) -> tuple[ResultSet, ExecutionReport]:
         tel = self._tel
         report = ExecutionReport()
         with (tel.tracer.span("sql:parse") if tel.enabled else NULL_SPAN):
-            statement = parse(hybrid_sql)
+            statement = _parsed(hybrid_sql)
         replacements = self._plan_ingredients(statement, report)
         with (tel.tracer.span("sql:rewrite") if tel.enabled else NULL_SPAN):
             if replacements:
@@ -343,19 +350,20 @@ class HybridQueryExecutor:
         return prompts
 
     def plan_key_requests(
-        self, hybrid_sql: str
+        self, hybrid_sql: Union[str, ast.Select]
     ) -> tuple[list[tuple[IngredientCall, list[tuple]]], list[str]]:
         """The (attribute, key) demand of this query, before batching.
 
         Returns ``(map_requests, qa_prompts)`` where each map request is
         an LLMMap/LLMJoin call paired with the key tuples it needs —
-        the unit a pairs-mode planner unions across questions.
+        the unit a pairs-mode planner unions across questions.  Accepts
+        an already parsed statement, like :meth:`execute_with_report`.
         """
         map_requests: list[tuple[IngredientCall, list[tuple]]] = []
         qa_prompts: list[str] = []
         report = ExecutionReport()
         try:
-            statement = parse(hybrid_sql)
+            statement = _parsed(hybrid_sql)
         except ReproError:
             return map_requests, qa_prompts
         shared: set[tuple] = set()
@@ -793,6 +801,13 @@ class HybridQueryExecutor:
 
 
 # -- occurrence discovery ---------------------------------------------------------
+
+
+def _parsed(hybrid_sql: Union[str, ast.Select]) -> ast.Select:
+    """The statement for query text, or the caller's already parsed one."""
+    if isinstance(hybrid_sql, ast.Select):
+        return hybrid_sql
+    return parse(hybrid_sql)
 
 
 def _walk_own_region(node: ast.Node) -> Iterator[ast.Node]:

@@ -3,11 +3,13 @@
 Every ``optimize`` fast path promises byte-identity with the legacy
 code it replaces; these tests hold it to that over adversarial inputs:
 
-- :func:`count_tokens_fast` vs the tokenize-then-count original;
+- the line-memoized :func:`count_tokens` vs the reference
+  :func:`tokenize_text` it must agree with;
 - :func:`det_sample_fast` vs the hash-sort original (tie handling
   included);
 - the oracle's vectorized value generator vs the per-cell path, across
-  profiles, shot counts, and batch shapes;
+  profiles, shot counts, and batch shapes, and its memoized free-form
+  confusion candidates vs a full scan of the truth map;
 - the single-pass map-prompt parser vs the two-scan original;
 - a full pipeline run with ``optimize=False`` vs the default.
 """
@@ -16,9 +18,10 @@ import pytest
 
 from repro.harness.runner import GoldResults, run_udf
 from repro.llm.chat import MockChatModel
-from repro.llm.oracle import KnowledgeOracle
+from repro.llm.oracle import KnowledgeOracle, stable_choice
 from repro.llm.profiles import get_profile, list_profiles
-from repro.llm.tokenizer import count_tokens, count_tokens_fast, tokenize_text
+from repro.llm.tokenizer import count_tokens, tokenize_text
+from repro.swan.base import KIND_MULTI, KIND_NUMERIC, KIND_SELECTION
 from repro.swan.worlds.util import det_sample, det_sample_fast
 
 TOKEN_SAMPLES = [
@@ -40,16 +43,18 @@ TOKEN_SAMPLES = [
 
 
 class TestCountTokensFast:
+    """``count_tokens`` (the fast counter) vs ``tokenize_text`` (the legacy
+    definition); the fuzz and memo cases live in ``test_tokenizer.py``."""
+
     @pytest.mark.parametrize("text", TOKEN_SAMPLES)
     def test_matches_legacy(self, text):
-        assert count_tokens_fast(text) == count_tokens(text)
-        assert count_tokens_fast(text) == len(tokenize_text(text))
+        assert count_tokens(text) == len(tokenize_text(text))
 
     def test_matches_on_benchmark_prompts(self, superhero_world):
         for expansion in superhero_world.expansions:
             for key in list(superhero_world.truth[expansion.name])[:20]:
                 text = " ".join(str(part) for part in key)
-                assert count_tokens_fast(text) == count_tokens(text)
+                assert count_tokens(text) == len(tokenize_text(text))
 
 
 class TestDetSampleFast:
@@ -99,6 +104,40 @@ class TestOracleFastPath:
                                     *args, single_cell=sc, batch_size=bs
                                 )
                                 checked += 1
+        assert checked > 100
+
+    def test_freeform_distractor_matches_truth_scan(self, swan):
+        """The memoized candidates yield the ``others`` a full scan builds."""
+        checked = 0
+        for name in swan.database_names():
+            world = swan.world(name)
+            oracle = KnowledgeOracle(world)
+            for expansion in world.expansions:
+                truth_map = world.truth[expansion.name]
+                for column in expansion.columns:
+                    if column.kind in (KIND_SELECTION, KIND_NUMERIC, KIND_MULTI):
+                        continue
+                    for key, entry in truth_map.items():
+                        text = str(entry[column.name])
+                        if "www." in text or text.endswith(
+                            (".edu", ".org", ".com", ".net")
+                        ):
+                            continue
+                        others = [
+                            other[column.name]
+                            for other_key, other in truth_map.items()
+                            if other_key != key
+                            and str(other[column.name]) != text
+                            and other[column.name] is not None
+                        ]
+                        if not others:
+                            continue
+                        seed_parts = ("salt", name, expansion.name, key)
+                        assert oracle._freeform_distractor(
+                            expansion.name, key, column.name,
+                            entry[column.name], seed_parts,
+                        ) == stable_choice(others, "confuse", *seed_parts)
+                        checked += 1
         assert checked > 100
 
     def test_map_generator_matches_per_cell(self, superhero_world):

@@ -80,6 +80,49 @@ class TestSerialByteIdentity:
         assert on.batching["coalesced_calls"] == 0
 
 
+class TestParsedOnce:
+    """Planning hands its parsed statement to the finalize pass."""
+
+    def test_batched_udf_request_is_parsed_once(self, serve_swan, monkeypatch):
+        from repro.serve import server as server_module
+        from repro.udf import executor as executor_module
+
+        calls = {"server": 0, "executor": 0}
+
+        def counting(where, parse):
+            def wrapper(sql):
+                calls[where] += 1
+                return parse(sql)
+            return wrapper
+
+        monkeypatch.setattr(
+            server_module, "parse", counting("server", server_module.parse)
+        )
+        monkeypatch.setattr(
+            executor_module, "parse", counting("executor", executor_module.parse)
+        )
+        requests = _twin_requests(serve_swan)
+        report = _run(
+            serve_swan, requests, {}, max_concurrent=3,
+            batching=BatchingConfig(),
+        )
+        assert all(o.answered for o in report.outcomes)
+        assert calls == {"server": len(requests), "executor": 0}
+
+    def test_unparseable_sql_still_degrades_with_an_error(self, serve_swan):
+        bad = QueryRequest(
+            request_id=0, tenant="alpha", database="superhero",
+            sql="SELECT FROM WHERE {{", arrival=0.0, qid="superhero_q01",
+            deadline_seconds=1000.0,
+        )
+        on = _run(
+            serve_swan, [bad], {}, max_concurrent=3, batching=BatchingConfig(),
+        )
+        off = _run(serve_swan, [bad], {}, max_concurrent=3, batching=None)
+        assert on.outcomes[0].reason == "error"
+        assert on.outcomes[0].as_record() == off.outcomes[0].as_record()
+
+
 class TestCrossTenantSingleFlight:
     def test_identical_queries_share_one_dispatch(self, serve_swan):
         requests = _twin_requests(serve_swan)
