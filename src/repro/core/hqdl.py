@@ -94,7 +94,6 @@ class HQDL:
         resilience: Optional[ResilienceReport] = None,
         telemetry: Optional[Telemetry] = None,
         provenance=None,
-        optimize: bool = True,
     ) -> None:
         if call_order not in ("collection", "lpt"):
             raise ReproError(
@@ -105,10 +104,6 @@ class HQDL:
         self.shots = shots
         self.context_rows = context_rows
         self.workers = workers
-        #: toggles the byte-identical fast paths (cached prompt prefixes);
-        #: ``False`` keeps the original per-key PromptSpec rendering and
-        #: exists as the bench-scale 'pre-optimization' reference.
-        self.optimize = optimize
         #: 'collection' dispatches row calls in table/key order; 'lpt'
         #: dispatches longest-prompt-first so a parallel pool doesn't end
         #: on one big straggler.  Results are identical either way —
@@ -149,7 +144,6 @@ class HQDL:
             expansion,
             shots=self.shots,
             context_provider=context_provider,
-            optimize=self.optimize,
         )
         keys = list(self.world.keys_for(expansion_name))
         prompts = [builder.build(key) for key in keys]

@@ -47,7 +47,6 @@ class RowPromptBuilder:
         *,
         shots: int = 0,
         context_provider: Optional[Callable[[tuple], list[str]]] = None,
-        optimize: bool = True,
     ) -> None:
         if shots < 0:
             raise ValueError(f"shots must be >= 0, got {shots}")
@@ -55,11 +54,10 @@ class RowPromptBuilder:
         self.expansion = expansion
         self.shots = shots
         self.context_provider = context_provider
-        self.optimize = optimize
         self._oracle = KnowledgeOracle(world)
         self._static_demos = self._select_demonstrations()
-        # Pre-rendered constant prompt parts for the fast `build` path.
-        # Everything before the target entry (and everything after it) is
+        # Pre-rendered constant prompt parts for `build` without context:
+        # everything before the target entry (and everything after it) is
         # the same string for every key, so it is rendered exactly once.
         self._prefix: Optional[str] = None
         self._suffix: Optional[str] = None
@@ -164,10 +162,10 @@ class RowPromptBuilder:
         lines within sections) with single newlines, so the rendered
         prompt equals the flat newline join of all lines; with no
         per-key context rows the only key-dependent line is the target
-        entry, and the fast path splices it between two cached constant
-        strings — byte-identical to ``build_spec(key).render()``.
+        entry, which is spliced between two cached constant strings —
+        byte-identical to ``build_spec(key).render()``.
         """
-        if not self.optimize or self.context_provider is not None:
+        if self.context_provider is not None:
             return self.build_spec(key).render()
         if self._prefix is None:
             self._prefix, self._suffix = self._constant_parts()

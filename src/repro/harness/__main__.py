@@ -11,6 +11,7 @@ Usage::
 
 from __future__ import annotations
 
+import math
 import sys
 
 from repro.harness import tables
@@ -624,15 +625,23 @@ def _parse_args(argv: list[str]):
         "max_token_growth": 0.10, "max_makespan_growth": 0.25,
     }
 
-    def _float_option(name: str, value: str) -> float:
+    def _float_option(name: str, value: str, *, positive: bool = False) -> float:
+        """A finite float flag: ``> 0`` when ``positive``, else ``>= 0``.
+
+        ``nan`` passes every ordering comparison and ``inf`` never ends a
+        horizon, so non-finite values are rejected by name.
+        """
         try:
             parsed = float(value)
         except ValueError:
             raise ValueError(
                 f"{name} requires a number, got {value!r}"
             ) from None
-        if parsed < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+        if not math.isfinite(parsed):
+            raise ValueError(f"{name} requires a finite number, got {value}")
+        if parsed < 0 or (positive and parsed == 0):
+            bound = "> 0" if positive else ">= 0"
+            raise ValueError(f"{name} must be {bound}, got {value}")
         return parsed
 
     for arg in argv:
@@ -685,32 +694,11 @@ def _parse_args(argv: list[str]):
             if options["seed"] < 0:
                 raise ValueError(f"--seed must be >= 0, got {value}")
         elif name == "--horizon":
-            try:
-                options["horizon"] = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"--horizon requires a number, got {value!r}"
-                ) from None
-            if options["horizon"] <= 0:
-                raise ValueError(f"--horizon must be > 0, got {value}")
+            options["horizon"] = _float_option(name, value, positive=True)
         elif name == "--window":
-            try:
-                options["window"] = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"--window requires a number, got {value!r}"
-                ) from None
-            if options["window"] <= 0:
-                raise ValueError(f"--window must be > 0, got {value}")
+            options["window"] = _float_option(name, value, positive=True)
         elif name == "--batch-window":
-            try:
-                options["batch_window"] = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"--batch-window requires a number, got {value!r}"
-                ) from None
-            if options["batch_window"] <= 0:
-                raise ValueError(f"--batch-window must be > 0, got {value}")
+            options["batch_window"] = _float_option(name, value, positive=True)
         elif name == "--max-batch":
             try:
                 options["max_batch"] = int(value)
@@ -753,14 +741,7 @@ def _parse_args(argv: list[str]):
             if options["request"] < 0:
                 raise ValueError(f"--request must be >= 0, got {value}")
         elif name == "--multiplier":
-            try:
-                options["multiplier"] = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"--multiplier requires a number, got {value!r}"
-                ) from None
-            if options["multiplier"] <= 0:
-                raise ValueError(f"--multiplier must be > 0, got {value}")
+            options["multiplier"] = _float_option(name, value, positive=True)
         elif name == "--parallelism":
             if value not in ("threads", "processes"):
                 raise ValueError(

@@ -7,12 +7,10 @@ For each scale factor (1/10/100 by default) this bench:
 2. runs both pipelines fully traced on a virtual clock (the PR-3
    tracer), recording EX, virtual makespan, tokens, and the per-stage
    self-time breakdown — the rows-vs-makespan curve;
-3. wall-clock times the UDF pipeline three ways — as the pre-PR code
-   (``optimize=False``, thread dispatch), on the optimized hot paths
-   with batched in-process dispatch, and on the optimized hot paths
-   with process-pool dispatch — asserting all runs identical (results,
-   Usage, cache stats) and recording the speedups (each config timed
-   twice, minimum kept);
+3. wall-clock times the UDF pipeline with in-process (thread) dispatch
+   and with process-pool dispatch — asserting both runs identical
+   (results, Usage, cache stats; each config timed twice, minimum
+   kept);
 4. covers all four SWAN worlds with a traced (virtual clock) UDF+HQDL
    run per scale rung (capped at :data:`WORLD_SCALE_CAP`) over a small
    per-world question subset, so no world's operator mix is a scaling
@@ -40,8 +38,7 @@ DEFAULT_SCALES = (1, 10, 100)
 #: Bench defaults: one database and a small question subset keep the
 #: scale-100 rung minutes, not hours, while still exercising every
 #: pipeline stage.  ``shots=2`` matters: few-shot selection is one of
-#: the per-key hot paths this PR hoists, so the pre/post comparison
-#: must include it.
+#: the per-key hot paths, so the timed runs must include it.
 BENCH_DATABASE = "superhero"
 BENCH_SHOTS = 2
 
@@ -133,17 +130,24 @@ def _run_traced(swan: Swan, pipeline: str, *, model_name: str, shots: int,
 
 
 def _run_wall(swan: Swan, *, model_name: str, shots: int, workers: int,
-              batch_size: int, optimize: bool, parallelism: str):
-    """One untraced UDF run, wall-clock timed; returns (run, seconds)."""
+              batch_size: int, parallelism: str):
+    """An untraced UDF run, wall-clock timed; returns (run, seconds).
+
+    Wall noise: the better of two runs is kept.
+    """
     from repro.harness.runner import GoldResults, run_udf
 
     gold = GoldResults(swan)
-    start = time.perf_counter()
-    run = run_udf(
-        swan, model_name, shots, workers=workers, gold=gold,
-        batch_size=batch_size, optimize=optimize, parallelism=parallelism,
-    )
-    return run, time.perf_counter() - start
+    best = None
+    for _ in range(2):
+        start = time.perf_counter()
+        run = run_udf(
+            swan, model_name, shots, workers=workers, gold=gold,
+            batch_size=batch_size, parallelism=parallelism,
+        )
+        seconds = time.perf_counter() - start
+        best = seconds if best is None else min(best, seconds)
+    return run, best
 
 
 def measure_worlds(
@@ -210,6 +214,10 @@ def measure_scale(
             batch_size=batch_size, scales=scales,
         ),
     }
+    config = dict(
+        model_name=model_name, shots=shots, workers=workers,
+        batch_size=batch_size,
+    )
     for scale in scales:
         swan = _bench_swan(scale, database, question_ids)
         payload["question_ids"] = [q.qid for q in swan.questions]
@@ -225,47 +233,23 @@ def measure_scale(
             "pipelines": {},
         }
         for pipeline in ("udf", "hqdl"):
-            entry["pipelines"][pipeline] = _run_traced(
-                swan, pipeline, model_name=model_name, shots=shots,
-                workers=workers, batch_size=batch_size,
+            entry["pipelines"][pipeline] = _run_traced(swan, pipeline, **config)
+        threads, threads_seconds = _run_wall(swan, parallelism="threads", **config)
+        procs, procs_seconds = _run_wall(swan, parallelism="processes", **config)
+        identical = (
+            threads.usage == procs.usage
+            and _outcome_records(threads) == _outcome_records(procs)
+            and (threads.cache_hits, threads.cache_misses)
+            == (procs.cache_hits, procs.cache_misses)
+        )
+        if not identical:
+            raise ReproError(
+                "process-pool UDF run diverged from the thread run at "
+                f"scale {scale} — refusing to report its timing"
             )
-        def _timed(optimize: bool, parallelism: str):
-            best = None
-            run = None
-            for _ in range(2):  # wall noise: keep the better of two runs
-                run, seconds = _run_wall(
-                    swan, model_name=model_name, shots=shots, workers=workers,
-                    batch_size=batch_size, optimize=optimize,
-                    parallelism=parallelism,
-                )
-                best = seconds if best is None else min(best, seconds)
-            return run, best
-
-        pre, pre_seconds = _timed(False, "threads")
-        post, post_seconds = _timed(True, "threads")
-        post_proc, post_proc_seconds = _timed(True, "processes")
-        for label, run in (("threads", post), ("processes", post_proc)):
-            identical = (
-                pre.usage == run.usage
-                and _outcome_records(pre) == _outcome_records(run)
-                and (pre.cache_hits, pre.cache_misses)
-                == (run.cache_hits, run.cache_misses)
-            )
-            if not identical:
-                raise ReproError(
-                    f"optimized UDF run ({label}) diverged from the pre-PR "
-                    f"run at scale {scale} — refusing to report its speedup"
-                )
         entry["wall"] = {
-            "pre_seconds": round(pre_seconds, 4),
-            "post_seconds": round(post_seconds, 4),
-            "post_processes_seconds": round(post_proc_seconds, 4),
-            "speedup": round(pre_seconds / post_seconds, 4)
-            if post_seconds > 0
-            else None,
-            "speedup_processes": round(pre_seconds / post_proc_seconds, 4)
-            if post_proc_seconds > 0
-            else None,
+            "threads_seconds": round(threads_seconds, 4),
+            "processes_seconds": round(procs_seconds, 4),
             "identical": True,
         }
         payload["scales"][str(scale)] = entry
@@ -288,7 +272,7 @@ def write_scale_json(
 
 
 def format_scale_report(payload: dict, path: Optional[Path] = None) -> str:
-    """Console rendering: the rows-vs-makespan curve plus wall speedups."""
+    """Console rendering: the rows-vs-makespan curve plus wall seconds."""
     from repro.eval.report import format_table
 
     rows = []
@@ -304,12 +288,8 @@ def format_scale_report(payload: dict, path: Optional[Path] = None) -> str:
                 f"{udf['ex'] * 100:.1f}%",
                 udf["llm_calls"],
                 f"{hqdl['makespan_seconds']:.1f} s",
-                f"{wall['pre_seconds']:.2f} s",
-                f"{wall['post_seconds']:.2f} s",
-                f"{wall['speedup']:.2f}x" if wall["speedup"] else "-",
-                f"{wall['speedup_processes']:.2f}x"
-                if wall["speedup_processes"]
-                else "-",
+                f"{wall['threads_seconds']:.2f} s",
+                f"{wall['processes_seconds']:.2f} s",
             ]
         )
     world_rows = []
@@ -333,16 +313,14 @@ def format_scale_report(payload: dict, path: Optional[Path] = None) -> str:
         f"Rows vs makespan on `{payload['database']}` "
         f"({payload['model']}, {payload['shots']}-shot, "
         f"workers={payload['workers']}; virtual makespans, wall-clock "
-        "pre=unoptimized threads / post=optimized threads; procs column "
-        "is the optimized process-pool speedup"
+        "UDF seconds with thread and process-pool dispatch"
         + (f"; also written to {path}" if path else "")
         + ")."
     )
     text = format_table(
         [
             "Scale", "Rows", "UDF makespan", "UDF EX", "UDF calls",
-            "HQDL makespan", "UDF wall pre", "UDF wall post", "Speedup",
-            "Procs",
+            "HQDL makespan", "UDF wall threads", "UDF wall procs",
         ],
         rows,
         title=title,

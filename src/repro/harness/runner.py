@@ -223,7 +223,6 @@ def run_hqdl(
     cache_dir: Optional[Union[str, Path]] = None,
     call_order: str = "collection",
     parallelism: str = "threads",
-    optimize: bool = True,
     provenance=None,
     ledger: Optional[RunLedger] = None,
     ledger_label: str = "hqdl",
@@ -253,8 +252,7 @@ def run_hqdl(
     processes serving every database of the run — byte-identical
     results, but the CPU-bound model simulation no longer serializes on
     the GIL, and ``db_workers`` composes without multiplying the process
-    count.  ``optimize=False`` disables the byte-identical prompt fast
-    paths (the bench-scale 'pre-optimization' reference).
+    count.
     """
     if parallelism not in ("threads", "processes"):
         raise ReproError(
@@ -288,12 +286,11 @@ def run_hqdl(
                 world = swan.world(name)
                 if shared_pool is not None:
                     model: ChatClient = shared_pool.client_for(
-                        world, model_name, meter=meter, optimize=optimize
+                        world, model_name, meter=meter
                     )
                 else:
                     model = MockChatModel(
-                        KnowledgeOracle(world, optimize=optimize), profile,
-                        meter=meter, optimize=optimize,
+                        KnowledgeOracle(world), profile, meter=meter
                     )
                 if wrap_client is not None:
                     model = wrap_client(model)
@@ -309,7 +306,7 @@ def run_hqdl(
                 pipeline = HQDL(
                     world, model, shots=shots, workers=workers,
                     call_order=call_order, resilience=resilience,
-                    telemetry=tel, provenance=prov, optimize=optimize,
+                    telemetry=tel, provenance=prov,
                 )
                 generation = pipeline.generate_all()
                 f1 = database_factuality(world, generation)
@@ -398,7 +395,6 @@ def run_udf(
     cache_dir: Optional[Union[str, Path]] = None,
     batch_policy: Optional[object] = None,
     parallelism: str = "threads",
-    optimize: bool = True,
     provenance=None,
     ledger: Optional[RunLedger] = None,
     ledger_label: str = "udf",
@@ -435,8 +431,7 @@ def run_udf(
     processes serving every database of the run — byte-identical
     results, but the CPU-bound model simulation no longer serializes on
     the GIL, and ``db_workers`` composes without multiplying the process
-    count.  ``optimize=False`` disables the byte-identical executor fast
-    paths (the bench-scale 'pre-optimization' reference).
+    count.
     """
     if plan not in (None, "prompt", "pairs"):
         raise ReproError(
@@ -477,12 +472,11 @@ def run_udf(
                 world = swan.world(name)
                 if shared_pool is not None:
                     model: ChatClient = shared_pool.client_for(
-                        world, model_name, meter=meter, optimize=optimize
+                        world, model_name, meter=meter
                     )
                 else:
                     model = MockChatModel(
-                        KnowledgeOracle(world, optimize=optimize), profile,
-                        meter=meter, optimize=optimize,
+                        KnowledgeOracle(world), profile, meter=meter
                     )
                 if wrap_client is not None:
                     model = wrap_client(model)
@@ -516,7 +510,6 @@ def run_udf(
                         batch_policy=batch_policy,
                         mapping_store=store,
                         provenance=prov,
-                        optimize=optimize,
                     )
                     questions = swan.questions_for(name)
                     if plan is not None:

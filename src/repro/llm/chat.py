@@ -68,22 +68,21 @@ def parse_quoted_row(line: str) -> list[str]:
 class MockChatModel:
     """A deterministic simulated LLM bound to one world's oracle."""
 
+    #: see complete_many: batching beats threads for a zero-latency
+    #: CPU-bound client
+    prefers_batch_dispatch = True
+
     def __init__(
         self,
         oracle: KnowledgeOracle,
         profile: ModelProfile,
         *,
         meter: Optional[UsageMeter] = None,
-        optimize: bool = True,
     ) -> None:
         self.oracle = oracle
         self.profile = profile
         self.meter = meter or UsageMeter()
         self.model_name = profile.name
-        self._optimize = optimize
-        # see complete_many: batching beats threads for a zero-latency
-        # CPU-bound client, but stays off on the reference path
-        self.prefers_batch_dispatch = optimize
 
     # -- ChatClient ----------------------------------------------------------
 
@@ -110,7 +109,7 @@ class MockChatModel:
         The model is pure CPU with zero latency, so fanning its calls
         over dispatcher threads only buys GIL contention and per-future
         overhead; batch dispatch (advertised via
-        ``prefers_batch_dispatch`` when optimized) completes the list in
+        ``prefers_batch_dispatch``) completes the list in
         one loop with identical results and accounting.  Latency-
         injecting wrappers hide the flag, so stacks where thread overlap
         matters keep the per-call path.  An already-expired ``deadline``
@@ -194,16 +193,11 @@ class MockChatModel:
     # -- UDF map (batched per-key answers) --------------------------------------
 
     def _complete_map(self, prompt: str) -> str:
-        if self._optimize:
-            # one pass over the prompt lines instead of one per marker
-            question, keys = self._parse_map_prompt_fast(prompt)
-        else:
-            question = self._line_after_marker(prompt, QUESTION_MARKER)
-            keys = self._parse_map_keys(prompt)
+        question, keys = self._parse_map_prompt(prompt)
         expansion, column = self.oracle.resolve_attribute(question)
         shots = prompt.count(MAP_EXAMPLE_MARKER)
         answers: list[str] = []
-        if self._optimize and keys:
+        if keys:
             generate = self.oracle.map_value_generator(
                 expansion.name, column.name, self.profile, shots, len(keys)
             )
@@ -212,36 +206,18 @@ class MockChatModel:
                 answers.append(
                     generate(padded) if padded is not None else "Unknown"
                 )
-        else:
-            for key in keys:
-                padded = self._pad_key(expansion, key)
-                if padded is not None:
-                    answers.append(
-                        self.oracle.generate_value(
-                            expansion.name,
-                            padded,
-                            column.name,
-                            self.profile,
-                            shots,
-                            single_cell=True,
-                            batch_size=len(keys),
-                        )
-                    )
-                else:
-                    answers.append("Unknown")
         answers = self._maybe_misalign(prompt, answers, shots)
         return "\n".join(f"{i}. {answer}" for i, answer in enumerate(answers, 1))
 
-    def _parse_map_prompt_fast(
+    def _parse_map_prompt(
         self, prompt: str
     ) -> tuple[str, list[tuple[str, ...]]]:
         """Question line and keys block in a single line scan.
 
-        Replicates :meth:`_line_after_marker` (first line containing the
-        question marker wins) and :meth:`_parse_map_keys` (the keys
-        block opens at the first bare ``Keys:`` line and closes at the
-        first non-key line after it) exactly — asserted byte-identical
-        by the test suite.
+        The question is the rest of the first line containing the
+        question marker (as :meth:`_line_after_marker` finds it); the
+        keys block opens at the first bare ``Keys:`` line and closes at
+        the first non-key line after it.
         """
         question: Optional[str] = None
         keys: list[tuple[str, ...]] = []
@@ -270,26 +246,6 @@ class MockChatModel:
         if question is None:
             raise LLMError(f"prompt is missing the {QUESTION_MARKER!r} line")
         return question, keys
-
-    def _parse_map_keys(self, prompt: str) -> list[tuple[str, ...]]:
-        keys: list[tuple[str, ...]] = []
-        in_keys = False
-        for line in prompt.splitlines():
-            if line.strip() == MAP_KEYS_MARKER:
-                in_keys = True
-                continue
-            if not in_keys:
-                continue
-            match = _KEY_LINE_RE.match(line)
-            if match is None:
-                if keys:  # the keys block has ended
-                    break
-                continue
-            parts = [
-                p.strip() for p in match.group(2).split("|")
-            ]
-            keys.append(tuple(_strip_quotes(p) for p in parts))
-        return keys
 
     def _pad_key(
         self, expansion, key: tuple[str, ...]

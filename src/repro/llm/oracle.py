@@ -73,15 +73,9 @@ def stable_choice(options: list, *parts: object):
 class KnowledgeOracle:
     """Ground truth plus calibrated noise for one world."""
 
-    def __init__(
-        self, world: World, *, salt: str = "swan-v1", optimize: bool = True
-    ) -> None:
+    def __init__(self, world: World, *, salt: str = "swan-v1") -> None:
         self.world = world
         self.salt = salt
-        #: toggles the byte-identical per-cell fast path (memoized
-        #: accuracies and pre-joined hash payloads); ``False`` keeps the
-        #: reference implementation for the pre-optimization benches
-        self.optimize = optimize
         # calibrated accuracy per (profile name, column, shots, ...) —
         # constant across the thousands of cells of one scaled column
         self._accuracy_cache: dict[tuple, float] = {}
@@ -120,6 +114,35 @@ class KnowledgeOracle:
         draw = stable_uniform(self.salt, "know", self.world.name, expansion_name, key, column)
         return draw < accuracy
 
+    def _base_accuracy(
+        self,
+        spec: ExpansionColumn,
+        profile: ModelProfile,
+        shots: int,
+        single_cell: bool,
+        batch_size: int,
+    ) -> float:
+        """The profile's calibrated accuracy for one column, memoized.
+
+        A pure function of ``(profile, column, shots, single_cell,
+        batch_size)`` — constant across the thousands of cells a scaled
+        column generates (keyed on ``profile.name``; profiles are
+        registry singletons).
+        """
+        acc_key = (profile.name, spec.name, shots, single_cell, batch_size)
+        accuracy = self._accuracy_cache.get(acc_key)
+        if accuracy is None:
+            accuracy = profile.knowledge_accuracy(
+                self.world.name,
+                spec.name,
+                spec.kind,
+                shots,
+                single_cell=single_cell,
+                batch_size=batch_size,
+            )
+            self._accuracy_cache[acc_key] = accuracy
+        return accuracy
+
     def generate_value(
         self,
         expansion_name: str,
@@ -132,21 +155,13 @@ class KnowledgeOracle:
         batch_size: int = 1,
         with_context: bool = False,
     ) -> str:
-        """The model's answer for one cell, formatted as completion text."""
+        """The model's answer for one cell, formatted as completion text.
+
+        Every hash draw reuses one pre-joined payload tail instead of
+        re-stringifying the cell identity per draw.
+        """
         spec = self.column_spec(expansion_name, column)
-        if self.optimize:
-            return self._generate_value_fast(
-                spec, expansion_name, key, column, profile, shots,
-                single_cell, batch_size, with_context,
-            )
-        accuracy = profile.knowledge_accuracy(
-            self.world.name,
-            column,
-            spec.kind,
-            shots,
-            single_cell=single_cell,
-            batch_size=batch_size,
-        )
+        accuracy = self._base_accuracy(spec, profile, shots, single_cell, batch_size)
         # Famous entities are better represented in pre-training data;
         # the popularity multiplier raises (or lowers) the cell's odds
         # while keeping the profile's hard ceiling.  A model with perfect
@@ -158,56 +173,11 @@ class KnowledgeOracle:
                 accuracy *= profile.context_boost
             accuracy = min(profile.max_accuracy, accuracy)
         truth = self.world.truth_value(expansion_name, key, column)
-        if self.knows(expansion_name, key, column, accuracy):
-            return self.format_value(truth, spec)
-        return self.format_value(
-            self._distractor(expansion_name, key, column, spec, truth), spec
-        )
-
-    def _generate_value_fast(
-        self,
-        spec: ExpansionColumn,
-        expansion_name: str,
-        key: tuple,
-        column: str,
-        profile: ModelProfile,
-        shots: int,
-        single_cell: bool,
-        batch_size: int,
-        with_context: bool,
-    ) -> str:
-        """Byte-identical :meth:`generate_value`, minus repeated work.
-
-        The calibrated base accuracy is a pure function of
-        ``(profile, column, shots, single_cell, batch_size)`` — constant
-        across the thousands of cells a scaled column generates — so it
-        is memoized (keyed on ``profile.name``; profiles are registry
-        singletons).  Every hash draw reuses one pre-joined payload tail
-        instead of re-stringifying the cell identity per draw.
-        """
-        acc_key = (profile.name, column, shots, single_cell, batch_size)
-        accuracy = self._accuracy_cache.get(acc_key)
-        if accuracy is None:
-            accuracy = profile.knowledge_accuracy(
-                self.world.name,
-                column,
-                spec.kind,
-                shots,
-                single_cell=single_cell,
-                batch_size=batch_size,
-            )
-            self._accuracy_cache[acc_key] = accuracy
-        if accuracy < 1.0:
-            accuracy *= self.world.key_popularity(expansion_name, key)
-            if with_context:
-                accuracy *= profile.context_boost
-            accuracy = min(profile.max_accuracy, accuracy)
-        truth = self.world.truth_value(expansion_name, key, column)
         tail = f"{self.world.name}\x1f{expansion_name}\x1f{key}\x1f{column}"
         if _uniform_from_payload(f"{self.salt}\x1fknow\x1f{tail}") < accuracy:
             return self.format_value(truth, spec)
         return self.format_value(
-            self._distractor_fast(expansion_name, key, column, spec, truth, tail),
+            self._distractor(expansion_name, key, column, spec, truth, tail),
             spec,
         )
 
@@ -231,25 +201,14 @@ class KnowledgeOracle:
         :meth:`generate_value` calls.
         """
         spec = self.column_spec(expansion_name, column)
-        acc_key = (profile.name, column, shots, True, batch_size)
-        base_accuracy = self._accuracy_cache.get(acc_key)
-        if base_accuracy is None:
-            base_accuracy = profile.knowledge_accuracy(
-                self.world.name,
-                column,
-                spec.kind,
-                shots,
-                single_cell=True,
-                batch_size=batch_size,
-            )
-            self._accuracy_cache[acc_key] = base_accuracy
+        base_accuracy = self._base_accuracy(spec, profile, shots, True, batch_size)
         popularity = self.world.popularity.get(expansion_name, {})
         truths = self.world.truth[expansion_name]
         max_accuracy = profile.max_accuracy
         tail_prefix = f"{self.world.name}\x1f{expansion_name}\x1f"
         know_prefix = f"{self.salt}\x1fknow\x1f"
         format_value = self.format_value
-        distractor = self._distractor_fast
+        distractor = self._distractor
 
         def generate(key: tuple) -> str:
             """One key's answer, drawn against the hoisted batch context."""
@@ -270,80 +229,6 @@ class KnowledgeOracle:
             )
 
         return generate
-
-    def _distractor_fast(
-        self,
-        expansion_name: str,
-        key: tuple,
-        column: str,
-        spec: ExpansionColumn,
-        truth: object,
-        tail: str,
-    ) -> object:
-        """:meth:`_distractor` over the pre-joined payload tail."""
-        wrong = f"{self.salt}\x1fwrong\x1f{tail}"
-        if spec.kind == KIND_SELECTION:
-            options = [
-                v for v in self.world.value_lists.get(spec.value_list or "", []) if v != truth
-            ]
-            if options:
-                return _choice_from_payload(options, wrong)
-            return truth
-        if spec.kind == KIND_NUMERIC:
-            try:
-                value = float(truth)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                return f"{truth}?"
-            draw = _uniform_from_payload("numeric\x1f" + wrong)
-            factor = 1.0 + (0.05 + 0.15 * draw) * (1 if draw > 0.5 else -1)
-            wrong_value = value * factor
-            if isinstance(truth, int) or (
-                isinstance(truth, float) and value == int(value)
-            ):
-                wrong_int = int(round(wrong_value))
-                if wrong_int == int(value):
-                    wrong_int += 1
-                return wrong_int
-            return round(wrong_value, 2)
-        if spec.kind == KIND_MULTI:
-            return self._multi_distractor_fast(spec, truth, wrong)
-        seed_parts = (self.salt, "wrong", self.world.name, expansion_name, key, column)
-        return self._freeform_distractor(expansion_name, key, column, truth, seed_parts)
-
-    def _multi_distractor_fast(
-        self, spec: ExpansionColumn, truth: object, wrong: str
-    ) -> tuple:
-        """:meth:`_multi_distractor` with a memoized distractor pool.
-
-        Replicated entities share their truth item lists, so the pool
-        ``[v for v in value_list if v not in items]`` recurs thousands
-        of times per scaled column — one dict hit replaces it.
-        """
-        items = list(truth) if isinstance(truth, (list, tuple)) else [str(truth)]
-        pool_key = (spec.value_list, tuple(items))
-        pool = self._pool_cache.get(pool_key)
-        if pool is None:
-            pool = [
-                v
-                for v in self.world.value_lists.get(spec.value_list or "", [])
-                if v not in items
-            ]
-            self._pool_cache[pool_key] = pool
-        draw = _uniform_from_payload("multi\x1f" + wrong)
-        mutated = list(items)
-        if mutated and draw < 0.6:
-            drop_index = int(
-                _uniform_from_payload("multi-drop\x1f" + wrong) * len(mutated)
-            )
-            mutated.pop(min(drop_index, len(mutated) - 1))
-        if pool and draw >= 0.3:
-            mutated.append(_choice_from_payload(pool, "multi-add\x1f" + wrong))
-        if tuple(mutated) == tuple(items):
-            if pool:
-                mutated.append(_choice_from_payload(pool, "multi-fix\x1f" + wrong))
-            elif mutated:
-                mutated.pop()
-        return tuple(mutated)
 
     @staticmethod
     def format_value(value: object, spec: ExpansionColumn) -> str:
@@ -367,60 +252,77 @@ class KnowledgeOracle:
         column: str,
         spec: ExpansionColumn,
         truth: object,
+        tail: str,
     ) -> object:
-        """A plausible wrong value, deterministic per cell."""
-        seed_parts = (self.salt, "wrong", self.world.name, expansion_name, key, column)
+        """A plausible wrong value, deterministic per cell.
+
+        ``tail`` is the cell identity pre-joined for hashing (see
+        :meth:`generate_value`); every draw prefixes it instead of
+        re-stringifying the parts.
+        """
+        wrong = f"{self.salt}\x1fwrong\x1f{tail}"
         if spec.kind == KIND_SELECTION:
             options = [
                 v for v in self.world.value_lists.get(spec.value_list or "", []) if v != truth
             ]
             if options:
-                return stable_choice(options, *seed_parts)
+                return _choice_from_payload(options, wrong)
             return truth  # degenerate single-value list: nothing else to say
         if spec.kind == KIND_NUMERIC:
-            return self._numeric_distractor(truth, seed_parts)
+            try:
+                value = float(truth)  # type: ignore[arg-type]
+            except (TypeError, ValueError):
+                return f"{truth}?"
+            draw = _uniform_from_payload("numeric\x1f" + wrong)
+            # ±5%..20% relative error, never exactly the truth
+            factor = 1.0 + (0.05 + 0.15 * draw) * (1 if draw > 0.5 else -1)
+            wrong_value = value * factor
+            if isinstance(truth, int) or (
+                isinstance(truth, float) and value == int(value)
+            ):
+                wrong_int = int(round(wrong_value))
+                if wrong_int == int(value):
+                    wrong_int += 1
+                return wrong_int
+            return round(wrong_value, 2)
         if spec.kind == KIND_MULTI:
-            return self._multi_distractor(spec, truth, seed_parts)
+            return self._multi_distractor(spec, truth, wrong)
+        seed_parts = (self.salt, "wrong", self.world.name, expansion_name, key, column)
         return self._freeform_distractor(expansion_name, key, column, truth, seed_parts)
 
-    @staticmethod
-    def _numeric_distractor(truth: object, seed_parts: tuple) -> object:
-        try:
-            value = float(truth)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return f"{truth}?"
-        draw = stable_uniform("numeric", *seed_parts)
-        # ±5%..20% relative error, never exactly the truth
-        factor = 1.0 + (0.05 + 0.15 * draw) * (1 if draw > 0.5 else -1)
-        wrong = value * factor
-        if isinstance(truth, int) or (isinstance(truth, float) and value == int(value)):
-            wrong_int = int(round(wrong))
-            if wrong_int == int(value):
-                wrong_int += 1
-            return wrong_int
-        return round(wrong, 2)
-
     def _multi_distractor(
-        self, spec: ExpansionColumn, truth: object, seed_parts: tuple
+        self, spec: ExpansionColumn, truth: object, wrong: str
     ) -> tuple:
+        """Forget and/or invent one element of a multi-valued truth.
+
+        Replicated entities share their truth item lists, so the pool
+        ``[v for v in value_list if v not in items]`` recurs thousands
+        of times per scaled column — one dict hit replaces it.
+        """
         items = list(truth) if isinstance(truth, (list, tuple)) else [str(truth)]
-        pool = [
-            v
-            for v in self.world.value_lists.get(spec.value_list or "", [])
-            if v not in items
-        ]
-        draw = stable_uniform("multi", *seed_parts)
+        pool_key = (spec.value_list, tuple(items))
+        pool = self._pool_cache.get(pool_key)
+        if pool is None:
+            pool = [
+                v
+                for v in self.world.value_lists.get(spec.value_list or "", [])
+                if v not in items
+            ]
+            self._pool_cache[pool_key] = pool
+        draw = _uniform_from_payload("multi\x1f" + wrong)
         mutated = list(items)
         if mutated and draw < 0.6:
             # forget one element
-            drop_index = int(stable_uniform("multi-drop", *seed_parts) * len(mutated))
+            drop_index = int(
+                _uniform_from_payload("multi-drop\x1f" + wrong) * len(mutated)
+            )
             mutated.pop(min(drop_index, len(mutated) - 1))
         if pool and draw >= 0.3:
             # invent one element
-            mutated.append(stable_choice(pool, "multi-add", *seed_parts))
+            mutated.append(_choice_from_payload(pool, "multi-add\x1f" + wrong))
         if tuple(mutated) == tuple(items):
             if pool:
-                mutated.append(stable_choice(pool, "multi-fix", *seed_parts))
+                mutated.append(_choice_from_payload(pool, "multi-fix\x1f" + wrong))
             elif mutated:
                 mutated.pop()
         return tuple(mutated)
@@ -487,7 +389,7 @@ class KnowledgeOracle:
         wins.  Raises :class:`LLMError` when nothing matches — the mock
         model is "confused", and callers surface that as a failed query.
         """
-        if self.optimize and question in self._attr_cache:
+        if question in self._attr_cache:
             best = self._attr_cache[question]
             if best is None:
                 raise LLMError(
@@ -507,8 +409,7 @@ class KnowledgeOracle:
                 if score > best_score:
                     best_score = score
                     best = (expansion, column)
-        if self.optimize:
-            self._attr_cache[question] = best
+        self._attr_cache[question] = best
         if best is None:
             raise LLMError(
                 f"cannot resolve question to a known attribute: {question!r}"

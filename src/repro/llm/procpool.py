@@ -26,7 +26,7 @@ Two pool ownership modes:
   per-database runs share ``processes`` workers total instead of
   spawning ``db_workers × processes`` processes, and the long-lived
   query server serves every tenant from one warm pool.  Worker-side
-  model replicas are keyed by ``(world, scale, model, optimize)``, so
+  model replicas are keyed by ``(world, scale, model)``, so
   one worker can serve any database.
 
 The client is dispatcher-agnostic: it plugs into the existing
@@ -57,14 +57,14 @@ __all__ = ["ProcPoolClient", "SharedProcessPool"]
 _WORLD_REGISTRY: dict[tuple[str, int], World] = {}
 
 #: Per-worker-process model replicas, keyed by
-#: ``(world_name, scale, model_name, optimize)`` and built lazily on the
+#: ``(world_name, scale, model_name)`` and built lazily on the
 #: first chunk that needs them — one worker serves any database.
 _WORKER_MODELS: dict = {}
 
 
-def _worker_model(world_name: str, scale: int, model_name: str, optimize: bool):
+def _worker_model(world_name: str, scale: int, model_name: str):
     """This worker process's model replica for one world, built lazily."""
-    key = (world_name, scale, model_name, optimize)
+    key = (world_name, scale, model_name)
     model = _WORKER_MODELS.get(key)
     if model is not None:
         return model
@@ -80,16 +80,15 @@ def _worker_model(world_name: str, scale: int, model_name: str, optimize: bool):
         world = scale_world(WORLD_BUILDERS[world_name](), scale)
         _WORLD_REGISTRY[(world_name, scale)] = world
     model = MockChatModel(
-        KnowledgeOracle(world, optimize=optimize), get_profile(model_name),
-        meter=UsageMeter(), optimize=optimize,
+        KnowledgeOracle(world), get_profile(model_name), meter=UsageMeter()
     )
     _WORKER_MODELS[key] = model
     return model
 
 
-def _init_worker(world_name: str, scale: int, model_name: str, optimize: bool) -> None:
+def _init_worker(world_name: str, scale: int, model_name: str) -> None:
     """Pre-build one world's replica (private-pool workers warm up eagerly)."""
-    _worker_model(world_name, scale, model_name, optimize)
+    _worker_model(world_name, scale, model_name)
 
 
 def _complete_chunk_in_worker(
@@ -139,12 +138,9 @@ class SharedProcessPool:
         model_name: str,
         *,
         meter: Optional[UsageMeter] = None,
-        optimize: bool = True,
     ) -> "ProcPoolClient":
         """A per-database client view submitting into this shared pool."""
-        return ProcPoolClient(
-            world, model_name, meter=meter, optimize=optimize, pool=self
-        )
+        return ProcPoolClient(world, model_name, meter=meter, pool=self)
 
     def close(self) -> None:
         """Shut the pool down, reaping every worker process."""
@@ -181,14 +177,12 @@ class ProcPoolClient:
         *,
         processes: Optional[int] = None,
         meter: Optional[UsageMeter] = None,
-        optimize: bool = True,
         pool: Optional[SharedProcessPool] = None,
     ) -> None:
         self.world = world
         self.model_name = model_name
         self.meter = meter or UsageMeter()
         self.processes = max(1, processes) if processes is not None else None
-        self.optimize = optimize
         self.shared_pool = pool
         self._pool: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
@@ -196,7 +190,7 @@ class ProcPoolClient:
 
     @property
     def _model_key(self) -> tuple:
-        return (self.world.name, self.world.scale, self.model_name, self.optimize)
+        return (self.world.name, self.world.scale, self.model_name)
 
     # -- pool lifecycle ------------------------------------------------------
 

@@ -193,7 +193,6 @@ class ServerConfig:
     fault_rate: float = 0.0
     fault_seed: int = 0
     cache_dir: Optional[Union[str, Path]] = None
-    optimize: bool = True
     #: cross-request continuous batching (None = per-request dispatch,
     #: byte-identical to the pre-batching server)
     batching: Optional[BatchingConfig] = None
@@ -480,10 +479,9 @@ class QueryServer:
 
     def _base_model(self, world):
         return MockChatModel(
-            KnowledgeOracle(world, optimize=self.config.optimize),
+            KnowledgeOracle(world),
             get_profile(self.config.model_name),
             meter=self.meter,
-            optimize=self.config.optimize,
         )
 
     def _wrap_faults(self, model):
@@ -534,7 +532,6 @@ class QueryServer:
                 resilience=self.resilience,
                 telemetry=self._tel,
                 mapping_store=self.mapping_store,
-                optimize=self.config.optimize,
             )
             executor.publish_mappings = self.config.share_mappings
             state = _UdfState(db, executor, cache, disk)
@@ -559,7 +556,6 @@ class QueryServer:
                 workers=self.config.workers,
                 resilience=self.resilience,
                 telemetry=self._tel,
-                optimize=self.config.optimize,
             )
             state = _HqdlState(pipeline, recorder, disk, cache)
             self._hqdl[database] = state
@@ -898,6 +894,33 @@ class QueryServer:
 
     # -- request execution --------------------------------------------------------
 
+    def _breaker_short_circuit(
+        self, request: QueryRequest, start: float
+    ) -> Optional[RequestOutcome]:
+        """The outcome of a request dispatched while the breaker is open.
+
+        ``None`` when the breaker lets the request through.  Otherwise
+        the overload fast path: no LLM work, a NULL-degraded answer at
+        the cheap fixed cost — availability preserved, quality shed.
+        """
+        try:
+            self.breaker.before_call()
+        except CircuitOpenError:
+            finish = min(
+                start + self.config.base_overhead, request.deadline_at
+            )
+            outcome = RequestOutcome(
+                request=request,
+                status=DEGRADED,
+                reason="breaker_open",
+                finish_time=finish,
+                queue_wait=start - request.arrival,
+                service_seconds=finish - start,
+            )
+            self._trace_outcome(outcome, start=start)
+            return outcome
+        return None
+
     def _execute(self, request: QueryRequest) -> RequestOutcome:
         """Run one dispatched request; returns its (future) outcome.
 
@@ -909,24 +932,9 @@ class QueryServer:
         start = self.clock.now()
         queue_wait = start - request.arrival
         remaining = request.deadline_seconds - queue_wait
-        try:
-            self.breaker.before_call()
-        except CircuitOpenError:
-            # overload fast path: no LLM work, a NULL-degraded answer at
-            # the cheap fixed cost — availability preserved, quality shed
-            finish = min(
-                start + self.config.base_overhead, request.deadline_at
-            )
-            outcome = RequestOutcome(
-                request=request,
-                status=DEGRADED,
-                reason="breaker_open",
-                finish_time=finish,
-                queue_wait=queue_wait,
-                service_seconds=finish - start,
-            )
-            self._trace_outcome(outcome, start=start)
-            return outcome
+        shed = self._breaker_short_circuit(request, start)
+        if shed is not None:
+            return shed
         timer = ServiceTimer(start)
         retries_before = self.resilience.retries
         usage_before = self.meter.total
@@ -1040,22 +1048,9 @@ class QueryServer:
         """Plan one dispatched request's LLM work into the batcher."""
         start = self.clock.now()
         queue_wait = start - request.arrival
-        try:
-            self.breaker.before_call()
-        except CircuitOpenError:
-            finish = min(
-                start + self.config.base_overhead, request.deadline_at
-            )
-            outcome = RequestOutcome(
-                request=request,
-                status=DEGRADED,
-                reason="breaker_open",
-                finish_time=finish,
-                queue_wait=queue_wait,
-                service_seconds=finish - start,
-            )
-            self._trace_outcome(outcome, start=start)
-            self._push_event(outcome.finish_time, "finish", outcome)
+        shed = self._breaker_short_circuit(request, start)
+        if shed is not None:
+            self._push_event(shed.finish_time, "finish", shed)
             return
         batcher = self.batcher
         member = PendingRequest(request, start=start, queue_wait=queue_wait)

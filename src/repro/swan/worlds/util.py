@@ -38,28 +38,17 @@ def det_choice(options: Sequence[T], *parts: object) -> T:
 
 
 def det_sample(options: Sequence[T], count: int, *parts: object) -> list[T]:
-    """Deterministically pick ``count`` distinct elements, order-stable."""
-    if count > len(options):
-        raise ValueError(f"cannot sample {count} from {len(options)} options")
-    scored = sorted(
-        range(len(options)), key=lambda i: det_uniform("sample", i, *parts)
-    )
-    chosen = sorted(scored[:count])
-    return [options[i] for i in chosen]
+    """Deterministically pick ``count`` distinct elements, order-stable.
 
-
-def det_sample_fast(options: Sequence[T], count: int, *parts: object) -> list[T]:
-    """Byte-identical to :func:`det_sample`, built for large pools.
-
-    Same draws, same winners: the hash payload for index ``i`` is the
-    exact byte string :func:`det_uniform` would build ("sample", i,
-    *parts joined by ``\\x1f``), only the constant suffix is encoded
-    once instead of per index, and the full sort over all draws is
-    replaced by a ``heapq.nsmallest`` top-``count`` selection (which the
-    stdlib documents as equivalent to ``sorted(...)[:n]``, preserving
-    the stable tie order).  Draws are compared as the same ``/ 2**64``
-    floats ``det_uniform`` returns, so even precision-collapsed ties
-    resolve identically.
+    The ``count`` indices with the lowest ``det_uniform("sample", i,
+    *parts)`` draws win, ties going to the lower index.  Built for large
+    pools: the hash payload for index ``i`` is the exact byte string
+    :func:`det_uniform` would build, only the constant suffix is encoded
+    once instead of per index, and ``heapq.nsmallest`` (documented as
+    equivalent to ``sorted(...)[:n]``, stable tie order included)
+    replaces a full sort over all draws.  Draws are compared as the
+    same ``/ 2**64`` floats ``det_uniform`` returns, so even
+    precision-collapsed ties resolve identically.
     """
     if count > len(options):
         raise ValueError(f"cannot sample {count} from {len(options)} options")

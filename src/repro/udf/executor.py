@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from repro.errors import IngredientError, ReproError
 from repro.llm.batching import (
@@ -77,7 +77,7 @@ _DEMO_POOLS: dict[tuple[str, int], tuple[World, DemonstrationPool]] = {}
 
 
 def _demo_pool(world: World) -> DemonstrationPool:
-    """The optimized pool for a world, cached across executor instances.
+    """The demonstration pool for a world, cached across executor instances.
 
     Pool construction hashes every truth key once per column; at scale
     100 that is ~10^5 draws a fresh executor would redo per run even
@@ -88,7 +88,7 @@ def _demo_pool(world: World) -> DemonstrationPool:
     cached = _DEMO_POOLS.get((world.name, world.scale))
     if cached is not None and cached[0] is world:
         return cached[1]
-    pool = DemonstrationPool(world, optimize=True)
+    pool = DemonstrationPool(world)
     _DEMO_POOLS[(world.name, world.scale)] = (world, pool)
     return pool
 
@@ -146,7 +146,6 @@ class HybridQueryExecutor:
         batch_policy: Optional[object] = None,
         mapping_store: Optional["MappingStore"] = None,
         provenance=None,
-        optimize: bool = True,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -156,11 +155,6 @@ class HybridQueryExecutor:
         self.pushdown = pushdown
         self.shots = shots
         self.workers = workers
-        #: toggles the byte-identical hot-path rewrites (bulk key fetch,
-        #: cached prompt prefixes, streamed temp-table rows); ``False``
-        #: keeps the original per-key code and exists as the bench-scale
-        #: 'pre-optimization' reference.
-        self.optimize = optimize
         self._map_prefix_cache: dict[IngredientCall, str] = {}
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._prov = provenance if provenance is not None else NULL_PROVENANCE
@@ -176,12 +170,7 @@ class HybridQueryExecutor:
         )
         self._m_degraded_keys = self._tel.metrics.counter("pipeline.degraded_keys")
         if selector is None and shots > 0:
-            pool = (
-                _demo_pool(world)
-                if optimize
-                else DemonstrationPool(world, optimize=False)
-            )
-            selector = FewShotSelector(pool, memoize=optimize)
+            selector = FewShotSelector(_demo_pool(world))
         self.selector = selector
         self.semantic_cache = semantic_cache
         self.views = views
@@ -521,14 +510,8 @@ class HybridQueryExecutor:
             if conjuncts:
                 rendered = " AND ".join(f"({_render_expr(c)})" for c in conjuncts)
                 sql += f" WHERE {rendered}"
-        if self.optimize:
-            # bulk fetch (no ResultSet bookkeeping) + single-pass coercion;
-            # str() over the same values in the same order, so the key
-            # tuples are byte-identical to the per-row path below
-            keys = [tuple(map(str, row)) for row in self.db.query_rows(sql)]
-        else:
-            rows = self.db.query(sql).rows
-            keys = [tuple(str(v) for v in row) for row in rows]
+        # bulk fetch: no ResultSet bookkeeping for rows only ever str()-ed
+        keys = [tuple(map(str, row)) for row in self.db.query_rows(sql)]
         report.keys_after_pushdown[call.question] = len(keys)
         return keys
 
@@ -650,51 +633,36 @@ class HybridQueryExecutor:
     )
 
     def _map_prompt(self, call: IngredientCall, batch: list[tuple]) -> str:
-        question = call.question
-        if self.optimize:
-            # PromptSpec joins sections (and lines within sections) with
-            # single newlines, so the rendered prompt equals the flat
-            # newline join of all lines.  Everything above the target is
-            # the same for every batch of one ingredient; cache it per
-            # (frozen, hashable) IngredientCall and splice the key lines
-            # in — byte-identical to the spec path below.
-            prefix = self._map_prefix_cache.get(call)
-            if prefix is None:
-                prefix = "\n".join(
-                    [
-                        "Answer the question for each given key from the "
-                        f"`{self.world.name}` database.",
-                        *self._options_lines(call),
-                        *self._demo_lines(question),
-                        f"{QUESTION_MARKER} {question}",
-                        MAP_KEYS_MARKER,
-                    ]
-                )
-                self._map_prefix_cache[call] = prefix
-            lines = [prefix]
-            for index, key in enumerate(batch, start=1):
-                rendered = "|".join(quote_field(str(part)) for part in key)
-                lines.append(f"{index}. {rendered}")
-            lines.append(self._MAP_RULE)
-            lines.append(ANSWER_MARKER)
-            return "\n".join(lines)
-        spec = PromptSpec()
-        spec.add_task(
-            "Answer the question for each given key from the "
-            f"`{self.world.name}` database."
-        )
-        for line in self._options_lines(call):
-            spec.add_values(line)
-        for line in self._demo_lines(question):
-            spec.add_demonstration(line)
-        key_lines = [MAP_KEYS_MARKER]
+        """The map prompt for one batch of keys.
+
+        Laid out as a :class:`~repro.llm.declarative.PromptSpec` of
+        task, values, demonstrations, target (question + key lines),
+        rule and cue would render it — sections and lines joined by
+        single newlines.  Everything above the key lines is the same for
+        every batch of one ingredient, so it is built once per (frozen,
+        hashable) IngredientCall and the key lines are spliced in.
+        """
+        prefix = self._map_prefix_cache.get(call)
+        if prefix is None:
+            question = call.question
+            prefix = "\n".join(
+                [
+                    "Answer the question for each given key from the "
+                    f"`{self.world.name}` database.",
+                    *self._options_lines(call),
+                    *self._demo_lines(question),
+                    f"{QUESTION_MARKER} {question}",
+                    MAP_KEYS_MARKER,
+                ]
+            )
+            self._map_prefix_cache[call] = prefix
+        lines = [prefix]
         for index, key in enumerate(batch, start=1):
             rendered = "|".join(quote_field(str(part)) for part in key)
-            key_lines.append(f"{index}. {rendered}")
-        spec.add_target(f"{QUESTION_MARKER} {question}", *key_lines)
-        spec.add_rule(self._MAP_RULE)
-        spec.add_cue(ANSWER_MARKER)
-        return spec.render()
+            lines.append(f"{index}. {rendered}")
+        lines.append(self._MAP_RULE)
+        lines.append(ANSWER_MARKER)
+        return "\n".join(lines)
 
     def _options_lines(self, call: IngredientCall) -> list[str]:
         """The retained value list, when the query passes options=...
@@ -734,12 +702,10 @@ class HybridQueryExecutor:
         self._temp_counter += 1
         columns = [f"k{i}" for i in range(len(call.key_columns))] + ["v"]
         # a generator keeps at most one insert chunk of rows in memory;
-        # create_temp_table streams it in fixed-size chunks either way
-        rows: Iterable[tuple] = (
+        # create_temp_table streams it in fixed-size chunks
+        rows = (
             key + (value,) for key, value in mapping.items() if value is not None
         )
-        if not self.optimize:
-            rows = list(rows)
         self.db.create_temp_table(temp_name, columns, rows)
         # the rewrite probes this table once per outer row via a
         # correlated scalar subquery — index the key columns so each
@@ -790,11 +756,9 @@ class HybridQueryExecutor:
         temp_name = f"__llm_ing_{self._temp_counter}"
         self._temp_counter += 1
         columns = list(call.key_columns) + ["value"]
-        rows: Iterable[tuple] = (
+        rows = (
             key + (value,) for key, value in mapping.items() if value is not None
         )
-        if not self.optimize:
-            rows = list(rows)
         self.db.create_temp_table(temp_name, columns, rows)
         self.db.create_index(temp_name, columns[:-1])
         return ast.TableName(temp_name, alias=alias)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.llm.oracle import KnowledgeOracle
 from repro.retrieval.embedding import cosine_similarity, embed
 from repro.swan.base import World
-from repro.swan.worlds.util import det_sample, det_sample_fast
+from repro.swan.worlds.util import det_sample
 
 __all__ = [
     "Demonstration",
@@ -49,19 +49,16 @@ class DemonstrationPool:
     original database", Section 5.2).
     """
 
-    def __init__(self, world: World, *, optimize: bool = True) -> None:
+    def __init__(self, world: World) -> None:
         self.world = world
         oracle = KnowledgeOracle(world)
         self.demonstrations: list[Demonstration] = []
-        # hashing every truth key per column dominates pool construction
-        # at scale; det_sample_fast draws the identical sample in O(n)
-        sampler = det_sample_fast if optimize else det_sample
         for expansion in world.expansions:
             keys = sorted(world.truth[expansion.name].keys())
             for column in expansion.columns:
                 question = f"Provide the {column.description.lower()} for the given key."
                 count = min(_KEYS_PER_COLUMN, len(keys))
-                sample = sampler(
+                sample = det_sample(
                     keys, count, "udf-demos", world.name, expansion.name, column.name
                 )
                 for key in sample:
@@ -81,15 +78,14 @@ class DemonstrationPool:
 class FewShotSelector:
     """Selects the most similar demonstrations for a map/QA question.
 
-    With ``memoize`` (the default) selections are cached per
-    ``(question, count)`` — selection is deterministic, and a scaled run
-    asks the same question for thousands of keys, so re-embedding and
-    re-ranking the pool per key is pure overhead.
+    Selections are cached per ``(question, count)`` — selection is
+    deterministic, and a scaled run asks the same question for thousands
+    of keys, so re-embedding and re-ranking the pool per key is pure
+    overhead.
     """
 
-    def __init__(self, pool: DemonstrationPool, *, memoize: bool = True) -> None:
+    def __init__(self, pool: DemonstrationPool) -> None:
         self.pool = pool
-        self.memoize = memoize
         self._cache: dict[tuple[str, int], list[Demonstration]] = {}
         self._vectors = [
             embed(f"{demo.question} {demo.key_display}")
@@ -100,16 +96,14 @@ class FewShotSelector:
         """Top ``count`` demonstrations by cosine similarity to ``question``."""
         if count <= 0 or not self.pool.demonstrations:
             return []
-        if self.memoize:
-            cached = self._cache.get((question, count))
-            if cached is not None:
-                return list(cached)
+        cached = self._cache.get((question, count))
+        if cached is not None:
+            return list(cached)
         query = embed(question)
         scored = sorted(
             range(len(self._vectors)),
             key=lambda i: (-cosine_similarity(query, self._vectors[i]), i),
         )
         selected = [self.pool.demonstrations[i] for i in scored[:count]]
-        if self.memoize:
-            self._cache[(question, count)] = list(selected)
+        self._cache[(question, count)] = list(selected)
         return selected

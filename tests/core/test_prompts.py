@@ -100,3 +100,20 @@ class TestFewShot:
         lengths = [len(builder_factory(s).build(key)) for s in (0, 1, 3, 5)]
         assert lengths == sorted(lengths)
         assert lengths[0] < lengths[-1]
+
+
+class TestFastBuildMatchesSpec:
+    """``build`` splices the target line between cached constant parts;
+    the declarative ``build_spec(key).render()`` is its definition."""
+
+    @pytest.mark.parametrize("shots", [0, 3])
+    def test_every_key_of_every_expansion_table(self, swan, shots):
+        checked = 0
+        for name in swan.database_names():
+            world = swan.world(name)
+            for expansion in world.expansions:
+                builder = RowPromptBuilder(world, expansion, shots=shots)
+                for key in world.keys_for(expansion.name):
+                    assert builder.build(key) == builder.build_spec(key).render()
+                    checked += 1
+        assert checked > 500

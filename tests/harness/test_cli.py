@@ -537,3 +537,27 @@ class TestExplainRequestCommand:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "explain-request --request=N" in out
+
+
+class TestNonFiniteFloatFlags:
+    """``nan`` sails through ``<``/``<=`` checks and ``inf`` never ends a
+    horizon; every float flag rejects both with exit 2 + usage."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "target, flag",
+        [
+            ("serve", "--horizon"),
+            ("dash", "--window"),
+            ("loadtest", "--batch-window"),
+            ("explain-request", "--multiplier"),
+            ("regress", "--max-ex-drop"),
+            ("regress", "--max-token-growth"),
+            ("regress", "--max-makespan-growth"),
+        ],
+    )
+    def test_rejected_before_anything_runs(self, capsys, target, flag, value):
+        assert main([target, f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} requires a finite number" in err
+        assert "usage:" in err

@@ -108,7 +108,10 @@ class TestDistractors:
 
         world = load_benchmark().world("european_football")
         oracle = KnowledgeOracle(world)
-        wrong = oracle._numeric_distractor(180, ("seed",))
+        spec = oracle.column_spec("player_info", "height_cm")
+        wrong = oracle._distractor(
+            "player_info", ("Lionel Messi",), "height_cm", spec, 180, "seed"
+        )
         assert wrong != 180
         assert isinstance(wrong, int)
         assert 100 < wrong < 260
@@ -121,7 +124,7 @@ class TestDistractors:
     def test_multi_distractor_differs(self, oracle):
         spec = oracle.column_spec("superhero_info", "powers")
         truth = oracle.world.truth_value("superhero_info", BATMAN, "powers")
-        wrong = oracle._multi_distractor(spec, truth, ("seed",))
+        wrong = oracle._multi_distractor(spec, truth, "seed")
         assert tuple(wrong) != tuple(truth)
 
 

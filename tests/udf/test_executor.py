@@ -3,7 +3,15 @@
 import pytest
 
 from repro.errors import IngredientError
+from repro.llm.batching import batched
 from repro.llm.cache import PromptCache
+from repro.llm.chat import (
+    ANSWER_MARKER,
+    MAP_KEYS_MARKER,
+    QUESTION_MARKER,
+    quote_field,
+)
+from repro.llm.declarative import PromptSpec
 from repro.swan.build import build_curated_database, build_original_database
 from repro.sqlengine.results import results_match
 from repro.udf.executor import HybridQueryExecutor, _parse_map_answers
@@ -229,3 +237,53 @@ class TestEndToEndPerfect:
                     question.qid
                 )
         db.close()
+
+
+class TestMapPromptMatchesSpec:
+    """``_map_prompt`` splices key lines after a cached per-ingredient
+    prefix; the declarative PromptSpec of the same sections defines it."""
+
+    @staticmethod
+    def _spec_prompt(executor, call, batch):
+        spec = PromptSpec()
+        spec.add_task(
+            "Answer the question for each given key from the "
+            f"`{executor.world.name}` database."
+        )
+        for line in executor._options_lines(call):
+            spec.add_values(line)
+        for line in executor._demo_lines(call.question):
+            spec.add_demonstration(line)
+        key_lines = [MAP_KEYS_MARKER]
+        for index, key in enumerate(batch, start=1):
+            rendered = "|".join(quote_field(str(part)) for part in key)
+            key_lines.append(f"{index}. {rendered}")
+        spec.add_target(f"{QUESTION_MARKER} {call.question}", *key_lines)
+        spec.add_rule(
+            "Return one line per key in the format `index. answer`, "
+            "with no explanation."
+        )
+        spec.add_cue(ANSWER_MARKER)
+        return spec.render()
+
+    @pytest.mark.parametrize("shots", [0, 2])
+    def test_first_and_last_batch_of_every_planned_map_call(self, swan, shots):
+        checked = with_options = 0
+        for name in swan.database_names():
+            world = swan.world(name)
+            with build_curated_database(world) as db:
+                executor = HybridQueryExecutor(
+                    db, make_model(world), world, shots=shots
+                )
+                for question in swan.questions_for(name):
+                    requests, _ = executor.plan_key_requests(question.blend_sql)
+                    for call, keys in requests:
+                        batches = batched(keys, executor.batch_size)
+                        for batch in (batches[:1] + batches[-1:]):
+                            assert executor._map_prompt(
+                                call, batch
+                            ) == self._spec_prompt(executor, call, batch)
+                            checked += 1
+                        with_options += bool(executor._options_lines(call))
+        assert checked > 100
+        assert with_options > 0
