@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import LLMTimeoutError, RateLimitError, TransientLLMError
 from repro.llm.client import ChatClient, ChatResponse
-from repro.llm.oracle import stable_uniform
+from repro.stable import stable_uniform
 
 #: Fault kinds in cumulative-draw order.  The first three raise typed
 #: transient errors *before* the upstream call (no tokens are spent, as

@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.errors import CurationError, LLMError
 from repro.llm.profiles import ModelProfile
+from repro.stable import stable_uniform  # noqa: F401 - historical home, re-exported
 from repro.swan.base import (
     KIND_MULTI,
     KIND_NUMERIC,
@@ -33,13 +34,6 @@ from repro.swan.base import (
     ExpansionTable,
     World,
 )
-
-
-def stable_uniform(*parts: object) -> float:
-    """A deterministic pseudo-uniform draw in [0, 1) from the parts."""
-    payload = "\x1f".join(str(p) for p in parts).encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
 
 
 def _uniform_from_payload(payload: str) -> float:

@@ -44,9 +44,9 @@ from repro.errors import (
     TransientLLMError,
 )
 from repro.llm.client import ChatClient, ChatResponse
-from repro.llm.oracle import stable_uniform
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
 from repro.obs.trace import NULL_SPAN
+from repro.stable import stable_uniform
 
 
 @runtime_checkable

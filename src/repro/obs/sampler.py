@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Iterable, Protocol
 
-from repro.llm.oracle import stable_uniform
 from repro.obs.timeseries import DEFAULT_WINDOW_SECONDS
+from repro.stable import stable_uniform
 
 #: kept because the outcome was not a clean serve
 KEEP_OUTCOME = "outcome"

@@ -4,7 +4,7 @@ Load tests need traffic that looks like production — independent
 tenants, Poisson arrivals, periodic bursts, mixed pipelines — but
 replays *identically* across runs and machines, or latency percentiles
 are not comparable.  Every random choice here is a
-:func:`~repro.llm.oracle.stable_uniform` draw keyed by ``(seed, tenant,
+:func:`~repro.stable.stable_uniform` draw keyed by ``(seed, tenant,
 index)``: no RNG stream, no ordering sensitivity, identical traffic for
 the same spec on any platform.
 
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
-from repro.llm.oracle import stable_uniform
 from repro.serve.admission import TenantPolicy
 from repro.serve.request import QueryRequest
+from repro.stable import stable_uniform
 from repro.swan.benchmark import Swan
 
 

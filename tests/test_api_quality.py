@@ -4,6 +4,8 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +22,11 @@ def _all_modules():
 
 
 MODULES = _all_modules()
+#: every subpackage, plus the two modules whose import cycle went unnoticed
+FIRST_IMPORTS = sorted(
+    {".".join(name.split(".")[:2]) for name in MODULES if "." in name}
+    | {"repro.serve.server", "repro.obs.sampler"}
+)
 
 
 class TestDocumentation:
@@ -57,6 +64,16 @@ class TestImportHygiene:
     @pytest.mark.parametrize("name", MODULES)
     def test_modules_import_cleanly(self, name):
         importlib.import_module(name)
+
+    @pytest.mark.parametrize("name", FIRST_IMPORTS)
+    def test_first_import_of_a_fresh_interpreter(self, name):
+        """No module may rely on a sibling package having been imported first."""
+        done = subprocess.run(
+            [sys.executable, "-c", f"import {name}"],
+            env={"PYTHONPATH": str(SRC.parent)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_no_runtime_third_party_dependencies(self):
         """The library itself must run on the stdlib alone."""
