@@ -194,9 +194,24 @@ def _load_scaled(scale, databases):
     return load_benchmark(scale)
 
 
-def _run_report(run, *, pipeline: str, scale: int, parallelism: str) -> str:
+def _run_report(
+    pipeline: str, databases=None, workers=None, scale=None,
+    parallelism: str = "threads", **pipeline_options,
+) -> tuple[list[dict], str]:
+    """One pipeline run at the requested scale and parallelism."""
     from repro.eval.report import format_table
+    from repro.harness import runner
 
+    swan = _load_scaled(scale, databases)
+    scale = scale or 1
+    run = getattr(runner, f"run_{pipeline}")(
+        swan, "gpt-3.5-turbo", 2, gold=runner.GoldResults(swan),
+        workers=workers or 1, parallelism=parallelism, **pipeline_options,
+    )
+    record = {
+        "pipeline": pipeline, "scale": scale, "parallelism": parallelism,
+        "ex": run.overall_ex, "llm_calls": run.usage.calls,
+    }
     rows = [
         [db, f"{ex * 100:.1f}%"] for db, ex in sorted(run.ex_by_db.items())
     ]
@@ -207,49 +222,17 @@ def _run_report(run, *, pipeline: str, scale: int, parallelism: str) -> str:
         f"scale={scale}, parallelism={parallelism}; {usage.calls} LLM "
         f"calls, {usage.input_tokens}/{usage.output_tokens} in/out tokens."
     )
-    return format_table(["Database", "EX"], rows, title=title)
+    return [record], format_table(["Database", "EX"], rows, title=title)
 
 
-def _run_udf_report(
-    databases=None, workers=None, scale=None,
-    parallelism: str = "threads", batch_size: int = 5,
-) -> tuple[list[dict], str]:
-    """One UDF-pipeline run at the requested scale and parallelism."""
-    from repro.harness.runner import GoldResults, run_udf
-
-    swan = _load_scaled(scale, databases)
-    run = run_udf(
-        swan, "gpt-3.5-turbo", 2, gold=GoldResults(swan),
-        workers=workers or 1, batch_size=batch_size, parallelism=parallelism,
-    )
-    record = {
-        "pipeline": "udf", "scale": scale or 1, "parallelism": parallelism,
-        "ex": run.overall_ex, "llm_calls": run.usage.calls,
-    }
-    return [record], _run_report(
-        run, pipeline="udf", scale=scale or 1, parallelism=parallelism,
-    )
+def _run_udf_report(**options) -> tuple[list[dict], str]:
+    """One UDF-pipeline run (``batch_size`` is its only extra flag)."""
+    return _run_report("udf", **options)
 
 
-def _run_hqdl_report(
-    databases=None, workers=None, scale=None,
-    parallelism: str = "threads",
-) -> tuple[list[dict], str]:
+def _run_hqdl_report(**options) -> tuple[list[dict], str]:
     """One HQDL-pipeline run at the requested scale and parallelism."""
-    from repro.harness.runner import GoldResults, run_hqdl
-
-    swan = _load_scaled(scale, databases)
-    run = run_hqdl(
-        swan, "gpt-3.5-turbo", 2, gold=GoldResults(swan),
-        workers=workers or 1, parallelism=parallelism,
-    )
-    record = {
-        "pipeline": "hqdl", "scale": scale or 1, "parallelism": parallelism,
-        "ex": run.overall_ex, "llm_calls": run.usage.calls,
-    }
-    return [record], _run_report(
-        run, pipeline="hqdl", scale=scale or 1, parallelism=parallelism,
-    )
+    return _run_report("hqdl", **options)
 
 
 def _bench_scale_report(
@@ -605,6 +588,89 @@ def _usage() -> str:
     )
 
 
+#: flag -> (kind, spec).  ``int``: the lower bound; ``float``: whether
+#: zero is excluded; ``choice``: the two allowed values; ``text`` / ``list``:
+#: what the error says the flag requires; ``switch`` takes no value.  The
+#: option key is the flag name with its dashes turned into underscores.
+_FLAGS = {
+    "--databases": ("list", "a comma-separated list"),
+    "--workers": ("int", 1),
+    "--batch-size": ("int", 1),
+    "--scale": ("int", 1),
+    "--seed": ("int", 0),
+    "--horizon": ("float", True),
+    "--window": ("float", True),
+    "--batch-window": ("float", True),
+    "--max-batch": ("int", 1),
+    "--batching": ("choice", ("on", "off")),
+    "--tracing": ("choice", ("on", "off")),
+    "--trace-sample": ("int", 0),
+    "--request": ("int", 0),
+    "--multiplier": ("float", True),
+    "--parallelism": ("choice", ("threads", "processes")),
+    "--cache-dir": ("text", "a directory path"),
+    "--database": ("text", "a database name"),
+    "--question": ("text", "a qid or 1-based index"),
+    "--pipeline": ("choice", ("udf", "hqdl")),
+    "--ledger": ("text", "a file path"),
+    "--baseline": ("text", "a file path"),
+    "--update-baseline": ("switch", None),
+    "--max-ex-drop": ("float", False),
+    "--max-token-growth": ("float", False),
+    "--max-makespan-growth": ("float", False),
+}
+
+
+def _float_option(name: str, value: str, *, positive: bool = False) -> float:
+    """A finite float flag: ``> 0`` when ``positive``, else ``>= 0``.
+
+    ``nan`` passes every ordering comparison and ``inf`` never ends a
+    horizon, so non-finite values are rejected by name.
+    """
+    try:
+        parsed = float(value)
+    except ValueError:
+        raise ValueError(f"{name} requires a number, got {value!r}") from None
+    if not math.isfinite(parsed):
+        raise ValueError(f"{name} requires a finite number, got {value}")
+    if parsed < 0 or (positive and parsed == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return parsed
+
+
+def _flag_value(name: str, sep: str, value: str):
+    """The validated value of one ``--name[=value]`` flag from the table."""
+    if name not in _FLAGS:
+        raise ValueError(f"unknown flag: {name}{sep}{value}")
+    kind, spec = _FLAGS[name]
+    if kind == "switch":
+        if sep:
+            raise ValueError(f"{name} takes no value")
+        return True
+    if kind == "int":
+        try:
+            parsed = int(value)
+        except ValueError:
+            raise ValueError(
+                f"{name} requires an integer, got {value!r}"
+            ) from None
+        if parsed < spec:
+            raise ValueError(f"{name} must be >= {spec}, got {value}")
+        return parsed
+    if kind == "float":
+        return _float_option(name, value, positive=spec)
+    if kind == "choice":
+        if value not in spec:
+            raise ValueError(
+                f"{name} must be {spec[0]!r} or {spec[1]!r}, got {value!r}"
+            )
+        return value
+    if not value:
+        raise ValueError(f"{name} requires {spec}")
+    return [part for part in value.split(",") if part] if kind == "list" else value
+
+
 def _parse_args(argv: list[str]):
     """(targets, options) from argv; raises ValueError with a message."""
     from repro.harness.regress import DEFAULT_BASELINE, DEFAULT_LEDGER
@@ -624,169 +690,14 @@ def _parse_args(argv: list[str]):
         "update_baseline": False, "max_ex_drop": 0.0,
         "max_token_growth": 0.10, "max_makespan_growth": 0.25,
     }
-
-    def _float_option(name: str, value: str, *, positive: bool = False) -> float:
-        """A finite float flag: ``> 0`` when ``positive``, else ``>= 0``.
-
-        ``nan`` passes every ordering comparison and ``inf`` never ends a
-        horizon, so non-finite values are rejected by name.
-        """
-        try:
-            parsed = float(value)
-        except ValueError:
-            raise ValueError(
-                f"{name} requires a number, got {value!r}"
-            ) from None
-        if not math.isfinite(parsed):
-            raise ValueError(f"{name} requires a finite number, got {value}")
-        if parsed < 0 or (positive and parsed == 0):
-            bound = "> 0" if positive else ">= 0"
-            raise ValueError(f"{name} must be {bound}, got {value}")
-        return parsed
-
     for arg in argv:
         if not arg.startswith("-"):
             targets.append(arg)
-            continue
-        if arg in ("-h", "--help"):
+        elif arg in ("-h", "--help"):
             raise _HelpRequested()
-        name, sep, value = arg.partition("=")
-        if name == "--databases":
-            if not sep or not value:
-                raise ValueError("--databases requires a comma-separated list")
-            options["databases"] = [
-                part for part in value.split(",") if part
-            ]
-        elif name == "--workers":
-            try:
-                options["workers"] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"--workers requires an integer, got {value!r}"
-                ) from None
-            if options["workers"] < 1:
-                raise ValueError(f"--workers must be >= 1, got {value}")
-        elif name == "--batch-size":
-            try:
-                options["batch_size"] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"--batch-size requires an integer, got {value!r}"
-                ) from None
-            if options["batch_size"] < 1:
-                raise ValueError(f"--batch-size must be >= 1, got {value}")
-        elif name == "--scale":
-            try:
-                options["scale"] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"--scale requires an integer, got {value!r}"
-                ) from None
-            if options["scale"] < 1:
-                raise ValueError(f"--scale must be >= 1, got {value}")
-        elif name == "--seed":
-            try:
-                options["seed"] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"--seed requires an integer, got {value!r}"
-                ) from None
-            if options["seed"] < 0:
-                raise ValueError(f"--seed must be >= 0, got {value}")
-        elif name == "--horizon":
-            options["horizon"] = _float_option(name, value, positive=True)
-        elif name == "--window":
-            options["window"] = _float_option(name, value, positive=True)
-        elif name == "--batch-window":
-            options["batch_window"] = _float_option(name, value, positive=True)
-        elif name == "--max-batch":
-            try:
-                options["max_batch"] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"--max-batch requires an integer, got {value!r}"
-                ) from None
-            if options["max_batch"] < 1:
-                raise ValueError(f"--max-batch must be >= 1, got {value}")
-        elif name == "--batching":
-            if value not in ("on", "off"):
-                raise ValueError(
-                    f"--batching must be 'on' or 'off', got {value!r}"
-                )
-            options["batching"] = value
-        elif name == "--tracing":
-            if value not in ("on", "off"):
-                raise ValueError(
-                    f"--tracing must be 'on' or 'off', got {value!r}"
-                )
-            options["tracing"] = value
-        elif name == "--trace-sample":
-            try:
-                options["trace_sample"] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"--trace-sample requires an integer, got {value!r}"
-                ) from None
-            if options["trace_sample"] < 0:
-                raise ValueError(
-                    f"--trace-sample must be >= 0, got {value}"
-                )
-        elif name == "--request":
-            try:
-                options["request"] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"--request requires an integer, got {value!r}"
-                ) from None
-            if options["request"] < 0:
-                raise ValueError(f"--request must be >= 0, got {value}")
-        elif name == "--multiplier":
-            options["multiplier"] = _float_option(name, value, positive=True)
-        elif name == "--parallelism":
-            if value not in ("threads", "processes"):
-                raise ValueError(
-                    "--parallelism must be 'threads' or 'processes', "
-                    f"got {value!r}"
-                )
-            options["parallelism"] = value
-        elif name == "--cache-dir":
-            if not sep or not value:
-                raise ValueError("--cache-dir requires a directory path")
-            options["cache_dir"] = value
-        elif name == "--database":
-            if not sep or not value:
-                raise ValueError("--database requires a database name")
-            options["database"] = value
-        elif name == "--question":
-            if not sep or not value:
-                raise ValueError("--question requires a qid or 1-based index")
-            options["question"] = value
-        elif name == "--pipeline":
-            if value not in ("udf", "hqdl"):
-                raise ValueError(
-                    f"--pipeline must be 'udf' or 'hqdl', got {value!r}"
-                )
-            options["pipeline"] = value
-        elif name == "--ledger":
-            if not sep or not value:
-                raise ValueError("--ledger requires a file path")
-            options["ledger"] = value
-        elif name == "--baseline":
-            if not sep or not value:
-                raise ValueError("--baseline requires a file path")
-            options["baseline"] = value
-        elif name == "--update-baseline":
-            if sep:
-                raise ValueError("--update-baseline takes no value")
-            options["update_baseline"] = True
-        elif name == "--max-ex-drop":
-            options["max_ex_drop"] = _float_option(name, value)
-        elif name == "--max-token-growth":
-            options["max_token_growth"] = _float_option(name, value)
-        elif name == "--max-makespan-growth":
-            options["max_makespan_growth"] = _float_option(name, value)
         else:
-            raise ValueError(f"unknown flag: {arg}")
+            name, sep, value = arg.partition("=")
+            options[name[2:].replace("-", "_")] = _flag_value(name, sep, value)
     return targets, options
 
 
