@@ -15,7 +15,6 @@ from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from repro.core.hqdl import HQDL, GenerationResult
 from repro.errors import ReproError
-from repro.llm.client import ChatClient
 from repro.eval.execution import (
     ExecutionOutcome,
     evaluate_question,
@@ -23,27 +22,26 @@ from repro.eval.execution import (
     failed_outcome,
 )
 from repro.eval.factuality import database_factuality
+from repro.llm.batching import parallel_makespan
 from repro.llm.cache import PromptCache
-from repro.llm.chat import MockChatModel
-from repro.llm.diskcache import PersistentClient, PersistentPromptCache
-from repro.llm.oracle import KnowledgeOracle
-from repro.llm.faults import FaultInjector, FaultPlan, FaultyClient
+from repro.llm.client import ChatClient
+from repro.llm.faults import FaultInjector, FaultPlan
 from repro.llm.parallel import SimulatedClock
 from repro.llm.procpool import SharedProcessPool
 from repro.llm.profiles import get_profile
 from repro.llm.resilience import (
     CircuitBreaker,
     ResilienceReport,
-    RetryingClient,
     RetryPolicy,
 )
-from repro.llm.batching import parallel_makespan
+from repro.llm.stack import build_client_stack, build_resilient_stack
 from repro.llm.usage import Usage, UsageMeter
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, MetricsRegistry, Telemetry
 from repro.obs.ledger import RunLedger
 from repro.obs.trace import NULL_SPAN
 from repro.plan import CallPlanner, MappingStore
 from repro.sqlengine.results import ResultSet
+from repro.swan.base import Question, World
 from repro.swan.benchmark import Swan
 from repro.swan.build import build_curated_database, build_original_database
 from repro.udf.executor import HybridQueryExecutor
@@ -169,43 +167,151 @@ class UDFRun:
         return sum(s.get("misses", 0) for s in self.persistent.values())
 
 
-def _append_run(
-    ledger: RunLedger,
-    *,
-    label: str,
-    pipeline: str,
-    config: dict,
-    ex: float,
-    f1: Optional[float],
-    usage: Usage,
-    makespan: Optional[float],
-    telemetry: Optional[Telemetry],
-    provenance,
-) -> int:
-    """Append one finished run to the ledger, with whatever context exists.
+_Answer = Callable[[Question], ResultSet]
+_Score = Callable[[Sequence[Question], _Answer], list[ExecutionOutcome]]
+_Body = Callable[
+    [World, ChatClient, Sequence[Question], _Score],
+    tuple[list[ExecutionOutcome], _T],
+]
 
-    The payload carries the telemetry counter snapshot and provenance
-    stats when those subsystems ran enabled; the regression-gated scalars
-    always land in typed columns.
+
+def _run_pipeline(
+    swan: Swan,
+    run: Union[HQDLRun, UDFRun],
+    pipeline: str,
+    body: _Body,
+    merge: Callable[[str, _T], None],
+    *,
+    databases: Optional[Sequence[str]],
+    gold: Optional[GoldResults],
+    workers: int,
+    db_workers: int,
+    wrap_client: Optional[Callable[[ChatClient], ChatClient]],
+    telemetry: Optional[Telemetry],
+    cache_dir: Optional[Union[str, Path]],
+    parallelism: str,
+    provenance,
+    ledger: Optional[RunLedger],
+    ledger_label: str,
+    ledger_config: dict,
+    ledger_scores: Callable[[], tuple[Optional[float], Optional[float]]],
+) -> None:
+    """The run loop both pipelines share; fills ``run`` in place.
+
+    Per database (``db_workers`` at a time, merged in name order): open
+    the spans and provenance context, build the client stack, hand
+    ``body`` the world, the client, the questions and the ``score``
+    function that answers and grades them, then close the disk tier.
+    ``body`` returns the graded outcomes plus whatever ``merge`` folds
+    into the run; ``ledger_scores`` yields the ``(f1, makespan)`` ledger
+    columns.
     """
-    payload: dict = {}
-    snapshot = _metrics_snapshot(telemetry)
-    if snapshot is not None:
-        payload["metrics"] = snapshot
-    if provenance is not None and provenance.enabled:
-        payload["provenance"] = provenance.stats()
-    return ledger.append(
-        label=label,
-        pipeline=pipeline,
-        config=config,
-        ex=round(ex, 6),
-        f1=round(f1, 6) if f1 is not None else None,
-        llm_calls=usage.calls,
-        input_tokens=usage.input_tokens,
-        output_tokens=usage.output_tokens,
-        makespan=round(makespan, 6) if makespan is not None else None,
-        payload=payload,
+    if parallelism not in ("threads", "processes"):
+        raise ReproError(
+            f"parallelism must be 'threads' or 'processes', got {parallelism!r}"
+        )
+    gold = gold or GoldResults(swan)
+    names = _resolve_databases(swan, databases)
+    get_profile(run.model)  # an unknown model fails before any pool starts
+    meter = UsageMeter()
+    tel = telemetry if telemetry is not None else NULL_TELEMETRY
+    prov = provenance if provenance is not None else NULL_PROVENANCE
+    shared_pool = (
+        SharedProcessPool(processes=workers)
+        if parallelism == "processes"
+        else None
     )
+
+    with (
+        tel.tracer.span("run", pipeline=pipeline, model=run.model, shots=run.shots)
+        if tel.enabled
+        else NULL_SPAN
+    ) as run_span:
+
+        def _score(questions: Sequence[Question], answer: _Answer):
+            outcomes: list[ExecutionOutcome] = []
+            for question in questions:
+                expected = gold.expected(question.qid)
+                with (
+                    tel.tracer.span("question", qid=question.qid)
+                    if tel.enabled
+                    else NULL_SPAN
+                ) as qspan, prov.context(qid=question.qid):
+                    try:
+                        actual = answer(question)
+                    except ReproError as exc:
+                        outcome = failed_outcome(question, expected, str(exc))
+                    else:
+                        outcome = evaluate_question(question, expected, actual)
+                    qspan.set("correct", outcome.correct)
+                outcomes.append(outcome)
+            return outcomes
+
+        def _one_database(name: str):
+            with (
+                tel.tracer.span("database", parent=run_span, database=name)
+                if tel.enabled
+                else NULL_SPAN
+            ), prov.context(pipeline=pipeline, database=name):
+                world = swan.world(name)
+                stack = build_client_stack(
+                    world, run.model, shots=run.shots, meter=meter,
+                    pool=shared_pool, wrap=wrap_client, cache_dir=cache_dir,
+                    telemetry=tel, provenance=prov,
+                )
+                try:
+                    db_outcomes, extras = body(
+                        world, stack.client, swan.questions_for(name), _score
+                    )
+                finally:
+                    disk_stats = stack.close()
+                return db_outcomes, extras, disk_stats
+
+        try:
+            for name, (db_outcomes, extras, disk_stats) in zip(
+                names, _map_databases(names, db_workers, _one_database)
+            ):
+                merge(name, extras)
+                if disk_stats is not None:
+                    run.persistent[name] = disk_stats
+                run.ex_by_db[name] = execution_accuracy(db_outcomes)
+                run.outcomes.extend(db_outcomes)
+        finally:
+            if shared_pool is not None:
+                shared_pool.close()
+        run.usage = meter.total
+        if tel.enabled:
+            run_span.set("ex", round(run.overall_ex, 4))
+    if ledger is not None:
+        # regression-gated scalars land in typed columns; the payload
+        # carries whatever context ran enabled
+        f1, makespan = ledger_scores()
+        payload: dict = {}
+        snapshot = _metrics_snapshot(telemetry)
+        if snapshot is not None:
+            payload["metrics"] = snapshot
+        if prov.enabled:
+            payload["provenance"] = prov.stats()
+        ledger.append(
+            label=ledger_label,
+            pipeline=pipeline,
+            config={
+                "pipeline": pipeline,
+                "model": run.model,
+                "shots": run.shots,
+                "databases": sorted(names),
+                "workers": workers,
+                **ledger_config,
+                **({"parallelism": parallelism} if parallelism != "threads" else {}),
+            },
+            ex=round(run.overall_ex, 6),
+            f1=round(f1, 6) if f1 is not None else None,
+            llm_calls=run.usage.calls,
+            input_tokens=run.usage.input_tokens,
+            output_tokens=run.usage.output_tokens,
+            makespan=round(makespan, 6) if makespan is not None else None,
+            payload=payload,
+        )
 
 
 def run_hqdl(
@@ -254,126 +360,32 @@ def run_hqdl(
     the GIL, and ``db_workers`` composes without multiplying the process
     count.
     """
-    if parallelism not in ("threads", "processes"):
-        raise ReproError(
-            f"parallelism must be 'threads' or 'processes', got {parallelism!r}"
-        )
-    gold = gold or GoldResults(swan)
-    names = _resolve_databases(swan, databases)
-    profile = get_profile(model_name)
     run = HQDLRun(model=model_name, shots=shots)
-    meter = UsageMeter()
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    prov = provenance if provenance is not None else NULL_PROVENANCE
-    shared_pool = (
-        SharedProcessPool(processes=workers)
-        if parallelism == "processes"
-        else None
-    )
 
-    with (
-        tel.tracer.span("run", pipeline="hqdl", model=model_name, shots=shots)
-        if tel.enabled
-        else NULL_SPAN
-    ) as run_span:
-
-        def _one_database(name: str):
-            with (
-                tel.tracer.span("database", parent=run_span, database=name)
-                if tel.enabled
-                else NULL_SPAN
-            ), prov.context(pipeline="hqdl", database=name):
-                world = swan.world(name)
-                if shared_pool is not None:
-                    model: ChatClient = shared_pool.client_for(
-                        world, model_name, meter=meter
-                    )
-                else:
-                    model = MockChatModel(
-                        KnowledgeOracle(world), profile, meter=meter
-                    )
-                if wrap_client is not None:
-                    model = wrap_client(model)
-                disk_cache = None
-                if cache_dir is not None:
-                    disk_cache = PersistentPromptCache(
-                        Path(cache_dir) / f"{name}.sqlite"
-                    )
-                    model = PersistentClient(
-                        model, disk_cache, shots=shots, telemetry=tel,
-                        provenance=prov,
-                    )
-                pipeline = HQDL(
-                    world, model, shots=shots, workers=workers,
-                    call_order=call_order, resilience=resilience,
-                    telemetry=tel, provenance=prov,
-                )
-                generation = pipeline.generate_all()
-                f1 = database_factuality(world, generation)
-                db_outcomes: list[ExecutionOutcome] = []
-                with pipeline.build_expanded_database(generation) as db:
-                    for question in swan.questions_for(name):
-                        expected = gold.expected(question.qid)
-                        with (
-                            tel.tracer.span("question", qid=question.qid)
-                            if tel.enabled
-                            else NULL_SPAN
-                        ) as qspan, prov.context(qid=question.qid):
-                            try:
-                                actual = pipeline.answer(db, question)
-                            except ReproError as exc:
-                                outcome = failed_outcome(
-                                    question, expected, str(exc)
-                                )
-                            else:
-                                outcome = evaluate_question(
-                                    question, expected, actual
-                                )
-                            qspan.set("correct", outcome.correct)
-                        db_outcomes.append(outcome)
-                disk_stats = None
-                if disk_cache is not None:
-                    disk_stats = disk_cache.stats()
-                    disk_cache.close()
-                return generation, f1, disk_stats, db_outcomes
-
-        try:
-            for name, (generation, f1, disk_stats, db_outcomes) in zip(
-                names, _map_databases(names, db_workers, _one_database)
-            ):
-                run.generations[name] = generation
-                run.f1_by_db[name] = f1
-                if disk_stats is not None:
-                    run.persistent[name] = disk_stats
-                run.ex_by_db[name] = execution_accuracy(db_outcomes)
-                run.outcomes.extend(db_outcomes)
-        finally:
-            if shared_pool is not None:
-                shared_pool.close()
-        run.usage = meter.total
-        if tel.enabled:
-            run_span.set("ex", round(run.overall_ex, 4))
-    if ledger is not None:
-        _append_run(
-            ledger,
-            label=ledger_label,
-            pipeline="hqdl",
-            config={
-                "pipeline": "hqdl",
-                "model": model_name,
-                "shots": shots,
-                "databases": sorted(names),
-                "workers": workers,
-                "call_order": call_order,
-                **({"parallelism": parallelism} if parallelism != "threads" else {}),
-            },
-            ex=run.overall_ex,
-            f1=run.average_f1,
-            usage=run.usage,
-            makespan=None,
-            telemetry=telemetry,
-            provenance=prov,
+    def _body(world: World, client: ChatClient, questions, score: _Score):
+        pipeline = HQDL(
+            world, client, shots=shots, workers=workers,
+            call_order=call_order, resilience=resilience,
+            telemetry=telemetry, provenance=provenance,
         )
+        generation = pipeline.generate_all()
+        f1 = database_factuality(world, generation)
+        with pipeline.build_expanded_database(generation) as db:
+            outcomes = score(questions, lambda q: pipeline.answer(db, q))
+        return outcomes, (generation, f1)
+
+    def _merge(name: str, extras) -> None:
+        run.generations[name], run.f1_by_db[name] = extras
+
+    _run_pipeline(
+        swan, run, "hqdl", _body, _merge,
+        databases=databases, gold=gold, workers=workers,
+        db_workers=db_workers, wrap_client=wrap_client, telemetry=telemetry,
+        cache_dir=cache_dir, parallelism=parallelism, provenance=provenance,
+        ledger=ledger, ledger_label=ledger_label,
+        ledger_config={"call_order": call_order},
+        ledger_scores=lambda: (run.average_f1, None),
+    )
     return run
 
 
@@ -437,170 +449,73 @@ def run_udf(
         raise ReproError(
             f"plan must be None, 'prompt', or 'pairs', got {plan!r}"
         )
-    if parallelism not in ("threads", "processes"):
-        raise ReproError(
-            f"parallelism must be 'threads' or 'processes', got {parallelism!r}"
-        )
-    gold = gold or GoldResults(swan)
-    names = _resolve_databases(swan, databases)
-    profile = get_profile(model_name)
     run = UDFRun(
         model=model_name, shots=shots, batch_size=batch_size,
         pushdown=pushdown, plan=plan,
     )
-    meter = UsageMeter()
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    prov = provenance if provenance is not None else NULL_PROVENANCE
-    shared_pool = (
-        SharedProcessPool(processes=workers)
-        if parallelism == "processes"
-        else None
-    )
 
-    with (
-        tel.tracer.span("run", pipeline="udf", model=model_name, shots=shots)
-        if tel.enabled
-        else NULL_SPAN
-    ) as run_span:
+    def _body(world: World, client: ChatClient, questions, score: _Score):
+        cache = PromptCache()
+        call_sizes: list[tuple[int, int]] = []
+        keys_generated = 0
+        plan_record: Optional[dict] = None
+        with build_curated_database(world) as db:
+            executor = HybridQueryExecutor(
+                db,
+                client,
+                world,
+                batch_size=batch_size,
+                pushdown=pushdown,
+                shots=shots,
+                cache=cache,
+                workers=workers,
+                resilience=resilience,
+                telemetry=telemetry,
+                batch_policy=batch_policy,
+                mapping_store=MappingStore() if plan == "pairs" else None,
+                provenance=provenance,
+            )
+            if plan is not None:
+                planned = CallPlanner(
+                    executor, mode=plan, telemetry=telemetry
+                ).plan_and_execute([q.blend_sql for q in questions])
+                call_sizes.extend(planned.stats.call_sizes)
+                plan_record = planned.stats.as_record()
 
-        def _one_database(name: str):
-            with (
-                tel.tracer.span("database", parent=run_span, database=name)
-                if tel.enabled
-                else NULL_SPAN
-            ), prov.context(pipeline="udf", database=name):
-                world = swan.world(name)
-                if shared_pool is not None:
-                    model: ChatClient = shared_pool.client_for(
-                        world, model_name, meter=meter
-                    )
-                else:
-                    model = MockChatModel(
-                        KnowledgeOracle(world), profile, meter=meter
-                    )
-                if wrap_client is not None:
-                    model = wrap_client(model)
-                disk_cache = None
-                if cache_dir is not None:
-                    disk_cache = PersistentPromptCache(
-                        Path(cache_dir) / f"{name}.sqlite"
-                    )
-                    model = PersistentClient(
-                        model, disk_cache, shots=shots, telemetry=tel,
-                        provenance=prov,
-                    )
-                cache = PromptCache()
-                store = MappingStore() if plan == "pairs" else None
-                db_outcomes: list[ExecutionOutcome] = []
-                call_sizes: list[tuple[int, int]] = []
-                keys_generated = 0
-                plan_record: Optional[dict] = None
-                with build_curated_database(world) as db:
-                    executor = HybridQueryExecutor(
-                        db,
-                        model,
-                        world,
-                        batch_size=batch_size,
-                        pushdown=pushdown,
-                        shots=shots,
-                        cache=cache,
-                        workers=workers,
-                        resilience=resilience,
-                        telemetry=tel,
-                        batch_policy=batch_policy,
-                        mapping_store=store,
-                        provenance=prov,
-                    )
-                    questions = swan.questions_for(name)
-                    if plan is not None:
-                        planner = CallPlanner(
-                            executor, mode=plan, telemetry=tel
-                        )
-                        planned = planner.plan_and_execute(
-                            [q.blend_sql for q in questions]
-                        )
-                        call_sizes.extend(planned.stats.call_sizes)
-                        plan_record = planned.stats.as_record()
-                    for question in questions:
-                        expected = gold.expected(question.qid)
-                        with (
-                            tel.tracer.span("question", qid=question.qid)
-                            if tel.enabled
-                            else NULL_SPAN
-                        ) as qspan, prov.context(qid=question.qid):
-                            try:
-                                actual, question_report = (
-                                    executor.execute_with_report(
-                                        question.blend_sql
-                                    )
-                                )
-                            except ReproError as exc:
-                                outcome = failed_outcome(
-                                    question, expected, str(exc)
-                                )
-                            else:
-                                outcome = evaluate_question(
-                                    question, expected, actual
-                                )
-                                call_sizes.extend(question_report.call_sizes)
-                                keys_generated += (
-                                    question_report.keys_generated
-                                )
-                            qspan.set("correct", outcome.correct)
-                        db_outcomes.append(outcome)
-                disk_stats = None
-                if disk_cache is not None:
-                    disk_stats = disk_cache.stats()
-                    disk_cache.close()
-                return (
-                    cache, plan_record, disk_stats, call_sizes,
-                    keys_generated, db_outcomes,
+            def _answer(question: Question) -> ResultSet:
+                nonlocal keys_generated
+                actual, report = executor.execute_with_report(
+                    question.blend_sql
                 )
+                call_sizes.extend(report.call_sizes)
+                keys_generated += report.keys_generated
+                return actual
 
-        try:
-            for name, (
-                cache, plan_record, disk_stats, call_sizes, keys_generated,
-                db_outcomes,
-            ) in zip(names, _map_databases(names, db_workers, _one_database)):
-                run.cache_hits += cache.hits
-                run.cache_misses += cache.misses
-                if plan_record is not None:
-                    run.plan_stats[name] = plan_record
-                if disk_stats is not None:
-                    run.persistent[name] = disk_stats
-                run.call_sizes.extend(call_sizes)
-                run.keys_generated += keys_generated
-                run.ex_by_db[name] = execution_accuracy(db_outcomes)
-                run.outcomes.extend(db_outcomes)
-        finally:
-            if shared_pool is not None:
-                shared_pool.close()
-        run.usage = meter.total
-        if tel.enabled:
-            run_span.set("ex", round(run.overall_ex, 4))
-    if ledger is not None:
-        _append_run(
-            ledger,
-            label=ledger_label,
-            pipeline="udf",
-            config={
-                "pipeline": "udf",
-                "model": model_name,
-                "shots": shots,
-                "databases": sorted(names),
-                "batch_size": batch_size,
-                "pushdown": pushdown,
-                "plan": plan,
-                "workers": workers,
-                **({"parallelism": parallelism} if parallelism != "threads" else {}),
-            },
-            ex=run.overall_ex,
-            f1=None,
-            usage=run.usage,
-            makespan=parallel_makespan(run.call_sizes, max(workers, 1)),
-            telemetry=telemetry,
-            provenance=prov,
-        )
+            outcomes = score(questions, _answer)
+        return outcomes, (cache, plan_record, call_sizes, keys_generated)
+
+    def _merge(name: str, extras) -> None:
+        cache, plan_record, call_sizes, keys_generated = extras
+        run.cache_hits += cache.hits
+        run.cache_misses += cache.misses
+        if plan_record is not None:
+            run.plan_stats[name] = plan_record
+        run.call_sizes.extend(call_sizes)
+        run.keys_generated += keys_generated
+
+    _run_pipeline(
+        swan, run, "udf", _body, _merge,
+        databases=databases, gold=gold, workers=workers,
+        db_workers=db_workers, wrap_client=wrap_client, telemetry=telemetry,
+        cache_dir=cache_dir, parallelism=parallelism, provenance=provenance,
+        ledger=ledger, ledger_label=ledger_label,
+        ledger_config={
+            "batch_size": batch_size, "pushdown": pushdown, "plan": plan,
+        },
+        ledger_scores=lambda: (
+            None, parallel_makespan(run.call_sizes, max(workers, 1))
+        ),
+    )
     return run
 
 
@@ -657,37 +572,6 @@ class ChaosRun:
         return record
 
 
-def build_resilient_stack(
-    model: ChatClient,
-    *,
-    plan: FaultPlan,
-    injector: Optional[FaultInjector] = None,
-    policy: Optional[RetryPolicy] = None,
-    clock: Optional[SimulatedClock] = None,
-    breaker: Optional[CircuitBreaker] = None,
-    report: Optional[ResilienceReport] = None,
-    telemetry: Optional[Telemetry] = None,
-    provenance=None,
-) -> RetryingClient:
-    """model -> FaultyClient -> RetryingClient, the chaos-run stack.
-
-    The cache layer goes *on top* (the executor adds it), so cache hits
-    bypass both the faults and the retry budget — exactly the layering a
-    production deployment would use.
-    """
-    injector = injector if injector is not None else FaultInjector(plan)
-    faulty = FaultyClient(model, injector)
-    return RetryingClient(
-        faulty,
-        policy,
-        clock=clock if clock is not None else SimulatedClock(),
-        breaker=breaker,
-        report=report,
-        telemetry=telemetry,
-        provenance=provenance,
-    )
-
-
 def _metrics_snapshot(telemetry: Optional[Telemetry]) -> Optional[dict]:
     """The registry snapshot of an enabled telemetry handle, else None."""
     if telemetry is None or not getattr(telemetry.metrics, "enabled", False):
@@ -714,6 +598,58 @@ def _chaos_pieces(
             max_attempts=1, seed=seed
         )
     return plan, injector, report, clock, policy
+
+
+def _run_chaos(
+    runner: Callable[..., Union[HQDLRun, UDFRun]],
+    pipeline: str,
+    swan: Swan,
+    model_name: str,
+    shots: int,
+    *,
+    fault_rate: float,
+    seed: int,
+    retries: bool,
+    plan: Optional[FaultPlan],
+    policy: Optional[RetryPolicy],
+    breaker: Optional[CircuitBreaker],
+    telemetry: Optional[Telemetry],
+    provenance,
+    ledger: Optional[RunLedger],
+    **pipeline_options,
+) -> ChaosRun:
+    """``runner`` behind a fresh fault-injecting, retrying client stack."""
+    plan, injector, report, clock, policy = _chaos_pieces(
+        fault_rate, seed, retries, plan, policy
+    )
+
+    def wrap(model: ChatClient) -> ChatClient:
+        return build_resilient_stack(
+            model, plan=plan, injector=injector, policy=policy,
+            clock=clock, breaker=breaker, report=report, telemetry=telemetry,
+            provenance=provenance,
+        )
+
+    run = runner(
+        swan, model_name, shots,
+        wrap_client=wrap, resilience=report, telemetry=telemetry,
+        provenance=provenance, ledger=ledger,
+        ledger_label=f"{pipeline}-chaos", **pipeline_options,
+    )
+    return ChaosRun(
+        pipeline=pipeline,
+        fault_rate=fault_rate,
+        seed=seed,
+        retries=retries,
+        ex=run.overall_ex,
+        f1=run.average_f1 if isinstance(run, HQDLRun) else None,
+        usage=run.usage,
+        resilience=report,
+        faults_injected=injector.stats.snapshot(),
+        fault_decisions=injector.stats.decisions,
+        breaker_trips=breaker.trips if breaker is not None else 0,
+        metrics=_metrics_snapshot(telemetry),
+    )
 
 
 def run_udf_chaos(
@@ -743,37 +679,13 @@ def run_udf_chaos(
     Usage totals, and cache statistics match :func:`run_udf` exactly.
     Backoff waits happen on a :class:`SimulatedClock` — no real sleeping.
     """
-    plan, injector, report, clock, policy = _chaos_pieces(
-        fault_rate, seed, retries, plan, policy
-    )
-
-    def wrap(model: ChatClient) -> ChatClient:
-        return build_resilient_stack(
-            model, plan=plan, injector=injector, policy=policy,
-            clock=clock, breaker=breaker, report=report, telemetry=telemetry,
-            provenance=provenance,
-        )
-
-    run = run_udf(
-        swan, model_name, shots,
+    return _run_chaos(
+        run_udf, "udf", swan, model_name, shots,
+        fault_rate=fault_rate, seed=seed, retries=retries, plan=plan,
+        policy=policy, breaker=breaker, telemetry=telemetry,
+        provenance=provenance, ledger=ledger,
         batch_size=batch_size, pushdown=pushdown, databases=databases,
         gold=gold, workers=workers, db_workers=db_workers,
-        wrap_client=wrap, resilience=report, telemetry=telemetry,
-        provenance=provenance, ledger=ledger, ledger_label="udf-chaos",
-    )
-    return ChaosRun(
-        pipeline="udf",
-        fault_rate=fault_rate,
-        seed=seed,
-        retries=retries,
-        ex=run.overall_ex,
-        f1=None,
-        usage=run.usage,
-        resilience=report,
-        faults_injected=injector.stats.snapshot(),
-        fault_decisions=injector.stats.decisions,
-        breaker_trips=breaker.trips if breaker is not None else 0,
-        metrics=_metrics_snapshot(telemetry),
     )
 
 
@@ -797,37 +709,13 @@ def run_hqdl_chaos(
     ledger: Optional[RunLedger] = None,
 ) -> ChaosRun:
     """Run HQDL with fault injection; degraded rows materialize as NULLs."""
-    plan, injector, report, clock, policy = _chaos_pieces(
-        fault_rate, seed, retries, plan, policy
-    )
-
-    def wrap(model: ChatClient) -> ChatClient:
-        return build_resilient_stack(
-            model, plan=plan, injector=injector, policy=policy,
-            clock=clock, breaker=breaker, report=report, telemetry=telemetry,
-            provenance=provenance,
-        )
-
-    run = run_hqdl(
-        swan, model_name, shots,
+    return _run_chaos(
+        run_hqdl, "hqdl", swan, model_name, shots,
+        fault_rate=fault_rate, seed=seed, retries=retries, plan=plan,
+        policy=policy, breaker=breaker, telemetry=telemetry,
+        provenance=provenance, ledger=ledger,
         databases=databases, gold=gold, workers=workers,
-        db_workers=db_workers, wrap_client=wrap, resilience=report,
-        telemetry=telemetry,
-        provenance=provenance, ledger=ledger, ledger_label="hqdl-chaos",
-    )
-    return ChaosRun(
-        pipeline="hqdl",
-        fault_rate=fault_rate,
-        seed=seed,
-        retries=retries,
-        ex=run.overall_ex,
-        f1=run.average_f1,
-        usage=run.usage,
-        resilience=report,
-        faults_injected=injector.stats.snapshot(),
-        fault_decisions=injector.stats.decisions,
-        breaker_trips=breaker.trips if breaker is not None else 0,
-        metrics=_metrics_snapshot(telemetry),
+        db_workers=db_workers,
     )
 
 

@@ -1,15 +1,19 @@
-"""The in-process query server: one event loop, three-way outcomes.
+"""The in-process query server: one event loop, one request lifecycle.
 
 :class:`QueryServer` consumes an arrival-ordered request stream (see
 :mod:`repro.serve.traffic`) and runs a discrete-event simulation on a
 :class:`VirtualClock`: arrivals are admitted or shed
 (:mod:`repro.serve.admission`), admitted requests wait in an
 :class:`~repro.serve.scheduler.AgingPriorityQueue`, and up to
-``max_concurrent`` requests are in service at once.  Service times are
-*virtual* — the LLM cost model (:func:`~repro.llm.batching.
-parallel_makespan` over the request's actual paid call sizes) decides
-when each answer lands, so a full overload study costs seconds of real
-compute and is bit-for-bit reproducible.
+``max_concurrent`` requests are in service at once.  Every dispatched
+request goes through the same three steps — *dispatch* (breaker check),
+optional *plan / waves* (cross-request batching, see the block comment
+above ``_dispatch``), *finalize* (run the query, classify, deliver) —
+and ``batching=None`` is simply the case with zero waves.  Service times
+are *virtual*: the LLM cost model (:func:`~repro.llm.batching.
+parallel_makespan` over the actual paid call sizes) decides when each
+answer lands, so a full overload study costs seconds of real compute and
+is bit-for-bit reproducible.
 
 Deadlines are enforced end-to-end, by construction:
 
@@ -28,37 +32,23 @@ trips, subsequent requests skip LLM work entirely and get a cheap
 degraded answer until the cooldown half-opens the breaker — quality
 sheds before availability, and the queue drains instead of collapsing.
 
-All requests of all tenants share one prompt cache per database, one
-:class:`~repro.plan.MappingStore`, one telemetry registry, and one run
-ledger — cross-request reuse is the whole economic argument for serving
-hybrid queries from a resident process.
+All requests of all tenants share one client stack and prompt cache per
+database (:mod:`repro.serve.state`), one :class:`~repro.plan.MappingStore`,
+one telemetry registry, and one run ledger.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.core.hqdl import HQDL
 from repro.errors import CircuitOpenError, ReproError
 from repro.llm.batching import batched, parallel_makespan
-from repro.llm.cache import CachingClient, PromptCache
-from repro.llm.chat import MockChatModel
-from repro.llm.diskcache import PersistentClient, PersistentPromptCache
-from repro.llm.faults import FaultInjector, FaultPlan, FaultyClient
-from repro.llm.oracle import KnowledgeOracle
-from repro.llm.profiles import get_profile
-from repro.llm.resilience import (
-    CircuitBreaker,
-    Deadline,
-    ResilienceReport,
-    RetryingClient,
-    RetryPolicy,
-)
-from repro.llm.usage import Usage, UsageMeter
+from repro.llm.resilience import CircuitBreaker, Deadline, ResilienceReport
+from repro.llm.usage import UsageMeter
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.ledger import RunLedger
 from repro.obs.slo import AVAILABILITY, SLOTracker
@@ -71,6 +61,7 @@ from repro.serve.batcher import (
     FlushedGroup,
     PendingRequest,
 )
+from repro.serve.report import ServeReport
 from repro.serve.request import (
     DEGRADED,
     REJECTED,
@@ -79,11 +70,11 @@ from repro.serve.request import (
     RequestOutcome,
 )
 from repro.serve.scheduler import AgingPriorityQueue
+from repro.serve.state import DatabaseStates
 from repro.serve.trace import ServeTraceLog, TraceRecord, WaveRecord
 from repro.sqlparser import parse
 from repro.swan.benchmark import Swan
-from repro.swan.build import build_curated_database
-from repro.udf.executor import HybridQueryExecutor, _parse_map_answers
+from repro.udf.executor import _parse_map_answers
 
 
 class VirtualClock:
@@ -125,44 +116,6 @@ class ServiceTimer:
     def sleep(self, seconds: float) -> None:
         with self._lock:
             self.elapsed += max(0.0, seconds)
-
-
-class _SizeRecorder:
-    """A pass-through client recording (input, output) sizes of paid calls.
-
-    The UDF executor reports its own call sizes; HQDL does not, so the
-    server slips this between the pipeline and the model to know what a
-    generation *cost* — cache-served responses (zero ``Usage.calls``)
-    are free and unrecorded, matching the makespan model.
-    """
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.model_name = inner.model_name
-        self.prefers_batch_dispatch = bool(
-            getattr(inner, "prefers_batch_dispatch", False)
-        )
-        self.sizes: list[tuple[int, int]] = []
-
-    def _record(self, response) -> None:
-        if response.usage.calls:
-            self.sizes.append(
-                (response.usage.input_tokens, response.usage.output_tokens)
-            )
-
-    def complete(self, prompt: str, *, label: str = ""):
-        response = self.inner.complete(prompt, label=label)
-        self._record(response)
-        return response
-
-    def complete_many(self, prompts, labels, *, deadline=None):
-        if deadline is not None:
-            responses = self.inner.complete_many(prompts, labels, deadline=deadline)
-        else:
-            responses = self.inner.complete_many(prompts, labels)
-        for response in responses:
-            self._record(response)
-        return responses
 
 
 @dataclass(frozen=True)
@@ -214,198 +167,6 @@ class ServerConfig:
             )
 
 
-@dataclass
-class ServeReport:
-    """Everything one serving run produced, with the invariants to check."""
-
-    outcomes: list[RequestOutcome]
-    horizon: float
-    admitted: int
-    shed: int
-    shed_by_reason: dict[str, int]
-    usage: Usage
-    breaker_trips: int
-    max_queue_depth: int
-    cache_hits: int
-    cache_misses: int
-    mapping_stats: dict
-    resilience: ResilienceReport
-    #: cross-request batching summary (None when batching is off, which
-    #: keeps the unbatched record byte-identical to the pre-batching one)
-    batching: Optional[dict] = None
-
-    @property
-    def offered(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def served(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == SERVED)
-
-    @property
-    def degraded(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == DEGRADED)
-
-    @property
-    def rejected(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == REJECTED)
-
-    @property
-    def answered(self) -> int:
-        return self.served + self.degraded
-
-    def accounted(self) -> bool:
-        """The serving trichotomy: every offer served, degraded, or rejected."""
-        return (
-            self.offered == self.served + self.degraded + self.rejected
-            and self.shed + self.admitted == self.offered
-        )
-
-    def latencies(self) -> list[float]:
-        """Latencies of answered requests (rejections refuse, not answer)."""
-        return sorted(o.latency for o in self.outcomes if o.answered)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile of answered latency; 0.0 when empty."""
-        latencies = self.latencies()
-        if not latencies:
-            return 0.0
-        rank = max(1, -(-int(q * 100) * len(latencies) // 100))
-        return latencies[min(rank, len(latencies)) - 1]
-
-    def max_latency(self) -> float:
-        latencies = self.latencies()
-        return latencies[-1] if latencies else 0.0
-
-    def throughput(self) -> float:
-        """Answered requests per virtual second over the run's span."""
-        if not self.outcomes:
-            return 0.0
-        span = max(self.horizon, max(o.finish_time for o in self.outcomes))
-        return self.answered / span if span > 0 else 0.0
-
-    def per_tenant(self) -> dict[str, dict]:
-        """Per-tenant offered/served/degraded/rejected/token totals."""
-        tenants: dict[str, dict] = {}
-        for outcome in self.outcomes:
-            stats = tenants.setdefault(
-                outcome.request.tenant,
-                {"offered": 0, "served": 0, "degraded": 0, "rejected": 0,
-                 "tokens": 0},
-            )
-            stats["offered"] += 1
-            stats[outcome.status] += 1
-            stats["tokens"] += outcome.input_tokens + outcome.output_tokens
-        for stats in tenants.values():
-            answered = stats["served"] + stats["degraded"]
-            stats["answered_share"] = round(
-                answered / stats["offered"], 6
-            ) if stats["offered"] else 0.0
-        return tenants
-
-    def fairness(self) -> float:
-        """Jain's index over per-tenant answered shares (1.0 = equal).
-
-        Measured on answered/offered ratios, so a tenant offering more
-        load does not *count* as being treated better — only getting a
-        larger fraction of its own requests answered does.
-        """
-        shares = [t["answered_share"] for t in self.per_tenant().values()]
-        if not shares:
-            return 1.0
-        total = sum(shares)
-        squares = sum(s * s for s in shares)
-        if squares == 0:
-            return 1.0
-        return (total * total) / (len(shares) * squares)
-
-    def degraded_by_reason(self) -> dict[str, int]:
-        reasons: dict[str, int] = {}
-        for outcome in self.outcomes:
-            if outcome.status == DEGRADED:
-                key = outcome.reason or "unknown"
-                reasons[key] = reasons.get(key, 0) + 1
-        return reasons
-
-    def rejected_by_reason(self) -> dict[str, int]:
-        reasons: dict[str, int] = {}
-        for outcome in self.outcomes:
-            if outcome.status == REJECTED:
-                key = outcome.reason or "unknown"
-                reasons[key] = reasons.get(key, 0) + 1
-        return reasons
-
-    def tokens_per_answer(self) -> float:
-        """Total tokens per answered request — the serving economy metric."""
-        answered = self.answered
-        if not answered:
-            return 0.0
-        return (self.usage.input_tokens + self.usage.output_tokens) / answered
-
-    def as_record(self) -> dict:
-        """A flat, JSON-stable summary (all floats rounded)."""
-        offered = self.offered
-        record = {
-            "offered": offered,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "served": self.served,
-            "degraded": self.degraded,
-            "rejected": self.rejected,
-            "shed_rate": round(self.shed / offered, 6) if offered else 0.0,
-            "degraded_rate": (
-                round(self.degraded / offered, 6) if offered else 0.0
-            ),
-            "shed_by_reason": dict(sorted(self.shed_by_reason.items())),
-            "degraded_by_reason": dict(sorted(self.degraded_by_reason().items())),
-            "rejected_by_reason": dict(sorted(self.rejected_by_reason().items())),
-            "p50": round(self.percentile(0.50), 6),
-            "p95": round(self.percentile(0.95), 6),
-            "p99": round(self.percentile(0.99), 6),
-            "max_latency": round(self.max_latency(), 6),
-            "throughput_rps": round(self.throughput(), 6),
-            "fairness": round(self.fairness(), 6),
-            "per_tenant": dict(sorted(self.per_tenant().items())),
-            "breaker_trips": self.breaker_trips,
-            "max_queue_depth": self.max_queue_depth,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "mapping": self.mapping_stats,
-            "llm_calls": self.usage.calls,
-            "input_tokens": self.usage.input_tokens,
-            "output_tokens": self.usage.output_tokens,
-            "accounting_ok": self.accounted(),
-        }
-        if self.batching is not None:
-            record["batching"] = self.batching
-        return record
-
-
-class _UdfState:
-    """One database's long-lived UDF serving state."""
-
-    def __init__(self, db, executor, cache, disk) -> None:
-        self.db = db
-        self.executor = executor
-        self.cache = cache
-        self.disk = disk
-
-
-class _HqdlState:
-    """One database's long-lived HQDL serving state (lazy materialization)."""
-
-    def __init__(self, pipeline, recorder, disk, cache=None) -> None:
-        self.pipeline = pipeline
-        self.recorder = recorder
-        self.disk = disk
-        #: prompt cache in front of generation, only under cross-request
-        #: batching: flushed generation prompts land here, so the first
-        #: finalize materializes from cache instead of paying twice
-        self.cache = cache
-        self.db = None
-        self.generation_sizes: list[tuple[int, int]] = []
-
-
 class QueryServer:
     """Serve a request stream over one SWAN benchmark, deterministically."""
 
@@ -453,8 +214,15 @@ class QueryServer:
                     self.config.model_name, self.config.shots
                 ),
             )
-        self._udf: dict[str, _UdfState] = {}
-        self._hqdl: dict[str, _HqdlState] = {}
+        self.states = DatabaseStates(
+            swan,
+            self.config,
+            meter=self.meter,
+            resilience=self.resilience,
+            telemetry=self._tel,
+            mapping_store=self.mapping_store,
+            retry_clock=self.clock,
+        )
         self._in_service = 0
         self._max_queue_depth = 0
         self._service_ewma: Optional[float] = None
@@ -475,105 +243,9 @@ class QueryServer:
         self._m_rejected = metrics.counter("serve.rejected")
         self._m_queue_depth = metrics.gauge("serve.queue_depth")
 
-    # -- per-database pipeline state ----------------------------------------------
-
-    def _base_model(self, world):
-        return MockChatModel(
-            KnowledgeOracle(world),
-            get_profile(self.config.model_name),
-            meter=self.meter,
-        )
-
-    def _wrap_faults(self, model):
-        """The chaos-mode stack; a pass-through when fault_rate is 0."""
-        if self.config.fault_rate <= 0:
-            return model
-        injector = FaultInjector(
-            FaultPlan.uniform(self.config.fault_rate, seed=self.config.fault_seed)
-        )
-        return RetryingClient(
-            FaultyClient(model, injector),
-            RetryPolicy(seed=self.config.fault_seed),
-            clock=self.clock,
-            report=self.resilience,
-            telemetry=self._tel,
-        )
-
-    def _wrap_disk(self, model, database: str):
-        if self.config.cache_dir is None:
-            return model, None
-        disk = PersistentPromptCache(
-            Path(self.config.cache_dir) / f"{database}.sqlite"
-        )
-        return (
-            PersistentClient(
-                model, disk, shots=self.config.shots, telemetry=self._tel
-            ),
-            disk,
-        )
-
-    def _udf_state(self, database: str) -> _UdfState:
-        state = self._udf.get(database)
-        if state is None:
-            world = self.swan.world(database)
-            model = self._wrap_faults(self._base_model(world))
-            model, disk = self._wrap_disk(model, database)
-            db = build_curated_database(world)
-            cache = PromptCache()
-            executor = HybridQueryExecutor(
-                db,
-                model,
-                world,
-                batch_size=self.config.batch_size,
-                pushdown=self.config.pushdown,
-                shots=self.config.shots,
-                cache=cache,
-                workers=self.config.workers,
-                resilience=self.resilience,
-                telemetry=self._tel,
-                mapping_store=self.mapping_store,
-            )
-            executor.publish_mappings = self.config.share_mappings
-            state = _UdfState(db, executor, cache, disk)
-            self._udf[database] = state
-        return state
-
-    def _hqdl_state(self, database: str) -> _HqdlState:
-        state = self._hqdl.get(database)
-        if state is None:
-            world = self.swan.world(database)
-            recorder = _SizeRecorder(self._wrap_faults(self._base_model(world)))
-            model, disk = self._wrap_disk(recorder, database)
-            cache = None
-            if self.batcher is not None:
-                # flushed generation prompts must be reusable at finalize
-                cache = PromptCache()
-                model = CachingClient(model, cache, telemetry=self._tel)
-            pipeline = HQDL(
-                world,
-                model,
-                shots=self.config.shots,
-                workers=self.config.workers,
-                resilience=self.resilience,
-                telemetry=self._tel,
-            )
-            state = _HqdlState(pipeline, recorder, disk, cache)
-            self._hqdl[database] = state
-        return state
-
     def close(self) -> None:
         """Release every database connection and disk cache."""
-        for state in self._udf.values():
-            state.db.close()
-            if state.disk is not None:
-                state.disk.close()
-        self._udf.clear()
-        for state in self._hqdl.values():
-            if state.db is not None:
-                state.db.close()
-            if state.disk is not None:
-                state.disk.close()
-        self._hqdl.clear()
+        self.states.close()
 
     def __enter__(self) -> "QueryServer":
         return self
@@ -625,8 +297,7 @@ class QueryServer:
         if self.slo_tracker is not None:
             # seal the run so the last open window's alerts evaluate
             self.slo_tracker.finalize(self.clock.now())
-        cache_hits = sum(s.cache.hits for s in self._udf.values())
-        cache_misses = sum(s.cache.misses for s in self._udf.values())
+        cache_hits, cache_misses = self.states.udf_cache_totals()
         report = ServeReport(
             outcomes=outcomes,
             horizon=horizon,
@@ -669,8 +340,6 @@ class QueryServer:
                     "max_concurrent": self.config.max_concurrent,
                     "queue_limit": self.config.queue_limit,
                 },
-                ex=None,
-                f1=None,
                 llm_calls=report.usage.calls,
                 input_tokens=report.usage.input_tokens,
                 output_tokens=report.usage.output_tokens,
@@ -702,14 +371,14 @@ class QueryServer:
         outcome: RequestOutcome,
         *,
         start: Optional[float] = None,
-        land: Optional[float] = None,
-        overhead_seconds: float = 0.0,
-        llm_seconds: float = 0.0,
-        backoff_seconds: float = 0.0,
-        retries: int = 0,
-        waves: Sequence[str] = (),
+        **stages,
     ) -> None:
-        """Append one terminal outcome's trace record (tracing on only)."""
+        """Append one terminal outcome's trace record (tracing on only).
+
+        ``stages`` are the :class:`TraceRecord` fields only a dispatched
+        request has: ``land``, the service-time components, ``retries``
+        and ``waves``.
+        """
         if self._trace is None:
             return
         request = outcome.request
@@ -722,34 +391,7 @@ class QueryServer:
                 )
             )
         self._trace.add(
-            TraceRecord(
-                request_id=request.request_id,
-                trace_id=request.trace_id,
-                tenant=request.tenant,
-                database=request.database,
-                pipeline=request.pipeline,
-                priority=request.priority,
-                arrival=request.arrival,
-                deadline_at=request.deadline_at,
-                status=outcome.status,
-                reason=outcome.reason,
-                finish=outcome.finish_time,
-                queue_wait=outcome.queue_wait,
-                start=start,
-                land=land,
-                overhead_seconds=overhead_seconds,
-                llm_seconds=llm_seconds,
-                backoff_seconds=backoff_seconds,
-                retries=retries,
-                llm_calls=outcome.llm_calls,
-                input_tokens=outcome.input_tokens,
-                output_tokens=outcome.output_tokens,
-                shared_tokens=outcome.shared_tokens,
-                degraded_keys=outcome.degraded_keys,
-                rows=outcome.rows,
-                promotions=promotions,
-                waves=tuple(waves),
-            )
+            TraceRecord.of(outcome, start=start, promotions=promotions, **stages)
         )
 
     def _record_outcome(self, outcome: RequestOutcome) -> None:
@@ -824,17 +466,10 @@ class QueryServer:
         )
         if rejection is not None:
             self._m_shed.inc()
-            self._m_rejected.inc()
-            outcome = RequestOutcome(
-                request=request,
-                status=REJECTED,
-                reason=rejection.reason,
-                finish_time=self.clock.now(),
+            return self._reject(
+                request, rejection.reason, self.clock.now(),
                 retry_after=rejection.retry_after,
             )
-            self._record_outcome(outcome)
-            self._trace_outcome(outcome)
-            return outcome
         self._m_admitted.inc()
         self.queue.push(request)
         depth = len(self.queue)
@@ -842,6 +477,19 @@ class QueryServer:
         if depth > self._max_queue_depth:
             self._max_queue_depth = depth
         return None
+
+    def _reject(
+        self, request: QueryRequest, reason: str, when: float, **fields
+    ) -> RequestOutcome:
+        """Record and trace one refusal (shed at the door or reaped in queue)."""
+        self._m_rejected.inc()
+        outcome = RequestOutcome(
+            request=request, status=REJECTED, reason=reason,
+            finish_time=when, **fields,
+        )
+        self._record_outcome(outcome)
+        self._trace_outcome(outcome)
+        return outcome
 
     def _dispatch_ready(self) -> list[RequestOutcome]:
         """Expire stale queue entries, then fill free service slots."""
@@ -852,17 +500,12 @@ class QueryServer:
             # this is a post-admission rejection, so admission's
             # offered == admitted + shed balance is untouched
             self.admission.on_expired_in_queue(request)
-            self._m_rejected.inc()
-            outcome = RequestOutcome(
-                request=request,
-                status=REJECTED,
-                reason="deadline_expired",
-                finish_time=request.deadline_at,
-                queue_wait=request.deadline_seconds,
+            outcomes.append(
+                self._reject(
+                    request, "deadline_expired", request.deadline_at,
+                    queue_wait=request.deadline_seconds,
+                )
             )
-            self._record_outcome(outcome)
-            self._trace_outcome(outcome)
-            outcomes.append(outcome)
         while self._in_service < self.config.max_concurrent:
             request = self.queue.pop(now, eligible=self.admission.can_dispatch)
             if request is None:
@@ -870,11 +513,7 @@ class QueryServer:
             self.admission.on_dispatched(request)
             self._in_service += 1
             self._in_flight.add(request.trace_id)
-            if self.batcher is not None:
-                self._begin_batched(request)
-            else:
-                outcome = self._execute(request)
-                self._push_event(outcome.finish_time, "finish", outcome)
+            self._dispatch(request)
         self._m_queue_depth.set(len(self.queue))
         return outcomes
 
@@ -892,37 +531,25 @@ class QueryServer:
             self._m_degraded.inc()
         self._record_outcome(outcome)
 
-    # -- request execution --------------------------------------------------------
+    # -- one request lifecycle: dispatch -> (plan -> waves) -> finalize ----------
+    #
+    # Every dispatched request becomes a ``PendingRequest`` and ends in
+    # ``_finalize``, which runs the query under the request's remaining
+    # budget and classifies the outcome.  Without ``config.batching`` that
+    # happens on the spot: the request rode zero waves and "lands" at its
+    # own start instant.  With it, the request's LLM demand is first
+    # *planned* (the dry-run planner of the executor / pipeline), pruned
+    # against the shared mapping store and prompt caches, and enqueued
+    # into the CrossRequestBatcher.  Flush events fire at the batcher's
+    # release times; every group due at one instant flushes as a single
+    # *wave* whose paid calls share one ``parallel_makespan`` pool —
+    # coalesced batches are charged like the fan-out of a single request.
+    # When a wave lands, members with no work left are finalized: the
+    # query replays against the request's private overlay store (all
+    # flushed answers, zero LLM calls in the common case).
 
-    def _breaker_short_circuit(
-        self, request: QueryRequest, start: float
-    ) -> Optional[RequestOutcome]:
-        """The outcome of a request dispatched while the breaker is open.
-
-        ``None`` when the breaker lets the request through.  Otherwise
-        the overload fast path: no LLM work, a NULL-degraded answer at
-        the cheap fixed cost — availability preserved, quality shed.
-        """
-        try:
-            self.breaker.before_call()
-        except CircuitOpenError:
-            finish = min(
-                start + self.config.base_overhead, request.deadline_at
-            )
-            outcome = RequestOutcome(
-                request=request,
-                status=DEGRADED,
-                reason="breaker_open",
-                finish_time=finish,
-                queue_wait=start - request.arrival,
-                service_seconds=finish - start,
-            )
-            self._trace_outcome(outcome, start=start)
-            return outcome
-        return None
-
-    def _execute(self, request: QueryRequest) -> RequestOutcome:
-        """Run one dispatched request; returns its (future) outcome.
+    def _dispatch(self, request: QueryRequest) -> None:
+        """Start one request: breaker check, optional planning, finalize.
 
         The result is computed *now* in real time but delivered at the
         virtual ``finish_time`` the cost model assigns.  Requests are
@@ -931,132 +558,47 @@ class QueryServer:
         """
         start = self.clock.now()
         queue_wait = start - request.arrival
-        remaining = request.deadline_seconds - queue_wait
-        shed = self._breaker_short_circuit(request, start)
-        if shed is not None:
-            return shed
-        timer = ServiceTimer(start)
-        retries_before = self.resilience.retries
-        usage_before = self.meter.total
-        error: Optional[ReproError] = None
-        rows: Optional[int] = None
-        degraded_keys = 0
-        call_sizes: list[tuple[int, int]] = []
-        if request.pipeline == "udf":
-            state = self._udf_state(request.database)
-            executor = state.executor
-            executor.deadline = Deadline(max(remaining, 1e-9), timer)
-            try:
-                result, report = executor.execute_with_report(request.sql)
-                rows = len(result.rows)
-                degraded_keys = report.degraded_keys
-                call_sizes = list(report.call_sizes)
-            except ReproError as exc:
-                error = exc
-            finally:
-                executor.deadline = None
-        else:
-            state = self._hqdl_state(request.database)
-            pipeline = state.pipeline
-            try:
-                if state.db is None:
-                    # first touch pays materialization; later requests
-                    # answer from the resident expanded database
-                    mark = len(state.recorder.sizes)
-                    pipeline.deadline = Deadline(max(remaining, 1e-9), timer)
-                    try:
-                        generation = pipeline.generate_all()
-                    finally:
-                        pipeline.deadline = None
-                    state.generation_sizes = state.recorder.sizes[mark:]
-                    state.db = pipeline.build_expanded_database(generation)
-                    call_sizes = list(state.generation_sizes)
-                result = pipeline.answer(
-                    state.db, self.swan.question(request.qid)
-                )
-                rows = len(result.rows)
-            except ReproError as exc:
-                error = exc
-        usage_delta = self.meter.total - usage_before
-        llm_seconds = parallel_makespan(call_sizes, self.config.workers)
-        service = self.config.base_overhead + llm_seconds + timer.elapsed
-        self._service_ewma = (
-            service
-            if self._service_ewma is None
-            else 0.8 * self._service_ewma + 0.2 * service
-        )
-        finish = start + service
-        if error is not None:
-            status, reason = DEGRADED, "error"
-            finish = min(finish, request.deadline_at)
-            self.breaker.record_failure()
-        elif finish > request.deadline_at:
-            # the full answer would land late: deliver NULL-degraded at
-            # exactly the deadline and tell the breaker we are drowning
-            status, reason = DEGRADED, "deadline"
-            degraded_keys = max(degraded_keys, rows or 0)
-            finish = request.deadline_at
-            self.breaker.record_failure()
-        elif degraded_keys:
-            status, reason = DEGRADED, (
-                "deadline" if self.config.fault_rate <= 0 else "faults"
+        try:
+            self.breaker.before_call()
+        except CircuitOpenError:
+            # the overload fast path: no LLM work, a NULL-degraded answer
+            # at the cheap fixed cost — availability kept, quality shed
+            finish = min(start + self.config.base_overhead, request.deadline_at)
+            outcome = RequestOutcome(
+                request=request,
+                status=DEGRADED,
+                reason="breaker_open",
+                finish_time=finish,
+                queue_wait=queue_wait,
+                service_seconds=finish - start,
             )
-            self.breaker.record_success()
+            self._trace_outcome(outcome, start=start)
         else:
-            status, reason = SERVED, None
-            self.breaker.record_success()
-        outcome = RequestOutcome(
-            request=request,
-            status=status,
-            reason=reason,
-            finish_time=finish,
-            queue_wait=queue_wait,
-            service_seconds=finish - start,
-            rows=rows,
-            llm_calls=usage_delta.calls,
-            input_tokens=usage_delta.input_tokens,
-            output_tokens=usage_delta.output_tokens,
-            degraded_keys=degraded_keys,
-            partial=status == DEGRADED and rows is not None,
-        )
-        self._trace_outcome(
-            outcome,
-            start=start,
-            overhead_seconds=self.config.base_overhead,
-            llm_seconds=llm_seconds,
-            backoff_seconds=timer.elapsed,
-            retries=self.resilience.retries - retries_before,
-        )
-        return outcome
+            member = PendingRequest(request, start=start, queue_wait=queue_wait)
+            if self.batcher is not None:
+                self._plan(member)
+            if member.outstanding:
+                return  # finalized when its last wave lands
+            outcome = self._finalize(member, start)
+        self._push_event(outcome.finish_time, "finish", outcome)
 
-    # -- cross-request batching ----------------------------------------------------
-    #
-    # With ``config.batching`` set, dispatch no longer executes a request
-    # on the spot.  Instead its LLM demand is *planned* (the dry-run
-    # planner of the executor / pipeline), pruned against the shared
-    # mapping store and prompt caches, and enqueued into the
-    # CrossRequestBatcher.  Flush events fire at the batcher's release
-    # times; every group due at one instant flushes as a single *wave*
-    # whose paid calls share one ``parallel_makespan`` pool — coalesced
-    # batches are charged like the fan-out of a single request.  When the
-    # wave lands, members with no work left are finalized: the query
-    # replays against the request's private overlay store (all flushed
-    # answers, zero LLM calls) and the outcome is delivered under the
-    # same deadline-clamp / breaker rules as the unbatched path.
-
-    def _begin_batched(self, request: QueryRequest) -> None:
+    def _plan(self, member: PendingRequest) -> None:
         """Plan one dispatched request's LLM work into the batcher."""
-        start = self.clock.now()
-        queue_wait = start - request.arrival
-        shed = self._breaker_short_circuit(request, start)
-        if shed is not None:
-            self._push_event(shed.finish_time, "finish", shed)
-            return
+        request, start = member.request, member.start
         batcher = self.batcher
-        member = PendingRequest(request, start=start, queue_wait=queue_wait)
         persist = batcher.config.persist
+
+        def enqueue_uncached(cache, prompt, label, latency_bearing) -> None:
+            if cache.peek(prompt) is not None:
+                batcher.prompts_from_cache += 1
+                return
+            batcher.enqueue_prompt(
+                request.database, label, prompt, member,
+                latency_bearing=latency_bearing, now=start,
+            )
+
         if request.pipeline == "udf":
-            state = self._udf_state(request.database)
+            state = self.states.udf(request.database)
             executor = state.executor
             try:
                 member.query = parse(request.sql)
@@ -1095,29 +637,14 @@ class QueryServer:
                         chunk_size=chunk, now=start,
                     )
             for prompt in qa_prompts:
-                if state.cache.peek(prompt) is None:
-                    batcher.enqueue_prompt(
-                        request.database, "udf:qa", prompt, member,
-                        latency_bearing=False, now=start,
-                    )
-                else:
-                    batcher.prompts_from_cache += 1
+                enqueue_uncached(state.cache, prompt, "udf:qa", False)
         else:
-            hstate = self._hqdl_state(request.database)
+            hstate = self.states.hqdl(request.database)
             if hstate.db is None:
                 for prompt, label in hstate.pipeline.plan_calls():
-                    if hstate.cache.peek(prompt) is None:
-                        batcher.enqueue_prompt(
-                            request.database, label, prompt, member,
-                            latency_bearing=True, now=start,
-                        )
-                    else:
-                        batcher.prompts_from_cache += 1
+                    enqueue_uncached(hstate.cache, prompt, label, True)
         if member.outstanding == 0:
-            # everything already covered by shared state: finalize at once
-            outcome = self._finalize_batched(member, start)
-            self._push_event(outcome.finish_time, "finish", outcome)
-            return
+            return  # everything already covered by shared state
         if self.config.max_concurrent == 1:
             # a second request can never be in service concurrently, so a
             # window could never coalesce anything: release immediately
@@ -1204,8 +731,16 @@ class QueryServer:
             {m for _, requesters in group.items for m in requesters}
         )
         calls_formed = 0
+
+        def settle(item_requesters, usage, fill=None) -> None:
+            # a paid call on a latency-bearing group occupies the wave
+            # (``usage`` is None for a call that failed)
+            if usage is not None and usage.calls and group.latency_bearing:
+                wave_sizes.append((usage.input_tokens, usage.output_tokens))
+            batcher.settle_call(item_requesters, usage, fill=fill)
+
         if group.kind == "map":
-            executor = self._udf_state(group.database).executor
+            executor = self.states.udf(group.database).executor
             signature = group.call.signature()
             keys = [payload for payload, _ in group.items]
             requesters_of = dict(group.items)
@@ -1229,7 +764,7 @@ class QueryServer:
                             member.overlay.put(signature, {key: None})
                             member.degraded_keys += 1
                     self.resilience.record_degraded(len(chunk))
-                    batcher.settle_call(item_requesters, None, fill=fill)
+                    settle(item_requesters, None, fill)
                     continue
                 answers = _parse_map_answers(outcome.response.text, len(chunk))
                 values = dict(zip(chunk, answers))
@@ -1243,12 +778,7 @@ class QueryServer:
                         signature,
                         {k: v for k, v in values.items() if v is not None},
                     )
-                usage = outcome.response.usage
-                if usage.calls and group.latency_bearing:
-                    wave_sizes.append(
-                        (usage.input_tokens, usage.output_tokens)
-                    )
-                batcher.settle_call(item_requesters, usage, fill=fill)
+                settle(item_requesters, outcome.response.usage, fill)
                 if self._tel.timeseries.enabled:
                     self._tel.timeseries.observe(
                         "serve.batch_occupancy", now, fill
@@ -1256,10 +786,10 @@ class QueryServer:
         else:
             prompts = [payload for payload, _ in group.items]
             if group.label.startswith("hqdl:"):
-                pipeline = self._hqdl[group.database].pipeline
+                pipeline = self.states.hqdl(group.database).pipeline
                 dispatcher, client = pipeline._dispatcher, pipeline.client
             else:
-                executor = self._udf_state(group.database).executor
+                executor = self.states.udf(group.database).executor
                 dispatcher, client = executor.dispatcher, executor.client
             outcomes = dispatcher.dispatch(
                 client, prompts, labels=group.label,
@@ -1270,16 +800,11 @@ class QueryServer:
                 if outcome.error is not None:
                     # left uncached: finalize re-attempts (and degrades
                     # there if the upstream is still failing)
-                    batcher.settle_call([requesters], None)
+                    settle([requesters], None)
                     continue
                 # the dispatch went through the group's CachingClient, so
                 # the completion is already cached for finalize
-                usage = outcome.response.usage
-                if usage.calls and group.latency_bearing:
-                    wave_sizes.append(
-                        (usage.input_tokens, usage.output_tokens)
-                    )
-                batcher.settle_call([requesters], usage)
+                settle([requesters], outcome.response.usage)
         self._tel.flight.record(
             now, "batch_flush",
             label=group.label, trigger=group.trigger,
@@ -1294,20 +819,21 @@ class QueryServer:
         for member, item_count in payload:
             member.outstanding -= item_count
             if member.outstanding == 0:
-                outcome = self._finalize_batched(member, land)
+                outcome = self._finalize(member, land)
                 self._push_event(outcome.finish_time, "finish", outcome)
 
-    def _finalize_batched(
-        self, member: PendingRequest, land: float
-    ) -> RequestOutcome:
-        """Replay the query against the member's overlay; deliver the outcome.
+    def _finalize(self, member: PendingRequest, land: float) -> RequestOutcome:
+        """Run the query at ``land``; classify and deliver the outcome.
 
-        Every flushed answer is in the overlay (or the prompt caches), so
-        this replay is LLM-free in the common case; residual paid calls
-        (e.g. a QA retry after a failed flush) are charged on top of the
-        landing instant, exactly as the unbatched cost model would.
+        The one place a request executes.  An unbatched request lands at
+        its own start and pays for all of its LLM work here.  A batched
+        one replays against its overlay: every flushed answer is there
+        (or in the prompt caches), so the replay is LLM-free in the
+        common case, and residual paid calls (e.g. a QA retry after a
+        failed flush) are charged on top of the landing instant.
         """
         request = member.request
+        batched = self.batcher is not None
         timer = ServiceTimer(land)
         remaining = max(request.deadline_at - land, 1e-9)
         retries_before = self.resilience.retries
@@ -1317,10 +843,11 @@ class QueryServer:
         degraded_keys = 0
         call_sizes: list[tuple[int, int]] = []
         if request.pipeline == "udf":
-            executor = self._udf_state(request.database).executor
+            executor = self.states.udf(request.database).executor
             executor.deadline = Deadline(remaining, timer)
-            saved_store = executor.mapping_store
-            executor.mapping_store = member.overlay
+            shared_store = executor.mapping_store
+            if batched:
+                executor.mapping_store = member.overlay
             try:
                 result, report = executor.execute_with_report(member.query)
                 rows = len(result.rows)
@@ -1329,22 +856,24 @@ class QueryServer:
             except ReproError as exc:
                 error = exc
             finally:
-                executor.mapping_store = saved_store
+                executor.mapping_store = shared_store
                 executor.deadline = None
         else:
-            state = self._hqdl_state(request.database)
+            state = self.states.hqdl(request.database)
             pipeline = state.pipeline
             try:
                 if state.db is None:
-                    mark = len(state.recorder.sizes)
+                    # first touch pays materialization; later requests
+                    # answer from the resident expanded database
+                    mark = len(state.sizes)
                     pipeline.deadline = Deadline(remaining, timer)
                     try:
                         generation = pipeline.generate_all()
                     finally:
                         pipeline.deadline = None
-                    state.generation_sizes = state.recorder.sizes[mark:]
+                    generation_sizes = state.sizes[mark:]
                     state.db = pipeline.build_expanded_database(generation)
-                    call_sizes = list(state.generation_sizes)
+                    call_sizes = generation_sizes
                 result = pipeline.answer(
                     state.db, self.swan.question(request.qid)
                 )
@@ -1367,6 +896,8 @@ class QueryServer:
             finish = min(finish, request.deadline_at)
             self.breaker.record_failure()
         elif finish > request.deadline_at:
+            # the full answer would land late: deliver NULL-degraded at
+            # exactly the deadline and tell the breaker we are drowning
             status, reason = DEGRADED, "deadline"
             degraded_keys = max(degraded_keys, rows or 0)
             finish = request.deadline_at
@@ -1397,11 +928,11 @@ class QueryServer:
         self._trace_outcome(
             outcome,
             start=member.start,
-            land=land,
+            land=land if batched else None,
             overhead_seconds=self.config.base_overhead,
             llm_seconds=tail_llm,
             backoff_seconds=timer.elapsed,
             retries=self.resilience.retries - retries_before,
-            waves=member.waves,
+            waves=tuple(member.waves),
         )
         return outcome

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.obs.trace import Span, closed_span
-from repro.serve.request import DEGRADED, REJECTED
+from repro.serve.request import DEGRADED, REJECTED, RequestOutcome
 
 #: admission-shed reasons (no dispatch ever happened)
 _SHED_REASONS = ("queue_full", "tenant_quota", "token_budget")
@@ -79,6 +79,37 @@ class TraceRecord:
     promotions: tuple[float, ...] = ()
     #: batch wave ids this request's calls rode on, in flush order
     waves: tuple[str, ...] = ()
+
+    @classmethod
+    def of(cls, outcome: RequestOutcome, **stages) -> "TraceRecord":
+        """The record of one terminal outcome.
+
+        ``stages`` are the fields the outcome does not carry: ``start``,
+        ``land``, the service-time components, ``retries``,
+        ``promotions`` and ``waves``.
+        """
+        request = outcome.request
+        return cls(
+            request_id=request.request_id,
+            trace_id=request.trace_id,
+            tenant=request.tenant,
+            database=request.database,
+            pipeline=request.pipeline,
+            priority=request.priority,
+            arrival=request.arrival,
+            deadline_at=request.deadline_at,
+            status=outcome.status,
+            reason=outcome.reason,
+            finish=outcome.finish_time,
+            queue_wait=outcome.queue_wait,
+            llm_calls=outcome.llm_calls,
+            input_tokens=outcome.input_tokens,
+            output_tokens=outcome.output_tokens,
+            shared_tokens=outcome.shared_tokens,
+            degraded_keys=outcome.degraded_keys,
+            rows=outcome.rows,
+            **stages,
+        )
 
     @property
     def latency(self) -> float:
