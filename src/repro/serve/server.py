@@ -86,9 +86,6 @@ class VirtualClock:
     def now(self) -> float:
         return self._now
 
-    def sleep(self, seconds: float) -> None:
-        self._now += max(0.0, seconds)
-
     def advance_to(self, when: float) -> None:
         if when > self._now:
             self._now = when
@@ -116,6 +113,24 @@ class ServiceTimer:
     def sleep(self, seconds: float) -> None:
         with self._lock:
             self.elapsed += max(0.0, seconds)
+
+
+class _CurrentTimer:
+    """The retry layer's clock: the timer of whatever is executing now.
+
+    ``_finalize`` and ``_on_flush`` point it at the :class:`ServiceTimer`
+    they create, so a retry backoff is charged to that request's (or
+    wave's) budget and never moves the server clock.
+    """
+
+    def __init__(self) -> None:
+        self.timer = ServiceTimer(0.0)
+
+    def now(self) -> float:
+        return self.timer.now()
+
+    def sleep(self, seconds: float) -> None:
+        self.timer.sleep(seconds)
 
 
 @dataclass(frozen=True)
@@ -214,6 +229,7 @@ class QueryServer:
                     self.config.model_name, self.config.shots
                 ),
             )
+        self._retry_clock = _CurrentTimer()
         self.states = DatabaseStates(
             swan,
             self.config,
@@ -221,7 +237,7 @@ class QueryServer:
             resilience=self.resilience,
             telemetry=self._tel,
             mapping_store=self.mapping_store,
-            retry_clock=self.clock,
+            retry_clock=self._retry_clock,
         )
         self._in_service = 0
         self._max_queue_depth = 0
@@ -676,7 +692,7 @@ class QueryServer:
         # the wave's dispatch budget ends at the earliest member deadline:
         # the batcher already guarantees no group is *released* late, and
         # this Deadline guarantees no retry backoff overruns it either
-        wave_timer = ServiceTimer(now)
+        wave_timer = self._retry_clock.timer = ServiceTimer(now)
         min_deadline = min(m.request.deadline_at for m in members)
         deadline = Deadline(max(min_deadline - now, 1e-9), wave_timer)
         wave_sizes: list[tuple[int, int]] = []
@@ -834,7 +850,7 @@ class QueryServer:
         """
         request = member.request
         batched = self.batcher is not None
-        timer = ServiceTimer(land)
+        timer = self._retry_clock.timer = ServiceTimer(land)
         remaining = max(request.deadline_at - land, 1e-9)
         retries_before = self.resilience.retries
         usage_before = self.meter.total

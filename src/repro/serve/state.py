@@ -136,6 +136,15 @@ class DatabaseStates:
             telemetry=self.telemetry,
         )
 
+    @property
+    def _dispatch_threads(self) -> int:
+        # Real threads per request (the cost model always fans out
+        # ``config.workers`` ways).  Under fault injection a request's
+        # virtual time is a running sum of backoffs that its Deadline
+        # reads between calls, so its calls run in prompt order: threads
+        # would make which calls find the budget spent depend on scheduling.
+        return 1 if self.config.fault_rate > 0 else self.config.workers
+
     def _stack(self, world, wrap, memory_cache=None) -> ClientStack:
         config = self.config
         return build_client_stack(
@@ -160,7 +169,7 @@ class DatabaseStates:
                 pushdown=config.pushdown,
                 shots=config.shots,
                 cache=cache,
-                workers=config.workers,
+                workers=self._dispatch_threads,
                 resilience=self.resilience,
                 telemetry=self.telemetry,
                 mapping_store=self.mapping_store,
@@ -186,7 +195,7 @@ class DatabaseStates:
                 world,
                 stack.client,
                 shots=config.shots,
-                workers=config.workers,
+                workers=self._dispatch_threads,
                 resilience=self.resilience,
                 telemetry=self.telemetry,
             )

@@ -59,10 +59,11 @@ class TestSerialByteIdentity:
     """max_concurrent=1, no faults: batching on == batching off, bit for bit.
 
     The contract is fault-free only.  Under ``fault_rate > 0`` the two
-    arms retry different prompts in a different order (a flush retries
-    whole chunks, the replay retries what is left), so paid calls and
-    retry counts legitimately differ — e.g. 290 vs 293 paid calls and
-    166 vs 171 retries at ``fault_rate=0.5`` on this traffic.
+    arms spend their retry budgets differently (a flush retries under
+    the wave's deadline, the replay then retries what is left under the
+    request's), so paid calls and retry counts legitimately differ — on
+    the traffic of ``test_one_lifecycle.py`` at ``fault_rate=0.3``,
+    ``fault_seed=3``: 231 (off) vs 234 (on) paid calls, 53 vs 54 retries.
     """
 
     @pytest.mark.parametrize("persist", [True, False])

@@ -8,6 +8,13 @@ outcome, the report record and the resilience counters, so the fold — an
 unbatched request is a pending request that rode zero waves — has to
 reproduce the old body bit for bit, faults, shared mappings and the disk
 tier included.
+
+The ``fault_rate > 0`` rows were re-pinned once, by the commit after the
+fold: retry backoff used to sleep on the server's global clock (pushing
+every later event out and never depleting the request's own deadline);
+it now sleeps on the request's / wave's ``ServiceTimer``.  The fault-free
+rows are the parent's bytes.  ``TestBackoffOnRequestBudget`` covers what
+the old rows could not.
 """
 
 import hashlib
@@ -17,8 +24,16 @@ from pathlib import Path
 import pytest
 
 from repro.harness.benchserve import default_tenants, offered_rps
+from repro.obs import MetricsRegistry, Telemetry
 from repro.serve.batcher import BatchingConfig
-from repro.serve.server import QueryServer, ServerConfig
+from repro.serve.request import DEGRADED, QueryRequest
+from repro.serve.server import (
+    QueryServer,
+    ServerConfig,
+    ServiceTimer,
+    VirtualClock,
+)
+from repro.serve.trace import ServeTraceLog
 from repro.serve.traffic import generate_traffic
 from repro.swan.benchmark import load_benchmark_subset
 
@@ -123,6 +138,94 @@ class TestGoldenUnbatched:
         assert warm.usage.calls == 0
         assert digest(cold) == golden[f"disk-cold-batching-{arm}"]
         assert digest(warm) == golden[f"disk-warm-batching-{arm}"]
+
+
+class TestBackoffOnRequestBudget:
+    """Retry backoff consumes the request's budget, not the server clock."""
+
+    def _faulty_run(self, swan, monkeypatch, *, batching, fault_rate=0.3):
+        sleeps: list[float] = []
+        instants: list[float] = []
+        timer_sleep = ServiceTimer.sleep
+        advance_to = VirtualClock.advance_to
+
+        def spy_sleep(timer, seconds):
+            sleeps.append(seconds)
+            timer_sleep(timer, seconds)
+
+        def spy_advance(clock, when):
+            instants.append(when)
+            advance_to(clock, when)
+
+        monkeypatch.setattr(ServiceTimer, "sleep", spy_sleep)
+        monkeypatch.setattr(VirtualClock, "advance_to", spy_advance)
+        requests, policies = _traffic(swan)
+        telemetry = Telemetry(metrics=MetricsRegistry())
+        trace = ServeTraceLog()
+        config = ServerConfig(
+            workers=4, queue_limit=24, max_concurrent=3,
+            fault_rate=fault_rate, fault_seed=3, batching=batching,
+        )
+        with QueryServer(
+            swan, config, policies=policies, telemetry=telemetry, trace=trace
+        ) as server:
+            report = server.run(requests)
+            clock_end = server.clock.now()
+        backoff_total = telemetry.metrics.snapshot()[
+            "llm.retry.backoff_seconds_total"
+        ]
+        return report, trace, sleeps, instants, clock_end, backoff_total
+
+    def test_traces_account_for_every_backoff_second(
+        self, serve_swan, monkeypatch
+    ):
+        report, trace, sleeps, _, _, backoff_total = self._faulty_run(
+            serve_swan, monkeypatch, batching=None
+        )
+        records = trace.records
+        assert report.resilience.retries > 0
+        # every backoff went to a ServiceTimer, one sleep per retry
+        assert len(sleeps) == report.resilience.retries
+        assert sum(r.retries for r in records) == report.resilience.retries
+        traced = sum(r.backoff_seconds for r in records)
+        assert traced > 0
+        assert traced == pytest.approx(backoff_total)
+        assert traced == pytest.approx(sum(sleeps))
+
+    @pytest.mark.parametrize("batching", [None, BatchingConfig()])
+    def test_clock_only_moves_to_event_instants(
+        self, serve_swan, monkeypatch, batching
+    ):
+        report, _, sleeps, instants, clock_end, _ = self._faulty_run(
+            serve_swan, monkeypatch, batching=batching
+        )
+        assert sleeps  # faults did fire
+        assert instants == sorted(instants)
+        assert clock_end == instants[-1]
+        assert clock_end == max(o.finish_time for o in report.outcomes)
+        for outcome in report.outcomes:
+            assert outcome.finish_time <= outcome.request.deadline_at + 1e-9
+
+    @pytest.mark.parametrize("batching", [None, BatchingConfig()])
+    def test_backoff_past_the_budget_degrades_instead_of_overrunning(
+        self, serve_swan, batching
+    ):
+        question = serve_swan.question("superhero_q01")
+        request = QueryRequest(
+            request_id=0, tenant="solo", database="superhero",
+            sql=question.blend_sql, arrival=0.0, qid=question.qid,
+            deadline_seconds=1.0,
+        )
+        config = ServerConfig(
+            workers=1, max_concurrent=1, fault_rate=0.9, fault_seed=3,
+            batching=batching,
+        )
+        with QueryServer(serve_swan, config) as server:
+            report = server.run([request])
+        (outcome,) = report.outcomes
+        assert report.resilience.retries > 0
+        assert outcome.status == DEGRADED
+        assert outcome.finish_time <= request.deadline_at
 
 
 if __name__ == "__main__":

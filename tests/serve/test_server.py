@@ -40,10 +40,12 @@ class TestVirtualClock:
         clock.advance_to(5.0)
         clock.advance_to(3.0)
         assert clock.now() == 5.0
-        clock.sleep(-1.0)
-        assert clock.now() == 5.0
-        clock.sleep(2.0)
+        clock.advance_to(7.0)
         assert clock.now() == 7.0
+
+    def test_only_the_event_loop_moves_it(self):
+        # backoff sleeps on a request's ServiceTimer; nothing may sleep here
+        assert not hasattr(VirtualClock(), "sleep")
 
 
 class TestServerConfig:
