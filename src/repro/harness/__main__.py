@@ -11,6 +11,7 @@ Usage::
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -223,16 +224,6 @@ def _run_report(
         f"calls, {usage.input_tokens}/{usage.output_tokens} in/out tokens."
     )
     return [record], format_table(["Database", "EX"], rows, title=title)
-
-
-def _run_udf_report(**options) -> tuple[list[dict], str]:
-    """One UDF-pipeline run (``batch_size`` is its only extra flag)."""
-    return _run_report("udf", **options)
-
-
-def _run_hqdl_report(**options) -> tuple[list[dict], str]:
-    """One HQDL-pipeline run at the requested scale and parallelism."""
-    return _run_report("hqdl", **options)
 
 
 def _bench_scale_report(
@@ -493,8 +484,8 @@ _GENERATORS = {
     "chaos": _chaos_report,
     "trace": _trace_report,
     "bench-cache": _bench_cache_report,
-    "run-udf": _run_udf_report,
-    "run-hqdl": _run_hqdl_report,
+    "run-udf": functools.partial(_run_report, "udf"),
+    "run-hqdl": functools.partial(_run_report, "hqdl"),
     "bench-scale": _bench_scale_report,
     "serve": _serve_report,
     "loadtest": _loadtest_report,

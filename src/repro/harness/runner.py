@@ -746,18 +746,12 @@ def chaos_sweep(
 
     runs: list[ChaosRun] = []
     for rate in fault_rates:
-        runs.append(
-            run_udf_chaos(
-                swan, model_name, shots, fault_rate=rate, seed=seed,
-                retries=retries, databases=databases, gold=gold,
-                telemetry=_telemetry(),
+        for run_chaos in (run_udf_chaos, run_hqdl_chaos):
+            runs.append(
+                run_chaos(
+                    swan, model_name, shots, fault_rate=rate, seed=seed,
+                    retries=retries, databases=databases, gold=gold,
+                    telemetry=_telemetry(),
+                )
             )
-        )
-        runs.append(
-            run_hqdl_chaos(
-                swan, model_name, shots, fault_rate=rate, seed=seed,
-                retries=retries, databases=databases, gold=gold,
-                telemetry=_telemetry(),
-            )
-        )
     return runs

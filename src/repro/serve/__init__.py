@@ -17,7 +17,9 @@ virtual clock, so overload experiments are deterministic and free.
   starvation-free aging.
 - :mod:`repro.serve.server` — the event-driven :class:`QueryServer`
   tying admission, scheduling, deadlines, and the circuit-breaker
-  degradation path to the existing pipelines and shared caches.
+  degradation path to the existing pipelines and shared caches
+  (:mod:`repro.serve.state`), reported as a :class:`ServeReport`
+  (:mod:`repro.serve.report`).
 - :mod:`repro.serve.traffic` — seed-stable synthetic tenant traffic
   (Poisson and bursty arrivals).
 """

@@ -92,19 +92,26 @@ class VirtualClock:
 
 
 class ServiceTimer:
-    """Request-local virtual time: global now + this request's backoffs.
+    """Execution-local virtual time: global now + this execution's backoffs.
 
-    Handed to the request's :class:`~repro.llm.resilience.Deadline` (and,
-    under fault injection, the retry layer's clock), so waiting consumes
-    *that request's* budget without advancing the server clock — other
+    The clock of a request's :class:`~repro.llm.resilience.Deadline` and,
+    under fault injection, of the retry layer, so waiting consumes *that
+    request's* budget without advancing the server clock — other
     in-flight requests are unaffected, exactly as if each ran on its own
-    thread of wall time.
+    thread of wall time.  The event loop runs one finalize or one wave
+    flush at a time, so the server owns a single timer and re-arms it
+    (:meth:`restart`) at the start of each.
     """
 
-    def __init__(self, start: float) -> None:
-        self.start = start
-        self.elapsed = 0.0
+    def __init__(self, start: float = 0.0) -> None:
         self._lock = threading.Lock()
+        self.restart(start)
+
+    def restart(self, start: float) -> "ServiceTimer":
+        with self._lock:
+            self.start = start
+            self.elapsed = 0.0
+        return self
 
     def now(self) -> float:
         with self._lock:
@@ -113,24 +120,6 @@ class ServiceTimer:
     def sleep(self, seconds: float) -> None:
         with self._lock:
             self.elapsed += max(0.0, seconds)
-
-
-class _CurrentTimer:
-    """The retry layer's clock: the timer of whatever is executing now.
-
-    ``_finalize`` and ``_on_flush`` point it at the :class:`ServiceTimer`
-    they create, so a retry backoff is charged to that request's (or
-    wave's) budget and never moves the server clock.
-    """
-
-    def __init__(self) -> None:
-        self.timer = ServiceTimer(0.0)
-
-    def now(self) -> float:
-        return self.timer.now()
-
-    def sleep(self, seconds: float) -> None:
-        self.timer.sleep(seconds)
 
 
 @dataclass(frozen=True)
@@ -229,7 +218,7 @@ class QueryServer:
                     self.config.model_name, self.config.shots
                 ),
             )
-        self._retry_clock = _CurrentTimer()
+        self._timer = ServiceTimer()
         self.states = DatabaseStates(
             swan,
             self.config,
@@ -237,7 +226,7 @@ class QueryServer:
             resilience=self.resilience,
             telemetry=self._tel,
             mapping_store=self.mapping_store,
-            retry_clock=self._retry_clock,
+            retry_clock=self._timer,
         )
         self._in_service = 0
         self._max_queue_depth = 0
@@ -692,7 +681,7 @@ class QueryServer:
         # the wave's dispatch budget ends at the earliest member deadline:
         # the batcher already guarantees no group is *released* late, and
         # this Deadline guarantees no retry backoff overruns it either
-        wave_timer = self._retry_clock.timer = ServiceTimer(now)
+        wave_timer = self._timer.restart(now)
         min_deadline = min(m.request.deadline_at for m in members)
         deadline = Deadline(max(min_deadline - now, 1e-9), wave_timer)
         wave_sizes: list[tuple[int, int]] = []
@@ -850,7 +839,7 @@ class QueryServer:
         """
         request = member.request
         batched = self.batcher is not None
-        timer = self._retry_clock.timer = ServiceTimer(land)
+        timer = self._timer.restart(land)
         remaining = max(request.deadline_at - land, 1e-9)
         retries_before = self.resilience.retries
         usage_before = self.meter.total
@@ -887,9 +876,8 @@ class QueryServer:
                         generation = pipeline.generate_all()
                     finally:
                         pipeline.deadline = None
-                    generation_sizes = state.sizes[mark:]
+                    call_sizes = state.sizes[mark:]
                     state.db = pipeline.build_expanded_database(generation)
-                    call_sizes = generation_sizes
                 result = pipeline.answer(
                     state.db, self.swan.question(request.qid)
                 )
