@@ -40,7 +40,8 @@ from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.provenance import call_id_for
 from repro.obs.trace import NULL_SPAN
 from repro.plan.store import MappingStore
-from repro.udf.executor import HybridQueryExecutor, _parse_map_answers
+from repro.udf.executor import HybridQueryExecutor
+from repro.udf.ingredients import parse_map_answers
 
 #: rough output-tokens-per-answered-key, for LPT ordering only — the
 #: ordering needs relative sizes, not accurate absolutes
@@ -298,7 +299,7 @@ class CallPlanner:
                 else:
                     stats.cached_calls += 1
                 if call.signature is not None and self.store is not None:
-                    answers = _parse_map_answers(
+                    answers = parse_map_answers(
                         outcome.response.text, len(call.batch)
                     )
                     self.store.put(

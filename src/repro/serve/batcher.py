@@ -90,7 +90,7 @@ class PendingRequest:
     __slots__ = (
         "request", "start", "queue_wait", "overlay", "outstanding",
         "llm_calls", "input_tokens", "output_tokens", "shared_tokens",
-        "degraded_keys", "waves", "query",
+        "degraded_keys", "waves", "keys",
     )
 
     def __init__(
@@ -111,9 +111,10 @@ class PendingRequest:
         #: ids of the batch waves this request's items rode on (trace
         #: bookkeeping only — never read by the batching math)
         self.waves: list[str] = []
-        #: what the finalize pass executes: the request's SQL text, or
-        #: for a UDF request the statement planning already parsed
-        self.query = request.sql
+        #: the key lists planning fetched for a UDF request, in the
+        #: executor's occurrence order — handed to the finalize pass so
+        #: it does not fetch them again (None: never planned)
+        self.keys: Optional[list[list[tuple]]] = None
 
 
 class _Item:
@@ -123,7 +124,8 @@ class _Item:
 
     def __init__(self, payload) -> None:
         self.payload = payload
-        self.requesters: list[PendingRequest] = []
+        #: in attach order; a dict so "already waiting?" is one lookup
+        self.requesters: dict[PendingRequest, None] = {}
 
 
 class _Group:
@@ -347,7 +349,7 @@ class CrossRequestBatcher:
                 self.items_enqueued += 1
             if member in item.requesters:
                 continue  # the same request asked twice (two occurrences)
-            item.requesters.append(member)
+            item.requesters[member] = None
             member.outstanding += 1
             attached += 1
         if attached:

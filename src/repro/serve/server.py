@@ -72,9 +72,7 @@ from repro.serve.request import (
 from repro.serve.scheduler import AgingPriorityQueue
 from repro.serve.state import DatabaseStates
 from repro.serve.trace import ServeTraceLog, TraceRecord, WaveRecord
-from repro.sqlparser import parse
 from repro.swan.benchmark import Swan
-from repro.udf.executor import _parse_map_answers
 
 
 class VirtualClock:
@@ -169,6 +167,25 @@ class ServerConfig:
             raise ValueError(
                 f"fault_rate must be in [0, 1], got {self.fault_rate}"
             )
+
+
+def _fan_out(
+    signature: tuple,
+    chunk: Sequence[tuple],
+    answers: Sequence[Optional[str]],
+    item_requesters: Sequence[Sequence[PendingRequest]],
+) -> dict[PendingRequest, dict[tuple, Optional[str]]]:
+    """Deliver one chunk's answers to the overlay of every waiting request.
+
+    One ``put`` per member, not per key; returns each member's share.
+    """
+    shares: dict[PendingRequest, dict[tuple, Optional[str]]] = {}
+    for key, answer, requesters in zip(chunk, answers, item_requesters):
+        for member in requesters:
+            shares.setdefault(member, {})[key] = answer
+    for member, share in shares.items():
+        member.overlay.put(signature, share)
+    return shares
 
 
 class QueryServer:
@@ -605,13 +622,11 @@ class QueryServer:
         if request.pipeline == "udf":
             state = self.states.udf(request.database)
             executor = state.executor
-            try:
-                member.query = parse(request.sql)
-            except ReproError:
-                # keep the text: the finalize pass re-raises the typed
-                # error and the request degrades like any failed query
-                pass
-            map_requests, qa_prompts = executor.plan_key_requests(member.query)
+            # an unparseable or malformed query plans (a prefix of) its
+            # work; the finalize pass re-raises the typed error and the
+            # request degrades like any failed query
+            map_requests, qa_prompts = executor.plan_key_requests(request.sql)
+            member.keys = [keys for _, keys in map_requests]
             for call, keys in map_requests:
                 signature = call.signature()
                 wanted = list(dict.fromkeys(keys))
@@ -745,13 +760,16 @@ class QueryServer:
             batcher.settle_call(item_requesters, usage, fill=fill)
 
         if group.kind == "map":
-            executor = self.states.udf(group.database).executor
+            state = self.states.udf(group.database)
+            executor = state.executor
             signature = group.call.signature()
             keys = [payload for payload, _ in group.items]
             requesters_of = dict(group.items)
             chunks = batched(keys, group.chunk_size)
+            # memoized: most chunks recur, and the prompt cache will
+            # answer them — no need to assemble the prompt again first
             prompts = [
-                executor._map_prompt(group.call, chunk) for chunk in chunks
+                state.chunk_prompt(group.call, tuple(chunk)) for chunk in chunks
             ]
             outcomes = executor.dispatcher.dispatch(
                 executor.client, prompts, labels="udf:map",
@@ -764,24 +782,27 @@ class QueryServer:
                 if outcome.error is not None:
                     # same tolerance as the per-request path: the failed
                     # batch degrades to NULLs for every waiting request
-                    for key, requesters in zip(chunk, item_requesters):
-                        for member in requesters:
-                            member.overlay.put(signature, {key: None})
-                            member.degraded_keys += 1
+                    shares = _fan_out(
+                        signature, chunk, [None] * len(chunk), item_requesters
+                    )
+                    for member, share in shares.items():
+                        member.degraded_keys += len(share)
                     self.resilience.record_degraded(len(chunk))
                     settle(item_requesters, None, fill)
                     continue
-                answers = _parse_map_answers(outcome.response.text, len(chunk))
-                values = dict(zip(chunk, answers))
-                for key, requesters in zip(chunk, item_requesters):
-                    for member in requesters:
-                        member.overlay.put(signature, {key: values[key]})
+                # memoized like the prompt: a cached completion was
+                # decoded when it was paid for
+                answers = state.decode(outcome.response.text, len(chunk))
+                _fan_out(signature, chunk, answers, item_requesters)
                 if batcher.config.persist and executor.publish_mappings:
                     # only real answers, like the executor: degraded or
                     # drifted NULLs must not pin other requests to NULL
                     self.mapping_store.put(
                         signature,
-                        {k: v for k, v in values.items() if v is not None},
+                        {
+                            k: v for k, v in zip(chunk, answers)
+                            if v is not None
+                        },
                     )
                 settle(item_requesters, outcome.response.usage, fill)
                 if self._tel.timeseries.enabled:
@@ -854,7 +875,9 @@ class QueryServer:
             if batched:
                 executor.mapping_store = member.overlay
             try:
-                result, report = executor.execute_with_report(member.query)
+                result, report = executor.execute_with_report(
+                    request.sql, keys=member.keys
+                )
                 rows = len(result.rows)
                 degraded_keys = report.degraded_keys
                 call_sizes = list(report.call_sizes)

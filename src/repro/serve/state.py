@@ -11,6 +11,7 @@ the one place the client layering exists) and tears all of them down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.hqdl import HQDL
@@ -26,9 +27,15 @@ from repro.sqlengine.database import Database
 from repro.swan.benchmark import Swan
 from repro.swan.build import build_curated_database
 from repro.udf.executor import HybridQueryExecutor
+from repro.udf.ingredients import parse_map_answers
 
 if TYPE_CHECKING:
     from repro.serve.server import ServerConfig
+
+
+def _decode(completion: str, expected: int) -> tuple[Optional[str], ...]:
+    """:func:`parse_map_answers` as an immutable (memoizable) value."""
+    return tuple(parse_map_answers(completion, expected))
 
 
 class SizeRecorder:
@@ -69,14 +76,34 @@ class SizeRecorder:
         return responses
 
 
+#: entries kept by each of a :class:`UdfState`'s two flush-path memos
+FLUSH_MEMO_SIZE = 4096
+
+
 @dataclass
 class UdfState:
-    """One database's long-lived UDF serving state."""
+    """One database's long-lived UDF serving state.
+
+    ``chunk_prompt`` and ``decode`` memoize the two pure steps either
+    side of a flushed map call — (ingredient call, key chunk) → prompt
+    and (completion, chunk length) → answers.  Under serving most
+    flushed chunks recur and the prompt cache answers them, so without
+    the memos the server assembles and re-decodes ten prompts for each
+    one it pays for.  The prompt still goes through the caching client:
+    every hit, miss and usage counter is unchanged.  They live here, on
+    the flush path only — a batch run builds each prompt once, and a
+    memo there would be pure memory.
+    """
 
     db: Database
     executor: HybridQueryExecutor
     cache: PromptCache
     stack: ClientStack
+
+    def __post_init__(self) -> None:
+        memo = lru_cache(maxsize=FLUSH_MEMO_SIZE)
+        self.chunk_prompt = memo(self.executor._map_prompt)
+        self.decode = memo(_decode)
 
     def close(self) -> None:
         self.db.close()

@@ -211,10 +211,43 @@ class Database:
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.execute(f"DROP TABLE IF EXISTS temp.{_quote(name)}")
+        self.drop_temp_table(name)
         body = ", ".join(f"{_quote(c)} TEXT" for c in columns)
         self.execute(f"CREATE TEMP TABLE {_quote(name)} ({body})")
-        placeholders = ", ".join("?" for _ in columns)
+        self._fill_temp_table(name, len(columns), rows, chunk_size)
+
+    def refill_temp_table(
+        self,
+        name: str,
+        columns: Sequence[str],
+        rows: Iterable[Sequence[object]] = (),
+        *,
+        chunk_size: int = INSERT_CHUNK_SIZE,
+    ) -> None:
+        """Replace every row of an existing TEMP table; issues no DDL.
+
+        The steady-state path of the hybrid executor's slot tables: a
+        ``DELETE`` and the streamed inserts in one transaction, so the
+        schema (and with it every statement SQLite has compiled on this
+        connection) is left alone, and a failed refill leaves the old
+        rows in place.
+        """
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        try:
+            self.connection.execute(f"DELETE FROM temp.{_quote(name)}")
+        except sqlite3.Error as exc:
+            raise ExecutionError(f"{exc} while emptying temp table {name}") from exc
+        self._fill_temp_table(name, len(columns), rows, chunk_size)
+
+    def _fill_temp_table(
+        self,
+        name: str,
+        width: int,
+        rows: Iterable[Sequence[object]],
+        chunk_size: int,
+    ) -> None:
+        placeholders = ", ".join("?" for _ in range(width))
         sql = f"INSERT INTO temp.{_quote(name)} VALUES ({placeholders})"
         try:
             for chunk in _chunked(rows, chunk_size):
@@ -223,6 +256,10 @@ class Database:
         except sqlite3.Error as exc:
             self.connection.rollback()
             raise ExecutionError(f"{exc} while filling temp table {name}") from exc
+
+    def drop_temp_table(self, name: str) -> None:
+        """Drop a TEMP table (and its indexes) if it exists."""
+        self.execute(f"DROP TABLE IF EXISTS temp.{_quote(name)}")
 
     def create_index(
         self, table: str, columns: Sequence[str], *, name: str = ""

@@ -13,14 +13,38 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 
+#: field annotations that can never hold a child node
+_LEAF_ANNOTATIONS = frozenset(
+    {"str", "bool", "object", "Optional[str]", "list[str]", "dict[str, object]"}
+)
+#: node class -> names of the fields that may hold child nodes
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def child_fields(cls: type) -> tuple[str, ...]:
+    """The fields of a node class that may hold nodes, in declaration order.
+
+    Computed once per class: ``dataclasses.fields`` on every visit was
+    the single hottest call of a tree walk.
+    """
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = _CHILD_FIELDS[cls] = tuple(
+            f.name
+            for f in dataclasses.fields(cls)
+            if f.type not in _LEAF_ANNOTATIONS
+        )
+    return names
+
+
 @dataclass
 class Node:
     """Base class for all AST nodes."""
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (descending into lists and tuples)."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        for name in child_fields(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):

@@ -42,16 +42,16 @@ def transform(node: ast.Node, fn: Callable[[ast.Node], ast.Node]) -> ast.Node:
     if isinstance(node, ast.IngredientSource):
         return fn(node)
     replacements: dict[str, object] = {}
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in ast.child_fields(type(node)):
+        value = getattr(node, name)
         if isinstance(value, ast.Node):
             new_value = transform(value, fn)
             if new_value is not value:
-                replacements[f.name] = new_value
+                replacements[name] = new_value
         elif isinstance(value, list):
             new_list, changed = _transform_sequence(value, fn)
             if changed:
-                replacements[f.name] = new_list
+                replacements[name] = new_list
     if replacements:
         node = dataclasses.replace(node, **replacements)
     return fn(node)

@@ -18,7 +18,11 @@ question/answer demonstrations.
 
 from repro.udf.executor import HybridQueryExecutor
 from repro.udf.fewshot import DemonstrationPool, FewShotSelector, cosine_similarity, embed
-from repro.udf.ingredients import IngredientCall, parse_ingredient_call
+from repro.udf.ingredients import (
+    IngredientCall,
+    parse_ingredient_call,
+    parse_map_answers,
+)
 from repro.udf.semantic_cache import SemanticCache
 from repro.udf.views import MaterializedViewStore
 
@@ -30,6 +34,7 @@ __all__ = [
     "embed",
     "IngredientCall",
     "parse_ingredient_call",
+    "parse_map_answers",
     "SemanticCache",
     "MaterializedViewStore",
 ]

@@ -2,7 +2,8 @@
 
 Execution plan for one hybrid query:
 
-1. Parse the dialect SQL; collect every ``{{...}}`` ingredient.
+1. Parse the dialect SQL; collect every ``{{...}}`` ingredient — once
+   per distinct SQL text (see :class:`PreparedStatement`).
 2. For each **LLMMap**: find its owning SELECT scope, apply predicate
    pushdown to fetch only the key tuples that database-only predicates
    allow, batch the keys (default 5 per call, Section 5.4), prompt the
@@ -22,13 +23,22 @@ concurrently over a worker pool (:mod:`repro.llm.parallel`) — the
 parallelized LLM calls the paper lists as future work.  Results are
 deterministic: the cache's single-flight guarantee plus ordered dispatch
 make ``workers=8`` byte-identical to ``workers=1``.
+
+**Prepare once, execute many.**  Everything that is a pure function of
+(SQL text, schema, executor configuration) lives in a bounded
+per-executor cache of :class:`PreparedStatement` entries: the parsed
+tree (owned by the entry), each distinct ingredient occurrence with its
+validated call and resolved alias, its key-fetch SQL (pushdown analysis
+done once), and a fixed temp-table *slot* per occurrence — created on
+first use, then refilled — so a repeated text costs no parse, no AST
+walk and no DDL, and its rewritten SQL is a constant string.
 """
 
 from __future__ import annotations
 
-import re
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from repro.errors import IngredientError, ReproError
 from repro.llm.batching import (
@@ -54,13 +64,17 @@ from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
 from repro.obs.provenance import TIER_MAPPING_STORE, TIER_SEMANTIC, call_id_for
 from repro.obs.trace import NULL_SPAN
 from repro.sqlparser import ast, parse, render
-from repro.sqlparser.render import quote_identifier
+from repro.sqlparser.render import quote_identifier, render_expression
 from repro.sqlparser.rewrite import replace_ingredients, walk
 from repro.sqlengine.database import Database
 from repro.sqlengine.results import ResultSet
 from repro.swan.base import World
 from repro.udf.fewshot import DemonstrationPool, FewShotSelector
-from repro.udf.ingredients import IngredientCall, parse_ingredient_call
+from repro.udf.ingredients import (
+    IngredientCall,
+    parse_ingredient_call,
+    parse_map_answers,
+)
 from repro.udf.pushdown import pushable_conjuncts, resolve_alias
 from repro.udf.semantic_cache import SemanticCache
 from repro.udf.views import MaterializedViewStore
@@ -68,7 +82,13 @@ from repro.udf.views import MaterializedViewStore
 if TYPE_CHECKING:  # no runtime import: repro.plan imports from this module
     from repro.plan.store import MappingStore
 
-_ANSWER_LINE_RE = re.compile(r"^\s*(\d+)\s*[.):]\s*(.*?)\s*$")
+#: prepared statements kept per executor, least recently used evicted
+#: first (SWAN has 30 distinct texts per database); an evicted statement
+#: drops its slot tables
+PREPARED_CACHE_SIZE = 256
+#: final SQL strings kept per prepared statement: one per distinct
+#: combination of LLMQA answers (and view names) it has been filled with
+RENDER_MEMO_SIZE = 8
 
 #: demonstration pools per (world name, scale) — rebuilt only when the
 #: cached entry belongs to a *different* world object of the same name
@@ -194,6 +214,8 @@ class HybridQueryExecutor:
         #: completes, it never hangs past its budget.
         self.deadline = None
         self._temp_counter = 0
+        #: SQL text -> its prepared statement, least recently used first
+        self._prepared: OrderedDict[str, PreparedStatement] = OrderedDict()
 
     # -- public API --------------------------------------------------------------
 
@@ -203,61 +225,112 @@ class HybridQueryExecutor:
         return result
 
     def execute_with_report(
-        self, hybrid_sql: Union[str, ast.Select]
+        self,
+        hybrid_sql: Union[str, ast.Select],
+        *,
+        keys: Optional[Sequence[list[tuple]]] = None,
     ) -> tuple[ResultSet, ExecutionReport]:
         """Execute and also return pushdown/call diagnostics.
 
-        ``hybrid_sql`` may be the statement :func:`parse` returned for
-        the query text (a caller that already planned the query hands
-        over its tree); execution never mutates it.
+        ``hybrid_sql`` may be an already parsed statement; execution
+        never mutates it (and, not owning it, prepares it for this call
+        only).  ``keys`` are the key lists :meth:`plan_key_requests`
+        returned for this same query, in order: a caller that planned
+        the query hands them over and execution does not fetch them
+        again.
         """
         tel = self._tel
         if not tel.enabled:
-            return self._execute_with_report(hybrid_sql)
+            return self._execute_with_report(hybrid_sql, keys)
         with tel.tracer.span("udf:query") as span:
-            result, report = self._execute_with_report(hybrid_sql)
+            result, report = self._execute_with_report(hybrid_sql, keys)
             span.set("llm_calls", report.llm_calls)
             span.set("keys_generated", report.keys_generated)
             return result, report
 
     def _execute_with_report(
-        self, hybrid_sql: Union[str, ast.Select]
+        self,
+        hybrid_sql: Union[str, ast.Select],
+        keys: Optional[Sequence[list[tuple]]],
     ) -> tuple[ResultSet, ExecutionReport]:
         tel = self._tel
         report = ExecutionReport()
         with (tel.tracer.span("sql:parse") if tel.enabled else NULL_SPAN):
-            statement = _parsed(hybrid_sql)
-        replacements = self._plan_ingredients(statement, report)
-        with (tel.tracer.span("sql:rewrite") if tel.enabled else NULL_SPAN):
-            if replacements:
-                statement = replace_ingredients(
-                    statement, lambda node: replacements[id(node)]
-                )
-            final_sql = render(statement)
-        report.rewritten_sql = final_sql
-        with (tel.tracer.span("sql:execute") if tel.enabled else NULL_SPAN):
-            result = self.db.query(final_sql)
+            prepared = self._prepare(hybrid_sql)
+        try:
+            fillings = self._fill_ingredients(prepared, report, keys)
+            with (tel.tracer.span("sql:rewrite") if tel.enabled else NULL_SPAN):
+                report.rewritten_sql = prepared.final_sql(fillings)
+            with (tel.tracer.span("sql:execute") if tel.enabled else NULL_SPAN):
+                result = self.db.query(report.rewritten_sql)
+        finally:
+            if not prepared.cached:
+                self._drop_slots(prepared)
         return result, report
 
-    # -- planning ----------------------------------------------------------------
+    # -- prepared statements -----------------------------------------------------
 
-    def _plan_ingredients(
-        self, statement: ast.Select, report: ExecutionReport
-    ) -> dict[int, ast.Node]:
-        """Materialize every ingredient; map node id → replacement node."""
-        replacements: dict[int, ast.Node] = {}
-        shared: dict[tuple, ast.Node] = {}
-        for node, owner, source_alias, as_source in _ingredient_occurrences(statement):
-            call = parse_ingredient_call(node)
-            signature = (call.signature(), id(owner), as_source)
-            if signature in shared:
-                replacements[id(node)] = shared[signature]
-                continue
-            if as_source and call.kind != "LLMJoin":
-                raise IngredientError(
-                    f"{call.kind} cannot be used as a FROM source"
-                )
-            tel = self._tel
+    def _prepare(self, hybrid_sql: Union[str, ast.Select]) -> "PreparedStatement":
+        """The prepared statement for a query text, parsed at most once.
+
+        The cache is per executor because what it holds depends on this
+        executor's schema and ``pushdown`` setting, and its entries own
+        their trees: nothing is remembered about a node the cache does
+        not keep alive.  A caller's pre-parsed statement is prepared
+        afresh and never cached — the tree is theirs.
+        """
+        if isinstance(hybrid_sql, ast.Select):
+            return PreparedStatement(hybrid_sql, cached=False)
+        prepared = self._prepared.get(hybrid_sql)
+        if prepared is not None:
+            self._prepared.move_to_end(hybrid_sql)
+            return prepared
+        prepared = PreparedStatement(parse(hybrid_sql), cached=True)
+        self._prepared[hybrid_sql] = prepared
+        if len(self._prepared) > PREPARED_CACHE_SIZE:
+            _, evicted = self._prepared.popitem(last=False)
+            self._drop_slots(evicted)
+        return prepared
+
+    def _drop_slots(self, prepared: "PreparedStatement") -> None:
+        """Drop the temp tables a statement leaving the executor still holds."""
+        for occurrence in prepared.occurrences:
+            if occurrence.slot is not None:
+                self.db.drop_temp_table(occurrence.slot)
+                occurrence.slot = None
+
+    @staticmethod
+    def _walk(prepared: "PreparedStatement") -> Iterator["_Occurrence"]:
+        """The one ingredient walk: each distinct occurrence, in order.
+
+        Execution and both dry runs iterate this, so they agree on scope
+        resolution, signature sharing and — by raising a malformed
+        occurrence's error only on reaching it — on the prefix of work
+        done before a query fails.
+        """
+        for occurrence in prepared.occurrences:
+            if occurrence.error is not None:
+                # a fresh traceback each time: the exception object is
+                # kept, and would otherwise grow a frame per raise
+                raise occurrence.error.with_traceback(None)
+            yield occurrence
+
+    def _fill_ingredients(
+        self,
+        prepared: "PreparedStatement",
+        report: ExecutionReport,
+        keys: Optional[Sequence[list[tuple]]],
+    ) -> tuple[Optional[str], ...]:
+        """Run every ingredient; what each occurrence is replaced with.
+
+        A filling is the LLMQA answer (None for NULL) or the name of the
+        table holding the LLMMap/LLMJoin mapping.
+        """
+        tel = self._tel
+        planned = iter(keys or ())
+        fillings: list[Optional[str]] = []
+        for occurrence in self._walk(prepared):
+            call = occurrence.call
             with (
                 tel.tracer.span(
                     "udf:ingredient", kind=call.kind, question=call.question
@@ -266,18 +339,13 @@ class HybridQueryExecutor:
                 else NULL_SPAN
             ):
                 if call.kind == "LLMQA":
-                    replacement: ast.Node = self._run_qa(call)
+                    filling = self._run_qa(call)
                 elif call.kind == "LLMMap":
-                    replacement = self._run_map(call, owner, report)
+                    filling = self._run_map(occurrence, report, next(planned, None))
                 else:  # LLMJoin
-                    if not as_source:
-                        raise IngredientError(
-                            "LLMJoin is only valid as a FROM source"
-                        )
-                    replacement = self._run_join(call, source_alias, report)
-            shared[signature] = replacement
-            replacements[id(node)] = replacement
-        return replacements
+                    filling = self._run_join(occurrence, report, next(planned, None))
+            fillings.append(filling)
+        return tuple(fillings)
 
     def _batch_size_for(self, call: IngredientCall) -> int:
         """The batch size for one ingredient: policy when set, else fixed."""
@@ -285,15 +353,21 @@ class HybridQueryExecutor:
             return self.batch_size
         return self.batch_policy.batch_size(call)
 
+    def _view_table(self, call: IngredientCall) -> Optional[str]:
+        """The materialized view already answering an LLMMap, if any."""
+        if self.views is None:
+            return None
+        return self.views.table_for(call.signature())
+
     # -- call planning (dry run) --------------------------------------------------
     #
-    # Both methods replay the ingredient walk of ``_plan_ingredients``
-    # without issuing any LLM call, for the run-level CallPlanner
-    # (repro.plan).  They assume the executor-level caches that consult
-    # the model themselves (semantic cache) are not attached — the
-    # harness runners never attach them — and mirror everything else:
-    # scope resolution, signature sharing, pushdown, batching, and the
-    # stop-at-first-error prefix semantics of real execution.
+    # Both methods replay the ingredient walk of execution without
+    # issuing any LLM call, for the run-level CallPlanner (repro.plan)
+    # and the serving layer.  They assume the executor-level caches that
+    # consult the model themselves (semantic cache) are not attached —
+    # the harness runners never attach them — and share everything else
+    # with execution through ``_walk``, including the stop-at-first-error
+    # prefix semantics.
 
     def plan_calls(self, hybrid_sql: str) -> list[tuple[str, str]]:
         """The exact (prompt, label) sequence executing this query would issue.
@@ -306,34 +380,14 @@ class HybridQueryExecutor:
         prompts: list[tuple[str, str]] = []
         report = ExecutionReport()
         try:
-            statement = parse(hybrid_sql)
-        except ReproError:
-            return prompts
-        shared: set[tuple] = set()
-        try:
-            for occurrence in _ingredient_occurrences(statement):
-                node, owner, source_alias, as_source = occurrence
-                call = parse_ingredient_call(node)
-                signature = (call.signature(), id(owner), as_source)
-                if signature in shared:
-                    continue
-                shared.add(signature)
-                if as_source and call.kind != "LLMJoin":
-                    return prompts
+            for occurrence in self._walk(self._prepare(hybrid_sql)):
+                call = occurrence.call
                 if call.kind == "LLMQA":
                     prompts.append((self._qa_prompt(call.question), "udf:qa"))
-                    continue
-                if call.kind == "LLMJoin" and not as_source:
-                    return prompts
-                if (
-                    call.kind == "LLMMap"
-                    and self.views is not None
-                    and self.views.table_for(call.signature()) is not None
-                ):
-                    continue
-                keys = self._plan_keys(call, owner, report)
-                for batch in batched(keys, self._batch_size_for(call)):
-                    prompts.append((self._map_prompt(call, batch), "udf:map"))
+                elif call.kind == "LLMJoin" or self._view_table(call) is None:
+                    keys = self._fetch_keys(occurrence, report)
+                    for batch in batched(keys, self._batch_size_for(call)):
+                        prompts.append((self._map_prompt(call, batch), "udf:map"))
         except ReproError:
             pass
         return prompts
@@ -346,59 +400,36 @@ class HybridQueryExecutor:
         Returns ``(map_requests, qa_prompts)`` where each map request is
         an LLMMap/LLMJoin call paired with the key tuples it needs —
         the unit a pairs-mode planner unions across questions.  Accepts
-        an already parsed statement, like :meth:`execute_with_report`.
+        an already parsed statement, like :meth:`execute_with_report`,
+        which in turn accepts the key lists returned here.
         """
         map_requests: list[tuple[IngredientCall, list[tuple]]] = []
         qa_prompts: list[str] = []
         report = ExecutionReport()
         try:
-            statement = _parsed(hybrid_sql)
-        except ReproError:
-            return map_requests, qa_prompts
-        shared: set[tuple] = set()
-        try:
-            for occurrence in _ingredient_occurrences(statement):
-                node, owner, source_alias, as_source = occurrence
-                call = parse_ingredient_call(node)
-                signature = (call.signature(), id(owner), as_source)
-                if signature in shared:
-                    continue
-                shared.add(signature)
-                if as_source and call.kind != "LLMJoin":
-                    return map_requests, qa_prompts
+            for occurrence in self._walk(self._prepare(hybrid_sql)):
+                call = occurrence.call
                 if call.kind == "LLMQA":
                     qa_prompts.append(self._qa_prompt(call.question))
-                    continue
-                if call.kind == "LLMJoin" and not as_source:
-                    return map_requests, qa_prompts
-                keys = self._plan_keys(call, owner, report)
-                map_requests.append((call, keys))
+                else:
+                    map_requests.append(
+                        (call, self._fetch_keys(occurrence, report))
+                    )
         except ReproError:
             pass
         return map_requests, qa_prompts
 
-    def _plan_keys(
-        self,
-        call: IngredientCall,
-        owner: Optional[ast.Select],
-        report: ExecutionReport,
-    ) -> list[tuple]:
-        """Key fetching exactly as execution performs it, per ingredient kind."""
-        if call.kind == "LLMJoin":
-            return self._fetch_keys(call, None, call.source_table, report)
-        alias = resolve_alias(owner, call.source_table) or call.source_table
-        return self._fetch_keys(call, owner, alias, report)
-
     # -- LLMQA -------------------------------------------------------------------
 
-    def _run_qa(self, call: IngredientCall) -> ast.Expr:
+    def _run_qa(self, call: IngredientCall) -> Optional[str]:
+        """The scalar answer that replaces an LLMQA (None renders NULL)."""
         tel = self._tel
         if self.deadline is not None and self.deadline.expired:
             # same degradation contract as a skipped mapping batch: the
             # scalar becomes NULL instead of blocking past the budget
             if self.resilience is not None:
                 self.resilience.record_degraded(1)
-            return ast.Literal.null()
+            return None
         prompt = self._qa_prompt(call.question)
         if self._prov.enabled:
             # QA bypasses the dispatcher, so the executor records the call
@@ -425,8 +456,7 @@ class HybridQueryExecutor:
                 )
                 metrics.counter("llm.calls", stage="udf:qa").inc(usage.calls)
         answer = response.text.strip().splitlines()
-        value = answer[-1].strip() if answer else ""
-        return ast.Literal.string(value)
+        return answer[-1].strip() if answer else ""
 
     def _qa_prompt(self, question: str) -> str:
         spec = PromptSpec()
@@ -444,55 +474,56 @@ class HybridQueryExecutor:
 
     def _run_map(
         self,
-        call: IngredientCall,
-        owner: Optional[ast.Select],
+        occurrence: "_Occurrence",
         report: ExecutionReport,
-    ) -> ast.Expr:
-        alias = resolve_alias(owner, call.source_table) or call.source_table
-        view_table = (
-            self.views.table_for(call.signature()) if self.views is not None else None
-        )
-        tel = self._tel
+        planned_keys: Optional[list[tuple]],
+    ) -> str:
+        """Generate one LLMMap's mapping; the table the rewrite reads it from."""
+        call = occurrence.call
+        view_table = self._view_table(call)
         if view_table is not None:
-            temp_name = view_table  # read the materialized view, no LLM calls
-        else:
-            with (
-                tel.tracer.span("udf:fetch_keys", pushdown=self.pushdown)
-                if tel.enabled
-                else NULL_SPAN
-            ) as span:
-                keys = self._fetch_keys(call, owner, alias, report)
-                span.set("keys", len(keys))
-            mapping = self._generate_mapping(call, keys, report)
-            with (
-                tel.tracer.span("udf:materialize") if tel.enabled else NULL_SPAN
-            ):
-                temp_name = self._materialize_mapping(call, mapping)
-                self._maybe_materialize_view(call, mapping)
-        # (SELECT v FROM temp WHERE k0 = alias.col0 AND k1 = alias.col1)
-        where: Optional[ast.Expr] = None
-        for index, column in enumerate(call.key_columns):
-            comparison = ast.BinaryOp(
-                "=",
-                ast.ColumnRef(f"k{index}"),
-                ast.ColumnRef(column, alias),
-            )
-            where = comparison if where is None else ast.BinaryOp("AND", where, comparison)
-        subquery = ast.Select(
-            items=[ast.SelectItem(ast.ColumnRef("v"))],
-            from_=ast.TableName(temp_name),
-            where=where,
-        )
-        return ast.ScalarSubquery(subquery)
+            return view_table  # read the materialized view, no LLM calls
+        tel = self._tel
+        with (
+            tel.tracer.span("udf:fetch_keys", pushdown=self.pushdown)
+            if tel.enabled
+            else NULL_SPAN
+        ) as span:
+            keys = self._fetch_keys(occurrence, report, planned_keys)
+            span.set("keys", len(keys))
+        mapping = self._generate_mapping(call, keys, report)
+        with (tel.tracer.span("udf:materialize") if tel.enabled else NULL_SPAN):
+            columns = [f"k{i}" for i in range(len(call.key_columns))] + ["v"]
+            table = self._materialize(occurrence, columns, mapping)
+            self._maybe_materialize_view(call, mapping)
+        return table
 
     def _fetch_keys(
         self,
-        call: IngredientCall,
-        owner: Optional[ast.Select],
-        alias: str,
+        occurrence: "_Occurrence",
         report: ExecutionReport,
+        planned_keys: Optional[list[tuple]] = None,
     ) -> list[tuple]:
-        """Distinct key tuples, after predicate pushdown when enabled."""
+        """Distinct key tuples, after predicate pushdown when enabled.
+
+        ``planned_keys`` are the same tuples as a dry run of this query
+        already fetched them; the database is then left alone.
+        """
+        keys = planned_keys
+        if keys is None:
+            # bulk fetch: no ResultSet bookkeeping for rows only ever str()-ed
+            keys = [
+                tuple(map(str, row))
+                for row in self.db.query_rows(self._key_sql(occurrence))
+            ]
+        report.keys_after_pushdown[occurrence.call.question] = len(keys)
+        return keys
+
+    def _key_sql(self, occurrence: "_Occurrence") -> str:
+        """The key-fetch query of one occurrence, analysed on first use."""
+        if occurrence.key_sql is not None:
+            return occurrence.key_sql
+        call, alias = occurrence.call, occurrence.alias
         columns = ", ".join(
             f"{quote_identifier(alias)}.{quote_identifier(c)}"
             for c in call.key_columns
@@ -504,16 +535,16 @@ class HybridQueryExecutor:
         # packing and prompt text) must not depend on which indexes the
         # database happens to carry — reuse hinges on byte-equal prompts.
         sql = f"SELECT DISTINCT {columns} FROM {from_clause} NOT INDEXED"
-        if self.pushdown and owner is not None:
+        if self.pushdown and occurrence.owner is not None:
             source_columns = set(self.db.table_columns(call.source_table))
-            conjuncts = pushable_conjuncts(owner, alias, source_columns)
+            conjuncts = pushable_conjuncts(occurrence.owner, alias, source_columns)
             if conjuncts:
-                rendered = " AND ".join(f"({_render_expr(c)})" for c in conjuncts)
+                rendered = " AND ".join(
+                    f"({render_expression(c)})" for c in conjuncts
+                )
                 sql += f" WHERE {rendered}"
-        # bulk fetch: no ResultSet bookkeeping for rows only ever str()-ed
-        keys = [tuple(map(str, row)) for row in self.db.query_rows(sql)]
-        report.keys_after_pushdown[call.question] = len(keys)
-        return keys
+        occurrence.key_sql = sql
+        return sql
 
     def _generate_mapping(
         self,
@@ -597,7 +628,7 @@ class HybridQueryExecutor:
                     report.call_sizes.append(
                         (response.usage.input_tokens, response.usage.output_tokens)
                     )
-                answers = _parse_map_answers(response.text, len(batch))
+                answers = parse_map_answers(response.text, len(batch))
             cid = call_id_for(prompt) if prov.enabled else ""
             for key, answer in zip(batch, answers):
                 mapping[key] = answer
@@ -695,23 +726,36 @@ class HybridQueryExecutor:
             for demo in demos
         ]
 
-    def _materialize_mapping(
-        self, call: IngredientCall, mapping: dict[tuple, Optional[str]]
+    def _materialize(
+        self,
+        occurrence: "_Occurrence",
+        columns: list[str],
+        mapping: dict[tuple, Optional[str]],
     ) -> str:
-        temp_name = f"__llm_ing_{self._temp_counter}"
-        self._temp_counter += 1
-        columns = [f"k{i}" for i in range(len(call.key_columns))] + ["v"]
+        """Fill the occurrence's temp-table slot with a mapping; its name.
+
+        The slot (table + key index) is created the first time the
+        occurrence is materialized and refilled ever after, so a repeated
+        statement issues no DDL, leaks no tables, and always reads only
+        the rows of the current execution.
+        """
         # a generator keeps at most one insert chunk of rows in memory;
-        # create_temp_table streams it in fixed-size chunks
+        # both fills stream it in fixed-size chunks
         rows = (
             key + (value,) for key, value in mapping.items() if value is not None
         )
-        self.db.create_temp_table(temp_name, columns, rows)
+        if occurrence.slot is not None:
+            self.db.refill_temp_table(occurrence.slot, columns, rows)
+            return occurrence.slot
+        name = f"__llm_ing_{self._temp_counter}"
+        self._temp_counter += 1
+        self.db.create_temp_table(name, columns, rows)
         # the rewrite probes this table once per outer row via a
         # correlated scalar subquery — index the key columns so each
         # probe is a lookup, not a scan
-        self.db.create_index(temp_name, columns[:-1])
-        return temp_name
+        self.db.create_index(name, columns[:-1])
+        occurrence.slot = name
+        return name
 
     def _maybe_materialize_view(
         self, call: IngredientCall, mapping: dict[tuple, Optional[str]]
@@ -743,35 +787,151 @@ class HybridQueryExecutor:
 
     def _run_join(
         self,
-        call: IngredientCall,
-        alias: Optional[str],
+        occurrence: "_Occurrence",
         report: ExecutionReport,
-    ) -> ast.TableSource:
-        """Materialize a generated table usable in FROM.
+        planned_keys: Optional[list[tuple]],
+    ) -> str:
+        """Materialize a generated table usable in FROM; its name.
 
         Columns: the key columns under their original names plus ``value``.
         """
-        keys = self._fetch_keys(call, None, call.source_table, report)
+        call = occurrence.call
+        keys = self._fetch_keys(occurrence, report, planned_keys)
         mapping = self._generate_mapping(call, keys, report)
-        temp_name = f"__llm_ing_{self._temp_counter}"
-        self._temp_counter += 1
         columns = list(call.key_columns) + ["value"]
-        rows = (
-            key + (value,) for key, value in mapping.items() if value is not None
+        return self._materialize(occurrence, columns, mapping)
+
+
+# -- prepared statements ----------------------------------------------------------
+
+
+@dataclass(eq=False)
+class _Occurrence:
+    """One distinct ingredient of a prepared statement, where the walk meets it.
+
+    Ingredients with the same signature in the same SELECT (and the same
+    position kind) share one generation, so an occurrence lists every
+    node it replaces.  ``owner`` is the SELECT whose WHERE may be pushed
+    down into the key fetch (None for LLMJoin, which reads its whole
+    source table) and ``alias`` the name the source table is visible
+    under there.  ``error`` is what the walk raises on reaching a
+    malformed occurrence; nothing after it is prepared, because
+    execution never gets that far.  ``key_sql`` and ``slot`` are filled
+    by the executor on first use.
+    """
+
+    nodes: list[ast.Ingredient]
+    call: Optional[IngredientCall] = None
+    owner: Optional[ast.Select] = None
+    alias: str = ""
+    source_alias: Optional[str] = None
+    error: Optional[ReproError] = None
+    key_sql: Optional[str] = None
+    slot: Optional[str] = None
+
+    def replacement(self, filling: Optional[str]) -> ast.Node:
+        """The plain-SQL node standing in for this ingredient."""
+        call = self.call
+        if call.kind == "LLMQA":
+            if filling is None:
+                return ast.Literal.null()
+            return ast.Literal.string(filling)
+        if call.kind == "LLMJoin":
+            return ast.TableName(filling, alias=self.source_alias)
+        # (SELECT v FROM table WHERE k0 = alias.col0 AND k1 = alias.col1)
+        where: Optional[ast.Expr] = None
+        for index, column in enumerate(call.key_columns):
+            comparison = ast.BinaryOp(
+                "=",
+                ast.ColumnRef(f"k{index}"),
+                ast.ColumnRef(column, self.alias),
+            )
+            where = comparison if where is None else ast.BinaryOp("AND", where, comparison)
+        subquery = ast.Select(
+            items=[ast.SelectItem(ast.ColumnRef("v"))],
+            from_=ast.TableName(filling),
+            where=where,
         )
-        self.db.create_temp_table(temp_name, columns, rows)
-        self.db.create_index(temp_name, columns[:-1])
-        return ast.TableName(temp_name, alias=alias)
+        return ast.ScalarSubquery(subquery)
 
 
-# -- occurrence discovery ---------------------------------------------------------
+class PreparedStatement:
+    """A parsed hybrid statement and everything derivable from it alone.
+
+    Holds the tree (``cached`` entries own it; a caller's pre-parsed
+    statement is only borrowed for one call and never mutated), the
+    ingredient occurrences in walk order, and a small memo of rendered
+    final SQL: with slot tables the rewrite of a statement depends only
+    on what its LLMQA ingredients answered, so a repeat skips both the
+    tree rewrite and the render.
+    """
+
+    def __init__(self, statement: ast.Select, *, cached: bool) -> None:
+        self.statement = statement
+        self.cached = cached
+        self.occurrences = _prepare_occurrences(statement)
+        self._rendered: dict[tuple[Optional[str], ...], str] = {}
+
+    def final_sql(self, fillings: tuple[Optional[str], ...]) -> str:
+        """Plain SQLite SQL with every occurrence replaced by its filling."""
+        sql = self._rendered.get(fillings)
+        if sql is None:
+            statement = self.statement
+            if fillings:
+                replacements: dict[int, ast.Node] = {}
+                for occurrence, filling in zip(self.occurrences, fillings):
+                    replacement = occurrence.replacement(filling)
+                    for node in occurrence.nodes:
+                        replacements[id(node)] = replacement
+                statement = replace_ingredients(
+                    statement, lambda node: replacements[id(node)]
+                )
+            sql = render(statement)
+            if len(self._rendered) >= RENDER_MEMO_SIZE:
+                self._rendered.clear()
+            self._rendered[fillings] = sql
+        return sql
 
 
-def _parsed(hybrid_sql: Union[str, ast.Select]) -> ast.Select:
-    """The statement for query text, or the caller's already parsed one."""
-    if isinstance(hybrid_sql, ast.Select):
-        return hybrid_sql
-    return parse(hybrid_sql)
+def _prepare_occurrences(statement: ast.Select) -> list[_Occurrence]:
+    """The distinct ingredient occurrences of a statement, in walk order."""
+    occurrences: list[_Occurrence] = []
+    scope: Optional[ast.Select] = None
+    shared: dict[tuple, _Occurrence] = {}
+    for node, owner, source_alias, as_source in _ingredient_occurrences(statement):
+        if owner is not scope:
+            # the nodes of one SELECT are contiguous: sharing is per scope
+            scope, shared = owner, {}
+        try:
+            call = parse_ingredient_call(node)
+        except IngredientError as exc:
+            occurrences.append(_Occurrence([node], error=exc))
+            break
+        signature = (call.signature(), as_source)
+        if signature in shared:
+            shared[signature].nodes.append(node)
+            continue
+        occurrence = _Occurrence([node], call, source_alias=source_alias)
+        occurrences.append(occurrence)
+        if as_source and call.kind != "LLMJoin":
+            occurrence.error = IngredientError(
+                f"{call.kind} cannot be used as a FROM source"
+            )
+        elif call.kind == "LLMJoin" and not as_source:
+            occurrence.error = IngredientError(
+                "LLMJoin is only valid as a FROM source"
+            )
+        if occurrence.error is not None:
+            break
+        if call.kind == "LLMMap":
+            occurrence.owner = owner
+            occurrence.alias = (
+                resolve_alias(owner, call.source_table) or call.source_table
+            )
+        else:
+            occurrence.alias = call.source_table
+        shared[signature] = occurrence
+    return occurrences
 
 
 def _walk_own_region(node: ast.Node) -> Iterator[ast.Node]:
@@ -816,23 +976,3 @@ def _iter_sources(source: Optional[ast.TableSource]) -> Iterator[ast.TableSource
         yield from _iter_sources(source.right)
     else:
         yield source
-
-
-def _parse_map_answers(completion: str, expected: int) -> list[Optional[str]]:
-    """Parse `index. answer` lines, tolerating gaps and noise."""
-    answers: list[Optional[str]] = [None] * expected
-    for line in completion.splitlines():
-        match = _ANSWER_LINE_RE.match(line)
-        if match is None:
-            continue
-        index = int(match.group(1)) - 1
-        if 0 <= index < expected:
-            value = match.group(2).strip()
-            answers[index] = value if value else None
-    return answers
-
-
-def _render_expr(expr: ast.Expr) -> str:
-    from repro.sqlparser.render import render_expression
-
-    return render_expression(expr)

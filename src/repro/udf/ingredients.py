@@ -3,17 +3,24 @@
 An :class:`IngredientCall` is the validated, executor-facing view of an
 AST :class:`~repro.sqlparser.ast.Ingredient`: the question, the source
 table, and the key columns parsed out of ``table::column`` references.
+:func:`parse_map_answers` is the other direction: the one decoder of a
+map completion's ``index. answer`` lines, shared by the executor, the
+call planner and the serving layer.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from repro.errors import IngredientError
 from repro.sqlparser import ast
 
 KNOWN_INGREDIENTS = ("LLMMap", "LLMQA", "LLMJoin")
+
+_ANSWER_LINE_RE = re.compile(r"^\s*(\d+)\s*[.):]\s*(.*?)\s*$")
 
 
 @dataclass(frozen=True)
@@ -101,3 +108,17 @@ def parse_ingredient_call(node: ast.Ingredient) -> IngredientCall:
         return _parse_cached(name, args, options)
     except TypeError:
         return _parse(name, args, options)
+
+
+def parse_map_answers(completion: str, expected: int) -> list[Optional[str]]:
+    """Parse `index. answer` lines, tolerating gaps and noise."""
+    answers: list[Optional[str]] = [None] * expected
+    for line in completion.splitlines():
+        match = _ANSWER_LINE_RE.match(line)
+        if match is None:
+            continue
+        index = int(match.group(1)) - 1
+        if 0 <= index < expected:
+            value = match.group(2).strip()
+            answers[index] = value if value else None
+    return answers

@@ -88,34 +88,75 @@ class TestSerialByteIdentity:
         assert on.batching["coalesced_calls"] == 0
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a counting pass-through; the counter."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 class TestParsedOnce:
-    """Planning hands its parsed statement to the finalize pass."""
+    """Serving prepares each text once and fetches each request's keys once."""
 
     def test_batched_udf_request_is_parsed_once(self, serve_swan, monkeypatch):
-        from repro.serve import server as server_module
+        """Each distinct text is parsed once per executor per run."""
         from repro.udf import executor as executor_module
 
-        calls = {"server": 0, "executor": 0}
-
-        def counting(where, parse):
-            def wrapper(sql):
-                calls[where] += 1
-                return parse(sql)
-            return wrapper
-
-        monkeypatch.setattr(
-            server_module, "parse", counting("server", server_module.parse)
-        )
-        monkeypatch.setattr(
-            executor_module, "parse", counting("executor", executor_module.parse)
-        )
-        requests = _twin_requests(serve_swan)
+        parsed = _count_calls(monkeypatch, executor_module, "parse")
+        requests, policies = _traffic(serve_swan, rps=0.6)
         report = _run(
-            serve_swan, requests, {}, max_concurrent=3,
+            serve_swan, requests, policies, max_concurrent=3,
+            batching=BatchingConfig(),
+        )
+        executed = {
+            o.request.sql for o in report.outcomes
+            if o.answered and o.request.pipeline == "udf"
+            and o.reason != "breaker_open"
+        }
+        texts = [sql for (sql,) in parsed]
+        assert len(executed) < sum(
+            1 for o in report.outcomes
+            if o.answered and o.request.pipeline == "udf"
+        ), "the traffic must repeat texts for this to test anything"
+        assert len(texts) == len(set(texts))  # no text parsed twice
+        assert set(texts) == executed
+
+    def test_finalize_neither_parses_nor_fetches_keys(
+        self, serve_swan, monkeypatch
+    ):
+        """A planned request's finalize reuses planning's tree and keys."""
+        from repro.sqlengine.database import Database
+        from repro.udf import executor as executor_module
+
+        parsed = _count_calls(monkeypatch, executor_module, "parse")
+        fetched = _count_calls(monkeypatch, Database, "query_rows")
+        stages = []
+        original = QueryServer._finalize
+
+        def finalize(self, member, land):
+            before = len(parsed), len(fetched)
+            outcome = original(self, member, land)
+            stages.append((member, before, (len(parsed), len(fetched))))
+            return outcome
+
+        monkeypatch.setattr(QueryServer, "_finalize", finalize)
+        report = _run(
+            serve_swan, _twin_requests(serve_swan), {}, max_concurrent=3,
             batching=BatchingConfig(),
         )
         assert all(o.answered for o in report.outcomes)
-        assert calls == {"server": len(requests), "executor": 0}
+        assert len(stages) == 2
+        for member, before, after in stages:
+            assert member.keys  # planning fetched them ...
+            assert after == before  # ... and finalize did no such work
+        assert len(parsed) == 1  # the twins share one prepared statement
+        assert len(fetched) == sum(len(m.keys) for m, _, _ in stages)
 
     def test_unparseable_sql_still_degrades_with_an_error(self, serve_swan):
         bad = QueryRequest(

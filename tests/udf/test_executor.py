@@ -14,7 +14,7 @@ from repro.llm.chat import (
 from repro.llm.declarative import PromptSpec
 from repro.swan.build import build_curated_database, build_original_database
 from repro.sqlengine.results import results_match
-from repro.udf.executor import HybridQueryExecutor, _parse_map_answers
+from repro.udf import HybridQueryExecutor, parse_map_answers
 
 from tests.conftest import make_model
 
@@ -205,22 +205,22 @@ class TestCaching:
 
 class TestAnswerParsing:
     def test_ordered_answers(self):
-        assert _parse_map_answers("1. a\n2. b", 2) == ["a", "b"]
+        assert parse_map_answers("1. a\n2. b", 2) == ["a", "b"]
 
     def test_gap_becomes_none(self):
-        assert _parse_map_answers("1. a\n3. c", 3) == ["a", None, "c"]
+        assert parse_map_answers("1. a\n3. c", 3) == ["a", None, "c"]
 
     def test_noise_lines_ignored(self):
-        assert _parse_map_answers("Sure!\n1. a\nthanks", 1) == ["a"]
+        assert parse_map_answers("Sure!\n1. a\nthanks", 1) == ["a"]
 
     def test_out_of_range_ignored(self):
-        assert _parse_map_answers("1. a\n9. z", 1) == ["a"]
+        assert parse_map_answers("1. a\n9. z", 1) == ["a"]
 
     def test_answer_containing_dots(self):
-        assert _parse_map_answers("1. www.school.edu", 1) == ["www.school.edu"]
+        assert parse_map_answers("1. www.school.edu", 1) == ["www.school.edu"]
 
     def test_empty_answer_is_none(self):
-        assert _parse_map_answers("1. \n2. b", 2) == [None, "b"]
+        assert parse_map_answers("1. \n2. b", 2) == [None, "b"]
 
 
 class TestEndToEndPerfect:
