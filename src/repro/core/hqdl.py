@@ -203,6 +203,7 @@ class HQDL:
         keys: list[tuple],
         outcomes: list[DispatchOutcome],
         prompts: Optional[list[str]] = None,
+        values: Optional[dict[str, str]] = None,
     ) -> TableGeneration:
         """Extract dispatched completions into a TableGeneration, in key order.
 
@@ -210,7 +211,14 @@ class HQDL:
         yields NULLs — the materialized table keeps the key but loses the
         generated cells — and is counted as ``degraded``, mirroring how a
         production pipeline survives a partial provider outage.
+
+        ``values`` maps each generated value to its first occurrence and
+        is shared by every table of one generation, so equal cells are one
+        string object: a generation repeats a few thousand distinct values
+        across tens of thousands of cells.
         """
+        if values is None:
+            values = {}
         generation = TableGeneration(expansion_name=expansion_name)
         expansion = self.world.expansion(expansion_name)
         key_width = len(expansion.key_columns)
@@ -252,7 +260,9 @@ class HQDL:
                             expansion_name, key, column, cid, null=True
                         )
                 continue
-            generation.rows[key] = fields[key_width:]
+            generation.rows[key] = [
+                values.setdefault(value, value) for value in fields[key_width:]
+            ]
             if prov.enabled:
                 for column in value_columns:
                     prov.record_cell(expansion_name, key, column, cid)
@@ -312,11 +322,12 @@ class HQDL:
             outcomes = self._dispatch_ordered(prompts, labels)
             with (tel.tracer.span("hqdl:assemble") if tel.enabled else NULL_SPAN):
                 offset = 0
+                values: dict[str, str] = {}
                 for name, builder, keys, table_prompts in prepared:
                     table_outcomes = outcomes[offset : offset + len(table_prompts)]
                     offset += len(table_prompts)
                     result.tables[name] = self._assemble_table(
-                        name, builder, keys, table_outcomes, table_prompts
+                        name, builder, keys, table_outcomes, table_prompts, values
                     )
         return result
 

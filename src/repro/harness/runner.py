@@ -492,12 +492,15 @@ def run_udf(
                 return actual
 
             outcomes = score(questions, _answer)
-        return outcomes, (cache, plan_record, call_sizes, keys_generated)
+        # the counts, not the cache: the extras of every database stay
+        # alive until the last one finishes, and a cache holds every prompt
+        counts = (cache.hits, cache.misses)
+        return outcomes, (counts, plan_record, call_sizes, keys_generated)
 
     def _merge(name: str, extras) -> None:
-        cache, plan_record, call_sizes, keys_generated = extras
-        run.cache_hits += cache.hits
-        run.cache_misses += cache.misses
+        (hits, misses), plan_record, call_sizes, keys_generated = extras
+        run.cache_hits += hits
+        run.cache_misses += misses
         if plan_record is not None:
             run.plan_stats[name] = plan_record
         run.call_sizes.extend(call_sizes)

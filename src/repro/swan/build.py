@@ -7,10 +7,18 @@ Two databases exist per world:
 
 Both can be built in memory (the default for tests and benches) or saved
 to files for inspection.
+
+Each world's curated database is built from rows once per process and
+kept as a *template*; every later :func:`build_curated_database` call
+returns a private in-memory copy made with SQLite's online backup API
+(milliseconds instead of re-inserting every row).
 """
 
 from __future__ import annotations
 
+import os
+import sqlite3
+import threading
 from pathlib import Path
 from typing import Union
 
@@ -19,6 +27,27 @@ from repro.sqlengine.database import Database
 from repro.sqlengine.schema import DatabaseSchema
 from repro.swan.base import World
 from repro.swan.scale import scale_world
+
+#: curated-database templates per (world name, scale) — rebuilt only when
+#: the cached entry belongs to a *different* world object of the same name
+#: (hand-built test worlds must never copy a benchmark world's rows)
+_TEMPLATES: dict[tuple[str, int], tuple[World, sqlite3.Connection]] = {}
+#: guards ``_TEMPLATES`` and every backup out of a template; held across a
+#: fork so no template is mid-copy when the child forgets them
+_TEMPLATES_LOCK = threading.Lock()
+
+
+def _forget_templates() -> None:
+    """A forked child starts with no templates (connections do not fork)."""
+    _TEMPLATES.clear()
+    _TEMPLATES_LOCK.release()
+
+
+os.register_at_fork(
+    before=_TEMPLATES_LOCK.acquire,
+    after_in_parent=_TEMPLATES_LOCK.release,
+    after_in_child=_forget_templates,
+)
 
 
 def _at_scale(world: World, scale: int) -> World:
@@ -84,11 +113,32 @@ def build_original_database(world: World, scale: int = 1) -> Database:
 
 
 def build_curated_database(world: World, scale: int = 1) -> Database:
-    """The curated database hybrid pipelines query."""
+    """The curated database hybrid pipelines query, private to the caller.
+
+    The first call for a world object builds it from rows and keeps a
+    backup of the result as the world's template; every later call gets
+    a page-for-page copy of that template.  Callers may write anything
+    into their copy (HQDL materializes expansion tables into ``main``,
+    the UDF executor fills TEMP tables) without another copy seeing it.
+    Identity (not equality) guards the template, so a new world object
+    of the same name and scale gets its own build.
+    """
     world = _at_scale(world, scale)
-    db = _materialize(world.curated_schema, world.curated_rows)
-    _index_expansion_keys(db, world)
-    return db
+    key = (world.name, world.scale)
+    with _TEMPLATES_LOCK:
+        cached = _TEMPLATES.get(key)
+        if cached is not None and cached[0] is world:
+            db = Database.in_memory()
+            cached[1].backup(db.connection)
+            return db
+        db = _materialize(world.curated_schema, world.curated_rows)
+        _index_expansion_keys(db, world)
+        template = sqlite3.connect(
+            ":memory:", check_same_thread=False, cached_statements=0
+        )
+        db.connection.backup(template)
+        _TEMPLATES[key] = (world, template)
+        return db
 
 
 def save_databases(

@@ -119,3 +119,27 @@ class TestUsageAccounting:
             five_model.meter.total.input_tokens
             > zero_model.meter.total.input_tokens
         )
+
+
+class TestSharedCellValues:
+    def test_equal_cells_of_one_generation_are_one_object(self, formula_world):
+        pipeline = HQDL(formula_world, make_model(formula_world), shots=0)
+        generation = pipeline.generate_all()
+        by_value: dict[str, int] = {}
+        cells = 0
+        for table in generation.tables.values():
+            for values in table.rows.values():
+                for value in values or ():
+                    cells += 1
+                    assert by_value.setdefault(value, id(value)) == id(value)
+        assert len(by_value) < cells  # the world repeats values across keys
+
+    def test_generations_do_not_share_values(self, superhero_world):
+        first, second = (
+            HQDL(superhero_world, make_model(superhero_world), shots=0)
+            .generate_table("superhero_info")
+            for _ in range(2)
+        )
+        key = next(iter(first.rows))
+        assert first.rows[key] == second.rows[key]
+        assert first.rows[key][0] is not second.rows[key][0]

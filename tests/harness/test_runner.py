@@ -149,3 +149,38 @@ class TestParallelRunners:
                 swan, "perfect", 0, databases=["superhero"], gold=gold,
                 db_workers=0,
             )
+
+
+class TestRunUDFMemory:
+    def test_a_finished_database_releases_its_prompt_cache(
+        self, swan, gold, monkeypatch
+    ):
+        """No database's prompt cache outlives its own body: only the
+        (hits, misses) counts travel to the merge."""
+        import gc
+        import weakref
+
+        from repro.harness import runner
+        from repro.llm.cache import PromptCache
+
+        caches: list[weakref.ref] = []
+        alive_at_start: list[int] = []
+
+        class TrackedCache(PromptCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                caches.append(weakref.ref(self))
+
+        def wrap(model):
+            gc.collect()
+            alive_at_start.append(sum(ref() is not None for ref in caches))
+            return model
+
+        monkeypatch.setattr(runner, "PromptCache", TrackedCache)
+        run = run_udf(swan, "gpt-3.5-turbo", 0, gold=gold, wrap_client=wrap)
+        assert len(caches) == 4
+        assert alive_at_start == [0, 0, 0, 0]
+        gc.collect()
+        assert all(ref() is None for ref in caches)
+        # pinned before the counts replaced the caches in the extras
+        assert (run.cache_hits, run.cache_misses) == (1726, 1721)

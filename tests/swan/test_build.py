@@ -1,13 +1,23 @@
 """Tests for database materialization."""
 
+import dataclasses
+import os
+import threading
+
 import pytest
 
+from repro.swan import build
+from repro.swan.benchmark import load_benchmark
 from repro.swan.build import (
     build_curated_database,
     build_original_database,
     save_databases,
 )
 from repro.swan.worlds import WORLD_BUILDERS
+
+#: byte range of the SQLite header's schema cookie, which the backup API
+#: bumps on every destination; the only byte a copy may differ in
+SCHEMA_COOKIE = slice(40, 44)
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +97,114 @@ class TestBuildTimeIndexes:
     def test_original_database_also_indexed(self, world):
         with build_original_database(world) as db:
             assert self._index_names(db)
+
+
+def _image(db) -> bytes:
+    """The database file image, schema cookie zeroed."""
+    image = bytearray(db.connection.serialize())
+    image[SCHEMA_COOKIE] = bytes(4)
+    return bytes(image)
+
+
+def _fresh_image(world) -> bytes:
+    """The image of a build from rows: a new world object forces one."""
+    with build_curated_database(dataclasses.replace(world)) as db:
+        return _image(db)
+
+
+def _copy(world):
+    """A copy from ``world``'s template (building the template first)."""
+    build_curated_database(world).close()
+    assert build._TEMPLATES[(world.name, world.scale)][0] is world
+    return build_curated_database(world)
+
+
+class TestTemplates:
+    @pytest.mark.parametrize(
+        "name, scale",
+        [(name, 1) for name in WORLD_BUILDERS] + [("superhero", 10)],
+    )
+    def test_copy_equals_fresh_build(self, name, scale):
+        world = load_benchmark(scale).world(name)
+        with _copy(world) as db:
+            copied = _image(db)
+        assert copied == _fresh_image(world)
+
+    def test_copy_differs_from_build_only_in_schema_cookie(self, superhero_world):
+        with _copy(superhero_world) as db:
+            copied = db.connection.serialize()
+        with build_curated_database(dataclasses.replace(superhero_world)) as db:
+            built = db.connection.serialize()
+        assert len(copied) == len(built)
+        differing = {i for i, (a, b) in enumerate(zip(copied, built)) if a != b}
+        assert differing <= set(range(SCHEMA_COOKIE.start, SCHEMA_COOKIE.stop))
+
+    def test_writes_to_a_copy_stay_in_it(self, superhero_world):
+        with _copy(superhero_world) as db:
+            pristine = _image(db)
+            db.execute("INSERT INTO colour (id, colour) VALUES (999999, 'Plaid')")
+            db.execute("CREATE TABLE hqdl_expansion (k TEXT, v TEXT)")
+            db.create_temp_table("__llm_ing_0", ["k", "v"], [("a", "b")])
+        with build_curated_database(superhero_world) as db:
+            assert _image(db) == pristine
+            assert "hqdl_expansion" not in db.table_names()
+            assert db.query_scalar("SELECT count(*) FROM sqlite_temp_master") == 0
+            assert not db.query_rows("SELECT 1 FROM colour WHERE id = 999999")
+
+    def test_writes_to_the_first_build_stay_in_it(self, superhero_world):
+        world = dataclasses.replace(superhero_world)
+        with build_curated_database(world) as first:
+            first.execute("DELETE FROM superhero")
+        with build_curated_database(world) as copy:
+            assert copy.row_count("superhero") == len(world.curated_rows["superhero"])
+
+    def test_new_world_object_gets_its_own_build(self, superhero_world):
+        full = len(superhero_world.curated_rows["superhero"])
+        build_curated_database(superhero_world).close()
+        rows = dict(superhero_world.curated_rows)
+        rows["superhero"] = rows["superhero"][:3]
+        hand_built = dataclasses.replace(superhero_world, curated_rows=rows)
+        with build_curated_database(hand_built) as db:
+            assert db.row_count("superhero") == 3
+        with build_curated_database(hand_built) as db:
+            assert db.row_count("superhero") == 3
+        with build_curated_database(superhero_world) as db:
+            assert db.row_count("superhero") == full
+
+    def test_concurrent_copies_are_equal(self, formula_world):
+        build_curated_database(formula_world).close()
+        barrier = threading.Barrier(8)
+        images: list[bytes] = []
+
+        def copy() -> None:
+            barrier.wait()
+            with build_curated_database(formula_world) as db:
+                image = _image(db)
+            images.append(image)
+
+        threads = [threading.Thread(target=copy) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(images) == 8
+        assert len(set(images)) == 1
+        assert images[0] == _fresh_image(formula_world)
+
+    def test_forked_child_starts_without_templates(self, superhero_world):
+        build_curated_database(superhero_world).close()
+        assert build._TEMPLATES
+        pid = os.fork()
+        if pid == 0:  # child: report through the exit status only
+            status = 1
+            try:
+                if not build._TEMPLATES:
+                    with build_curated_database(superhero_world) as db:
+                        rows = db.row_count("superhero")
+                    expected = len(superhero_world.curated_rows["superhero"])
+                    status = 0 if rows == expected else 2
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert build._TEMPLATES

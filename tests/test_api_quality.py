@@ -79,7 +79,7 @@ class TestImportHygiene:
         """The library itself must run on the stdlib alone."""
         stdlib_ok = {"__future__", "bisect", "concurrent", "csv",
                      "dataclasses", "enum", "functools", "hashlib", "heapq",
-                     "io", "itertools", "json", "math", "pathlib", "re",
+                     "io", "itertools", "json", "math", "os", "pathlib", "re",
                      "sqlite3", "sys", "tempfile", "threading", "time",
                      "typing",
                      "collections"}
