@@ -4,8 +4,10 @@ The prompt format follows the paper's example verbatim in structure:
 task statement, the 'No Explanation' rule, the column list, the retained
 value lists for selection columns, optional few-shot demonstrations
 (static rows from the original database), the target entry, and the field
-count.  Marker strings are imported from :mod:`repro.llm.chat` so the
-simulated model and this builder can never drift apart.
+count.  Marker strings are imported from :mod:`repro.llm.intent` so the
+simulated model and this builder can never drift apart, and
+:meth:`RowPromptBuilder.build` returns a :class:`~repro.llm.intent.Prompt`
+carrying the :class:`~repro.llm.intent.RowIntent` it was rendered from.
 
 Prompts are declared through the :mod:`repro.llm.declarative` toolkit
 (the Section 4.3 "principled declarative prompt engineering" direction):
@@ -16,18 +18,24 @@ renders it to text.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Optional
 
-from repro.llm.chat import (
+from repro.llm.declarative import PromptSpec
+from repro.llm.intent import (
     ANSWER_MARKER,
     COLUMNS_MARKER,
     CONTEXT_ROW_MARKER,
     EXAMPLE_ENTRY_MARKER,
     TARGET_ENTRY_MARKER,
     VALUES_HINT_MARKER,
+    Prompt,
+    RowIntent,
+    inert,
+    plain_entry,
+    plain_table,
     quote_field,
 )
-from repro.llm.declarative import PromptSpec
 from repro.llm.oracle import KnowledgeOracle
 from repro.swan.base import ExpansionTable, World
 from repro.swan.worlds.util import det_sample
@@ -58,9 +66,11 @@ class RowPromptBuilder:
         self._static_demos = self._select_demonstrations()
         # Pre-rendered constant prompt parts for `build` without context:
         # everything before the target entry (and everything after it) is
-        # the same string for every key, so it is rendered exactly once.
+        # the same string for every key, so it is rendered exactly once —
+        # and checked once for whether it reads back as written.
         self._prefix: Optional[str] = None
         self._suffix: Optional[str] = None
+        self._plain = False
 
     # -- section content ---------------------------------------------------------
 
@@ -115,15 +125,18 @@ class RowPromptBuilder:
 
     def build_spec(self, key: tuple) -> PromptSpec:
         """The structured prompt declaration for one target key."""
+        provider = self.context_provider
+        return self._spec(key, provider(key) if provider is not None else [])
+
+    def _spec(self, key: tuple, context_rows: list[str]) -> PromptSpec:
         spec = PromptSpec()
         spec.add_task(self._task_line())
         spec.add_rule("Return a single row with no explanation.")
         spec.add_schema(self._columns_line())
         for line in self._value_hint_lines():
             spec.add_values(line)
-        if self.context_provider is not None:
-            for row_text in self.context_provider(key):
-                spec.add_context(f"{CONTEXT_ROW_MARKER} {row_text}")
+        for row_text in context_rows:
+            spec.add_context(f"{CONTEXT_ROW_MARKER} {row_text}")
         for demo_key in self._static_demos:
             spec.add_demonstration(
                 f"{EXAMPLE_ENTRY_MARKER}{self._entry_line(demo_key)}",
@@ -138,24 +151,32 @@ class RowPromptBuilder:
         spec.add_cue(ANSWER_MARKER)
         return spec
 
-    def _constant_parts(self) -> tuple[str, str]:
+    def _constant_parts(self) -> tuple[str, str, bool]:
+        """Prefix and suffix text, and whether the prefix reads as written."""
         lines = [
             self._task_line(),
             "Return a single row with no explanation.",
             self._columns_line(),
         ]
         lines.extend(self._value_hint_lines())
-        for demo_key in self._static_demos:
-            lines.append(f"{EXAMPLE_ENTRY_MARKER}{self._entry_line(demo_key)}")
-            lines.append(f"{ANSWER_MARKER}{self._answer_line(demo_key)}")
+        demos = [
+            (self._entry_line(demo_key), self._answer_line(demo_key))
+            for demo_key in self._static_demos
+        ]
+        plain = plain_table(self.expansion.name) and all(
+            map(inert, chain(lines, *demos))
+        )
+        for entry, answer in demos:
+            lines.append(f"{EXAMPLE_ENTRY_MARKER}{entry}")
+            lines.append(f"{ANSWER_MARKER}{answer}")
         field_count = len(self.expansion.all_column_names())
         suffix = (
             "The output should consist of a single row containing "
             f"{field_count} fields.\n{ANSWER_MARKER}"
         )
-        return "\n".join(lines), suffix
+        return "\n".join(lines), suffix, plain
 
-    def build(self, key: tuple) -> str:
+    def build(self, key: tuple) -> Prompt:
         """The full prompt asking the model to complete the row for ``key``.
 
         :class:`~repro.llm.declarative.PromptSpec` joins sections (and
@@ -163,15 +184,34 @@ class RowPromptBuilder:
         prompt equals the flat newline join of all lines; with no
         per-key context rows the only key-dependent line is the target
         entry, which is spliced between two cached constant strings —
-        byte-identical to ``build_spec(key).render()``.
+        byte-identical to ``build_spec(key).render()``.  The prompt
+        carries its :class:`~repro.llm.intent.RowIntent` unless some
+        input would not read back from the text.
         """
-        if self.context_provider is not None:
-            return self.build_spec(key).render()
         if self._prefix is None:
-            self._prefix, self._suffix = self._constant_parts()
-        return (
-            f"{self._prefix}\n{TARGET_ENTRY_MARKER}{self._entry_line(key)}"
-            f"\n{self._suffix}"
+            self._prefix, self._suffix, self._plain = self._constant_parts()
+        plain = self._plain and plain_entry(key, len(self.expansion.key_columns))
+        if self.context_provider is not None:
+            rows = self.context_provider(key)
+            text = self._spec(key, rows).render()
+            plain = plain and all(map(inert, rows))
+        else:
+            rows = []
+            text = (
+                f"{self._prefix}\n{TARGET_ENTRY_MARKER}{self._entry_line(key)}"
+                f"\n{self._suffix}"
+            )
+        if not plain:
+            return Prompt(text)
+        return Prompt(
+            text,
+            RowIntent(
+                self.expansion.name,
+                key,
+                len(self.expansion.columns),
+                len(self._static_demos),
+                bool(rows),
+            ),
         )
 
     def expected_field_count(self) -> int:

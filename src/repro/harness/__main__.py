@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import textwrap
 
 from repro.harness import tables
 
@@ -458,13 +459,27 @@ def _regress_command(options) -> tuple[int, str]:
     )
 
 
-#: Commands that do something other than render a report table.  Each
-#: takes the parsed options and returns (exit code, text); they must be
-#: invoked alone — mixing them with report targets is a usage error.
+#: Commands that do something other than render a report table, each
+#: with the option names it reads: (function, required, optional).  The
+#: function takes the parsed options and returns (exit code, text); a
+#: command must be invoked alone — mixing it with report targets is a
+#: usage error.
 _COMMANDS = {
-    "explain": _explain_command,
-    "explain-request": _explain_request_command,
-    "regress": _regress_command,
+    "explain": (
+        _explain_command, ("database", "question"), ("pipeline", "workers"),
+    ),
+    "explain-request": (
+        _explain_request_command,
+        ("request",),
+        ("scale", "seed", "horizon", "multiplier", "window",
+         "batch_window", "max_batch", "batching", "trace_sample"),
+    ),
+    "regress": (
+        _regress_command,
+        (),
+        ("ledger", "baseline", "update_baseline", "max_ex_drop",
+         "max_token_growth", "max_makespan_growth"),
+    ),
 }
 
 
@@ -556,59 +571,93 @@ def _trace_sampler(tracing, trace_sample, *, seed, window_seconds):
     )
 
 
-def _usage() -> str:
-    return (
-        "usage: python -m repro.harness [target ...] "
-        "[--databases=a,b] [--workers=N] [--batch-size=N] [--cache-dir=DIR]\n"
-        "           [--scale=N] [--parallelism=threads|processes] "
-        "[--seed=N] [--horizon=SECONDS] [--window=SECONDS]\n"
-        "           [--batching=on|off] [--batch-window=SECONDS] "
-        "[--max-batch=N] [--tracing=on|off] [--trace-sample=K]\n"
-        "       python -m repro.harness explain --database=NAME "
-        "--question=REF [--pipeline=udf|hqdl] [--workers=N]\n"
-        "       python -m repro.harness explain-request --request=N "
-        "[--multiplier=F] [--seed=N] [--horizon=SECONDS]\n"
-        "           [--batching=on|off] [--trace-sample=K]\n"
-        "       python -m repro.harness regress [--ledger=PATH] "
-        "[--baseline=PATH] [--update-baseline]\n"
-        "           [--max-ex-drop=F] [--max-token-growth=F] "
-        "[--max-makespan-growth=F]\n"
-        f"targets: {', '.join(_GENERATORS)} | all\n"
-        f"commands: {', '.join(_COMMANDS)} (invoked alone)\n"
-        f"flags apply to: {', '.join(_FLAG_TARGETS)}"
+def _flag_text(option: str) -> str:
+    """``--name=METAVAR`` (or the bare switch) for one option name."""
+    name = "--" + option.replace("_", "-")
+    kind, spec, metavar = _FLAGS[name]
+    if kind == "switch":
+        return name
+    return f"{name}={'|'.join(spec) if kind == 'choice' else metavar}"
+
+
+def _kind_text(kind: str, spec) -> str:
+    """What one flag accepts, as its table entry states it."""
+    if kind == "int":
+        return f"integer >= {spec}"
+    if kind == "float":
+        return "number > 0" if spec else "number >= 0"
+    if kind in ("choice", "switch"):
+        return kind  # the metavar already spells out the choices
+    return spec
+
+
+def _wrap(text: str, indent: str, hang: str) -> str:
+    return textwrap.fill(
+        text, width=79, initial_indent=indent, subsequent_indent=hang,
+        break_long_words=False, break_on_hyphens=False,
     )
 
 
-#: flag -> (kind, spec).  ``int``: the lower bound; ``float``: whether
-#: zero is excluded; ``choice``: the two allowed values; ``text`` / ``list``:
-#: what the error says the flag requires; ``switch`` takes no value.  The
-#: option key is the flag name with its dashes turned into underscores.
+def _usage() -> str:
+    """The usage text, rendered from the flag, target and command tables."""
+    lines = ["usage: python -m repro.harness [target ...] [--flag=VALUE ...]"]
+    for command, (_, required, optional) in _COMMANDS.items():
+        words = [command, *map(_flag_text, required)]
+        words.extend(f"[{_flag_text(option)}]" for option in optional)
+        lines.append(
+            _wrap("python -m repro.harness " + " ".join(words), " " * 7, " " * 11)
+        )
+    lines.append(_wrap(f"targets: {', '.join(_GENERATORS)} | all", "", " " * 9))
+    lines.append(f"commands: {', '.join(_COMMANDS)} (invoked alone)")
+    lines.append("flags (what each accepts; the targets and commands that read it):")
+    readers = [
+        *_FLAG_TARGETS.items(),
+        *((name, required + optional)
+          for name, (_, required, optional) in _COMMANDS.items()),
+    ]
+    for name, (kind, spec, _) in _FLAGS.items():
+        option = name[2:].replace("-", "_")
+        users = ", ".join(target for target, read in readers if option in read)
+        lines.append(
+            _wrap(
+                f"{_flag_text(option)}  {_kind_text(kind, spec)}; {users}",
+                " " * 2, " " * 6,
+            )
+        )
+    return "\n".join(lines)
+
+
+#: flag -> (kind, spec, metavar).  ``int``: the lower bound; ``float``:
+#: whether zero is excluded; ``choice``: the two allowed values (which are
+#: also its metavar); ``text`` / ``list``: what the error says the flag
+#: requires; ``switch`` takes no value.  The option key is the flag name
+#: with its dashes turned into underscores.
 _FLAGS = {
-    "--databases": ("list", "a comma-separated list"),
-    "--workers": ("int", 1),
-    "--batch-size": ("int", 1),
-    "--scale": ("int", 1),
-    "--seed": ("int", 0),
-    "--horizon": ("float", True),
-    "--window": ("float", True),
-    "--batch-window": ("float", True),
-    "--max-batch": ("int", 1),
-    "--batching": ("choice", ("on", "off")),
-    "--tracing": ("choice", ("on", "off")),
-    "--trace-sample": ("int", 0),
-    "--request": ("int", 0),
-    "--multiplier": ("float", True),
-    "--parallelism": ("choice", ("threads", "processes")),
-    "--cache-dir": ("text", "a directory path"),
-    "--database": ("text", "a database name"),
-    "--question": ("text", "a qid or 1-based index"),
-    "--pipeline": ("choice", ("udf", "hqdl")),
-    "--ledger": ("text", "a file path"),
-    "--baseline": ("text", "a file path"),
-    "--update-baseline": ("switch", None),
-    "--max-ex-drop": ("float", False),
-    "--max-token-growth": ("float", False),
-    "--max-makespan-growth": ("float", False),
+    "--databases": ("list", "a comma-separated list", "a,b"),
+    "--workers": ("int", 1, "N"),
+    "--batch-size": ("int", 1, "N"),
+    "--scale": ("int", 1, "N"),
+    "--seed": ("int", 0, "N"),
+    "--horizon": ("float", True, "SECONDS"),
+    "--window": ("float", True, "SECONDS"),
+    "--batch-window": ("float", True, "SECONDS"),
+    "--max-batch": ("int", 1, "N"),
+    "--batching": ("choice", ("on", "off"), None),
+    "--tracing": ("choice", ("on", "off"), None),
+    "--trace-sample": ("int", 0, "K"),
+    "--request": ("int", 0, "N"),
+    "--multiplier": ("float", True, "F"),
+    "--parallelism": ("choice", ("threads", "processes"), None),
+    "--cache-dir": ("text", "a directory path", "DIR"),
+    "--database": ("text", "a database name", "NAME"),
+    "--question": ("text", "a qid or 1-based index", "REF"),
+    "--pipeline": ("choice", ("udf", "hqdl"), None),
+    "--ledger": ("text", "a file path", "PATH"),
+    "--baseline": ("text", "a file path", "PATH"),
+    "--update-baseline": ("switch", None, None),
+    "--max-ex-drop": ("float", False, "F"),
+    "--max-token-growth": ("float", False, "F"),
+    "--max-makespan-growth": ("float", False, "F"),
 }
 
 
@@ -634,7 +683,7 @@ def _flag_value(name: str, sep: str, value: str):
     """The validated value of one ``--name[=value]`` flag from the table."""
     if name not in _FLAGS:
         raise ValueError(f"unknown flag: {name}{sep}{value}")
-    kind, spec = _FLAGS[name]
+    kind, spec, _ = _FLAGS[name]
     if kind == "switch":
         if sep:
             raise ValueError(f"{name} takes no value")
@@ -717,7 +766,7 @@ def main(argv: list[str]) -> int:
             print(_usage(), file=sys.stderr)
             return 2
         try:
-            code, text = _COMMANDS[targets[0]](options)
+            code, text = _COMMANDS[targets[0]][0](options)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             print(_usage(), file=sys.stderr)

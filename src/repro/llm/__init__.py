@@ -6,8 +6,10 @@ every pipeline stage real:
 
 - prompts are genuine text built by :mod:`repro.core.prompts` /
   :mod:`repro.udf`;
-- :class:`~repro.llm.chat.MockChatModel` *reads* the prompt (keys, column
-  lists, demonstrations) and produces genuine completion text;
+- :class:`~repro.llm.chat.MockChatModel` *reads* the prompt — the intent
+  it was rendered from (table, keys, question, shots), or the text itself
+  through :func:`~repro.llm.intent.intent_of`, which yields the same —
+  and produces genuine completion text;
 - answers come from a :class:`~repro.llm.oracle.KnowledgeOracle` — ground
   truth corrupted by deterministic, per-cell noise whose rates are the
   calibrated per-model/per-shot profiles in :mod:`repro.llm.profiles`;

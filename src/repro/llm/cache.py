@@ -50,8 +50,14 @@ class PromptCache:
             return None
 
     def put(self, prompt: str, completion: str) -> None:
+        """Store one completion under the prompt's text.
+
+        The key is a plain ``str`` even when ``prompt`` is a
+        :class:`~repro.llm.intent.Prompt`: an intent lives for one
+        dispatch, never for the life of the cache.
+        """
         with self._lock:
-            self.entries[prompt] = completion
+            self.entries[str(prompt)] = completion
 
     def peek(self, prompt: str) -> str | None:
         """A statistics-free lookup: the entry if present, else None.

@@ -1,9 +1,16 @@
 """The simulated chat model.
 
-:class:`MockChatModel` receives *real prompt text* (built by HQDL or the
-UDF executor), parses it the way an instruction-following model would
-"read" it, consults the :class:`~repro.llm.oracle.KnowledgeOracle`, and
-produces *real completion text* — including realistic failure modes:
+:class:`MockChatModel` answers the prompts HQDL and the UDF executor
+send.  It reads the *intent* each prompt was rendered from (see
+:mod:`repro.llm.intent`): the table and target entry of a row prompt,
+the question, keys and shots of a map batch, and so on.  A prompt that
+arrives as bare text is read by :func:`~repro.llm.intent.intent_of`, the
+text-only path, which the tier-1 property tests prove returns the very
+intent the builder attached — so reading the intent *is* reading the
+real prompt text, only without parsing it again.  The text itself still
+decides everything hashed or counted: token usage and every format-error
+draw.  The model consults the :class:`~repro.llm.oracle.KnowledgeOracle`
+and produces *real completion text* — including realistic failure modes:
 
 - **knowledge errors**: hallucinated values at the profile's calibrated
   rates (handled inside the oracle);
@@ -12,57 +19,43 @@ produces *real completion text* — including realistic failure modes:
 - **batch misalignment**: occasionally skipped or swapped answers when
   several keys share one call (Section 5.4).
 
-Prompt structure is defined by the marker constants below; the prompt
-builders in :mod:`repro.core.prompts` and :mod:`repro.udf.executor`
-import them, so model and builders cannot drift apart.
+The protocol markers live in :mod:`repro.llm.intent` and are re-exported
+here, next to the model that answers them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from typing import Optional
 
 from repro.errors import DeadlineExceededError, LLMError
 from repro.llm.client import ChatResponse
+from repro.llm.intent import (  # noqa: F401 - the protocol, re-exported
+    ANSWER_MARKER,
+    COLUMNS_MARKER,
+    CONTEXT_ROW_MARKER,
+    EQUIVALENCE_MARKER,
+    EXAMPLE_ENTRY_MARKER,
+    MAP_EXAMPLE_MARKER,
+    MAP_KEYS_MARKER,
+    QUESTION_MARKER,
+    ROW_TASK_MARKER,
+    TARGET_ENTRY_MARKER,
+    VALUES_HINT_MARKER,
+    EquivalenceIntent,
+    MapIntent,
+    QaIntent,
+    RowIntent,
+    intent_of,
+    parse_quoted_row,
+    quote_field,
+)
 from repro.llm.oracle import KnowledgeOracle, stable_uniform
 from repro.llm.profiles import ModelProfile
 from repro.llm.tokenizer import count_tokens
 from repro.llm.usage import UsageMeter
 
-# -- prompt protocol markers (shared with the prompt builders) ---------------
-
-ROW_TASK_MARKER = "fill in the missing values"
-EQUIVALENCE_MARKER = "Do these two questions ask for the same attribute?"
-CONTEXT_ROW_MARKER = "Context row:"
-COLUMNS_MARKER = "The columns are:"
-EXAMPLE_ENTRY_MARKER = "Example Entry:"
-TARGET_ENTRY_MARKER = "Target Entry:"
-ANSWER_MARKER = "Answer:"
-MAP_KEYS_MARKER = "Keys:"
-QUESTION_MARKER = "Question:"
-MAP_EXAMPLE_MARKER = "Example:"
-VALUES_HINT_MARKER = "The possible values for"
-
-_TABLE_RE = re.compile(r"the `(\w+)` table")
-_BACKTICK_RE = re.compile(r"`([^`]+)`")
-_KEY_LINE_RE = re.compile(r"^\s*(\d+)\.\s+(.*)$")
 _QUOTED_RE = re.compile(r"'((?:[^']|'')+)'")
-
-
-def quote_field(value: str) -> str:
-    """Render one field the way the row protocol expects: 'value'."""
-    return "'" + value.replace("'", "''") + "'"
-
-
-def parse_quoted_row(line: str) -> list[str]:
-    """Parse a `'a','b',?,?` style row into fields ('?' stays literal)."""
-    reader = csv.reader(io.StringIO(line), quotechar="'", skipinitialspace=True)
-    rows = list(reader)
-    if not rows:
-        return []
-    return [field.strip() for field in rows[0]]
 
 
 class MockChatModel:
@@ -87,19 +80,23 @@ class MockChatModel:
     # -- ChatClient ----------------------------------------------------------
 
     def complete(self, prompt: str, *, label: str = "") -> ChatResponse:
-        """Complete one prompt, dispatching on its structure."""
-        if TARGET_ENTRY_MARKER in prompt:
-            text = self._complete_row(prompt)
-        elif EQUIVALENCE_MARKER in prompt:
-            text = self._complete_equivalence(prompt)
-        elif MAP_KEYS_MARKER in prompt and QUESTION_MARKER in prompt:
-            text = self._complete_map(prompt)
-        elif QUESTION_MARKER in prompt:
-            text = self._complete_qa(prompt)
+        """Complete one prompt: read its intent, answer by protocol.
+
+        The intent rides on a :class:`~repro.llm.intent.Prompt`; bare
+        text is read by :func:`~repro.llm.intent.intent_of`, which yields
+        the same intent for the same text.
+        """
+        intent = getattr(prompt, "intent", None)
+        if intent is None:
+            intent = intent_of(prompt)
+        if isinstance(intent, MapIntent):
+            text = self._complete_map(intent, prompt)
+        elif isinstance(intent, RowIntent):
+            text = self._complete_row(intent, prompt)
+        elif isinstance(intent, QaIntent):
+            text = self._complete_qa(intent)
         else:
-            raise LLMError(
-                f"prompt does not match any known protocol: {prompt[:120]!r}"
-            )
+            text = self._complete_equivalence(intent)
         usage = self.meter.record(count_tokens(prompt), count_tokens(text), label)
         return ChatResponse(text, usage)
 
@@ -126,20 +123,11 @@ class MockChatModel:
 
     # -- HQDL row completion ---------------------------------------------------
 
-    def _complete_row(self, prompt: str) -> str:
-        table_match = _TABLE_RE.search(prompt)
-        if table_match is None:
-            raise LLMError("row prompt does not name its expansion table")
-        expansion = self.oracle.world.expansion(table_match.group(1))
-        shots = prompt.count(EXAMPLE_ENTRY_MARKER)
-        target_line = self._line_after_marker(prompt, TARGET_ENTRY_MARKER)
-        fields = parse_quoted_row(target_line)
-        key_width = len(expansion.key_columns)
-        key = tuple(fields[:key_width])
+    def _complete_row(self, intent: RowIntent, prompt: str) -> str:
+        expansion = self.oracle.world.expansion(intent.table)
+        shots = intent.shots
+        key = intent.entry[: len(expansion.key_columns)]
         values = [str(part) for part in key]
-        # grounding context (related database rows) makes recall easier —
-        # the calibrated context boost models that (Section 4.3, opp. #1)
-        has_context = CONTEXT_ROW_MARKER in prompt
         if key in self.oracle.world.truth[expansion.name]:
             for column in expansion.columns:
                 values.append(
@@ -149,7 +137,10 @@ class MockChatModel:
                         column.name,
                         self.profile,
                         shots,
-                        with_context=has_context,
+                        # grounding context (related database rows) makes
+                        # recall easier — the calibrated context boost
+                        # models that (Section 4.3, opp. #1)
+                        with_context=intent.context,
                     )
                 )
         else:
@@ -192,10 +183,10 @@ class MockChatModel:
 
     # -- UDF map (batched per-key answers) --------------------------------------
 
-    def _complete_map(self, prompt: str) -> str:
-        question, keys = self._parse_map_prompt(prompt)
-        expansion, column = self.oracle.resolve_attribute(question)
-        shots = prompt.count(MAP_EXAMPLE_MARKER)
+    def _complete_map(self, intent: MapIntent, prompt: str) -> str:
+        expansion, column = self.oracle.resolve_attribute(intent.question)
+        shots = intent.shots
+        keys = intent.keys
         answers: list[str] = []
         if keys:
             generate = self.oracle.map_value_generator(
@@ -208,44 +199,6 @@ class MockChatModel:
                 )
         answers = self._maybe_misalign(prompt, answers, shots)
         return "\n".join(f"{i}. {answer}" for i, answer in enumerate(answers, 1))
-
-    def _parse_map_prompt(
-        self, prompt: str
-    ) -> tuple[str, list[tuple[str, ...]]]:
-        """Question line and keys block in a single line scan.
-
-        The question is the rest of the first line containing the
-        question marker (as :meth:`_line_after_marker` finds it); the
-        keys block opens at the first bare ``Keys:`` line and closes at
-        the first non-key line after it.
-        """
-        question: Optional[str] = None
-        keys: list[tuple[str, ...]] = []
-        seen_marker = False
-        keys_done = False
-        for line in prompt.splitlines():
-            if question is None and QUESTION_MARKER in line:
-                question = line.split(QUESTION_MARKER, 1)[1].strip()
-            if keys_done:
-                if question is not None:
-                    break
-                continue
-            if not seen_marker:
-                if line.strip() == MAP_KEYS_MARKER:
-                    seen_marker = True
-                continue
-            match = _KEY_LINE_RE.match(line)
-            if match is None:
-                if keys:
-                    keys_done = True
-                    if question is not None:
-                        break
-                continue
-            parts = [p.strip() for p in match.group(2).split("|")]
-            keys.append(tuple(_strip_quotes(p) for p in parts))
-        if question is None:
-            raise LLMError(f"prompt is missing the {QUESTION_MARKER!r} line")
-        return question, keys
 
     def _pad_key(
         self, expansion, key: tuple[str, ...]
@@ -288,7 +241,7 @@ class MockChatModel:
 
     # -- question-equivalence check (semantic cache rewriting) -------------------
 
-    def _complete_equivalence(self, prompt: str) -> str:
+    def _complete_equivalence(self, intent: EquivalenceIntent) -> str:
         """Judge whether two questions ask for the same generated attribute.
 
         This is the model's genuine "understanding" at work: both
@@ -296,11 +249,9 @@ class MockChatModel:
         map protocol uses, and equivalence means they name the same
         (expansion, column).  Unresolvable phrasings are judged 'no'.
         """
-        first = self._line_after_marker(prompt, "Q1:")
-        second = self._line_after_marker(prompt, "Q2:")
         try:
-            left = self.oracle.resolve_attribute(_strip_quotes(first))
-            right = self.oracle.resolve_attribute(_strip_quotes(second))
+            left = self.oracle.resolve_attribute(intent.first)
+            right = self.oracle.resolve_attribute(intent.second)
         except LLMError:
             return "no"
         same = (left[0].name, left[1].name) == (right[0].name, right[1].name)
@@ -308,8 +259,8 @@ class MockChatModel:
 
     # -- UDF scalar QA -----------------------------------------------------------
 
-    def _complete_qa(self, prompt: str) -> str:
-        question = self._line_after_marker(prompt, QUESTION_MARKER)
+    def _complete_qa(self, intent: QaIntent) -> str:
+        question = intent.question
         try:
             expansion, column = self.oracle.resolve_attribute(question)
         except LLMError:
@@ -321,22 +272,7 @@ class MockChatModel:
         key = self.oracle.find_key(expansion, entity)
         if key is None:
             return "Unknown"
-        shots = prompt.count(MAP_EXAMPLE_MARKER)
         return self.oracle.generate_value(
-            expansion.name, key, column.name, self.profile, shots, single_cell=True
+            expansion.name, key, column.name, self.profile, intent.shots,
+            single_cell=True,
         )
-
-    # -- shared helpers ------------------------------------------------------------
-
-    @staticmethod
-    def _line_after_marker(prompt: str, marker: str) -> str:
-        for line in prompt.splitlines():
-            if marker in line:
-                return line.split(marker, 1)[1].strip()
-        raise LLMError(f"prompt is missing the {marker!r} line")
-
-
-def _strip_quotes(text: str) -> str:
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1].replace(text[0] * 2, text[0])
-    return text

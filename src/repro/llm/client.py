@@ -75,6 +75,7 @@ class ScriptedClient:
 
     def complete(self, prompt: str, *, label: str = "") -> ChatResponse:
         """Replay the scripted answer for this prompt, metering tokens."""
+        prompt = str(prompt)  # the ledger keeps text, never an intent
         with self._lock:
             self.prompts.append(prompt)
             try:

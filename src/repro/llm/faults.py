@@ -142,7 +142,8 @@ class FaultInjector:
         """The 1-based attempt number for this sighting of ``prompt``."""
         with self._lock:
             attempt = self._attempts.get(prompt, 0) + 1
-            self._attempts[prompt] = attempt
+            # keyed by text: an intent must not outlive its dispatch
+            self._attempts[str(prompt)] = attempt
             return attempt
 
     def draw(self, prompt: str, attempt: int) -> str | None:

@@ -68,7 +68,7 @@ class TranscriptRecorder:
         entry = TranscriptEntry(
             index=self._count,
             label=label,
-            prompt=prompt,
+            prompt=str(prompt),
             completion=response.text,
             input_tokens=response.usage.input_tokens,
             output_tokens=response.usage.output_tokens,

@@ -91,8 +91,8 @@ class UdfState:
     the memos the server assembles and re-decodes ten prompts for each
     one it pays for.  The prompt still goes through the caching client:
     every hit, miss and usage counter is unchanged.  They live here, on
-    the flush path only — a batch run builds each prompt once, and a
-    memo there would be pure memory.
+    the flush path only: a batch run repeats texts too, but a memo there
+    would be one more store of generated values, not a win.
     """
 
     db: Database

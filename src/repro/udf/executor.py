@@ -49,15 +49,21 @@ from repro.llm.batching import (
     sequential_makespan,
 )
 from repro.llm.cache import CachingClient, PromptCache
-from repro.llm.chat import (
+from repro.llm.client import ChatClient
+from repro.llm.declarative import PromptSpec
+from repro.llm.intent import (
     ANSWER_MARKER,
     MAP_EXAMPLE_MARKER,
     MAP_KEYS_MARKER,
     QUESTION_MARKER,
+    MapHeader,
+    MapIntent,
+    Prompt,
+    QaIntent,
+    inert,
+    plain_keys,
     quote_field,
 )
-from repro.llm.client import ChatClient
-from repro.llm.declarative import PromptSpec
 from repro.llm.parallel import ParallelDispatcher
 from repro.llm.resilience import ResilienceReport
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
@@ -111,6 +117,23 @@ def _demo_pool(world: World) -> DemonstrationPool:
     pool = DemonstrationPool(world)
     _DEMO_POOLS[(world.name, world.scale)] = (world, pool)
     return pool
+
+
+def _plain_header(
+    database: str, question: str, options: Sequence[str], demos: list[str]
+) -> bool:
+    """Whether a map/QA prompt's key-independent lines read back as written.
+
+    The question must also keep no surrounding space (the reader strips
+    its line); a demonstration line is checked past its own marker.
+    """
+    return (
+        inert(database)
+        and inert(question)
+        and question == question.strip()
+        and all(map(inert, options))
+        and all(inert(line[len(MAP_EXAMPLE_MARKER):]) for line in demos)
+    )
 
 
 @dataclass
@@ -175,7 +198,11 @@ class HybridQueryExecutor:
         self.pushdown = pushdown
         self.shots = shots
         self.workers = workers
-        self._map_prefix_cache: dict[IngredientCall, str] = {}
+        #: per ingredient: the text above its key lines, and the header
+        #: its map intents share (None when that text would not read back)
+        self._map_prefix_cache: dict[
+            IngredientCall, tuple[str, Optional[MapHeader]]
+        ] = {}
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._prov = provenance if provenance is not None else NULL_PROVENANCE
         self.dispatcher = ParallelDispatcher(
@@ -458,17 +485,21 @@ class HybridQueryExecutor:
         answer = response.text.strip().splitlines()
         return answer[-1].strip() if answer else ""
 
-    def _qa_prompt(self, question: str) -> str:
+    def _qa_prompt(self, question: str) -> Prompt:
+        demos = self._demo_lines(question)
         spec = PromptSpec()
         spec.add_task(
             "Answer the question with a single short value and no explanation."
         )
         spec.add_schema(f"Database: {self.world.name}")
-        for line in self._demo_lines(question):
+        for line in demos:
             spec.add_demonstration(line)
         spec.add_target(f"{QUESTION_MARKER} {question}")
         spec.add_cue(ANSWER_MARKER)
-        return spec.render()
+        text = spec.render()
+        if not _plain_header(self.world.name, question, (), demos):
+            return Prompt(text)
+        return Prompt(text, QaIntent(question, len(demos)))
 
     # -- LLMMap ------------------------------------------------------------------
 
@@ -663,7 +694,7 @@ class HybridQueryExecutor:
         "with no explanation."
     )
 
-    def _map_prompt(self, call: IngredientCall, batch: list[tuple]) -> str:
+    def _map_prompt(self, call: IngredientCall, batch: list[tuple]) -> Prompt:
         """The map prompt for one batch of keys.
 
         Laid out as a :class:`~repro.llm.declarative.PromptSpec` of
@@ -671,29 +702,42 @@ class HybridQueryExecutor:
         rule and cue would render it — sections and lines joined by
         single newlines.  Everything above the key lines is the same for
         every batch of one ingredient, so it is built once per (frozen,
-        hashable) IngredientCall and the key lines are spliced in.
+        hashable) IngredientCall and the key lines are spliced in.  The
+        prompt's :class:`~repro.llm.intent.MapIntent` shares that
+        ingredient's header and the caller's ``batch``.
         """
-        prefix = self._map_prefix_cache.get(call)
-        if prefix is None:
+        cached = self._map_prefix_cache.get(call)
+        if cached is None:
             question = call.question
+            options = self._options_lines(call)
+            demos = self._demo_lines(question)
             prefix = "\n".join(
                 [
                     "Answer the question for each given key from the "
                     f"`{self.world.name}` database.",
-                    *self._options_lines(call),
-                    *self._demo_lines(question),
+                    *options,
+                    *demos,
                     f"{QUESTION_MARKER} {question}",
                     MAP_KEYS_MARKER,
                 ]
             )
-            self._map_prefix_cache[call] = prefix
+            header = (
+                MapHeader(question, len(demos))
+                if _plain_header(self.world.name, question, options, demos)
+                else None
+            )
+            cached = self._map_prefix_cache[call] = (prefix, header)
+        prefix, header = cached
         lines = [prefix]
         for index, key in enumerate(batch, start=1):
             rendered = "|".join(quote_field(str(part)) for part in key)
             lines.append(f"{index}. {rendered}")
         lines.append(self._MAP_RULE)
         lines.append(ANSWER_MARKER)
-        return "\n".join(lines)
+        text = "\n".join(lines)
+        if header is None or not plain_keys(batch):
+            return Prompt(text)
+        return Prompt(text, MapIntent(header, batch))
 
     def _options_lines(self, call: IngredientCall) -> list[str]:
         """The retained value list, when the query passes options=...

@@ -111,14 +111,27 @@ def parse_ingredient_call(node: ast.Ingredient) -> IngredientCall:
 
 
 def parse_map_answers(completion: str, expected: int) -> list[Optional[str]]:
-    """Parse `index. answer` lines, tolerating gaps and noise."""
+    """Parse `index. answer` lines, tolerating gaps and noise.
+
+    A line that opens with ASCII digits and ``". "`` — every line the
+    model writes — is split with ``str.partition``: ``\\d+`` cannot take
+    a ``.``, so the first ``". "`` ends the index, and ``strip`` drops
+    the same whitespace the regex would.  Every other line (leading
+    spaces, ``1)``, ``1:``, ``1.x``, non-ASCII digits) goes through
+    ``_ANSWER_LINE_RE``.
+    """
     answers: list[Optional[str]] = [None] * expected
     for line in completion.splitlines():
-        match = _ANSWER_LINE_RE.match(line)
-        if match is None:
-            continue
-        index = int(match.group(1)) - 1
+        head, sep, value = line.partition(". ")
+        if sep and head.isascii() and head.isdigit():
+            index = int(head) - 1
+        else:
+            match = _ANSWER_LINE_RE.match(line)
+            if match is None:
+                continue
+            index = int(match.group(1)) - 1
+            value = match.group(2)
         if 0 <= index < expected:
-            value = match.group(2).strip()
+            value = value.strip()
             answers[index] = value if value else None
     return answers

@@ -28,8 +28,15 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.llm.chat import EQUIVALENCE_MARKER
 from repro.llm.client import ChatClient
+from repro.llm.intent import (
+    EQUIVALENCE_MARKER,
+    FIRST_QUESTION_MARKER,
+    SECOND_QUESTION_MARKER,
+    EquivalenceIntent,
+    Prompt,
+    inert,
+)
 from repro.udf.fewshot import cosine_similarity, embed
 
 #: Candidate phrasings below this cosine similarity are not even worth an
@@ -37,19 +44,22 @@ from repro.udf.fewshot import cosine_similarity, embed
 SHORTLIST_THRESHOLD = 0.3
 
 
-def equivalence_prompt(first: str, second: str) -> str:
+def equivalence_prompt(first: str, second: str) -> Prompt:
     """The equivalence-check prompt (one of the mock model's protocols)."""
     first_quoted = first.replace("'", "''")
     second_quoted = second.replace("'", "''")
-    return "\n".join(
+    text = "\n".join(
         [
             EQUIVALENCE_MARKER,
-            f"Q1: '{first_quoted}'",
-            f"Q2: '{second_quoted}'",
+            f"{FIRST_QUESTION_MARKER} '{first_quoted}'",
+            f"{SECOND_QUESTION_MARKER} '{second_quoted}'",
             "Answer yes or no.",
             "Answer:",
         ]
     )
+    if not (inert(first) and inert(second)):
+        return Prompt(text)
+    return Prompt(text, EquivalenceIntent(first, second))
 
 
 @dataclass

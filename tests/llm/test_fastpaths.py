@@ -12,8 +12,8 @@ byte-identity against something that cannot drift with it:
   parts-based :meth:`KnowledgeOracle.knows` draw, its per-batch closure
   vs the per-cell method, and its memoized free-form confusion
   candidates vs a full scan of the truth map;
-- the single-pass map-prompt parser vs the literal question and keys of
-  its prompts;
+- the text reader :func:`intent_of` vs the literal question and keys
+  of its map prompts;
 - every prompt, completion and Usage of both pipelines vs digests frozen
   from the legacy (``optimize=False``) code before it was deleted
   (``golden_completions.json``).
@@ -28,6 +28,7 @@ import pytest
 
 from repro.core.hqdl import HQDL
 from repro.llm.chat import MockChatModel
+from repro.llm.intent import intent_of
 from repro.llm.oracle import KnowledgeOracle, stable_choice
 from repro.llm.profiles import get_profile, list_profiles
 from repro.llm.tokenizer import count_tokens, tokenize_text
@@ -258,7 +259,8 @@ class TestMapPromptParserFast:
     def test_fast_parse_matches_legacy_completion(
         self, perfect_model, prompt, question, keys, completion
     ):
-        assert perfect_model._parse_map_prompt(prompt) == (question, keys)
+        intent = intent_of(prompt)
+        assert (intent.question, intent.keys) == (question, keys)
         response = perfect_model.complete(prompt)
         assert response.text == completion
         assert response.usage == Usage(
@@ -275,11 +277,11 @@ class TestMapPromptParserFast:
             "1. Superman|Clark Kent\n"
             "Answer:"
         )
-        question, keys = perfect_model._parse_map_prompt(prompt)
-        assert question == "decoy is only matched on the first hit"
-        assert question == perfect_model._line_after_marker(prompt, "Question:")
+        intent = intent_of(prompt)
+        # the question is the rest of the first line naming the marker
+        assert intent.question == "decoy is only matched on the first hit"
         # the keys block closes at the first non-key line after it
-        assert keys == [("Batman", "Bruce Wayne")]
+        assert intent.keys == [("Batman", "Bruce Wayne")]
 
 
 # -- golden bytes ---------------------------------------------------------------

@@ -80,8 +80,8 @@ class TestImportHygiene:
         stdlib_ok = {"__future__", "bisect", "concurrent", "csv",
                      "dataclasses", "enum", "functools", "hashlib", "heapq",
                      "io", "itertools", "json", "math", "os", "pathlib", "re",
-                     "sqlite3", "sys", "tempfile", "threading", "time",
-                     "typing",
+                     "sqlite3", "sys", "tempfile", "textwrap", "threading",
+                     "time", "typing",
                      "collections"}
         violations = []
         for path in SRC.rglob("*.py"):

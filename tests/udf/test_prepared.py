@@ -273,9 +273,14 @@ class TestHazards:
     ):
         """(c) ``_generate_mapping`` assembles every prompt it dispatches.
 
-        A prompt memo there costs a batch run memory (each text runs
-        once) and buys nothing; the memos live on the serving flush
-        path, bounded.
+        Texts do repeat in a batch run: a ``udf_cold`` pass renders
+        31,771 map prompts for 15,637 paid calls, and 51 of its 124
+        mappings repeat an earlier (call, keys) pair of the same
+        executor.  But a prompt or mapping memo here would be one more
+        store of generated values beside the prompt cache, the mapping
+        store, the semantic cache and the views; that reuse belongs to
+        those stores, folded into one.  The memos live on the serving
+        flush path, bounded.
         """
         built = []
         original = executor._map_prompt
