@@ -4,16 +4,17 @@ One :class:`Database` owns one SQLite connection (file-backed or
 in-memory).  It is deliberately small: execute/query/insert plus the
 handful of conveniences the rest of the library needs — schema creation
 from :class:`~repro.sqlengine.schema.TableSchema`, bulk inserts, temp
-tables for the hybrid executor, cloning (for per-experiment isolation),
-and introspection.
+tables and lookup functions for the hybrid executor, cloning (for
+per-experiment isolation), and introspection.
 """
 
 from __future__ import annotations
 
+import itertools
 import sqlite3
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.errors import ExecutionError, SchemaError
 from repro.sqlengine.results import ResultSet
@@ -42,6 +43,51 @@ def _chunked(
         yield chunk
 
 
+#: what an unbound lookup answers from: nothing (never written to)
+_UNBOUND: Mapping[tuple, Optional[str]] = {}
+
+
+class LookupFunction:
+    """A scalar SQL function answering from a swappable Python mapping.
+
+    Registered on its connection once, under a name unique to that
+    connection; each use binds a mapping of ``str()``-ed key tuples to
+    values, and unbinds it after.  A call with any NULL argument is NULL,
+    otherwise the value bound for ``tuple(str(a) for a in args)`` — the
+    same ``str()`` the hybrid executor applies to the key tuples it
+    fetches — or NULL when there is none.
+    """
+
+    __slots__ = ("name", "width", "mapping")
+
+    def __init__(self, name: str, width: int) -> None:
+        self.name = name
+        self.width = width
+        self.mapping = _UNBOUND
+
+    @property
+    def bound(self) -> bool:
+        return self.mapping is not _UNBOUND
+
+    def bind(self, mapping: Mapping[tuple, Optional[str]]) -> None:
+        self.mapping = mapping
+
+    def unbind(self) -> None:
+        """Drop the mapping, so it can be freed as soon as its user is done."""
+        self.mapping = _UNBOUND
+
+    def _one(self, value: object) -> Optional[str]:
+        # the common single-column key, without a generator per row
+        if value is None:
+            return None
+        return self.mapping.get((str(value),))
+
+    def _many(self, *values: object) -> Optional[str]:
+        if None in values:
+            return None
+        return self.mapping.get(tuple(map(str, values)))
+
+
 class Database:
     """A SQLite database with a typed, convenient surface.
 
@@ -57,6 +103,14 @@ class Database:
         self.path = str(path)
         self.connection = sqlite3.connect(self.path)
         self.connection.execute("PRAGMA foreign_keys = OFF")
+        #: numbers the executor's temp tables and lookup functions; one
+        #: counter per connection, so two executors sharing it never
+        #: pick the same name
+        self._names = itertools.count()
+        #: every lookup function registered on the connection, and the
+        #: released ones by width, ready for reuse
+        self.lookups: list[LookupFunction] = []
+        self._idle_lookups: dict[int, list[LookupFunction]] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -226,7 +280,7 @@ class Database:
     ) -> None:
         """Replace every row of an existing TEMP table; issues no DDL.
 
-        The steady-state path of the hybrid executor's slot tables: a
+        The steady-state path of the hybrid executor's LLMJoin tables: a
         ``DELETE`` and the streamed inserts in one transaction, so the
         schema (and with it every statement SQLite has compiled on this
         connection) is left alone, and a failed refill leaves the old
@@ -261,14 +315,44 @@ class Database:
         """Drop a TEMP table (and its indexes) if it exists."""
         self.execute(f"DROP TABLE IF EXISTS temp.{_quote(name)}")
 
+    def temp_name(self, prefix: str) -> str:
+        """A ``prefix_N`` name no earlier call on this connection returned."""
+        return f"{prefix}_{next(self._names)}"
+
+    # -- lookup functions ----------------------------------------------------
+
+    def acquire_lookup(self, width: int) -> LookupFunction:
+        """An unbound :class:`LookupFunction` of ``width`` arguments.
+
+        A released one is reused when there is one.  Otherwise a new one
+        is registered; none is ever unregistered or redefined, because
+        either would expire every statement compiled on the connection.
+        """
+        idle = self._idle_lookups.get(width)
+        if idle:
+            return idle.pop()
+        lookup = LookupFunction(self.temp_name("__llm_map"), width)
+        self.connection.create_function(
+            lookup.name,
+            width,
+            lookup._one if width == 1 else lookup._many,
+            deterministic=True,
+        )
+        self.lookups.append(lookup)
+        return lookup
+
+    def release_lookup(self, lookup: LookupFunction) -> None:
+        """Unbind a lookup function and keep it for the next acquire."""
+        lookup.unbind()
+        self._idle_lookups.setdefault(lookup.width, []).append(lookup)
+
     def create_index(
         self, table: str, columns: Sequence[str], *, name: str = ""
     ) -> str:
         """CREATE INDEX IF NOT EXISTS on ``table(columns)``; returns its name.
 
         Used for FK/join-key indexes at world build time and for the
-        executor's temp mapping tables, whose correlated-subquery probes
-        are the hot path of every rewritten hybrid query.
+        key columns of the executor's LLMJoin tables.
         """
         if not columns:
             raise ValueError("create_index requires at least one column")

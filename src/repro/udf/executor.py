@@ -7,11 +7,13 @@ Execution plan for one hybrid query:
 2. For each **LLMMap**: find its owning SELECT scope, apply predicate
    pushdown to fetch only the key tuples that database-only predicates
    allow, batch the keys (default 5 per call, Section 5.4), prompt the
-   model, and materialize the answers into a TEMP table.
+   model, and bind the answers to a lookup function registered on the
+   connection (:class:`~repro.sqlengine.database.LookupFunction`).
 3. For each **LLMQA**: one scalar call; the answer becomes a literal.
-4. For each **LLMJoin**: like LLMMap, but materialized as a FROM source.
-5. Rewrite the AST — map ingredients become correlated scalar subqueries
-   against their TEMP tables — render plain SQLite SQL, execute.
+4. For each **LLMJoin**: like LLMMap, but materialized into a TEMP table,
+   because a FROM source needs one.
+5. Rewrite the AST — map ingredients become ``CAST(lookup(keys) AS
+   TEXT)`` calls — render plain SQLite SQL, execute, unbind.
 
 All LLM traffic goes through a prompt-keyed cache
 (:class:`~repro.llm.cache.CachingClient`), reproducing BlendSQL's reuse
@@ -29,9 +31,10 @@ make ``workers=8`` byte-identical to ``workers=1``.
 per-executor cache of :class:`PreparedStatement` entries: the parsed
 tree (owned by the entry), each distinct ingredient occurrence with its
 validated call and resolved alias, its key-fetch SQL (pushdown analysis
-done once), and a fixed temp-table *slot* per occurrence — created on
-first use, then refilled — so a repeated text costs no parse, no AST
-walk and no DDL, and its rewritten SQL is a constant string.
+done once), and a fixed *slot* per occurrence — a lookup function for
+LLMMap, a temp table for LLMJoin, acquired on first use and reused — so
+a repeated text costs no parse and no AST walk, an LLMMap-only one no
+DDL and no table write, and its rewritten SQL is a constant string.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from repro.obs.trace import NULL_SPAN
 from repro.sqlparser import ast, parse, render
 from repro.sqlparser.render import quote_identifier, render_expression
 from repro.sqlparser.rewrite import replace_ingredients, walk
-from repro.sqlengine.database import Database
+from repro.sqlengine.database import Database, LookupFunction
 from repro.sqlengine.results import ResultSet
 from repro.swan.base import World
 from repro.udf.fewshot import DemonstrationPool, FewShotSelector
@@ -90,10 +93,10 @@ if TYPE_CHECKING:  # no runtime import: repro.plan imports from this module
 
 #: prepared statements kept per executor, least recently used evicted
 #: first (SWAN has 30 distinct texts per database); an evicted statement
-#: drops its slot tables
+#: releases its slots
 PREPARED_CACHE_SIZE = 256
 #: final SQL strings kept per prepared statement: one per distinct
-#: combination of LLMQA answers (and view names) it has been filled with
+#: combination of LLMQA answers it has been filled with
 RENDER_MEMO_SIZE = 8
 
 #: demonstration pools per (world name, scale) — rebuilt only when the
@@ -240,7 +243,6 @@ class HybridQueryExecutor:
         #: cells) and QA answers degrade to NULL — the query still
         #: completes, it never hangs past its budget.
         self.deadline = None
-        self._temp_counter = 0
         #: SQL text -> its prepared statement, least recently used first
         self._prepared: OrderedDict[str, PreparedStatement] = OrderedDict()
 
@@ -291,8 +293,14 @@ class HybridQueryExecutor:
             with (tel.tracer.span("sql:execute") if tel.enabled else NULL_SPAN):
                 result = self.db.query(report.rewritten_sql)
         finally:
-            if not prepared.cached:
-                self._drop_slots(prepared)
+            # a bound mapping outliving its query would pin every
+            # generated value until the statement's next execution
+            if prepared.cached:
+                for occurrence in prepared.occurrences:
+                    if occurrence.lookup is not None:
+                        occurrence.lookup.unbind()
+            else:
+                self._release_slots(prepared)
         return result, report
 
     # -- prepared statements -----------------------------------------------------
@@ -316,15 +324,22 @@ class HybridQueryExecutor:
         self._prepared[hybrid_sql] = prepared
         if len(self._prepared) > PREPARED_CACHE_SIZE:
             _, evicted = self._prepared.popitem(last=False)
-            self._drop_slots(evicted)
+            self._release_slots(evicted)
         return prepared
 
-    def _drop_slots(self, prepared: "PreparedStatement") -> None:
-        """Drop the temp tables a statement leaving the executor still holds."""
+    def _release_slots(self, prepared: "PreparedStatement") -> None:
+        """Give back the slots of a statement leaving the executor.
+
+        Lookup functions return to the connection for reuse; LLMJoin
+        tables are dropped.
+        """
         for occurrence in prepared.occurrences:
-            if occurrence.slot is not None:
-                self.db.drop_temp_table(occurrence.slot)
-                occurrence.slot = None
+            if occurrence.lookup is not None:
+                self.db.release_lookup(occurrence.lookup)
+                occurrence.lookup = None
+            if occurrence.table is not None:
+                self.db.drop_temp_table(occurrence.table)
+                occurrence.table = None
 
     @staticmethod
     def _walk(prepared: "PreparedStatement") -> Iterator["_Occurrence"]:
@@ -350,8 +365,9 @@ class HybridQueryExecutor:
     ) -> tuple[Optional[str], ...]:
         """Run every ingredient; what each occurrence is replaced with.
 
-        A filling is the LLMQA answer (None for NULL) or the name of the
-        table holding the LLMMap/LLMJoin mapping.
+        A filling is the LLMQA answer (None for NULL), the name of the
+        lookup function holding an LLMMap mapping, or the name of the
+        table holding an LLMJoin one.
         """
         tel = self._tel
         planned = iter(keys or ())
@@ -509,11 +525,15 @@ class HybridQueryExecutor:
         report: ExecutionReport,
         planned_keys: Optional[list[tuple]],
     ) -> str:
-        """Generate one LLMMap's mapping; the table the rewrite reads it from."""
+        """Generate one LLMMap's mapping; the function the rewrite reads it from."""
         call = occurrence.call
         view_table = self._view_table(call)
         if view_table is not None:
-            return view_table  # read the materialized view, no LLM calls
+            # read the materialized view, no LLM calls
+            rows = self.db.query_rows(
+                f"SELECT * FROM {quote_identifier(view_table)}"
+            )
+            return self._bind(occurrence, {row[:-1]: row[-1] for row in rows})
         tel = self._tel
         with (
             tel.tracer.span("udf:fetch_keys", pushdown=self.pushdown)
@@ -524,10 +544,25 @@ class HybridQueryExecutor:
             span.set("keys", len(keys))
         mapping = self._generate_mapping(call, keys, report)
         with (tel.tracer.span("udf:materialize") if tel.enabled else NULL_SPAN):
-            columns = [f"k{i}" for i in range(len(call.key_columns))] + ["v"]
-            table = self._materialize(occurrence, columns, mapping)
             self._maybe_materialize_view(call, mapping)
-        return table
+            return self._bind(occurrence, mapping)
+
+    def _bind(
+        self, occurrence: "_Occurrence", mapping: dict[tuple, Optional[str]]
+    ) -> str:
+        """Bind a mapping to the occurrence's lookup function; its name.
+
+        The function is acquired from the connection the first time the
+        occurrence runs and kept ever after, so a repeated statement
+        writes nothing to the database and reads only the current
+        execution's mapping.
+        """
+        lookup = occurrence.lookup
+        if lookup is None:
+            lookup = self.db.acquire_lookup(len(occurrence.call.key_columns))
+            occurrence.lookup = lookup
+        lookup.bind(mapping)
+        return lookup.name
 
     def _fetch_keys(
         self,
@@ -776,29 +811,27 @@ class HybridQueryExecutor:
         columns: list[str],
         mapping: dict[tuple, Optional[str]],
     ) -> str:
-        """Fill the occurrence's temp-table slot with a mapping; its name.
+        """Fill an LLMJoin occurrence's temp-table slot; its name.
 
         The slot (table + key index) is created the first time the
-        occurrence is materialized and refilled ever after, so a repeated
-        statement issues no DDL, leaks no tables, and always reads only
-        the rows of the current execution.
+        occurrence is materialized, under a name from the connection,
+        and refilled ever after, so a repeated statement issues no DDL,
+        leaks no tables, and always reads only the rows of the current
+        execution.
         """
         # a generator keeps at most one insert chunk of rows in memory;
         # both fills stream it in fixed-size chunks
         rows = (
             key + (value,) for key, value in mapping.items() if value is not None
         )
-        if occurrence.slot is not None:
-            self.db.refill_temp_table(occurrence.slot, columns, rows)
-            return occurrence.slot
-        name = f"__llm_ing_{self._temp_counter}"
-        self._temp_counter += 1
+        if occurrence.table is not None:
+            self.db.refill_temp_table(occurrence.table, columns, rows)
+            return occurrence.table
+        name = self.db.temp_name("__llm_join")
         self.db.create_temp_table(name, columns, rows)
-        # the rewrite probes this table once per outer row via a
-        # correlated scalar subquery — index the key columns so each
-        # probe is a lookup, not a scan
+        # the query joins this table on its key columns
         self.db.create_index(name, columns[:-1])
-        occurrence.slot = name
+        occurrence.table = name
         return name
 
     def _maybe_materialize_view(
@@ -860,8 +893,9 @@ class _Occurrence:
     source table) and ``alias`` the name the source table is visible
     under there.  ``error`` is what the walk raises on reaching a
     malformed occurrence; nothing after it is prepared, because
-    execution never gets that far.  ``key_sql`` and ``slot`` are filled
-    by the executor on first use.
+    execution never gets that far.  The slot — ``lookup`` for LLMMap,
+    ``table`` for LLMJoin — and ``key_sql`` are filled by the executor
+    on first use.
     """
 
     nodes: list[ast.Ingredient]
@@ -871,7 +905,8 @@ class _Occurrence:
     source_alias: Optional[str] = None
     error: Optional[ReproError] = None
     key_sql: Optional[str] = None
-    slot: Optional[str] = None
+    lookup: Optional[LookupFunction] = None
+    table: Optional[str] = None
 
     def replacement(self, filling: Optional[str]) -> ast.Node:
         """The plain-SQL node standing in for this ingredient."""
@@ -882,21 +917,12 @@ class _Occurrence:
             return ast.Literal.string(filling)
         if call.kind == "LLMJoin":
             return ast.TableName(filling, alias=self.source_alias)
-        # (SELECT v FROM table WHERE k0 = alias.col0 AND k1 = alias.col1)
-        where: Optional[ast.Expr] = None
-        for index, column in enumerate(call.key_columns):
-            comparison = ast.BinaryOp(
-                "=",
-                ast.ColumnRef(f"k{index}"),
-                ast.ColumnRef(column, self.alias),
-            )
-            where = comparison if where is None else ast.BinaryOp("AND", where, comparison)
-        subquery = ast.Select(
-            items=[ast.SelectItem(ast.ColumnRef("v"))],
-            from_=ast.TableName(filling),
-            where=where,
-        )
-        return ast.ScalarSubquery(subquery)
+        # CAST(lookup(alias.col0, alias.col1) AS TEXT).  The cast is
+        # load-bearing: a bare function result has no affinity, so
+        # lookup(...) > 5 would hold for '10', where the TEXT value it
+        # stands for compares with 5 as text — and does not.
+        keys = [ast.ColumnRef(column, self.alias) for column in call.key_columns]
+        return ast.Cast(ast.FuncCall(filling, keys), "TEXT")
 
 
 class PreparedStatement:
@@ -905,7 +931,7 @@ class PreparedStatement:
     Holds the tree (``cached`` entries own it; a caller's pre-parsed
     statement is only borrowed for one call and never mutated), the
     ingredient occurrences in walk order, and a small memo of rendered
-    final SQL: with slot tables the rewrite of a statement depends only
+    final SQL: with fixed slots the rewrite of a statement depends only
     on what its LLMQA ingredients answered, so a repeat skips both the
     tree rewrite and the render.
     """

@@ -86,11 +86,23 @@ class TestIngredientPlacement:
 
 class TestReportDiagnostics:
     def test_rewritten_sql_is_plain_sqlite(self, executor):
+        db = executor.db
         _, report = executor.execute_with_report(
             f"SELECT superhero_name FROM superhero WHERE {PUB_MAP} = 'DC Comics'"
         )
         assert "{{" not in report.rewritten_sql
-        assert "SELECT v FROM __llm_ing_0" in report.rewritten_sql
+        (lookup,) = db.lookups
+        # one lookup call per key tuple, no subquery and no table
+        assert report.rewritten_sql == (
+            "SELECT superhero_name FROM superhero WHERE "
+            f"CAST({lookup.name}(superhero.superhero_name, superhero.full_name)"
+            " AS TEXT) = 'DC Comics'"
+        )
+        assert db.query_scalar("SELECT count(*) FROM sqlite_temp_master") == 0
+        # the rewritten text runs on its own while a mapping is bound
+        lookup.bind({("Batman", "Bruce Wayne"): "DC Comics"})
+        assert db.query(report.rewritten_sql).rows == [("Batman",)]
+        lookup.unbind()
 
     def test_call_sizes_recorded(self, executor):
         _, report = executor.execute_with_report(

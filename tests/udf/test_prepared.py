@@ -2,8 +2,9 @@
 
 Three groups.  *Equivalence*: an executor that has seen a text before
 answers exactly like a fresh one (the standing metamorphic property,
-over every SWAN question).  *Slots*: temp tables are bounded, refilled
-before every use, dropped on eviction.  *Hazards*: the ways a statement
+over every SWAN question).  *Slots*: an LLMMap reaches SQLite through a
+lookup function — no table, no write, no mapping left bound after the
+query, slots recycled on eviction.  *Hazards*: the ways a statement
 cache goes wrong, each pinned by the test that would have caught it.
 """
 
@@ -38,12 +39,22 @@ STATEMENTS = [
     f"WHERE {PUB_MAP} = 'Marvel Comics' AND height_cm > 180",
     f"SELECT {RACE_MAP}, COUNT(*) FROM superhero GROUP BY {RACE_MAP}",
 ]
+GENDER_JOIN = (
+    "SELECT s.superhero_name, j.value FROM superhero s JOIN "
+    "{{LLMJoin('What is the gender of this superhero?', "
+    "'superhero::superhero_name', 'superhero::full_name')}} AS j "
+    "ON s.superhero_name = j.superhero_name AND s.full_name = j.full_name"
+)
 #: distinct ingredient occurrences (= slots) of STATEMENTS: 1 + 2 + 1
 SLOTS = 4
 
 
 def temp_objects(db) -> int:
     return db.query_scalar("SELECT count(*) FROM sqlite_temp_master")
+
+
+def bound_lookups(db) -> list[str]:
+    return [lookup.name for lookup in db.lookups if lookup.bound]
 
 
 @pytest.fixture()
@@ -64,8 +75,8 @@ def _observed(executor, meter, sql):
     """Everything an execution is allowed to show, as one comparable value.
 
     Not the column *names*: an unaliased ingredient in the select list
-    is named by its rewritten subquery, slot name included, as it
-    always was by the temp-table counter.
+    is named by its rewritten expression, which includes the name of
+    the lookup function the occurrence happened to acquire.
     """
     before = meter.total
     result, report = executor.execute_with_report(sql)
@@ -158,8 +169,10 @@ class TestSlots:
         for _ in range(50):
             for sql in STATEMENTS:
                 executor.execute(sql)
-        # one table and one index per slot, however often they are used
-        assert 0 < temp_objects(db) <= 2 * SLOTS
+        # LLMMap makes no table at all, and one function per slot,
+        # however often the slots are used
+        assert temp_objects(db) == 0
+        assert len(db.lookups) == SLOTS
 
     def test_steady_state_issues_no_ddl(self, executor, db):
         for sql in STATEMENTS:
@@ -168,12 +181,10 @@ class TestSlots:
         db.connection.set_trace_callback(statements.append)
         reports = [executor.execute_with_report(sql)[1] for sql in STATEMENTS]
         db.connection.set_trace_callback(None)
-        ddl = [
-            s for s in statements
-            if s.lstrip().upper().startswith(("CREATE", "DROP"))
-        ]
-        assert ddl == []
-        # ... and so the rewritten SQL of a text is one constant string
+        # key fetches and final queries: no DDL, DELETE or INSERT
+        assert statements
+        assert all(s.lstrip().upper().startswith("SELECT") for s in statements)
+        # ... and the rewritten SQL of a text is one constant string
         assert [r.rewritten_sql for r in reports] == [
             executor.execute_with_report(sql)[1].rewritten_sql
             for sql in STATEMENTS
@@ -182,21 +193,25 @@ class TestSlots:
     def test_failed_request_leaks_no_rows_into_the_next(
         self, executor, db, superhero_world, monkeypatch
     ):
-        """A slot is refilled before every use, whatever happened last time."""
+        """No mapping outlives its query, whether the query ran or raised."""
         sql = STATEMENTS[0]
-        executor.execute(sql)  # the slot exists and holds every hero
+        executor.execute(sql)  # the slot exists; it held every hero
+        assert len(db.lookups) == 1
+        assert bound_lookups(db) == []
 
         original = db.query
 
         def failing(text, params=()):
-            if "__llm_ing_" in text:
-                raise ExecutionError("injected between refill and final query")
+            if "__llm_map_" in text:
+                assert bound_lookups(db) != []
+                raise ExecutionError("injected between bind and final query")
             return original(text, params)
 
         monkeypatch.setattr(db, "query", failing)
         with pytest.raises(ExecutionError):
             executor.execute(sql)
         monkeypatch.setattr(db, "query", original)
+        assert bound_lookups(db) == []
 
         # same text, but the predicate now selects far fewer keys
         db.execute("DELETE FROM superhero WHERE height_cm <= 190")
@@ -205,8 +220,8 @@ class TestSlots:
         assert report.keys_after_pushdown == {
             "Which comic book publisher published this superhero?": remaining
         }
-        slot_rows = db.row_count("__llm_ing_0")
-        assert slot_rows == report.keys_generated <= remaining
+        assert report.keys_generated <= remaining
+        assert bound_lookups(db) == []
         with build_curated_database(superhero_world) as other:
             other.execute("DELETE FROM superhero WHERE height_cm <= 190")
             fresh = HybridQueryExecutor(
@@ -217,15 +232,19 @@ class TestSlots:
     def test_eviction_is_bounded_and_drops_the_slots(
         self, executor, db, monkeypatch
     ):
+        """An evicted statement's slots go back to the connection for reuse."""
         monkeypatch.setattr(executor_module, "PREPARED_CACHE_SIZE", 2)
         expected = [executor.execute(sql).rows for sql in STATEMENTS]
         assert list(executor._prepared) == STATEMENTS[1:]
-        # statement 0's table and index went with it: 2 + 1 slots remain
-        assert temp_objects(db) == 2 * 3
-        # an evicted text comes back with a new slot and the same answer
+        # statement 0 was evicted before statement 2 ran, and statement 2
+        # reused its function: 3 slots live, 3 functions registered
+        assert len(db.lookups) == 3
+        # an evicted text comes back on recycled slots, with the same answer
         assert executor.execute(STATEMENTS[0]).rows == expected[0]
         assert list(executor._prepared) == [STATEMENTS[2], STATEMENTS[0]]
-        assert temp_objects(db) == 2 * 2
+        assert len(db.lookups) == 3
+        assert temp_objects(db) == 0
+        assert bound_lookups(db) == []
 
 
 # -- hazards ------------------------------------------------------------------------
@@ -255,17 +274,28 @@ class TestHazards:
             assert executor.plan_key_requests(sql) == ([request], [])
 
     def test_the_cache_is_per_executor(self, superhero_world):
-        """(b) Executors differing in ``pushdown`` share no preparation."""
+        """(b) Executors differing in ``pushdown`` share no preparation.
+
+        They do share the connection, so each must also read its own
+        mappings: rows equal those of executors on separate databases.
+        """
         sql = STATEMENTS[1]
+        model = make_model(superhero_world)
+        with build_curated_database(superhero_world) as alone:
+            expected = HybridQueryExecutor(alone, model, superhero_world).execute(
+                sql
+            ).rows
         with build_curated_database(superhero_world) as db:
-            model = make_model(superhero_world)
             narrow = HybridQueryExecutor(db, model, superhero_world, pushdown=True)
             wide = HybridQueryExecutor(db, model, superhero_world, pushdown=False)
             for _ in range(2):
-                pushed = narrow.execute_with_report(sql)[1].keys_after_pushdown
-                full = wide.execute_with_report(sql)[1].keys_after_pushdown
+                pushed_result, pushed_report = narrow.execute_with_report(sql)
+                full_result, full_report = wide.execute_with_report(sql)
+                pushed = pushed_report.keys_after_pushdown
+                full = full_report.keys_after_pushdown
                 assert set(pushed) == set(full)
                 assert all(pushed[q] < full[q] for q in pushed)
+                assert pushed_result.rows == full_result.rows == expected
             assert narrow._prepared[sql] is not wide._prepared[sql]
 
     def test_the_batch_path_keeps_no_prompt_memo(
@@ -294,6 +324,44 @@ class TestHazards:
         first = len(built)
         executor.execute(STATEMENTS[0])
         assert first > 0 and len(built) == 2 * first
+
+    @pytest.mark.parametrize(
+        "kept, borrowed",
+        [
+            (
+                STATEMENTS[0],
+                f"SELECT superhero_name FROM superhero WHERE {RACE_MAP} = 'Human'",
+            ),
+            (GENDER_JOIN, GENDER_JOIN + " WHERE s.height_cm > 180"),
+        ],
+        ids=["map", "join"],
+    )
+    def test_executors_sharing_a_connection_share_no_slot(
+        self, superhero_world, kept, borrowed
+    ):
+        """(d) Slot names come from the connection, not the executor.
+
+        With per-executor counters, B's borrowed statement took the name
+        of A's cached slot and dropped it on return, and A's next
+        execution of the same text failed on a missing table.
+        """
+        model = make_model(superhero_world)
+
+        def separately(text):
+            with build_curated_database(superhero_world) as alone:
+                executor = HybridQueryExecutor(alone, model, superhero_world)
+                return executor.execute(text).rows
+
+        expected, expected_borrowed = separately(kept), separately(borrowed)
+        with build_curated_database(superhero_world) as db:
+            a = HybridQueryExecutor(db, model, superhero_world)
+            b = HybridQueryExecutor(db, model, superhero_world)
+            assert a.execute(kept).rows == expected
+            result, _ = b.execute_with_report(parse(borrowed))
+            assert result.rows == expected_borrowed
+            assert a.execute(kept).rows == expected
+            assert b.execute(borrowed).rows == expected_borrowed
+            assert a.execute(kept).rows == expected
 
     def test_flush_memos_are_bounded(self, swan):
         from repro.serve.server import QueryServer, ServerConfig
