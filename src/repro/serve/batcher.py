@@ -90,7 +90,7 @@ class PendingRequest:
     __slots__ = (
         "request", "start", "queue_wait", "overlay", "outstanding",
         "llm_calls", "input_tokens", "output_tokens", "shared_tokens",
-        "degraded_keys", "waves", "keys",
+        "degraded_keys", "waves",
     )
 
     def __init__(
@@ -111,10 +111,6 @@ class PendingRequest:
         #: ids of the batch waves this request's items rode on (trace
         #: bookkeeping only — never read by the batching math)
         self.waves: list[str] = []
-        #: the key lists planning fetched for a UDF request, in the
-        #: executor's occurrence order — handed to the finalize pass so
-        #: it does not fetch them again (None: never planned)
-        self.keys: Optional[list[list[tuple]]] = None
 
 
 class _Item:

@@ -626,7 +626,6 @@ class QueryServer:
             # work; the finalize pass re-raises the typed error and the
             # request degrades like any failed query
             map_requests, qa_prompts = executor.plan_key_requests(request.sql)
-            member.keys = [keys for _, keys in map_requests]
             for call, keys in map_requests:
                 signature = call.signature()
                 wanted = list(dict.fromkeys(keys))
@@ -875,9 +874,7 @@ class QueryServer:
             if batched:
                 executor.mapping_store = member.overlay
             try:
-                result, report = executor.execute_with_report(
-                    request.sql, keys=member.keys
-                )
+                result, report = executor.execute_with_report(request.sql)
                 rows = len(result.rows)
                 degraded_keys = report.degraded_keys
                 call_sizes = list(report.call_sizes)

@@ -4,14 +4,15 @@ One :class:`Database` owns one SQLite connection (file-backed or
 in-memory).  It is deliberately small: execute/query/insert plus the
 handful of conveniences the rest of the library needs — schema creation
 from :class:`~repro.sqlengine.schema.TableSchema`, bulk inserts, temp
-tables and lookup functions for the hybrid executor, cloning (for
-per-experiment isolation), and introspection.
+tables, lookup functions and memoized key fetches for the hybrid
+executor, cloning (for per-experiment isolation), and introspection.
 """
 
 from __future__ import annotations
 
 import itertools
 import sqlite3
+from collections import OrderedDict
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -29,6 +30,10 @@ def _quote(name: str) -> str:
 #: statement overhead, small enough that generated row streams (HQDL
 #: materialization, big expansion tables) never materialize in full
 INSERT_CHUNK_SIZE = 500
+#: key-fetch results kept per connection, least recently used evicted
+#: first (SWAN's questions have 32 distinct key-fetch texts, 12 without
+#: pushdown)
+KEY_MEMO_SIZE = 256
 
 
 def _chunked(
@@ -111,6 +116,13 @@ class Database:
         #: released ones by width, ready for reuse
         self.lookups: list[LookupFunction] = []
         self._idle_lookups: dict[int, list[LookupFunction]] = {}
+        #: key-fetch SQL -> its str()-ed rows, least recently used first;
+        #: valid while :meth:`_data_token` reads ``_key_token``
+        self._key_memo: OrderedDict[str, list[tuple[str, ...]]] = OrderedDict()
+        self._key_token: Optional[tuple[int, int, int]] = None
+        #: rows changed by this object's own temp-table fills, which no
+        #: key fetch reads and so must not expire the memo
+        self._temp_changes = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -167,6 +179,54 @@ class Database:
             return self.connection.execute(sql, params).fetchall()
         except sqlite3.Error as exc:
             raise ExecutionError(f"{exc} while querying: {sql[:400]}") from exc
+
+    def fetch_keys(self, sql: str, *, reuse: bool = True) -> list[tuple[str, ...]]:
+        """Rows of a key-fetch SELECT with every value ``str()``-ed.
+
+        Memoized by SQL text until the connection's data changes (see
+        :meth:`_data_token`), so each distinct fetch runs once between
+        writes however many executors, dry runs or requests ask for it.
+        ``reuse=False`` is for SQL whose rows may change while the data
+        does not (``random()``, ``'now'``, a user function): it runs on
+        every call and is never stored; so does any fetch inside an open
+        transaction, whose rows a rollback may yet take back.  Every
+        call returns a new list over shared tuples, so a caller may
+        change its list freely.
+        """
+        if not reuse or self.connection.in_transaction:
+            return self._str_rows(sql)
+        token = self._data_token()
+        memo = self._key_memo
+        if token != self._key_token:
+            memo.clear()
+            self._key_token = token
+        keys = memo.get(sql)
+        if keys is None:
+            keys = memo[sql] = self._str_rows(sql)
+            if len(memo) > KEY_MEMO_SIZE:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(sql)
+        return list(keys)
+
+    def _str_rows(self, sql: str) -> list[tuple[str, ...]]:
+        return [tuple(map(str, row)) for row in self.query_rows(sql)]
+
+    def _data_token(self) -> tuple[int, int, int]:
+        """What changes whenever a key fetch could read different rows.
+
+        ``total_changes`` counts every row this connection inserted,
+        updated or deleted, committed or not, less its own temp-table
+        fills; ``schema_version`` moves on DDL (a table dropped and
+        recreated empty); ``data_version`` on commits by other
+        connections to the same file.
+        """
+        connection = self.connection
+        return (
+            connection.total_changes - self._temp_changes,
+            connection.execute("PRAGMA main.data_version").fetchone()[0],
+            connection.execute("PRAGMA main.schema_version").fetchone()[0],
+        )
 
     def query_column(self, sql: str, params: Sequence[object] = ()) -> list[object]:
         """First column of a SELECT as a plain list."""
@@ -288,10 +348,13 @@ class Database:
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        before = self.connection.total_changes
         try:
             self.connection.execute(f"DELETE FROM temp.{_quote(name)}")
         except sqlite3.Error as exc:
             raise ExecutionError(f"{exc} while emptying temp table {name}") from exc
+        finally:
+            self._temp_changes += self.connection.total_changes - before
         self._fill_temp_table(name, len(columns), rows, chunk_size)
 
     def _fill_temp_table(
@@ -303,6 +366,7 @@ class Database:
     ) -> None:
         placeholders = ", ".join("?" for _ in range(width))
         sql = f"INSERT INTO temp.{_quote(name)} VALUES ({placeholders})"
+        before = self.connection.total_changes
         try:
             for chunk in _chunked(rows, chunk_size):
                 self.connection.executemany(sql, chunk)
@@ -310,6 +374,8 @@ class Database:
         except sqlite3.Error as exc:
             self.connection.rollback()
             raise ExecutionError(f"{exc} while filling temp table {name}") from exc
+        finally:
+            self._temp_changes += self.connection.total_changes - before
 
     def drop_temp_table(self, name: str) -> None:
         """Drop a TEMP table (and its indexes) if it exists."""

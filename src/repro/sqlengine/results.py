@@ -50,10 +50,13 @@ class ResultSet:
 
     @classmethod
     def from_cursor(cls, cursor) -> "ResultSet":
-        """Build from a sqlite3 cursor that has executed a statement."""
+        """Build from a sqlite3 cursor that has executed a statement.
+
+        Rows are taken as fetched: without a ``row_factory`` (none is
+        ever set) sqlite3 already returns plain tuples.
+        """
         columns = [d[0] for d in cursor.description] if cursor.description else []
-        rows = [tuple(row) for row in cursor.fetchall()]
-        return cls(columns=columns, rows=rows)
+        return cls(columns=columns, rows=cursor.fetchall())
 
     def __len__(self) -> int:
         return len(self.rows)

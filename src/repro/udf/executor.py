@@ -6,9 +6,11 @@ Execution plan for one hybrid query:
    per distinct SQL text (see :class:`PreparedStatement`).
 2. For each **LLMMap**: find its owning SELECT scope, apply predicate
    pushdown to fetch only the key tuples that database-only predicates
-   allow, batch the keys (default 5 per call, Section 5.4), prompt the
-   model, and bind the answers to a lookup function registered on the
-   connection (:class:`~repro.sqlengine.database.LookupFunction`).
+   allow (a fetch the connection memoizes until its data changes:
+   :meth:`~repro.sqlengine.database.Database.fetch_keys`), batch the
+   keys (default 5 per call, Section 5.4), prompt the model, and bind
+   the answers to a lookup function registered on the connection
+   (:class:`~repro.sqlengine.database.LookupFunction`).
 3. For each **LLMQA**: one scalar call; the answer becomes a literal.
 4. For each **LLMJoin**: like LLMMap, but materialized into a TEMP table,
    because a FROM source needs one.
@@ -84,7 +86,7 @@ from repro.udf.ingredients import (
     parse_ingredient_call,
     parse_map_answers,
 )
-from repro.udf.pushdown import pushable_conjuncts, resolve_alias
+from repro.udf.pushdown import is_deterministic, pushable_conjuncts, resolve_alias
 from repro.udf.semantic_cache import SemanticCache
 from repro.udf.views import MaterializedViewStore
 
@@ -254,40 +256,32 @@ class HybridQueryExecutor:
         return result
 
     def execute_with_report(
-        self,
-        hybrid_sql: Union[str, ast.Select],
-        *,
-        keys: Optional[Sequence[list[tuple]]] = None,
+        self, hybrid_sql: Union[str, ast.Select]
     ) -> tuple[ResultSet, ExecutionReport]:
         """Execute and also return pushdown/call diagnostics.
 
         ``hybrid_sql`` may be an already parsed statement; execution
         never mutates it (and, not owning it, prepares it for this call
-        only).  ``keys`` are the key lists :meth:`plan_key_requests`
-        returned for this same query, in order: a caller that planned
-        the query hands them over and execution does not fetch them
-        again.
+        only).
         """
         tel = self._tel
         if not tel.enabled:
-            return self._execute_with_report(hybrid_sql, keys)
+            return self._execute_with_report(hybrid_sql)
         with tel.tracer.span("udf:query") as span:
-            result, report = self._execute_with_report(hybrid_sql, keys)
+            result, report = self._execute_with_report(hybrid_sql)
             span.set("llm_calls", report.llm_calls)
             span.set("keys_generated", report.keys_generated)
             return result, report
 
     def _execute_with_report(
-        self,
-        hybrid_sql: Union[str, ast.Select],
-        keys: Optional[Sequence[list[tuple]]],
+        self, hybrid_sql: Union[str, ast.Select]
     ) -> tuple[ResultSet, ExecutionReport]:
         tel = self._tel
         report = ExecutionReport()
         with (tel.tracer.span("sql:parse") if tel.enabled else NULL_SPAN):
             prepared = self._prepare(hybrid_sql)
         try:
-            fillings = self._fill_ingredients(prepared, report, keys)
+            fillings = self._fill_ingredients(prepared, report)
             with (tel.tracer.span("sql:rewrite") if tel.enabled else NULL_SPAN):
                 report.rewritten_sql = prepared.final_sql(fillings)
             with (tel.tracer.span("sql:execute") if tel.enabled else NULL_SPAN):
@@ -358,10 +352,7 @@ class HybridQueryExecutor:
             yield occurrence
 
     def _fill_ingredients(
-        self,
-        prepared: "PreparedStatement",
-        report: ExecutionReport,
-        keys: Optional[Sequence[list[tuple]]],
+        self, prepared: "PreparedStatement", report: ExecutionReport
     ) -> tuple[Optional[str], ...]:
         """Run every ingredient; what each occurrence is replaced with.
 
@@ -370,7 +361,6 @@ class HybridQueryExecutor:
         table holding an LLMJoin one.
         """
         tel = self._tel
-        planned = iter(keys or ())
         fillings: list[Optional[str]] = []
         for occurrence in self._walk(prepared):
             call = occurrence.call
@@ -384,9 +374,9 @@ class HybridQueryExecutor:
                 if call.kind == "LLMQA":
                     filling = self._run_qa(call)
                 elif call.kind == "LLMMap":
-                    filling = self._run_map(occurrence, report, next(planned, None))
+                    filling = self._run_map(occurrence, report)
                 else:  # LLMJoin
-                    filling = self._run_join(occurrence, report, next(planned, None))
+                    filling = self._run_join(occurrence, report)
             fillings.append(filling)
         return tuple(fillings)
 
@@ -443,8 +433,7 @@ class HybridQueryExecutor:
         Returns ``(map_requests, qa_prompts)`` where each map request is
         an LLMMap/LLMJoin call paired with the key tuples it needs —
         the unit a pairs-mode planner unions across questions.  Accepts
-        an already parsed statement, like :meth:`execute_with_report`,
-        which in turn accepts the key lists returned here.
+        an already parsed statement, like :meth:`execute_with_report`.
         """
         map_requests: list[tuple[IngredientCall, list[tuple]]] = []
         qa_prompts: list[str] = []
@@ -519,12 +508,7 @@ class HybridQueryExecutor:
 
     # -- LLMMap ------------------------------------------------------------------
 
-    def _run_map(
-        self,
-        occurrence: "_Occurrence",
-        report: ExecutionReport,
-        planned_keys: Optional[list[tuple]],
-    ) -> str:
+    def _run_map(self, occurrence: "_Occurrence", report: ExecutionReport) -> str:
         """Generate one LLMMap's mapping; the function the rewrite reads it from."""
         call = occurrence.call
         view_table = self._view_table(call)
@@ -540,7 +524,7 @@ class HybridQueryExecutor:
             if tel.enabled
             else NULL_SPAN
         ) as span:
-            keys = self._fetch_keys(occurrence, report, planned_keys)
+            keys = self._fetch_keys(occurrence, report)
             span.set("keys", len(keys))
         mapping = self._generate_mapping(call, keys, report)
         with (tel.tracer.span("udf:materialize") if tel.enabled else NULL_SPAN):
@@ -565,28 +549,25 @@ class HybridQueryExecutor:
         return lookup.name
 
     def _fetch_keys(
-        self,
-        occurrence: "_Occurrence",
-        report: ExecutionReport,
-        planned_keys: Optional[list[tuple]] = None,
+        self, occurrence: "_Occurrence", report: ExecutionReport
     ) -> list[tuple]:
         """Distinct key tuples, after predicate pushdown when enabled.
 
-        ``planned_keys`` are the same tuples as a dry run of this query
-        already fetched them; the database is then left alone.
+        Served by the connection's key memo, shared with every executor,
+        dry run and request on it, unless a pushed predicate calls a
+        function that may select other keys from the same rows.
         """
-        keys = planned_keys
-        if keys is None:
-            # bulk fetch: no ResultSet bookkeeping for rows only ever str()-ed
-            keys = [
-                tuple(map(str, row))
-                for row in self.db.query_rows(self._key_sql(occurrence))
-            ]
+        sql = self._key_sql(occurrence)
+        keys = self.db.fetch_keys(sql, reuse=occurrence.key_reusable)
         report.keys_after_pushdown[occurrence.call.question] = len(keys)
         return keys
 
     def _key_sql(self, occurrence: "_Occurrence") -> str:
-        """The key-fetch query of one occurrence, analysed on first use."""
+        """The key-fetch query of one occurrence, analysed on first use.
+
+        The same walk over the pushed conjuncts decides whether the
+        fetch may be reused (``occurrence.key_reusable``).
+        """
         if occurrence.key_sql is not None:
             return occurrence.key_sql
         call, alias = occurrence.call, occurrence.alias
@@ -609,6 +590,7 @@ class HybridQueryExecutor:
                     f"({render_expression(c)})" for c in conjuncts
                 )
                 sql += f" WHERE {rendered}"
+                occurrence.key_reusable = all(map(is_deterministic, conjuncts))
         occurrence.key_sql = sql
         return sql
 
@@ -862,18 +844,13 @@ class HybridQueryExecutor:
 
     # -- LLMJoin -----------------------------------------------------------------
 
-    def _run_join(
-        self,
-        occurrence: "_Occurrence",
-        report: ExecutionReport,
-        planned_keys: Optional[list[tuple]],
-    ) -> str:
+    def _run_join(self, occurrence: "_Occurrence", report: ExecutionReport) -> str:
         """Materialize a generated table usable in FROM; its name.
 
         Columns: the key columns under their original names plus ``value``.
         """
         call = occurrence.call
-        keys = self._fetch_keys(occurrence, report, planned_keys)
+        keys = self._fetch_keys(occurrence, report)
         mapping = self._generate_mapping(call, keys, report)
         columns = list(call.key_columns) + ["value"]
         return self._materialize(occurrence, columns, mapping)
@@ -894,8 +871,8 @@ class _Occurrence:
     under there.  ``error`` is what the walk raises on reaching a
     malformed occurrence; nothing after it is prepared, because
     execution never gets that far.  The slot — ``lookup`` for LLMMap,
-    ``table`` for LLMJoin — and ``key_sql`` are filled by the executor
-    on first use.
+    ``table`` for LLMJoin — and ``key_sql`` with ``key_reusable`` are
+    filled by the executor on first use.
     """
 
     nodes: list[ast.Ingredient]
@@ -905,6 +882,7 @@ class _Occurrence:
     source_alias: Optional[str] = None
     error: Optional[ReproError] = None
     key_sql: Optional[str] = None
+    key_reusable: bool = True
     lookup: Optional[LookupFunction] = None
     table: Optional[str] = None
 

@@ -102,7 +102,7 @@ def _count_calls(monkeypatch, owner, name):
 
 
 class TestParsedOnce:
-    """Serving prepares each text once and fetches each request's keys once."""
+    """Serving prepares each text once and fetches each key set once."""
 
     def test_batched_udf_request_is_parsed_once(self, serve_swan, monkeypatch):
         """Each distinct text is parsed once per executor per run."""
@@ -130,7 +130,12 @@ class TestParsedOnce:
     def test_finalize_neither_parses_nor_fetches_keys(
         self, serve_swan, monkeypatch
     ):
-        """A planned request's finalize reuses planning's tree and keys."""
+        """The twins run each key fetch once in total; finalize runs none.
+
+        Planning the first twin fetches its key sets; the second twin's
+        planning and both finalize passes are served by the
+        connection's key memo.
+        """
         from repro.sqlengine.database import Database
         from repro.udf import executor as executor_module
 
@@ -152,11 +157,12 @@ class TestParsedOnce:
         )
         assert all(o.answered for o in report.outcomes)
         assert len(stages) == 2
-        for member, before, after in stages:
-            assert member.keys  # planning fetched them ...
-            assert after == before  # ... and finalize did no such work
+        for _, before, after in stages:
+            assert after == before  # finalize neither parses nor fetches
         assert len(parsed) == 1  # the twins share one prepared statement
-        assert len(fetched) == sum(len(m.keys) for m, _, _ in stages)
+        texts = [sql for _, sql in fetched]
+        assert texts and all("NOT INDEXED" in sql for sql in texts)
+        assert len(texts) == len(set(texts))  # no key set fetched twice
 
     def test_unparseable_sql_still_degrades_with_an_error(self, serve_swan):
         bad = QueryRequest(

@@ -22,6 +22,11 @@ class TestExecution:
         assert result.columns == ["a", "b"]
         assert result.rows == [(1, "x"), (2, "y"), (3, "z")]
 
+    def test_query_rows_are_plain_tuples(self, db):
+        rows = db.query("SELECT a, b FROM t ORDER BY a").rows
+        assert type(rows) is list
+        assert all(type(row) is tuple for row in rows)
+
     def test_query_column_and_scalar(self, db):
         assert db.query_column("SELECT a FROM t ORDER BY a") == [1, 2, 3]
         assert db.query_scalar("SELECT COUNT(*) FROM t") == 3

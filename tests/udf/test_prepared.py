@@ -181,9 +181,14 @@ class TestSlots:
         db.connection.set_trace_callback(statements.append)
         reports = [executor.execute_with_report(sql)[1] for sql in STATEMENTS]
         db.connection.set_trace_callback(None)
-        # key fetches and final queries: no DDL, DELETE or INSERT
-        assert statements
-        assert all(s.lstrip().upper().startswith("SELECT") for s in statements)
+        # no DDL, DELETE or INSERT, and no key fetch either: the final
+        # queries and the key memo's validity reads are all that runs
+        finals = [s for s in statements if not s.startswith("PRAGMA ")]
+        assert finals == [r.rewritten_sql for r in reports]
+        assert set(statements) - set(finals) == {
+            "PRAGMA main.data_version",
+            "PRAGMA main.schema_version",
+        }
         # ... and the rewritten SQL of a text is one constant string
         assert [r.rewritten_sql for r in reports] == [
             executor.execute_with_report(sql)[1].rewritten_sql
