@@ -120,9 +120,6 @@ class Database:
         #: valid while :meth:`_data_token` reads ``_key_token``
         self._key_memo: OrderedDict[str, list[tuple[str, ...]]] = OrderedDict()
         self._key_token: Optional[tuple[int, int, int]] = None
-        #: rows changed by this object's own temp-table fills, which no
-        #: key fetch reads and so must not expire the memo
-        self._temp_changes = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -216,14 +213,14 @@ class Database:
         """What changes whenever a key fetch could read different rows.
 
         ``total_changes`` counts every row this connection inserted,
-        updated or deleted, committed or not, less its own temp-table
-        fills; ``schema_version`` moves on DDL (a table dropped and
-        recreated empty); ``data_version`` on commits by other
-        connections to the same file.
+        updated or deleted, committed or not — temp tables included, so
+        an LLMJoin refill clears the memo too; ``schema_version`` moves
+        on DDL (a table dropped and recreated empty); ``data_version`` on
+        commits by other connections to the same file.
         """
         connection = self.connection
         return (
-            connection.total_changes - self._temp_changes,
+            connection.total_changes,
             connection.execute("PRAGMA main.data_version").fetchone()[0],
             connection.execute("PRAGMA main.schema_version").fetchone()[0],
         )
@@ -348,13 +345,10 @@ class Database:
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        before = self.connection.total_changes
         try:
             self.connection.execute(f"DELETE FROM temp.{_quote(name)}")
         except sqlite3.Error as exc:
             raise ExecutionError(f"{exc} while emptying temp table {name}") from exc
-        finally:
-            self._temp_changes += self.connection.total_changes - before
         self._fill_temp_table(name, len(columns), rows, chunk_size)
 
     def _fill_temp_table(
@@ -366,7 +360,6 @@ class Database:
     ) -> None:
         placeholders = ", ".join("?" for _ in range(width))
         sql = f"INSERT INTO temp.{_quote(name)} VALUES ({placeholders})"
-        before = self.connection.total_changes
         try:
             for chunk in _chunked(rows, chunk_size):
                 self.connection.executemany(sql, chunk)
@@ -374,8 +367,6 @@ class Database:
         except sqlite3.Error as exc:
             self.connection.rollback()
             raise ExecutionError(f"{exc} while filling temp table {name}") from exc
-        finally:
-            self._temp_changes += self.connection.total_changes - before
 
     def drop_temp_table(self, name: str) -> None:
         """Drop a TEMP table (and its indexes) if it exists."""

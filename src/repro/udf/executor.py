@@ -86,7 +86,7 @@ from repro.udf.ingredients import (
     parse_ingredient_call,
     parse_map_answers,
 )
-from repro.udf.pushdown import is_deterministic, pushable_conjuncts, resolve_alias
+from repro.udf.pushdown import calls_no_function, pushable_conjuncts, resolve_alias
 from repro.udf.semantic_cache import SemanticCache
 from repro.udf.views import MaterializedViewStore
 
@@ -555,7 +555,7 @@ class HybridQueryExecutor:
 
         Served by the connection's key memo, shared with every executor,
         dry run and request on it, unless a pushed predicate calls a
-        function that may select other keys from the same rows.
+        function, which might select other keys from the same rows.
         """
         sql = self._key_sql(occurrence)
         keys = self.db.fetch_keys(sql, reuse=occurrence.key_reusable)
@@ -590,7 +590,7 @@ class HybridQueryExecutor:
                     f"({render_expression(c)})" for c in conjuncts
                 )
                 sql += f" WHERE {rendered}"
-                occurrence.key_reusable = all(map(is_deterministic, conjuncts))
+                occurrence.key_reusable = all(map(calls_no_function, conjuncts))
         occurrence.key_sql = sql
         return sql
 

@@ -15,9 +15,9 @@ against the ingredient's source table:
   qualified with the table's alias, or unqualified when the source table
   is the only table in scope.
 
-:func:`is_deterministic` decides whether a pushed conjunct selects the
-same keys from the same rows every time, which is what lets the
-connection's key memo serve a repeated fetch.
+:func:`calls_no_function` decides whether a pushed conjunct surely
+selects the same keys from the same rows every time, which is what lets
+the connection's key memo serve a repeated fetch.
 """
 
 from __future__ import annotations
@@ -33,30 +33,19 @@ from repro.sqlparser.rewrite import (
 )
 
 
-#: SQLite's built-in scalar functions whose result depends on their
-#: arguments alone.  Anything else — ``random()``, the date/time
-#: functions (``'now'``), ``changes()``, a user function — may answer
-#: differently on unchanged rows.
-DETERMINISTIC_FUNCTIONS = frozenset(
-    {
-        "abs", "char", "coalesce", "format", "glob", "hex", "ifnull", "iif",
-        "instr", "length", "like", "likelihood", "likely", "lower", "ltrim",
-        "max", "min", "nullif", "printf", "quote", "replace", "round",
-        "rtrim", "sign", "substr", "substring", "trim", "typeof", "unicode",
-        "unlikely", "upper", "zeroblob",
-    }
-)
+def calls_no_function(expr: ast.Expr) -> bool:
+    """Whether ``expr`` calls no SQL function, not even through an operator.
 
-
-def is_deterministic(expr: ast.Expr) -> bool:
-    """Whether ``expr`` calls only :data:`DETERMINISTIC_FUNCTIONS`."""
-    for node in walk(expr):
-        if isinstance(node, ast.FuncCall):
-            if node.name.lower() not in DETERMINISTIC_FUNCTIONS:
-                return False
-        elif isinstance(node, ast.Like) and node.op.upper() not in ("LIKE", "GLOB"):
-            return False  # REGEXP calls a user function, regexp()
-    return True
+    Some functions answer differently on unchanged rows — ``random()``,
+    the date/time functions (``'now'``, ``CURRENT_TIMESTAMP``), a user
+    function — so any call at all refuses reuse.  ``REGEXP`` calls a
+    user function, ``regexp()``; ``LIKE`` and ``GLOB`` do not.
+    """
+    return not any(
+        isinstance(node, ast.FuncCall)
+        or (isinstance(node, ast.Like) and node.op.upper() not in ("LIKE", "GLOB"))
+        for node in walk(expr)
+    )
 
 
 def _has_subquery(expr: ast.Expr) -> bool:
