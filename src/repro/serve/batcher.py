@@ -36,7 +36,9 @@ call's usage back via :meth:`CrossRequestBatcher.settle_call`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from repro.plan import MappingStore
@@ -113,23 +115,17 @@ class PendingRequest:
         self.waves: list[str] = []
 
 
-class _Item:
-    """One unit of LLM work and every request waiting on it."""
-
-    __slots__ = ("payload", "requesters")
-
-    def __init__(self, payload) -> None:
-        self.payload = payload
-        #: in attach order; a dict so "already waiting?" is one lookup
-        self.requesters: dict[PendingRequest, None] = {}
-
-
 class _Group:
-    """One batchable stream: same database and ingredient/label."""
+    """One batchable stream: same database and ingredient/label.
+
+    Columnar: ``items`` maps each payload, in enqueue order, to its
+    *owner* (the first request that asked for it), and ``later`` holds
+    the rare payload's further requesters in attach order.
+    """
 
     __slots__ = (
         "gid", "kind", "database", "call", "label", "chunk_size",
-        "threshold", "latency_bearing", "items", "opened_at",
+        "threshold", "latency_bearing", "items", "later", "opened_at",
         "deadline_min", "release_at", "release_reason", "epoch",
     )
 
@@ -153,7 +149,8 @@ class _Group:
         self.chunk_size = chunk_size
         self.threshold = threshold
         self.latency_bearing = latency_bearing
-        self.items: dict[object, _Item] = {}
+        self.items: dict[object, PendingRequest] = {}
+        self.later: dict[object, list[PendingRequest]] = {}
         self.opened_at: Optional[float] = None
         self.deadline_min = math.inf
         self.release_at: Optional[float] = None
@@ -185,6 +182,7 @@ class _Group:
     def reset(self) -> None:
         """Clear to an empty group; the next attach opens a new epoch."""
         self.items = {}
+        self.later = {}
         self.opened_at = None
         self.deadline_min = math.inf
         self.release_at = None
@@ -204,10 +202,28 @@ class FlushedGroup:
     chunk_size: int
     latency_bearing: bool
     trigger: str
-    #: (payload, requesters) in enqueue order; requesters in attach order
-    items: list[tuple[object, list[PendingRequest]]] = field(
-        default_factory=list
-    )
+    #: payloads in enqueue order, and each one's owner
+    payloads: list
+    owners: list[PendingRequest]
+    #: payload -> its requesters after the owner, in attach order (only
+    #: the payloads several requests want)
+    later: dict[object, list[PendingRequest]]
+    #: items owed per requester, in first appearance over (payload,
+    #: requester)
+    members: Counter
+
+
+def count_requesters(
+    payloads: Sequence, owners: Sequence[PendingRequest], later: dict
+) -> Counter:
+    """Items owed per requester, in first appearance over (payload, requester)."""
+    if not later:
+        return Counter(owners)
+    counts: Counter = Counter()
+    for payload, owner in zip(payloads, owners):
+        counts[owner] += 1
+        counts.update(later.get(payload, ()))
+    return counts
 
 
 def split_fairly(
@@ -334,21 +350,25 @@ class CrossRequestBatcher:
         member: PendingRequest,
         now: float,
     ) -> int:
-        attached = 0
-        for payload in payloads:
-            item = group.items.get(payload)
-            if item is None:
-                if not group.items:
-                    group.opened_at = now
-                item = _Item(payload)
-                group.items[payload] = item
-                self.items_enqueued += 1
-            if member in item.requesters:
-                continue  # the same request asked twice (two occurrences)
-            item.requesters[member] = None
-            member.outstanding += 1
-            attached += 1
+        items, later = group.items, group.later
+        fresh = dict.fromkeys(payloads, member)
+        attached = len(fresh)
+        if not items.keys().isdisjoint(fresh):
+            # single-flight: some payloads already have an owner
+            for payload in [p for p in fresh if p in items]:
+                del fresh[payload]
+                waiting = later.get(payload, [])
+                if items[payload] is member or member in waiting:
+                    attached -= 1  # the same request asked twice
+                else:
+                    later[payload] = [*waiting, member]
+        if fresh:
+            if not items:
+                group.opened_at = now
+            items.update(fresh)
+            self.items_enqueued += len(fresh)
         if attached:
+            member.outstanding += attached
             before = group.release_at
             group.deadline_min = min(
                 group.deadline_min, member.request.deadline_at
@@ -409,50 +429,49 @@ class CrossRequestBatcher:
                 continue
             if group.release_at > now + _EPS:
                 continue
-            items = list(group.items.values())
-            kept: list[_Item] = []
+            payloads = list(group.items)
+            owners = list(group.items.values())
+            full = len(payloads)
             if (
                 retain_tails
                 and group.release_reason == SIZE_TRIGGERED
                 and group.chunk_size > 1
             ):
-                full = (len(items) // group.chunk_size) * group.chunk_size
-                items, kept = items[:full], items[full:]
-            if not items:
+                full -= full % group.chunk_size
+            if not full:
                 # a stale release (e.g. re-targeted past us): leave the
                 # group exactly as it is
                 continue
-            flushed = FlushedGroup(
-                gid=group.gid,
-                kind=group.kind,
-                database=group.database,
-                call=group.call,
-                label=group.label,
-                chunk_size=group.chunk_size,
-                latency_bearing=group.latency_bearing,
-                trigger=group.release_reason,
-                items=[
-                    (item.payload, list(item.requesters)) for item in items
-                ],
+            kept = dict(zip(payloads[full:], owners[full:]))
+            later, kept_later = group.later, {}
+            if later and kept:
+                kept_later = {p: r for p, r in later.items() if p in kept}
+                later = {p: r for p, r in later.items() if p not in kept}
+            del payloads[full:], owners[full:]
+            wave.append(
+                FlushedGroup(
+                    gid=group.gid, kind=group.kind, database=group.database,
+                    call=group.call, label=group.label,
+                    chunk_size=group.chunk_size,
+                    latency_bearing=group.latency_bearing,
+                    trigger=group.release_reason,
+                    payloads=payloads, owners=owners, later=later,
+                    members=count_requesters(payloads, owners, later),
+                )
             )
             self.flushes[group.release_reason] += 1
-            self.items_coalesced += sum(
-                1 for _, reqs in flushed.items if len(reqs) >= 2
-            )
-            wave.append(flushed)
+            self.items_coalesced += len(later)
             group.reset()
             if kept:
                 # the tail re-opens on a fresh window at ``now``; its
                 # deadline floor is recomputed from the remaining waiters
-                group.items = {item.payload: item for item in kept}
+                group.items, group.later = kept, kept_later
                 group.opened_at = now
                 group.deadline_min = min(
-                    (
-                        member.request.deadline_at
-                        for item in kept
-                        for member in item.requesters
-                    ),
-                    default=math.inf,
+                    member.request.deadline_at
+                    for member in chain(
+                        dict.fromkeys(kept.values()), *kept_later.values()
+                    )
                 )
                 group.retarget(now, self.config.window)
                 if group.release_at is not None:
@@ -463,16 +482,19 @@ class CrossRequestBatcher:
 
     def settle_call(
         self,
-        item_requesters: Sequence[Sequence[PendingRequest]],
+        payloads: Sequence,
+        owners: Sequence[PendingRequest],
+        later: dict[object, list[PendingRequest]],
         usage=None,
         *,
         fill: Optional[float] = None,
     ) -> None:
         """Account one formed call and attribute its cost to its members.
 
-        ``item_requesters`` holds, per item the call covered, the
-        requests waiting on it.  Each item's cost share splits evenly
-        across its requesters; token totals split across members by
+        The call covered ``payloads``; ``owners`` are their first
+        requesters and ``later`` maps a payload to its further ones (a
+        payload absent from it has one).  Each item's cost share splits
+        evenly across its requesters; token totals split across members by
         largest remainder; the call count lands on the heaviest member
         (ties to the lowest request id) so integer call accounting stays
         conserved — at ``max_concurrent=1`` everything lands on the sole
@@ -482,21 +504,29 @@ class CrossRequestBatcher:
         if fill is not None:
             self._occupancy_sum += fill
             self._occupancy_calls += 1
-        weights: dict[PendingRequest, float] = {}
-        for requesters in item_requesters:
-            share = 1.0 / len(requesters)
-            for member in requesters:
-                weights[member] = weights.get(member, 0.0) + share
-        members = sorted(weights, key=lambda m: m.request.request_id)
-        if len(members) >= 2:
+        # a lone requester's weight is a sum of 1.0s: an exact count
+        weights: Counter = Counter(owners)
+        extras: list[int] = []
+        if later:
+            # shares of 1/n, summed in item order like any float ledger
+            weights = Counter()
+            for payload, owner in zip(payloads, owners):
+                requesters = (owner, *later.get(payload, ()))
+                share = 1.0 / len(requesters)
+                for member in requesters:
+                    weights[member] += share
+                if len(requesters) > 1:
+                    extras.append(len(requesters) - 1)
+        shared = len(weights) >= 2
+        if shared:
             self.coalesced_calls += 1
         if usage is None or not usage.calls:
             return
         self.paid_calls += 1
+        members = sorted(weights, key=lambda m: m.request.request_id)
         member_weights = [weights[m] for m in members]
         in_split = split_fairly(members, member_weights, usage.input_tokens)
         out_split = split_fairly(members, member_weights, usage.output_tokens)
-        shared = len(members) >= 2
         for member, w_in, w_out in zip(members, in_split, out_split):
             member.input_tokens += w_in
             member.output_tokens += w_out
@@ -508,13 +538,9 @@ class CrossRequestBatcher:
         heaviest.llm_calls += usage.calls
         if shared:
             call_tokens = usage.input_tokens + usage.output_tokens
-            n_items = max(1, len(item_requesters))
-            for requesters in item_requesters:
-                extra = len(requesters) - 1
-                if extra > 0:
-                    self._fanout_tokens_saved += (
-                        extra * call_tokens / n_items
-                    )
+            n_items = max(1, len(payloads))
+            for extra in extras:
+                self._fanout_tokens_saved += extra * call_tokens / n_items
 
     # -- reporting ----------------------------------------------------------------
 

@@ -41,7 +41,9 @@ from __future__ import annotations
 
 import heapq
 import threading
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -60,6 +62,7 @@ from repro.serve.batcher import (
     CrossRequestBatcher,
     FlushedGroup,
     PendingRequest,
+    count_requesters,
 )
 from repro.serve.report import ServeReport
 from repro.serve.request import (
@@ -170,22 +173,30 @@ class ServerConfig:
 
 
 def _fan_out(
-    signature: tuple,
-    chunk: Sequence[tuple],
-    answers: Sequence[Optional[str]],
-    item_requesters: Sequence[Sequence[PendingRequest]],
-) -> dict[PendingRequest, dict[tuple, Optional[str]]]:
-    """Deliver one chunk's answers to the overlay of every waiting request.
+    signature: tuple, group: FlushedGroup, answers: Sequence[Optional[str]]
+) -> None:
+    """Deliver a flushed map group's answers to every waiting request.
 
-    One ``put`` per member, not per key; returns each member's share.
+    One overlay ``put`` per member and group.  An enqueue attaches a
+    request's new keys as one run of ``group.owners``, so shares are
+    built slice by slice; the rare later requesters are added per key.
     """
+    payloads = group.payloads
     shares: dict[PendingRequest, dict[tuple, Optional[str]]] = {}
-    for key, answer, requesters in zip(chunk, answers, item_requesters):
-        for member in requesters:
-            shares.setdefault(member, {})[key] = answer
+    start = 0
+    for owner, run in groupby(group.owners):
+        end = start + len(list(run))
+        shares.setdefault(owner, {}).update(
+            zip(payloads[start:end], answers[start:end])
+        )
+        start = end
+    if group.later:
+        answer_of = dict(zip(payloads, answers))
+        for payload, requesters in group.later.items():
+            for member in requesters:
+                shares.setdefault(member, {})[payload] = answer_of[payload]
     for member, share in shares.items():
         member.overlay.put(signature, share)
-    return shares
 
 
 class QueryServer:
@@ -687,11 +698,9 @@ class QueryServer:
             self._push_event(max(when, now), "flush", None)
         if not wave:
             return
-        members: dict[PendingRequest, int] = {}
+        members: Counter = Counter()
         for group in wave:
-            for _, requesters in group.items:
-                for member in requesters:
-                    members[member] = members.get(member, 0) + 1
+            members.update(group.members)
         # the wave's dispatch budget ends at the earliest member deadline:
         # the batcher already guarantees no group is *released* late, and
         # this Deadline guarantees no retry backoff overruns it either
@@ -719,7 +728,7 @@ class QueryServer:
                     flush=now,
                     land=land,
                     members=tuple(m.request.trace_id for m in ordered),
-                    items=sum(len(group.items) for group in wave),
+                    items=sum(len(group.payloads) for group in wave),
                     calls=wave_calls,
                 )
             )
@@ -746,25 +755,21 @@ class QueryServer:
         Returns the number of calls the group formed (trace bookkeeping).
         """
         batcher = self.batcher
-        requests_in_group = len(
-            {m for _, requesters in group.items for m in requesters}
-        )
+        later = group.later
         calls_formed = 0
 
-        def settle(item_requesters, usage, fill=None) -> None:
+        def settle(payloads, owners, usage, fill=None) -> None:
             # a paid call on a latency-bearing group occupies the wave
             # (``usage`` is None for a call that failed)
             if usage is not None and usage.calls and group.latency_bearing:
                 wave_sizes.append((usage.input_tokens, usage.output_tokens))
-            batcher.settle_call(item_requesters, usage, fill=fill)
+            batcher.settle_call(payloads, owners, later, usage, fill=fill)
 
         if group.kind == "map":
             state = self.states.udf(group.database)
             executor = state.executor
             signature = group.call.signature()
-            keys = [payload for payload, _ in group.items]
-            requesters_of = dict(group.items)
-            chunks = batched(keys, group.chunk_size)
+            chunks = batched(group.payloads, group.chunk_size)
             # memoized: most chunks recur, and the prompt cache will
             # answer them — no need to assemble the prompt again first
             prompts = [
@@ -775,41 +780,42 @@ class QueryServer:
                 capture_errors=True, deadline=deadline,
             )
             calls_formed = len(chunks)
-            for chunk, outcome in zip(chunks, outcomes):
-                item_requesters = [requesters_of[key] for key in chunk]
+            answers: list[Optional[str]] = []
+            for chunk, owners, outcome in zip(
+                chunks, batched(group.owners, group.chunk_size), outcomes
+            ):
                 fill = len(chunk) / group.chunk_size
                 if outcome.error is not None:
                     # same tolerance as the per-request path: the failed
                     # batch degrades to NULLs for every waiting request
-                    shares = _fan_out(
-                        signature, chunk, [None] * len(chunk), item_requesters
-                    )
-                    for member, share in shares.items():
-                        member.degraded_keys += len(share)
+                    answers += [None] * len(chunk)
+                    for member, count in count_requesters(
+                        chunk, owners, later
+                    ).items():
+                        member.degraded_keys += count
                     self.resilience.record_degraded(len(chunk))
-                    settle(item_requesters, None, fill)
+                    settle(chunk, owners, None, fill)
                     continue
                 # memoized like the prompt: a cached completion was
                 # decoded when it was paid for
-                answers = state.decode(outcome.response.text, len(chunk))
-                _fan_out(signature, chunk, answers, item_requesters)
-                if batcher.config.persist and executor.publish_mappings:
-                    # only real answers, like the executor: degraded or
-                    # drifted NULLs must not pin other requests to NULL
-                    self.mapping_store.put(
-                        signature,
-                        {
-                            k: v for k, v in zip(chunk, answers)
-                            if v is not None
-                        },
-                    )
-                settle(item_requesters, outcome.response.usage, fill)
+                answers += state.decode(outcome.response.text, len(chunk))
+                settle(chunk, owners, outcome.response.usage, fill)
                 if self._tel.timeseries.enabled:
                     self._tel.timeseries.observe(
                         "serve.batch_occupancy", now, fill
                     )
+            _fan_out(signature, group, answers)
+            if batcher.config.persist and executor.publish_mappings:
+                # only real answers, like the executor: degraded or
+                # drifted NULLs must not pin other requests to NULL
+                self.mapping_store.put(
+                    signature,
+                    {
+                        k: v for k, v in zip(group.payloads, answers)
+                        if v is not None
+                    },
+                )
         else:
-            prompts = [payload for payload, _ in group.items]
             if group.label.startswith("hqdl:"):
                 pipeline = self.states.hqdl(group.database).pipeline
                 dispatcher, client = pipeline._dispatcher, pipeline.client
@@ -817,24 +823,26 @@ class QueryServer:
                 executor = self.states.udf(group.database).executor
                 dispatcher, client = executor.dispatcher, executor.client
             outcomes = dispatcher.dispatch(
-                client, prompts, labels=group.label,
+                client, group.payloads, labels=group.label,
                 capture_errors=True, deadline=deadline,
             )
-            calls_formed = len(prompts)
-            for (prompt, requesters), outcome in zip(group.items, outcomes):
-                if outcome.error is not None:
-                    # left uncached: finalize re-attempts (and degrades
-                    # there if the upstream is still failing)
-                    settle([requesters], None)
-                    continue
-                # the dispatch went through the group's CachingClient, so
-                # the completion is already cached for finalize
-                settle([requesters], outcome.response.usage)
+            calls_formed = len(group.payloads)
+            for prompt, owner, outcome in zip(
+                group.payloads, group.owners, outcomes
+            ):
+                # a failed prompt is left uncached: finalize re-attempts
+                # (and degrades there if the upstream is still failing);
+                # a completed one went through the group's CachingClient,
+                # so it is already cached for finalize
+                usage = None
+                if outcome.error is None:
+                    usage = outcome.response.usage
+                settle([prompt], [owner], usage)
         self._tel.flight.record(
             now, "batch_flush",
             label=group.label, trigger=group.trigger,
-            items=len(group.items), calls=calls_formed,
-            requests=requests_in_group,
+            items=len(group.payloads), calls=calls_formed,
+            requests=len(group.members),
         )
         return calls_formed
 

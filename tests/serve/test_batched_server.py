@@ -10,7 +10,7 @@ deadline.
 import pytest
 
 from repro.serve.batcher import BatchingConfig
-from repro.serve.request import QueryRequest
+from repro.serve.request import DEGRADED, QueryRequest
 from repro.serve.server import QueryServer, ServerConfig
 from repro.serve.traffic import generate_traffic
 from repro.harness.benchserve import default_tenants, offered_rps
@@ -199,6 +199,25 @@ class TestCrossTenantSingleFlight:
         assert all(s > 0 for s in shared)
         total = sum(o.input_tokens + o.output_tokens for o in both.outcomes)
         assert total == both.usage.input_tokens + both.usage.output_tokens
+
+    def test_a_failed_shared_batch_degrades_every_requester(
+        self, serve_swan
+    ):
+        """Both twins want every key, and every upstream call fails.
+
+        The second twin only ever waits beside the first's keys, so its
+        degraded keys come from the later requesters of failed chunks.
+        """
+        config = ServerConfig(
+            workers=4, max_concurrent=3, queue_limit=24, fault_rate=1.0,
+            fault_seed=3, batching=BatchingConfig(),
+        )
+        with QueryServer(serve_swan, config) as server:
+            report = server.run(_twin_requests(serve_swan))
+        first, second = report.outcomes
+        assert report.batching["coalesced_items"] > 0
+        assert first.degraded_keys == second.degraded_keys > 0
+        assert first.status == second.status == DEGRADED
 
     def test_accounting_balances_under_batching(self, serve_swan):
         requests, policies = _traffic(serve_swan, rps=0.6)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
@@ -113,9 +114,11 @@ class TestSingleFlight:
         # expedite is the max_concurrent=1 path, which also disables
         # tail retention — mirror the server's pairing here
         (flushed,) = batcher.collect_due(1.0, retain_tails=False)
-        ((payload, requesters),) = flushed.items
-        assert payload == ("x",)
-        assert requesters == [a, b]
+        # one owner per key; the second requester waits beside it
+        assert flushed.payloads == [("x",)]
+        assert flushed.owners == [a]
+        assert flushed.later == {("x",): [b]}
+        assert list(flushed.members.items()) == [(a, 1), (b, 1)]
         assert batcher.items_coalesced == 1
 
     def test_same_request_twice_attaches_once(self):
@@ -201,8 +204,9 @@ class TestReleasePolicy:
                         continue
                     earliest = min(
                         m.request.deadline_at
-                        for item in group.items.values()
-                        for m in item.requesters
+                        for m in chain(
+                            group.items.values(), *group.later.values()
+                        )
                     )
                     # a release is either already due (<= now) or in the
                     # future but never past the earliest member deadline
@@ -212,7 +216,7 @@ class TestReleasePolicy:
                     )
                 if rng.random() < 0.3:
                     for flushed in batcher.collect_due(now):
-                        assert flushed.items
+                        assert flushed.payloads
                 batcher.drain_releases()
 
 
@@ -229,25 +233,25 @@ class TestTailRetention:
         self._fill(batcher, 6)
         (flushed,) = batcher.collect_due(0.0)
         assert flushed.trigger == SIZE_TRIGGERED
-        assert len(flushed.items) == 4  # one full chunk
+        assert len(flushed.payloads) == 4  # one full chunk
         # the tail re-opened on a fresh window and scheduled a release
         assert batcher.has_due(2.0)
         (tail,) = batcher.collect_due(2.0)
-        assert len(tail.items) == 2
+        assert len(tail.payloads) == 2
         assert tail.trigger == WINDOW_EXPIRED
 
     def test_retention_disabled_flushes_everything(self):
         batcher = _batcher(size=4)
         self._fill(batcher, 6)
         (flushed,) = batcher.collect_due(0.0, retain_tails=False)
-        assert len(flushed.items) == 6
+        assert len(flushed.payloads) == 6
 
     def test_window_flush_takes_the_tail_too(self):
         batcher = _batcher(size=8)
         self._fill(batcher, 6)  # below threshold: window release at 2.0
         (flushed,) = batcher.collect_due(2.0)
         assert flushed.trigger == WINDOW_EXPIRED
-        assert len(flushed.items) == 6
+        assert len(flushed.payloads) == 6
 
 
 class TestSettlement:
@@ -255,7 +259,10 @@ class TestSettlement:
         batcher = _batcher()
         a, b = _member(0), _member(1)
         usage = SimpleNamespace(calls=1, input_tokens=101, output_tokens=11)
-        batcher.settle_call([[a, b], [a]], usage, fill=0.5)
+        # ("x",) is wanted by a and b, ("y",) by a alone
+        batcher.settle_call(
+            [("x",), ("y",)], [a, a], {("x",): [b]}, usage, fill=0.5
+        )
         assert a.input_tokens + b.input_tokens == 101
         assert a.output_tokens + b.output_tokens == 11
         assert a.llm_calls + b.llm_calls == 1
@@ -269,14 +276,14 @@ class TestSettlement:
         batcher = _batcher()
         a = _member(0)
         usage = SimpleNamespace(calls=1, input_tokens=50, output_tokens=5)
-        batcher.settle_call([[a]], usage)
+        batcher.settle_call([("x",)], [a], {}, usage)
         assert (a.input_tokens, a.output_tokens, a.llm_calls) == (50, 5, 1)
         assert a.shared_tokens == 0
         assert batcher.coalesced_calls == 0
 
     def test_free_call_counts_formed_not_paid(self):
         batcher = _batcher()
-        batcher.settle_call([[_member(0)]], None)
+        batcher.settle_call([("x",)], [_member(0)], {}, None)
         assert batcher.formed_calls == 1
         assert batcher.paid_calls == 0
 
@@ -292,3 +299,353 @@ class TestSettlement:
         assert set(stats["flushes"]) == {
             WINDOW_EXPIRED, SIZE_TRIGGERED, DEADLINE_FORCED,
         }
+
+
+# -- differential: the columnar former vs the per-key former it replaced -------
+
+
+class _RefItem:
+    """One unit of LLM work and every request waiting on it."""
+
+    __slots__ = ("payload", "requesters")
+
+    def __init__(self, payload):
+        self.payload = payload
+        self.requesters = {}  # attach order
+
+
+class _RefGroup:
+    def __init__(self, gid, chunk_size, threshold):
+        self.gid = gid
+        self.chunk_size = chunk_size
+        self.threshold = threshold
+        self.reset()
+
+    def retarget(self, now, window):
+        if not self.items:
+            self.release_at = None
+            return
+        if len(self.items) >= self.threshold:
+            self.release_at = now
+            self.release_reason = SIZE_TRIGGERED
+            return
+        window_at = self.opened_at + window
+        if self.deadline_min < window_at - 1e-9:
+            self.release_at = max(now, self.deadline_min)
+            self.release_reason = DEADLINE_FORCED
+        else:
+            self.release_at = max(now, window_at)
+            self.release_reason = WINDOW_EXPIRED
+
+    def reset(self):
+        self.items = {}
+        self.opened_at = None
+        self.deadline_min = math.inf
+        self.release_at = None
+        self.release_reason = WINDOW_EXPIRED
+
+
+class _ReferenceFormer:
+    """The per-key former (one ``_Item`` with a requester dict per key).
+
+    A copy of the batching math the columnar groups replaced: attach,
+    release, drain with tail retention, and settlement.
+    """
+
+    def __init__(self, config, policy):
+        self.config = config
+        self.policy = policy
+        self.groups = {}
+        self.new_releases = []
+        self.items_enqueued = 0
+        self.items_coalesced = 0
+        self.formed_calls = 0
+        self.paid_calls = 0
+        self.coalesced_calls = 0
+        self.flushes = {WINDOW_EXPIRED: 0, SIZE_TRIGGERED: 0,
+                        DEADLINE_FORCED: 0}
+        self.occupancy_sum = 0.0
+        self.fanout_tokens_saved = 0.0
+        self.tails_kept = 0
+
+    def _threshold(self, call):
+        if self.config.max_batch is not None:
+            return self.config.max_batch
+        return self.policy.batch_size(call)
+
+    def enqueue(self, gid, call, payloads, member, *, chunk_size, now):
+        group = self.groups.get(gid)
+        if group is None:
+            group = _RefGroup(gid, chunk_size, self._threshold(call))
+            self.groups[gid] = group
+        attached = 0
+        for payload in payloads:
+            item = group.items.get(payload)
+            if item is None:
+                if not group.items:
+                    group.opened_at = now
+                item = _RefItem(payload)
+                group.items[payload] = item
+                self.items_enqueued += 1
+            if member in item.requesters:
+                continue
+            item.requesters[member] = None
+            member.outstanding += 1
+            attached += 1
+        if attached:
+            before = group.release_at
+            group.deadline_min = min(
+                group.deadline_min, member.request.deadline_at
+            )
+            group.retarget(now, self.config.window)
+            if group.release_at is not None and group.release_at != before:
+                self.new_releases.append(group.release_at)
+        return attached
+
+    def expedite(self, now):
+        for group in self.groups.values():
+            if group.items and (
+                group.release_at is None or group.release_at > now
+            ):
+                group.release_at = now
+                group.release_reason = SIZE_TRIGGERED
+
+    def drain_releases(self):
+        releases, self.new_releases = self.new_releases, []
+        return releases
+
+    def collect_due(self, now, *, retain_tails):
+        wave = []
+        for group in self.groups.values():
+            if not group.items or group.release_at is None:
+                continue
+            if group.release_at > now + 1e-9:
+                continue
+            items = list(group.items.values())
+            kept = []
+            if (
+                retain_tails
+                and group.release_reason == SIZE_TRIGGERED
+                and group.chunk_size > 1
+            ):
+                full = (len(items) // group.chunk_size) * group.chunk_size
+                items, kept = items[:full], items[full:]
+            if not items:
+                continue
+            wave.append((
+                group.gid, group.release_reason, group.chunk_size,
+                [(item.payload, list(item.requesters)) for item in items],
+            ))
+            self.flushes[group.release_reason] += 1
+            self.items_coalesced += sum(
+                1 for item in items if len(item.requesters) >= 2
+            )
+            group.reset()
+            if kept:
+                self.tails_kept += 1
+                group.items = {item.payload: item for item in kept}
+                group.opened_at = now
+                group.deadline_min = min(
+                    (
+                        member.request.deadline_at
+                        for item in kept
+                        for member in item.requesters
+                    ),
+                    default=math.inf,
+                )
+                group.retarget(now, self.config.window)
+                if group.release_at is not None:
+                    self.new_releases.append(group.release_at)
+        return wave
+
+    def settle_call(self, item_requesters, usage=None, *, fill=None):
+        self.formed_calls += 1
+        if fill is not None:
+            self.occupancy_sum += fill
+        weights = {}
+        for requesters in item_requesters:
+            share = 1.0 / len(requesters)
+            for member in requesters:
+                weights[member] = weights.get(member, 0.0) + share
+        members = sorted(weights, key=lambda m: m.request.request_id)
+        if len(members) >= 2:
+            self.coalesced_calls += 1
+        if usage is None or not usage.calls:
+            return
+        self.paid_calls += 1
+        member_weights = [weights[m] for m in members]
+        in_split = split_fairly(members, member_weights, usage.input_tokens)
+        out_split = split_fairly(members, member_weights, usage.output_tokens)
+        shared = len(members) >= 2
+        for member, w_in, w_out in zip(members, in_split, out_split):
+            member.input_tokens += w_in
+            member.output_tokens += w_out
+            if shared:
+                member.shared_tokens += w_in + w_out
+        heaviest = max(
+            members, key=lambda m: (weights[m], -m.request.request_id)
+        )
+        heaviest.llm_calls += usage.calls
+        if shared:
+            call_tokens = usage.input_tokens + usage.output_tokens
+            n_items = max(1, len(item_requesters))
+            for requesters in item_requesters:
+                extra = len(requesters) - 1
+                if extra > 0:
+                    self.fanout_tokens_saved += (
+                        extra * call_tokens / n_items
+                    )
+
+
+def _ledger(member):
+    return (
+        member.outstanding, member.llm_calls, member.input_tokens,
+        member.output_tokens, member.shared_tokens,
+    )
+
+
+class TestDifferentialFormer:
+    """Seeded enqueue sequences: the columnar former == the per-key one.
+
+    Both formers see the same enqueues, expedites and drains, on twin
+    members (same request id and deadline); every drained group is
+    settled chunk by chunk with the same random usage on both sides.
+    """
+
+    def _usage(self, rng):
+        roll = rng.random()
+        if roll < 0.15:
+            return None  # the call failed
+        if roll < 0.5:
+            return SimpleNamespace(calls=0, input_tokens=0, output_tokens=0)
+        return SimpleNamespace(
+            calls=1,
+            input_tokens=rng.randint(1, 4000),
+            output_tokens=rng.randint(0, 400),
+        )
+
+    def _drain(self, rng, ref, new, ref_of, now, retain_tails):
+        ref_wave = ref.collect_due(now, retain_tails=retain_tails)
+        new_wave = new.collect_due(now, retain_tails=retain_tails)
+        assert [(g.gid, g.trigger, g.chunk_size) for g in new_wave] == [
+            (gid, trigger, chunk) for gid, trigger, chunk, _ in ref_wave
+        ]
+        for (_, _, chunk_size, items), group in zip(ref_wave, new_wave):
+            # flushed payload order, and requesters in attach order
+            assert group.payloads == [payload for payload, _ in items]
+            assert [
+                [ref_of[m] for m in (owner, *group.later.get(payload, ()))]
+                for payload, owner in zip(group.payloads, group.owners)
+            ] == [requesters for _, requesters in items]
+            counts = {}
+            for _, requesters in items:
+                for member in requesters:
+                    counts[member] = counts.get(member, 0) + 1
+            assert [
+                (ref_of[m], n) for m, n in group.members.items()
+            ] == list(counts.items())
+            for start in range(0, len(items), chunk_size):
+                end = start + chunk_size
+                usage = self._usage(rng)
+                fill = len(items[start:end]) / chunk_size
+                ref.settle_call(
+                    [requesters for _, requesters in items[start:end]],
+                    usage, fill=fill,
+                )
+                new.settle_call(
+                    group.payloads[start:end], group.owners[start:end],
+                    group.later, usage, fill=fill,
+                )
+
+    def _trial(self, seed, coverage):
+        rng = random.Random(seed)
+        window = rng.choice([0.5, 2.0, 6.0])
+        max_batch = rng.choice([None, 2, 3, 5])
+        size = rng.choice([2, 4, 8])
+        config = BatchingConfig(window=window, max_batch=max_batch)
+        new = CrossRequestBatcher(config, _FixedPolicy(size))
+        ref = _ReferenceFormer(config, _FixedPolicy(size))
+        chunk_size = rng.choice([1, 3, new.chunk_size_for(None)])
+        # mc=1 pairs expedite with no tail retention, like the server
+        serial = rng.random() < 0.2
+        calls = [_Call(f"sig{i}") for i in range(rng.randint(1, 3))]
+        keys = [(f"k{i}",) for i in range(rng.randint(3, 16))]
+        members = []  # (new member, reference twin)
+        ref_of = {}
+        now = 0.0
+        for step in range(rng.randint(10, 60)):
+            now += rng.choice([0.0, 0.0, rng.random() * 2.0])
+            roll = rng.random()
+            if roll < 0.65:
+                if members and rng.random() < 0.3:
+                    member, twin = rng.choice(members)
+                    coverage["same member again"] += 1
+                else:
+                    rid = len(members)
+                    deadline = rng.choice([0.3, 1.0, 2.5, 30.0])
+                    member = _member(rid, arrival=now, deadline=deadline)
+                    twin = _member(rid, arrival=now, deadline=deadline)
+                    members.append((member, twin))
+                    ref_of[member] = twin
+                if rng.random() < 0.2:
+                    prompt = f"prompt {rng.randint(0, 4)}"
+                    attached = new.enqueue_prompt(
+                        "superhero", "udf:qa", prompt, member,
+                        latency_bearing=False, now=now,
+                    )
+                    assert attached == ref.enqueue(
+                        ("prompt", "superhero", "udf:qa"), None, [prompt],
+                        twin, chunk_size=1, now=now,
+                    )
+                else:
+                    call = rng.choice(calls)
+                    wanted = [
+                        rng.choice(keys) for _ in range(rng.randint(1, 8))
+                    ]
+                    attached = new.enqueue_keys(
+                        "superhero", call, wanted, member,
+                        chunk_size=chunk_size, now=now,
+                    )
+                    assert attached == ref.enqueue(
+                        ("map", "superhero", call.signature()), call,
+                        wanted, twin, chunk_size=chunk_size, now=now,
+                    )
+                if serial:
+                    new.expedite(now)
+                    ref.expedite(now)
+                    coverage["expedite"] += 1
+            else:
+                self._drain(rng, ref, new, ref_of, now, not serial)
+            assert new.drain_releases() == ref.drain_releases()
+            for member, twin in members:
+                assert _ledger(member) == _ledger(twin)
+        # drain everything left, past every window and deadline
+        self._drain(rng, ref, new, ref_of, now + 100.0, False)
+        for member, twin in members:
+            assert _ledger(member) == _ledger(twin)
+        assert (new.items_enqueued, new.items_coalesced) == (
+            ref.items_enqueued, ref.items_coalesced
+        )
+        assert (new.formed_calls, new.paid_calls, new.coalesced_calls) == (
+            ref.formed_calls, ref.paid_calls, ref.coalesced_calls
+        )
+        assert new.flushes == ref.flushes
+        assert new._occupancy_sum == ref.occupancy_sum
+        assert new._fanout_tokens_saved == ref.fanout_tokens_saved
+        coverage["coalesced items"] += ref.items_coalesced
+        coverage["tails kept"] += ref.tails_kept
+        coverage["deadline releases"] += ref.flushes[DEADLINE_FORCED]
+        coverage["fan-out tokens saved"] += ref.fanout_tokens_saved > 0
+
+    def test_columnar_former_matches_the_per_key_former(self):
+        coverage = dict.fromkeys(
+            (
+                "same member again", "expedite", "coalesced items",
+                "tails kept", "deadline releases", "fan-out tokens saved",
+            ),
+            0,
+        )
+        for seed in range(300):
+            self._trial(seed, coverage)
+        # every path the sequences are meant to reach was reached
+        assert all(coverage.values()), coverage
