@@ -61,9 +61,11 @@ class BatchingConfig:
     virtual seconds from the instant it opened; ``max_batch`` overrides
     the adaptive policy's size trigger when set.  ``persist`` shares
     flushed mapping answers through the server's
-    :class:`~repro.plan.MappingStore`, so later requests skip generation
-    entirely (the serving analogue of pairs-mode planning); turning it
-    off keeps reuse strictly within co-resident requests.
+    :class:`~repro.plan.MappingStore` only under
+    ``ServerConfig.share_mappings=True``: flushes then publish there and
+    planning serves fully covered occurrences from it.  With the default
+    ``share_mappings=False`` nothing is published, the store stays empty
+    and ``persist`` changes nothing.
     """
 
     window: float = 2.0

@@ -245,6 +245,36 @@ class TestCrossTenantSingleFlight:
                 )
 
 
+class TestPersistNeedsSharedMappings:
+    """``BatchingConfig.persist`` reaches the store only with shared mappings.
+
+    With the default ``share_mappings=False`` no flush publishes, so the
+    store planning peeks stays empty (1,153 keys stored and 951 served
+    from it on this traffic when sharing is on).
+    """
+
+    def _serve(self, swan, share_mappings):
+        requests, policies = _traffic(swan, horizon=60.0, rps=0.4)
+        config = ServerConfig(
+            workers=4, max_concurrent=3, queue_limit=24,
+            share_mappings=share_mappings, batching=BatchingConfig(),
+        )
+        with QueryServer(swan, config, policies=policies) as server:
+            report = server.run(requests)
+            return server.mapping_store.stats()["keys"], report
+
+    def test_default_server_never_touches_the_store(self, serve_swan):
+        stored, report = self._serve(serve_swan, share_mappings=False)
+        assert stored == 0
+        assert report.batching["persist"] is True
+        assert report.batching["keys_from_store"] == 0
+
+    def test_shared_mappings_fill_and_serve_the_store(self, serve_swan):
+        stored, report = self._serve(serve_swan, share_mappings=True)
+        assert stored > 0
+        assert report.batching["keys_from_store"] > 0
+
+
 class TestBatchingSavesWork:
     def test_concurrent_load_pays_fewer_calls(self, serve_swan):
         requests, policies = _traffic(serve_swan, rps=0.8)
