@@ -218,7 +218,7 @@ class FlushedGroup:
 def count_requesters(
     payloads: Sequence, owners: Sequence[PendingRequest], later: dict
 ) -> Counter:
-    """Items owed per requester, in first appearance over (payload, requester)."""
+    """Items owed per requester, first appearance over (payload, requester)."""
     if not later:
         return Counter(owners)
     counts: Counter = Counter()
@@ -510,7 +510,8 @@ class CrossRequestBatcher:
         weights: Counter = Counter(owners)
         extras: list[int] = []
         if later:
-            # shares of 1/n, summed in item order like any float ledger
+            # items of n requesters weigh 1/n each; floats are summed in
+            # item order, since the order changes the last bit
             weights = Counter()
             for payload, owner in zip(payloads, owners):
                 requesters = (owner, *later.get(payload, ()))

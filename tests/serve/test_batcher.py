@@ -301,7 +301,7 @@ class TestSettlement:
         }
 
 
-# -- differential: the columnar former vs the per-key former it replaced -------
+# -- differential: the columnar former vs the per-key one it replaced -------
 
 
 class _RefItem:
