@@ -198,9 +198,9 @@ def _load_scaled(scale, databases):
 
 def _run_report(
     pipeline: str, databases=None, workers=None, scale=None,
-    parallelism: str = "threads", **pipeline_options,
+    **pipeline_options,
 ) -> tuple[list[dict], str]:
-    """One pipeline run at the requested scale and parallelism."""
+    """One pipeline run at the requested scale."""
     from repro.eval.report import format_table
     from repro.harness import runner
 
@@ -208,10 +208,10 @@ def _run_report(
     scale = scale or 1
     run = getattr(runner, f"run_{pipeline}")(
         swan, "gpt-3.5-turbo", 2, gold=runner.GoldResults(swan),
-        workers=workers or 1, parallelism=parallelism, **pipeline_options,
+        workers=workers or 1, **pipeline_options,
     )
     record = {
-        "pipeline": pipeline, "scale": scale, "parallelism": parallelism,
+        "pipeline": pipeline, "scale": scale,
         "ex": run.overall_ex, "llm_calls": run.usage.calls,
     }
     rows = [
@@ -221,8 +221,8 @@ def _run_report(
     usage = run.usage
     title = (
         f"{pipeline.upper()} run — {run.model}, {run.shots}-shot, "
-        f"scale={scale}, parallelism={parallelism}; {usage.calls} LLM "
-        f"calls, {usage.input_tokens}/{usage.output_tokens} in/out tokens."
+        f"scale={scale}; {usage.calls} LLM calls, "
+        f"{usage.input_tokens}/{usage.output_tokens} in/out tokens."
     )
     return [record], format_table(["Database", "EX"], rows, title=title)
 
@@ -526,8 +526,8 @@ _EXCLUDED_FROM_ALL = (
 _FLAG_TARGETS = {
     "trace": ("databases", "workers", "scale"),
     "bench-cache": ("databases", "workers", "batch_size", "cache_dir"),
-    "run-udf": ("databases", "workers", "scale", "parallelism", "batch_size"),
-    "run-hqdl": ("databases", "workers", "scale", "parallelism"),
+    "run-udf": ("databases", "workers", "scale", "batch_size"),
+    "run-hqdl": ("databases", "workers", "scale"),
     "bench-scale": ("workers", "scale", "batch_size"),
     "serve": ("seed", "horizon", "window",
               "batch_window", "max_batch", "batching",
@@ -647,7 +647,6 @@ _FLAGS = {
     "--trace-sample": ("int", 0, "K"),
     "--request": ("int", 0, "N"),
     "--multiplier": ("float", True, "F"),
-    "--parallelism": ("choice", ("threads", "processes"), None),
     "--cache-dir": ("text", "a directory path", "DIR"),
     "--database": ("text", "a database name", "NAME"),
     "--question": ("text", "a qid or 1-based index", "REF"),
@@ -720,7 +719,7 @@ def _parse_args(argv: list[str]):
         # workers=None means "each target's own default" (trace and the
         # run commands use 1, the benches 4)
         "databases": None, "workers": None, "batch_size": 5, "cache_dir": None,
-        "scale": None, "parallelism": "threads",
+        "scale": None,
         "seed": None, "horizon": None, "window": None,
         "batch_window": None, "max_batch": None, "batching": "on",
         "tracing": "off", "trace_sample": None,

@@ -7,10 +7,7 @@ For each scale factor (1/10/100 by default) this bench:
 2. runs both pipelines fully traced on a virtual clock (the PR-3
    tracer), recording EX, virtual makespan, tokens, and the per-stage
    self-time breakdown — the rows-vs-makespan curve;
-3. wall-clock times the UDF pipeline with in-process (thread) dispatch
-   and with process-pool dispatch — asserting both runs identical
-   (results, Usage, cache stats; each config timed twice, minimum
-   kept);
+3. wall-clock times the UDF pipeline (timed twice, minimum kept);
 4. covers all four SWAN worlds with a traced (virtual clock) UDF+HQDL
    run per scale rung (capped at :data:`WORLD_SCALE_CAP`) over a small
    per-world question subset, so no world's operator mix is a scaling
@@ -93,12 +90,6 @@ def _bench_swan(
     return Swan(worlds=swan.worlds, questions=questions)
 
 
-def _outcome_records(run) -> list[tuple]:
-    return [
-        (o.qid, o.correct, o.actual_rows, o.error) for o in run.outcomes
-    ]
-
-
 def _run_traced(swan: Swan, pipeline: str, *, model_name: str, shots: int,
                 workers: int, batch_size: int) -> dict:
     """One pipeline run on a virtual clock; returns its payload record."""
@@ -130,8 +121,8 @@ def _run_traced(swan: Swan, pipeline: str, *, model_name: str, shots: int,
 
 
 def _run_wall(swan: Swan, *, model_name: str, shots: int, workers: int,
-              batch_size: int, parallelism: str):
-    """An untraced UDF run, wall-clock timed; returns (run, seconds).
+              batch_size: int) -> float:
+    """An untraced UDF run's wall-clock seconds.
 
     Wall noise: the better of two runs is kept.
     """
@@ -141,13 +132,13 @@ def _run_wall(swan: Swan, *, model_name: str, shots: int, workers: int,
     best = None
     for _ in range(2):
         start = time.perf_counter()
-        run = run_udf(
+        run_udf(
             swan, model_name, shots, workers=workers, gold=gold,
-            batch_size=batch_size, parallelism=parallelism,
+            batch_size=batch_size,
         )
         seconds = time.perf_counter() - start
         best = seconds if best is None else min(best, seconds)
-    return run, best
+    return best
 
 
 def measure_worlds(
@@ -234,23 +225,8 @@ def measure_scale(
         }
         for pipeline in ("udf", "hqdl"):
             entry["pipelines"][pipeline] = _run_traced(swan, pipeline, **config)
-        threads, threads_seconds = _run_wall(swan, parallelism="threads", **config)
-        procs, procs_seconds = _run_wall(swan, parallelism="processes", **config)
-        identical = (
-            threads.usage == procs.usage
-            and _outcome_records(threads) == _outcome_records(procs)
-            and (threads.cache_hits, threads.cache_misses)
-            == (procs.cache_hits, procs.cache_misses)
-        )
-        if not identical:
-            raise ReproError(
-                "process-pool UDF run diverged from the thread run at "
-                f"scale {scale} — refusing to report its timing"
-            )
         entry["wall"] = {
-            "threads_seconds": round(threads_seconds, 4),
-            "processes_seconds": round(procs_seconds, 4),
-            "identical": True,
+            "threads_seconds": round(_run_wall(swan, **config), 4),
         }
         payload["scales"][str(scale)] = entry
     return payload
@@ -289,7 +265,6 @@ def format_scale_report(payload: dict, path: Optional[Path] = None) -> str:
                 udf["llm_calls"],
                 f"{hqdl['makespan_seconds']:.1f} s",
                 f"{wall['threads_seconds']:.2f} s",
-                f"{wall['processes_seconds']:.2f} s",
             ]
         )
     world_rows = []
@@ -313,14 +288,14 @@ def format_scale_report(payload: dict, path: Optional[Path] = None) -> str:
         f"Rows vs makespan on `{payload['database']}` "
         f"({payload['model']}, {payload['shots']}-shot, "
         f"workers={payload['workers']}; virtual makespans, wall-clock "
-        "UDF seconds with thread and process-pool dispatch"
+        "UDF seconds"
         + (f"; also written to {path}" if path else "")
         + ")."
     )
     text = format_table(
         [
             "Scale", "Rows", "UDF makespan", "UDF EX", "UDF calls",
-            "HQDL makespan", "UDF wall threads", "UDF wall procs",
+            "HQDL makespan", "UDF wall threads",
         ],
         rows,
         title=title,

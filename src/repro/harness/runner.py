@@ -27,7 +27,6 @@ from repro.llm.cache import PromptCache
 from repro.llm.client import ChatClient
 from repro.llm.faults import FaultInjector, FaultPlan
 from repro.llm.parallel import SimulatedClock
-from repro.llm.procpool import SharedProcessPool
 from repro.llm.profiles import get_profile
 from repro.llm.resilience import (
     CircuitBreaker,
@@ -206,21 +205,14 @@ def _run_pipeline(
     into the run; ``ledger_scores`` yields the ``(f1, makespan)`` ledger
     columns.
     """
-    if parallelism not in ("threads", "processes"):
-        raise ReproError(
-            f"parallelism must be 'threads' or 'processes', got {parallelism!r}"
-        )
+    if parallelism != "threads":
+        raise ReproError(f"parallelism must be 'threads', got {parallelism!r}")
     gold = gold or GoldResults(swan)
     names = _resolve_databases(swan, databases)
-    get_profile(run.model)  # an unknown model fails before any pool starts
+    get_profile(run.model)  # an unknown model fails before any database runs
     meter = UsageMeter()
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     prov = provenance if provenance is not None else NULL_PROVENANCE
-    shared_pool = (
-        SharedProcessPool(processes=workers)
-        if parallelism == "processes"
-        else None
-    )
 
     with (
         tel.tracer.span("run", pipeline=pipeline, model=run.model, shots=run.shots)
@@ -256,7 +248,7 @@ def _run_pipeline(
                 world = swan.world(name)
                 stack = build_client_stack(
                     world, run.model, shots=run.shots, meter=meter,
-                    pool=shared_pool, wrap=wrap_client, cache_dir=cache_dir,
+                    wrap=wrap_client, cache_dir=cache_dir,
                     telemetry=tel, provenance=prov,
                 )
                 try:
@@ -267,18 +259,14 @@ def _run_pipeline(
                     disk_stats = stack.close()
                 return db_outcomes, extras, disk_stats
 
-        try:
-            for name, (db_outcomes, extras, disk_stats) in zip(
-                names, _map_databases(names, db_workers, _one_database)
-            ):
-                merge(name, extras)
-                if disk_stats is not None:
-                    run.persistent[name] = disk_stats
-                run.ex_by_db[name] = execution_accuracy(db_outcomes)
-                run.outcomes.extend(db_outcomes)
-        finally:
-            if shared_pool is not None:
-                shared_pool.close()
+        for name, (db_outcomes, extras, disk_stats) in zip(
+            names, _map_databases(names, db_workers, _one_database)
+        ):
+            merge(name, extras)
+            if disk_stats is not None:
+                run.persistent[name] = disk_stats
+            run.ex_by_db[name] = execution_accuracy(db_outcomes)
+            run.outcomes.extend(db_outcomes)
         run.usage = meter.total
         if tel.enabled:
             run_span.set("ex", round(run.overall_ex, 4))
@@ -302,7 +290,6 @@ def _run_pipeline(
                 "databases": sorted(names),
                 "workers": workers,
                 **ledger_config,
-                **({"parallelism": parallelism} if parallelism != "threads" else {}),
             },
             ex=round(run.overall_ex, 6),
             f1=round(f1, 6) if f1 is not None else None,
@@ -353,12 +340,9 @@ def run_hqdl(
     HQDL needs no planner).  ``call_order="lpt"`` dispatches generation
     calls longest-first (identical results, shorter parallel makespan).
 
-    ``parallelism="processes"`` completes prompts in one
-    :class:`~repro.llm.procpool.SharedProcessPool` of ``workers``
-    processes serving every database of the run — byte-identical
-    results, but the CPU-bound model simulation no longer serializes on
-    the GIL, and ``db_workers`` composes without multiplying the process
-    count.
+    ``parallelism`` accepts only ``"threads"``, the in-process dispatch;
+    any other value raises :class:`~repro.errors.ReproError`.  The
+    keyword remains only for callers that still pass it.
     """
     run = HQDLRun(model=model_name, shots=shots)
 
@@ -438,12 +422,9 @@ def run_udf(
     directory issues zero new LLM calls.  ``batch_policy`` overrides the
     fixed ``batch_size`` (see :mod:`repro.plan.policy`).
 
-    ``parallelism="processes"`` completes prompts in one
-    :class:`~repro.llm.procpool.SharedProcessPool` of ``workers``
-    processes serving every database of the run — byte-identical
-    results, but the CPU-bound model simulation no longer serializes on
-    the GIL, and ``db_workers`` composes without multiplying the process
-    count.
+    ``parallelism`` accepts only ``"threads"``, the in-process dispatch;
+    any other value raises :class:`~repro.errors.ReproError`.  The
+    keyword remains only for callers that still pass it.
     """
     if plan not in (None, "prompt", "pairs"):
         raise ReproError(

@@ -133,7 +133,7 @@ class CachingClient:
         self.cache = cache if cache is not None else PromptCache()
         self.model_name = inner.model_name
         # batch dispatch is only worth advertising when the inner client
-        # actually completes batches out-of-thread (e.g. ProcPoolClient)
+        # completes whole batches itself (MockChatModel does so inline)
         self.prefers_batch_dispatch = bool(
             getattr(inner, "prefers_batch_dispatch", False)
         )

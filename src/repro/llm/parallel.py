@@ -177,10 +177,10 @@ class ParallelDispatcher:
                 and len(unique) > 1
                 and getattr(client, "prefers_batch_dispatch", False)
             ):
-                # process-level dispatch: the client completes the whole
-                # unique-prompt list in chunked worker submissions (see
-                # repro.llm.procpool); per-call spans need threads, so
-                # traced runs keep the per-call path
+                # batch dispatch: the client completes the whole
+                # unique-prompt list in one inline loop (see
+                # MockChatModel.complete_many); per-call spans need
+                # threads, so traced runs keep the per-call path
                 primary = self._call_batched(client, unique, deadline)
             elif self.workers == 1 or len(unique) <= 1:
                 primary = [
@@ -228,7 +228,7 @@ class ParallelDispatcher:
         """Complete the unique-prompt list via ``client.complete_many``.
 
         Error granularity is the batch: a failure inside the batched
-        client (e.g. a broken process pool, an expired deadline) fails
+        client (e.g. an expired deadline) fails
         every prompt of this dispatch with the same captured error — the
         per-prompt outcome shape downstream degradation expects.
         """

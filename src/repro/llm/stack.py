@@ -3,8 +3,7 @@
 Every pipeline — the batch runners, the chaos runners, the query server —
 talks to the same stack, innermost first::
 
-    model       MockChatModel over the world's oracle, or a view into a
-                SharedProcessPool
+    model       MockChatModel over the world's oracle
     wrap        whatever the caller slips directly around the model: a
                 benchmark proxy, simulated latency, faults + retry
                 (:func:`build_resilient_stack`), a paid-call size recorder
@@ -31,7 +30,6 @@ from repro.llm.diskcache import PersistentClient, PersistentPromptCache
 from repro.llm.faults import FaultInjector, FaultPlan, FaultyClient
 from repro.llm.oracle import KnowledgeOracle
 from repro.llm.parallel import SimulatedClock
-from repro.llm.procpool import SharedProcessPool
 from repro.llm.profiles import get_profile
 from repro.llm.resilience import (
     CircuitBreaker,
@@ -67,7 +65,6 @@ def build_client_stack(
     *,
     shots: int,
     meter: Optional[UsageMeter] = None,
-    pool: Optional[SharedProcessPool] = None,
     wrap: Optional[Callable[[ChatClient], ChatClient]] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     memory_cache: Optional[PromptCache] = None,
@@ -75,12 +72,9 @@ def build_client_stack(
     provenance=None,
 ) -> ClientStack:
     """model -> wrap -> disk -> memory for one database (see module doc)."""
-    if pool is not None:
-        client: ChatClient = pool.client_for(world, model_name, meter=meter)
-    else:
-        client = MockChatModel(
-            KnowledgeOracle(world), get_profile(model_name), meter=meter
-        )
+    client: ChatClient = MockChatModel(
+        KnowledgeOracle(world), get_profile(model_name), meter=meter
+    )
     if wrap is not None:
         client = wrap(client)
     disk = None

@@ -121,9 +121,9 @@ class TestScaleAndParallelismFlags:
         assert "usage:" in err
 
     def test_bad_parallelism_value(self, capsys):
-        assert main(["run-udf", "--parallelism=fibers"]) == 2
+        assert main(["run-udf", "--parallelism=processes"]) == 2
         err = capsys.readouterr().err
-        assert "--parallelism must be 'threads' or 'processes'" in err
+        assert "unknown flag: --parallelism=processes" in err
         assert "usage:" in err
 
     def test_run_udf_prints_per_database_ex(self, capsys):
@@ -137,7 +137,8 @@ class TestScaleAndParallelismFlags:
         assert main(["run-hqdl", "--databases=superhero"]) == 0
         out = capsys.readouterr().out
         assert "HQDL run" in out
-        assert "parallelism=threads" in out
+        assert "scale=1" in out
+        assert "parallelism" not in out
 
     def test_scale_targets_excluded_from_all(self):
         from repro.harness.__main__ import _EXCLUDED_FROM_ALL, _GENERATORS
@@ -150,7 +151,7 @@ class TestScaleAndParallelismFlags:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "--scale=N" in out
-        assert "--parallelism=threads|processes" in out
+        assert "--parallelism" not in out
 
 
 class TestExplainCommand:

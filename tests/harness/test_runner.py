@@ -150,6 +150,17 @@ class TestParallelRunners:
                 db_workers=0,
             )
 
+    @pytest.mark.parametrize("runner", [run_udf, run_hqdl])
+    def test_parallelism_accepts_only_threads(self, runner, swan, gold):
+        from repro.errors import ReproError
+
+        for value in ("processes", "fibers"):
+            with pytest.raises(ReproError, match="must be 'threads'"):
+                runner(
+                    swan, "perfect", 0, databases=["superhero"], gold=gold,
+                    parallelism=value,
+                )
+
 
 class TestRunUDFMemory:
     def test_a_finished_database_releases_its_prompt_cache(

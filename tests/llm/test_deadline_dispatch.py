@@ -4,8 +4,8 @@ The serving layer hands each request a
 :class:`~repro.llm.resilience.Deadline`; the contract tested here is
 that expired work is *skipped with a typed outcome* — never silently
 dispatched, never an untyped crash — at every layer: the
-ParallelDispatcher, the process-pool client, the UDF executor, and the
-HQDL pipeline.
+ParallelDispatcher, the model's batch completion, the UDF executor, and
+the HQDL pipeline.
 """
 
 import pytest
@@ -13,7 +13,6 @@ import pytest
 from repro.errors import DeadlineExceededError
 from repro.llm.chat import ChatResponse
 from repro.llm.parallel import ParallelDispatcher
-from repro.llm.procpool import ProcPoolClient
 from repro.llm.resilience import Deadline
 from repro.llm.usage import Usage, UsageMeter
 from repro.swan.build import build_curated_database
@@ -79,23 +78,19 @@ class TestDispatcherDeadline:
         assert all(o.error is None for o in outcomes)
 
 
-class TestProcPoolDeadline:
+class TestBatchDeadline:
     def test_complete_many_skips_remaining_work(self, superhero_world):
         prompt = (
             "Answer the question with a single short value and no "
             "explanation.\nDatabase: superhero\nQuestion: Which comic book "
             "publisher published the superhero 'Hellboy'?\nAnswer:"
         )
-        with ProcPoolClient(
-            superhero_world, "perfect", processes=2
-        ) as client:
-            with pytest.raises(
-                DeadlineExceededError, match="remaining work skipped"
-            ):
-                client.complete_many(
-                    [prompt] * 4, ["qa"] * 4, deadline=_expired_deadline()
-                )
-            assert client.meter.total.calls == 0
+        model = make_model(superhero_world)
+        with pytest.raises(DeadlineExceededError, match="deadline expired"):
+            model.complete_many(
+                [prompt] * 4, ["qa"] * 4, deadline=_expired_deadline()
+            )
+        assert model.meter.total.calls == 0
 
 
 class TestExecutorDeadline:

@@ -244,8 +244,8 @@ class TestLossyRenders:
 )
 @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
 def test_prompts_pickle_with_their_intent(intent, protocol):
-    """Worker processes receive the intent, not just the text (at every
-    protocol ``multiprocessing`` can use)."""
+    """A pickled prompt keeps its intent, not just the text (at every
+    protocol ``pickle`` offers)."""
     prompt = Prompt("the text", intent)
     copy = pickle.loads(pickle.dumps(prompt, protocol))
     assert type(copy) is Prompt

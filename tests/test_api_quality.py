@@ -75,6 +75,23 @@ class TestImportHygiene:
         )
         assert done.returncode == 0, done.stderr
 
+    def test_entry_points_load_no_process_machinery(self):
+        """Dispatch is in-process: importing the library, the harness and
+        the server must not pull in ``multiprocessing``."""
+        code = (
+            "import sys, repro, repro.harness.runner, repro.harness.__main__,"
+            " repro.serve.server\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": str(SRC.parent)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_no_runtime_third_party_dependencies(self):
         """The library itself must run on the stdlib alone."""
         stdlib_ok = {"__future__", "bisect", "concurrent", "csv",
