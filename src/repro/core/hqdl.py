@@ -30,7 +30,7 @@ from repro.llm.batching import LatencyModel
 from repro.llm.client import ChatClient
 from repro.llm.tokenizer import count_tokens
 from repro.llm.parallel import DispatchOutcome, ParallelDispatcher
-from repro.llm.resilience import ResilienceReport
+from repro.llm.resilience import Deadline, ResilienceReport
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
 from repro.obs.provenance import call_id_for
 from repro.obs.trace import NULL_SPAN
@@ -110,14 +110,9 @@ class HQDL:
         #: outcomes are re-assembled in key order.
         self.call_order = call_order
         self.resilience = resilience
-        #: optional request-level :class:`~repro.llm.resilience.Deadline`
-        #: (set per request by the serving layer): once expired, remaining
-        #: row calls are skipped with typed degradable outcomes, so their
-        #: rows materialize as NULLs instead of blocking past the budget.
-        self.deadline = None
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._prov = provenance if provenance is not None else NULL_PROVENANCE
-        self._dispatcher = ParallelDispatcher(
+        self.dispatcher = ParallelDispatcher(
             workers, telemetry=self._tel, provenance=self._prov
         )
         self._m_degraded_rows = self._tel.metrics.counter("pipeline.degraded_rows")
@@ -163,7 +158,7 @@ class HQDL:
         return calls
 
     def _dispatch_ordered(
-        self, prompts: list[str], labels
+        self, prompts: list[str], labels, deadline: Optional[Deadline] = None
     ) -> list[DispatchOutcome]:
         """Dispatch, longest-prompt-first when ``call_order='lpt'``.
 
@@ -171,9 +166,9 @@ class HQDL:
         so assembly is unaffected by the dispatch permutation.
         """
         if self.call_order != "lpt" or len(prompts) <= 1:
-            return self._dispatcher.dispatch(
+            return self.dispatcher.dispatch(
                 self.client, prompts, labels=labels, capture_errors="transient",
-                deadline=self.deadline,
+                deadline=deadline,
             )
         model = LatencyModel()
         estimates = [
@@ -184,12 +179,12 @@ class HQDL:
         permuted_labels = (
             labels if isinstance(labels, str) else [labels[i] for i in order]
         )
-        permuted = self._dispatcher.dispatch(
+        permuted = self.dispatcher.dispatch(
             self.client,
             [prompts[i] for i in order],
             labels=permuted_labels,
             capture_errors="transient",
-            deadline=self.deadline,
+            deadline=deadline,
         )
         outcomes: list[Optional[DispatchOutcome]] = [None] * len(prompts)
         for position, index in enumerate(order):
@@ -291,13 +286,18 @@ class HQDL:
                     expansion_name, builder, keys, outcomes, prompts
                 )
 
-    def generate_all(self) -> GenerationResult:
+    def generate_all(
+        self, deadline: Optional[Deadline] = None
+    ) -> GenerationResult:
         """Generate every expansion table of this world.
 
         All row-completion calls of *all* expansion tables form one flat
         dispatch, so with ``workers > 1`` generation parallelizes across
         attributes (tables) and keys alike, instead of finishing one
-        table before starting the next.
+        table before starting the next.  Once ``deadline`` (a request's
+        budget, from the serving layer) has expired, the remaining row
+        calls are skipped with typed degradable outcomes, so their rows
+        materialize as NULLs instead of blocking past the budget.
         """
         tel = self._tel
         result = GenerationResult(database=self.world.name, shots=self.shots)
@@ -319,7 +319,7 @@ class HQDL:
                     for name, _, _, table_prompts in prepared
                     for _ in table_prompts
                 ]
-            outcomes = self._dispatch_ordered(prompts, labels)
+            outcomes = self._dispatch_ordered(prompts, labels, deadline)
             with (tel.tracer.span("hqdl:assemble") if tel.enabled else NULL_SPAN):
                 offset = 0
                 values: dict[str, str] = {}

@@ -8,9 +8,9 @@ sees any of it:
 - :class:`~repro.plan.planner.CallPlanner` collects every ingredient
   call up front, dedups globally, orders longest-first, and pre-warms
   the caches in one dispatch;
-- :class:`~repro.plan.store.MappingStore` holds the (attribute, key) →
-  value answers the aggressive planning mode produces, so executors can
-  answer questions without re-calling;
+- :class:`~repro.udf.store.MappingStore` (re-exported here) holds the
+  (attribute, key) → value answers the aggressive planning mode
+  produces, so executors can answer questions without re-calling;
 - :mod:`~repro.plan.policy` chooses per-attribute batch sizes from the
   calibrated model profiles instead of BlendSQL's fixed default of 5.
 """
@@ -21,7 +21,7 @@ from repro.plan.policy import (
     AdaptiveBatchPolicy,
     FixedBatchPolicy,
 )
-from repro.plan.store import MappingStore
+from repro.udf.store import MappingStore
 
 __all__ = [
     "AdaptiveBatchPolicy",

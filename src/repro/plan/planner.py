@@ -16,17 +16,18 @@ into one deduplicated, longest-first dispatch, in one of two modes:
 ``pairs`` (aggressive)
     Union the (attribute, key) pairs of all questions per ingredient
     signature, pack them with the executor's batch policy, and store the
-    parsed answers in a :class:`~repro.plan.store.MappingStore`.
+    parsed answers in a :class:`~repro.udf.store.MappingStore`.
     Executors then answer fully-covered ingredients with zero LLM calls.
     Cross-question batching means fewer, fuller calls — and different
     prompt text, so answers may drift within the model's noise band;
     this mode trades strict identity for the token savings the paper's
     Table 4 prices.
 
-Both modes dispatch with ``capture_errors=True`` and never cache or
-store a failed call, so question-time execution re-attempts exactly what
-the unplanned path would — the deterministic mock fails the same way,
-keeping error behaviour aligned.
+Both modes read each question's work from the executor's ``prepare``
+(the walk execution takes).  Both dispatch with ``capture_errors=True``
+and never cache or store a failed call, so question-time execution
+re-attempts exactly what the unplanned path would — the deterministic
+mock fails the same way, keeping error behaviour aligned.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from repro.llm.tokenizer import count_tokens
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.provenance import call_id_for
 from repro.obs.trace import NULL_SPAN
-from repro.plan.store import MappingStore
 from repro.udf.executor import HybridQueryExecutor
 from repro.udf.ingredients import parse_map_answers
+from repro.udf.store import MappingStore
 
 #: rough output-tokens-per-answered-key, for LPT ordering only — the
 #: ordering needs relative sizes, not accurate absolutes
@@ -201,34 +202,33 @@ class CallPlanner:
     ) -> list[PlannedCall]:
         """Union (attribute, key) pairs per signature, repacked into batches."""
         executor = self.executor
-        # signature -> (first-seen call object, ordered key set)
+        # signature -> (first-seen work, ordered key set)
         requests: dict[tuple, tuple] = {}
         qa_seen: dict[str, PlannedCall] = {}
         for sql in hybrid_queries:
-            map_requests, qa_prompts = executor.plan_key_requests(sql)
-            for call, keys in map_requests:
-                signature = call.signature()
-                if signature not in requests:
-                    requests[signature] = (call, {})
-                _, key_order = requests[signature]
-                for key in keys:
+            for work in executor.prepare(sql).work():
+                if work.prompt is not None:
                     stats.collected += 1
-                    if key not in key_order:
-                        key_order[key] = None
-            for prompt in qa_prompts:
-                stats.collected += 1
-                if prompt not in qa_seen:
-                    qa_seen[prompt] = PlannedCall(prompt=prompt, label="udf:qa")
+                    if work.prompt not in qa_seen:
+                        qa_seen[work.prompt] = PlannedCall(
+                            prompt=work.prompt, label="udf:qa"
+                        )
+                    continue
+                stats.collected += len(work.keys)
+                signature = work.call.signature()
+                if signature not in requests:
+                    requests[signature] = (work, {})
+                requests[signature][1].update(dict.fromkeys(work.keys))
         stats.signatures = len(requests)
         calls: list[PlannedCall] = list(qa_seen.values())
         unique_pairs = len(qa_seen)
-        for signature, (call, key_order) in requests.items():
+        for signature, (first, key_order) in requests.items():
             keys = list(key_order)
             unique_pairs += len(keys)
-            for batch in batched(keys, executor._batch_size_for(call)):
+            for batch in batched(keys, first.chunk_size):
                 calls.append(
                     PlannedCall(
-                        prompt=executor._map_prompt(call, batch),
+                        prompt=executor.map_prompt(first.call, batch),
                         label="udf:map",
                         signature=signature,
                         batch=tuple(batch),
@@ -264,7 +264,7 @@ class CallPlanner:
         """Dispatch the planned calls; warm caches and fill the store."""
         tel = self._tel
         stats = plan.stats
-        prov = self.executor._prov
+        prov = self.executor.provenance
         if prov.enabled:
             # planned dispatches of a prompt share the unplanned path's
             # call-id (a pure content hash); mark them as planner-issued

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-from repro.plan import MappingStore
 from repro.serve.request import QueryRequest
 
 #: release-time comparison slack (floats accumulate through the heap)
@@ -84,15 +83,14 @@ class BatchingConfig:
 class PendingRequest:
     """One dispatched request waiting on cross-request batch landings.
 
-    Tracks what the request still owes (``outstanding`` work items),
-    what it has been charged so far (attributed calls/tokens from shared
-    batches), and the private ``overlay`` store that accumulates flushed
-    mapping answers until the finalize pass replays the query against
-    them.
+    Holds a UDF request's ``plan`` (prepared once, at dispatch), what it
+    still owes (``outstanding`` work items), what it has been charged so
+    far (attributed calls/tokens from shared batches), and the flushed
+    ``answers`` (signature → key → value) its finalize generates from.
     """
 
     __slots__ = (
-        "request", "start", "queue_wait", "overlay", "outstanding",
+        "request", "start", "queue_wait", "plan", "answers", "outstanding",
         "llm_calls", "input_tokens", "output_tokens", "shared_tokens",
         "degraded_keys", "waves",
     )
@@ -103,7 +101,8 @@ class PendingRequest:
         self.request = request
         self.start = start
         self.queue_wait = queue_wait
-        self.overlay = MappingStore()
+        self.plan = None
+        self.answers: dict[tuple, dict[tuple, Optional[str]]] = {}
         self.outstanding = 0
         self.llm_calls = 0
         self.input_tokens = 0

@@ -33,7 +33,7 @@ degraded answer until the cooldown half-opens the breaker — quality
 sheds before availability, and the queue drains instead of collapsing.
 
 All requests of all tenants share one client stack and prompt cache per
-database (:mod:`repro.serve.state`), one :class:`~repro.plan.MappingStore`,
+database (:mod:`repro.serve.state`), one :class:`~repro.udf.store.MappingStore`,
 one telemetry registry, and one run ledger.
 """
 
@@ -54,7 +54,6 @@ from repro.llm.usage import UsageMeter
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.ledger import RunLedger
 from repro.obs.slo import AVAILABILITY, SLOTracker
-from repro.plan import MappingStore
 from repro.plan.policy import AdaptiveBatchPolicy
 from repro.serve.admission import AdmissionController, TenantPolicy
 from repro.serve.batcher import (
@@ -76,6 +75,7 @@ from repro.serve.scheduler import AgingPriorityQueue
 from repro.serve.state import DatabaseStates
 from repro.serve.trace import ServeTraceLog, TraceRecord, WaveRecord
 from repro.swan.benchmark import Swan
+from repro.udf.store import MappingStore
 
 
 class VirtualClock:
@@ -177,7 +177,7 @@ def _fan_out(
 ) -> None:
     """Deliver a flushed map group's answers to every waiting request.
 
-    One overlay ``put`` per member and group.  An enqueue attaches a
+    One ``answers`` update per member and group.  An enqueue attaches a
     request's new keys as one run of ``group.owners``, so shares are
     built slice by slice; the rare later requesters are added per key.
     """
@@ -196,7 +196,7 @@ def _fan_out(
             for member in requesters:
                 shares.setdefault(member, {})[payload] = answer_of[payload]
     for member, share in shares.items():
-        member.overlay.put(signature, share)
+        member.answers.setdefault(signature, {}).update(share)
 
 
 class QueryServer:
@@ -566,20 +566,21 @@ class QueryServer:
 
     # -- one request lifecycle: dispatch -> (plan -> waves) -> finalize ----------
     #
-    # Every dispatched request becomes a ``PendingRequest`` and ends in
-    # ``_finalize``, which runs the query under the request's remaining
-    # budget and classifies the outcome.  Without ``config.batching`` that
-    # happens on the spot: the request rode zero waves and "lands" at its
-    # own start instant.  With it, the request's LLM demand is first
-    # *planned* (the dry-run planner of the executor / pipeline), pruned
-    # against the shared mapping store and prompt caches, and enqueued
-    # into the CrossRequestBatcher.  Flush events fire at the batcher's
-    # release times; every group due at one instant flushes as a single
-    # *wave* whose paid calls share one ``parallel_makespan`` pool —
-    # coalesced batches are charged like the fan-out of a single request.
-    # When a wave lands, members with no work left are finalized: the
-    # query replays against the request's private overlay store (all
-    # flushed answers, zero LLM calls in the common case).
+    # Every dispatched request becomes a ``PendingRequest``; a UDF one
+    # carries the ``QueryPlan`` prepared at dispatch (statement, keys, QA
+    # prompts).  It ends in ``_finalize``, which generates and runs the
+    # query under the request's remaining budget and classifies the
+    # outcome.  Without ``config.batching`` that happens on the spot: the
+    # request rode zero waves and "lands" at its own start instant.  With
+    # it, the plan's work (HQDL: ``plan_calls``) is first pruned against
+    # the shared mapping store and prompt caches and enqueued into the
+    # CrossRequestBatcher.  Flush events fire at the batcher's release
+    # times; every group due at one instant flushes as a single *wave*
+    # whose paid calls share one ``parallel_makespan`` pool — coalesced
+    # batches are charged like the fan-out of a single request — and map
+    # answers land in each requester's ``answers``.  When a wave lands,
+    # members with no work left are finalized from those answers (zero
+    # LLM calls in the common case).
 
     def _dispatch(self, request: QueryRequest) -> None:
         """Start one request: breaker check, optional planning, finalize.
@@ -608,6 +609,11 @@ class QueryServer:
             self._trace_outcome(outcome, start=start)
         else:
             member = PendingRequest(request, start=start, queue_wait=queue_wait)
+            if request.pipeline == "udf":
+                # a malformed query's plan carries its error: finalize
+                # raises it and the request degrades like any failed one
+                executor = self.states.udf(request.database).executor
+                member.plan = executor.prepare(request.sql)
             if self.batcher is not None:
                 self._plan(member)
             if member.outstanding:
@@ -632,14 +638,13 @@ class QueryServer:
 
         if request.pipeline == "udf":
             state = self.states.udf(request.database)
-            executor = state.executor
-            # an unparseable or malformed query plans (a prefix of) its
-            # work; the finalize pass re-raises the typed error and the
-            # request degrades like any failed query
-            map_requests, qa_prompts = executor.plan_key_requests(request.sql)
-            for call, keys in map_requests:
+            work = member.plan.work()
+            for item in work:
+                if item.prompt is not None:
+                    continue
+                call = item.call
                 signature = call.signature()
-                wanted = list(dict.fromkeys(keys))
+                wanted = list(dict.fromkeys(item.keys))
                 if persist:
                     known = self.mapping_store.peek(signature, wanted)
                     # all-or-nothing, matching the executor's store-first
@@ -647,27 +652,25 @@ class QueryServer:
                     # occurrence (identical chunk prompts then hit the
                     # prompt cache for free at flush time)
                     if len(known) == len(wanted):
-                        member.overlay.put(signature, known)
+                        member.answers.setdefault(signature, {}).update(known)
                         batcher.keys_from_store += len(known)
                         wanted = []
-                already = member.overlay.peek(signature, wanted)
-                if already:
-                    wanted = [k for k in wanted if k not in already]
+                held = member.answers.get(signature, ())
+                wanted = [key for key in wanted if key not in held]
                 if wanted:
                     # mc=1 keeps the executor's own chunk size (the
                     # byte-identity contract); with real concurrency the
                     # former fills policy-sized batches instead
-                    chunk = (
-                        executor._batch_size_for(call)
-                        if self.config.max_concurrent == 1
-                        else batcher.chunk_size_for(call)
-                    )
+                    chunk = item.chunk_size
+                    if self.config.max_concurrent != 1:
+                        chunk = batcher.chunk_size_for(call)
                     batcher.enqueue_keys(
                         request.database, call, wanted, member,
                         chunk_size=chunk, now=start,
                     )
-            for prompt in qa_prompts:
-                enqueue_uncached(state.cache, prompt, "udf:qa", False)
+            for item in work:
+                if item.prompt is not None:
+                    enqueue_uncached(state.cache, item.prompt, "udf:qa", False)
         else:
             hstate = self.states.hqdl(request.database)
             if hstate.db is None:
@@ -818,7 +821,7 @@ class QueryServer:
         else:
             if group.label.startswith("hqdl:"):
                 pipeline = self.states.hqdl(group.database).pipeline
-                dispatcher, client = pipeline._dispatcher, pipeline.client
+                dispatcher, client = pipeline.dispatcher, pipeline.client
             else:
                 executor = self.states.udf(group.database).executor
                 dispatcher, client = executor.dispatcher, executor.client
@@ -856,14 +859,14 @@ class QueryServer:
                 self._push_event(outcome.finish_time, "finish", outcome)
 
     def _finalize(self, member: PendingRequest, land: float) -> RequestOutcome:
-        """Run the query at ``land``; classify and deliver the outcome.
+        """Generate and run the query at ``land``; classify and deliver.
 
-        The one place a request executes.  An unbatched request lands at
-        its own start and pays for all of its LLM work here.  A batched
-        one replays against its overlay: every flushed answer is there
-        (or in the prompt caches), so the replay is LLM-free in the
-        common case, and residual paid calls (e.g. a QA retry after a
-        failed flush) are charged on top of the landing instant.
+        The one place a request executes, from its dispatch-time plan:
+        nothing is parsed, fetched or looked up again.  An unbatched
+        request lands at its own start and pays for all of its LLM work
+        here.  A batched one generates from the answers its waves
+        delivered, LLM-free in the common case; residual paid calls (e.g.
+        a QA retry after a failed flush) are charged on top of ``land``.
         """
         request = member.request
         batched = self.batcher is not None
@@ -877,20 +880,18 @@ class QueryServer:
         call_sizes: list[tuple[int, int]] = []
         if request.pipeline == "udf":
             executor = self.states.udf(request.database).executor
-            executor.deadline = Deadline(remaining, timer)
-            shared_store = executor.mapping_store
-            if batched:
-                executor.mapping_store = member.overlay
+            # batched: the answers stand in for the store planning consulted
+            known = member.answers if batched else None
             try:
-                result, report = executor.execute_with_report(request.sql)
+                fillings = executor.generate(
+                    member.plan, deadline=Deadline(remaining, timer), known=known
+                )
+                result, report = executor.run(member.plan, fillings)
                 rows = len(result.rows)
                 degraded_keys = report.degraded_keys
                 call_sizes = list(report.call_sizes)
             except ReproError as exc:
                 error = exc
-            finally:
-                executor.mapping_store = shared_store
-                executor.deadline = None
         else:
             state = self.states.hqdl(request.database)
             pipeline = state.pipeline
@@ -899,11 +900,9 @@ class QueryServer:
                     # first touch pays materialization; later requests
                     # answer from the resident expanded database
                     mark = len(state.sizes)
-                    pipeline.deadline = Deadline(remaining, timer)
-                    try:
-                        generation = pipeline.generate_all()
-                    finally:
-                        pipeline.deadline = None
+                    generation = pipeline.generate_all(
+                        deadline=Deadline(remaining, timer)
+                    )
                     call_sizes = state.sizes[mark:]
                     state.db = pipeline.build_expanded_database(generation)
                 result = pipeline.answer(

@@ -22,12 +22,12 @@ from repro.llm.resilience import Clock, ResilienceReport, RetryPolicy
 from repro.llm.stack import ClientStack, build_client_stack, build_resilient_stack
 from repro.llm.usage import UsageMeter
 from repro.obs import Telemetry
-from repro.plan import MappingStore
 from repro.sqlengine.database import Database
 from repro.swan.benchmark import Swan
 from repro.swan.build import build_curated_database
 from repro.udf.executor import HybridQueryExecutor
 from repro.udf.ingredients import parse_map_answers
+from repro.udf.store import MappingStore
 
 if TYPE_CHECKING:
     from repro.serve.server import ServerConfig
@@ -102,7 +102,7 @@ class UdfState:
 
     def __post_init__(self) -> None:
         memo = lru_cache(maxsize=FLUSH_MEMO_SIZE)
-        self.chunk_prompt = memo(self.executor._map_prompt)
+        self.chunk_prompt = memo(self.executor.map_prompt)
         self.decode = memo(_decode)
 
     def close(self) -> None:

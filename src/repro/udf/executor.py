@@ -1,21 +1,25 @@
-"""The hybrid query executor (BlendSQL-equivalent).
+"""The hybrid query executor (BlendSQL-equivalent), in three stages.
 
-Execution plan for one hybrid query:
+1. :meth:`~HybridQueryExecutor.prepare` parses the dialect SQL — once
+   per distinct text, see :class:`PreparedStatement` — and walks its
+   ``{{...}}`` ingredients: an **LLMMap** fetches the key tuples its
+   database-only predicates allow (predicate pushdown, memoized per
+   connection by :meth:`~repro.sqlengine.database.Database.fetch_keys`),
+   an **LLMJoin** its source table's keys, an **LLMQA** renders its
+   prompt.  The immutable :class:`QueryPlan` lists that LLM work.
+2. :meth:`~HybridQueryExecutor.generate` pays for it — map keys in
+   batches (default 5 per call, Section 5.4), one call per LLMQA — and
+   is the one place the model, the shared mapping store and the
+   semantic cache are consulted.
+3. :meth:`~HybridQueryExecutor.run` binds each LLMMap mapping to a
+   lookup function on the connection, fills each LLMJoin's TEMP table,
+   rewrites the AST (``CAST(lookup(keys) AS TEXT)`` for maps, literals
+   for QA), renders plain SQLite SQL, executes and unbinds.  It fetches
+   no keys and consults no store.
 
-1. Parse the dialect SQL; collect every ``{{...}}`` ingredient — once
-   per distinct SQL text (see :class:`PreparedStatement`).
-2. For each **LLMMap**: find its owning SELECT scope, apply predicate
-   pushdown to fetch only the key tuples that database-only predicates
-   allow (a fetch the connection memoizes until its data changes:
-   :meth:`~repro.sqlengine.database.Database.fetch_keys`), batch the
-   keys (default 5 per call, Section 5.4), prompt the model, and bind
-   the answers to a lookup function registered on the connection
-   (:class:`~repro.sqlengine.database.LookupFunction`).
-3. For each **LLMQA**: one scalar call; the answer becomes a literal.
-4. For each **LLMJoin**: like LLMMap, but materialized into a TEMP table,
-   because a FROM source needs one.
-5. Rewrite the AST — map ingredients become ``CAST(lookup(keys) AS
-   TEXT)`` calls — render plain SQLite SQL, execute, unbind.
+``execute_with_report`` is the three in a row; the call planner
+(:mod:`repro.plan`) and the serving layer drive them one by one, paying
+for the work their own way and handing what they hold to ``generate``.
 
 All LLM traffic goes through a prompt-keyed cache
 (:class:`~repro.llm.cache.CachingClient`), reproducing BlendSQL's reuse
@@ -42,8 +46,8 @@ DDL and no table write, and its rewritten SQL is a constant string.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from repro.errors import IngredientError, ReproError
 from repro.llm.batching import (
@@ -70,7 +74,7 @@ from repro.llm.intent import (
     quote_field,
 )
 from repro.llm.parallel import ParallelDispatcher
-from repro.llm.resilience import ResilienceReport
+from repro.llm.resilience import Deadline, ResilienceReport
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
 from repro.obs.provenance import TIER_MAPPING_STORE, TIER_SEMANTIC, call_id_for
 from repro.obs.trace import NULL_SPAN
@@ -88,10 +92,8 @@ from repro.udf.ingredients import (
 )
 from repro.udf.pushdown import calls_no_function, pushable_conjuncts, resolve_alias
 from repro.udf.semantic_cache import SemanticCache
+from repro.udf.store import MappingStore
 from repro.udf.views import MaterializedViewStore
-
-if TYPE_CHECKING:  # no runtime import: repro.plan imports from this module
-    from repro.plan.store import MappingStore
 
 #: prepared statements kept per executor, least recently used evicted
 #: first (SWAN has 30 distinct texts per database); an evicted statement
@@ -192,7 +194,7 @@ class HybridQueryExecutor:
         resilience: Optional[ResilienceReport] = None,
         telemetry: Optional[Telemetry] = None,
         batch_policy: Optional[object] = None,
-        mapping_store: Optional["MappingStore"] = None,
+        mapping_store: Optional[MappingStore] = None,
         provenance=None,
     ) -> None:
         if batch_size < 1:
@@ -209,13 +211,15 @@ class HybridQueryExecutor:
             IngredientCall, tuple[str, Optional[MapHeader]]
         ] = {}
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._prov = provenance if provenance is not None else NULL_PROVENANCE
+        #: the provenance recorder every call and cell of this executor
+        #: reports to (a pairs-mode planner marks its dispatches here too)
+        self.provenance = provenance if provenance is not None else NULL_PROVENANCE
         self.dispatcher = ParallelDispatcher(
-            workers, telemetry=self._tel, provenance=self._prov
+            workers, telemetry=self._tel, provenance=self.provenance
         )
         self.cache = cache if cache is not None else PromptCache()
         self.client = CachingClient(
-            client, self.cache, telemetry=self._tel, provenance=self._prov
+            client, self.cache, telemetry=self._tel, provenance=self.provenance
         )
         self._m_degraded_batches = self._tel.metrics.counter(
             "pipeline.degraded_batches"
@@ -230,8 +234,8 @@ class HybridQueryExecutor:
         #: any object with ``batch_size(call) -> int`` (repro.plan.policy);
         #: None keeps the fixed ``batch_size`` — BlendSQL's behaviour.
         self.batch_policy = batch_policy
-        #: filled by a pairs-mode CallPlanner; fully-covered ingredients
-        #: are answered from it with zero LLM calls.
+        #: filled by a pairs-mode CallPlanner; :meth:`generate` answers
+        #: fully-covered ingredients from it with zero LLM calls.
         self.mapping_store = mapping_store
         #: when True, freshly generated mappings are published back into
         #: ``mapping_store`` so later requests (the serving layer's
@@ -239,12 +243,6 @@ class HybridQueryExecutor:
         #: store-served values skip batching, so answers may drift within
         #: model noise relative to a cold run.
         self.publish_mappings = False
-        #: optional request-level :class:`~repro.llm.resilience.Deadline`
-        #: (set per request by the serving layer): once expired, mapping
-        #: batches are skipped with typed degradable outcomes (NULL
-        #: cells) and QA answers degrade to NULL — the query still
-        #: completes, it never hangs past its budget.
-        self.deadline = None
         #: SQL text -> its prepared statement, least recently used first
         self._prepared: OrderedDict[str, PreparedStatement] = OrderedDict()
 
@@ -258,34 +256,122 @@ class HybridQueryExecutor:
     def execute_with_report(
         self, hybrid_sql: Union[str, ast.Select]
     ) -> tuple[ResultSet, ExecutionReport]:
-        """Execute and also return pushdown/call diagnostics.
+        """Prepare, generate and run; the result and its diagnostics.
 
         ``hybrid_sql`` may be an already parsed statement; execution
         never mutates it (and, not owning it, prepares it for this call
         only).
         """
         tel = self._tel
-        if not tel.enabled:
-            return self._execute_with_report(hybrid_sql)
-        with tel.tracer.span("udf:query") as span:
-            result, report = self._execute_with_report(hybrid_sql)
+        with (tel.tracer.span("udf:query") if tel.enabled else NULL_SPAN) as span:
+            plan = self.prepare(hybrid_sql)
+            result, report = self.run(plan, self.generate(plan))
             span.set("llm_calls", report.llm_calls)
             span.set("keys_generated", report.keys_generated)
-            return result, report
+        return result, report
 
-    def _execute_with_report(
-        self, hybrid_sql: Union[str, ast.Select]
-    ) -> tuple[ResultSet, ExecutionReport]:
+    def prepare(self, hybrid_sql: Union[str, ast.Select]) -> "QueryPlan":
+        """Stage one: the statement and, per occurrence in walk order, its work.
+
+        The walk stops at the first malformed occurrence or failing key
+        fetch (an unparseable text at once); the plan keeps that error
+        for :meth:`generate` to raise once the calls before it are paid,
+        the prefix of work a failing query costs.  No LLM is called.
+        """
+        tel = self._tel
+        try:
+            with (tel.tracer.span("sql:parse") if tel.enabled else NULL_SPAN):
+                prepared = self._statement(hybrid_sql)
+        except ReproError as exc:
+            return QueryPlan(None, (), exc)
+        steps: list[tuple[_Occurrence, Work]] = []
+        error: Optional[ReproError] = None
+        for occurrence in prepared.occurrences:
+            error = occurrence.error
+            if error is not None:
+                break
+            call = occurrence.call
+            if call.kind == "LLMQA":
+                work = Work(call, (), 1, self._qa_prompt(call.question))
+            else:
+                try:
+                    keys = self._fetch_keys(occurrence)
+                except ReproError as exc:
+                    error = exc
+                    break
+                policy = self.batch_policy
+                chunk = self.batch_size if policy is None else policy.batch_size(call)
+                work = Work(call, keys, chunk)
+            steps.append((occurrence, work))
+        return QueryPlan(prepared, tuple(steps), error)
+
+    def generate(
+        self,
+        plan: "QueryPlan",
+        *,
+        deadline: Optional[Deadline] = None,
+        known: Optional[dict[tuple, dict[tuple, Optional[str]]]] = None,
+    ) -> "Fillings":
+        """Stage two: pay for a plan's work; every occurrence's answer.
+
+        ``known`` maps a signature to answers the caller holds: an
+        occurrence it fully covers costs no call, and the shared store
+        is then neither read nor written.  Past ``deadline``, map batches
+        and QA answers degrade to NULL instead of being dispatched.
+        """
         tel = self._tel
         report = ExecutionReport()
-        with (tel.tracer.span("sql:parse") if tel.enabled else NULL_SPAN):
-            prepared = self._prepare(hybrid_sql)
+        answers: list = []
+        for occurrence, work in plan.steps:
+            call = occurrence.call
+            span = NULL_SPAN
+            if tel.enabled:
+                span = tel.tracer.span(
+                    "udf:ingredient", kind=call.kind, question=call.question
+                )
+            with span:
+                if call.kind == "LLMQA":
+                    answer = self._run_qa(work.prompt, deadline)
+                else:
+                    answer = self._view_mapping(call)
+                    if answer is None:
+                        answer = self._generate_mapping(
+                            work, report, deadline, known
+                        )
+                        if call.kind == "LLMMap":
+                            self._maybe_materialize_view(call, answer)
+            answers.append(answer)
+        if plan.error is not None:
+            # a fresh traceback each time: the plan keeps the exception
+            # object, which would otherwise grow a frame per raise
+            raise plan.error.with_traceback(None)
+        return Fillings(tuple(answers), report)
+
+    def run(
+        self, plan: "QueryPlan", fillings: "Fillings"
+    ) -> tuple[ResultSet, ExecutionReport]:
+        """Stage three: bind the answers to the slots, render, execute."""
+        tel = self._tel
+        prepared = plan.prepared
         try:
-            fillings = self._fill_ingredients(prepared, report)
+            slots: list[Optional[str]] = []
+            for (occurrence, _), answer in zip(plan.steps, fillings.answers):
+                kind = occurrence.call.kind
+                if kind == "LLMJoin":
+                    answer = self._materialize(occurrence, answer)
+                elif kind == "LLMMap":
+                    # acquired on first use and kept: a repeat writes nothing
+                    if occurrence.lookup is None:
+                        occurrence.lookup = self.db.acquire_lookup(
+                            len(occurrence.call.key_columns)
+                        )
+                    occurrence.lookup.bind(answer)
+                    answer = occurrence.lookup.name
+                slots.append(answer)
             with (tel.tracer.span("sql:rewrite") if tel.enabled else NULL_SPAN):
-                report.rewritten_sql = prepared.final_sql(fillings)
+                sql = prepared.final_sql(tuple(slots))
             with (tel.tracer.span("sql:execute") if tel.enabled else NULL_SPAN):
-                result = self.db.query(report.rewritten_sql)
+                result = self.db.query(sql)
         finally:
             # a bound mapping outliving its query would pin every
             # generated value until the statement's next execution
@@ -295,11 +381,23 @@ class HybridQueryExecutor:
                         occurrence.lookup.unbind()
             else:
                 self._release_slots(prepared)
-        return result, report
+        return result, replace(fillings.report, rewritten_sql=sql)
+
+    def plan_calls(self, hybrid_sql: str) -> list[tuple[str, str]]:
+        """The (prompt, label) sequence executing this query would issue,
+        up to any failure, when no store, view or semantic cache answers."""
+        calls: list[tuple[str, str]] = []
+        for work in self.prepare(hybrid_sql).work():
+            if work.prompt is not None:
+                calls.append((work.prompt, "udf:qa"))
+                continue
+            for batch in batched(work.keys, work.chunk_size):
+                calls.append((self.map_prompt(work.call, batch), "udf:map"))
+        return calls
 
     # -- prepared statements -----------------------------------------------------
 
-    def _prepare(self, hybrid_sql: Union[str, ast.Select]) -> "PreparedStatement":
+    def _statement(self, hybrid_sql: Union[str, ast.Select]) -> "PreparedStatement":
         """The prepared statement for a query text, parsed at most once.
 
         The cache is per executor because what it holds depends on this
@@ -318,6 +416,7 @@ class HybridQueryExecutor:
         self._prepared[hybrid_sql] = prepared
         if len(self._prepared) > PREPARED_CACHE_SIZE:
             _, evicted = self._prepared.popitem(last=False)
+            evicted.cached = False  # a plan holding it releases its slots
             self._release_slots(evicted)
         return prepared
 
@@ -335,145 +434,29 @@ class HybridQueryExecutor:
                 self.db.drop_temp_table(occurrence.table)
                 occurrence.table = None
 
-    @staticmethod
-    def _walk(prepared: "PreparedStatement") -> Iterator["_Occurrence"]:
-        """The one ingredient walk: each distinct occurrence, in order.
-
-        Execution and both dry runs iterate this, so they agree on scope
-        resolution, signature sharing and — by raising a malformed
-        occurrence's error only on reaching it — on the prefix of work
-        done before a query fails.
-        """
-        for occurrence in prepared.occurrences:
-            if occurrence.error is not None:
-                # a fresh traceback each time: the exception object is
-                # kept, and would otherwise grow a frame per raise
-                raise occurrence.error.with_traceback(None)
-            yield occurrence
-
-    def _fill_ingredients(
-        self, prepared: "PreparedStatement", report: ExecutionReport
-    ) -> tuple[Optional[str], ...]:
-        """Run every ingredient; what each occurrence is replaced with.
-
-        A filling is the LLMQA answer (None for NULL), the name of the
-        lookup function holding an LLMMap mapping, or the name of the
-        table holding an LLMJoin one.
-        """
-        tel = self._tel
-        fillings: list[Optional[str]] = []
-        for occurrence in self._walk(prepared):
-            call = occurrence.call
-            with (
-                tel.tracer.span(
-                    "udf:ingredient", kind=call.kind, question=call.question
-                )
-                if tel.enabled
-                else NULL_SPAN
-            ):
-                if call.kind == "LLMQA":
-                    filling = self._run_qa(call)
-                elif call.kind == "LLMMap":
-                    filling = self._run_map(occurrence, report)
-                else:  # LLMJoin
-                    filling = self._run_join(occurrence, report)
-            fillings.append(filling)
-        return tuple(fillings)
-
-    def _batch_size_for(self, call: IngredientCall) -> int:
-        """The batch size for one ingredient: policy when set, else fixed."""
-        if self.batch_policy is None:
-            return self.batch_size
-        return self.batch_policy.batch_size(call)
-
-    def _view_table(self, call: IngredientCall) -> Optional[str]:
-        """The materialized view already answering an LLMMap, if any."""
-        if self.views is None:
-            return None
-        return self.views.table_for(call.signature())
-
-    # -- call planning (dry run) --------------------------------------------------
-    #
-    # Both methods replay the ingredient walk of execution without
-    # issuing any LLM call, for the run-level CallPlanner (repro.plan)
-    # and the serving layer.  They assume the executor-level caches that
-    # consult the model themselves (semantic cache) are not attached —
-    # the harness runners never attach them — and share everything else
-    # with execution through ``_walk``, including the stop-at-first-error
-    # prefix semantics.
-
-    def plan_calls(self, hybrid_sql: str) -> list[tuple[str, str]]:
-        """The exact (prompt, label) sequence executing this query would issue.
-
-        A query that would fail mid-plan (bad ingredient placement, SQL
-        errors in key fetching) contributes the prefix of prompts issued
-        before the failure — the same calls real execution pays for
-        before raising.
-        """
-        prompts: list[tuple[str, str]] = []
-        report = ExecutionReport()
-        try:
-            for occurrence in self._walk(self._prepare(hybrid_sql)):
-                call = occurrence.call
-                if call.kind == "LLMQA":
-                    prompts.append((self._qa_prompt(call.question), "udf:qa"))
-                elif call.kind == "LLMJoin" or self._view_table(call) is None:
-                    keys = self._fetch_keys(occurrence, report)
-                    for batch in batched(keys, self._batch_size_for(call)):
-                        prompts.append((self._map_prompt(call, batch), "udf:map"))
-        except ReproError:
-            pass
-        return prompts
-
-    def plan_key_requests(
-        self, hybrid_sql: Union[str, ast.Select]
-    ) -> tuple[list[tuple[IngredientCall, list[tuple]]], list[str]]:
-        """The (attribute, key) demand of this query, before batching.
-
-        Returns ``(map_requests, qa_prompts)`` where each map request is
-        an LLMMap/LLMJoin call paired with the key tuples it needs —
-        the unit a pairs-mode planner unions across questions.  Accepts
-        an already parsed statement, like :meth:`execute_with_report`.
-        """
-        map_requests: list[tuple[IngredientCall, list[tuple]]] = []
-        qa_prompts: list[str] = []
-        report = ExecutionReport()
-        try:
-            for occurrence in self._walk(self._prepare(hybrid_sql)):
-                call = occurrence.call
-                if call.kind == "LLMQA":
-                    qa_prompts.append(self._qa_prompt(call.question))
-                else:
-                    map_requests.append(
-                        (call, self._fetch_keys(occurrence, report))
-                    )
-        except ReproError:
-            pass
-        return map_requests, qa_prompts
-
     # -- LLMQA -------------------------------------------------------------------
 
-    def _run_qa(self, call: IngredientCall) -> Optional[str]:
+    def _run_qa(self, prompt: Prompt, deadline: Optional[Deadline]) -> Optional[str]:
         """The scalar answer that replaces an LLMQA (None renders NULL)."""
         tel = self._tel
-        if self.deadline is not None and self.deadline.expired:
+        prov = self.provenance
+        if deadline is not None and deadline.expired:
             # same degradation contract as a skipped mapping batch: the
             # scalar becomes NULL instead of blocking past the budget
             if self.resilience is not None:
                 self.resilience.record_degraded(1)
             return None
-        prompt = self._qa_prompt(call.question)
-        if self._prov.enabled:
+        if prov.enabled:
             # QA bypasses the dispatcher, so the executor records the call
-            self._prov.record_call(prompt, label="udf:qa")
+            prov.record_call(prompt, label="udf:qa")
         with (
             tel.tracer.span("llm:call", label="udf:qa")
             if tel.enabled
             else NULL_SPAN
         ) as span:
             response = self.client.complete(prompt, label="udf:qa")
-            if self._prov.enabled:
-                self._prov.record_outcome(prompt, usage=response.usage)
+            if prov.enabled:
+                prov.record_outcome(prompt, usage=response.usage)
             if tel.enabled:
                 usage = response.usage
                 span.set("cached", usage.calls == 0)
@@ -506,51 +489,21 @@ class HybridQueryExecutor:
             return Prompt(text)
         return Prompt(text, QaIntent(question, len(demos)))
 
-    # -- LLMMap ------------------------------------------------------------------
+    # -- LLMMap / LLMJoin --------------------------------------------------------
 
-    def _run_map(self, occurrence: "_Occurrence", report: ExecutionReport) -> str:
-        """Generate one LLMMap's mapping; the function the rewrite reads it from."""
-        call = occurrence.call
-        view_table = self._view_table(call)
-        if view_table is not None:
-            # read the materialized view, no LLM calls
-            rows = self.db.query_rows(
-                f"SELECT * FROM {quote_identifier(view_table)}"
-            )
-            return self._bind(occurrence, {row[:-1]: row[-1] for row in rows})
-        tel = self._tel
-        with (
-            tel.tracer.span("udf:fetch_keys", pushdown=self.pushdown)
-            if tel.enabled
-            else NULL_SPAN
-        ) as span:
-            keys = self._fetch_keys(occurrence, report)
-            span.set("keys", len(keys))
-        mapping = self._generate_mapping(call, keys, report)
-        with (tel.tracer.span("udf:materialize") if tel.enabled else NULL_SPAN):
-            self._maybe_materialize_view(call, mapping)
-            return self._bind(occurrence, mapping)
+    def _view_mapping(
+        self, call: IngredientCall
+    ) -> Optional[dict[tuple, Optional[str]]]:
+        """What a materialized view holds for an LLMMap, if one answers it."""
+        if self.views is None or call.kind != "LLMMap":
+            return None
+        table = self.views.table_for(call.signature())
+        if table is None:
+            return None
+        rows = self.db.query_rows(f"SELECT * FROM {quote_identifier(table)}")
+        return {row[:-1]: row[-1] for row in rows}
 
-    def _bind(
-        self, occurrence: "_Occurrence", mapping: dict[tuple, Optional[str]]
-    ) -> str:
-        """Bind a mapping to the occurrence's lookup function; its name.
-
-        The function is acquired from the connection the first time the
-        occurrence runs and kept ever after, so a repeated statement
-        writes nothing to the database and reads only the current
-        execution's mapping.
-        """
-        lookup = occurrence.lookup
-        if lookup is None:
-            lookup = self.db.acquire_lookup(len(occurrence.call.key_columns))
-            occurrence.lookup = lookup
-        lookup.bind(mapping)
-        return lookup.name
-
-    def _fetch_keys(
-        self, occurrence: "_Occurrence", report: ExecutionReport
-    ) -> list[tuple]:
+    def _fetch_keys(self, occurrence: "_Occurrence") -> list[tuple]:
         """Distinct key tuples, after predicate pushdown when enabled.
 
         Served by the connection's key memo, shared with every executor,
@@ -558,8 +511,14 @@ class HybridQueryExecutor:
         function, which might select other keys from the same rows.
         """
         sql = self._key_sql(occurrence)
-        keys = self.db.fetch_keys(sql, reuse=occurrence.key_reusable)
-        report.keys_after_pushdown[occurrence.call.question] = len(keys)
+        tel = self._tel
+        with (
+            tel.tracer.span("udf:fetch_keys", pushdown=self.pushdown)
+            if tel.enabled
+            else NULL_SPAN
+        ) as span:
+            keys = self.db.fetch_keys(sql, reuse=occurrence.key_reusable)
+            span.set("keys", len(keys))
         return keys
 
     def _key_sql(self, occurrence: "_Occurrence") -> str:
@@ -596,13 +555,17 @@ class HybridQueryExecutor:
 
     def _generate_mapping(
         self,
-        call: IngredientCall,
-        keys: list[tuple],
+        work: "Work",
         report: ExecutionReport,
+        deadline: Optional[Deadline],
+        known: Optional[dict],
     ) -> dict[tuple, Optional[str]]:
         """Batched LLM calls answering the question for every key.
 
-        With a :class:`~repro.udf.semantic_cache.SemanticCache` attached,
+        Answers already held — by ``known`` when the caller passes it,
+        else by the shared mapping store — serve a fully covered
+        ingredient outright.  With a
+        :class:`~repro.udf.semantic_cache.SemanticCache` attached,
         previously generated values for semantically equivalent questions
         are reused per key (query rewriting, Section 4.3) and only the
         missing keys reach the model.
@@ -613,29 +576,40 @@ class HybridQueryExecutor:
         batch degrades to ``None`` answers — the same tolerance already
         applied to format drift — instead of aborting its siblings.
         """
-        prov = self._prov
-        cell_table = call.signature()
+        call, keys = work.call, work.keys
+        signature = call.signature()
+        report.keys_after_pushdown[call.question] = len(keys)
+        prov = self.provenance
+        cell_table = signature
         cell_column = "value" if call.kind == "LLMJoin" else "v"
+        store = self.mapping_store if known is None else None
+        if known is not None:
+            served = known.get(signature)
+            if served is not None and any(key not in served for key in keys):
+                served = None
+        else:
+            served = None if store is None else store.lookup(signature, keys)
         mapping: dict[tuple, Optional[str]] = {}
-        if self.mapping_store is not None:
-            served = self.mapping_store.lookup(call.signature(), keys)
-            if served is not None:
+        if served is not None:
+            producers = (
+                store.call_ids(signature)
+                if prov.enabled and store is not None
+                else {}
+            )
+            for key in keys:
+                mapping[key] = served[key]
+                if served[key] is not None:
+                    report.keys_generated += 1
                 if prov.enabled:
-                    producers = self.mapping_store.call_ids(call.signature())
-                for key in keys:
-                    mapping[key] = served[key]
-                    if served[key] is not None:
-                        report.keys_generated += 1
-                    if prov.enabled:
-                        prov.record_cell(
-                            cell_table,
-                            key,
-                            cell_column,
-                            producers.get(key, ""),
-                            null=served[key] is None,
-                            tier=TIER_MAPPING_STORE,
-                        )
-                return mapping
+                    prov.record_cell(
+                        cell_table,
+                        key,
+                        cell_column,
+                        producers.get(key, ""),
+                        null=served[key] is None,
+                        tier=TIER_MAPPING_STORE,
+                    )
+            return mapping
         reusable: dict[tuple, str] = {}
         if self.semantic_cache is not None:
             cached = self.semantic_cache.lookup(call.question, self.client)
@@ -654,10 +628,10 @@ class HybridQueryExecutor:
                     )
             else:
                 to_generate.append(key)
-        batches = batched(to_generate, self._batch_size_for(call))
-        prompts = [self._map_prompt(call, batch) for batch in batches]
+        batches = batched(to_generate, work.chunk_size)
+        prompts = [self.map_prompt(call, batch) for batch in batches]
         outcomes = self.dispatcher.dispatch(
-            self.client, prompts, labels="udf:map", deadline=self.deadline
+            self.client, prompts, labels="udf:map", deadline=deadline
         )
         for batch, prompt, outcome in zip(batches, prompts, outcomes):
             degraded = outcome.error is not None
@@ -696,12 +670,12 @@ class HybridQueryExecutor:
                 call.question,
                 {key: value for key, value in mapping.items() if value is not None},
             )
-        if self.publish_mappings and self.mapping_store is not None:
+        if self.publish_mappings and store is not None:
             # only real answers are worth sharing: degraded NULLs would
             # pin other requests' keys to NULL past the fault that caused
             # them
-            self.mapping_store.put(
-                call.signature(),
+            store.put(
+                signature,
                 {k: v for k, v in mapping.items() if v is not None},
             )
         return mapping
@@ -711,7 +685,7 @@ class HybridQueryExecutor:
         "with no explanation."
     )
 
-    def _map_prompt(self, call: IngredientCall, batch: list[tuple]) -> Prompt:
+    def map_prompt(self, call: IngredientCall, batch: Sequence[tuple]) -> Prompt:
         """The map prompt for one batch of keys.
 
         Laid out as a :class:`~repro.llm.declarative.PromptSpec` of
@@ -788,19 +762,18 @@ class HybridQueryExecutor:
         ]
 
     def _materialize(
-        self,
-        occurrence: "_Occurrence",
-        columns: list[str],
-        mapping: dict[tuple, Optional[str]],
+        self, occurrence: "_Occurrence", mapping: dict[tuple, Optional[str]]
     ) -> str:
         """Fill an LLMJoin occurrence's temp-table slot; its name.
 
-        The slot (table + key index) is created the first time the
-        occurrence is materialized, under a name from the connection,
-        and refilled ever after, so a repeated statement issues no DDL,
-        leaks no tables, and always reads only the rows of the current
-        execution.
+        Columns: the key columns under their original names plus
+        ``value``.  The slot (table + key index) is created the first
+        time the occurrence is materialized, under a name from the
+        connection, and refilled ever after, so a repeated statement
+        issues no DDL, leaks no tables, and always reads only the rows of
+        the current execution.
         """
+        columns = list(occurrence.call.key_columns) + ["value"]
         # a generator keeps at most one insert chunk of rows in memory;
         # both fills stream it in fixed-size chunks
         rows = (
@@ -821,39 +794,29 @@ class HybridQueryExecutor:
     ) -> None:
         """Persist a *complete* generation as a materialized view.
 
+        Runs under the ``udf:materialize`` span of every generated LLMMap.
         Only complete mappings (covering every distinct key of the source
         table) are safe to reuse by later queries with different — or no
         — pushdown predicates; partial generations stay query-local.
         """
-        if self.views is None:
-            return
-        columns = ", ".join(quote_identifier(c) for c in call.key_columns)
-        total_keys = self.db.query_scalar(
-            f"SELECT COUNT(*) FROM (SELECT DISTINCT {columns} "
-            f"FROM {quote_identifier(call.source_table)})"
-        )
-        if len(mapping) != total_keys:
-            return
-        view_columns = [f"k{i}" for i in range(len(call.key_columns))] + ["v"]
-        rows = [
-            tuple(key) + (value,)
-            for key, value in mapping.items()
-            if value is not None
-        ]
-        self.views.materialize(self.db, call.signature(), view_columns, rows)
-
-    # -- LLMJoin -----------------------------------------------------------------
-
-    def _run_join(self, occurrence: "_Occurrence", report: ExecutionReport) -> str:
-        """Materialize a generated table usable in FROM; its name.
-
-        Columns: the key columns under their original names plus ``value``.
-        """
-        call = occurrence.call
-        keys = self._fetch_keys(occurrence, report)
-        mapping = self._generate_mapping(call, keys, report)
-        columns = list(call.key_columns) + ["value"]
-        return self._materialize(occurrence, columns, mapping)
+        tel = self._tel
+        with (tel.tracer.span("udf:materialize") if tel.enabled else NULL_SPAN):
+            if self.views is None:
+                return
+            columns = ", ".join(quote_identifier(c) for c in call.key_columns)
+            total_keys = self.db.query_scalar(
+                f"SELECT COUNT(*) FROM (SELECT DISTINCT {columns} "
+                f"FROM {quote_identifier(call.source_table)})"
+            )
+            if len(mapping) != total_keys:
+                return
+            view_columns = [f"k{i}" for i in range(len(call.key_columns))] + ["v"]
+            rows = [
+                tuple(key) + (value,)
+                for key, value in mapping.items()
+                if value is not None
+            ]
+            self.views.materialize(self.db, call.signature(), view_columns, rows)
 
 
 # -- prepared statements ----------------------------------------------------------
@@ -911,7 +874,8 @@ class PreparedStatement:
     ingredient occurrences in walk order, and a small memo of rendered
     final SQL: with fixed slots the rewrite of a statement depends only
     on what its LLMQA ingredients answered, so a repeat skips both the
-    tree rewrite and the render.
+    tree rewrite and the render.  An evicted entry stops being
+    ``cached``, so a plan still holding it releases what its run acquires.
     """
 
     def __init__(self, statement: ast.Select, *, cached: bool) -> None:
@@ -939,6 +903,39 @@ class PreparedStatement:
                 self._rendered.clear()
             self._rendered[fillings] = sql
         return sql
+
+
+class Work(NamedTuple):
+    """One ingredient's LLM demand: an LLMMap/LLMJoin's distinct keys and
+    keys per call, or an LLMQA's prompt (``keys`` empty)."""
+
+    call: IngredientCall
+    keys: Sequence[tuple]
+    chunk_size: int
+    prompt: Optional[Prompt] = None
+
+
+@dataclass(frozen=True)
+class QueryPlan:
+    """What one query needs, fixed at prepare time: each occurrence the
+    walk reached with its work, and the error that stopped the walk
+    (``prepared`` is None only for an unparseable text)."""
+
+    prepared: Optional[PreparedStatement]
+    steps: tuple[tuple[_Occurrence, Work], ...]
+    error: Optional[ReproError] = None
+
+    def work(self) -> tuple[Work, ...]:
+        """The LLM work of this query, in walk order."""
+        return tuple(work for _, work in self.steps)
+
+
+class Fillings(NamedTuple):
+    """Per plan step, the LLMQA answer or the key → value mapping, and the
+    report counting the calls and keys that produced them."""
+
+    answers: tuple
+    report: ExecutionReport
 
 
 def _prepare_occurrences(statement: ast.Select) -> list[_Occurrence]:

@@ -5,9 +5,10 @@ run will need, once, up front.  The :class:`MappingStore` is where those
 answers live: keyed by ingredient signature (kind, question, source
 table, key columns), each entry maps key tuples to generated values.
 
-Executors consult the store before generating: when it covers *every*
-key an ingredient needs, the whole ingredient is answered with zero LLM
-calls.  Partial coverage falls back to the normal generate path — a
+:meth:`HybridQueryExecutor.generate
+<repro.udf.executor.HybridQueryExecutor.generate>` consults the store
+before paying for an ingredient: when it covers *every* key the
+ingredient needs, the whole ingredient is answered with zero LLM calls.  Partial coverage falls back to the normal generate path — a
 half-served batch would change batching (and therefore answers), so
 serving is all-or-nothing per ingredient.
 """

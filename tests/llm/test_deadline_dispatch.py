@@ -112,9 +112,13 @@ class TestExecutorDeadline:
         "= 'Dark Horse Comics'"
     )
 
+    @staticmethod
+    def _execute(executor, deadline):
+        plan = executor.prepare(TestExecutorDeadline.SQL)
+        return executor.run(plan, executor.generate(plan, deadline=deadline))
+
     def test_expired_deadline_degrades_every_cell(self, executor):
-        executor.deadline = _expired_deadline()
-        result, report = executor.execute_with_report(self.SQL)
+        result, report = self._execute(executor, _expired_deadline())
         assert executor.model_meter.total.calls == 0
         assert result.rows == [], "every mapped cell degraded to NULL"
         assert report.degraded_keys > 0
@@ -123,8 +127,7 @@ class TestExecutorDeadline:
         clock = FakeClock()
         baseline_result, baseline = executor.execute_with_report(self.SQL)
         executor.cache.clear()
-        executor.deadline = Deadline(10_000.0, clock)
-        result, report = executor.execute_with_report(self.SQL)
+        result, report = self._execute(executor, Deadline(10_000.0, clock))
         assert result.rows == baseline_result.rows
         assert report.call_sizes == baseline.call_sizes
         assert report.degraded_keys == baseline.degraded_keys == 0
@@ -138,7 +141,6 @@ class TestHqdlDeadline:
 
         model = make_model(superhero_world)
         pipeline = HQDL(superhero_world, model, workers=2)
-        pipeline.deadline = _expired_deadline()
-        generation = pipeline.generate_all()
+        generation = pipeline.generate_all(deadline=_expired_deadline())
         assert model.meter.total.calls == 0
         assert generation, "generation still completes, just degraded"

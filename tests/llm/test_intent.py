@@ -119,9 +119,9 @@ def test_every_equivalence_candidate_reads_as_written(swan, database):
     with build_curated_database(world) as db:
         executor = HybridQueryExecutor(db, ScriptedClient([]), world)
         for question in swan.questions_for(database):
-            requests, qa = executor.plan_key_requests(question.blend_sql)
-            for text in [c.question for c, _ in requests] + [
-                p.intent.question for p in qa
+            work = executor.prepare(question.blend_sql).work()
+            for text in [w.call.question for w in work if w.prompt is None] + [
+                w.prompt.intent.question for w in work if w.prompt is not None
             ]:
                 if text not in questions:
                     questions.append(text)
@@ -176,7 +176,7 @@ class TestLossyRenders:
     )
     def test_map_keys(self, executor, superhero_world, key):
         batch = [("Batman",), key]
-        prompt = executor._map_prompt(map_call(), batch)
+        prompt = executor.map_prompt(map_call(), batch)
         header = MapHeader(PUBLISHER, len(executor._demo_lines(PUBLISHER)))
         assert_read_from_text(
             gpt35(superhero_world), prompt, MapIntent(header, batch)
@@ -192,7 +192,7 @@ class TestLossyRenders:
         ids=["question-marker", "question-space", "option-marker"],
     )
     def test_map_header(self, executor, superhero_world, call):
-        prompt = executor._map_prompt(call, [("Batman",)])
+        prompt = executor.map_prompt(call, [("Batman",)])
         shots = len(executor._demo_lines(call.question))
         lost = MapIntent(MapHeader(call.question, shots), [("Batman",)])
         assert_read_from_text(gpt35(superhero_world), prompt, lost)
@@ -223,7 +223,7 @@ class TestLossyRenders:
 
     def test_plain_inputs_keep_theirs(self, executor):
         """The controls: the same builders, readable inputs."""
-        assert executor._map_prompt(map_call(), [("Batman",)]).intent is not None
+        assert executor.map_prompt(map_call(), [("Batman",)]).intent is not None
         assert executor._qa_prompt("Who publishes 'Batman'?").intent is not None
         assert equivalence_prompt("a?", "b?").intent is not None
 
@@ -257,8 +257,8 @@ def test_intents_share_the_callers_keys(executor, superhero_world):
     """An intent holds references, not copies: the batch a map prompt was
     rendered for, one header per ingredient, the row builder's key."""
     batch = [("Batman",), ("Superman",)]
-    first = executor._map_prompt(map_call(), batch)
-    second = executor._map_prompt(map_call(), [("Robin",)])
+    first = executor.map_prompt(map_call(), batch)
+    second = executor.map_prompt(map_call(), [("Robin",)])
     assert first.intent.keys is batch
     assert first.intent.header is second.intent.header
     expansion = superhero_world.expansions[0]

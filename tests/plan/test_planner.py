@@ -99,18 +99,24 @@ class TestExecution:
         assert planned_rows == plain_rows
         assert planned_usage == plain_usage
 
-    def test_pairs_mode_fills_the_store_and_serves_executions(self, harness):
-        executor, model = harness
+    def test_pairs_mode_fills_the_store_and_serves_executions(
+        self, superhero_world
+    ):
         store = MappingStore()
-        executor.mapping_store = store
-        plan = CallPlanner(
-            executor, mode="pairs", store=store
-        ).plan_and_execute([MAP_Q, MAP_Q2])
-        assert plan.stats.keys_stored > 0
-        assert store.total_keys() == plan.stats.keys_stored
-        paid_before = model.meter.total.calls
-        executor.execute(MAP_Q)
-        executor.execute(MAP_Q2)
+        model = make_model(superhero_world)
+        with build_curated_database(superhero_world) as db:
+            executor = HybridQueryExecutor(
+                db, model, superhero_world, cache=PromptCache(),
+                mapping_store=store,
+            )
+            plan = CallPlanner(executor, mode="pairs").plan_and_execute(
+                [MAP_Q, MAP_Q2]
+            )
+            assert plan.stats.keys_stored > 0
+            assert store.total_keys() == plan.stats.keys_stored
+            paid_before = model.meter.total.calls
+            executor.execute(MAP_Q)
+            executor.execute(MAP_Q2)
         # both ingredients fully covered: zero new upstream calls
         assert model.meter.total.calls == paid_before
         assert store.hits == 2

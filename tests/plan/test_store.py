@@ -1,6 +1,6 @@
 """Tests for the shared mapping store."""
 
-from repro.plan.store import MappingStore
+from repro.udf.store import MappingStore
 
 SIG = ("map", "is strong?", "hero", ("name",))
 

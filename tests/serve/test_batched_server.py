@@ -130,24 +130,34 @@ class TestParsedOnce:
     def test_finalize_neither_parses_nor_fetches_keys(
         self, serve_swan, monkeypatch
     ):
-        """The twins run each key fetch once in total; finalize runs none.
+        """Finalize prepares nothing, fetches no keys, looks up no store.
 
-        Planning the first twin fetches its key sets; the second twin's
-        planning and both finalize passes are served by the
-        connection's key memo.
+        Each twin is prepared once, at dispatch: the first twin's
+        preparation runs each key-fetch SQL, the second's is served by
+        the connection's key memo, and both finalize passes generate
+        from the answers their waves delivered.
         """
+        from repro.plan import MappingStore
         from repro.sqlengine.database import Database
         from repro.udf import executor as executor_module
+        from repro.udf.executor import HybridQueryExecutor
 
         parsed = _count_calls(monkeypatch, executor_module, "parse")
         fetched = _count_calls(monkeypatch, Database, "query_rows")
+        spies = (
+            parsed,
+            fetched,
+            _count_calls(monkeypatch, Database, "fetch_keys"),
+            _count_calls(monkeypatch, MappingStore, "lookup"),
+            _count_calls(monkeypatch, HybridQueryExecutor, "prepare"),
+        )
         stages = []
         original = QueryServer._finalize
 
         def finalize(self, member, land):
-            before = len(parsed), len(fetched)
+            before = [len(spy) for spy in spies]
             outcome = original(self, member, land)
-            stages.append((member, before, (len(parsed), len(fetched))))
+            stages.append((before, [len(spy) for spy in spies]))
             return outcome
 
         monkeypatch.setattr(QueryServer, "_finalize", finalize)
@@ -157,8 +167,11 @@ class TestParsedOnce:
         )
         assert all(o.answered for o in report.outcomes)
         assert len(stages) == 2
-        for _, before, after in stages:
-            assert after == before  # finalize neither parses nor fetches
+        for before, after in stages:
+            assert after == before  # no parse, fetch, lookup or prepare
+        prepares, key_fetches = len(spies[-1]), len(spies[2])
+        assert prepares == 2  # one per twin, at dispatch
+        assert key_fetches > 0
         assert len(parsed) == 1  # the twins share one prepared statement
         texts = [sql for _, sql in fetched]
         assert texts and all("NOT INDEXED" in sql for sql in texts)

@@ -12,7 +12,6 @@ import sqlite3
 
 import pytest
 
-from repro.errors import ReproError
 from repro.llm import ScriptedClient
 from repro.sqlengine import database as database_module
 from repro.sqlengine.database import Database
@@ -62,14 +61,11 @@ def fetched(db, monkeypatch):
 
 def _key_fetches(executor, sql):
     """The key SQL of each occurrence execution would fetch keys for."""
-    texts = []
-    try:
-        for occurrence in executor._walk(executor._prepare(sql)):
-            if occurrence.call.kind != "LLMQA":
-                texts.append((executor._key_sql(occurrence), occurrence))
-    except ReproError:
-        pass  # execution stops at the same occurrence
-    return texts
+    return [
+        (occurrence.key_sql, occurrence)
+        for occurrence, _ in executor.prepare(sql).steps
+        if occurrence.call.kind != "LLMQA"
+    ]
 
 
 @pytest.mark.parametrize("pushdown", [True, False], ids=["pushdown", "full"])
@@ -173,7 +169,7 @@ class TestIsolationAndBounds:
                     f"'DC Comics' AND {conjunct}"
                 )
                 for _ in range(3):
-                    executor.plan_key_requests(sql)
+                    executor.prepare(sql)
             db.connection.set_trace_callback(None)
         fetches = [s for s in statements if "NOT INDEXED" in s]
         assert sum("random()" in s for s in fetches) == 3

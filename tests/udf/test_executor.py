@@ -240,7 +240,7 @@ class TestEndToEndPerfect:
 
 
 class TestMapPromptMatchesSpec:
-    """``_map_prompt`` splices key lines after a cached per-ingredient
+    """``map_prompt`` splices key lines after a cached per-ingredient
     prefix; the declarative PromptSpec of the same sections defines it."""
 
     @staticmethod
@@ -276,11 +276,13 @@ class TestMapPromptMatchesSpec:
                     db, make_model(world), world, shots=shots
                 )
                 for question in swan.questions_for(name):
-                    requests, _ = executor.plan_key_requests(question.blend_sql)
-                    for call, keys in requests:
+                    plan = executor.prepare(question.blend_sql)
+                    for call, keys, _, prompt in plan.work():
+                        if prompt is not None:
+                            continue
                         batches = batched(keys, executor.batch_size)
                         for batch in (batches[:1] + batches[-1:]):
-                            assert executor._map_prompt(
+                            assert executor.map_prompt(
                                 call, batch
                             ) == self._spec_prompt(executor, call, batch)
                             checked += 1

@@ -149,8 +149,8 @@ class TestPreparsedStatement:
             from_text, text_report = executor.execute_with_report(sql)
             assert from_tree.rows == from_text.rows
             assert tree_report.keys_after_pushdown == text_report.keys_after_pushdown
-            assert executor.plan_key_requests(statement) == (
-                executor.plan_key_requests(sql)
+            assert executor.prepare(statement).work() == (
+                executor.prepare(sql).work()
             )
             assert statement == snapshot
 
@@ -251,6 +251,27 @@ class TestSlots:
         assert temp_objects(db) == 0
         assert bound_lookups(db) == []
 
+    def test_a_plan_outliving_its_statement_leaks_no_slot(
+        self, executor, db, superhero_world, monkeypatch
+    ):
+        """A plan whose statement is evicted before it runs (a request
+        admitted, then finalized after later texts filled the cache)
+        gives back the lookup function its run acquires."""
+        monkeypatch.setattr(executor_module, "PREPARED_CACHE_SIZE", 1)
+        plan = executor.prepare(STATEMENTS[0])
+        executor.prepare(STATEMENTS[2])
+        assert list(executor._prepared) == [STATEMENTS[2]]
+        result, _ = executor.run(plan, executor.generate(plan))
+        with build_curated_database(superhero_world) as other:
+            fresh = HybridQueryExecutor(
+                other, make_model(superhero_world), superhero_world
+            )
+            assert result.rows == fresh.execute(STATEMENTS[0]).rows
+        assert [o.lookup for o in plan.prepared.occurrences] == [None]
+        assert len(db.lookups) == 1
+        assert db._idle_lookups[2] == db.lookups  # released for reuse
+        assert bound_lookups(db) == []
+
 
 # -- hazards ------------------------------------------------------------------------
 
@@ -269,14 +290,14 @@ class TestHazards:
                 f"'DC Comics' AND height_cm > {height}"
             )
             statement = parse(sql)
-            (request,), _ = executor.plan_key_requests(statement)
+            (work,) = executor.prepare(statement).work()
             del statement
             expected = db.query_rows(
                 "SELECT DISTINCT superhero_name, full_name FROM superhero "
                 f"NOT INDEXED WHERE height_cm > {height}"
             )
-            assert request[1] == [tuple(map(str, row)) for row in expected]
-            assert executor.plan_key_requests(sql) == ([request], [])
+            assert work.keys == [tuple(map(str, row)) for row in expected]
+            assert executor.prepare(sql).work() == (work,)
 
     def test_the_cache_is_per_executor(self, superhero_world):
         """(b) Executors differing in ``pushdown`` share no preparation.
@@ -318,13 +339,13 @@ class TestHazards:
         flush path, bounded.
         """
         built = []
-        original = executor._map_prompt
+        original = executor.map_prompt
 
         def counting(call, batch):
             built.append(tuple(batch))
             return original(call, batch)
 
-        monkeypatch.setattr(executor, "_map_prompt", counting)
+        monkeypatch.setattr(executor, "map_prompt", counting)
         executor.execute(STATEMENTS[0])
         first = len(built)
         executor.execute(STATEMENTS[0])
@@ -376,9 +397,9 @@ class TestHazards:
             state = server.states.udf("superhero")
             assert state.chunk_prompt.cache_info().maxsize == FLUSH_MEMO_SIZE
             assert state.decode.cache_info().maxsize == FLUSH_MEMO_SIZE
-            call, keys = state.executor.plan_key_requests(STATEMENTS[0])[0][0]
-            chunk = tuple(keys[:5])
+            (work,) = state.executor.prepare(STATEMENTS[0]).work()
+            call, chunk = work.call, tuple(work.keys[:5])
             prompt = state.chunk_prompt(call, chunk)
-            assert prompt == state.executor._map_prompt(call, list(chunk))
+            assert prompt == state.executor.map_prompt(call, list(chunk))
             assert state.chunk_prompt(call, chunk) is prompt
             assert state.decode("1. a\n3. c", 3) == ("a", None, "c")
