@@ -56,32 +56,6 @@ def percent(value: float) -> str:
     return f"{value * 100:.1f}%"
 
 
-def format_attribution(
-    counts: Mapping[str, int], *, total_misses: int = -1, title: str = ""
-) -> str:
-    """Render a miss-classification table (class, count, share of misses).
-
-    ``counts`` is :func:`repro.eval.attribution.attribution_counts`
-    output; classes render in classification precedence order.  With
-    ``total_misses`` given, a trailing line confirms the classes sum to
-    it — the exhaustiveness invariant attribution guarantees.
-    """
-    total = sum(counts.values())
-    rows = [
-        [
-            miss_class,
-            count,
-            percent(count / total) if total else percent(0.0),
-        ]
-        for miss_class, count in counts.items()
-    ]
-    table = format_table(["Miss class", "Count", "Share"], rows, title=title)
-    if total_misses < 0:
-        return table
-    status = "exhaustive" if total == total_misses else "NOT EXHAUSTIVE"
-    return f"{table}\nclassified {total} of {total_misses} misses: {status}"
-
-
 def format_resilience(counters: Mapping[str, int], *, title: str = "") -> str:
     """Render resilience accounting (a ``ResilienceReport.as_dict()``).
 

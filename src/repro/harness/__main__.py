@@ -46,8 +46,8 @@ def _planner_report() -> tuple[list[dict], str]:
 
 def _validation_report() -> tuple[list[dict], str]:
     """Benchmark self-check: gold/HQDL/UDF agreement under a perfect model."""
+    from repro.harness.validate import validate_swan
     from repro.swan.benchmark import load_benchmark
-    from repro.swan.validate import validate_swan
 
     report = validate_swan(load_benchmark())
     records = [
@@ -86,7 +86,7 @@ def _cost_report() -> tuple[list[dict], str]:
 
 def _error_report() -> tuple[list[dict], str]:
     """Section 5.3-style failure analysis for the headline configuration."""
-    from repro.eval.breakdown import analyze_run
+    from repro.harness.breakdown import analyze_run
     from repro.harness.runner import GoldResults, run_hqdl
     from repro.swan.benchmark import load_benchmark
 

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.eval.report import format_table, percent
+from repro.harness.runner import HQDLRun
 from repro.swan.benchmark import Swan
-
-if TYPE_CHECKING:  # imported lazily: harness.runner itself imports repro.eval
-    from repro.harness.runner import HQDLRun
 
 
 @dataclass
@@ -81,7 +78,7 @@ class ErrorBreakdown:
         return "\n\n".join(sections)
 
 
-def analyze_run(swan: Swan, run: "HQDLRun") -> ErrorBreakdown:
+def analyze_run(swan: Swan, run: HQDLRun) -> ErrorBreakdown:
     """Break down which questions a run failed, and how."""
     breakdown = ErrorBreakdown(model=run.model, shots=run.shots)
     kinds_by_column = {

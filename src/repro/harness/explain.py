@@ -234,7 +234,8 @@ def explain_request(
         build_observability, default_config, default_tenants,
         measure_capacity, run_level,
     )
-    from repro.obs.export import format_stage_summary, stage_summary
+    from repro.harness.tracing import format_stage_summary
+    from repro.obs.export import stage_summary
     from repro.obs.sampler import TailSampler
     from repro.obs.timeseries import DEFAULT_WINDOW_SECONDS
     from repro.serve.trace import ServeTraceLog, materialize_request

@@ -28,15 +28,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from repro.eval.report import format_table, percent
 from repro.llm.parallel import SimulatedClock, SimulatedLatencyClient
 from repro.llm.usage import Usage
 from repro.obs import Telemetry
-from repro.obs.export import (
-    chrome_trace,
-    format_stage_summary,
-    spans_to_records,
-    stage_summary,
-)
+from repro.obs.export import chrome_trace, spans_to_records, stage_summary
 from repro.swan.benchmark import Swan, load_benchmark
 
 
@@ -194,6 +190,27 @@ def write_trace_json(
     prom_path.write_text("\n".join(sections))
 
     return [target, chrome_path, spans_path, prom_path], payload
+
+
+def format_stage_summary(records: Sequence[dict], *, title: str = "") -> str:
+    """Render :func:`~repro.obs.export.stage_summary` records as an aligned
+    console table."""
+    rows = [
+        [
+            record["stage"],
+            record["spans"],
+            f"{record['self_s']:.3f} s",
+            percent(record["share"]),
+            record["input_tokens"],
+            record["output_tokens"],
+        ]
+        for record in records
+    ]
+    return format_table(
+        ["Stage", "Spans", "Self time", "Share", "Input tok", "Output tok"],
+        rows,
+        title=title,
+    )
 
 
 def format_trace_report(payload: dict, paths: Sequence[Path] = ()) -> str:

@@ -44,7 +44,6 @@ from repro.llm.resilience import (
     RetryPolicy,
 )
 from repro.llm.tokenizer import count_tokens, tokenize_text
-from repro.llm.transcript import TranscriptRecorder
 from repro.llm.usage import Usage, UsageMeter
 
 __all__ = [
@@ -77,7 +76,6 @@ __all__ = [
     "list_profiles",
     "count_tokens",
     "tokenize_text",
-    "TranscriptRecorder",
     "Usage",
     "UsageMeter",
 ]

@@ -12,7 +12,7 @@ This package provides it without perturbing a single result byte:
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges, and
   fixed-bucket histograms.
 - :mod:`repro.obs.export` — JSONL span logs, Chrome ``trace_event``
-  JSON, Prometheus text, and per-stage console summaries.
+  JSON, Prometheus text, and per-stage summary records.
 - :mod:`repro.obs.timeseries` — a
   :class:`~repro.obs.timeseries.WindowedAggregator` rolling events into
   fixed virtual-time windows (rates, per-window percentiles) with
@@ -22,6 +22,10 @@ This package provides it without perturbing a single result byte:
 - :mod:`repro.obs.flightrec` — a bounded
   :class:`~repro.obs.flightrec.FlightRecorder` ring of server events,
   snapshotted to JSONL incidents when an alert fires.
+
+The package sits below :mod:`repro.llm` in the layer order and imports
+only :mod:`repro.stable` and itself, so every pipeline can be watched
+without the watcher depending on what it watches.
 
 Components receive a :class:`Telemetry` handle bundling one tracer and
 one registry.  The default, :data:`NULL_TELEMETRY`, is fully disabled:

@@ -6,12 +6,12 @@ Four output shapes, all zero-dependency:
 - :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` format (complete ``"X"`` events), loadable in
   ``chrome://tracing`` or https://ui.perfetto.dev.
-- :func:`stage_summary` / :func:`format_stage_summary` — per-stage
-  self-time and token attribution, as records or an aligned console
-  table.  Self-time decomposition is exhaustive: every recorded second
-  lands in exactly one stage, and whatever escapes (overlapping
+- :func:`stage_summary` — per-stage self-time and token attribution
+  records.  Self-time decomposition is exhaustive: every recorded
+  second lands in exactly one stage, and whatever escapes (overlapping
   parallel children) shows up as an explicit ``(unaccounted)`` row
-  rather than silently disappearing.
+  rather than silently disappearing.  The harness renders them as a
+  console table.
 - Prometheus text comes from
   :meth:`~repro.obs.metrics.MetricsRegistry.render_prometheus`.
 """
@@ -162,25 +162,3 @@ def stage_summary(roots: Sequence[Span]) -> list[dict]:
         record["self_s"] = round(record["self_s"], 6)
         record["share"] = round(record["share"], 6)
     return records
-
-
-def format_stage_summary(records: Sequence[dict], *, title: str = "") -> str:
-    """Render :func:`stage_summary` records as an aligned console table."""
-    from repro.eval.report import format_table, percent
-
-    rows = [
-        [
-            record["stage"],
-            record["spans"],
-            f"{record['self_s']:.3f} s",
-            percent(record["share"]),
-            record["input_tokens"],
-            record["output_tokens"],
-        ]
-        for record in records
-    ]
-    return format_table(
-        ["Stage", "Spans", "Self time", "Share", "Input tok", "Output tok"],
-        rows,
-        title=title,
-    )

@@ -188,17 +188,6 @@ class FuncCall(Expr):
     args: list[Expr] = field(default_factory=list)
     distinct: bool = False
 
-    def is_aggregate(self) -> bool:
-        return self.name.upper() in {
-            "COUNT",
-            "SUM",
-            "AVG",
-            "MIN",
-            "MAX",
-            "TOTAL",
-            "GROUP_CONCAT",
-        }
-
 
 @dataclass
 class Cast(Expr):
@@ -383,7 +372,3 @@ class Select(Node):
         yield from super().children()
         for _, select in self.compound:
             yield select
-
-    def has_order_by(self) -> bool:
-        """True when this (or any compound arm) imposes an output order."""
-        return bool(self.order_by)

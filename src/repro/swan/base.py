@@ -121,14 +121,6 @@ class World:
                 return table
         raise CurationError(f"no expansion table {name!r} in world {self.name!r}")
 
-    def expansion_for_source(self, source_table: str) -> ExpansionTable:
-        for table in self.expansions:
-            if table.source_table == source_table:
-                return table
-        raise CurationError(
-            f"no expansion keyed on table {source_table!r} in world {self.name!r}"
-        )
-
     def keys_for(self, expansion_name: str) -> list[tuple]:
         """All key tuples of an expansion table, in truth order."""
         return list(self.truth[expansion_name].keys())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval.breakdown import analyze_run
+from repro.harness.breakdown import analyze_run
 from repro.harness.runner import GoldResults, run_hqdl
 
 

@@ -52,7 +52,7 @@ class TestSection53Analysis:
         """(5.3) "even when an LLM provides inaccurate answers for many
         schools, the top results may still appear correct, masking
         potential errors"."""
-        from repro.eval.breakdown import analyze_run
+        from repro.harness.breakdown import analyze_run
 
         run = run_hqdl(swan, "gpt-3.5-turbo", 5, gold=gold)
         breakdown = analyze_run(swan, run)

@@ -2,9 +2,9 @@
 
 import json
 
+from repro.harness.tracing import format_stage_summary
 from repro.obs.export import (
     chrome_trace,
-    format_stage_summary,
     spans_to_records,
     stage_summary,
     write_chrome_trace,

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.harness.validate import validate_swan
 from repro.swan.base import Question
 from repro.swan.benchmark import Swan
-from repro.swan.validate import validate_swan
 
 
 class TestValidateSwan:

@@ -1,19 +1,25 @@
-"""Package boundaries: no reaching into another package's privates.
+"""Package boundaries: one declared layer order, and no foreign privates.
 
-A module under ``repro/serve`` or ``repro/plan`` may read an attribute
-whose name starts with a single underscore only when its own package
-defines that name.  Reading a private that only some other package
-defines (``executor._batch_size_for``, ``pipeline._dispatcher``) couples
-the drivers to an executor's internals — the staged executor contract
-exists so they never need to.  The same goes for importing a private
-name from another package.
+``TIERS`` is the layer order of ``src/repro``, lowest tier first.  Every
+``repro.*`` import points to a strictly lower tier than the importing
+module's package — at module level, inside a function, or under
+``TYPE_CHECKING`` alike — so no two packages depend on each other and
+the graph has no cycle.  Every package must be listed.
 
-``repro.udf`` sits below ``repro.plan`` in the layer order, so no UDF
-module imports ``repro.plan`` — not at module level, not inside a
-function, not under ``TYPE_CHECKING``.
+No module reads an attribute whose name starts with a single underscore
+unless its own package defines that name.  Reading a private that only
+some other package defines (``executor._batch_size_for``,
+``pipeline._dispatcher``) couples a caller to another package's
+internals.  The same goes for importing a private name from another
+package.
+
+Deferred imports (function-local or under ``TYPE_CHECKING``) only run
+when their function does; every one must still name a module and
+attribute that exist.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -21,8 +27,24 @@ import pytest
 import repro
 
 SRC = pathlib.Path(repro.__file__).parent
-#: packages whose modules are checked for private reads
-DRIVERS = ("serve", "plan")
+
+#: The layer order, lowest tier first.  ``""`` is the root package
+#: (``repro.errors``, ``repro.stable``).  Packages sharing a tier may not
+#: import each other.
+TIERS = (
+    ("",),  # errors, stable: the error hierarchy and stable hashing
+    ("sqlparser", "sqlengine"),  # SQL front end; SQLite storage
+    ("swan",),  # the benchmark's worlds, questions and databases
+    ("obs",),  # tracing, metrics, provenance, SLOs
+    ("llm",),  # the simulated model and its client stack
+    ("retrieval",),  # embedding index over world rows
+    ("core", "udf"),  # the two pipelines: HQDL and hybrid-query UDFs
+    ("plan", "auto"),  # call planning; NL-to-hybrid-query planning
+    ("eval",),  # EX, factuality F1, costs, miss attribution, tables
+    ("serve",),  # the online query server
+    ("harness",),  # runners, benches, CLI targets
+)
+PACKAGES = tuple(package for tier in TIERS for package in tier)
 
 
 def _private(name: str) -> bool:
@@ -68,6 +90,7 @@ def _defined_by_package(trees) -> dict[str, set[str]]:
 def private_reads(package: str, trees=TREES) -> list[str]:
     """``module:line name`` for every foreign private one package reads."""
     defined = _defined_by_package(trees)
+    packages = set(defined)
     own = defined.get(package, set())
     foreign = set().union(
         *(names for pkg, names in defined.items() if pkg != package)
@@ -90,7 +113,7 @@ def private_reads(package: str, trees=TREES) -> list[str]:
                 isinstance(node, ast.ImportFrom)
                 and node.level == 0
                 and (node.module or "").startswith("repro.")
-                and node.module.split(".")[1] != package
+                and _target(node.module, packages) != package
             ):
                 for alias in node.names:
                     if _private(alias.name):
@@ -100,19 +123,100 @@ def private_reads(package: str, trees=TREES) -> list[str]:
     return violations
 
 
+def _node_modules(node: ast.AST) -> list[str]:
+    """The absolute module names one import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module or ""]
+    return []
+
+
+def _repro_modules(node: ast.AST) -> list[str]:
+    return [
+        module for module in _node_modules(node)
+        if module == "repro" or module.startswith("repro.")
+    ]
+
+
 def imported_modules(tree: ast.AST) -> set[str]:
     """Every absolute module name a tree imports, wherever the import sits."""
-    modules: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules.add(node.module or "")
-    return modules
+    return {
+        module for node in ast.walk(tree) for module in _node_modules(node)
+    }
+
+
+def _target(module: str, packages: set[str]) -> str:
+    """The package a ``repro.*`` module name belongs to ('' for the root)."""
+    parts = module.split(".")
+    return parts[1] if len(parts) > 1 and parts[1] in packages else ""
+
+
+def unlisted_packages(trees=TREES, tiers=TIERS) -> list[str]:
+    """Packages with modules under ``src/repro`` that no tier lists."""
+    listed = {package for tier in tiers for package in tier}
+    return sorted({_package(path) for path in trees} - listed)
+
+
+def layer_violations(trees=TREES, tiers=TIERS) -> list[str]:
+    """``module:line importer -> imported`` for every import of another
+    package that is not in a strictly lower tier."""
+    rank = {package: index for index, tier in enumerate(tiers) for package in tier}
+    packages = {_package(path) for path in trees}
+    violations = []
+    for path, tree in trees.items():
+        package = _package(path)
+        for node in ast.walk(tree):
+            for module in _repro_modules(node):
+                target = _target(module, packages)
+                if target == package:
+                    continue
+                if rank.get(target, len(tiers)) >= rank.get(package, -1):
+                    violations.append(
+                        f"{path.relative_to(SRC)}:{node.lineno} "
+                        f"{package or 'repro'} -> {target or 'repro'}"
+                    )
+    return violations
+
+
+def deferred_imports(trees=TREES) -> list[tuple[str, ast.AST]]:
+    """``(module:line, node)`` for every ``repro.*`` import that is not a
+    plain module-level statement: function-local, class-level, or under
+    ``if TYPE_CHECKING:``."""
+    found = []
+    for path, tree in trees.items():
+        top = {id(node) for node in tree.body}
+        found.extend(
+            (f"{path.relative_to(SRC)}:{node.lineno}", node)
+            for node in ast.walk(tree)
+            if id(node) not in top and _repro_modules(node)
+        )
+    return found
+
+
+def _exists(module: str, name: str = "") -> bool:
+    try:
+        loaded = importlib.import_module(module)
+    except ImportError:
+        return False
+    if not name or hasattr(loaded, name):
+        return True
+    return _exists(f"{module}.{name}")  # ``from repro.obs import export``
+
+
+def unresolved(node: ast.AST) -> list[str]:
+    """The modules or names an import statement asks for that do not exist."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names if not _exists(alias.name)]
+    return [
+        f"{node.module}.{alias.name}"
+        for alias in node.names
+        if not _exists(node.module, alias.name)
+    ]
 
 
 class TestPrivateAccess:
-    @pytest.mark.parametrize("package", DRIVERS)
+    @pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p or "repro")
     def test_no_foreign_private_reads(self, package):
         assert private_reads(package) == []
 
@@ -151,3 +255,78 @@ class TestLayerOrder:
             if module == "repro.plan" or module.startswith("repro.plan.")
         ]
         assert offenders == []
+
+    def test_imports_point_down(self):
+        assert layer_violations() == []
+
+    def test_every_package_is_listed_once(self):
+        assert unlisted_packages() == []
+        assert sorted(PACKAGES) == sorted({_package(path) for path in TREES})
+
+    def test_the_check_sees_a_function_local_upward_import(self):
+        trees = {
+            SRC / "udf" / "executor.py": ast.parse("class Executor: ...\n"),
+            SRC / "swan" / "check.py": ast.parse(
+                "from repro.errors import ReproError\n"
+                "def check():\n"
+                "    from repro.udf.executor import Executor\n"
+                "    return Executor\n"
+            ),
+            SRC / "errors.py": ast.parse("class ReproError(Exception): ...\n"),
+        }
+        assert layer_violations(trees) == ["swan/check.py:3 swan -> udf"]
+
+    def test_the_check_sees_a_type_checking_upward_import(self):
+        trees = {
+            SRC / "harness" / "runner.py": ast.parse("class Run: ...\n"),
+            SRC / "eval" / "breakdown.py": ast.parse(
+                "from typing import TYPE_CHECKING\n"
+                "if TYPE_CHECKING:\n"
+                "    from repro.harness.runner import Run\n"
+            ),
+        }
+        assert layer_violations(trees) == ["eval/breakdown.py:3 eval -> harness"]
+
+    def test_the_check_sees_an_unlisted_package(self):
+        trees = {
+            SRC / "extras" / "thing.py": ast.parse("from repro.swan import World\n"),
+            SRC / "swan" / "__init__.py": ast.parse("World = object\n"),
+        }
+        assert unlisted_packages(trees) == ["extras"]
+        assert layer_violations(trees) == ["extras/thing.py:1 extras -> swan"]
+
+
+class TestDeferredImports:
+    def test_every_deferred_import_resolves(self):
+        missing = [
+            f"{where} {name}"
+            for where, node in deferred_imports()
+            for name in unresolved(node)
+        ]
+        assert missing == []
+
+    def test_the_walk_finds_the_cli_targets_deferred_imports(self):
+        """The CLI targets reach their modules only through deferred imports."""
+        modules = {
+            module
+            for where, node in deferred_imports()
+            if where.startswith("harness/__main__.py")
+            for module in _node_modules(node)
+        }
+        assert {"repro.harness.validate", "repro.harness.breakdown"} <= modules
+
+    def test_the_check_sees_a_missing_name(self):
+        trees = {
+            SRC / "harness" / "cli.py": ast.parse(
+                "from repro.errors import ReproError\n"
+                "def run():\n"
+                "    from repro.errors import ReproError, NoSuchError\n"
+                "    import repro.no_such_module\n"
+            ),
+        }
+        found = deferred_imports(trees)
+        assert [where for where, _ in found] == ["harness/cli.py:3", "harness/cli.py:4"]
+        assert [name for _, node in found for name in unresolved(node)] == [
+            "repro.errors.NoSuchError",
+            "repro.no_such_module",
+        ]
