@@ -21,6 +21,7 @@ value for free-form columns.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from typing import Optional
 
 from repro.errors import CurationError, LLMError
@@ -34,6 +35,11 @@ from repro.swan.base import (
     ExpansionTable,
     World,
 )
+
+
+#: one column's confusion candidates: the non-None truth values in truth
+#: order, their positions by value text, and each entry key's position
+_Confusion = tuple[list, dict[str, list[int]], dict[tuple, int]]
 
 
 def _uniform_from_payload(payload: str) -> float:
@@ -76,8 +82,9 @@ class KnowledgeOracle:
         # multi-kind distractor pools per (value list, truth items)
         self._pool_cache: dict[tuple, list] = {}
         # free-form confusion candidates per (expansion, column): each
-        # non-None truth value with its entry key and text, truth order
-        self._confusion_cache: dict[tuple[str, str], list[tuple]] = {}
+        # non-None truth value in truth order, and the candidates'
+        # positions by value text and by entry key
+        self._confusion_cache: dict[tuple[str, str], _Confusion] = {}
         # question -> resolved (expansion, column), or None for a miss;
         # a batched run re-resolves the same question per map call
         self._attr_cache: dict[str, Optional[tuple]] = {}
@@ -332,23 +339,45 @@ class KnowledgeOracle:
         text = str(truth)
         if "www." in text or text.endswith((".edu", ".org", ".com", ".net")):
             return self._mutate_url(text, seed_parts)
-        # confusion: answer with another entity's value for the same column
-        candidates = self._confusion_cache.get((expansion_name, column))
-        if candidates is None:
-            candidates = [
-                (entry_key, entry[column], str(entry[column]))
-                for entry_key, entry in self.world.truth[expansion_name].items()
-                if entry[column] is not None
-            ]
-            self._confusion_cache[(expansion_name, column)] = candidates
-        others = [
-            value
-            for entry_key, value, value_text in candidates
-            if entry_key != key and value_text != text
-        ]
-        if others:
-            return stable_choice(others, "confuse", *seed_parts)
+        # confusion: answer with another entity's value for the same
+        # column, drawn as stable_choice over the candidates whose key and
+        # text both differ — located by position, not by building the list
+        confusion = self._confusion_cache.get((expansion_name, column))
+        if confusion is None:
+            confusion = self._confusion(expansion_name, column)
+        values, by_text, by_key = confusion
+        skip = by_text.get(text, [])
+        own = by_key.get(key)
+        if own is not None:
+            at = bisect_left(skip, own)
+            if at == len(skip) or skip[at] != own:
+                skip = skip[:at] + [own] + skip[at:]
+        count = len(values) - len(skip)
+        if count > 0:
+            draw = stable_uniform("choice", "confuse", *seed_parts)
+            position = min(int(draw * count), count - 1)
+            for skipped in skip:
+                if skipped > position:
+                    break
+                position += 1
+            return values[position]
         return self._mutate_text(text, seed_parts)
+
+    def _confusion(self, expansion_name: str, column: str) -> _Confusion:
+        """Build and memoize one column's confusion candidates."""
+        values: list = []
+        by_text: dict[str, list[int]] = {}
+        by_key: dict[tuple, int] = {}
+        for entry_key, entry in self.world.truth[expansion_name].items():
+            value = entry[column]
+            if value is None:
+                continue
+            by_text.setdefault(str(value), []).append(len(values))
+            by_key[entry_key] = len(values)
+            values.append(value)
+        confusion = (values, by_text, by_key)
+        self._confusion_cache[(expansion_name, column)] = confusion
+        return confusion
 
     @staticmethod
     def _mutate_url(url: str, seed_parts: tuple) -> str:

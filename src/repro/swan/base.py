@@ -9,6 +9,7 @@ the difference between the two is exactly what makes a question
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -95,14 +96,20 @@ class World:
     - ``expansions``: the LLM-generated tables SWAN asks for, with their
       ground truth in ``truth``.
     - ``value_lists``: retained distinct-value lists offered to the LLM.
+
+    A hand-built world (scale 1) holds its rows as plain lists.  For
+    ``scale`` > 1 every entry of ``original_rows`` and ``curated_rows``
+    is a read-only sequence that generates its replica rows when read
+    (:class:`~repro.swan.scale.ReplicaRows`); readers rely only on
+    ``len`` and iteration.
     """
 
     name: str
     title: str
     original_schema: DatabaseSchema
     curated_schema: DatabaseSchema
-    original_rows: dict[str, list[tuple]]
-    curated_rows: dict[str, list[tuple]]
+    original_rows: dict[str, Sequence[tuple]]
+    curated_rows: dict[str, Sequence[tuple]]
     expansions: list[ExpansionTable]
     truth: dict[str, TruthMap]
     value_lists: dict[str, list[str]] = field(default_factory=dict)

@@ -99,9 +99,11 @@ def load_benchmark(scale: int = 1) -> Swan:
 def load_benchmark_subset(scale: int, databases: list[str]) -> Swan:
     """An uncached Swan holding only ``databases``, scaled to ``scale``.
 
-    Scaling a 100x world is expensive; benches that only exercise one
-    database use this to avoid synthesizing (and caching) the other
-    three at that scale.
+    Scaling itself is cheap: replica rows are views, and only truth and
+    popularity are copied.  What is expensive at 100x is building a
+    world's SQLite databases, which gold results and the pipelines do
+    for every world of the Swan they get; benches that only exercise one
+    database use this so the other three are neither built nor cached.
     """
     from repro.swan.questions import all_questions
     from repro.swan.scale import scale_world

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import Union
 
@@ -68,7 +69,7 @@ def _at_scale(world: World, scale: int) -> World:
 
 
 def _materialize(
-    schema: DatabaseSchema, rows: dict[str, list[tuple]]
+    schema: DatabaseSchema, rows: Mapping[str, Sequence[tuple]]
 ) -> Database:
     db = Database.in_memory()
     db.create_schema(schema)

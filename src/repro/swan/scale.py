@@ -13,10 +13,16 @@ pipelines rely on:
 - **expansion keys stay human-readable**: replica ``r`` of an entity is
   named ``"<base> (<roman r+1>)"`` ("Spider-Man (II)"), which keeps key
   tuples unique, deterministic, and parseable by the prompt protocol;
-- **truth, popularity, and curated rows are re-derived**, not mutated:
-  the truth map is replicated under the suffixed keys and curated rows
-  are re-projected from the scaled original rows (curation is a pure
-  column projection).
+- **rows are views, not copies**: every table of a scaled world is a
+  read-only :class:`ReplicaRows` over the base world's rows, which
+  produces replica ``r`` of each base row when it is read, and a curated
+  table is a column projection of its original table's view (curation
+  is a pure column projection);
+- **truth and popularity are replicated**, not mutated: both maps are
+  copied under the suffixed keys, because lookups need them in O(1).
+
+A scaled world therefore holds one copy of its rows; the replicas exist
+only while a database build (or any other reader) iterates them.
 
 Everything is a pure function of ``(world, scale)`` — no randomness —
 so the same seed and scale always produce byte-identical databases.
@@ -24,13 +30,19 @@ so the same seed and scale always produce byte-identical databases.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Sequence
+from typing import Callable, Iterator, Optional
 
 from repro.errors import ReproError
 from repro.sqlengine.schema import TableSchema
 from repro.swan.base import World
 
-__all__ = ["scale_world", "scaled_table_names", "replica_suffix"]
+__all__ = ["ReplicaRows", "scale_world", "scaled_table_names", "replica_suffix"]
+
+#: one column's values mapped for one replica (``None`` stays ``None``)
+ColumnMap = Callable[[Sequence[object]], list]
+#: one column's transform: replica ``r`` (>= 1) -> that replica's column map
+Transform = Callable[[int], ColumnMap]
 
 #: Roman-numeral digits, largest first, for replica naming.
 _ROMAN = (
@@ -100,30 +112,43 @@ def scaled_table_names(world: World) -> set[str]:
     return scaled
 
 
-def _pk_transforms(
-    world: World, scaled: set[str]
-) -> dict[str, Callable[[object, int], object]]:
+def _offset_by(stride: int) -> Transform:
+    """Integer keys: replica ``r`` adds ``r * stride``."""
+    def at(replica: int) -> ColumnMap:
+        offset = replica * stride
+        return lambda values: [
+            None if value is None else value + offset for value in values
+        ]
+    return at
+
+
+def _suffixed(suffix_of: Callable[[int], str]) -> Transform:
+    """Text keys: replica ``r`` appends ``suffix_of(r)``."""
+    def at(replica: int) -> ColumnMap:
+        suffix = suffix_of(replica)
+        return lambda values: [
+            None if value is None else f"{value}{suffix}" for value in values
+        ]
+    return at
+
+
+_text_pk_transform = _suffixed(lambda replica: f"~{replica}")
+_key_suffix_transform = _suffixed(replica_suffix)
+
+
+def _pk_transforms(world: World, scaled: set[str]) -> dict[str, Transform]:
     """Per scaled table, the value transform of its single-column PK."""
-    transforms: dict[str, Callable[[object, int], object]] = {}
+    transforms: dict[str, Transform] = {}
     for table in world.original_schema.tables:
         if table.name not in scaled or len(table.primary_key) != 1:
             continue
         index = table.column_names().index(table.primary_key[0])
         values = [row[index] for row in world.original_rows.get(table.name, [])]
         if values and all(isinstance(v, int) for v in values):
-            stride = max(values)
-            transforms[table.name] = (
-                lambda value, replica, _s=stride: value + replica * _s
-            )
+            transforms[table.name] = _offset_by(max(values))
         else:
-            transforms[table.name] = (
-                lambda value, replica: f"{value}~{replica}"
-            )
+            transforms[table.name] = _text_pk_transform
     return transforms
-
-
-def _key_suffix_transform(value: object, replica: int) -> object:
-    return f"{value}{replica_suffix(replica)}"
 
 
 def _column_transforms(
@@ -131,8 +156,8 @@ def _column_transforms(
     world: World,
     scaled: set[str],
     distinctive: dict[str, str],
-    pk_transforms: dict[str, Callable[[object, int], object]],
-) -> list[Optional[Callable[[object, int], object]]]:
+    pk_transforms: dict[str, Transform],
+) -> list[Optional[Transform]]:
     """One transform (or None = copy) per column of ``table``.
 
     Precedence per column: declared FK into a scaled table, then the
@@ -149,7 +174,7 @@ def _column_transforms(
     for expansion in world.expansions:
         if expansion.source_table == table.name:
             source_keys.update(expansion.key_columns)
-    transforms: list[Optional[Callable[[object, int], object]]] = []
+    transforms: list[Optional[Transform]] = []
     for column in table.column_names():
         if column in fk_targets:
             transforms.append(pk_transforms[fk_targets[column]])
@@ -168,50 +193,131 @@ def _column_transforms(
     return transforms
 
 
-def _scale_rows(world: World, scale: int, scaled: set[str]) -> dict[str, list[tuple]]:
+class ReplicaRows(Sequence):
+    """The rows of one table of a scaled world, produced when read.
+
+    Row ``r * len(base) + i`` is replica ``r`` of base row ``i``: replica
+    0 is the base row itself, and replica ``r`` passes each ``active``
+    column's non-``None`` values through that column's transform for
+    ``r``.  ``columns`` (indexes into the base rows, ``None`` for all)
+    projects every row, which is how a curated table reads its original
+    table's replicas.  Nothing but the base rows is stored.
+    """
+
+    __slots__ = ("_base", "_replicas", "_active", "_columns")
+
+    def __init__(
+        self,
+        base: Sequence[tuple],
+        replicas: int,
+        active: tuple[tuple[int, Transform], ...] = (),
+        columns: Optional[tuple[int, ...]] = None,
+    ) -> None:
+        self._base = tuple(base)
+        self._replicas = replicas
+        self._active = active
+        self._columns = columns
+
+    def project(self, columns: Sequence[int]) -> "ReplicaRows":
+        """These rows cut to ``columns`` (indexes into this view's rows)."""
+        if self._columns is not None:
+            columns = [self._columns[index] for index in columns]
+        kept = set(columns)
+        active = tuple(pair for pair in self._active if pair[0] in kept)
+        return ReplicaRows(self._base, self._replicas, active, tuple(columns))
+
+    def __len__(self) -> int:
+        return len(self._base) * self._replicas
+
+    def __iter__(self) -> Iterator[tuple]:
+        base, columns = self._base, self._columns
+        first = 0
+        if columns is None:
+            yield from base  # replica 0 is the base rows themselves
+            first = 1
+        if not base or first == self._replicas:
+            return
+        # Column-major: each replica maps whole columns, then zip
+        # reassembles the rows, one replica of the table at a time.
+        base_columns = list(zip(*base, strict=True))
+        for replica in range(first, self._replicas):
+            replica_columns = list(base_columns)
+            if replica:
+                for index, transform in self._active:
+                    replica_columns[index] = transform(replica)(
+                        replica_columns[index]
+                    )
+            if columns is not None:
+                replica_columns = [replica_columns[index] for index in columns]
+            yield from zip(*replica_columns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if not isinstance(index, int):
+            raise TypeError(
+                f"row indices must be integers or slices, not {type(index).__name__}"
+            )
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("row index out of range")
+        replica, offset = divmod(index, len(self._base))
+        row = list(self._base[offset])
+        if replica:
+            for column, transform in self._active:
+                row[column] = transform(replica)([row[column]])[0]
+        if self._columns is not None:
+            return tuple(row[column] for column in self._columns)
+        return tuple(row)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, ReplicaRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _replica_rows(
+    world: World, scale: int, scaled: set[str]
+) -> dict[str, ReplicaRows]:
+    """One view per original table: scaled tables replicate, the rest do not."""
     distinctive = _distinctive_pk_names(world.original_schema)
     pk_transforms = _pk_transforms(world, scaled)
-    rows: dict[str, list[tuple]] = {}
+    rows: dict[str, ReplicaRows] = {}
     for table in world.original_schema.tables:
         base = world.original_rows.get(table.name, [])
         if table.name not in scaled:
-            rows[table.name] = list(base)
+            rows[table.name] = ReplicaRows(base, 1)
             continue
         transforms = _column_transforms(
             table, world, scaled, distinctive, pk_transforms
         )
-        active = [
+        active = tuple(
             (index, transform)
             for index, transform in enumerate(transforms)
             if transform is not None
-        ]
-        scaled_rows = list(base)
-        for replica in range(1, scale):
-            for row in base:
-                mutated = list(row)
-                for index, transform in active:
-                    value = mutated[index]
-                    if value is not None:
-                        mutated[index] = transform(value, replica)
-                scaled_rows.append(tuple(mutated))
-        rows[table.name] = scaled_rows
+        )
+        rows[table.name] = ReplicaRows(base, scale, active)
     return rows
 
 
-def _project_curated(world: World, original_rows: dict[str, list[tuple]]):
-    """Re-derive curated rows from scaled originals (pure projection)."""
-    curated: dict[str, list[tuple]] = {}
+def _curated_views(
+    world: World, original_rows: dict[str, ReplicaRows]
+) -> dict[str, ReplicaRows]:
+    """Curated tables as column projections of the original views."""
+    curated: dict[str, ReplicaRows] = {}
     for table in world.curated_schema.tables:
-        source = world.original_schema.table(table.name)
-        source_names = source.column_names()
+        source_names = world.original_schema.table(table.name).column_names()
         keep = [source_names.index(name) for name in table.column_names()]
-        scaled_rows = original_rows[table.name]
-        if keep == list(range(len(source_names))):
-            curated[table.name] = list(scaled_rows)
-        else:
-            curated[table.name] = [
-                tuple(row[index] for index in keep) for row in scaled_rows
-            ]
+        rows = original_rows[table.name]
+        if keep != list(range(len(source_names))):
+            rows = rows.project(keep)
+        curated[table.name] = rows
     return curated
 
 
@@ -244,15 +350,16 @@ def scale_world(world: World, scale: int) -> World:
 
     Only the row population changes — schemas, expansions, value lists,
     and question semantics are untouched.  The scaled world is a new
-    object; the input world is never mutated.
+    object whose row fields are :class:`ReplicaRows` views over the
+    input world's rows; the input world is never mutated.
     """
     if scale < 1:
         raise ReproError(f"scale must be >= 1, got {scale}")
     if scale == 1:
         return world
     scaled = scaled_table_names(world)
-    original_rows = _scale_rows(world, scale, scaled)
-    curated_rows = _project_curated(world, original_rows)
+    original_rows = _replica_rows(world, scale, scaled)
+    curated_rows = _curated_views(world, original_rows)
     truth = {
         name: _replicate_keyed(mapping, scale, f"truth[{name}]")
         for name, mapping in world.truth.items()

@@ -11,7 +11,8 @@ byte-identity against something that cannot drift with it:
 - the oracle's memoized value generator vs a cold oracle and the
   parts-based :meth:`KnowledgeOracle.knows` draw, its per-batch closure
   vs the per-cell method, and its memoized free-form confusion
-  candidates vs a full scan of the truth map;
+  candidates vs a full scan of the truth map, also drawn at random
+  over a scale-10 world;
 - the text reader :func:`intent_of` vs the literal question and keys
   of its map prompts;
 - every prompt, completion and Usage of both pipelines vs digests frozen
@@ -25,6 +26,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hqdl import HQDL
 from repro.llm.chat import MockChatModel
@@ -34,7 +37,7 @@ from repro.llm.profiles import get_profile, list_profiles
 from repro.llm.tokenizer import count_tokens, tokenize_text
 from repro.llm.usage import Usage
 from repro.swan.base import KIND_MULTI, KIND_NUMERIC, KIND_SELECTION
-from repro.swan.benchmark import load_benchmark_subset
+from repro.swan.benchmark import load_benchmark, load_benchmark_subset
 from repro.swan.build import build_curated_database
 from repro.swan.worlds import util
 from repro.swan.worlds.util import det_sample, det_uniform
@@ -123,6 +126,48 @@ class TestDetSampleFast:
             )
 
 
+def _listed_freeform_distractor(oracle, expansion, key, column, truth, seed_parts):
+    """The free-form distractor as it was: ``stable_choice`` over the
+    list of every other candidate, rebuilt per call."""
+    text = str(truth)
+    if "www." in text or text.endswith((".edu", ".org", ".com", ".net")):
+        return oracle._mutate_url(text, seed_parts)
+    others = [
+        entry[column]
+        for entry_key, entry in oracle.world.truth[expansion].items()
+        if entry[column] is not None
+        and entry_key != key
+        and str(entry[column]) != text
+    ]
+    if others:
+        return stable_choice(others, "confuse", *seed_parts)
+    return oracle._mutate_text(text, seed_parts)
+
+
+_SCALED_FREEFORM = []
+
+
+def _scaled_freeform_columns():
+    """(oracle, expansion, column, keys, values) per free-form column of
+    every world at scale 10; one oracle per world, so memos stay warm."""
+    if not _SCALED_FREEFORM:
+        swan = load_benchmark(10)
+        for name in swan.database_names():
+            world = swan.world(name)
+            oracle = KnowledgeOracle(world)
+            for expansion in world.expansions:
+                truth_map = world.truth[expansion.name]
+                for column in expansion.columns:
+                    if column.kind in (KIND_SELECTION, KIND_NUMERIC, KIND_MULTI):
+                        continue
+                    values = [entry[column.name] for entry in truth_map.values()]
+                    _SCALED_FREEFORM.append((
+                        oracle, expansion.name, column.name,
+                        list(truth_map), values,
+                    ))
+    return _SCALED_FREEFORM
+
+
 class TestOracleFastPath:
     def test_generate_value_identical(self, superhero_world):
         """A warm oracle (every memo populated by interleaved profiles,
@@ -206,6 +251,26 @@ class TestOracleFastPath:
                         ) == stable_choice(others, "confuse", *seed_parts)
                         checked += 1
         assert checked > 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_freeform_distractor_matches_list_reference_at_scale(self, data):
+        """Positions by text and key pick what the ``others`` list would,
+        for any key (or none) and any truth text, at scale 10."""
+        oracle, expansion, column, keys, values = data.draw(
+            st.sampled_from(_scaled_freeform_columns())
+        )
+        key = data.draw(st.sampled_from(keys) | st.just(("no such key",)))
+        own = oracle.world.truth[expansion].get(key, {}).get(column)
+        truth = data.draw(
+            st.sampled_from(values) | st.just(own) | st.text(max_size=6)
+        )
+        seed_parts = ("salt", data.draw(st.integers(0, 10**6)), expansion, key)
+        assert oracle._freeform_distractor(
+            expansion, key, column, truth, seed_parts
+        ) == _listed_freeform_distractor(
+            oracle, expansion, key, column, truth, seed_parts
+        )
 
     def test_map_generator_matches_per_cell(self, superhero_world):
         oracle = KnowledgeOracle(superhero_world)

@@ -7,6 +7,8 @@ uniqueness; and scale 1 is exactly the current builder — the scaled
 code paths must not perturb the seed benchmark.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import ReproError
@@ -15,7 +17,15 @@ from repro.swan.build import (
     build_curated_database,
     build_original_database,
 )
-from repro.swan.scale import replica_suffix, scale_world
+from repro.swan.scale import (
+    ReplicaRows,
+    _column_transforms,
+    _distinctive_pk_names,
+    _pk_transforms,
+    replica_suffix,
+    scale_world,
+    scaled_table_names,
+)
 from repro.swan.worlds import WORLD_BUILDERS
 
 SCALE = 10
@@ -115,3 +125,164 @@ class TestIntegrityAtScale:
                 any(str(part).endswith(suffix) for part in key)
                 for key in truths
             ), f"no replica-suffixed truth keys for {expansion.name}"
+
+
+def _eager_original_rows(world, scale):
+    """Every replica row as a stored tuple: the loop ``scale_world`` ran
+    before its rows became views, kept here as their oracle."""
+    scaled = scaled_table_names(world)
+    distinctive = _distinctive_pk_names(world.original_schema)
+    pk_transforms = _pk_transforms(world, scaled)
+    rows = {}
+    for table in world.original_schema.tables:
+        base = world.original_rows.get(table.name, [])
+        if table.name not in scaled:
+            rows[table.name] = list(base)
+            continue
+        transforms = _column_transforms(
+            table, world, scaled, distinctive, pk_transforms
+        )
+        active = [
+            (index, transform)
+            for index, transform in enumerate(transforms)
+            if transform is not None
+        ]
+        scaled_rows = list(base)
+        for replica in range(1, scale):
+            for row in base:
+                mutated = list(row)
+                for index, transform in active:
+                    value = mutated[index]
+                    if value is not None:
+                        mutated[index] = transform(replica)([value])[0]
+                scaled_rows.append(tuple(mutated))
+        rows[table.name] = scaled_rows
+    return rows
+
+
+def _eager_curated_rows(world, original_rows):
+    """The curated copy ``scale_world`` used to store: a projection."""
+    curated = {}
+    for table in world.curated_schema.tables:
+        source_names = world.original_schema.table(table.name).column_names()
+        keep = [source_names.index(name) for name in table.column_names()]
+        curated[table.name] = [
+            tuple(row[index] for index in keep)
+            for row in original_rows[table.name]
+        ]
+    return curated
+
+
+_VIEW_CASES = {}
+
+
+def _views_and_reference(database, scale):
+    """(base world, scaled world, eager original rows, eager curated
+    rows), cached."""
+    key = (database, scale)
+    if key not in _VIEW_CASES:
+        base = WORLD_BUILDERS[database]()
+        original = _eager_original_rows(base, scale)
+        _VIEW_CASES[key] = (
+            base,
+            scale_world(base, scale),
+            original,
+            _eager_curated_rows(base, original),
+        )
+    return _VIEW_CASES[key]
+
+
+def _probe_indexes(size, base_size):
+    """Both ends, replica seams and the middle, from either side."""
+    positive = {0, 1, base_size - 1, base_size, size // 2, size - 2, size - 1}
+    indexes = sorted(i for i in positive if 0 <= i < size)
+    return indexes + [i - size for i in indexes]
+
+
+VIEW_CONFIGS = [
+    (database, scale, kind)
+    for scale in (2, SCALE)
+    for database in sorted(WORLD_BUILDERS)
+    for kind in ("original", "curated")
+]
+
+
+class TestRowViews:
+    @pytest.mark.parametrize(
+        "config", VIEW_CONFIGS, ids=[f"{d}@{s}/{k}" for d, s, k in VIEW_CONFIGS]
+    )
+    def test_view_matches_the_eager_rows(self, config):
+        database, scale, kind = config
+        base, world, original, curated = _views_and_reference(database, scale)
+        views = world.original_rows if kind == "original" else world.curated_rows
+        reference = original if kind == "original" else curated
+        assert sorted(views) == sorted(reference)
+        for table, expected in reference.items():
+            view = views[table]
+            assert isinstance(view, ReplicaRows)
+            assert len(view) == len(expected), table
+            assert list(view) == expected, table
+            if not expected:
+                continue
+            base_size = len(base.original_rows[table])
+            for index in _probe_indexes(len(expected), base_size):
+                assert view[index] == expected[index], (table, index)
+            stride = max(1, len(expected) // 20)
+            for cut in (
+                slice(3, 17), slice(None, 40), slice(-5, None),
+                slice(base_size - 2, base_size + 2), slice(None, None, stride),
+                slice(None, None, -stride), slice(len(expected), None),
+            ):
+                assert view[cut] == expected[cut], (table, cut)
+            for outside in (len(expected), -len(expected) - 1):
+                with pytest.raises(IndexError):
+                    view[outside]
+            assert view == expected and expected == view, table
+            assert view != expected[:-1] and view != [()] + expected[1:]
+
+    def test_scale_one_keeps_plain_lists(self):
+        base = WORLD_BUILDERS["superhero"]()
+        world = scale_world(base, 1)
+        assert world is base
+        assert all(type(rows) is list for rows in world.original_rows.values())
+
+    def test_views_are_read_only(self):
+        _, world, _, _ = _views_and_reference("superhero", 2)
+        view = world.original_rows["superhero"]
+        with pytest.raises(TypeError):
+            view[0] = ()
+        assert not hasattr(view, "append")
+        with pytest.raises(TypeError):
+            view["0"]
+
+
+#: what ``scale_world(formula_1, 100)`` may allocate: its truth and
+#: popularity maps fit; one stored copy of its rows (~138 MB) does not
+FOOTPRINT_LIMIT = 8 * 10**6
+
+
+def _peak_allocation(work):
+    """Peak bytes ``tracemalloc`` sees while ``work()`` runs."""
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFootprint:
+    def test_scaled_world_stores_no_replica_rows(self):
+        base = WORLD_BUILDERS["formula_1"]()
+        peak = _peak_allocation(lambda: scale_world(base, 100))
+        assert peak < FOOTPRINT_LIMIT, f"{peak / 1e6:.1f} MB"
+
+    def test_the_bound_catches_stored_rows(self):
+        base = WORLD_BUILDERS["formula_1"]()
+
+        def materialize():
+            world = scale_world(base, 100)
+            return list(max(world.original_rows.values(), key=len))
+
+        assert _peak_allocation(materialize) >= FOOTPRINT_LIMIT
