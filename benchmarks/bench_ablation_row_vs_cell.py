@@ -24,7 +24,7 @@ QUESTION = "Which comic book publisher published this superhero?"
 def _row_accuracy(world) -> float:
     model = MockChatModel(KnowledgeOracle(world), get_profile("gpt-3.5-turbo"))
     pipeline = HQDL(world, model, shots=0)
-    generation = pipeline.generate_table("superhero_info")
+    generation = pipeline.generate_all().tables["superhero_info"]
     expansion = world.expansion("superhero_info")
     index = expansion.generated_column_names().index(ATTRIBUTE)
     correct = total = 0

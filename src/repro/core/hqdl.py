@@ -15,25 +15,29 @@ Flow, per database:
 A key operational property (Section 5.5): generation happens *once per
 database*, and every question over that database reuses the materialized
 tables — which is why HQDL's token bill is a fraction of HQ UDFs'.
+
+:class:`HQDL` runs them as the stages of :class:`~repro.pipeline.Pipeline`:
+the first question's plan pays for steps 2–3 and its run materializes;
+every later question's plan is empty and its run is step 5 alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.extraction import extract_row
 from repro.core.materialize import materialize_expansion
 from repro.core.prompts import RowPromptBuilder
 from repro.errors import ExtractionError, ReproError
-from repro.llm.batching import LatencyModel
 from repro.llm.client import ChatClient
-from repro.llm.tokenizer import count_tokens
+from repro.llm.intent import Prompt
 from repro.llm.parallel import DispatchOutcome, ParallelDispatcher
 from repro.llm.resilience import Deadline, ResilienceReport
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
 from repro.obs.provenance import call_id_for
 from repro.obs.trace import NULL_SPAN
+from repro.pipeline import ExecutionReport, Fillings, Work
 from repro.sqlengine.database import Database
 from repro.sqlengine.results import ResultSet
 from repro.swan.base import Question, World
@@ -79,8 +83,35 @@ class GenerationResult:
         return sum(t.degraded for t in self.tables.values())
 
 
+class _TableWork(NamedTuple):
+    """One expansion table's generation work, in key order."""
+
+    name: str
+    builder: RowPromptBuilder
+    keys: list[tuple]
+    prompts: list[Prompt]
+
+
+class HqdlPlan(NamedTuple):
+    """What one question needs from HQDL: the generation work of every
+    expansion table not yet resident (all on first touch, none once the
+    pipeline holds its expanded database)."""
+
+    question: Optional[Question]
+    tables: tuple[_TableWork, ...] = ()
+
+    def work(self) -> tuple[Work, ...]:
+        """One whole-prompt item per row call, table by table, key by key."""
+        return tuple(
+            Work(None, (), 1, prompt, f"hqdl:{table.name}")
+            for table in self.tables
+            for prompt in table.prompts
+        )
+
+
 class HQDL:
-    """Schema-expansion hybrid querying for one world."""
+    """Schema-expansion hybrid querying for one world, as the three
+    stages of :class:`~repro.pipeline.Pipeline`."""
 
     def __init__(
         self,
@@ -90,25 +121,15 @@ class HQDL:
         shots: int = 0,
         context_rows: int = 0,
         workers: int = 1,
-        call_order: str = "collection",
         resilience: Optional[ResilienceReport] = None,
         telemetry: Optional[Telemetry] = None,
         provenance=None,
     ) -> None:
-        if call_order not in ("collection", "lpt"):
-            raise ReproError(
-                f"call_order must be 'collection' or 'lpt', got {call_order!r}"
-            )
         self.world = world
         self.client = client
         self.shots = shots
         self.context_rows = context_rows
         self.workers = workers
-        #: 'collection' dispatches row calls in table/key order; 'lpt'
-        #: dispatches longest-prompt-first so a parallel pool doesn't end
-        #: on one big straggler.  Results are identical either way —
-        #: outcomes are re-assembled in key order.
-        self.call_order = call_order
         self.resilience = resilience
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._prov = provenance if provenance is not None else NULL_PROVENANCE
@@ -123,84 +144,116 @@ class HQDL:
             from repro.retrieval.index import RowContextRetriever
 
             self._retriever = RowContextRetriever(world)
+        #: the resident expanded database (see :meth:`expand`)
+        self.db: Optional[Database] = None
+
+    def close(self) -> None:
+        """Release the resident expanded database, if any."""
+        if self.db is not None:
+            self.db.close()
+            self.db = None
+
+    def _span(self, name: str, **attributes):
+        tel = self._tel
+        return tel.tracer.span(name, **attributes) if tel.enabled else NULL_SPAN
+
+    # -- the three stages ----------------------------------------------------------
+
+    def prepare(self, question: Optional[Question]) -> HqdlPlan:
+        """Stage one: the row prompts of every table not yet resident."""
+        if self.db is not None:
+            return HqdlPlan(question)
+        with self._span("hqdl:prepare"):
+            return HqdlPlan(question, self._prepare_tables())
+
+    def generate(
+        self,
+        plan: HqdlPlan,
+        *,
+        deadline: Optional[Deadline] = None,
+        known: Optional[dict] = None,
+    ) -> Fillings:
+        """Stage two: pay for the plan's row calls, unless a run made the
+        tables resident since it was prepared.  ``known`` is unused:
+        prompts paid ahead reach generation through the prompt cache."""
+        if self.db is not None:
+            return Fillings((), ExecutionReport())
+        with self._span("hqdl:generate", database=self.world.name):
+            return self._pay(plan.tables, deadline)
+
+    def run(
+        self, plan: HqdlPlan, fillings: Fillings
+    ) -> tuple[ResultSet, ExecutionReport]:
+        """Stage three: materialize once (:meth:`expand`), then answer."""
+        if self.db is None:
+            self.expand(fillings.answers[0])
+        return self.answer(self.db, plan.question), fillings.report
+
+    def execute_with_report(
+        self, question: Question
+    ) -> tuple[ResultSet, ExecutionReport]:
+        plan = self.prepare(question)
+        return self.run(plan, self.generate(plan))
 
     # -- generation ------------------------------------------------------------
 
-    def _prepare_table(
-        self, expansion_name: str
-    ) -> tuple[RowPromptBuilder, list[tuple], list[str]]:
-        """The prompt builder, keys, and prompts for one expansion table."""
-        expansion = self.world.expansion(expansion_name)
-        context_provider = None
-        if self._retriever is not None:
-            context_provider = self._retriever.context_provider(self.context_rows)
-        builder = RowPromptBuilder(
-            self.world,
-            expansion,
-            shots=self.shots,
-            context_provider=context_provider,
-        )
-        keys = list(self.world.keys_for(expansion_name))
-        prompts = [builder.build(key) for key in keys]
-        return builder, keys, prompts
-
-    def plan_calls(self) -> list[tuple[str, str]]:
-        """Every (prompt, label) generation would dispatch, without calling.
-
-        HQDL already generates once per database, so there is nothing to
-        dedup — planning here feeds benchmarking (call counts, virtual
-        makespans) and cache pre-warming.
-        """
-        calls: list[tuple[str, str]] = []
+    def _prepare_tables(self) -> tuple[_TableWork, ...]:
+        """The prompt builder, keys, and prompts of every expansion table."""
+        tables = []
         for expansion in self.world.expansions:
-            _, _, prompts = self._prepare_table(expansion.name)
-            calls.extend((p, f"hqdl:{expansion.name}") for p in prompts)
-        return calls
-
-    def _dispatch_ordered(
-        self, prompts: list[str], labels, deadline: Optional[Deadline] = None
-    ) -> list[DispatchOutcome]:
-        """Dispatch, longest-prompt-first when ``call_order='lpt'``.
-
-        Outcomes always come back aligned to the *input* prompt order,
-        so assembly is unaffected by the dispatch permutation.
-        """
-        if self.call_order != "lpt" or len(prompts) <= 1:
-            return self.dispatcher.dispatch(
-                self.client, prompts, labels=labels, capture_errors="transient",
-                deadline=deadline,
+            provider = None
+            if self._retriever is not None:
+                provider = self._retriever.context_provider(self.context_rows)
+            builder = RowPromptBuilder(
+                self.world, expansion, shots=self.shots, context_provider=provider
             )
-        model = LatencyModel()
-        estimates = [
-            model.base_seconds + model.per_input_token * count_tokens(p)
-            for p in prompts
-        ]
-        order = sorted(range(len(prompts)), key=lambda i: (-estimates[i], i))
-        permuted_labels = (
-            labels if isinstance(labels, str) else [labels[i] for i in order]
-        )
-        permuted = self.dispatcher.dispatch(
+            keys = list(self.world.keys_for(expansion.name))
+            prompts = [builder.build(key) for key in keys]
+            tables.append(_TableWork(expansion.name, builder, keys, prompts))
+        return tuple(tables)
+
+    def _pay(
+        self, tables: tuple[_TableWork, ...], deadline: Optional[Deadline]
+    ) -> Fillings:
+        """All row calls of ``tables`` as one flat dispatch (with ``workers
+        > 1``, parallel across tables and keys alike), assembled.  Past
+        ``deadline`` the remaining calls are skipped with degradable
+        outcomes and their rows materialize as NULLs."""
+        outcomes = self.dispatcher.dispatch(
             self.client,
-            [prompts[i] for i in order],
-            labels=permuted_labels,
+            [prompt for table in tables for prompt in table.prompts],
+            labels=[
+                f"hqdl:{table.name}" for table in tables for _ in table.prompts
+            ],
             capture_errors="transient",
             deadline=deadline,
         )
-        outcomes: list[Optional[DispatchOutcome]] = [None] * len(prompts)
-        for position, index in enumerate(order):
-            outcomes[index] = permuted[position]
-        return outcomes
+        report = ExecutionReport()
+        result = GenerationResult(database=self.world.name, shots=self.shots)
+        with self._span("hqdl:assemble"):
+            offset = 0
+            values: dict[str, str] = {}
+            for table in tables:
+                end = offset + len(table.prompts)
+                result.tables[table.name] = self._assemble_table(
+                    table, outcomes[offset:end], values, report
+                )
+                offset = end
+        return Fillings((result,), report)
+
+    def plan_calls(self) -> list[tuple[str, str]]:
+        """Every (prompt, label) generation would dispatch, without calling."""
+        return [(work.prompt, work.label) for work in self.prepare(None).work()]
 
     def _assemble_table(
         self,
-        expansion_name: str,
-        builder: RowPromptBuilder,
-        keys: list[tuple],
+        table: _TableWork,
         outcomes: list[DispatchOutcome],
-        prompts: Optional[list[str]] = None,
-        values: Optional[dict[str, str]] = None,
+        values: dict[str, str],
+        report: ExecutionReport,
     ) -> TableGeneration:
-        """Extract dispatched completions into a TableGeneration, in key order.
+        """Extract dispatched completions into a TableGeneration, in key order,
+        counting the paid calls (cache hits are free) in ``report``.
 
         A row whose call failed outright (a degradable dispatch outcome)
         yields NULLs — the materialized table keeps the key but loses the
@@ -212,135 +265,65 @@ class HQDL:
         string object: a generation repeats a few thousand distinct values
         across tens of thousands of cells.
         """
-        if values is None:
-            values = {}
-        generation = TableGeneration(expansion_name=expansion_name)
-        expansion = self.world.expansion(expansion_name)
+        generation = TableGeneration(expansion_name=table.name)
+        expansion = self.world.expansion(table.name)
         key_width = len(expansion.key_columns)
+        field_count = table.builder.expected_field_count()
         prov = self._prov
         value_columns = (
             expansion.generated_column_names() if prov.enabled else []
         )
-        for index, (key, outcome) in enumerate(zip(keys, outcomes)):
+        for key, prompt, outcome in zip(table.keys, table.prompts, outcomes):
             generation.calls += 1
-            cid = (
-                call_id_for(prompts[index])
-                if prov.enabled and prompts is not None
-                else ""
-            )
-            if outcome.error is not None:
-                generation.rows[key] = None
+            degraded = outcome.error is not None
+            row = None
+            if degraded:
                 generation.degraded += 1
                 self._m_degraded_rows.inc()
                 if self.resilience is not None:
                     self.resilience.record_degraded(1)
-                if prov.enabled:
-                    for column in value_columns:
-                        prov.record_cell(
-                            expansion_name, key, column, cid,
-                            null=True, degraded=True,
-                        )
-                continue
-            try:
-                fields = extract_row(
-                    outcome.response.text, builder.expected_field_count()
-                )
-            except ExtractionError:
-                generation.rows[key] = None
-                generation.malformed += 1
-                self._m_malformed.inc()
-                if prov.enabled:
-                    for column in value_columns:
-                        prov.record_cell(
-                            expansion_name, key, column, cid, null=True
-                        )
-                continue
-            generation.rows[key] = [
-                values.setdefault(value, value) for value in fields[key_width:]
-            ]
+            else:
+                usage = outcome.response.usage
+                if usage.calls:
+                    report.llm_calls += 1
+                    report.call_sizes.append(
+                        (usage.input_tokens, usage.output_tokens)
+                    )
+                try:
+                    fields = extract_row(outcome.response.text, field_count)
+                except ExtractionError:
+                    generation.malformed += 1
+                    self._m_malformed.inc()
+                else:
+                    row = [
+                        values.setdefault(value, value)
+                        for value in fields[key_width:]
+                    ]
+            generation.rows[key] = row
             if prov.enabled:
+                cid = call_id_for(prompt)
                 for column in value_columns:
-                    prov.record_cell(expansion_name, key, column, cid)
+                    prov.record_cell(
+                        table.name, key, column, cid,
+                        null=row is None, degraded=degraded,
+                    )
         return generation
-
-    def generate_table(self, expansion_name: str) -> TableGeneration:
-        """Generate all rows of one expansion table, one call per key.
-
-        With ``workers > 1`` the per-key calls run concurrently; rows are
-        assembled in key order, so the result is identical to sequential
-        generation.
-        """
-        tel = self._tel
-        with (
-            tel.tracer.span("hqdl:generate", table=expansion_name)
-            if tel.enabled
-            else NULL_SPAN
-        ):
-            with (tel.tracer.span("hqdl:prepare") if tel.enabled else NULL_SPAN):
-                builder, keys, prompts = self._prepare_table(expansion_name)
-            outcomes = self._dispatch_ordered(
-                prompts, f"hqdl:{expansion_name}"
-            )
-            with (tel.tracer.span("hqdl:assemble") if tel.enabled else NULL_SPAN):
-                return self._assemble_table(
-                    expansion_name, builder, keys, outcomes, prompts
-                )
 
     def generate_all(
         self, deadline: Optional[Deadline] = None
     ) -> GenerationResult:
-        """Generate every expansion table of this world.
-
-        All row-completion calls of *all* expansion tables form one flat
-        dispatch, so with ``workers > 1`` generation parallelizes across
-        attributes (tables) and keys alike, instead of finishing one
-        table before starting the next.  Once ``deadline`` (a request's
-        budget, from the serving layer) has expired, the remaining row
-        calls are skipped with typed degradable outcomes, so their rows
-        materialize as NULLs instead of blocking past the budget.
-        """
-        tel = self._tel
-        result = GenerationResult(database=self.world.name, shots=self.shots)
-        with (
-            tel.tracer.span("hqdl:generate", database=self.world.name)
-            if tel.enabled
-            else NULL_SPAN
-        ):
-            with (tel.tracer.span("hqdl:prepare") if tel.enabled else NULL_SPAN):
-                prepared = [
-                    (expansion.name, *self._prepare_table(expansion.name))
-                    for expansion in self.world.expansions
-                ]
-                prompts = [
-                    p for _, _, _, table_prompts in prepared for p in table_prompts
-                ]
-                labels = [
-                    f"hqdl:{name}"
-                    for name, _, _, table_prompts in prepared
-                    for _ in table_prompts
-                ]
-            outcomes = self._dispatch_ordered(prompts, labels, deadline)
-            with (tel.tracer.span("hqdl:assemble") if tel.enabled else NULL_SPAN):
-                offset = 0
-                values: dict[str, str] = {}
-                for name, builder, keys, table_prompts in prepared:
-                    table_outcomes = outcomes[offset : offset + len(table_prompts)]
-                    offset += len(table_prompts)
-                    result.tables[name] = self._assemble_table(
-                        name, builder, keys, table_outcomes, table_prompts, values
-                    )
-        return result
+        """Every expansion table generated, resident or not: the stages
+        one and two of a fresh pipeline, for callers keeping the result."""
+        with self._span("hqdl:generate", database=self.world.name):
+            with self._span("hqdl:prepare"):
+                tables = self._prepare_tables()
+            return self._pay(tables, deadline).answers[0]
 
     # -- materialization ---------------------------------------------------------
 
     def materialize(self, db: Database, generation: GenerationResult) -> None:
         """Insert all generated tables into ``db`` (the curated database)."""
-        tel = self._tel
-        with (
-            tel.tracer.span("hqdl:materialize", database=self.world.name)
-            if tel.enabled
-            else NULL_SPAN
-        ):
+        with self._span("hqdl:materialize", database=self.world.name):
             for expansion in self.world.expansions:
                 table_generation = generation.tables.get(expansion.name)
                 if table_generation is None:
@@ -349,13 +332,27 @@ class HQDL:
                     )
                 materialize_expansion(db, expansion, table_generation.rows)
 
+    def expand(self, generation: GenerationResult) -> Database:
+        """Make ``generation`` the resident expanded database, once: later
+        plans find every table resident.  :meth:`close` releases it."""
+        if self.db is None:
+            self.db = self.build_expanded_database(generation)
+        return self.db
+
     def build_expanded_database(
         self, generation: Optional[GenerationResult] = None
     ) -> Database:
-        """Curated database + materialized expansions, ready for queries."""
+        """Curated database + materialized expansions, owned by the caller.
+
+        On error the half-built copy is closed, never handed out.
+        """
         generation = generation or self.generate_all()
         db = build_curated_database(self.world)
-        self.materialize(db, generation)
+        try:
+            self.materialize(db, generation)
+        except BaseException:
+            db.close()
+            raise
         return db
 
     # -- query execution -----------------------------------------------------------
@@ -367,10 +364,5 @@ class HQDL:
                 f"question {question.qid} belongs to {question.database!r}, "
                 f"not {self.world.name!r}"
             )
-        tel = self._tel
-        with (
-            tel.tracer.span("hqdl:answer", qid=question.qid)
-            if tel.enabled
-            else NULL_SPAN
-        ):
+        with self._span("hqdl:answer", qid=question.qid):
             return db.query(question.hqdl_sql)

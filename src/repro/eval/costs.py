@@ -76,7 +76,7 @@ def estimate_costs(
 ) -> CostReport:
     """Build a :class:`CostReport` from metered usage.
 
-    ``call_sizes`` (from :class:`~repro.udf.executor.ExecutionReport`)
+    ``call_sizes`` (from :class:`~repro.pipeline.ExecutionReport`)
     gives exact per-call latencies; without it calls are assumed evenly
     sized, which is accurate for HQDL's homogeneous row prompts.
     """

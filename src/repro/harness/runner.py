@@ -38,6 +38,7 @@ from repro.llm.usage import Usage, UsageMeter
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, MetricsRegistry, Telemetry
 from repro.obs.ledger import RunLedger
 from repro.obs.trace import NULL_SPAN
+from repro.pipeline import ExecutionReport, Pipeline
 from repro.plan import CallPlanner, MappingStore
 from repro.sqlengine.results import ResultSet
 from repro.swan.base import Question, World
@@ -166,8 +167,10 @@ class UDFRun:
         return sum(s.get("misses", 0) for s in self.persistent.values())
 
 
-_Answer = Callable[[Question], ResultSet]
-_Score = Callable[[Sequence[Question], _Answer], list[ExecutionOutcome]]
+_Score = Callable[
+    [Sequence[Question], Pipeline, Callable[[Question], object]],
+    tuple[list[ExecutionOutcome], list[ExecutionReport]],
+]
 _Body = Callable[
     [World, ChatClient, Sequence[Question], _Score],
     tuple[list[ExecutionOutcome], _T],
@@ -199,11 +202,12 @@ def _run_pipeline(
 
     Per database (``db_workers`` at a time, merged in name order): open
     the spans and provenance context, build the client stack, hand
-    ``body`` the world, the client, the questions and the ``score``
-    function that answers and grades them, then close the disk tier.
-    ``body`` returns the graded outcomes plus whatever ``merge`` folds
-    into the run; ``ledger_scores`` yields the ``(f1, makespan)`` ledger
-    columns.
+    ``body`` the world, the client, the questions and ``score(questions,
+    pipeline, query)``, which executes each ``query(question)`` through
+    the body's :class:`~repro.pipeline.Pipeline` and grades it, then
+    close the disk tier.  ``body`` returns the graded outcomes plus
+    whatever ``merge`` folds into the run; ``ledger_scores`` yields the
+    ``(f1, makespan)`` ledger columns.
     """
     if parallelism != "threads":
         raise ReproError(f"parallelism must be 'threads', got {parallelism!r}")
@@ -220,8 +224,13 @@ def _run_pipeline(
         else NULL_SPAN
     ) as run_span:
 
-        def _score(questions: Sequence[Question], answer: _Answer):
+        def _score(
+            questions: Sequence[Question],
+            pipeline: Pipeline,
+            query: Callable[[Question], object],
+        ):
             outcomes: list[ExecutionOutcome] = []
+            reports: list[ExecutionReport] = []
             for question in questions:
                 expected = gold.expected(question.qid)
                 with (
@@ -230,14 +239,17 @@ def _run_pipeline(
                     else NULL_SPAN
                 ) as qspan, prov.context(qid=question.qid):
                     try:
-                        actual = answer(question)
+                        actual, report = pipeline.execute_with_report(
+                            query(question)
+                        )
                     except ReproError as exc:
                         outcome = failed_outcome(question, expected, str(exc))
                     else:
+                        reports.append(report)
                         outcome = evaluate_question(question, expected, actual)
                     qspan.set("correct", outcome.correct)
                 outcomes.append(outcome)
-            return outcomes
+            return outcomes, reports
 
         def _one_database(name: str):
             with (
@@ -314,7 +326,6 @@ def run_hqdl(
     resilience: Optional[ResilienceReport] = None,
     telemetry: Optional[Telemetry] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    call_order: str = "collection",
     parallelism: str = "threads",
     provenance=None,
     ledger: Optional[RunLedger] = None,
@@ -337,8 +348,7 @@ def run_hqdl(
     ``cache_dir`` adds a per-database :class:`PersistentPromptCache` so
     a rerun with the same directory regenerates every table from disk
     with zero new LLM calls (generation is already once-per-database, so
-    HQDL needs no planner).  ``call_order="lpt"`` dispatches generation
-    calls longest-first (identical results, shorter parallel makespan).
+    HQDL needs no planner).
 
     ``parallelism`` accepts only ``"threads"``, the in-process dispatch;
     any other value raises :class:`~repro.errors.ReproError`.  The
@@ -349,13 +359,18 @@ def run_hqdl(
     def _body(world: World, client: ChatClient, questions, score: _Score):
         pipeline = HQDL(
             world, client, shots=shots, workers=workers,
-            call_order=call_order, resilience=resilience,
-            telemetry=telemetry, provenance=provenance,
+            resilience=resilience, telemetry=telemetry, provenance=provenance,
         )
+        # generation belongs to the database, not to its first question:
+        # it runs (and is scored for factuality) before any question, and
+        # every question's plan then finds the expansion resident
         generation = pipeline.generate_all()
         f1 = database_factuality(world, generation)
-        with pipeline.build_expanded_database(generation) as db:
-            outcomes = score(questions, lambda q: pipeline.answer(db, q))
+        try:
+            pipeline.expand(generation)
+            outcomes, _ = score(questions, pipeline, lambda q: q)
+        finally:
+            pipeline.close()
         return outcomes, (generation, f1)
 
     def _merge(name: str, extras) -> None:
@@ -367,7 +382,7 @@ def run_hqdl(
         db_workers=db_workers, wrap_client=wrap_client, telemetry=telemetry,
         cache_dir=cache_dir, parallelism=parallelism, provenance=provenance,
         ledger=ledger, ledger_label=ledger_label,
-        ledger_config={"call_order": call_order},
+        ledger_config={},
         ledger_scores=lambda: (run.average_f1, None),
     )
     return run
@@ -438,7 +453,6 @@ def run_udf(
     def _body(world: World, client: ChatClient, questions, score: _Score):
         cache = PromptCache()
         call_sizes: list[tuple[int, int]] = []
-        keys_generated = 0
         plan_record: Optional[dict] = None
         with build_curated_database(world) as db:
             executor = HybridQueryExecutor(
@@ -462,17 +476,10 @@ def run_udf(
                 ).plan_and_execute([q.blend_sql for q in questions])
                 call_sizes.extend(planned.stats.call_sizes)
                 plan_record = planned.stats.as_record()
-
-            def _answer(question: Question) -> ResultSet:
-                nonlocal keys_generated
-                actual, report = executor.execute_with_report(
-                    question.blend_sql
-                )
-                call_sizes.extend(report.call_sizes)
-                keys_generated += report.keys_generated
-                return actual
-
-            outcomes = score(questions, _answer)
+            outcomes, reports = score(questions, executor, lambda q: q.blend_sql)
+        for report in reports:
+            call_sizes.extend(report.call_sizes)
+        keys_generated = sum(report.keys_generated for report in reports)
         # the counts, not the cache: the extras of every database stay
         # alive until the last one finishes, and a cache holds every prompt
         counts = (cache.hits, cache.misses)

@@ -6,7 +6,7 @@ talks to the same stack, innermost first::
     model       MockChatModel over the world's oracle
     wrap        whatever the caller slips directly around the model: a
                 benchmark proxy, simulated latency, faults + retry
-                (:func:`build_resilient_stack`), a paid-call size recorder
+                (:func:`build_resilient_stack`)
     disk        PersistentClient over ``cache_dir/<database>.sqlite``
     memory      CachingClient over a PromptCache
 

@@ -83,7 +83,7 @@ class BatchingConfig:
 class PendingRequest:
     """One dispatched request waiting on cross-request batch landings.
 
-    Holds a UDF request's ``plan`` (prepared once, at dispatch), what it
+    Holds the request's ``plan`` (prepared once, at dispatch), what it
     still owes (``outstanding`` work items), what it has been charged so
     far (attributed calls/tokens from shared batches), and the flushed
     ``answers`` (signature → key → value) its finalize generates from.

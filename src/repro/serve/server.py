@@ -566,15 +566,17 @@ class QueryServer:
 
     # -- one request lifecycle: dispatch -> (plan -> waves) -> finalize ----------
     #
-    # Every dispatched request becomes a ``PendingRequest``; a UDF one
-    # carries the ``QueryPlan`` prepared at dispatch (statement, keys, QA
-    # prompts).  It ends in ``_finalize``, which generates and runs the
+    # Every dispatched request becomes a ``PendingRequest`` carrying the
+    # plan its pipeline prepared at dispatch (``repro.pipeline``: UDF keys
+    # and QA prompts, or HQDL row prompts until the expanded database is
+    # resident).  It ends in ``_finalize``, which generates and runs the
     # query under the request's remaining budget and classifies the
     # outcome.  Without ``config.batching`` that happens on the spot: the
     # request rode zero waves and "lands" at its own start instant.  With
-    # it, the plan's work (HQDL: ``plan_calls``) is first pruned against
-    # the shared mapping store and prompt caches and enqueued into the
-    # CrossRequestBatcher.  Flush events fire at the batcher's release
+    # it, the plan's work is first pruned against the shared mapping
+    # store and prompt caches and enqueued into the CrossRequestBatcher;
+    # the server branches on the kind of work (keys or whole prompts),
+    # never on the pipeline.  Flush events fire at the batcher's release
     # times; every group due at one instant flushes as a single *wave*
     # whose paid calls share one ``parallel_makespan`` pool — coalesced
     # batches are charged like the fan-out of a single request — and map
@@ -609,11 +611,10 @@ class QueryServer:
             self._trace_outcome(outcome, start=start)
         else:
             member = PendingRequest(request, start=start, queue_wait=queue_wait)
-            if request.pipeline == "udf":
-                # a malformed query's plan carries its error: finalize
-                # raises it and the request degrades like any failed one
-                executor = self.states.udf(request.database).executor
-                member.plan = executor.prepare(request.sql)
+            # a malformed query's plan carries its error: finalize raises
+            # it and the request degrades like any failed one
+            state = self.states.of(request)
+            member.plan = state.pipeline.prepare(state.query(request))
             if self.batcher is not None:
                 self._plan(member)
             if member.outstanding:
@@ -626,56 +627,47 @@ class QueryServer:
         request, start = member.request, member.start
         batcher = self.batcher
         persist = batcher.config.persist
-
-        def enqueue_uncached(cache, prompt, label, latency_bearing) -> None:
-            if cache.peek(prompt) is not None:
+        work = member.plan.work()
+        for item in work:
+            if item.prompt is not None:
+                continue
+            call = item.call
+            signature = call.signature()
+            wanted = list(dict.fromkeys(item.keys))
+            if persist:
+                known = self.mapping_store.peek(signature, wanted)
+                # all-or-nothing, matching the executor's store-first
+                # lookup: partial coverage regenerates the whole
+                # occurrence (identical chunk prompts then hit the
+                # prompt cache for free at flush time)
+                if len(known) == len(wanted):
+                    member.answers.setdefault(signature, {}).update(known)
+                    batcher.keys_from_store += len(known)
+                    wanted = []
+            held = member.answers.get(signature, ())
+            wanted = [key for key in wanted if key not in held]
+            if wanted:
+                # mc=1 keeps the executor's own chunk size (the
+                # byte-identity contract); with real concurrency the
+                # former fills policy-sized batches instead
+                chunk = item.chunk_size
+                if self.config.max_concurrent != 1:
+                    chunk = batcher.chunk_size_for(call)
+                batcher.enqueue_keys(
+                    request.database, call, wanted, member,
+                    chunk_size=chunk, now=start,
+                )
+        cache = self.states.of(request).cache
+        for item in work:
+            if item.prompt is None:
+                continue
+            if cache.peek(item.prompt) is not None:
                 batcher.prompts_from_cache += 1
-                return
+                continue
             batcher.enqueue_prompt(
-                request.database, label, prompt, member,
-                latency_bearing=latency_bearing, now=start,
+                request.database, item.label, item.prompt, member,
+                latency_bearing=item.latency_bearing, now=start,
             )
-
-        if request.pipeline == "udf":
-            state = self.states.udf(request.database)
-            work = member.plan.work()
-            for item in work:
-                if item.prompt is not None:
-                    continue
-                call = item.call
-                signature = call.signature()
-                wanted = list(dict.fromkeys(item.keys))
-                if persist:
-                    known = self.mapping_store.peek(signature, wanted)
-                    # all-or-nothing, matching the executor's store-first
-                    # lookup: partial coverage regenerates the whole
-                    # occurrence (identical chunk prompts then hit the
-                    # prompt cache for free at flush time)
-                    if len(known) == len(wanted):
-                        member.answers.setdefault(signature, {}).update(known)
-                        batcher.keys_from_store += len(known)
-                        wanted = []
-                held = member.answers.get(signature, ())
-                wanted = [key for key in wanted if key not in held]
-                if wanted:
-                    # mc=1 keeps the executor's own chunk size (the
-                    # byte-identity contract); with real concurrency the
-                    # former fills policy-sized batches instead
-                    chunk = item.chunk_size
-                    if self.config.max_concurrent != 1:
-                        chunk = batcher.chunk_size_for(call)
-                    batcher.enqueue_keys(
-                        request.database, call, wanted, member,
-                        chunk_size=chunk, now=start,
-                    )
-            for item in work:
-                if item.prompt is not None:
-                    enqueue_uncached(state.cache, item.prompt, "udf:qa", False)
-        else:
-            hstate = self.states.hqdl(request.database)
-            if hstate.db is None:
-                for prompt, label in hstate.pipeline.plan_calls():
-                    enqueue_uncached(hstate.cache, prompt, label, True)
         if member.outstanding == 0:
             return  # everything already covered by shared state
         if self.config.max_concurrent == 1:
@@ -768,9 +760,10 @@ class QueryServer:
                 wave_sizes.append((usage.input_tokens, usage.output_tokens))
             batcher.settle_call(payloads, owners, later, usage, fill=fill)
 
+        # every member of a group shares its database and pipeline
+        state = self.states.of(group.owners[0].request)
+        pipeline = state.pipeline
         if group.kind == "map":
-            state = self.states.udf(group.database)
-            executor = state.executor
             signature = group.call.signature()
             chunks = batched(group.payloads, group.chunk_size)
             # memoized: most chunks recur, and the prompt cache will
@@ -778,8 +771,8 @@ class QueryServer:
             prompts = [
                 state.chunk_prompt(group.call, tuple(chunk)) for chunk in chunks
             ]
-            outcomes = executor.dispatcher.dispatch(
-                executor.client, prompts, labels="udf:map",
+            outcomes = pipeline.dispatcher.dispatch(
+                pipeline.client, prompts, labels=group.label,
                 capture_errors=True, deadline=deadline,
             )
             calls_formed = len(chunks)
@@ -808,7 +801,7 @@ class QueryServer:
                         "serve.batch_occupancy", now, fill
                     )
             _fan_out(signature, group, answers)
-            if batcher.config.persist and executor.publish_mappings:
+            if batcher.config.persist and pipeline.publish_mappings:
                 # only real answers, like the executor: degraded or
                 # drifted NULLs must not pin other requests to NULL
                 self.mapping_store.put(
@@ -819,14 +812,8 @@ class QueryServer:
                     },
                 )
         else:
-            if group.label.startswith("hqdl:"):
-                pipeline = self.states.hqdl(group.database).pipeline
-                dispatcher, client = pipeline.dispatcher, pipeline.client
-            else:
-                executor = self.states.udf(group.database).executor
-                dispatcher, client = executor.dispatcher, executor.client
-            outcomes = dispatcher.dispatch(
-                client, group.payloads, labels=group.label,
+            outcomes = pipeline.dispatcher.dispatch(
+                pipeline.client, group.payloads, labels=group.label,
                 capture_errors=True, deadline=deadline,
             )
             calls_formed = len(group.payloads)
@@ -878,39 +865,19 @@ class QueryServer:
         rows: Optional[int] = None
         degraded_keys = 0
         call_sizes: list[tuple[int, int]] = []
-        if request.pipeline == "udf":
-            executor = self.states.udf(request.database).executor
-            # batched: the answers stand in for the store planning consulted
-            known = member.answers if batched else None
-            try:
-                fillings = executor.generate(
-                    member.plan, deadline=Deadline(remaining, timer), known=known
-                )
-                result, report = executor.run(member.plan, fillings)
-                rows = len(result.rows)
-                degraded_keys = report.degraded_keys
-                call_sizes = list(report.call_sizes)
-            except ReproError as exc:
-                error = exc
-        else:
-            state = self.states.hqdl(request.database)
-            pipeline = state.pipeline
-            try:
-                if state.db is None:
-                    # first touch pays materialization; later requests
-                    # answer from the resident expanded database
-                    mark = len(state.sizes)
-                    generation = pipeline.generate_all(
-                        deadline=Deadline(remaining, timer)
-                    )
-                    call_sizes = state.sizes[mark:]
-                    state.db = pipeline.build_expanded_database(generation)
-                result = pipeline.answer(
-                    state.db, self.swan.question(request.qid)
-                )
-                rows = len(result.rows)
-            except ReproError as exc:
-                error = exc
+        pipeline = self.states.of(request).pipeline
+        # batched: the answers stand in for the store planning consulted
+        known = member.answers if batched else None
+        try:
+            fillings = pipeline.generate(
+                member.plan, deadline=Deadline(remaining, timer), known=known
+            )
+            result, report = pipeline.run(member.plan, fillings)
+            rows = len(result.rows)
+            degraded_keys = report.degraded_keys
+            call_sizes = list(report.call_sizes)
+        except ReproError as exc:
+            error = exc
         usage_delta = self.meter.total - usage_before
         tail_llm = parallel_makespan(call_sizes, self.config.workers)
         tail = self.config.base_overhead + tail_llm + timer.elapsed

@@ -6,13 +6,16 @@ cross-request reuse is the whole economic argument for serving hybrid
 queries from a resident process.  :class:`DatabaseStates` builds each
 state on first touch (through :func:`~repro.llm.stack.build_client_stack`,
 the one place the client layering exists) and tears all of them down.
+Both states expose the same face to the server: a
+:class:`~repro.pipeline.Pipeline`, the prompt cache in front of its paid
+calls, and ``query(request)``, what the pipeline prepares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.hqdl import HQDL
 from repro.llm.cache import PromptCache
@@ -22,7 +25,9 @@ from repro.llm.resilience import Clock, ResilienceReport, RetryPolicy
 from repro.llm.stack import ClientStack, build_client_stack, build_resilient_stack
 from repro.llm.usage import UsageMeter
 from repro.obs import Telemetry
+from repro.serve.request import QueryRequest
 from repro.sqlengine.database import Database
+from repro.swan.base import Question
 from repro.swan.benchmark import Swan
 from repro.swan.build import build_curated_database
 from repro.udf.executor import HybridQueryExecutor
@@ -36,44 +41,6 @@ if TYPE_CHECKING:
 def _decode(completion: str, expected: int) -> tuple[Optional[str], ...]:
     """:func:`parse_map_answers` as an immutable (memoizable) value."""
     return tuple(parse_map_answers(completion, expected))
-
-
-class SizeRecorder:
-    """A pass-through client recording (input, output) sizes of paid calls.
-
-    The UDF executor reports its own call sizes; HQDL does not, so the
-    server slips this between the pipeline and the model to know what a
-    generation *cost* — cache-served responses (zero ``Usage.calls``)
-    are free and unrecorded, matching the makespan model.
-    """
-
-    def __init__(self, inner: ChatClient, sizes: list[tuple[int, int]]) -> None:
-        self.inner = inner
-        self.model_name = inner.model_name
-        self.prefers_batch_dispatch = bool(
-            getattr(inner, "prefers_batch_dispatch", False)
-        )
-        self.sizes = sizes
-
-    def _record(self, response) -> None:
-        if response.usage.calls:
-            self.sizes.append(
-                (response.usage.input_tokens, response.usage.output_tokens)
-            )
-
-    def complete(self, prompt: str, *, label: str = ""):
-        response = self.inner.complete(prompt, label=label)
-        self._record(response)
-        return response
-
-    def complete_many(self, prompts, labels, *, deadline=None):
-        if deadline is not None:
-            responses = self.inner.complete_many(prompts, labels, deadline=deadline)
-        else:
-            responses = self.inner.complete_many(prompts, labels)
-        for response in responses:
-            self._record(response)
-        return responses
 
 
 #: entries kept by each of a :class:`UdfState`'s two flush-path memos
@@ -96,14 +63,18 @@ class UdfState:
     """
 
     db: Database
-    executor: HybridQueryExecutor
+    pipeline: HybridQueryExecutor
     cache: PromptCache
     stack: ClientStack
 
     def __post_init__(self) -> None:
         memo = lru_cache(maxsize=FLUSH_MEMO_SIZE)
-        self.chunk_prompt = memo(self.executor.map_prompt)
+        self.chunk_prompt = memo(self.pipeline.map_prompt)
         self.decode = memo(_decode)
+
+    def query(self, request: QueryRequest) -> str:
+        """What the pipeline prepares for ``request``: its hybrid SQL."""
+        return request.sql
 
     def close(self) -> None:
         self.db.close()
@@ -112,21 +83,26 @@ class UdfState:
 
 @dataclass
 class HqdlState:
-    """One database's long-lived HQDL serving state (lazy materialization)."""
+    """One database's long-lived HQDL serving state.
+
+    ``pipeline`` prepares a request's question and holds the expanded
+    database its first run materializes.
+    """
 
     pipeline: HQDL
-    #: sizes of every paid generation call, appended by the recorder
-    sizes: list[tuple[int, int]]
     stack: ClientStack
     #: prompt cache in front of generation, only under cross-request
     #: batching: flushed generation prompts land here, so the first
     #: finalize materializes from cache instead of paying twice
     cache: Optional[PromptCache]
-    db: Optional[Database] = None
+    swan: Swan
+
+    def query(self, request: QueryRequest) -> Question:
+        """What the pipeline prepares for ``request``: its question."""
+        return self.swan.question(request.qid)
 
     def close(self) -> None:
-        if self.db is not None:
-            self.db.close()
+        self.pipeline.close()
         self.stack.close()
 
 
@@ -205,19 +181,20 @@ class DatabaseStates:
             state = self._udf[database] = UdfState(db, executor, cache, stack)
         return state
 
+    def of(self, request: QueryRequest) -> Union[UdfState, HqdlState]:
+        """The state serving ``request``: its pipeline over its database."""
+        if request.pipeline == "udf":
+            return self.udf(request.database)
+        return self.hqdl(request.database)
+
     def hqdl(self, database: str) -> HqdlState:
         state = self._hqdl.get(database)
         if state is None:
             config = self.config
             world = self.swan.world(database)
-            sizes: list[tuple[int, int]] = []
             # flushed generation prompts must be reusable at finalize
             cache = PromptCache() if config.batching is not None else None
-            stack = self._stack(
-                world,
-                lambda model: SizeRecorder(self._wrap_faults(model), sizes),
-                cache,
-            )
+            stack = self._stack(world, self._wrap_faults, cache)
             pipeline = HQDL(
                 world,
                 stack.client,
@@ -227,7 +204,7 @@ class DatabaseStates:
                 telemetry=self.telemetry,
             )
             state = self._hqdl[database] = HqdlState(
-                pipeline, sizes, stack, cache
+                pipeline, stack, cache, self.swan
             )
         return state
 

@@ -46,17 +46,11 @@ DDL and no table write, and its rewritten SQL is a constant string.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.errors import IngredientError, ReproError
-from repro.llm.batching import (
-    DEFAULT_BATCH_SIZE,
-    LatencyModel,
-    batched,
-    parallel_makespan,
-    sequential_makespan,
-)
+from repro.llm.batching import DEFAULT_BATCH_SIZE, batched
 from repro.llm.cache import CachingClient, PromptCache
 from repro.llm.client import ChatClient
 from repro.llm.declarative import PromptSpec
@@ -78,6 +72,7 @@ from repro.llm.resilience import Deadline, ResilienceReport
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
 from repro.obs.provenance import TIER_MAPPING_STORE, TIER_SEMANTIC, call_id_for
 from repro.obs.trace import NULL_SPAN
+from repro.pipeline import ExecutionReport, Fillings, Work
 from repro.sqlparser import ast, parse, render
 from repro.sqlparser.render import quote_identifier, render_expression
 from repro.sqlparser.rewrite import replace_ingredients, walk
@@ -141,37 +136,6 @@ def _plain_header(
         and all(map(inert, options))
         and all(inert(line[len(MAP_EXAMPLE_MARKER):]) for line in demos)
     )
-
-
-@dataclass
-class ExecutionReport:
-    """Diagnostics for one hybrid query execution."""
-
-    llm_calls: int = 0
-    keys_generated: int = 0
-    keys_after_pushdown: dict[str, int] = field(default_factory=dict)
-    rewritten_sql: str = ""
-    #: (input_tokens, output_tokens) of each paid (non-cached) LLM call,
-    #: the input to the latency/parallelism model in repro.llm.batching.
-    call_sizes: list[tuple[int, int]] = field(default_factory=list)
-    #: batches whose LLM call ultimately failed (after any retry layer
-    #: gave up) and were degraded to NULL answers, and the keys they held.
-    degraded_batches: int = 0
-    degraded_keys: int = 0
-
-    def estimated_latency(
-        self, workers: int = 1, model: Optional[LatencyModel] = None
-    ) -> float:
-        """Estimated wall-clock seconds for this query's LLM traffic.
-
-        ``workers=1`` is sequential BlendSQL behaviour; higher values
-        model the parallel execution that
-        :class:`~repro.llm.parallel.ParallelDispatcher` performs for
-        real when the executor gets a ``workers`` knob > 1.
-        """
-        if workers <= 1:
-            return sequential_makespan(self.call_sizes, model)
-        return parallel_makespan(self.call_sizes, workers, model)
 
 
 class HybridQueryExecutor:
@@ -292,7 +256,10 @@ class HybridQueryExecutor:
                 break
             call = occurrence.call
             if call.kind == "LLMQA":
-                work = Work(call, (), 1, self._qa_prompt(call.question))
+                # QA answers bear no latency in the server's waves
+                work = Work(
+                    call, (), 1, self._qa_prompt(call.question), "udf:qa", False
+                )
             else:
                 try:
                     keys = self._fetch_keys(occurrence)
@@ -301,7 +268,7 @@ class HybridQueryExecutor:
                     break
                 policy = self.batch_policy
                 chunk = self.batch_size if policy is None else policy.batch_size(call)
-                work = Work(call, keys, chunk)
+                work = Work(call, keys, chunk, label="udf:map")
             steps.append((occurrence, work))
         return QueryPlan(prepared, tuple(steps), error)
 
@@ -311,7 +278,7 @@ class HybridQueryExecutor:
         *,
         deadline: Optional[Deadline] = None,
         known: Optional[dict[tuple, dict[tuple, Optional[str]]]] = None,
-    ) -> "Fillings":
+    ) -> Fillings:
         """Stage two: pay for a plan's work; every occurrence's answer.
 
         ``known`` maps a signature to answers the caller holds: an
@@ -348,7 +315,7 @@ class HybridQueryExecutor:
         return Fillings(tuple(answers), report)
 
     def run(
-        self, plan: "QueryPlan", fillings: "Fillings"
+        self, plan: "QueryPlan", fillings: Fillings
     ) -> tuple[ResultSet, ExecutionReport]:
         """Stage three: bind the answers to the slots, render, execute."""
         tel = self._tel
@@ -389,10 +356,10 @@ class HybridQueryExecutor:
         calls: list[tuple[str, str]] = []
         for work in self.prepare(hybrid_sql).work():
             if work.prompt is not None:
-                calls.append((work.prompt, "udf:qa"))
+                calls.append((work.prompt, work.label))
                 continue
             for batch in batched(work.keys, work.chunk_size):
-                calls.append((self.map_prompt(work.call, batch), "udf:map"))
+                calls.append((self.map_prompt(work.call, batch), work.label))
         return calls
 
     # -- prepared statements -----------------------------------------------------
@@ -555,7 +522,7 @@ class HybridQueryExecutor:
 
     def _generate_mapping(
         self,
-        work: "Work",
+        work: Work,
         report: ExecutionReport,
         deadline: Optional[Deadline],
         known: Optional[dict],
@@ -905,16 +872,6 @@ class PreparedStatement:
         return sql
 
 
-class Work(NamedTuple):
-    """One ingredient's LLM demand: an LLMMap/LLMJoin's distinct keys and
-    keys per call, or an LLMQA's prompt (``keys`` empty)."""
-
-    call: IngredientCall
-    keys: Sequence[tuple]
-    chunk_size: int
-    prompt: Optional[Prompt] = None
-
-
 @dataclass(frozen=True)
 class QueryPlan:
     """What one query needs, fixed at prepare time: each occurrence the
@@ -928,14 +885,6 @@ class QueryPlan:
     def work(self) -> tuple[Work, ...]:
         """The LLM work of this query, in walk order."""
         return tuple(work for _, work in self.steps)
-
-
-class Fillings(NamedTuple):
-    """Per plan step, the LLMQA answer or the key → value mapping, and the
-    report counting the calls and keys that produced them."""
-
-    answers: tuple
-    report: ExecutionReport
 
 
 def _prepare_occurrences(statement: ast.Select) -> list[_Occurrence]:

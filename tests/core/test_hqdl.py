@@ -104,7 +104,7 @@ class TestUsageAccounting:
     def test_generation_meters_tokens(self, superhero_world):
         model = make_model(superhero_world)
         pipeline = HQDL(superhero_world, model, shots=0)
-        pipeline.generate_table("superhero_info")
+        pipeline.generate_all()
         assert model.meter.total.calls == len(
             superhero_world.truth["superhero_info"]
         )
@@ -112,9 +112,9 @@ class TestUsageAccounting:
 
     def test_few_shot_costs_more_input(self, superhero_world):
         zero_model = make_model(superhero_world)
-        HQDL(superhero_world, zero_model, shots=0).generate_table("superhero_info")
+        HQDL(superhero_world, zero_model, shots=0).generate_all()
         five_model = make_model(superhero_world)
-        HQDL(superhero_world, five_model, shots=5).generate_table("superhero_info")
+        HQDL(superhero_world, five_model, shots=5).generate_all()
         assert (
             five_model.meter.total.input_tokens
             > zero_model.meter.total.input_tokens
@@ -137,7 +137,8 @@ class TestSharedCellValues:
     def test_generations_do_not_share_values(self, superhero_world):
         first, second = (
             HQDL(superhero_world, make_model(superhero_world), shots=0)
-            .generate_table("superhero_info")
+            .generate_all()
+            .tables["superhero_info"]
             for _ in range(2)
         )
         key = next(iter(first.rows))

@@ -116,22 +116,3 @@ class TestPairsModeSavings:
         assert abs(
             pairs.ex_by_db["superhero"] - plain.ex_by_db["superhero"]
         ) <= 0.10
-
-
-class TestHQDLCallOrder:
-    def test_lpt_order_results_identical(self, swan, gold):
-        collection = run_hqdl(
-            swan, "gpt-3.5-turbo", 0, databases=["superhero"], gold=gold
-        )
-        lpt = run_hqdl(
-            swan, "gpt-3.5-turbo", 0, databases=["superhero"], gold=gold,
-            call_order="lpt",
-        )
-        assert lpt.ex_by_db == collection.ex_by_db
-        assert lpt.usage == collection.usage
-
-    def test_invalid_call_order_rejected(self, swan, gold):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            run_hqdl(swan, "perfect", 0, gold=gold, call_order="random")

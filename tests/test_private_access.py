@@ -38,6 +38,7 @@ TIERS = (
     ("obs",),  # tracing, metrics, provenance, SLOs
     ("llm",),  # the simulated model and its client stack
     ("retrieval",),  # embedding index over world rows
+    ("pipeline",),  # the staged contract both pipelines implement
     ("core", "udf"),  # the two pipelines: HQDL and hybrid-query UDFs
     ("plan", "auto"),  # call planning; NL-to-hybrid-query planning
     ("eval",),  # EX, factuality F1, costs, miss attribution, tables

@@ -277,7 +277,7 @@ class TestMapPromptMatchesSpec:
                 )
                 for question in swan.questions_for(name):
                     plan = executor.prepare(question.blend_sql)
-                    for call, keys, _, prompt in plan.work():
+                    for call, keys, _, prompt, *_ in plan.work():
                         if prompt is not None:
                             continue
                         batches = batched(keys, executor.batch_size)

@@ -397,9 +397,9 @@ class TestHazards:
             state = server.states.udf("superhero")
             assert state.chunk_prompt.cache_info().maxsize == FLUSH_MEMO_SIZE
             assert state.decode.cache_info().maxsize == FLUSH_MEMO_SIZE
-            (work,) = state.executor.prepare(STATEMENTS[0]).work()
+            (work,) = state.pipeline.prepare(STATEMENTS[0]).work()
             call, chunk = work.call, tuple(work.keys[:5])
             prompt = state.chunk_prompt(call, chunk)
-            assert prompt == state.executor.map_prompt(call, list(chunk))
+            assert prompt == state.pipeline.map_prompt(call, list(chunk))
             assert state.chunk_prompt(call, chunk) is prompt
             assert state.decode("1. a\n3. c", 3) == ("a", None, "c")
