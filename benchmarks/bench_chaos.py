@@ -1,9 +1,9 @@
 """Chaos bench: EX/F1 degradation vs fault intensity, with retries.
 
 Sweeps both pipelines over increasing fault rates through the resilient
-dispatch stack (FaultyClient -> RetryingClient -> cache) and emits
-``BENCH_chaos.json``.  Two properties are asserted, mirroring the tier-1
-chaos tests at bench scale:
+dispatch stack (FaultyClient -> RetryingClient -> cache), the payload
+behind ``BENCH_chaos.json``.  Two properties are asserted, mirroring the
+tier-1 chaos tests at bench scale:
 
 - the rate-0 point of each pipeline equals the fault-free baseline
   (the resilience layer is invisible when nothing fails);
@@ -13,25 +13,23 @@ chaos tests at bench scale:
 """
 
 from repro.eval.report import format_records
-from repro.harness.benchjson import write_chaos_json
+from repro.harness.benchjson import measure_chaos_degradation
 from repro.harness.runner import run_hqdl, run_udf
 
-#: One database keeps the sweep to a few seconds; the CLI (`python -m
-#: repro.harness chaos`) runs the full-benchmark version.
+#: One database keeps the sweep to a few seconds; the committed artifact
+#: (`python -m repro.harness artifacts chaos`) is the full-benchmark one.
 DATABASES = ["superhero"]
 FAULT_RATES = (0.0, 0.1, 0.3, 0.5)
 MODEL = "gpt-3.5-turbo"
 
 
-def test_chaos_degradation_sweep(swan, gold, show, tmp_path):
-    target, payload = write_chaos_json(
-        tmp_path / "BENCH_chaos.json",
-        swan=swan,
+def test_chaos_degradation_sweep(swan, gold, show):
+    payload = measure_chaos_degradation(
+        swan,
         model_name=MODEL,
         fault_rates=FAULT_RATES,
         databases=DATABASES,
     )
-    assert target.exists()
     points = payload["points"]
     show(format_records(
         [

@@ -1,6 +1,6 @@
 """Run-level call planning: dedup, cache, and batching economics.
 
-Regenerates the cold/planned/warm comparison behind ``bench-cache`` on
+Regenerates the cold/planned/warm comparison behind the ``cache`` artifact on
 one database and asserts the properties the planner is sold on:
 
 - prompt-mode planning is **free**: results, EX, and token totals are

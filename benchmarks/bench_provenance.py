@@ -9,13 +9,11 @@ Three claims anchor the provenance subsystem at bench scale:
    and the *virtual* makespan (SimulatedClock) is bit-identical, because
    recording happens outside the simulated latency path.
 3. **Wall-clock overhead is bounded** — recording every call and cell
-   of a full-database run costs a modest constant factor, measured here
-   and written to ``BENCH_provenance.json`` for the trajectory record.
+   of a full-database run costs a modest constant factor.  The tracked
+   figure is perfbench's ``obs.provenance_ratio``, where noise is handled.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.eval.attribution import attribute_misses, attribution_counts
 from repro.harness.runner import run_udf
@@ -30,8 +28,6 @@ WORKERS = 4
 MAX_WALL_OVERHEAD = 1.75
 #: wall-clock timing is noisy; take the best of N for each variant
 REPEATS = 3
-
-TARGET = Path(__file__).resolve().parents[1] / "BENCH_provenance.json"
 
 
 def _timed_run(swan, gold, make_provenance):
@@ -88,24 +84,6 @@ def test_provenance_overhead(swan, gold, show):
         attribute_misses(recorder, recorded.outcomes, questions, pipeline="udf")
     )
 
-    payload = {
-        "bench": "provenance_overhead",
-        "model": MODEL,
-        "databases": DATABASES,
-        "workers": WORKERS,
-        "repeats": REPEATS,
-        "wall_seconds_plain": round(wall_plain, 4),
-        "wall_seconds_null_provenance": round(wall_nulled, 4),
-        "wall_seconds_recorded": round(wall_recorded, 4),
-        "overhead_ratio": round(overhead, 4),
-        "virtual_makespan_plain": round(virtual_plain, 4),
-        "virtual_makespan_recorded": round(virtual_recorded, 4),
-        "usage_identical": nulled.usage == plain.usage
-        and recorded.usage == plain.usage,
-        "provenance": stats,
-        "attribution": counts,
-    }
-    TARGET.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     show(
         "Provenance recorder overhead "
         f"({MODEL}, {DATABASES[0]}, workers={WORKERS}):\n"
@@ -115,8 +93,7 @@ def test_provenance_overhead(swan, gold, show):
         f"  recording    {wall_recorded:.3f}s wall "
         f"({overhead:.2f}x, virtual makespan unchanged)\n"
         f"  recorded {stats['calls']} calls, {stats['cells']} cells "
-        f"({stats['null_cells']} null); attribution {counts}\n"
-        f"  written to {TARGET.name}"
+        f"({stats['null_cells']} null); attribution {counts}"
     )
 
 

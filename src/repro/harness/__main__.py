@@ -5,8 +5,8 @@ Usage::
     python -m repro.harness table1
     python -m repro.harness table2 table4
     python -m repro.harness all
-    python -m repro.harness trace --databases=superhero --workers=4
-    python -m repro.harness bench-cache --databases=superhero --batch-size=5
+    python -m repro.harness run-udf --databases=superhero --workers=4
+    python -m repro.harness artifacts trace cache
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import sys
 import textwrap
 
-from repro.harness import tables
+from repro.harness import artifacts, tables
 
 
 def _planner_report() -> tuple[list[dict], str]:
@@ -105,63 +105,6 @@ def _error_report() -> tuple[list[dict], str]:
     return records, breakdown.render()
 
 
-def _bench_json_report() -> tuple[list[dict], str]:
-    """Measured parallel-dispatch makespans, written to BENCH_parallel.json."""
-    from repro.eval.report import format_table
-    from repro.harness.benchjson import write_bench_json
-
-    path, payload = write_bench_json()
-    rows = [["1 (sequential)", f"{payload['sequential_seconds']:.1f} s", "-", "1.0x"]]
-    for workers, entry in payload["workers"].items():
-        rows.append(
-            [
-                workers,
-                f"{entry['measured_seconds']:.1f} s",
-                f"{entry['analytical_seconds']:.1f} s",
-                f"{entry['speedup_vs_sequential']:.1f}x",
-            ]
-        )
-    text = format_table(
-        ["Workers", "Measured", "Analytical", "Speedup"],
-        rows,
-        title=f"Parallel dispatch makespans over {payload['llm_calls']} "
-              f"batched calls (also written to {path}).",
-    )
-    return [payload], text
-
-
-def _chaos_report() -> tuple[list[dict], str]:
-    """EX/F1 degradation vs fault intensity (written to BENCH_chaos.json)."""
-    from repro.eval.report import format_table
-    from repro.harness.benchjson import write_chaos_json
-
-    path, payload = write_chaos_json()
-    rows = []
-    for point in payload["points"]:
-        rows.append(
-            [
-                point["pipeline"],
-                f"{point['fault_rate'] * 100:.0f}%",
-                f"{point['ex'] * 100:.1f}%",
-                f"{point['f1'] * 100:.1f}%" if point["f1"] is not None else "-",
-                f"{point['ex_recovered_vs_baseline'] * 100:.1f}%",
-                point["attempts"],
-                point["retries"],
-                point["exhausted"],
-                point["degraded_rows"],
-                "yes" if point["accounted"] else "NO",
-            ]
-        )
-    text = format_table(
-        ["Pipeline", "Fault rate", "EX", "F1", "EX vs baseline",
-         "Attempts", "Retries", "Exhausted", "Degraded rows", "Accounted"],
-        rows,
-        title=f"SWAN under fault injection with retries="
-              f"{payload['retries']} (also written to {path}).",
-    )
-    return payload["points"], text
-
-
 def _sweep_report() -> tuple[list[dict], str]:
     """The raw (method × model × shots × database) grid behind the tables."""
     from repro.eval.report import format_records
@@ -173,18 +116,6 @@ def _sweep_report() -> tuple[list[dict], str]:
     path = write_csv(records, "sweep.csv")
     text = format_records(rows, title=f"Full experiment grid (also written to {path}).")
     return rows, text
-
-
-def _trace_report(
-    databases=None, workers=None, scale=None
-) -> tuple[list[dict], str]:
-    """Traced SWAN run for both pipelines (written to BENCH_trace.json)."""
-    from repro.harness.tracing import format_trace_report, write_trace_json
-
-    paths, payload = write_trace_json(
-        databases=databases, workers=workers or 1, scale=scale or 1,
-    )
-    return [payload], format_trace_report(payload, paths)
 
 
 def _load_scaled(scale, databases):
@@ -237,19 +168,6 @@ def _bench_scale_report(
         scale=scale, workers=workers or 4, batch_size=batch_size,
     )
     return [payload], format_scale_report(payload, path)
-
-
-def _bench_cache_report(
-    databases=None, workers=None, batch_size: int = 5, cache_dir=None
-) -> tuple[list[dict], str]:
-    """Call-planner/persistent-cache bench (written to BENCH_cache.json)."""
-    from repro.harness.benchcache import format_cache_report, write_cache_json
-
-    path, payload = write_cache_json(
-        databases=databases, workers=workers or 4,
-        batch_size=batch_size, cache_dir=cache_dir,
-    )
-    return [payload], format_cache_report(payload, path)
 
 
 def _serve_report(
@@ -314,68 +232,6 @@ def _serve_report(
             f"{100 * level['max_unaccounted_share']:.2f}%."
         )
     return [record], format_serve_demo(report) + "\n".join(slo_lines)
-
-
-def _loadtest_report(
-    scale=None, seed=None, horizon=None, window=None,
-    batch_window=None, max_batch=None, batching="on",
-    tracing="off", trace_sample=None,
-) -> tuple[list[dict], str]:
-    """Offered-load sweep over the server (written to BENCH_serve.json,
-    BENCH_slo.json, and BENCH_incidents.jsonl; with --tracing=on also
-    BENCH_serve_traces.json plus the span JSONL/Chrome exports)."""
-    from repro.harness.benchserve import (
-        format_serve_report, format_slo_report, format_trace_report,
-        run_slo_loadtest, run_traced_loadtest, trace_spans,
-        write_serve_json, write_slo_json, write_traces_json,
-        DEFAULT_HORIZON, DEFAULT_INCIDENTS_JSONL, DEFAULT_SERVE_BENCH,
-        DEFAULT_SLO_BENCH, DEFAULT_TRACES_BENCH, DEFAULT_TRACE_CHROME,
-        DEFAULT_TRACE_SPANS_JSONL,
-    )
-    from repro.obs.export import write_chrome_trace, write_spans_jsonl
-    from repro.obs.timeseries import DEFAULT_WINDOW_SECONDS
-
-    sampler = _trace_sampler(
-        tracing, trace_sample, seed=seed or 0,
-        window_seconds=window or DEFAULT_WINDOW_SECONDS,
-    )
-    common = dict(
-        scale=scale or 1, seed=seed or 0, horizon=horizon or DEFAULT_HORIZON,
-        window_seconds=window or DEFAULT_WINDOW_SECONDS,
-        incident_sink=DEFAULT_INCIDENTS_JSONL,
-        batching=_batching_config(batch_window, max_batch, batching),
-    )
-    trace_text = ""
-    payloads: list[dict]
-    if sampler is not None:
-        serve_payload, slo_payload, trace_payload, forest = (
-            run_traced_loadtest(sampler=sampler, **common)
-        )
-        traces_path = write_traces_json(trace_payload, DEFAULT_TRACES_BENCH)
-        spans = trace_spans(forest)
-        spans_path = write_spans_jsonl(spans, DEFAULT_TRACE_SPANS_JSONL)
-        chrome_path = write_chrome_trace(spans, DEFAULT_TRACE_CHROME)
-        trace_text = (
-            "\n\n" + format_trace_report(trace_payload)
-            + f"\n(also written to {traces_path}; the "
-            + f"{trace_payload['export_multiplier']:g}x level's kept spans "
-            + f"to {spans_path} and {chrome_path})"
-        )
-        payloads = [serve_payload, slo_payload, trace_payload]
-    else:
-        serve_payload, slo_payload = run_slo_loadtest(**common)
-        payloads = [serve_payload, slo_payload]
-    path = write_serve_json(serve_payload, DEFAULT_SERVE_BENCH)
-    slo_path = write_slo_json(slo_payload, DEFAULT_SLO_BENCH)
-    text = (
-        format_serve_report(serve_payload)
-        + f"\n(also written to {path})\n\n"
-        + format_slo_report(slo_payload)
-        + f"\n(also written to {slo_path}; incidents appended to "
-        + f"{DEFAULT_INCIDENTS_JSONL})"
-        + trace_text
-    )
-    return payloads, text
 
 
 def _dash_report(
@@ -459,6 +315,17 @@ def _regress_command(options) -> tuple[int, str]:
     )
 
 
+def _artifacts_command(names: list[str]) -> tuple[int, str]:
+    """Regenerate the named committed artifacts in place (all by default)."""
+    blocks = []
+    for name, text in artifacts.regenerate(names or None).items():
+        artifact = artifacts.ARTIFACTS[name]
+        written = ", ".join(artifact.files + artifact.digests)
+        blocks.append(f"{text}\n(written: {written})")
+    blocks.append(f"digest manifest rewritten: {artifacts.MANIFEST}")
+    return 0, "\n\n".join(blocks)
+
+
 #: Commands that do something other than render a report table, each
 #: with the option names it reads: (function, required, optional).  The
 #: function takes the parsed options and returns (exit code, text); a
@@ -495,46 +362,31 @@ _GENERATORS = {
     "costs": _cost_report,
     "errors": _error_report,
     "sweep": _sweep_report,
-    "bench-json": _bench_json_report,
-    "chaos": _chaos_report,
-    "trace": _trace_report,
-    "bench-cache": _bench_cache_report,
     "run-udf": functools.partial(_run_report, "udf"),
     "run-hqdl": functools.partial(_run_report, "hqdl"),
     "bench-scale": _bench_scale_report,
     "serve": _serve_report,
-    "loadtest": _loadtest_report,
     "dash": _dash_report,
 }
 
 #: Extra targets excluded from `all` (sweep re-runs the whole grid and
-#: writes a file, bench-json writes BENCH_parallel.json, chaos runs the
-#: fault sweep and writes BENCH_chaos.json, trace writes the
-#: BENCH_trace artifact family, bench-cache writes BENCH_cache.json,
-#: run-udf/run-hqdl are parameterized single runs, and bench-scale
-#: synthesizes 100x worlds and writes BENCH_scale.json, serve runs an
-#: overloaded server demo, loadtest sweeps offered load and writes
-#: BENCH_serve.json/BENCH_slo.json, and dash runs an instrumented
+#: writes a file, run-udf/run-hqdl are parameterized single runs, and
+#: bench-scale synthesizes 100x worlds and writes BENCH_scale.json, serve
+#: runs an overloaded server demo, and dash runs an instrumented
 #: overload and renders the console dashboard; `all` should stay fast
 #: and side-effect free).
 _EXCLUDED_FROM_ALL = (
-    "sweep", "bench-json", "chaos", "trace", "bench-cache",
-    "run-udf", "run-hqdl", "bench-scale", "serve", "loadtest", "dash",
+    "sweep", "run-udf", "run-hqdl", "bench-scale", "serve", "dash",
 )
 
 #: Targets that honour CLI flags, and which option names each accepts.
 _FLAG_TARGETS = {
-    "trace": ("databases", "workers", "scale"),
-    "bench-cache": ("databases", "workers", "batch_size", "cache_dir"),
     "run-udf": ("databases", "workers", "scale", "batch_size"),
     "run-hqdl": ("databases", "workers", "scale"),
     "bench-scale": ("workers", "scale", "batch_size"),
     "serve": ("seed", "horizon", "window",
               "batch_window", "max_batch", "batching",
               "tracing", "trace_sample"),
-    "loadtest": ("scale", "seed", "horizon", "window",
-                 "batch_window", "max_batch", "batching",
-                 "tracing", "trace_sample"),
     "dash": ("seed", "horizon", "window",
              "batch_window", "max_batch", "batching",
              "tracing", "trace_sample"),
@@ -607,8 +459,17 @@ def _usage() -> str:
         lines.append(
             _wrap("python -m repro.harness " + " ".join(words), " " * 7, " " * 11)
         )
+    lines.append(
+        _wrap(
+            "python -m repro.harness artifacts "
+            f"[{'|'.join(artifacts.ARTIFACTS)} ...]  (no flags)",
+            " " * 7, " " * 11,
+        )
+    )
     lines.append(_wrap(f"targets: {', '.join(_GENERATORS)} | all", "", " " * 9))
-    lines.append(f"commands: {', '.join(_COMMANDS)} (invoked alone)")
+    lines.append(
+        f"commands: {', '.join(_COMMANDS)}, artifacts (invoked alone)"
+    )
     lines.append("flags (what each accepts; the targets and commands that read it):")
     readers = [
         *_FLAG_TARGETS.items(),
@@ -647,7 +508,6 @@ _FLAGS = {
     "--trace-sample": ("int", 0, "K"),
     "--request": ("int", 0, "N"),
     "--multiplier": ("float", True, "F"),
-    "--cache-dir": ("text", "a directory path", "DIR"),
     "--database": ("text", "a database name", "NAME"),
     "--question": ("text", "a qid or 1-based index", "REF"),
     "--pipeline": ("choice", ("udf", "hqdl"), None),
@@ -716,9 +576,9 @@ def _parse_args(argv: list[str]):
 
     targets: list[str] = []
     options = {
-        # workers=None means "each target's own default" (trace and the
-        # run commands use 1, the benches 4)
-        "databases": None, "workers": None, "batch_size": 5, "cache_dir": None,
+        # workers=None means "each target's own default" (the run
+        # commands use 1, bench-scale 4)
+        "databases": None, "workers": None, "batch_size": 5,
         "scale": None,
         "seed": None, "horizon": None, "window": None,
         "batch_window": None, "max_batch": None, "batching": "on",
@@ -744,6 +604,13 @@ class _HelpRequested(Exception):
     """Raised by the parser when -h/--help is seen."""
 
 
+def _usage_error(message: str) -> int:
+    """Print ``message`` and the usage to stderr; returns exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    print(_usage(), file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str]) -> int:
     """Print the requested tables/figures; returns a process exit code."""
     try:
@@ -752,33 +619,33 @@ def main(argv: list[str]) -> int:
         print(_usage())
         return 0
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(_usage(), file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     targets = targets or ["all"]
-    if any(t in _COMMANDS for t in targets):
+    if targets[0] == "artifacts":
+        if len(targets) != len(argv):
+            return _usage_error("artifacts takes no flags")
+        try:
+            code, text = _artifacts_command(targets[1:])
+        except ValueError as exc:
+            return _usage_error(str(exc))
+        print(text)
+        return code
+    if any(t in _COMMANDS or t == "artifacts" for t in targets):
         if len(targets) != 1:
-            print(
-                f"error: {'/'.join(_COMMANDS)} must be invoked alone",
-                file=sys.stderr,
+            return _usage_error(
+                f"{'/'.join([*_COMMANDS, 'artifacts'])} must be invoked alone"
             )
-            print(_usage(), file=sys.stderr)
-            return 2
         try:
             code, text = _COMMANDS[targets[0]][0](options)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print(_usage(), file=sys.stderr)
-            return 2
+            return _usage_error(str(exc))
         print(text)
         return code
     if targets == ["all"]:
         targets = [t for t in _GENERATORS if t not in _EXCLUDED_FROM_ALL]
     unknown = [t for t in targets if t not in _GENERATORS]
     if unknown:
-        print(f"unknown targets: {', '.join(unknown)}", file=sys.stderr)
-        print(_usage(), file=sys.stderr)
-        return 2
+        return _usage_error(f"unknown targets: {', '.join(unknown)}")
     for index, target in enumerate(targets):
         if index:
             print()

@@ -1,4 +1,4 @@
-"""The ``bench-cache`` harness target (BENCH_cache.json).
+"""The call-planner / persistent-cache bench (the ``cache`` artifact).
 
 Measures what the run-level call planner and the persistent prompt cache
 buy, in the currencies the paper's Table 4 prices — LLM calls, tokens,
@@ -21,7 +21,6 @@ the affine :class:`~repro.llm.batching.LatencyModel` — no sleeping.
 
 from __future__ import annotations
 
-import json
 import tempfile
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -174,27 +173,8 @@ def measure_cache_bench(
     return payload
 
 
-def write_cache_json(
-    path: Union[str, Path] = "BENCH_cache.json",
-    *,
-    swan: Optional[Swan] = None,
-    databases: Optional[Sequence[str]] = None,
-    workers: int = DEFAULT_WORKERS,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> tuple[Path, dict]:
-    """Write the bench payload to ``path``; returns (path, payload)."""
-    payload = measure_cache_bench(
-        swan, databases=databases, workers=workers,
-        batch_size=batch_size, cache_dir=cache_dir,
-    )
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2) + "\n")
-    return target, payload
-
-
-def format_cache_report(payload: dict, path: Union[str, Path]) -> str:
-    """Console table of the four runs, for the CLI target."""
+def format_cache_report(payload: dict) -> str:
+    """Console table of the four runs."""
     from repro.eval.report import format_table
 
     rows = []
@@ -237,7 +217,6 @@ def format_cache_report(payload: dict, path: Union[str, Path]) -> str:
          f"Parallel x{payload['workers']}"],
         rows,
         title=f"Call planning & persistent cache on SWAN "
-              f"({payload['model']}, {payload['shots']} shots; "
-              f"also written to {path}).",
+              f"({payload['model']}, {payload['shots']} shots).",
     )
     return table + "\n" + "\n".join(f"- {note}" for note in notes)

@@ -1,4 +1,5 @@
-"""Machine-readable parallel-dispatch bench results (``BENCH_parallel.json``).
+"""The parallel-dispatch and chaos benches (``BENCH_parallel.json``,
+``BENCH_chaos.json``).
 
 The parallel-execution story used to be a formula printout; now that the
 dispatcher is real, this module *measures* it — driving the reference
@@ -10,16 +11,14 @@ parallel_makespan` bound.  The JSON payload gives CI a stable,
 machine-readable trajectory of sequential-vs-parallel latency across
 PRs.
 
-Entry points: ``python -m repro.harness bench-json`` or
-``python benchmarks/emit_bench_json.py``.
+Entry point: ``python -m repro.harness artifacts parallel chaos``.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
+from repro.eval.report import format_table
 from repro.llm.batching import LatencyModel, parallel_makespan, sequential_makespan
 from repro.llm.chat import MockChatModel
 from repro.llm.oracle import KnowledgeOracle
@@ -109,16 +108,24 @@ def measure_parallel_makespans(
     }
 
 
-def write_bench_json(
-    path: Union[str, Path] = "BENCH_parallel.json",
-    *,
-    swan: Optional[Swan] = None,
-) -> tuple[Path, dict]:
-    """Write the measured bench payload to ``path``; returns (path, payload)."""
-    payload = measure_parallel_makespans(swan)
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2) + "\n")
-    return target, payload
+def format_parallel_report(payload: dict) -> str:
+    """Console table of the measured and analytical makespans."""
+    rows = [["1 (sequential)", f"{payload['sequential_seconds']:.1f} s", "-", "1.0x"]]
+    for workers, entry in payload["workers"].items():
+        rows.append(
+            [
+                workers,
+                f"{entry['measured_seconds']:.1f} s",
+                f"{entry['analytical_seconds']:.1f} s",
+                f"{entry['speedup_vs_sequential']:.1f}x",
+            ]
+        )
+    return format_table(
+        ["Workers", "Measured", "Analytical", "Speedup"],
+        rows,
+        title=f"Parallel dispatch makespans over {payload['llm_calls']} "
+              f"batched calls.",
+    )
 
 
 # -- chaos bench (BENCH_chaos.json) ------------------------------------------------
@@ -178,14 +185,27 @@ def measure_chaos_degradation(
     }
 
 
-def write_chaos_json(
-    path: Union[str, Path] = "BENCH_chaos.json",
-    *,
-    swan: Optional[Swan] = None,
-    **kwargs,
-) -> tuple[Path, dict]:
-    """Write the chaos degradation payload to ``path``; returns (path, payload)."""
-    payload = measure_chaos_degradation(swan, **kwargs)
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2) + "\n")
-    return target, payload
+def format_chaos_report(payload: dict) -> str:
+    """Console table of EX/F1 and the attempt ledger per fault rate."""
+    rows = []
+    for point in payload["points"]:
+        rows.append(
+            [
+                point["pipeline"],
+                f"{point['fault_rate'] * 100:.0f}%",
+                f"{point['ex'] * 100:.1f}%",
+                f"{point['f1'] * 100:.1f}%" if point["f1"] is not None else "-",
+                f"{point['ex_recovered_vs_baseline'] * 100:.1f}%",
+                point["attempts"],
+                point["retries"],
+                point["exhausted"],
+                point["degraded_rows"],
+                "yes" if point["accounted"] else "NO",
+            ]
+        )
+    return format_table(
+        ["Pipeline", "Fault rate", "EX", "F1", "EX vs baseline",
+         "Attempts", "Retries", "Exhausted", "Degraded rows", "Accounted"],
+        rows,
+        title=f"SWAN under fault injection with retries={payload['retries']}.",
+    )

@@ -1,9 +1,9 @@
-"""The serving load test behind ``python -m repro.harness loadtest``.
+"""The serving load test behind the ``serve`` artifact.
 
 Sweeps the :class:`~repro.serve.server.QueryServer` across offered-load
 levels — fractions and multiples of its *measured* capacity — and
 records latency percentiles, throughput, shed rate, degraded-answer
-rate, and per-tenant fairness at each level into ``BENCH_serve.json``.
+rate, and per-tenant fairness at each level (``BENCH_serve.json``).
 
 Everything runs on the virtual clock, so the sweep is deterministic:
 two invocations with the same scale and seed produce byte-identical
@@ -18,10 +18,9 @@ terminate as exactly one of served / degraded / rejected.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.obs import FlightRecorder, Telemetry, WindowedAggregator
@@ -40,12 +39,6 @@ from repro.serve.trace import (
 from repro.serve.traffic import TenantSpec, generate_traffic
 from repro.swan.benchmark import Swan, load_benchmark_subset
 
-DEFAULT_SERVE_BENCH = "BENCH_serve.json"
-DEFAULT_SLO_BENCH = "BENCH_slo.json"
-DEFAULT_INCIDENTS_JSONL = "BENCH_incidents.jsonl"
-DEFAULT_TRACES_BENCH = "BENCH_serve_traces.json"
-DEFAULT_TRACE_SPANS_JSONL = "BENCH_serve_trace_spans.jsonl"
-DEFAULT_TRACE_CHROME = "BENCH_serve_trace_chrome.json"
 #: default slowest-k kept per window by the tail sampler
 DEFAULT_TRACE_SAMPLE = 3
 SERVE_DATABASES = ("superhero", "formula_1")
@@ -446,22 +439,41 @@ def trace_spans(forest: Sequence[Span]) -> list[Span]:
     return [span for root in forest for span in root.walk()]
 
 
-def _run_sweep(
+class LoadSweep(NamedTuple):
+    """One offered-load sweep's payloads.
+
+    ``serve`` is the BENCH_serve payload; ``slo`` the BENCH_slo payload
+    (None with observability off); ``traces`` the BENCH_serve_traces
+    payload (None with tracing off); ``forest`` the highest-load
+    level's kept span trees for the JSONL/Chrome exporters.
+    """
+
+    serve: dict
+    slo: Optional[dict]
+    traces: Optional[dict]
+    forest: list[Span]
+
+
+def sweep_offered_load(
     *,
-    scale: int,
-    seed: int,
-    horizon: float,
-    multipliers: Sequence[float],
-    databases: Sequence[str],
-    config: Optional[ServerConfig],
-    window_seconds: Optional[float],
-    retention: int,
-    incident_sink: Optional[Union[str, Path]],
+    scale: int = 1,
+    seed: int = 0,
+    horizon: float = DEFAULT_HORIZON,
+    multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
+    databases: Sequence[str] = SERVE_DATABASES,
+    config: Optional[ServerConfig] = None,
+    window_seconds: Optional[float] = DEFAULT_WINDOW_SECONDS,
+    retention: int = DEFAULT_RETENTION,
+    incident_sink: Optional[Union[str, Path]] = None,
     batching: Optional[BatchingConfig] = None,
     tracing: Optional[TailSampler] = None,
-) -> tuple[dict, Optional[dict], Optional[dict], list[Span]]:
-    """The shared sweep loop; observability attaches per level when
-    ``window_seconds`` is set, and is entirely absent when it is None.
+) -> LoadSweep:
+    """Sweep the server across offered-load levels.
+
+    Observability (windows, SLOs, flight recorder appending incidents to
+    ``incident_sink`` if set) attaches per level when ``window_seconds``
+    is set, and is entirely absent when it is None; it is passive, so
+    the serve payload is the same either way.
 
     With ``batching`` set, every level runs twice: the unbatched arm
     first (carrying the telemetry, so the SLO artifacts stay
@@ -579,7 +591,7 @@ def _run_sweep(
             "levels": trace_levels,
         }
     if window_seconds is None:
-        return serve_payload, None, trace_payload, forest
+        return LoadSweep(serve_payload, None, trace_payload, forest)
     slo_payload = {
         "scale": scale,
         "seed": seed,
@@ -590,112 +602,7 @@ def _run_sweep(
         "slos": [slo.as_record() for slo in default_serving_slos()],
         "levels": slo_levels,
     }
-    return serve_payload, slo_payload, trace_payload, forest
-
-
-def run_loadtest(
-    *,
-    scale: int = 1,
-    seed: int = 0,
-    horizon: float = DEFAULT_HORIZON,
-    multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
-    databases: Sequence[str] = SERVE_DATABASES,
-    config: Optional[ServerConfig] = None,
-    batching: Optional[BatchingConfig] = None,
-) -> dict:
-    """The full sweep without telemetry; returns the BENCH_serve payload."""
-    payload, _, _, _ = _run_sweep(
-        scale=scale, seed=seed, horizon=horizon, multipliers=multipliers,
-        databases=databases, config=config,
-        window_seconds=None, retention=DEFAULT_RETENTION, incident_sink=None,
-        batching=batching,
-    )
-    return payload
-
-
-def run_slo_loadtest(
-    *,
-    scale: int = 1,
-    seed: int = 0,
-    horizon: float = DEFAULT_HORIZON,
-    multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
-    databases: Sequence[str] = SERVE_DATABASES,
-    config: Optional[ServerConfig] = None,
-    window_seconds: float = DEFAULT_WINDOW_SECONDS,
-    retention: int = DEFAULT_RETENTION,
-    incident_sink: Optional[Union[str, Path]] = None,
-    batching: Optional[BatchingConfig] = None,
-) -> tuple[dict, dict]:
-    """The instrumented sweep: (BENCH_serve payload, BENCH_slo payload).
-
-    The serve payload is byte-identical to :func:`run_loadtest`'s —
-    telemetry is purely passive — so the CLI runs the sweep once and
-    writes both artifacts from it.  ``batching`` adds the per-level
-    batched arm to the serve payload only; the SLO payload is always
-    measured on the unbatched arm, so it never changes shape.
-    """
-    serve_payload, slo_payload, _, _ = _run_sweep(
-        scale=scale, seed=seed, horizon=horizon, multipliers=multipliers,
-        databases=databases, config=config,
-        window_seconds=window_seconds, retention=retention,
-        incident_sink=incident_sink, batching=batching,
-    )
-    assert slo_payload is not None
-    return serve_payload, slo_payload
-
-
-def run_traced_loadtest(
-    *,
-    scale: int = 1,
-    seed: int = 0,
-    horizon: float = DEFAULT_HORIZON,
-    multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
-    databases: Sequence[str] = SERVE_DATABASES,
-    config: Optional[ServerConfig] = None,
-    window_seconds: float = DEFAULT_WINDOW_SECONDS,
-    retention: int = DEFAULT_RETENTION,
-    incident_sink: Optional[Union[str, Path]] = None,
-    batching: Optional[BatchingConfig] = None,
-    sampler: Optional[TailSampler] = None,
-) -> tuple[dict, dict, dict, list[Span]]:
-    """The instrumented sweep with request tracing on.
-
-    Returns ``(serve, slo, traces, forest)`` — the first two are
-    byte-identical to :func:`run_slo_loadtest`'s (the trace log is
-    passive), the trace payload is ``BENCH_serve_traces.json``, and the
-    forest is the highest-load level's kept span trees for the
-    JSONL/Chrome exporters.
-    """
-    sampler = sampler if sampler is not None else TailSampler(
-        seed=seed, slowest_k=DEFAULT_TRACE_SAMPLE,
-        window_seconds=window_seconds,
-    )
-    serve_payload, slo_payload, trace_payload, forest = _run_sweep(
-        scale=scale, seed=seed, horizon=horizon, multipliers=multipliers,
-        databases=databases, config=config,
-        window_seconds=window_seconds, retention=retention,
-        incident_sink=incident_sink, batching=batching, tracing=sampler,
-    )
-    assert slo_payload is not None and trace_payload is not None
-    return serve_payload, slo_payload, trace_payload, forest
-
-
-def write_serve_json(payload: dict, path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def write_slo_json(payload: dict, path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def write_traces_json(payload: dict, path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return LoadSweep(serve_payload, slo_payload, trace_payload, forest)
 
 
 def format_serve_report(payload: dict) -> str:

@@ -9,16 +9,16 @@ occupied a worker.  The resulting trace is exactly reproducible (same
 seed → identical span tree, timestamps included) and the per-stage
 breakdown attributes the whole makespan to named stages.
 
-Outputs, via :func:`write_trace_json`:
+Outputs (the ``trace`` artifact):
 
 - ``BENCH_trace.json`` — per-pipeline EX, makespan, token totals, and
-  the per-stage self-time/token table;
+  the per-stage self-time/token table (:func:`measure_trace`);
 - ``BENCH_trace_chrome.json`` — both pipelines as Chrome ``trace_event``
   processes, loadable in ``chrome://tracing`` / ui.perfetto.dev;
 - ``BENCH_trace_spans.jsonl`` — the flat span log, one JSON per line;
 - ``BENCH_trace.prom`` — the metric registries in Prometheus text form.
 
-Entry point: ``python -m repro.harness trace``.
+The last three are written by :func:`write_trace_exports`.
 """
 
 from __future__ import annotations
@@ -153,43 +153,30 @@ def merged_chrome_trace(traces: dict[str, PipelineTrace]) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_trace_json(
-    path: Union[str, Path] = "BENCH_trace.json",
+def write_trace_exports(
+    traces: dict[str, PipelineTrace],
     *,
-    swan: Optional[Swan] = None,
-    **kwargs,
-) -> tuple[list[Path], dict]:
-    """Write the trace payload and its sibling artifacts.
-
-    ``path`` names the JSON payload; the Chrome trace, span log, and
-    Prometheus dump take the same stem with ``_chrome.json``,
-    ``_spans.jsonl``, and ``.prom`` suffixes.  Returns (paths, payload).
-    """
-    payload, traces = measure_trace(swan, **kwargs)
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2) + "\n")
-
-    chrome_path = target.with_name(f"{target.stem}_chrome.json")
-    chrome_path.write_text(
+    chrome: Union[str, Path],
+    spans: Union[str, Path],
+    prometheus: Union[str, Path],
+) -> None:
+    """Write the Chrome trace, the span log and the Prometheus dump."""
+    Path(chrome).write_text(
         json.dumps(merged_chrome_trace(traces), indent=2) + "\n"
     )
 
-    spans_path = target.with_name(f"{target.stem}_spans.jsonl")
     lines = []
     for name, trace in traces.items():
         for record in spans_to_records(trace.telemetry.tracer.spans):
             record["pipeline"] = name
             lines.append(json.dumps(record, default=str))
-    spans_path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    Path(spans).write_text("\n".join(lines) + ("\n" if lines else ""))
 
-    prom_path = target.with_name(f"{target.stem}.prom")
     sections = [
         f"# pipeline: {name}\n{trace.telemetry.metrics.render_prometheus()}"
         for name, trace in traces.items()
     ]
-    prom_path.write_text("\n".join(sections))
-
-    return [target, chrome_path, spans_path, prom_path], payload
+    Path(prometheus).write_text("\n".join(sections))
 
 
 def format_stage_summary(records: Sequence[dict], *, title: str = "") -> str:
@@ -213,7 +200,7 @@ def format_stage_summary(records: Sequence[dict], *, title: str = "") -> str:
     )
 
 
-def format_trace_report(payload: dict, paths: Sequence[Path] = ()) -> str:
+def format_trace_report(payload: dict) -> str:
     """Console rendering of a trace payload: one stage table per pipeline."""
     blocks = []
     for name, entry in payload["pipelines"].items():
@@ -224,6 +211,4 @@ def format_trace_report(payload: dict, paths: Sequence[Path] = ()) -> str:
             f"{entry['llm_calls']} LLM calls."
         )
         blocks.append(format_stage_summary(entry["stages"], title=title))
-    if paths:
-        blocks.append("written: " + ", ".join(str(p) for p in paths))
     return "\n\n".join(blocks)

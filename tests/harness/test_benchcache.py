@@ -1,7 +1,8 @@
-"""Tests for the bench-cache payload and report formatting.
+"""Tests for the cache bench payload and report formatting.
 
 The end-to-end path (four real runs + BENCH_cache.json on disk) is
-exercised by the CLI test; these tests cover the pure pieces cheaply.
+exercised through the artifact registry in the CLI tests; these tests
+cover the pure pieces cheaply.
 """
 
 from repro.eval.execution import ExecutionOutcome
@@ -71,7 +72,7 @@ class TestSameResults:
 
 class TestFormatCacheReport:
     def test_report_names_all_four_runs(self):
-        text = format_cache_report(_payload(), "BENCH_cache.json")
+        text = format_cache_report(_payload())
         for label in ("baseline", "prompt mode", "warm rerun", "pairs"):
             assert label in text
         assert "byte-identical planned run: yes" in text
@@ -83,6 +84,6 @@ class TestFormatCacheReport:
         payload = _payload()
         payload["planned_prompt"]["byte_identical_to_baseline"] = False
         payload["warm"]["zero_new_llm_calls"] = False
-        text = format_cache_report(payload, "BENCH_cache.json")
+        text = format_cache_report(payload)
         assert "byte-identical planned run: NO" in text
         assert "warm rerun zero new calls: NO" in text

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.harness.artifacts import write_json
 from repro.harness.benchserve import (
     default_config,
     default_tenants,
@@ -12,8 +13,7 @@ from repro.harness.benchserve import (
     measure_capacity,
     offered_rps,
     run_level,
-    run_loadtest,
-    write_serve_json,
+    sweep_offered_load,
 )
 from repro.swan.benchmark import load_benchmark_subset
 
@@ -41,12 +41,18 @@ class TestCapacity:
         assert capacity > 0
 
 
+def _serve_payload(**kwargs):
+    """The BENCH_serve payload of a short sweep without observability."""
+    return sweep_offered_load(
+        horizon=40.0, multipliers=(0.5, 2.0), databases=("superhero",),
+        window_seconds=None, **kwargs,
+    ).serve
+
+
 class TestLoadtest:
     @pytest.fixture(scope="class")
     def payload(self):
-        return run_loadtest(
-            horizon=40.0, multipliers=(0.5, 2.0), databases=("superhero",)
-        )
+        return _serve_payload()
 
     def test_payload_shape(self, payload):
         assert payload["capacity_rps"] > 0
@@ -65,13 +71,10 @@ class TestLoadtest:
             assert level["max_latency"] <= limit + 1e-6
 
     def test_deterministic_across_runs(self, payload):
-        again = run_loadtest(
-            horizon=40.0, multipliers=(0.5, 2.0), databases=("superhero",)
-        )
-        assert again == payload
+        assert _serve_payload() == payload
 
     def test_write_and_render(self, payload, tmp_path):
-        path = write_serve_json(payload, tmp_path / "BENCH_serve.json")
+        path = write_json(tmp_path / "BENCH_serve.json", payload)
         assert json.loads(path.read_text()) == payload
         text = format_serve_report(payload)
         assert "Serving load test" in text
@@ -96,14 +99,7 @@ class TestBatchingComparison:
     def payloads(self):
         from repro.serve.batcher import BatchingConfig
 
-        on = run_loadtest(
-            horizon=40.0, multipliers=(0.5, 2.0), databases=("superhero",),
-            batching=BatchingConfig(),
-        )
-        off = run_loadtest(
-            horizon=40.0, multipliers=(0.5, 2.0), databases=("superhero",)
-        )
-        return on, off
+        return _serve_payload(batching=BatchingConfig()), _serve_payload()
 
     def test_levels_carry_the_batching_keys(self, payloads):
         on, _ = payloads
@@ -151,14 +147,11 @@ class TestBatchingComparison:
         assert "Cross-request batching" not in format_serve_report(off)
 
     def test_slo_payload_unchanged_by_batching(self):
-        from repro.harness.benchserve import run_slo_loadtest
         from repro.serve.batcher import BatchingConfig
 
-        _, slo_on = run_slo_loadtest(
-            horizon=30.0, multipliers=(2.0,), databases=("superhero",),
-            batching=BatchingConfig(),
-        )
-        _, slo_off = run_slo_loadtest(
+        common = dict(
             horizon=30.0, multipliers=(2.0,), databases=("superhero",)
         )
+        slo_on = sweep_offered_load(batching=BatchingConfig(), **common).slo
+        slo_off = sweep_offered_load(**common).slo
         assert slo_on == slo_off

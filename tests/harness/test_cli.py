@@ -1,8 +1,18 @@
 """Tests for the `python -m repro.harness` CLI."""
 
+import json
+
 import pytest
 
 from repro.harness.__main__ import main
+from repro.harness.artifacts import ARTIFACTS, WALL_FIELDS
+
+
+@pytest.fixture(scope="module")
+def serve_artifact(tmp_path_factory):
+    """The serve artifact written once at a short horizon: (dir, report)."""
+    directory = tmp_path_factory.mktemp("serve")
+    return directory, ARTIFACTS["serve"].write(directory, horizon=40.0)
 
 
 class TestCLI:
@@ -43,16 +53,16 @@ class TestCLIHardening:
         assert "usage:" in err
 
     def test_bad_workers_value(self, capsys):
-        assert main(["trace", "--workers=banana"]) == 2
+        assert main(["run-udf", "--workers=banana"]) == 2
         err = capsys.readouterr().err
         assert "--workers requires an integer" in err
 
     def test_nonpositive_workers(self, capsys):
-        assert main(["trace", "--workers=0"]) == 2
+        assert main(["run-udf", "--workers=0"]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
     def test_databases_flag_requires_value(self, capsys):
-        assert main(["trace", "--databases="]) == 2
+        assert main(["run-udf", "--databases="]) == 2
         assert "--databases requires" in capsys.readouterr().err
 
     def test_help_exits_zero_with_usage(self, capsys):
@@ -67,44 +77,37 @@ class TestCLIHardening:
 
 
 class TestTraceTarget:
-    def test_trace_writes_artifacts(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["trace", "--databases=superhero"]) == 0
-        out = capsys.readouterr().out
+    def test_trace_writes_artifacts(self, tmp_path):
+        out = ARTIFACTS["trace"].write(tmp_path, databases=["superhero"])
         assert "UDF per-stage breakdown" in out
         assert "HQDL per-stage breakdown" in out
-        assert (tmp_path / "BENCH_trace.json").exists()
-        assert (tmp_path / "BENCH_trace_chrome.json").exists()
+        for name in ARTIFACTS["trace"].files + ARTIFACTS["trace"].digests:
+            assert (tmp_path / name).exists(), name
 
     def test_trace_excluded_from_all(self):
-        from repro.harness.__main__ import _EXCLUDED_FROM_ALL, _GENERATORS
+        """The trace files are written only by `artifacts`, never by `all`."""
+        from repro.harness.__main__ import _GENERATORS
 
-        assert "trace" in _GENERATORS
-        assert "trace" in _EXCLUDED_FROM_ALL
+        assert "trace" in ARTIFACTS
+        assert "trace" not in _GENERATORS
 
 
 class TestBatchSizeAndCacheDirFlags:
     def test_bad_batch_size_value(self, capsys):
-        assert main(["bench-cache", "--batch-size=abc"]) == 2
+        assert main(["run-udf", "--batch-size=abc"]) == 2
         err = capsys.readouterr().err
         assert "--batch-size requires an integer" in err
         assert "usage:" in err
 
     def test_nonpositive_batch_size(self, capsys):
-        assert main(["bench-cache", "--batch-size=0"]) == 2
+        assert main(["run-udf", "--batch-size=0"]) == 2
         assert "--batch-size must be >= 1" in capsys.readouterr().err
-
-    def test_cache_dir_requires_value(self, capsys):
-        assert main(["bench-cache", "--cache-dir="]) == 2
-        err = capsys.readouterr().err
-        assert "--cache-dir requires a directory path" in err
-        assert "usage:" in err
 
     def test_flags_documented_in_usage(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "--batch-size=N" in out
-        assert "--cache-dir=DIR" in out
+        assert "--cache-dir" not in out
 
 
 class TestScaleAndParallelismFlags:
@@ -245,12 +248,12 @@ class TestRegressCommand:
 
 class TestServeTargets:
     def test_bad_seed_value(self, capsys):
-        assert main(["loadtest", "--seed=abc"]) == 2
+        assert main(["serve", "--seed=abc"]) == 2
         err = capsys.readouterr().err
         assert "--seed requires an integer" in err
 
     def test_negative_seed_rejected(self, capsys):
-        assert main(["loadtest", "--seed=-1"]) == 2
+        assert main(["dash", "--seed=-1"]) == 2
         assert "--seed must be >= 0" in capsys.readouterr().err
 
     def test_bad_horizon_value(self, capsys):
@@ -264,9 +267,9 @@ class TestServeTargets:
     def test_serve_targets_excluded_from_all(self):
         from repro.harness.__main__ import _EXCLUDED_FROM_ALL, _GENERATORS
 
-        for target in ("serve", "loadtest"):
-            assert target in _GENERATORS
-            assert target in _EXCLUDED_FROM_ALL
+        assert "serve" in _GENERATORS
+        assert "serve" in _EXCLUDED_FROM_ALL
+        assert "loadtest" not in _GENERATORS
 
     def test_serve_prints_a_demo_run(self, capsys):
         assert main(["serve", "--horizon=40"]) == 0
@@ -275,13 +278,11 @@ class TestServeTargets:
         assert "accounting OK" in out
         assert "interactive" in out and "batch" in out
 
-    def test_loadtest_writes_bench_serve(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["loadtest", "--horizon=40"]) == 0
-        out = capsys.readouterr().out
+    def test_loadtest_writes_bench_serve(self, serve_artifact):
+        directory, out = serve_artifact
         assert "Serving load test" in out
-        assert "also written to BENCH_serve.json" in out
-        assert (tmp_path / "BENCH_serve.json").exists()
+        payload = json.loads((directory / "BENCH_serve.json").read_text())
+        assert payload["horizon"] == 40.0
 
     def test_serve_flags_documented_in_usage(self, capsys):
         assert main(["--help"]) == 0
@@ -299,7 +300,7 @@ class TestObservabilityCLI:
 
     def test_nonpositive_window_rejected(self, capsys):
         for bad in ("0", "-5"):
-            assert main(["loadtest", f"--window={bad}"]) == 2
+            assert main(["dash", f"--window={bad}"]) == 2
             assert "--window must be > 0" in capsys.readouterr().err
 
     def test_window_documented_in_usage(self, capsys):
@@ -315,7 +316,6 @@ class TestObservabilityCLI:
         assert "dash" in _EXCLUDED_FROM_ALL
         assert "window" in _FLAG_TARGETS["dash"]
         assert "window" in _FLAG_TARGETS["serve"]
-        assert "window" in _FLAG_TARGETS["loadtest"]
 
     def test_dash_renders_the_dashboard(self, capsys):
         assert main(["dash", "--horizon=40", "--window=10"]) == 0
@@ -331,39 +331,36 @@ class TestObservabilityCLI:
         assert "SLO error budgets" in out
         assert "availability" in out
 
-    def test_loadtest_writes_slo_artifacts(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["loadtest", "--horizon=40"]) == 0
-        out = capsys.readouterr().out
+    def test_loadtest_writes_slo_artifacts(self, serve_artifact):
+        directory, out = serve_artifact
         assert "SLO report" in out
-        assert "also written to BENCH_slo.json" in out
-        assert (tmp_path / "BENCH_slo.json").exists()
+        assert (directory / "BENCH_slo.json").exists()
+        assert (directory / "BENCH_incidents.jsonl").exists()
 
 
 class TestBenchCacheTarget:
-    def test_bench_cache_writes_artifact(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main([
-            "bench-cache", "--databases=superhero",
-            "--cache-dir=" + str(tmp_path / "cache"),
-        ]) == 0
-        out = capsys.readouterr().out
+    def test_bench_cache_writes_artifact(self, tmp_path):
+        out = ARTIFACTS["cache"].write(tmp_path, databases=["superhero"])
         assert "Call planning & persistent cache" in out
         assert "byte-identical planned run: yes" in out
         assert "warm rerun zero new calls: yes" in out
-        assert (tmp_path / "BENCH_cache.json").exists()
-        assert (tmp_path / "cache" / "superhero.sqlite").exists()
+        assert "plan:dispatch" in out  # wall-clock stage table, text only
+        payload = json.loads((tmp_path / "BENCH_cache.json").read_text())
+        stages = payload["planner_stages"]
+        assert {s["stage"] for s in stages} >= {"plan:collect", "plan:dedup"}
+        assert not any(field in s for s in stages for field in WALL_FIELDS)
 
     def test_bench_cache_excluded_from_all(self):
-        from repro.harness.__main__ import _EXCLUDED_FROM_ALL, _GENERATORS
+        """The cache file is written only by `artifacts`, never by `all`."""
+        from repro.harness.__main__ import _GENERATORS
 
-        assert "bench-cache" in _GENERATORS
-        assert "bench-cache" in _EXCLUDED_FROM_ALL
+        assert "cache" in ARTIFACTS
+        assert "bench-cache" not in _GENERATORS
 
 
 class TestBatchingFlags:
     def test_bad_batch_window_value(self, capsys):
-        assert main(["loadtest", "--batch-window=soon"]) == 2
+        assert main(["serve", "--batch-window=soon"]) == 2
         err = capsys.readouterr().err
         assert "--batch-window requires a number" in err
         assert "usage:" in err
@@ -378,11 +375,11 @@ class TestBatchingFlags:
         assert "--max-batch requires an integer" in capsys.readouterr().err
 
     def test_nonpositive_max_batch_rejected(self, capsys):
-        assert main(["loadtest", "--max-batch=0"]) == 2
+        assert main(["serve", "--max-batch=0"]) == 2
         assert "--max-batch must be >= 1" in capsys.readouterr().err
 
     def test_bad_batching_value(self, capsys):
-        assert main(["loadtest", "--batching=maybe"]) == 2
+        assert main(["dash", "--batching=maybe"]) == 2
         err = capsys.readouterr().err
         assert "--batching must be 'on' or 'off'" in err
         assert "usage:" in err
@@ -397,7 +394,7 @@ class TestBatchingFlags:
     def test_all_serve_targets_accept_the_flags(self):
         from repro.harness.__main__ import _FLAG_TARGETS
 
-        for target in ("serve", "loadtest", "dash"):
+        for target in ("serve", "dash"):
             for option in ("batch_window", "max_batch", "batching"):
                 assert option in _FLAG_TARGETS[target]
 
@@ -415,7 +412,7 @@ class TestBatchingFlags:
 
 class TestTracingFlags:
     def test_bad_tracing_value(self, capsys):
-        assert main(["loadtest", "--tracing=maybe"]) == 2
+        assert main(["serve", "--tracing=maybe"]) == 2
         err = capsys.readouterr().err
         assert "--tracing must be 'on' or 'off'" in err
         assert "usage:" in err
@@ -439,7 +436,7 @@ class TestTracingFlags:
     def test_all_serve_targets_accept_the_flags(self):
         from repro.harness.__main__ import _FLAG_TARGETS
 
-        for target in ("serve", "loadtest", "dash"):
+        for target in ("serve", "dash"):
             for option in ("tracing", "trace_sample"):
                 assert option in _FLAG_TARGETS[target]
 
@@ -453,17 +450,13 @@ class TestTracingFlags:
         assert main(["serve", "--horizon=40"]) == 0
         assert "Request tracing:" not in capsys.readouterr().out
 
-    def test_loadtest_tracing_writes_trace_artifacts(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        assert main(["loadtest", "--horizon=40", "--tracing=on"]) == 0
-        out = capsys.readouterr().out
+    def test_loadtest_tracing_writes_trace_artifacts(self, serve_artifact):
+        directory, out = serve_artifact
         assert "Request tracing (tail sampler" in out
         assert "attributes 100% of offer-to-finish time" in out
-        assert (tmp_path / "BENCH_serve_traces.json").exists()
-        assert (tmp_path / "BENCH_serve_trace_spans.jsonl").exists()
-        assert (tmp_path / "BENCH_serve_trace_chrome.json").exists()
+        assert (directory / "BENCH_serve_traces.json").exists()
+        assert (directory / "BENCH_serve_trace_spans.jsonl").exists()
+        assert (directory / "BENCH_serve_trace_chrome.json").exists()
 
     def test_dash_tracing_renders_slowest_traces_panel(self, capsys):
         assert main(["dash", "--horizon=40", "--tracing=on"]) == 0
@@ -550,7 +543,7 @@ class TestNonFiniteFloatFlags:
         [
             ("serve", "--horizon"),
             ("dash", "--window"),
-            ("loadtest", "--batch-window"),
+            ("serve", "--batch-window"),
             ("explain-request", "--multiplier"),
             ("regress", "--max-ex-drop"),
             ("regress", "--max-token-growth"),

@@ -8,7 +8,7 @@
    timestamps, ids, and attributes included.
 3. **Attribution is exhaustive.**  The per-stage summary attributes
    >= 95% of recorded virtual time to named stages.
-4. **The trace CLI writes its artifacts**, and the Chrome export is a
+4. **The trace artifact writes its files**, and the Chrome export is a
    valid trace_event payload.
 """
 
@@ -16,12 +16,12 @@ import json
 
 import pytest
 
+from repro.harness.artifacts import ARTIFACTS
 from repro.harness.runner import GoldResults, run_hqdl, run_udf
 from repro.harness.tracing import (
     format_trace_report,
     measure_trace,
     trace_pipelines,
-    write_trace_json,
 )
 from repro.llm.parallel import SimulatedClock, SimulatedLatencyClient
 from repro.obs import Telemetry
@@ -127,14 +127,14 @@ class TestAttribution:
 
 class TestTraceArtifacts:
     def test_write_trace_json(self, swan, tmp_path):
-        paths, payload = write_trace_json(
-            tmp_path / "BENCH_trace.json", swan=swan, databases=DBS
+        ARTIFACTS["trace"].write(tmp_path, swan=swan, databases=DBS)
+        trace_path, prom_path, chrome_path, spans_path = (
+            tmp_path / name
+            for name in ARTIFACTS["trace"].files + ARTIFACTS["trace"].digests
         )
-        trace_path, chrome_path, spans_path, prom_path = paths
-        assert all(p.exists() for p in paths)
 
         loaded = json.loads(trace_path.read_text())
-        assert loaded == payload
+        assert loaded["databases"] == DBS
         assert set(loaded["pipelines"]) == {"udf", "hqdl"}
         for entry in loaded["pipelines"].values():
             assert entry["attributed_share"] >= 0.95

@@ -19,7 +19,7 @@ from repro.harness.benchserve import (
     default_tenants,
     measure_capacity,
     run_level,
-    run_slo_loadtest,
+    sweep_offered_load,
 )
 from repro.obs.slo import FAST
 from repro.swan.benchmark import load_benchmark_subset
@@ -139,7 +139,7 @@ class TestByteReproducibility:
     def test_slo_payload_and_incidents_byte_identical(self, tmp_path):
         def sweep(tag):
             sink = tmp_path / f"incidents_{tag}.jsonl"
-            serve, slo = run_slo_loadtest(
+            serve, slo, _, _ = sweep_offered_load(
                 horizon=40.0, multipliers=(0.5, 4.0),
                 databases=("superhero",), incident_sink=sink,
             )

@@ -19,8 +19,7 @@ from repro.harness.benchserve import (
     default_tenants,
     measure_capacity,
     run_level,
-    run_slo_loadtest,
-    run_traced_loadtest,
+    sweep_offered_load,
     trace_level_record,
     trace_spans,
 )
@@ -100,12 +99,12 @@ class TestTraceInvisibility:
             horizon=40.0, multipliers=(0.5, 4.0), databases=("superhero",),
         )
         sink_off = tmp_path / "incidents_off.jsonl"
-        serve_off, slo_off = run_slo_loadtest(
+        serve_off, slo_off, _, _ = sweep_offered_load(
             incident_sink=sink_off, **common
         )
         sink_on = tmp_path / "incidents_on.jsonl"
-        serve_on, slo_on, traces, forest = run_traced_loadtest(
-            incident_sink=sink_on, **common
+        serve_on, slo_on, traces, forest = sweep_offered_load(
+            incident_sink=sink_on, tracing=TailSampler(), **common
         )
         assert json.dumps(serve_off, sort_keys=True) == json.dumps(
             serve_on, sort_keys=True
@@ -195,9 +194,9 @@ class TestSharedBatchLinks:
 class TestByteReproducibility:
     def test_trace_payload_and_spans_reproduce(self):
         def sweep():
-            _, _, traces, forest = run_traced_loadtest(
+            _, _, traces, forest = sweep_offered_load(
                 horizon=40.0, multipliers=(0.5, 4.0),
-                databases=("superhero",),
+                databases=("superhero",), tracing=TailSampler(),
             )
             return (
                 json.dumps(traces, sort_keys=True),
