@@ -71,6 +71,15 @@ def serve(swan, row):
         return server.run(requests)
 
 
+def _record(report) -> dict:
+    """The report record without ``batching.persist``, a retired knob."""
+    record = report.as_record()
+    record["batching"] = {
+        k: v for k, v in record["batching"].items() if k != "persist"
+    }
+    return record
+
+
 def digest(report) -> str:
     payload = {
         "outcomes": [
@@ -82,7 +91,7 @@ def digest(report) -> str:
             )
             for o in report.outcomes
         ],
-        "record": report.as_record(),
+        "record": _record(report),
         "resilience": report.resilience.as_dict(),
     }
     blob = json.dumps(payload, sort_keys=True).encode()

@@ -65,6 +65,16 @@ def _serve(swan, **config):
         return server.run(requests)
 
 
+def _record(report) -> dict:
+    """The report record without ``batching.persist``, a retired knob."""
+    record = report.as_record()
+    if "batching" in record:
+        record["batching"] = {
+            k: v for k, v in record["batching"].items() if k != "persist"
+        }
+    return record
+
+
 def digest(report) -> str:
     payload = {
         "outcomes": [
@@ -75,7 +85,7 @@ def digest(report) -> str:
             )
             for o in report.outcomes
         ],
-        "record": report.as_record(),
+        "record": _record(report),
         "resilience": report.resilience.as_dict(),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -85,7 +95,10 @@ def digest(report) -> str:
 def _disk_pair(swan, cache_dir, batching):
     """(cold report, warm report) of two servers sharing one cache_dir."""
     return tuple(
-        _serve(swan, max_concurrent=3, cache_dir=cache_dir, batching=batching)
+        _serve(
+            swan, max_concurrent=3, cache_dir=cache_dir, batching=batching,
+            share_mappings=True,
+        )
         for _ in range(2)
     )
 
