@@ -94,7 +94,7 @@ def measure_cache_bench(
 
     With ``cache_dir=None`` the persistent cache lives in a temporary
     directory (fresh cold state every invocation); pass a directory to
-    persist it across harness invocations instead.
+    keep it across harness invocations instead.
     """
     swan = swan if swan is not None else load_benchmark()
     gold = GoldResults(swan)

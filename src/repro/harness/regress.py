@@ -38,14 +38,15 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from repro.harness.artifacts import ARTIFACTS
 from repro.obs.ledger import RunLedger, config_fingerprint
 
 #: Default artifact locations, relative to the invocation directory.
 DEFAULT_LEDGER = "BENCH_ledger.sqlite"
 DEFAULT_BASELINE = "baselines/regress_baseline.json"
 DEFAULT_SCALE_BENCH = "BENCH_scale.json"
-DEFAULT_SERVE_BENCH = "BENCH_serve.json"
-DEFAULT_SLO_BENCH = "BENCH_slo.json"
+#: the serve artifact's first two files, named once in its registry entry
+DEFAULT_SERVE_BENCH, DEFAULT_SLO_BENCH = ARTIFACTS["serve"].files[:2]
 
 #: Max *absolute* increase in the lowest-load availability error budget
 #: consumed fraction (baseline is ~0, so a relative bound is useless).

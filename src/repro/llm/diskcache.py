@@ -17,7 +17,7 @@ Design points:
   (truncated write, garbage bytes) is discarded and recreated instead of
   taking the run down; a cache is an accelerator, never a dependency.
 - **statistics** — hits, misses, stores, and evictions are counted,
-  feeding the ``bench-cache`` harness target.
+  feeding the ``artifacts cache`` harness target.
 - **bounded size** — an optional ``max_entries`` cap evicts the least
   recently used entries (tracked by a monotonic use sequence, so
   eviction order is deterministic — no wall-clock involved).

@@ -9,8 +9,8 @@ sees any of it:
   call up front, dedups globally, orders longest-first, and pre-warms
   the caches in one dispatch;
 - :class:`~repro.udf.store.MappingStore` (re-exported here) holds the
-  (attribute, key) → value answers the aggressive planning mode
-  produces, so executors can answer questions without re-calling;
+  (attribute, key) → value answers planning and generation produce, so
+  executors can answer questions without re-calling;
 - :mod:`~repro.plan.policy` chooses per-attribute batch sizes from the
   calibrated model profiles instead of BlendSQL's fixed default of 5.
 """

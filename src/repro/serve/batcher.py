@@ -58,18 +58,15 @@ class BatchingConfig:
 
     ``window`` is the longest a group waits for co-batchable work, in
     virtual seconds from the instant it opened; ``max_batch`` overrides
-    the adaptive policy's size trigger when set.  ``persist`` shares
-    flushed mapping answers through the server's
-    :class:`~repro.plan.MappingStore` only under
-    ``ServerConfig.share_mappings=True``: flushes then publish there and
-    planning serves fully covered occurrences from it.  With the default
-    ``share_mappings=False`` nothing is published, the store stays empty
-    and ``persist`` changes nothing.
+    the adaptive policy's size trigger when set.  Work the server's
+    per-database :class:`~repro.udf.store.MappingStore` already covers
+    never reaches the batcher: planning answers a fully covered
+    occurrence from the store, and every flushed map group publishes its
+    real answers there.
     """
 
     window: float = 2.0
     max_batch: Optional[int] = None
-    persist: bool = True
 
     def __post_init__(self) -> None:
         if self.window <= 0:
@@ -557,7 +554,6 @@ class CrossRequestBatcher:
         return {
             "window": round(self.config.window, 6),
             "max_batch": self.config.max_batch,
-            "persist": self.config.persist,
             "items": self.items_enqueued,
             "coalesced_items": self.items_coalesced,
             "formed_calls": self.formed_calls,

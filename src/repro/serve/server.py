@@ -32,9 +32,9 @@ trips, subsequent requests skip LLM work entirely and get a cheap
 degraded answer until the cooldown half-opens the breaker — quality
 sheds before availability, and the queue drains instead of collapsing.
 
-All requests of all tenants share one client stack and prompt cache per
-database (:mod:`repro.serve.state`), one :class:`~repro.udf.store.MappingStore`,
-one telemetry registry, and one run ledger.
+All requests of all tenants share one client stack, prompt cache and
+:class:`~repro.udf.store.MappingStore` per database
+(:mod:`repro.serve.state`), one telemetry registry, and one run ledger.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from repro.serve.scheduler import AgingPriorityQueue
 from repro.serve.state import DatabaseStates
 from repro.serve.trace import ServeTraceLog, TraceRecord, WaveRecord
 from repro.swan.benchmark import Swan
-from repro.udf.store import MappingStore
 
 
 class VirtualClock:
@@ -147,7 +146,6 @@ class ServerConfig:
     base_overhead: float = 0.05
     breaker_failure_threshold: int = 3
     breaker_cooldown: float = 30.0
-    share_mappings: bool = False
     fault_rate: float = 0.0
     fault_seed: int = 0
     cache_dir: Optional[Union[str, Path]] = None
@@ -230,7 +228,6 @@ class QueryServer:
         self.ledger = ledger
         self.meter = UsageMeter()
         self.resilience = ResilienceReport()
-        self.mapping_store = MappingStore()
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
             cooldown=self.config.breaker_cooldown,
@@ -253,7 +250,6 @@ class QueryServer:
             meter=self.meter,
             resilience=self.resilience,
             telemetry=self._tel,
-            mapping_store=self.mapping_store,
             retry_clock=self._timer,
         )
         self._in_service = 0
@@ -342,7 +338,7 @@ class QueryServer:
             max_queue_depth=self._max_queue_depth,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
-            mapping_stats=self.mapping_store.stats(),
+            mapping_stats=self.states.mapping_stats(),
             resilience=self.resilience,
         )
         if self.batcher is not None:
@@ -626,7 +622,7 @@ class QueryServer:
         """Plan one dispatched request's LLM work into the batcher."""
         request, start = member.request, member.start
         batcher = self.batcher
-        persist = batcher.config.persist
+        state = self.states.of(request)
         work = member.plan.work()
         for item in work:
             if item.prompt is not None:
@@ -634,16 +630,14 @@ class QueryServer:
             call = item.call
             signature = call.signature()
             wanted = list(dict.fromkeys(item.keys))
-            if persist:
-                known = self.mapping_store.peek(signature, wanted)
-                # all-or-nothing, matching the executor's store-first
-                # lookup: partial coverage regenerates the whole
-                # occurrence (identical chunk prompts then hit the
-                # prompt cache for free at flush time)
-                if len(known) == len(wanted):
-                    member.answers.setdefault(signature, {}).update(known)
-                    batcher.keys_from_store += len(known)
-                    wanted = []
+            known = state.store.peek(signature, wanted)
+            # all-or-nothing, like the executor's lookup: a partly covered
+            # occurrence is regenerated whole (its chunk prompts then hit
+            # the prompt cache for free at flush time)
+            if len(known) == len(wanted):
+                member.answers.setdefault(signature, {}).update(known)
+                batcher.keys_from_store += len(known)
+                wanted = []
             held = member.answers.get(signature, ())
             wanted = [key for key in wanted if key not in held]
             if wanted:
@@ -657,11 +651,10 @@ class QueryServer:
                     request.database, call, wanted, member,
                     chunk_size=chunk, now=start,
                 )
-        cache = self.states.of(request).cache
         for item in work:
             if item.prompt is None:
                 continue
-            if cache.peek(item.prompt) is not None:
+            if state.cache.peek(item.prompt) is not None:
                 batcher.prompts_from_cache += 1
                 continue
             batcher.enqueue_prompt(
@@ -801,16 +794,12 @@ class QueryServer:
                         "serve.batch_occupancy", now, fill
                     )
             _fan_out(signature, group, answers)
-            if batcher.config.persist and pipeline.publish_mappings:
-                # only real answers, like the executor: degraded or
-                # drifted NULLs must not pin other requests to NULL
-                self.mapping_store.put(
-                    signature,
-                    {
-                        k: v for k, v in zip(group.payloads, answers)
-                        if v is not None
-                    },
-                )
+            # only real answers, like the executor: degraded or drifted
+            # NULLs must not pin other requests to NULL
+            state.store.put(
+                signature,
+                {k: v for k, v in zip(group.payloads, answers) if v is not None},
+            )
         else:
             outcomes = pipeline.dispatcher.dispatch(
                 pipeline.client, group.payloads, labels=group.label,

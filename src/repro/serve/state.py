@@ -60,12 +60,16 @@ class UdfState:
     every hit, miss and usage counter is unchanged.  They live here, on
     the flush path only: a batch run repeats texts too, but a memo there
     would be one more store of generated values, not a win.
+
+    ``store`` is the executor's :class:`MappingStore`: per database,
+    because an ingredient signature names no database.
     """
 
     db: Database
     pipeline: HybridQueryExecutor
     cache: PromptCache
     stack: ClientStack
+    store: MappingStore
 
     def __post_init__(self) -> None:
         memo = lru_cache(maxsize=FLUSH_MEMO_SIZE)
@@ -110,9 +114,9 @@ class HqdlState:
 class DatabaseStates:
     """Lazily built UDF / HQDL state per database, closed together.
 
-    ``meter``, ``resilience``, ``telemetry`` and ``mapping_store`` are the
-    server-wide sinks every state reports into; ``retry_clock`` is where
-    retry backoff sleeps under ``fault_rate > 0``.
+    ``meter``, ``resilience`` and ``telemetry`` are the server-wide
+    sinks every state reports into; ``retry_clock`` is where retry
+    backoff sleeps under ``fault_rate > 0``.
     """
 
     swan: Swan
@@ -120,7 +124,6 @@ class DatabaseStates:
     meter: UsageMeter
     resilience: ResilienceReport
     telemetry: Telemetry
-    mapping_store: MappingStore
     retry_clock: Clock
     _udf: dict[str, UdfState] = field(default_factory=dict, init=False)
     _hqdl: dict[str, HqdlState] = field(default_factory=dict, init=False)
@@ -164,6 +167,7 @@ class DatabaseStates:
             stack = self._stack(world, self._wrap_faults)
             db = build_curated_database(world)
             cache = PromptCache()
+            store = MappingStore()
             executor = HybridQueryExecutor(
                 db,
                 stack.client,
@@ -175,10 +179,11 @@ class DatabaseStates:
                 workers=self._dispatch_threads,
                 resilience=self.resilience,
                 telemetry=self.telemetry,
-                mapping_store=self.mapping_store,
+                mapping_store=store,
             )
-            executor.publish_mappings = config.share_mappings
-            state = self._udf[database] = UdfState(db, executor, cache, stack)
+            state = self._udf[database] = UdfState(
+                db, executor, cache, stack, store
+            )
         return state
 
     def of(self, request: QueryRequest) -> Union[UdfState, HqdlState]:
@@ -212,6 +217,14 @@ class DatabaseStates:
         """(hits, misses) summed over every UDF prompt cache."""
         caches = [state.cache for state in self._udf.values()]
         return sum(c.hits for c in caches), sum(c.misses for c in caches)
+
+    def mapping_stats(self) -> dict:
+        """:meth:`MappingStore.stats` summed over every UDF state's store."""
+        totals = MappingStore().stats()
+        for state in self._udf.values():
+            for name, value in state.store.stats().items():
+                totals[name] += value
+        return totals
 
     def close(self) -> None:
         """Release every database connection and disk cache."""

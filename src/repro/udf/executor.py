@@ -198,15 +198,9 @@ class HybridQueryExecutor:
         #: any object with ``batch_size(call) -> int`` (repro.plan.policy);
         #: None keeps the fixed ``batch_size`` — BlendSQL's behaviour.
         self.batch_policy = batch_policy
-        #: filled by a pairs-mode CallPlanner; :meth:`generate` answers
-        #: fully-covered ingredients from it with zero LLM calls.
+        #: :meth:`generate` answers fully-covered ingredients from it
+        #: with zero LLM calls, and publishes into it what it generates.
         self.mapping_store = mapping_store
-        #: when True, freshly generated mappings are published back into
-        #: ``mapping_store`` so later requests (the serving layer's
-        #: cross-tenant reuse) can be answered from it.  Off by default:
-        #: store-served values skip batching, so answers may drift within
-        #: model noise relative to a cold run.
-        self.publish_mappings = False
         #: SQL text -> its prepared statement, least recently used first
         self._prepared: OrderedDict[str, PreparedStatement] = OrderedDict()
 
@@ -282,9 +276,10 @@ class HybridQueryExecutor:
         """Stage two: pay for a plan's work; every occurrence's answer.
 
         ``known`` maps a signature to answers the caller holds: an
-        occurrence it fully covers costs no call, and the shared store
-        is then neither read nor written.  Past ``deadline``, map batches
-        and QA answers degrade to NULL instead of being dispatched.
+        occurrence it fully covers costs no call.  Without it, the
+        mapping store (if any) plays that part and receives what is
+        generated.  Past ``deadline``, map batches and QA answers
+        degrade to NULL instead of being dispatched.
         """
         tel = self._tel
         report = ExecutionReport()
@@ -637,7 +632,7 @@ class HybridQueryExecutor:
                 call.question,
                 {key: value for key, value in mapping.items() if value is not None},
             )
-        if self.publish_mappings and store is not None:
+        if store is not None:
             # only real answers are worth sharing: degraded NULLs would
             # pin other requests' keys to NULL past the fault that caused
             # them

@@ -1,16 +1,14 @@
-"""The shared mapping store filled by aggressive call planning.
+"""The mapping store: generated values kept for reuse across queries.
 
-A planning pass in ``pairs`` mode answers every (attribute, key) pair a
-run will need, once, up front.  The :class:`MappingStore` is where those
-answers live: keyed by ingredient signature (kind, question, source
-table, key columns), each entry maps key tuples to generated values.
-
-:meth:`HybridQueryExecutor.generate
-<repro.udf.executor.HybridQueryExecutor.generate>` consults the store
-before paying for an ingredient: when it covers *every* key the
-ingredient needs, the whole ingredient is answered with zero LLM calls.  Partial coverage falls back to the normal generate path — a
-half-served batch would change batching (and therefore answers), so
-serving is all-or-nothing per ingredient.
+Keyed by ingredient signature (kind, question, source table, key
+columns), each entry maps key tuples to generated values.  A ``pairs``
+planning pass fills it up front; an executor holding a store publishes
+what it generates, and the query server (one store per database) each
+flushed map group — real answers only, never a degraded or drifted NULL.
+Readers are all-or-nothing per occurrence: when the store covers *every*
+key an occurrence needs, it is answered with zero LLM calls; partial
+coverage regenerates the whole occurrence, since a half-served batch
+would change batching (and therefore answers).
 """
 
 from __future__ import annotations
@@ -73,10 +71,8 @@ class MappingStore:
     ) -> dict[tuple, Optional[str]]:
         """The stored subset of ``keys``, without touching hit/miss stats.
 
-        The cross-request batcher uses this at enqueue time to skip work
-        the store already covers; unlike :meth:`lookup` it is not
-        all-or-nothing (partial coverage still prunes the covered keys)
-        and it never perturbs the serving statistics of real lookups.
+        The server's planning reads it before enqueueing, and uses it
+        only when it covers every key (the rule of :meth:`lookup`).
         """
         with self._lock:
             stored = self._data.get(signature)

@@ -135,3 +135,27 @@ class TestExecution:
         record = stats.as_record()
         assert record["mode"] == "prompt"
         assert record["llm_calls"] == stats.llm_calls
+
+
+
+class TestExecutorPublishes:
+    """An executor holding a store publishes what it generates there."""
+
+    def test_the_store_answers_later_executions(self, superhero_world):
+        store = MappingStore()
+        model = make_model(superhero_world)
+        with build_curated_database(superhero_world) as db:
+            executor = HybridQueryExecutor(
+                db, model, superhero_world, cache=PromptCache(),
+                mapping_store=store,
+            )
+            first = executor.execute(MAP_Q)
+            paid, cache_hits = model.meter.total.calls, executor.cache.hits
+            assert paid > 0 and store.total_keys() > 0
+            executor.execute(MAP_Q2)  # same signature, other question
+            again = executor.execute(MAP_Q)
+        assert again.rows == first.rows
+        # answered before any prompt was built: no call, no cache probe
+        assert model.meter.total.calls == paid
+        assert executor.cache.hits == cache_hits
+        assert store.hits == 2

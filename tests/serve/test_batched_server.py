@@ -7,14 +7,18 @@ coalesces overlapping work across tenants while never answering past a
 deadline.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.serve.batcher import BatchingConfig
-from repro.serve.request import DEGRADED, QueryRequest
+from repro.plan import MappingStore
+from repro.serve.batcher import BatchingConfig, CrossRequestBatcher
+from repro.serve.request import DEGRADED, SERVED, QueryRequest
 from repro.serve.server import QueryServer, ServerConfig
 from repro.serve.traffic import generate_traffic
 from repro.harness.benchserve import default_tenants, offered_rps
-from repro.swan.benchmark import load_benchmark_subset
+from repro.swan.benchmark import Swan, load_benchmark_subset
+from repro.udf.ingredients import parse_map_answers
 
 
 @pytest.fixture(scope="module")
@@ -66,15 +70,14 @@ class TestSerialByteIdentity:
     ``fault_seed=3``: 231 (off) vs 234 (on) paid calls, 53 vs 54 retries.
     """
 
-    @pytest.mark.parametrize("persist", [True, False])
-    def test_outcomes_and_usage_identical(self, serve_swan, persist):
+    def test_outcomes_and_usage_identical(self, serve_swan):
         requests, policies = _traffic(serve_swan)
         off = _run(
             serve_swan, requests, policies, max_concurrent=1, batching=None,
         )
         on = _run(
             serve_swan, requests, policies, max_concurrent=1,
-            batching=BatchingConfig(persist=persist),
+            batching=BatchingConfig(),
         )
         assert [o.as_record() for o in on.outcomes] == [
             o.as_record() for o in off.outcomes
@@ -258,34 +261,127 @@ class TestCrossTenantSingleFlight:
                 )
 
 
-class TestPersistNeedsSharedMappings:
-    """``BatchingConfig.persist`` reaches the store only with shared mappings.
+ARMS = pytest.mark.parametrize(
+    "batching", [None, BatchingConfig()], ids=["unbatched", "batched"]
+)
 
-    With the default ``share_mappings=False`` no flush publishes, so the
-    store planning peeks stays empty (1,153 keys stored and 951 served
-    from it on this traffic when sharing is on).
+
+def _serve_with_store(swan, requests, *, batching, policies=None, **config):
+    """Serve ``requests``; the report and the summed mapping-store stats."""
+    config = ServerConfig(
+        workers=4, max_concurrent=3, queue_limit=24, batching=batching,
+        **config,
+    )
+    with QueryServer(swan, config, policies=policies) as server:
+        return server.run(requests), server.states.mapping_stats()
+
+
+class TestStoreServesCoveredRequests:
+    """What one request generated, a later request reads from the store.
+
+    The twin arrives long after the first request finished, so no wave
+    or batch can share work between them: only the database's mapping
+    store can answer it.  ``superhero_q02`` because every one of its keys
+    gets a real answer; on ``superhero_q01`` one drifts to NULL, is not
+    published, and the store covers that occurrence only partially.
     """
 
-    def _serve(self, swan, share_mappings):
-        requests, policies = _traffic(swan, horizon=60.0, rps=0.4)
-        config = ServerConfig(
-            workers=4, max_concurrent=3, queue_limit=24,
-            share_mappings=share_mappings, batching=BatchingConfig(),
+    @staticmethod
+    def _sequential_twins(swan):
+        first, second = _twin_requests(swan, qid="superhero_q02")
+        return [first, replace(second, arrival=500.0)]
+
+    @ARMS
+    def test_a_covered_request_pays_nothing(
+        self, serve_swan, monkeypatch, batching
+    ):
+        enqueued = [
+            _count_calls(monkeypatch, CrossRequestBatcher, name)
+            for name in ("enqueue_keys", "enqueue_prompt")
+        ]
+        report, stats = _serve_with_store(
+            serve_swan, self._sequential_twins(serve_swan), batching=batching
         )
-        with QueryServer(swan, config, policies=policies) as server:
+        first, second = report.outcomes
+        assert first.status == second.status == SERVED
+        assert first.llm_calls > 0
+        assert second.llm_calls == 0
+        assert second.input_tokens == second.output_tokens == 0
+        assert second.service_seconds == pytest.approx(
+            ServerConfig().base_overhead, abs=1e-9
+        )
+        assert stats["keys"] > 0
+        members = [args[4] for calls in enqueued for args in calls]
+        if batching is None:
+            assert stats["hits"] > 0  # the executor's store-first lookup
+            assert not members
+        else:
+            assert report.batching["keys_from_store"] > 0
+            assert members
+            assert {m.request.request_id for m in members} == {0}
+
+    @ARMS
+    def test_faults_never_publish_a_null(
+        self, serve_swan, monkeypatch, batching
+    ):
+        from repro.serve import state as state_module
+        from repro.udf import executor as executor_module
+
+        decoded: list = []
+
+        def decode(completion, expected):
+            answers = parse_map_answers(completion, expected)
+            decoded.extend(answers)
+            return answers
+
+        for module in (state_module, executor_module):
+            monkeypatch.setattr(module, "parse_map_answers", decode)
+        puts = _count_calls(monkeypatch, MappingStore, "put")
+        requests, policies = _traffic(serve_swan, horizon=60.0, rps=0.4)
+        report, stats = _serve_with_store(
+            serve_swan, requests, batching=batching, policies=policies,
+            fault_rate=0.2, fault_seed=3,
+        )
+        assert report.resilience.retries > 0  # faults did fire
+        assert None in decoded  # and NULL answers were generated
+        assert puts and stats["keys"] > 0
+        for _, _, mapping in puts:
+            assert None not in mapping.values()
+
+
+class TestOneStorePerDatabase:
+    """An ingredient signature names no database, so neither may the store.
+
+    ``twin`` is the superhero world under a second name: the same SQL
+    there has every signature of the original, and a shared store would
+    answer it with the first database's values at zero calls (the store
+    covers ``superhero_q02`` fully, see above).
+    """
+
+    @ARMS
+    def test_colliding_signatures_stay_apart(self, serve_swan, batching):
+        world = serve_swan.world("superhero")
+        swan = Swan(
+            worlds={"superhero": world, "twin": world},
+            questions=serve_swan.questions,
+        )
+        first, second = _twin_requests(serve_swan, qid="superhero_q02")
+        requests = [first, replace(second, database="twin", arrival=500.0)]
+        config = ServerConfig(
+            workers=4, max_concurrent=3, queue_limit=24, batching=batching
+        )
+        with QueryServer(swan, config) as server:
             report = server.run(requests)
-            return server.mapping_store.stats()["keys"], report
-
-    def test_default_server_never_touches_the_store(self, serve_swan):
-        stored, report = self._serve(serve_swan, share_mappings=False)
-        assert stored == 0
-        assert report.batching["persist"] is True
-        assert report.batching["keys_from_store"] == 0
-
-    def test_shared_mappings_fill_and_serve_the_store(self, serve_swan):
-        stored, report = self._serve(serve_swan, share_mappings=True)
-        assert stored > 0
-        assert report.batching["keys_from_store"] > 0
+            stores = [
+                server.states.udf(name).store for name in ("superhero", "twin")
+            ]
+            summed = server.states.mapping_stats()
+        first, second = report.outcomes
+        assert first.status == second.status == SERVED
+        assert second.llm_calls == first.llm_calls > 0
+        assert stores[0].stats() == stores[1].stats()
+        assert report.as_record()["mapping"] == summed
+        assert summed["keys"] == 2 * stores[0].stats()["keys"] > 0
 
 
 class TestBatchingSavesWork:

@@ -49,8 +49,8 @@ def _member(rid, *, arrival=0.0, deadline=60.0, tenant="t"):
     return PendingRequest(request, start=arrival, queue_wait=0.0)
 
 
-def _batcher(window=2.0, max_batch=None, size=8, persist=True):
-    config = BatchingConfig(window=window, max_batch=max_batch, persist=persist)
+def _batcher(window=2.0, max_batch=None, size=8):
+    config = BatchingConfig(window=window, max_batch=max_batch)
     return CrossRequestBatcher(config, _FixedPolicy(size))
 
 
@@ -59,7 +59,6 @@ class TestBatchingConfig:
         config = BatchingConfig()
         assert config.window == 2.0
         assert config.max_batch is None
-        assert config.persist is True
 
     def test_nonpositive_window_rejected(self):
         for bad in (0.0, -1.0):
@@ -291,7 +290,7 @@ class TestSettlement:
         batcher = _batcher()
         stats = batcher.stats()
         assert set(stats) == {
-            "window", "max_batch", "persist", "items", "coalesced_items",
+            "window", "max_batch", "items", "coalesced_items",
             "formed_calls", "paid_calls", "coalesced_calls",
             "batch_occupancy", "flushes", "keys_from_store",
             "prompts_from_cache", "fanout_tokens_saved",

@@ -6,8 +6,12 @@ the one finalize step (``PYTHONPATH=src python
 tests/serve/test_one_lifecycle.py`` rewrites it).  The digest covers every
 outcome, the report record and the resilience counters, so the fold — an
 unbatched request is a pending request that rode zero waves — has to
-reproduce the old body bit for bit, faults, shared mappings and the disk
-tier included.
+reproduce the old body bit for bit, faults and the disk tier included.
+
+The mapping store became always-on later.  The rows kept were the
+``share_mappings=True`` half of the matrix, whose digests carried over
+unchanged; the disk-tier rows were re-pinned with sharing on, at the
+parent of that change, before the knob went.
 
 The ``fault_rate > 0`` rows were re-pinned once, by the commit after the
 fold: retry backoff used to sleep on the server's global clock (pushing
@@ -40,15 +44,14 @@ from repro.swan.benchmark import load_benchmark_subset
 GOLDEN = Path(__file__).with_name("golden_unbatched.json")
 
 MATRIX = [
-    (max_concurrent, fault_rate, share_mappings)
+    (max_concurrent, fault_rate)
     for max_concurrent in (1, 3)
     for fault_rate in (0.0, 0.2, 0.5)
-    for share_mappings in (False, True)
 ]
 
 
-def _matrix_id(max_concurrent, fault_rate, share_mappings) -> str:
-    return f"mc{max_concurrent}-fault{fault_rate}-share{int(share_mappings)}"
+def _matrix_id(max_concurrent, fault_rate) -> str:
+    return f"mc{max_concurrent}-fault{fault_rate}"
 
 
 def _traffic(swan, *, horizon=60.0, rps=0.4, seed=0):
@@ -65,16 +68,6 @@ def _serve(swan, **config):
         return server.run(requests)
 
 
-def _record(report) -> dict:
-    """The report record without ``batching.persist``, a retired knob."""
-    record = report.as_record()
-    if "batching" in record:
-        record["batching"] = {
-            k: v for k, v in record["batching"].items() if k != "persist"
-        }
-    return record
-
-
 def digest(report) -> str:
     payload = {
         "outcomes": [
@@ -85,7 +78,7 @@ def digest(report) -> str:
             )
             for o in report.outcomes
         ],
-        "record": _record(report),
+        "record": report.as_record(),
         "resilience": report.resilience.as_dict(),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -95,10 +88,7 @@ def digest(report) -> str:
 def _disk_pair(swan, cache_dir, batching):
     """(cold report, warm report) of two servers sharing one cache_dir."""
     return tuple(
-        _serve(
-            swan, max_concurrent=3, cache_dir=cache_dir, batching=batching,
-            share_mappings=True,
-        )
+        _serve(swan, max_concurrent=3, cache_dir=cache_dir, batching=batching)
         for _ in range(2)
     )
 
@@ -106,11 +96,11 @@ def _disk_pair(swan, cache_dir, batching):
 def compute_all(swan, scratch: Path) -> dict[str, str]:
     digests = {}
     for row in MATRIX:
-        max_concurrent, fault_rate, share_mappings = row
+        max_concurrent, fault_rate = row
         digests[_matrix_id(*row)] = digest(
             _serve(
                 swan, max_concurrent=max_concurrent, fault_rate=fault_rate,
-                fault_seed=3, share_mappings=share_mappings,
+                fault_seed=3,
             )
         )
     for arm, batching in (("off", None), ("on", BatchingConfig())):
@@ -133,10 +123,10 @@ def golden():
 class TestGoldenUnbatched:
     @pytest.mark.parametrize("row", MATRIX, ids=lambda row: _matrix_id(*row))
     def test_matrix_row_matches_parent_bytes(self, serve_swan, golden, row):
-        max_concurrent, fault_rate, share_mappings = row
+        max_concurrent, fault_rate = row
         report = _serve(
             serve_swan, max_concurrent=max_concurrent, fault_rate=fault_rate,
-            fault_seed=3, share_mappings=share_mappings,
+            fault_seed=3,
         )
         assert digest(report) == golden[_matrix_id(*row)]
 

@@ -3,14 +3,17 @@
 Three invariants that must hold across configurations, not just on one
 lucky trace: admission accounting balances, shed rate is monotone in
 offered load, and a server with no contention is byte-identical to the
-batch runner — serving adds scheduling, never answer drift.
+batch runner whose executor holds a mapping store, as every served
+database's does — serving adds scheduling, never answer drift.
 """
 
 import pytest
 
+from repro.plan import MappingStore
 from repro.serve.request import QueryRequest, SERVED
 from repro.serve.server import QueryServer, ServerConfig
 from repro.swan.benchmark import load_benchmark_subset
+from repro.udf.executor import HybridQueryExecutor
 
 
 @pytest.fixture(scope="module")
@@ -67,15 +70,31 @@ class TestShedRateMonotone:
         assert shed_rates[-1] > 0.5, "at 4x capacity most offers shed"
 
 
+class _ExecutorWithStore(HybridQueryExecutor):
+    """The batch runner's executor with the server's always-on store."""
+
+    def __init__(self, *args, mapping_store=None, **kwargs):
+        assert mapping_store is None
+        super().__init__(*args, mapping_store=MappingStore(), **kwargs)
+
+
 class TestZeroLoadByteIdentity:
-    def test_unloaded_server_matches_the_batch_runner(self, serve_swan):
-        from repro.harness.runner import run_udf
+    def test_unloaded_server_matches_the_batch_runner(
+        self, serve_swan, monkeypatch
+    ):
+        from repro.harness import runner
 
         shots, batch_size, workers = 2, 5, 2
-        run = run_udf(
-            serve_swan, "gpt-3.5-turbo", shots,
-            batch_size=batch_size, workers=workers,
-        )
+
+        def run_udf():
+            return runner.run_udf(
+                serve_swan, "gpt-3.5-turbo", shots,
+                batch_size=batch_size, workers=workers,
+            )
+
+        plain = run_udf()
+        monkeypatch.setattr(runner, "HybridQueryExecutor", _ExecutorWithStore)
+        run = run_udf()
         questions = [q.qid for q in serve_swan.questions]
         requests = [
             QueryRequest(
@@ -95,6 +114,9 @@ class TestZeroLoadByteIdentity:
         )
         with QueryServer(serve_swan, config) as server:
             report = server.run(requests)
+        # the store answers questions that repeat an ingredient
+        assert report.mapping_stats["hits"] > 0
+        assert report.usage.calls < plain.usage.calls
         # byte identity: same token stream, same cache behaviour
         assert report.usage == run.usage
         assert (report.cache_hits, report.cache_misses) == (

@@ -88,7 +88,10 @@ class TestUnloadedServing:
         first, second = report.outcomes
         assert second.llm_calls == 0
         assert second.service_seconds < first.service_seconds
-        assert report.cache_hits > 0
+        # the mapping store answers the repeat before any prompt is built,
+        # so the prompt cache in front of the model is never consulted
+        assert report.mapping_stats["hits"] > 0
+        assert report.cache_hits == 0
 
     def test_run_is_deterministic(self, serve_swan):
         spec = TenantSpec(
