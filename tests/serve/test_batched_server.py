@@ -68,10 +68,25 @@ class TestSerialByteIdentity:
     request's), so paid calls and retry counts legitimately differ — on
     the traffic of ``test_one_lifecycle.py`` at ``fault_rate=0.3``,
     ``fault_seed=3``: 231 (off) vs 234 (on) paid calls, 53 vs 54 retries.
+
+    ``replay`` offers the same traffic a second time after the first pass
+    has drained, so the second pass is answered from a warm mapping store
+    in both arms: the store is always on, and identity must hold whether
+    it is cold or already covers the work.
     """
 
-    def test_outcomes_and_usage_identical(self, serve_swan):
+    @pytest.mark.parametrize("replay", [True, False])
+    def test_outcomes_and_usage_identical(self, serve_swan, replay):
         requests, policies = _traffic(serve_swan)
+        if replay:
+            offset = max(r.deadline_at for r in requests) + 1.0
+            requests = requests + [
+                replace(
+                    r, request_id=len(requests) + r.request_id,
+                    arrival=r.arrival + offset,
+                )
+                for r in requests
+            ]
         off = _run(
             serve_swan, requests, policies, max_concurrent=1, batching=None,
         )
@@ -89,6 +104,9 @@ class TestSerialByteIdentity:
         assert on.batching is not None
         assert off.batching is None
         assert on.batching["coalesced_calls"] == 0
+        if replay:  # the second pass really was answered from the store
+            assert off.as_record()["mapping"]["hits"] > 0
+            assert on.batching["keys_from_store"] > 0
 
 
 def _count_calls(monkeypatch, owner, name):
