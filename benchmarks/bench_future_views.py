@@ -2,9 +2,9 @@
 
 "Hybrid querying through UDFs offers more control for the database to
 optimize the hybrid query, build materialized views..."  This bench runs
-the Super Hero workload with a :class:`MaterializedViewStore` attached
-and measures how many later queries are answered straight from persisted
-view tables.
+the Super Hero workload with a :class:`~repro.udf.store.MappingStore`
+attached and measures how many later queries are answered straight from
+stored generations.
 """
 
 import pytest
@@ -16,49 +16,47 @@ from repro.llm.profiles import get_profile
 from repro.llm.usage import UsageMeter
 from repro.swan.build import build_curated_database
 from repro.udf.executor import HybridQueryExecutor
-from repro.udf.views import MaterializedViewStore
+from repro.udf.store import MappingStore
 
 
-def _run_workload(swan, with_views: bool):
+def _run_workload(swan, with_store: bool):
     world = swan.world("superhero")
     meter = UsageMeter()
     model = MockChatModel(
         KnowledgeOracle(world), get_profile("gpt-3.5-turbo"), meter=meter
     )
-    views = MaterializedViewStore() if with_views else None
+    store = MappingStore() if with_store else None
     with build_curated_database(world) as db:
-        executor = HybridQueryExecutor(db, model, world, views=views)
+        executor = HybridQueryExecutor(db, model, world, mapping_store=store)
         for question in swan.questions_for("superhero"):
             executor.execute(question.blend_sql)
-        view_tables = [t for t in db.table_names() if t.startswith("llm_view_")]
-    return meter.total, views, view_tables
+    return meter.total, store
 
 
 @pytest.fixture(scope="module")
 def baseline(swan):
-    return _run_workload(swan, with_views=False)
+    return _run_workload(swan, with_store=False)
 
 
 def test_future_materialized_views(benchmark, swan, baseline, show):
-    usage, views, view_tables = benchmark.pedantic(
+    usage, store = benchmark.pedantic(
         _run_workload, args=(swan, True), rounds=1, iterations=1
     )
-    baseline_usage, _, _ = baseline
+    baseline_usage, _ = baseline
 
     show(format_table(
-        ["Configuration", "LLM calls", "Input tokens", "View tables", "View hits"],
+        ["Configuration", "LLM calls", "Input tokens", "Signatures", "Store hits"],
         [
             ["temp tables only", baseline_usage.calls,
              baseline_usage.input_tokens, 0, 0],
-            ["materialized views", usage.calls, usage.input_tokens,
-             len(view_tables), views.stats.hits],
+            ["mapping store", usage.calls, usage.input_tokens,
+             len(store), store.hits],
         ],
-        title="Future work: materialized views over the Super Hero workload.",
+        title="Future work: stored generations over the Super Hero workload.",
     ))
 
-    # full-scan generations persist as real tables ...
-    assert views.stats.materializations > 0
-    assert view_tables
+    # generations are kept per signature ...
+    assert len(store) > 0
     # ... and later queries on the same attribute read them for free
-    assert views.stats.hits > 0
+    assert store.hits > 0
     assert usage.calls <= baseline_usage.calls

@@ -23,8 +23,7 @@ from repro.udf.ingredients import (
     parse_ingredient_call,
     parse_map_answers,
 )
-from repro.udf.semantic_cache import SemanticCache
-from repro.udf.views import MaterializedViewStore
+from repro.udf.store import MappingStore
 
 __all__ = [
     "HybridQueryExecutor",
@@ -35,6 +34,5 @@ __all__ = [
     "IngredientCall",
     "parse_ingredient_call",
     "parse_map_answers",
-    "SemanticCache",
-    "MaterializedViewStore",
+    "MappingStore",
 ]

@@ -9,8 +9,7 @@
    prompt.  The immutable :class:`QueryPlan` lists that LLM work.
 2. :meth:`~HybridQueryExecutor.generate` pays for it — map keys in
    batches (default 5 per call, Section 5.4), one call per LLMQA — and
-   is the one place the model, the shared mapping store and the
-   semantic cache are consulted.
+   is the one place the model and the mapping store are consulted.
 3. :meth:`~HybridQueryExecutor.run` binds each LLMMap mapping to a
    lookup function on the connection, fills each LLMJoin's TEMP table,
    rewrites the AST (``CAST(lookup(keys) AS TEXT)`` for maps, literals
@@ -86,9 +85,7 @@ from repro.udf.ingredients import (
     parse_map_answers,
 )
 from repro.udf.pushdown import calls_no_function, pushable_conjuncts, resolve_alias
-from repro.udf.semantic_cache import SemanticCache
 from repro.udf.store import MappingStore
-from repro.udf.views import MaterializedViewStore
 
 #: prepared statements kept per executor, least recently used evicted
 #: first (SWAN has 30 distinct texts per database); an evicted statement
@@ -152,8 +149,6 @@ class HybridQueryExecutor:
         shots: int = 0,
         cache: Optional[PromptCache] = None,
         selector: Optional[FewShotSelector] = None,
-        semantic_cache: Optional[SemanticCache] = None,
-        views: Optional[MaterializedViewStore] = None,
         workers: int = 1,
         resilience: Optional[ResilienceReport] = None,
         telemetry: Optional[Telemetry] = None,
@@ -192,8 +187,6 @@ class HybridQueryExecutor:
         if selector is None and shots > 0:
             selector = FewShotSelector(_demo_pool(world))
         self.selector = selector
-        self.semantic_cache = semantic_cache
-        self.views = views
         self.resilience = resilience
         #: any object with ``batch_size(call) -> int`` (repro.plan.policy);
         #: None keeps the fixed ``batch_size`` — BlendSQL's behaviour.
@@ -295,13 +288,7 @@ class HybridQueryExecutor:
                 if call.kind == "LLMQA":
                     answer = self._run_qa(work.prompt, deadline)
                 else:
-                    answer = self._view_mapping(call)
-                    if answer is None:
-                        answer = self._generate_mapping(
-                            work, report, deadline, known
-                        )
-                        if call.kind == "LLMMap":
-                            self._maybe_materialize_view(call, answer)
+                    answer = self._generate_mapping(work, report, deadline, known)
             answers.append(answer)
         if plan.error is not None:
             # a fresh traceback each time: the plan keeps the exception
@@ -347,7 +334,7 @@ class HybridQueryExecutor:
 
     def plan_calls(self, hybrid_sql: str) -> list[tuple[str, str]]:
         """The (prompt, label) sequence executing this query would issue,
-        up to any failure, when no store, view or semantic cache answers."""
+        up to any failure, when no store answers."""
         calls: list[tuple[str, str]] = []
         for work in self.prepare(hybrid_sql).work():
             if work.prompt is not None:
@@ -453,18 +440,6 @@ class HybridQueryExecutor:
 
     # -- LLMMap / LLMJoin --------------------------------------------------------
 
-    def _view_mapping(
-        self, call: IngredientCall
-    ) -> Optional[dict[tuple, Optional[str]]]:
-        """What a materialized view holds for an LLMMap, if one answers it."""
-        if self.views is None or call.kind != "LLMMap":
-            return None
-        table = self.views.table_for(call.signature())
-        if table is None:
-            return None
-        rows = self.db.query_rows(f"SELECT * FROM {quote_identifier(table)}")
-        return {row[:-1]: row[-1] for row in rows}
-
     def _fetch_keys(self, occurrence: "_Occurrence") -> list[tuple]:
         """Distinct key tuples, after predicate pushdown when enabled.
 
@@ -526,11 +501,10 @@ class HybridQueryExecutor:
 
         Answers already held — by ``known`` when the caller passes it,
         else by the shared mapping store — serve a fully covered
-        ingredient outright.  With a
-        :class:`~repro.udf.semantic_cache.SemanticCache` attached,
-        previously generated values for semantically equivalent questions
-        are reused per key (query rewriting, Section 4.3) and only the
-        missing keys reach the model.
+        ingredient outright.  A store built with ``rewrite=True`` then
+        reuses, per key, what it holds for this signature or for a
+        semantically equivalent question (query rewriting, Section 4.3),
+        and only the missing keys reach the model.
 
         All batches of one ingredient go through the dispatcher at once,
         so with ``workers > 1`` they run concurrently (Section 4.3 / 6
@@ -572,16 +546,15 @@ class HybridQueryExecutor:
                         tier=TIER_MAPPING_STORE,
                     )
             return mapping
-        reusable: dict[tuple, str] = {}
-        if self.semantic_cache is not None:
-            cached = self.semantic_cache.lookup(call.question, self.client)
-            if cached:
-                reusable = cached
+        reusable = (
+            store.rewrite_lookup(signature, keys, self.client)
+            if store is not None and store.rewrite
+            else {}
+        )
         to_generate: list[tuple] = []
         for key in keys:
             if key in reusable:
                 mapping[key] = reusable[key]
-                self.semantic_cache.stats.keys_reused += 1
                 if prov.enabled:
                     # served by query rewriting: the producing prompt
                     # belonged to the *equivalent* question, unknown here
@@ -627,19 +600,16 @@ class HybridQueryExecutor:
                         null=answer is None,
                         degraded=degraded,
                     )
-        if self.semantic_cache is not None:
-            self.semantic_cache.store(
-                call.question,
-                {key: value for key, value in mapping.items() if value is not None},
-            )
-        if store is not None:
-            # only real answers are worth sharing: degraded NULLs would
-            # pin other requests' keys to NULL past the fault that caused
-            # them
-            store.put(
-                signature,
-                {k: v for k, v in mapping.items() if v is not None},
-            )
+        tel = self._tel
+        with (tel.tracer.span("udf:materialize") if tel.enabled else NULL_SPAN):
+            if store is not None:
+                # only real answers are worth sharing: degraded NULLs would
+                # pin other requests' keys to NULL past the fault that
+                # caused them
+                store.put(
+                    signature,
+                    {k: v for k, v in mapping.items() if v is not None},
+                )
         return mapping
 
     _MAP_RULE = (
@@ -750,35 +720,6 @@ class HybridQueryExecutor:
         self.db.create_index(name, columns[:-1])
         occurrence.table = name
         return name
-
-    def _maybe_materialize_view(
-        self, call: IngredientCall, mapping: dict[tuple, Optional[str]]
-    ) -> None:
-        """Persist a *complete* generation as a materialized view.
-
-        Runs under the ``udf:materialize`` span of every generated LLMMap.
-        Only complete mappings (covering every distinct key of the source
-        table) are safe to reuse by later queries with different — or no
-        — pushdown predicates; partial generations stay query-local.
-        """
-        tel = self._tel
-        with (tel.tracer.span("udf:materialize") if tel.enabled else NULL_SPAN):
-            if self.views is None:
-                return
-            columns = ", ".join(quote_identifier(c) for c in call.key_columns)
-            total_keys = self.db.query_scalar(
-                f"SELECT COUNT(*) FROM (SELECT DISTINCT {columns} "
-                f"FROM {quote_identifier(call.source_table)})"
-            )
-            if len(mapping) != total_keys:
-                return
-            view_columns = [f"k{i}" for i in range(len(call.key_columns))] + ["v"]
-            rows = [
-                tuple(key) + (value,)
-                for key, value in mapping.items()
-                if value is not None
-            ]
-            self.views.materialize(self.db, call.signature(), view_columns, rows)
 
 
 # -- prepared statements ----------------------------------------------------------

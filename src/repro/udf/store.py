@@ -9,18 +9,84 @@ Readers are all-or-nothing per occurrence: when the store covers *every*
 key an occurrence needs, it is answered with zero LLM calls; partial
 coverage regenerates the whole occurrence, since a half-served batch
 would change batching (and therefore answers).
+
+A store built with ``rewrite=True`` also answers the query rewriting the
+paper proposes (Sections 4.3 and 5.5): BlendSQL's prompt-keyed cache
+cannot reuse generations across semantically equal but differently
+phrased questions ("Is the superhero from the Marvel Universe?" vs
+"Does the hero come from Marvel?").  :meth:`MappingStore.rewrite_lookup`
+reuses values per key — the signature's own stored values first, else
+those of the stored question most similar by embedding cosine, once one
+cheap LLM call has confirmed the two questions are equivalent — so only
+the missing keys reach the model.  The equivalence calls cost tokens, so
+the net saving is an empirical question, which
+``benchmarks/bench_future_semantic_cache.py`` measures.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from repro.llm.client import ChatClient
+from repro.llm.intent import (
+    EQUIVALENCE_MARKER,
+    FIRST_QUESTION_MARKER,
+    SECOND_QUESTION_MARKER,
+    EquivalenceIntent,
+    Prompt,
+    inert,
+)
+from repro.udf.fewshot import cosine_similarity, embed
+
+#: Stored questions at or below this cosine similarity are not even worth
+#: an equivalence check.
+SHORTLIST_THRESHOLD = 0.3
+
+
+def equivalence_prompt(first: str, second: str) -> Prompt:
+    """The equivalence-check prompt (one of the mock model's protocols)."""
+    first_quoted = first.replace("'", "''")
+    second_quoted = second.replace("'", "''")
+    text = "\n".join(
+        [
+            EQUIVALENCE_MARKER,
+            f"{FIRST_QUESTION_MARKER} '{first_quoted}'",
+            f"{SECOND_QUESTION_MARKER} '{second_quoted}'",
+            "Answer yes or no.",
+            "Answer:",
+        ]
+    )
+    if not (inert(first) and inert(second)):
+        return Prompt(text)
+    return Prompt(text, EquivalenceIntent(first, second))
+
+
+@dataclass
+class RewriteStats:
+    """Counters of one store's rewrite lookups."""
+
+    #: lookups the signature's own stored values answered
+    exact_hits: int = 0
+    #: lookups an equivalent stored question answered
+    rewrites: int = 0
+    #: equivalence calls that answered no
+    rejected_rewrites: int = 0
+    #: lookups that reused nothing (rejected ones included)
+    misses: int = 0
+    #: keys served from stored values
+    keys_reused: int = 0
 
 
 class MappingStore:
-    """Thread-safe (signature → key → value) store shared across questions."""
+    """Thread-safe (signature → key → value) store shared across questions.
 
-    def __init__(self) -> None:
+    The equivalence call of a rewrite lookup is made *outside* the lock:
+    a slow model must not serialize unrelated readers and writers.
+    """
+
+    def __init__(self, *, rewrite: bool = False) -> None:
         self._data: dict[tuple, dict[tuple, Optional[str]]] = {}
         #: signature → key → call-id of the planning call that answered it
         self._producers: dict[tuple, dict[tuple, str]] = {}
@@ -30,6 +96,11 @@ class MappingStore:
         #: lookups that found the signature but not every requested key
         self.partial = 0
         self.keys_served = 0
+        #: whether :meth:`rewrite_lookup` may serve equivalent questions
+        self.rewrite = rewrite
+        #: signature → embedding of its question, kept only when rewriting
+        self._vectors: dict[tuple, dict[str, float]] = {}
+        self.rewrite_stats = RewriteStats()
 
     def put(
         self,
@@ -41,6 +112,8 @@ class MappingStore:
         """Merge answers for one signature (later puts win per key)."""
         with self._lock:
             self._data.setdefault(signature, {}).update(mapping)
+            if self.rewrite and signature not in self._vectors:
+                self._vectors[signature] = embed(signature[1])
             if call_ids:
                 self._producers.setdefault(signature, {}).update(call_ids)
 
@@ -65,6 +138,55 @@ class MappingStore:
             self.hits += 1
             self.keys_served += len(keys)
             return {key: stored[key] for key in keys}
+
+    def rewrite_lookup(
+        self, signature: tuple, keys: Sequence[tuple], client: ChatClient
+    ) -> dict[tuple, Optional[str]]:
+        """The stored subset of ``keys`` under query rewriting.
+
+        The signature's own values when it has any entry; else those of
+        the best stored question above :data:`SHORTLIST_THRESHOLD`,
+        once one ``udf:rewrite`` call through ``client`` confirms it
+        asks the same thing.  Empty on a miss or a rejected rewrite.
+        """
+        question = signature[1]
+        with self._lock:
+            if signature in self._data:
+                self.rewrite_stats.exact_hits += 1
+                return self._reuse(signature, keys)
+            candidate = self._best_candidate(question)
+            if candidate is None:
+                self.rewrite_stats.misses += 1
+                return {}
+        response = client.complete(
+            equivalence_prompt(question, candidate[1]), label="udf:rewrite"
+        )
+        with self._lock:
+            if response.text.strip().lower().startswith("yes"):
+                self.rewrite_stats.rewrites += 1
+                return self._reuse(candidate, keys)
+            self.rewrite_stats.rejected_rewrites += 1
+            self.rewrite_stats.misses += 1
+            return {}
+
+    def _reuse(
+        self, signature: tuple, keys: Sequence[tuple]
+    ) -> dict[tuple, Optional[str]]:
+        stored = self._data[signature]
+        reused = {key: stored[key] for key in keys if key in stored}
+        self.rewrite_stats.keys_reused += len(reused)
+        return reused
+
+    def _best_candidate(self, question: str) -> Optional[tuple]:
+        vector = embed(question)
+        best: Optional[tuple] = None
+        best_score = SHORTLIST_THRESHOLD
+        for signature, stored in self._vectors.items():
+            score = cosine_similarity(vector, stored)
+            if score > best_score:
+                best_score = score
+                best = signature
+        return best
 
     def peek(
         self, signature: tuple, keys: Sequence[tuple]

@@ -47,7 +47,7 @@ from repro.swan.build import build_curated_database
 from repro.udf.executor import HybridQueryExecutor
 from repro.udf.fewshot import cosine_similarity, embed
 from repro.udf.ingredients import IngredientCall
-from repro.udf.semantic_cache import SHORTLIST_THRESHOLD, equivalence_prompt
+from repro.udf.store import SHORTLIST_THRESHOLD, equivalence_prompt
 
 DATABASES = ["california_schools", "european_football", "formula_1", "superhero"]
 SHOTS = range(6)

@@ -21,6 +21,17 @@ MAP_Q2 = (
     "'superhero::superhero_name', 'superhero::full_name')}} = 'Green'"
 )
 QA_Q = "SELECT {{LLMQA('What planet was Superman born on?')}}"
+RACE_SCAN = (
+    "SELECT COUNT(*) FROM superhero WHERE "
+    "{{LLMMap('What is the race of this superhero?', "
+    "'superhero::superhero_name', 'superhero::full_name')}} = 'Human'"
+)
+# the same ingredient, its keys narrowed to one by predicate pushdown
+RACE_OF_THOR = (
+    "SELECT {{LLMMap('What is the race of this superhero?', "
+    "'superhero::superhero_name', 'superhero::full_name')}} "
+    "FROM superhero WHERE superhero_name = 'Thor'"
+)
 
 
 @pytest.fixture()
@@ -159,3 +170,24 @@ class TestExecutorPublishes:
         assert model.meter.total.calls == paid
         assert executor.cache.hits == cache_hits
         assert store.hits == 2
+
+    @pytest.mark.parametrize(
+        "later, rows",
+        [(RACE_SCAN, None), (RACE_OF_THOR, [("Asgardian",)])],
+        ids=["repeat", "pushed-down"],
+    )
+    def test_a_full_scan_serves_later_executions(
+        self, superhero_world, later, rows
+    ):
+        store = MappingStore()
+        model = make_model(superhero_world)
+        with build_curated_database(superhero_world) as db:
+            executor = HybridQueryExecutor(
+                db, model, superhero_world, mapping_store=store
+            )
+            scan = executor.execute(RACE_SCAN)
+            paid = model.meter.total.calls
+            result = executor.execute(later)
+        assert model.meter.total.calls == paid  # zero new LLM calls
+        assert store.hits == 1
+        assert result.rows == (scan.rows if rows is None else rows)

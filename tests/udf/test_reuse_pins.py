@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from repro.swan.build import build_curated_database
-from repro.udf import HybridQueryExecutor, MaterializedViewStore, SemanticCache
+from repro.udf import HybridQueryExecutor, MappingStore
 
 from tests.conftest import make_model
 
@@ -35,12 +35,12 @@ COMPLETE_GENERATIONS = {
 
 def rewriting() -> dict:
     """Executor arguments that reuse generations across phrasings."""
-    return {"semantic_cache": SemanticCache()}
+    return {"mapping_store": MappingStore(rewrite=True)}
 
 
 def complete_generations() -> dict:
     """Executor arguments that reuse every generation in later queries."""
-    return {"views": MaterializedViewStore()}
+    return {"mapping_store": MappingStore()}
 
 
 def run_world(swan, name: str, profile: str, attach) -> tuple:

@@ -1,4 +1,4 @@
-"""Tests for semantic caching with query rewriting."""
+"""Tests for query rewriting over the mapping store (Sections 4.3 and 5.5)."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.llm.profiles import get_profile
 from repro.llm.usage import UsageMeter
 from repro.swan.build import build_curated_database
 from repro.udf.executor import HybridQueryExecutor
-from repro.udf.semantic_cache import SemanticCache, equivalence_prompt
+from repro.udf.store import MappingStore, equivalence_prompt
 
 from tests.conftest import make_model
 
@@ -37,40 +37,55 @@ class TestEquivalenceProtocol:
         assert football_client.complete(prompt).text == "no"
 
 
-class TestSemanticCache:
+def signature(question: str) -> tuple:
+    return ("LLMMap", question, "player", ("player_name",))
+
+
+class TestRewriteLookup:
     def test_exact_hit(self, football_client):
-        cache = SemanticCache()
-        cache.store(HEIGHT_Q1, {("A",): "180"})
-        mapping = cache.lookup(HEIGHT_Q1, football_client)
-        assert mapping == {("A",): "180"}
-        assert cache.stats.exact_hits == 1
+        store = MappingStore(rewrite=True)
+        store.put(signature(HEIGHT_Q1), {("A",): "180"})
+        reused = store.rewrite_lookup(
+            signature(HEIGHT_Q1), [("A",), ("B",)], football_client
+        )
+        assert reused == {("A",): "180"}
+        assert store.rewrite_stats.exact_hits == 1
+        assert store.rewrite_stats.keys_reused == 1
+        assert football_client.meter.total.calls == 0
 
     def test_rewrite_across_phrasings(self, football_client):
-        cache = SemanticCache()
-        cache.store(HEIGHT_Q1, {("A",): "180"})
-        mapping = cache.lookup(HEIGHT_Q2, football_client)
-        assert mapping == {("A",): "180"}
-        assert cache.stats.rewrites == 1
+        store = MappingStore(rewrite=True)
+        store.put(signature(HEIGHT_Q1), {("A",): "180"})
+        reused = store.rewrite_lookup(
+            signature(HEIGHT_Q2), [("A",)], football_client
+        )
+        assert reused == {("A",): "180"}
+        assert store.rewrite_stats.rewrites == 1
+        assert football_client.meter.total.calls == 1
 
     def test_different_attribute_rejected(self, football_client):
-        cache = SemanticCache()
-        cache.store(HEIGHT_Q1, {("A",): "180"})
-        assert cache.lookup(WEIGHT_Q, football_client) is None
-        assert cache.stats.rejected_rewrites == 1
+        store = MappingStore(rewrite=True)
+        store.put(signature(HEIGHT_Q1), {("A",): "180"})
+        reused = store.rewrite_lookup(signature(WEIGHT_Q), [("A",)], football_client)
+        assert reused == {}
+        assert store.rewrite_stats.rejected_rewrites == 1
+        assert store.rewrite_stats.misses == 1
 
     def test_miss_on_empty_cache(self, football_client):
-        cache = SemanticCache()
-        assert cache.lookup(HEIGHT_Q1, football_client) is None
-        assert cache.stats.misses == 1
+        store = MappingStore(rewrite=True)
+        reused = store.rewrite_lookup(signature(HEIGHT_Q1), [("A",)], football_client)
+        assert reused == {}
+        assert store.rewrite_stats.misses == 1
+        assert football_client.meter.total.calls == 0
 
     def test_store_extends_existing(self, football_client):
-        cache = SemanticCache()
-        cache.store(HEIGHT_Q1, {("A",): "180"})
-        cache.store(HEIGHT_Q1, {("B",): "190"})
-        assert len(cache) == 1
-        assert cache.lookup(HEIGHT_Q1, football_client) == {
-            ("A",): "180", ("B",): "190",
-        }
+        store = MappingStore(rewrite=True)
+        store.put(signature(HEIGHT_Q1), {("A",): "180"})
+        store.put(signature(HEIGHT_Q1), {("B",): "190"})
+        assert len(store) == 1
+        assert store.rewrite_lookup(
+            signature(HEIGHT_Q1), [("A",), ("B",)], football_client
+        ) == {("A",): "180", ("B",): "190"}
 
 
 class TestExecutorIntegration:
@@ -79,10 +94,10 @@ class TestExecutorIntegration:
         model = MockChatModel(
             KnowledgeOracle(football_world), get_profile("perfect"), meter=meter
         )
-        cache = SemanticCache()
+        store = MappingStore(rewrite=True)
         with build_curated_database(football_world) as db:
             executor = HybridQueryExecutor(
-                db, model, football_world, semantic_cache=cache
+                db, model, football_world, mapping_store=store
             )
             first = executor.execute(
                 f"SELECT MAX(CAST({{{{LLMMap('{HEIGHT_Q1}', "
@@ -98,7 +113,7 @@ class TestExecutorIntegration:
         # the second query reused every height: only the equivalence
         # check itself reached the model
         assert rewrite_overhead == 1
-        assert cache.stats.keys_reused == len(
+        assert store.rewrite_stats.keys_reused == len(
             football_world.truth["player_info"]
         )
         assert first.scalar() is not None
@@ -107,11 +122,11 @@ class TestExecutorIntegration:
     def test_results_identical_with_and_without(self, football_world, swan):
         question = swan.question("european_football_q02")
         results = []
-        for semantic_cache in (None, SemanticCache()):
+        for store in (None, MappingStore(rewrite=True)):
             with build_curated_database(football_world) as db:
                 executor = HybridQueryExecutor(
                     db, make_model(football_world, "gpt-4-turbo"),
-                    football_world, semantic_cache=semantic_cache,
+                    football_world, mapping_store=store,
                 )
                 results.append(sorted(executor.execute(question.blend_sql).rows))
         assert results[0] == results[1]
