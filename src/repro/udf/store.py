@@ -63,6 +63,12 @@ def equivalence_prompt(first: str, second: str) -> Prompt:
     return Prompt(text, EquivalenceIntent(first, second))
 
 
+def _shape(signature: tuple) -> tuple:
+    """A signature without its question: kind, source table, key columns."""
+    kind, _question, *source = signature
+    return (kind, *source)
+
+
 @dataclass
 class RewriteStats:
     """Counters of one store's rewrite lookups."""
@@ -147,14 +153,17 @@ class MappingStore:
         The signature's own values when it has any entry; else those of
         the best stored question above :data:`SHORTLIST_THRESHOLD`,
         once one ``udf:rewrite`` call through ``client`` confirms it
-        asks the same thing.  Empty on a miss or a rejected rewrite.
+        asks the same thing.  Only signatures of the same kind, source
+        table and key columns are candidates: the same key tuple in
+        another table may name another entity.  Empty on a miss or a
+        rejected rewrite.
         """
         question = signature[1]
         with self._lock:
             if signature in self._data:
                 self.rewrite_stats.exact_hits += 1
                 return self._reuse(signature, keys)
-            candidate = self._best_candidate(question)
+            candidate = self._best_candidate(signature)
             if candidate is None:
                 self.rewrite_stats.misses += 1
                 return {}
@@ -177,15 +186,18 @@ class MappingStore:
         self.rewrite_stats.keys_reused += len(reused)
         return reused
 
-    def _best_candidate(self, question: str) -> Optional[tuple]:
-        vector = embed(question)
+    def _best_candidate(self, signature: tuple) -> Optional[tuple]:
+        vector = embed(signature[1])
+        shape = _shape(signature)
         best: Optional[tuple] = None
         best_score = SHORTLIST_THRESHOLD
-        for signature, stored in self._vectors.items():
+        for other, stored in self._vectors.items():
+            if _shape(other) != shape:
+                continue
             score = cosine_similarity(vector, stored)
             if score > best_score:
                 best_score = score
-                best = signature
+                best = other
         return best
 
     def peek(

@@ -21,10 +21,10 @@ from tests.conftest import make_model
 REWRITING = {
     ("superhero", "gpt-4-turbo"): (365, 77258, 9353, "8516e48e2658acf5"),
     ("superhero", "gpt-3.5-turbo"): (360, 76602, 9431, "0f5afab767d9eac5"),
-    ("formula_1", "gpt-4-turbo"): (66, 9935, 882, "1d98153f0134cffe"),
-    ("formula_1", "gpt-3.5-turbo"): (66, 9935, 887, "82ad214ee74d42f0"),
-    ("european_football", "gpt-4-turbo"): (402, 42338, 6543, "9059763b74586560"),
-    ("european_football", "gpt-3.5-turbo"): (401, 42231, 6536, "f28890f8f978bd7f"),
+    ("formula_1", "gpt-4-turbo"): (64, 9814, 880, "1d98153f0134cffe"),
+    ("formula_1", "gpt-3.5-turbo"): (64, 9814, 885, "82ad214ee74d42f0"),
+    ("european_football", "gpt-4-turbo"): (401, 42276, 6542, "9059763b74586560"),
+    ("european_football", "gpt-3.5-turbo"): (400, 42169, 6535, "f28890f8f978bd7f"),
     ("california_schools", "gpt-4-turbo"): (328, 62644, 10486, "9f98b74e909cb957"),
     ("california_schools", "gpt-3.5-turbo"): (330, 62845, 10506, "071ded8bfab86638"),
 }

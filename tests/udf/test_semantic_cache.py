@@ -87,6 +87,17 @@ class TestRewriteLookup:
             signature(HEIGHT_Q1), [("A",), ("B",)], football_client
         ) == {("A",): "180", ("B",): "190"}
 
+    def test_another_table_is_never_a_candidate(self, football_client):
+        """The same question over another table: an overlapping key there
+        may name another entity, so nothing is reused and nothing asked."""
+        store = MappingStore(rewrite=True)
+        store.put(signature(HEIGHT_Q1), {("A",): "180"})
+        elsewhere = ("LLMMap", HEIGHT_Q1, "team", ("player_name",))
+        assert store.rewrite_lookup(elsewhere, [("A",)], football_client) == {}
+        assert football_client.meter.total.calls == 0
+        assert store.rewrite_stats.misses == 1
+        assert store.rewrite_stats.keys_reused == 0
+
 
 class TestExecutorIntegration:
     def test_rewrite_saves_calls(self, football_world):
