@@ -239,7 +239,7 @@ class MockChatModel:
             mangled[index], mangled[index + 1] = mangled[index + 1], mangled[index]
         return mangled
 
-    # -- question-equivalence check (semantic cache rewriting) -------------------
+    # -- question-equivalence check (the mapping store's query rewriting) --------
 
     def _complete_equivalence(self, intent: EquivalenceIntent) -> str:
         """Judge whether two questions ask for the same generated attribute.

@@ -3,8 +3,8 @@
 The offline stand-in for the sentence-transformer embeddings the paper's
 optimization discussion assumes: a bag-of-words vector with sub-linear
 term weighting, compared by cosine similarity.  Shared by few-shot
-demonstration selection (:mod:`repro.udf.fewshot`), the semantic cache,
-and the row-context retriever.
+demonstration selection (:mod:`repro.udf.fewshot`), the mapping store's
+rewrite lookup, and the row-context retriever.
 """
 
 from __future__ import annotations

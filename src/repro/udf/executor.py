@@ -547,9 +547,7 @@ class HybridQueryExecutor:
                     )
             return mapping
         reusable = (
-            store.rewrite_lookup(signature, keys, self.client)
-            if store is not None and store.rewrite
-            else {}
+            {} if store is None else store.rewrite_lookup(signature, keys, self.client)
         )
         to_generate: list[tuple] = []
         for key in keys:

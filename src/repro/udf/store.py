@@ -102,8 +102,9 @@ class MappingStore:
         #: lookups that found the signature but not every requested key
         self.partial = 0
         self.keys_served = 0
-        #: whether :meth:`rewrite_lookup` may serve equivalent questions
-        self.rewrite = rewrite
+        #: off, :meth:`rewrite_lookup` reuses nothing: a plain store serves
+        #: only the occurrences it fully covers
+        self._rewrite = rewrite
         #: signature → embedding of its question, kept only when rewriting
         self._vectors: dict[tuple, dict[str, float]] = {}
         self.rewrite_stats = RewriteStats()
@@ -118,7 +119,7 @@ class MappingStore:
         """Merge answers for one signature (later puts win per key)."""
         with self._lock:
             self._data.setdefault(signature, {}).update(mapping)
-            if self.rewrite and signature not in self._vectors:
+            if self._rewrite and signature not in self._vectors:
                 self._vectors[signature] = embed(signature[1])
             if call_ids:
                 self._producers.setdefault(signature, {}).update(call_ids)
@@ -155,9 +156,11 @@ class MappingStore:
         once one ``udf:rewrite`` call through ``client`` confirms it
         asks the same thing.  Only signatures of the same kind, source
         table and key columns are candidates: the same key tuple in
-        another table may name another entity.  Empty on a miss or a
-        rejected rewrite.
+        another table may name another entity.  Empty on a miss, a
+        rejected rewrite, or a store built without ``rewrite``.
         """
+        if not self._rewrite:
+            return {}
         question = signature[1]
         with self._lock:
             if signature in self._data:

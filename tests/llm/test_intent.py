@@ -112,7 +112,7 @@ def test_every_planned_prompt_reads_as_written(swan, swan10, database, scale):
 
 @pytest.mark.parametrize("database", DATABASES)
 def test_every_equivalence_candidate_reads_as_written(swan, database):
-    """The semantic cache's candidate pairs: every earlier question of the
+    """The rewrite lookup's candidate pairs: every earlier question of the
     world close enough to be worth an equivalence call."""
     world = swan.world(database)
     questions: list[str] = []
