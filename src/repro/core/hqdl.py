@@ -283,12 +283,7 @@ class HQDL:
                 if self.resilience is not None:
                     self.resilience.record_degraded(1)
             else:
-                usage = outcome.response.usage
-                if usage.calls:
-                    report.llm_calls += 1
-                    report.call_sizes.append(
-                        (usage.input_tokens, usage.output_tokens)
-                    )
+                report.charge(outcome.response.usage)
                 try:
                     fields = extract_row(outcome.response.text, field_count)
                 except ExtractionError:

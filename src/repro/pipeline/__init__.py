@@ -20,6 +20,7 @@ from repro.llm.batching import LatencyModel, parallel_makespan, sequential_makes
 from repro.llm.client import ChatClient
 from repro.llm.parallel import ParallelDispatcher
 from repro.llm.resilience import Deadline
+from repro.llm.usage import Usage
 from repro.sqlengine.results import ResultSet
 
 
@@ -39,6 +40,12 @@ class ExecutionReport:
     degraded_batches: int = 0
     degraded_keys: int = 0
 
+    def charge(self, usage: Usage) -> None:
+        """Count one completed call, if it was paid (cache hits are free)."""
+        if usage.calls:
+            self.llm_calls += 1
+            self.call_sizes.append((usage.input_tokens, usage.output_tokens))
+
     def estimated_latency(
         self, workers: int = 1, model: Optional[LatencyModel] = None
     ) -> float:
@@ -57,15 +64,14 @@ class ExecutionReport:
 class Work(NamedTuple):
     """One unit of a plan's LLM demand: an LLMMap/LLMJoin's distinct
     ``keys`` (``chunk_size`` per call), or one whole ``prompt`` (an
-    LLMQA, an HQDL row).  ``latency_bearing``: whether the server
-    charges its paid calls to a wave's makespan."""
+    LLMQA, an HQDL row).  Either kind is paid through the pipeline's
+    dispatcher, and every paid call lands in its ``ExecutionReport``."""
 
     call: object
     keys: Sequence[tuple]
     chunk_size: int
     prompt: Optional[str] = None
     label: str = ""
-    latency_bearing: bool = True
 
 
 class Fillings(NamedTuple):

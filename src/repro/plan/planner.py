@@ -211,7 +211,7 @@ class CallPlanner:
                     stats.collected += 1
                     if work.prompt not in qa_seen:
                         qa_seen[work.prompt] = PlannedCall(
-                            prompt=work.prompt, label="udf:qa"
+                            prompt=work.prompt, label=work.label
                         )
                     continue
                 stats.collected += len(work.keys)

@@ -123,7 +123,7 @@ class _Group:
 
     __slots__ = (
         "gid", "kind", "database", "call", "label", "chunk_size",
-        "threshold", "latency_bearing", "items", "later", "opened_at",
+        "threshold", "items", "later", "opened_at",
         "deadline_min", "release_at", "release_reason", "epoch",
     )
 
@@ -137,7 +137,6 @@ class _Group:
         label: str = "",
         chunk_size: int = 1,
         threshold: int = 1,
-        latency_bearing: bool = True,
     ) -> None:
         self.gid = gid
         self.kind = kind  # "map" (keyed items) or "prompt" (whole prompts)
@@ -146,7 +145,6 @@ class _Group:
         self.label = label
         self.chunk_size = chunk_size
         self.threshold = threshold
-        self.latency_bearing = latency_bearing
         self.items: dict[object, PendingRequest] = {}
         self.later: dict[object, list[PendingRequest]] = {}
         self.opened_at: Optional[float] = None
@@ -198,7 +196,6 @@ class FlushedGroup:
     call: object
     label: str
     chunk_size: int
-    latency_bearing: bool
     trigger: str
     #: payloads in enqueue order, and each one's owner
     payloads: list
@@ -314,7 +311,7 @@ class CrossRequestBatcher:
             group = _Group(
                 gid, kind="map", database=database, call=call,
                 label="udf:map", chunk_size=chunk_size,
-                threshold=self._threshold(call), latency_bearing=True,
+                threshold=self._threshold(call),
             )
             self._groups[gid] = group
         return self._attach(group, keys, member, now)
@@ -326,7 +323,6 @@ class CrossRequestBatcher:
         prompt: str,
         member: PendingRequest,
         *,
-        latency_bearing: bool,
         now: float,
     ) -> int:
         """Add one whole-prompt work item (LLMQA / HQDL generation)."""
@@ -336,7 +332,6 @@ class CrossRequestBatcher:
             group = _Group(
                 gid, kind="prompt", database=database, label=label,
                 chunk_size=1, threshold=self._threshold(None),
-                latency_bearing=latency_bearing,
             )
             self._groups[gid] = group
         return self._attach(group, [prompt], member, now)
@@ -451,7 +446,6 @@ class CrossRequestBatcher:
                     gid=group.gid, kind=group.kind, database=group.database,
                     call=group.call, label=group.label,
                     chunk_size=group.chunk_size,
-                    latency_bearing=group.latency_bearing,
                     trigger=group.release_reason,
                     payloads=payloads, owners=owners, later=later,
                     members=count_requesters(payloads, owners, later),

@@ -575,7 +575,8 @@ class QueryServer:
     # never on the pipeline.  Flush events fire at the batcher's release
     # times; every group due at one instant flushes as a single *wave*
     # whose paid calls share one ``parallel_makespan`` pool — coalesced
-    # batches are charged like the fan-out of a single request — and map
+    # batches are charged like the fan-out of a single request, and a
+    # whole prompt (an LLMQA, an HQDL row) like a map chunk — and map
     # answers land in each requester's ``answers``.  When a wave lands,
     # members with no work left are finalized from those answers (zero
     # LLM calls in the common case).
@@ -658,8 +659,7 @@ class QueryServer:
                 batcher.prompts_from_cache += 1
                 continue
             batcher.enqueue_prompt(
-                request.database, item.label, item.prompt, member,
-                latency_bearing=item.latency_bearing, now=start,
+                request.database, item.label, item.prompt, member, now=start
             )
         if member.outstanding == 0:
             return  # everything already covered by shared state
@@ -747,9 +747,9 @@ class QueryServer:
         calls_formed = 0
 
         def settle(payloads, owners, usage, fill=None) -> None:
-            # a paid call on a latency-bearing group occupies the wave
-            # (``usage`` is None for a call that failed)
-            if usage is not None and usage.calls and group.latency_bearing:
+            # every paid call occupies the wave (``usage`` is None for a
+            # call that failed)
+            if usage is not None and usage.calls:
                 wave_sizes.append((usage.input_tokens, usage.output_tokens))
             batcher.settle_call(payloads, owners, later, usage, fill=fill)
 

@@ -10,6 +10,11 @@
 2. :meth:`~HybridQueryExecutor.generate` pays for it — map keys in
    batches (default 5 per call, Section 5.4), one call per LLMQA — and
    is the one place the model and the mapping store are consulted.
+   Every call it makes (map batches, QA prompts, the store's rewrite
+   equivalence checks) goes through the one dispatcher under the
+   caller's deadline, degrades to NULL on failure and is charged to the
+   :class:`~repro.pipeline.ExecutionReport`, so the report counts every
+   paid call of the query.
 3. :meth:`~HybridQueryExecutor.run` binds each LLMMap mapping to a
    lookup function on the connection, fills each LLMJoin's TEMP table,
    rewrites the AST (``CAST(lookup(keys) AS TEXT)`` for maps, literals
@@ -243,10 +248,7 @@ class HybridQueryExecutor:
                 break
             call = occurrence.call
             if call.kind == "LLMQA":
-                # QA answers bear no latency in the server's waves
-                work = Work(
-                    call, (), 1, self._qa_prompt(call.question), "udf:qa", False
-                )
+                work = Work(call, (), 1, self._qa_prompt(call.question), "udf:qa")
             else:
                 try:
                     keys = self._fetch_keys(occurrence)
@@ -271,8 +273,10 @@ class HybridQueryExecutor:
         ``known`` maps a signature to answers the caller holds: an
         occurrence it fully covers costs no call.  Without it, the
         mapping store (if any) plays that part and receives what is
-        generated.  Past ``deadline``, map batches and QA answers
-        degrade to NULL instead of being dispatched.
+        generated.  Map batches, QA prompts and rewrite checks are all
+        paid through :meth:`_pay`: past ``deadline`` or on a failed
+        call, a batch's keys and a QA answer degrade to NULL (and are
+        counted as degraded) instead of aborting the query.
         """
         tel = self._tel
         report = ExecutionReport()
@@ -285,10 +289,10 @@ class HybridQueryExecutor:
                     "udf:ingredient", kind=call.kind, question=call.question
                 )
             with span:
-                if call.kind == "LLMQA":
-                    answer = self._run_qa(work.prompt, deadline)
-                else:
+                if work.prompt is None:
                     answer = self._generate_mapping(work, report, deadline, known)
+                else:
+                    answer = self._answer_prompt(work, report, deadline)
             answers.append(answer)
         if plan.error is not None:
             # a fresh traceback each time: the plan keeps the exception
@@ -383,43 +387,53 @@ class HybridQueryExecutor:
                 self.db.drop_temp_table(occurrence.table)
                 occurrence.table = None
 
+    # -- paying for calls ------------------------------------------------------
+
+    def _pay(
+        self,
+        prompts: Sequence[Prompt],
+        label: str,
+        report: ExecutionReport,
+        deadline: Optional[Deadline],
+    ) -> list[Optional[str]]:
+        """Each prompt's completion text, or None where its call failed.
+
+        The one way :meth:`generate` reaches the model: the dispatcher
+        (provenance, spans, token metrics, the deadline) and a charge
+        to ``report`` for every paid call.
+        """
+        outcomes = self.dispatcher.dispatch(
+            self.client, prompts, labels=label, deadline=deadline
+        )
+        texts: list[Optional[str]] = []
+        for outcome in outcomes:
+            if outcome.error is not None:
+                texts.append(None)
+                continue
+            report.charge(outcome.response.usage)
+            texts.append(outcome.response.text)
+        return texts
+
+    def _degrade(self, report: ExecutionReport, keys: int) -> None:
+        """Count one failed call whose ``keys`` answers became NULL."""
+        report.degraded_batches += 1
+        report.degraded_keys += keys
+        self._m_degraded_batches.inc()
+        self._m_degraded_keys.inc(keys)
+        if self.resilience is not None:
+            self.resilience.record_degraded(keys)
+
     # -- LLMQA -------------------------------------------------------------------
 
-    def _run_qa(self, prompt: Prompt, deadline: Optional[Deadline]) -> Optional[str]:
+    def _answer_prompt(
+        self, work: Work, report: ExecutionReport, deadline: Optional[Deadline]
+    ) -> Optional[str]:
         """The scalar answer that replaces an LLMQA (None renders NULL)."""
-        tel = self._tel
-        prov = self.provenance
-        if deadline is not None and deadline.expired:
-            # same degradation contract as a skipped mapping batch: the
-            # scalar becomes NULL instead of blocking past the budget
-            if self.resilience is not None:
-                self.resilience.record_degraded(1)
+        (text,) = self._pay([work.prompt], work.label, report, deadline)
+        if text is None:
+            self._degrade(report, 1)
             return None
-        if prov.enabled:
-            # QA bypasses the dispatcher, so the executor records the call
-            prov.record_call(prompt, label="udf:qa")
-        with (
-            tel.tracer.span("llm:call", label="udf:qa")
-            if tel.enabled
-            else NULL_SPAN
-        ) as span:
-            response = self.client.complete(prompt, label="udf:qa")
-            if prov.enabled:
-                prov.record_outcome(prompt, usage=response.usage)
-            if tel.enabled:
-                usage = response.usage
-                span.set("cached", usage.calls == 0)
-                span.set("input_tokens", usage.input_tokens)
-                span.set("output_tokens", usage.output_tokens)
-                metrics = tel.metrics
-                metrics.counter("llm.tokens.input", stage="udf:qa").inc(
-                    usage.input_tokens
-                )
-                metrics.counter("llm.tokens.output", stage="udf:qa").inc(
-                    usage.output_tokens
-                )
-                metrics.counter("llm.calls", stage="udf:qa").inc(usage.calls)
-        answer = response.text.strip().splitlines()
+        answer = text.strip().splitlines()
         return answer[-1].strip() if answer else ""
 
     def _qa_prompt(self, question: str) -> Prompt:
@@ -546,9 +560,13 @@ class HybridQueryExecutor:
                         tier=TIER_MAPPING_STORE,
                     )
             return mapping
-        reusable = (
-            {} if store is None else store.rewrite_lookup(signature, keys, self.client)
-        )
+        reusable = {}
+        if store is not None:
+            reusable = store.rewrite_lookup(
+                signature,
+                keys,
+                lambda prompt, label: self._pay([prompt], label, report, deadline)[0],
+            )
         to_generate: list[tuple] = []
         for key in keys:
             if key in reusable:
@@ -563,27 +581,14 @@ class HybridQueryExecutor:
                 to_generate.append(key)
         batches = batched(to_generate, work.chunk_size)
         prompts = [self.map_prompt(call, batch) for batch in batches]
-        outcomes = self.dispatcher.dispatch(
-            self.client, prompts, labels="udf:map", deadline=deadline
-        )
-        for batch, prompt, outcome in zip(batches, prompts, outcomes):
-            degraded = outcome.error is not None
+        texts = self._pay(prompts, work.label, report, deadline)
+        for batch, prompt, text in zip(batches, prompts, texts):
+            degraded = text is None
             if degraded:
                 answers: list[Optional[str]] = [None] * len(batch)
-                report.degraded_batches += 1
-                report.degraded_keys += len(batch)
-                self._m_degraded_batches.inc()
-                self._m_degraded_keys.inc(len(batch))
-                if self.resilience is not None:
-                    self.resilience.record_degraded(len(batch))
+                self._degrade(report, len(batch))
             else:
-                response = outcome.response
-                if response.usage.calls:
-                    report.llm_calls += 1
-                    report.call_sizes.append(
-                        (response.usage.input_tokens, response.usage.output_tokens)
-                    )
-                answers = parse_map_answers(response.text, len(batch))
+                answers = parse_map_answers(text, len(batch))
             cid = call_id_for(prompt) if prov.enabled else ""
             for key, answer in zip(batch, answers):
                 mapping[key] = answer

@@ -18,8 +18,10 @@ phrased questions ("Is the superhero from the Marvel Universe?" vs
 reuses values per key — the signature's own stored values first, else
 those of the stored question most similar by embedding cosine, once one
 cheap LLM call has confirmed the two questions are equivalent — so only
-the missing keys reach the model.  The equivalence calls cost tokens, so
-the net saving is an empirical question, which
+the missing keys reach the model.  The store makes that call through the
+caller's paying function, so it is dispatched, deadlined and counted like
+any other call of the query.  The equivalence calls cost tokens, so the
+net saving is an empirical question, which
 ``benchmarks/bench_future_semantic_cache.py`` measures.
 """
 
@@ -27,9 +29,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.llm.client import ChatClient
 from repro.llm.intent import (
     EQUIVALENCE_MARKER,
     FIRST_QUESTION_MARKER,
@@ -43,6 +44,10 @@ from repro.udf.fewshot import cosine_similarity, embed
 #: Stored questions at or below this cosine similarity are not even worth
 #: an equivalence check.
 SHORTLIST_THRESHOLD = 0.3
+
+#: pays for one prompt under a label; the completion text, or None when
+#: the call was skipped or failed
+Pay = Callable[[Prompt, str], Optional[str]]
 
 
 def equivalence_prompt(first: str, second: str) -> Prompt:
@@ -147,17 +152,18 @@ class MappingStore:
             return {key: stored[key] for key in keys}
 
     def rewrite_lookup(
-        self, signature: tuple, keys: Sequence[tuple], client: ChatClient
+        self, signature: tuple, keys: Sequence[tuple], pay: Pay
     ) -> dict[tuple, Optional[str]]:
         """The stored subset of ``keys`` under query rewriting.
 
         The signature's own values when it has any entry; else those of
         the best stored question above :data:`SHORTLIST_THRESHOLD`,
-        once one ``udf:rewrite`` call through ``client`` confirms it
-        asks the same thing.  Only signatures of the same kind, source
-        table and key columns are candidates: the same key tuple in
-        another table may name another entity.  Empty on a miss, a
-        rejected rewrite, or a store built without ``rewrite``.
+        once one ``udf:rewrite`` call paid through ``pay`` confirms it
+        asks the same thing (a skipped or failed call confirms nothing:
+        the rewrite counts as rejected).  Only signatures of the same
+        kind, source table and key columns are candidates: the same key
+        tuple in another table may name another entity.  Empty on a
+        miss, a rejected rewrite, or a store built without ``rewrite``.
         """
         if not self._rewrite:
             return {}
@@ -170,11 +176,9 @@ class MappingStore:
             if candidate is None:
                 self.rewrite_stats.misses += 1
                 return {}
-        response = client.complete(
-            equivalence_prompt(question, candidate[1]), label="udf:rewrite"
-        )
+        answer = pay(equivalence_prompt(question, candidate[1]), "udf:rewrite")
         with self._lock:
-            if response.text.strip().lower().startswith("yes"):
+            if answer is not None and answer.strip().lower().startswith("yes"):
                 self.rewrite_stats.rewrites += 1
                 return self._reuse(candidate, keys)
             self.rewrite_stats.rejected_rewrites += 1
@@ -216,11 +220,6 @@ class MappingStore:
             if not stored:
                 return {}
             return {key: stored[key] for key in keys if key in stored}
-
-    def coverage(self, signature: tuple) -> int:
-        """How many keys the store holds for one signature."""
-        with self._lock:
-            return len(self._data.get(signature, ()))
 
     def __len__(self) -> int:
         with self._lock:

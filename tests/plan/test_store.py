@@ -42,7 +42,7 @@ class TestMappingStore:
         assert store.lookup(SIG, [("a",), ("b",)]) == {
             ("a",): "new", ("b",): "kept",
         }
-        assert store.coverage(SIG) == 2
+        assert store.total_keys() == 2
 
     def test_subset_lookup_served(self):
         store = MappingStore()

@@ -589,8 +589,7 @@ class TestDifferentialFormer:
                 if rng.random() < 0.2:
                     prompt = f"prompt {rng.randint(0, 4)}"
                     attached = new.enqueue_prompt(
-                        "superhero", "udf:qa", prompt, member,
-                        latency_bearing=False, now=now,
+                        "superhero", "udf:qa", prompt, member, now=now
                     )
                     assert attached == ref.enqueue(
                         ("prompt", "superhero", "udf:qa"), None, [prompt],

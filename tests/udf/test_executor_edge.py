@@ -136,3 +136,33 @@ class TestErrorPaths:
                 "SELECT {{LLMMap('What is the race of this superhero?', "
                 "'ghost_table::name')}} FROM superhero"
             )
+
+
+class TestFailedCallsDegrade:
+    def test_failed_qa_call_degrades_like_a_map_batch(self, swan, superhero_world):
+        """Under a provider that always fails, superhero_q21's map batches
+        and its LLMQA answer both degrade to NULL: the query still runs."""
+        from repro.llm.faults import FaultPlan
+        from repro.llm.resilience import ResilienceReport
+        from repro.llm.stack import build_resilient_stack
+
+        resilience = ResilienceReport()
+        client = build_resilient_stack(
+            make_model(superhero_world),
+            plan=FaultPlan(transient=1.0),
+            report=resilience,
+        )
+        with build_curated_database(superhero_world) as db:
+            executor = HybridQueryExecutor(
+                db, client, superhero_world, resilience=resilience
+            )
+            result, report = executor.execute_with_report(
+                swan.question("superhero_q21").blend_sql
+            )
+        assert result.rows == []
+        # 26 map batches holding 127 keys, plus the one QA answer
+        assert report.degraded_batches == 26 + 1
+        assert report.degraded_keys == 127 + 1
+        assert report.llm_calls == 0
+        assert resilience.degraded_rows == 127 + 1
+        assert "= NULL" in report.rewritten_sql

@@ -23,6 +23,12 @@ def football_client(football_world):
     return make_model(football_world)
 
 
+@pytest.fixture()
+def pay(football_client):
+    """The one-prompt paying function a rewrite lookup is handed."""
+    return lambda prompt, label: football_client.complete(prompt, label=label).text
+
+
 class TestEquivalenceProtocol:
     def test_equivalent_phrasings_yes(self, football_client):
         prompt = equivalence_prompt(HEIGHT_Q1, HEIGHT_Q2)
@@ -42,58 +48,70 @@ def signature(question: str) -> tuple:
 
 
 class TestRewriteLookup:
-    def test_exact_hit(self, football_client):
+    def test_exact_hit(self, football_client, pay):
         store = MappingStore(rewrite=True)
         store.put(signature(HEIGHT_Q1), {("A",): "180"})
-        reused = store.rewrite_lookup(
-            signature(HEIGHT_Q1), [("A",), ("B",)], football_client
-        )
+        reused = store.rewrite_lookup(signature(HEIGHT_Q1), [("A",), ("B",)], pay)
         assert reused == {("A",): "180"}
         assert store.rewrite_stats.exact_hits == 1
         assert store.rewrite_stats.keys_reused == 1
         assert football_client.meter.total.calls == 0
 
-    def test_rewrite_across_phrasings(self, football_client):
+    def test_rewrite_across_phrasings(self, football_client, pay):
         store = MappingStore(rewrite=True)
         store.put(signature(HEIGHT_Q1), {("A",): "180"})
-        reused = store.rewrite_lookup(
-            signature(HEIGHT_Q2), [("A",)], football_client
-        )
+        reused = store.rewrite_lookup(signature(HEIGHT_Q2), [("A",)], pay)
         assert reused == {("A",): "180"}
         assert store.rewrite_stats.rewrites == 1
         assert football_client.meter.total.calls == 1
 
-    def test_different_attribute_rejected(self, football_client):
+    def test_different_attribute_rejected(self, pay):
         store = MappingStore(rewrite=True)
         store.put(signature(HEIGHT_Q1), {("A",): "180"})
-        reused = store.rewrite_lookup(signature(WEIGHT_Q), [("A",)], football_client)
+        reused = store.rewrite_lookup(signature(WEIGHT_Q), [("A",)], pay)
         assert reused == {}
         assert store.rewrite_stats.rejected_rewrites == 1
         assert store.rewrite_stats.misses == 1
 
-    def test_miss_on_empty_cache(self, football_client):
+    def test_miss_on_empty_cache(self, football_client, pay):
         store = MappingStore(rewrite=True)
-        reused = store.rewrite_lookup(signature(HEIGHT_Q1), [("A",)], football_client)
+        reused = store.rewrite_lookup(signature(HEIGHT_Q1), [("A",)], pay)
         assert reused == {}
         assert store.rewrite_stats.misses == 1
         assert football_client.meter.total.calls == 0
 
-    def test_store_extends_existing(self, football_client):
+    def test_failed_equivalence_call_is_a_rejected_rewrite(self):
+        """A skipped or failed check confirms nothing: nothing is reused."""
+        store = MappingStore(rewrite=True)
+        store.put(signature(HEIGHT_Q1), {("A",): "180"})
+        asked = []
+
+        def fail(prompt, label):
+            asked.append(label)
+            return None
+
+        assert store.rewrite_lookup(signature(HEIGHT_Q2), [("A",)], fail) == {}
+        assert asked == ["udf:rewrite"]
+        assert store.rewrite_stats.rejected_rewrites == 1
+        assert store.rewrite_stats.misses == 1
+        assert store.rewrite_stats.keys_reused == 0
+
+    def test_store_extends_existing(self, pay):
         store = MappingStore(rewrite=True)
         store.put(signature(HEIGHT_Q1), {("A",): "180"})
         store.put(signature(HEIGHT_Q1), {("B",): "190"})
         assert len(store) == 1
         assert store.rewrite_lookup(
-            signature(HEIGHT_Q1), [("A",), ("B",)], football_client
+            signature(HEIGHT_Q1), [("A",), ("B",)], pay
         ) == {("A",): "180", ("B",): "190"}
 
-    def test_another_table_is_never_a_candidate(self, football_client):
+    def test_another_table_is_never_a_candidate(self, football_client, pay):
         """The same question over another table: an overlapping key there
         may name another entity, so nothing is reused and nothing asked."""
         store = MappingStore(rewrite=True)
         store.put(signature(HEIGHT_Q1), {("A",): "180"})
         elsewhere = ("LLMMap", HEIGHT_Q1, "team", ("player_name",))
-        assert store.rewrite_lookup(elsewhere, [("A",)], football_client) == {}
+        assert store.rewrite_lookup(elsewhere, [("A",)], pay) == {}
         assert football_client.meter.total.calls == 0
         assert store.rewrite_stats.misses == 1
         assert store.rewrite_stats.keys_reused == 0
