@@ -170,70 +170,6 @@ def _bench_scale_report(
     return [payload], format_scale_report(payload, path)
 
 
-def _serve_report(
-    seed=None, horizon=None, window=None,
-    batch_window=None, max_batch=None, batching="on",
-    tracing="off", trace_sample=None,
-) -> tuple[list[dict], str]:
-    """One overloaded query-server run (2x capacity) on the virtual clock."""
-    from repro.harness.benchserve import (
-        build_observability, default_config, default_tenants,
-        format_serve_demo, measure_capacity, run_level, trace_level_record,
-        DEFAULT_HORIZON, SERVE_DATABASES,
-    )
-    from repro.obs.timeseries import DEFAULT_WINDOW_SECONDS
-    from repro.serve.trace import ServeTraceLog
-    from repro.swan.benchmark import load_benchmark_subset
-
-    swan = load_benchmark_subset(1, list(SERVE_DATABASES))
-    config = default_config()
-    tenants = default_tenants()
-    horizon = horizon or DEFAULT_HORIZON
-    capacity = measure_capacity(
-        swan, config, tenants, seed=seed or 0, horizon=horizon
-    )
-    telemetry, tracker = build_observability(
-        window_seconds=window or DEFAULT_WINDOW_SECONDS
-    )
-    sampler = _trace_sampler(
-        tracing, trace_sample, seed=seed or 0,
-        window_seconds=window or DEFAULT_WINDOW_SECONDS,
-    )
-    trace_log = ServeTraceLog() if sampler is not None else None
-    report, record = run_level(
-        swan, config, tenants, 2.0, capacity,
-        seed=seed or 0, horizon=horizon,
-        telemetry=telemetry, slo_tracker=tracker,
-        batching=_batching_config(batch_window, max_batch, batching),
-        trace=trace_log,
-    )
-    budgets = tracker.budgets()
-    slo_lines = ["", "SLO error budgets:"]
-    for name, budget in budgets.items():
-        slo_lines.append(
-            f"  {name:<14} budget consumed "
-            f"{100 * budget['budget_consumed']:.1f}% "
-            f"({budget['bad']}/{budget['bad'] + budget['good']} bad)"
-        )
-    slo_lines.append(
-        f"{len(tracker.alerts)} burn-rate alert(s), "
-        f"{len(telemetry.flight.incidents)} incident(s) captured."
-    )
-    if sampler is not None and trace_log is not None:
-        level = trace_level_record(2.0, trace_log, sampler)
-        stats = level["sampler"]
-        reasons = stats["kept_by_reason"]
-        record["traces"] = level
-        slo_lines.append(
-            f"Request tracing: kept {stats['kept']} of {stats['total']} "
-            f"traces ({reasons['outcome']} outcome, {reasons['slowest']} "
-            f"slowest, {reasons['hash']} hash) over {level['waves']} batch "
-            f"wave(s); worst unaccounted share "
-            f"{100 * level['max_unaccounted_share']:.2f}%."
-        )
-    return [record], format_serve_demo(report) + "\n".join(slo_lines)
-
-
 def _dash_report(
     seed=None, horizon=None, window=None,
     batch_window=None, max_batch=None, batching="on",
@@ -365,28 +301,21 @@ _GENERATORS = {
     "run-udf": functools.partial(_run_report, "udf"),
     "run-hqdl": functools.partial(_run_report, "hqdl"),
     "bench-scale": _bench_scale_report,
-    "serve": _serve_report,
     "dash": _dash_report,
 }
 
 #: Extra targets excluded from `all` (sweep re-runs the whole grid and
-#: writes a file, run-udf/run-hqdl are parameterized single runs, and
-#: bench-scale synthesizes 100x worlds and writes BENCH_scale.json, serve
-#: runs an overloaded server demo, and dash runs an instrumented
-#: overload and renders the console dashboard; `all` should stay fast
-#: and side-effect free).
-_EXCLUDED_FROM_ALL = (
-    "sweep", "run-udf", "run-hqdl", "bench-scale", "serve", "dash",
-)
+#: writes a file, run-udf/run-hqdl are parameterized single runs,
+#: bench-scale synthesizes 100x worlds and writes BENCH_scale.json, and
+#: dash runs an instrumented overload and renders the console dashboard;
+#: `all` should stay fast and side-effect free).
+_EXCLUDED_FROM_ALL = ("sweep", "run-udf", "run-hqdl", "bench-scale", "dash")
 
 #: Targets that honour CLI flags, and which option names each accepts.
 _FLAG_TARGETS = {
     "run-udf": ("databases", "workers", "scale", "batch_size"),
     "run-hqdl": ("databases", "workers", "scale"),
     "bench-scale": ("workers", "scale", "batch_size"),
-    "serve": ("seed", "horizon", "window",
-              "batch_window", "max_batch", "batching",
-              "tracing", "trace_sample"),
     "dash": ("seed", "horizon", "window",
              "batch_window", "max_batch", "batching",
              "tracing", "trace_sample"),

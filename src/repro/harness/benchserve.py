@@ -678,48 +678,6 @@ def format_serve_report(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def format_serve_demo(report: ServeReport) -> str:
-    """A compact single-run summary for the ``serve`` CLI target."""
-    record = report.as_record()
-    lines = [
-        "Query server demo run",
-        "",
-        f"offered {record['offered']}, served {record['served']}, "
-        f"degraded {record['degraded']}, rejected {record['rejected']} "
-        f"(accounting {'OK' if record['accounting_ok'] else 'BROKEN'})",
-        f"latency p50/p95/p99: {record['p50']:.3f} / {record['p95']:.3f} "
-        f"/ {record['p99']:.3f} s (max {record['max_latency']:.3f} s)",
-        f"throughput {record['throughput_rps']:.3f} req/s, "
-        f"fairness {record['fairness']:.3f}, "
-        f"breaker trips {record['breaker_trips']}, "
-        f"max queue depth {record['max_queue_depth']}",
-        f"llm: {record['llm_calls']} calls, "
-        f"{record['input_tokens']} in / {record['output_tokens']} out tokens, "
-        f"cache {record['cache_hits']} hits / {record['cache_misses']} misses",
-    ]
-    if "batching" in record:
-        arm = record["batching"]
-        lines.append(
-            f"batching: window {arm['window']:g}s, "
-            f"{arm['paid_calls']} paid of {arm['formed_calls']} formed calls "
-            f"({arm['coalesced_calls']} coalesced), "
-            f"occupancy {arm['batch_occupancy']:.2f}, "
-            f"tokens/answer {arm['tokens_per_answer']:.1f}"
-        )
-    lines.append("")
-    lines.append(
-        f"{'tenant':<14} {'offered':>8} {'served':>7} {'degr':>6} {'rej':>6} "
-        f"{'answered':>9}"
-    )
-    for tenant, stats in record["per_tenant"].items():
-        lines.append(
-            f"{tenant:<14} {stats['offered']:>8} {stats['served']:>7} "
-            f"{stats['degraded']:>6} {stats['rejected']:>6} "
-            f"{100 * stats['answered_share']:>8.1f}%"
-        )
-    return "\n".join(lines)
-
-
 def format_slo_report(payload: dict) -> str:
     """The SLO/error-budget summary printed after the sweep table."""
     objectives = ", ".join(

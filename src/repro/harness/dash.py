@@ -25,12 +25,12 @@ from repro.harness.benchserve import (
     measure_capacity,
     run_level,
     slo_level_record,
+    trace_level_record,
 )
-from repro.obs.export import stage_summary
 from repro.obs.sampler import TailSampler
 from repro.obs.timeseries import DEFAULT_WINDOW_SECONDS
 from repro.serve.batcher import BatchingConfig
-from repro.serve.trace import ServeTraceLog, materialize_request
+from repro.serve.trace import ServeTraceLog
 from repro.swan.benchmark import load_benchmark_subset
 
 #: eight block glyphs, lowest to highest — one per window
@@ -136,7 +136,7 @@ def run_dash(
     payload["horizon"] = round(horizon, 6)
     payload["serve"] = record
     if sampler is not None and trace_log is not None:
-        payload["traces"] = _trace_panel(trace_log, sampler)
+        payload["traces"] = _trace_panel(multiplier, trace_log, sampler)
     if batching is not None:
         occupancy = {
             row.window: round(row.mean, 6)
@@ -148,32 +148,25 @@ def run_dash(
     return payload, format_dash(payload)
 
 
-def _trace_panel(log: ServeTraceLog, sampler: TailSampler) -> dict:
-    """The slowest-traces panel data: kept counts + per-stage self-time."""
-    kept = sampler.decide(log.records)
-    waves = {wave.wave_id: wave for wave in log.waves}
-    ranked = sorted(
-        (log.get(trace_id) for trace_id in kept),
-        key=lambda r: (-r.latency, r.trace_id),
-    )
-    slowest = []
-    for record in ranked[:MAX_TRACE_ROWS]:
-        rows = stage_summary([materialize_request(record, waves)])
-        slowest.append({
-            "trace_id": record.trace_id,
-            "status": record.status,
-            "reason": record.reason,
-            "latency": round(record.latency, 6),
-            "sampled": kept[record.trace_id],
-            "stages": {
-                row["stage"]: row["self_s"]
-                for row in rows
-                if row["stage"] != "(unaccounted)" and row["self_s"] > 0
-            },
-        })
+def _trace_panel(
+    multiplier: float, log: ServeTraceLog, sampler: TailSampler
+) -> dict:
+    """The slowest-traces panel: kept counts, the worst unaccounted share
+    over every kept trace, and the slowest kept traces' stage self-times."""
+    level = trace_level_record(multiplier, log, sampler)
+    ranked = sorted(level["traces"], key=lambda t: (-t["latency"], t["trace_id"]))
     return {
-        "sampler": sampler.stats(kept, len(log.records)),
-        "slowest": slowest,
+        "sampler": level["sampler"],
+        "max_unaccounted_share": level["max_unaccounted_share"],
+        "slowest": [
+            {
+                key: trace[key]
+                for key in (
+                    "trace_id", "status", "reason", "latency", "sampled", "stages",
+                )
+            }
+            for trace in ranked[:MAX_TRACE_ROWS]
+        ],
     }
 
 
@@ -286,6 +279,11 @@ def format_dash(payload: dict) -> str:
                 f"{trace['latency']:>8.3f}s  "
                 f"{trace_bar(trace['stages'], trace['latency'])}"
             )
+        lines.append(
+            "  worst unaccounted share "
+            f"{100 * panel['max_unaccounted_share']:.2f}% of a kept trace's "
+            "offer-to-finish time"
+        )
     lines.append("")
     lines.append(
         f"Flight recorder: {payload['flight_recorded']} events recorded "

@@ -8,11 +8,9 @@ from repro.harness.artifacts import write_json
 from repro.harness.benchserve import (
     default_config,
     default_tenants,
-    format_serve_demo,
     format_serve_report,
     measure_capacity,
     offered_rps,
-    run_level,
     sweep_offered_load,
 )
 from repro.swan.benchmark import load_benchmark_subset
@@ -79,19 +77,6 @@ class TestLoadtest:
         text = format_serve_report(payload)
         assert "Serving load test" in text
         assert "2.00x" in text
-
-    def test_demo_renders(self):
-        swan = load_benchmark_subset(1, ["superhero"])
-        tenants = default_tenants(("superhero",))
-        config = default_config()
-        capacity = measure_capacity(swan, config, tenants, horizon=40.0)
-        report, record = run_level(
-            swan, config, tenants, 2.0, capacity, horizon=40.0
-        )
-        text = format_serve_demo(report)
-        assert "Query server demo run" in text
-        assert "interactive" in text
-        assert record["offered"] == report.offered
 
 
 class TestBatchingComparison:

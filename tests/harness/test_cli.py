@@ -248,7 +248,7 @@ class TestRegressCommand:
 
 class TestServeTargets:
     def test_bad_seed_value(self, capsys):
-        assert main(["serve", "--seed=abc"]) == 2
+        assert main(["dash", "--seed=abc"]) == 2
         err = capsys.readouterr().err
         assert "--seed requires an integer" in err
 
@@ -257,25 +257,26 @@ class TestServeTargets:
         assert "--seed must be >= 0" in capsys.readouterr().err
 
     def test_bad_horizon_value(self, capsys):
-        assert main(["serve", "--horizon=soon"]) == 2
+        assert main(["dash", "--horizon=soon"]) == 2
         assert "--horizon requires a number" in capsys.readouterr().err
 
     def test_nonpositive_horizon_rejected(self, capsys):
-        assert main(["serve", "--horizon=0"]) == 2
+        assert main(["dash", "--horizon=0"]) == 2
         assert "--horizon must be > 0" in capsys.readouterr().err
 
     def test_serve_targets_excluded_from_all(self):
         from repro.harness.__main__ import _EXCLUDED_FROM_ALL, _GENERATORS
 
-        assert "serve" in _GENERATORS
-        assert "serve" in _EXCLUDED_FROM_ALL
+        # dash is the one serving demo; serve and loadtest are gone
+        assert "dash" in _EXCLUDED_FROM_ALL
+        assert "serve" not in _GENERATORS
         assert "loadtest" not in _GENERATORS
 
     def test_serve_prints_a_demo_run(self, capsys):
-        assert main(["serve", "--horizon=40"]) == 0
+        assert main(["dash", "--horizon=40", "--seed=1"]) == 0
         out = capsys.readouterr().out
-        assert "Query server demo run" in out
-        assert "accounting OK" in out
+        assert "Serving dashboard" in out and "seed 1" in out
+        assert "rejected (OK)." in out
         assert "interactive" in out and "batch" in out
 
     def test_loadtest_writes_bench_serve(self, serve_artifact):
@@ -293,7 +294,7 @@ class TestServeTargets:
 
 class TestObservabilityCLI:
     def test_bad_window_value(self, capsys):
-        assert main(["serve", "--window=wide"]) == 2
+        assert main(["dash", "--window=wide"]) == 2
         err = capsys.readouterr().err
         assert "--window requires a number" in err
         assert "usage:" in err
@@ -315,7 +316,6 @@ class TestObservabilityCLI:
         assert "dash" in _GENERATORS
         assert "dash" in _EXCLUDED_FROM_ALL
         assert "window" in _FLAG_TARGETS["dash"]
-        assert "window" in _FLAG_TARGETS["serve"]
 
     def test_dash_renders_the_dashboard(self, capsys):
         assert main(["dash", "--horizon=40", "--window=10"]) == 0
@@ -326,7 +326,7 @@ class TestObservabilityCLI:
         assert "Flight recorder" in out
 
     def test_serve_reports_slo_budgets(self, capsys):
-        assert main(["serve", "--horizon=40"]) == 0
+        assert main(["dash", "--horizon=40", "--batching=off"]) == 0
         out = capsys.readouterr().out
         assert "SLO error budgets" in out
         assert "availability" in out
@@ -360,14 +360,14 @@ class TestBenchCacheTarget:
 
 class TestBatchingFlags:
     def test_bad_batch_window_value(self, capsys):
-        assert main(["serve", "--batch-window=soon"]) == 2
+        assert main(["dash", "--batch-window=soon"]) == 2
         err = capsys.readouterr().err
         assert "--batch-window requires a number" in err
         assert "usage:" in err
 
     def test_nonpositive_batch_window_rejected(self, capsys):
         for bad in ("0", "-2"):
-            assert main(["serve", f"--batch-window={bad}"]) == 2
+            assert main(["dash", f"--batch-window={bad}"]) == 2
             assert "--batch-window must be > 0" in capsys.readouterr().err
 
     def test_bad_max_batch_value(self, capsys):
@@ -375,7 +375,7 @@ class TestBatchingFlags:
         assert "--max-batch requires an integer" in capsys.readouterr().err
 
     def test_nonpositive_max_batch_rejected(self, capsys):
-        assert main(["serve", "--max-batch=0"]) == 2
+        assert main(["dash", "--max-batch=0"]) == 2
         assert "--max-batch must be >= 1" in capsys.readouterr().err
 
     def test_bad_batching_value(self, capsys):
@@ -394,25 +394,26 @@ class TestBatchingFlags:
     def test_all_serve_targets_accept_the_flags(self):
         from repro.harness.__main__ import _FLAG_TARGETS
 
-        for target in ("serve", "dash"):
+        for target in ("dash",):
             for option in ("batch_window", "max_batch", "batching"):
                 assert option in _FLAG_TARGETS[target]
 
     def test_serve_demo_reports_batching(self, capsys):
-        assert main(["serve", "--horizon=40"]) == 0
+        assert main(["dash", "--horizon=40", "--max-batch=4"]) == 0
         out = capsys.readouterr().out
-        assert "batching: window 2s" in out
+        assert "Cross-request batching:" in out
 
     def test_batching_off_restores_the_classic_demo(self, capsys):
-        assert main(["serve", "--horizon=40", "--batching=off"]) == 0
+        assert main(["dash", "--horizon=40", "--batching=off"]) == 0
         out = capsys.readouterr().out
-        assert "Query server demo run" in out
-        assert "batching: window" not in out
+        assert "Serving dashboard" in out
+        assert "Cross-request batching" not in out
+        assert "batch occ" not in out
 
 
 class TestTracingFlags:
     def test_bad_tracing_value(self, capsys):
-        assert main(["serve", "--tracing=maybe"]) == 2
+        assert main(["dash", "--tracing=maybe"]) == 2
         err = capsys.readouterr().err
         assert "--tracing must be 'on' or 'off'" in err
         assert "usage:" in err
@@ -424,7 +425,7 @@ class TestTracingFlags:
         assert "usage:" in err
 
     def test_negative_trace_sample_rejected(self, capsys):
-        assert main(["serve", "--trace-sample=-1"]) == 2
+        assert main(["dash", "--trace-sample=-1"]) == 2
         assert "--trace-sample must be >= 0" in capsys.readouterr().err
 
     def test_flags_documented_in_usage(self, capsys):
@@ -436,19 +437,21 @@ class TestTracingFlags:
     def test_all_serve_targets_accept_the_flags(self):
         from repro.harness.__main__ import _FLAG_TARGETS
 
-        for target in ("serve", "dash"):
+        for target in ("dash",):
             for option in ("tracing", "trace_sample"):
                 assert option in _FLAG_TARGETS[target]
 
     def test_serve_reports_tracing_summary(self, capsys):
-        assert main(["serve", "--horizon=40", "--tracing=on"]) == 0
+        assert main([
+            "dash", "--horizon=40", "--tracing=on", "--trace-sample=2",
+        ]) == 0
         out = capsys.readouterr().out
-        assert "Request tracing: kept" in out
+        assert "Slowest sampled traces — kept" in out
         assert "worst unaccounted share 0.00%" in out
 
     def test_tracing_off_by_default(self, capsys):
-        assert main(["serve", "--horizon=40"]) == 0
-        assert "Request tracing:" not in capsys.readouterr().out
+        assert main(["dash", "--horizon=40", "--batching=off"]) == 0
+        assert "unaccounted share" not in capsys.readouterr().out
 
     def test_loadtest_tracing_writes_trace_artifacts(self, serve_artifact):
         directory, out = serve_artifact
@@ -541,9 +544,9 @@ class TestNonFiniteFloatFlags:
     @pytest.mark.parametrize(
         "target, flag",
         [
-            ("serve", "--horizon"),
+            ("dash", "--horizon"),
             ("dash", "--window"),
-            ("serve", "--batch-window"),
+            ("dash", "--batch-window"),
             ("explain-request", "--multiplier"),
             ("regress", "--max-ex-drop"),
             ("regress", "--max-token-growth"),
