@@ -152,21 +152,14 @@ def _trace_panel(
     multiplier: float, log: ServeTraceLog, sampler: TailSampler
 ) -> dict:
     """The slowest-traces panel: kept counts, the worst unaccounted share
-    over every kept trace, and the slowest kept traces' stage self-times."""
+    over every kept trace, and the slowest kept traces' summaries (each
+    with its per-stage self-times)."""
     level = trace_level_record(multiplier, log, sampler)
     ranked = sorted(level["traces"], key=lambda t: (-t["latency"], t["trace_id"]))
     return {
         "sampler": level["sampler"],
         "max_unaccounted_share": level["max_unaccounted_share"],
-        "slowest": [
-            {
-                key: trace[key]
-                for key in (
-                    "trace_id", "status", "reason", "latency", "sampled", "stages",
-                )
-            }
-            for trace in ranked[:MAX_TRACE_ROWS]
-        ],
+        "slowest": ranked[:MAX_TRACE_ROWS],
     }
 
 

@@ -330,7 +330,7 @@ class TestHazards:
         """(c) ``_generate_mapping`` assembles every prompt it dispatches.
 
         Texts do repeat in a batch run: a ``udf_cold`` pass renders
-        31,771 map prompts for 15,637 paid calls, and 51 of its 124
+        31,771 map prompts for 15,637 paid map calls, and 51 of its 124
         mappings repeat an earlier (call, keys) pair of the same
         executor.  But a prompt or mapping memo here would be one more
         store of generated values beside the prompt cache and the
