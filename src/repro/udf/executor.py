@@ -400,10 +400,14 @@ class HybridQueryExecutor:
 
         The one way :meth:`generate` reaches the model: the dispatcher
         (provenance, spans, token metrics, the deadline) and a charge
-        to ``report`` for every paid call.
+        to ``report`` for every paid call.  Only degradable failures
+        (transient errors, spent retry budgets, expired deadlines) come
+        back as None; any other :class:`~repro.errors.LLMError` is a
+        broken client and aborts the query, as it does in HQDL.
         """
         outcomes = self.dispatcher.dispatch(
-            self.client, prompts, labels=label, deadline=deadline
+            self.client, prompts, labels=label, capture_errors="transient",
+            deadline=deadline,
         )
         texts: list[Optional[str]] = []
         for outcome in outcomes:

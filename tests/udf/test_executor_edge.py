@@ -166,3 +166,20 @@ class TestFailedCallsDegrade:
         assert report.llm_calls == 0
         assert resilience.degraded_rows == 127 + 1
         assert "= NULL" in report.rewritten_sql
+
+    def test_a_broken_client_aborts_the_query(self, swan, superhero_world):
+        """A plain LLMError is no fault to degrade on but a broken client
+        (a script with no answers raises one for every prompt): the query
+        raises, as HQDL does, instead of answering from NULLs."""
+        from repro.errors import LLMError, TransientLLMError
+        from repro.llm.client import ScriptedClient
+
+        with build_curated_database(superhero_world) as db:
+            executor = HybridQueryExecutor(
+                db, ScriptedClient({}), superhero_world
+            )
+            with pytest.raises(LLMError) as raised:
+                executor.execute_with_report(
+                    swan.question("superhero_q21").blend_sql
+                )
+        assert not isinstance(raised.value, TransientLLMError)

@@ -70,8 +70,9 @@ def test_workers_8_identical_to_workers_1(swan, name):
 
 
 def test_failed_batch_degrades_without_aborting_siblings(swan):
-    """An LLMError in one batch yields None answers, not a query failure."""
-    from repro.errors import LLMError
+    """A transient error in one batch yields None answers, not a query
+    failure (a plain LLMError is a broken client and aborts instead)."""
+    from repro.errors import TransientLLMError
     from repro.llm.usage import Usage
 
     world = swan.world("superhero")
@@ -89,7 +90,7 @@ def test_failed_batch_degrades_without_aborting_siblings(swan):
             if "Spider-Man" in prompt:
                 with self._lock:
                     self.failed += 1
-                raise LLMError("injected batch failure")
+                raise TransientLLMError("injected batch failure")
             return self.inner.complete(prompt, label=label)
 
     inner = MockChatModel(KnowledgeOracle(world), get_profile("perfect"))
