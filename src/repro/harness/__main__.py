@@ -172,7 +172,7 @@ def _bench_scale_report(
 
 def _dash_report(
     seed=None, horizon=None, window=None,
-    batch_window=None, max_batch=None, batching="on",
+    max_batch=None, batching="on",
     tracing="off", trace_sample=None,
 ) -> tuple[list[dict], str]:
     """Console serving dashboard: one instrumented 2x-overload run."""
@@ -183,7 +183,7 @@ def _dash_report(
         seed=seed or 0,
         horizon=horizon or 120.0,
         window_seconds=window or DEFAULT_WINDOW_SECONDS,
-        batching=_batching_config(batch_window, max_batch, batching),
+        batching=_batching_config(max_batch, batching),
         sampler=_trace_sampler(
             tracing, trace_sample, seed=seed or 0,
             window_seconds=window or DEFAULT_WINDOW_SECONDS,
@@ -226,10 +226,7 @@ def _explain_request_command(options) -> tuple[int, str]:
             horizon=options["horizon"],
             multiplier=options["multiplier"] or 2.0,
             window_seconds=options["window"],
-            batching=_batching_config(
-                options["batch_window"], options["max_batch"],
-                options["batching"],
-            ),
+            batching=_batching_config(options["max_batch"], options["batching"]),
             trace_sample=options["trace_sample"],
         )
     except ReproError as exc:
@@ -275,7 +272,7 @@ _COMMANDS = {
         _explain_request_command,
         ("request",),
         ("scale", "seed", "horizon", "multiplier", "window",
-         "batch_window", "max_batch", "batching", "trace_sample"),
+         "max_batch", "batching", "trace_sample"),
     ),
     "regress": (
         _regress_command,
@@ -316,24 +313,18 @@ _FLAG_TARGETS = {
     "run-udf": ("databases", "workers", "scale", "batch_size"),
     "run-hqdl": ("databases", "workers", "scale"),
     "bench-scale": ("workers", "scale", "batch_size"),
-    "dash": ("seed", "horizon", "window",
-             "batch_window", "max_batch", "batching",
+    "dash": ("seed", "horizon", "window", "max_batch", "batching",
              "tracing", "trace_sample"),
 }
 
 
-def _batching_config(batch_window, max_batch, batching):
+def _batching_config(max_batch, batching):
     """The CLI's cross-request batching choice: a config, or None for off."""
     from repro.serve.batcher import BatchingConfig
 
     if batching == "off":
         return None
-    kwargs = {}
-    if batch_window is not None:
-        kwargs["window"] = batch_window
-    if max_batch is not None:
-        kwargs["max_batch"] = max_batch
-    return BatchingConfig(**kwargs)
+    return BatchingConfig(max_batch=max_batch)
 
 
 def _trace_sampler(tracing, trace_sample, *, seed, window_seconds):
@@ -430,7 +421,6 @@ _FLAGS = {
     "--seed": ("int", 0, "N"),
     "--horizon": ("float", True, "SECONDS"),
     "--window": ("float", True, "SECONDS"),
-    "--batch-window": ("float", True, "SECONDS"),
     "--max-batch": ("int", 1, "N"),
     "--batching": ("choice", ("on", "off"), None),
     "--tracing": ("choice", ("on", "off"), None),
@@ -510,7 +500,7 @@ def _parse_args(argv: list[str]):
         "databases": None, "workers": None, "batch_size": 5,
         "scale": None,
         "seed": None, "horizon": None, "window": None,
-        "batch_window": None, "max_batch": None, "batching": "on",
+        "max_batch": None, "batching": "on",
         "tracing": "off", "trace_sample": None,
         "request": None, "multiplier": None,
         "database": None, "question": None, "pipeline": "udf",

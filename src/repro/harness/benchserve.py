@@ -572,7 +572,6 @@ def sweep_offered_load(
         "levels": levels,
     }
     if batching is not None:
-        serve_payload["batch_window"] = round(batching.window, 6)
         serve_payload["max_batch"] = batching.max_batch
     trace_payload = None
     if tracing is not None:
@@ -634,13 +633,12 @@ def format_serve_report(payload: dict) -> str:
         )
     batched = [lv for lv in payload["levels"] if "batching" in lv]
     if batched:
-        window = payload.get("batch_window", 0.0)
         cap = payload.get("max_batch")
         lines.append("")
         lines.append(
-            f"Cross-request batching (window={window:g}s"
-            + (f", max_batch={cap}" if cap is not None else "")
-            + ") vs per-request dispatch:"
+            "Cross-request batching"
+            + (f" (max_batch={cap})" if cap is not None else "")
+            + " vs per-request dispatch:"
         )
         lines.append(
             f"{'load':>6} {'calls':>7} {'batched':>8} {'saved%':>7} "

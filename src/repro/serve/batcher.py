@@ -1,36 +1,37 @@
-"""Cross-request continuous batching for the serving layer.
+"""Cross-request batch forming for the serving layer.
 
-The batch runners amortize LLM cost across *rows of one query*; PR 7's
-server still paid per request — concurrent tenants asking overlapping
-questions each paid full price, and the makespan cost model ran per
-request over its own calls.  This module adds the standard serving-stack
-optimization (Orca/vLLM-style continuous batch forming) on the virtual
-clock:
+The batch runners amortize LLM cost across *rows of one query*; the
+:class:`CrossRequestBatcher` lets the server do the same across
+*requests*.  It collects the LLM work items of every dispatched request
+— (signature, key) pairs for LLMMap/LLMJoin, whole prompts for LLMQA and
+HQDL generation — into groups keyed by database and ingredient
+signature or label:
 
-- :class:`CrossRequestBatcher` collects the LLM work items of every
-  in-service request — (signature, key) pairs for LLMMap/LLMJoin,
-  whole prompts for LLMQA and HQDL generation — into groups keyed by
-  ingredient signature or label, and releases each group under a
-  **size-or-window policy**: a group flushes as soon as it holds a
-  policy-sized batch (:class:`~repro.plan.policy.AdaptiveBatchPolicy`
-  decides "full"), when its window expires, or — unconditionally —
-  before the earliest member request's deadline.  A coalesced call is
-  therefore *never* held past any member's deadline, by construction:
-  ``release_at = max(now, min(opened_at + window, min member
-  deadline))`` (see :meth:`_Group.retarget`).
-- Items are **cross-request single-flight**: the same key (or the same
-  prompt) wanted by several requests is dispatched once, and the result
-  fans out to every requester — which is what turns the shared caches
-  into genuinely sublinear cost per concurrent user.
+- **Release at dispatch.**  A request's work is released at the instant
+  the request is dispatched; nothing waits on a timer.  The server
+  flushes every group then holding items as one *wave*, so requests
+  dispatched at the same instant (a burst admitted together, or several
+  slots freed by one event) share it.  This is continuous batching in
+  Orca's sense (OSDI '22): work joins when capacity frees, not when a
+  window expires.
+- **Same-instant single-flight.**  The same key (or the same prompt)
+  wanted by several requests of one wave is dispatched once, and the
+  result fans out to every requester.  Work an earlier wave already
+  answered never reaches the batcher: the server serves it per key from
+  the database's :class:`~repro.udf.store.MappingStore` and per prompt
+  from the prompt cache, and enqueues only what they do not cover.
+- **Policy-sized calls.**  A map group is cut into formed calls of
+  :meth:`CrossRequestBatcher.chunk_size_for` keys, the size the server's
+  batch policy picks for the ingredient (``max_batch`` when set).
 - Shared-call tokens are attributed **fairly** across the member
   requests (largest-remainder split over per-item shares, so totals are
   conserved exactly), feeding the existing per-tenant accounting.
 
 The batcher is pure bookkeeping: it never touches clients, caches, or
 the clock.  :class:`~repro.serve.server.QueryServer` drives it — plans
-each dispatched request's items, schedules flush events at the release
-times this module computes, executes flushed groups, and reports each
-call's usage back via :meth:`CrossRequestBatcher.settle_call`.
+each dispatched request's items, schedules a flush at the dispatch
+instant, executes flushed groups, and reports each call's usage back via
+:meth:`CrossRequestBatcher.settle_call`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence
 
 from repro.serve.request import QueryRequest
@@ -46,31 +46,21 @@ from repro.serve.request import QueryRequest
 #: release-time comparison slack (floats accumulate through the heap)
 _EPS = 1e-9
 
-#: why a group flushed
-WINDOW_EXPIRED = "window"
-SIZE_TRIGGERED = "size"
-DEADLINE_FORCED = "deadline"
-
 
 @dataclass(frozen=True)
 class BatchingConfig:
     """Knobs of one :class:`CrossRequestBatcher`.
 
-    ``window`` is the longest a group waits for co-batchable work, in
-    virtual seconds from the instant it opened; ``max_batch`` overrides
-    the adaptive policy's size trigger when set.  Work the server's
-    per-database :class:`~repro.udf.store.MappingStore` already covers
-    never reaches the batcher: planning answers a fully covered
-    occurrence from the store, and every flushed map group publishes its
-    real answers there.
+    ``max_batch`` overrides the batch policy's keys per formed call when
+    set.  Work the server's per-database
+    :class:`~repro.udf.store.MappingStore` already covers never reaches
+    the batcher: planning serves each covered key from the store, and
+    every flushed map group publishes its real answers there.
     """
 
-    window: float = 2.0
     max_batch: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError(f"window must be > 0, got {self.window}")
         if self.max_batch is not None and self.max_batch < 1:
             raise ValueError(
                 f"max_batch must be >= 1 or None, got {self.max_batch}"
@@ -119,12 +109,13 @@ class _Group:
     Columnar: ``items`` maps each payload, in enqueue order, to its
     *owner* (the first request that asked for it), and ``later`` holds
     the rare payload's further requesters in attach order.
+    ``release_at`` is the dispatch instant of the request that opened
+    the group (None while it is empty).
     """
 
     __slots__ = (
         "gid", "kind", "database", "call", "label", "chunk_size",
-        "threshold", "items", "later", "opened_at",
-        "deadline_min", "release_at", "release_reason", "epoch",
+        "items", "later", "release_at",
     )
 
     def __init__(
@@ -136,7 +127,6 @@ class _Group:
         call=None,
         label: str = "",
         chunk_size: int = 1,
-        threshold: int = 1,
     ) -> None:
         self.gid = gid
         self.kind = kind  # "map" (keyed items) or "prompt" (whole prompts)
@@ -144,46 +134,9 @@ class _Group:
         self.call = call
         self.label = label
         self.chunk_size = chunk_size
-        self.threshold = threshold
         self.items: dict[object, PendingRequest] = {}
         self.later: dict[object, list[PendingRequest]] = {}
-        self.opened_at: Optional[float] = None
-        self.deadline_min = math.inf
         self.release_at: Optional[float] = None
-        self.release_reason = WINDOW_EXPIRED
-        self.epoch = 0
-
-    def retarget(self, now: float, window: float) -> None:
-        """Recompute when (and why) this group must flush.
-
-        The deadline clamp is the safety invariant: a group's release
-        can only ever move *earlier* than ``opened_at + window``, and
-        never past the earliest member deadline.
-        """
-        if not self.items:
-            self.release_at = None
-            return
-        if len(self.items) >= self.threshold:
-            self.release_at = now
-            self.release_reason = SIZE_TRIGGERED
-            return
-        window_at = self.opened_at + window
-        if self.deadline_min < window_at - _EPS:
-            self.release_at = max(now, self.deadline_min)
-            self.release_reason = DEADLINE_FORCED
-        else:
-            self.release_at = max(now, window_at)
-            self.release_reason = WINDOW_EXPIRED
-
-    def reset(self) -> None:
-        """Clear to an empty group; the next attach opens a new epoch."""
-        self.items = {}
-        self.later = {}
-        self.opened_at = None
-        self.deadline_min = math.inf
-        self.release_at = None
-        self.release_reason = WINDOW_EXPIRED
-        self.epoch += 1
 
 
 @dataclass
@@ -196,7 +149,6 @@ class FlushedGroup:
     call: object
     label: str
     chunk_size: int
-    trigger: str
     #: payloads in enqueue order, and each one's owner
     payloads: list
     owners: list[PendingRequest]
@@ -255,21 +207,17 @@ class CrossRequestBatcher:
 
     def __init__(self, config: BatchingConfig, policy) -> None:
         self.config = config
-        #: object with ``batch_size(call)`` — the "full enough to
-        #: release" threshold (AdaptiveBatchPolicy in the server)
+        #: object with ``batch_size(call)`` — keys per formed call
         self.policy = policy
         self._groups: dict[tuple, _Group] = {}
-        #: release times set since the last drain (the server turns
-        #: each into one flush event; stale ones are skipped)
-        self._new_releases: list[float] = []
         # -- statistics (the BENCH/dash batching panel) -------------------
         self.items_enqueued = 0
         self.items_coalesced = 0
         self.formed_calls = 0
         self.paid_calls = 0
         self.coalesced_calls = 0
-        self.flushes = {WINDOW_EXPIRED: 0, SIZE_TRIGGERED: 0,
-                        DEADLINE_FORCED: 0}
+        #: groups flushed (a wave flushes every group holding items)
+        self.flushes = 0
         self.keys_from_store = 0
         self.prompts_from_cache = 0
         self._occupancy_sum = 0.0
@@ -278,21 +226,12 @@ class CrossRequestBatcher:
 
     # -- enqueue ------------------------------------------------------------------
 
-    def _threshold(self, call) -> int:
+    def chunk_size_for(self, call) -> int:
+        """Keys per formed call: ``max_batch`` when set, else the policy's
+        batch size for ``call``."""
         if self.config.max_batch is not None:
             return self.config.max_batch
         return self.policy.batch_size(call)
-
-    def chunk_size_for(self, call) -> int:
-        """Keys per formed call — the policy-sized batch the former fills.
-
-        This is where continuous batching beats the per-request path on
-        cost: the executor chunks each occurrence alone at its fixed
-        size, while the former sees every co-resident request's keys and
-        fills :class:`~repro.plan.policy.AdaptiveBatchPolicy`-sized
-        batches (bounded by ``max_batch`` when set).
-        """
-        return self._threshold(call)
 
     def enqueue_keys(
         self,
@@ -311,7 +250,6 @@ class CrossRequestBatcher:
             group = _Group(
                 gid, kind="map", database=database, call=call,
                 label="udf:map", chunk_size=chunk_size,
-                threshold=self._threshold(call),
             )
             self._groups[gid] = group
         return self._attach(group, keys, member, now)
@@ -329,10 +267,7 @@ class CrossRequestBatcher:
         gid = ("prompt", database, label)
         group = self._groups.get(gid)
         if group is None:
-            group = _Group(
-                gid, kind="prompt", database=database, label=label,
-                chunk_size=1, threshold=self._threshold(None),
-            )
+            group = _Group(gid, kind="prompt", database=database, label=label)
             self._groups[gid] = group
         return self._attach(group, [prompt], member, now)
 
@@ -357,117 +292,46 @@ class CrossRequestBatcher:
                     later[payload] = [*waiting, member]
         if fresh:
             if not items:
-                group.opened_at = now
+                group.release_at = now
             items.update(fresh)
             self.items_enqueued += len(fresh)
-        if attached:
-            member.outstanding += attached
-            before = group.release_at
-            group.deadline_min = min(
-                group.deadline_min, member.request.deadline_at
-            )
-            group.retarget(now, self.config.window)
-            if group.release_at is not None and group.release_at != before:
-                self._new_releases.append(group.release_at)
+        member.outstanding += attached
         return attached
-
-    def expedite(self, now: float) -> None:
-        """Release every open group at ``now`` (no coalescing possible).
-
-        Used when at most one request can ever be in service
-        (``max_concurrent=1``): waiting a window could never find a
-        partner, and releasing at dispatch keeps the batched path
-        byte-identical to the unbatched one.
-        """
-        for group in self._groups.values():
-            if group.items and (
-                group.release_at is None or group.release_at > now
-            ):
-                group.release_at = now
-                group.release_reason = SIZE_TRIGGERED
-
-    def drain_releases(self) -> list[float]:
-        """Release times needing flush events since the last drain."""
-        releases, self._new_releases = self._new_releases, []
-        return releases
 
     # -- flush --------------------------------------------------------------------
 
     def has_due(self, now: float) -> bool:
-        """True when some group must flush at (or before) ``now``."""
+        """True when some group holds items released at (or before) ``now``."""
         return any(
-            g.items and g.release_at is not None and g.release_at <= now + _EPS
+            g.items and g.release_at <= now + _EPS
             for g in self._groups.values()
         )
 
-    def collect_due(
-        self, now: float, *, retain_tails: bool = True
-    ) -> list[FlushedGroup]:
-        """Drain every group due at ``now`` — one *wave*, flushed together.
+    def collect_due(self, now: float) -> list[FlushedGroup]:
+        """Drain every group released by ``now`` — one *wave*, flushed together.
 
         Groups flushed in the same wave share one makespan pool in the
         server's cost model, exactly as their calls would share the
         worker fan-out of a single request.
-
-        With ``retain_tails`` (the continuous-batching behaviour), a
-        group released by its **size** trigger flushes only its full
-        chunks; the partial tail stays pending on a fresh window so
-        later requests' keys can fill it — window and deadline releases
-        always flush everything.  The server disables retention at
-        ``max_concurrent=1``, where no partner can ever arrive.
         """
         wave: list[FlushedGroup] = []
         for group in self._groups.values():
-            if not group.items or group.release_at is None:
-                continue
-            if group.release_at > now + _EPS:
+            if not group.items or group.release_at > now + _EPS:
                 continue
             payloads = list(group.items)
             owners = list(group.items.values())
-            full = len(payloads)
-            if (
-                retain_tails
-                and group.release_reason == SIZE_TRIGGERED
-                and group.chunk_size > 1
-            ):
-                full -= full % group.chunk_size
-            if not full:
-                # a stale release (e.g. re-targeted past us): leave the
-                # group exactly as it is
-                continue
-            kept = dict(zip(payloads[full:], owners[full:]))
-            later, kept_later = group.later, {}
-            if later and kept:
-                kept_later = {p: r for p, r in later.items() if p in kept}
-                later = {p: r for p, r in later.items() if p not in kept}
-            del payloads[full:], owners[full:]
             wave.append(
                 FlushedGroup(
                     gid=group.gid, kind=group.kind, database=group.database,
                     call=group.call, label=group.label,
                     chunk_size=group.chunk_size,
-                    trigger=group.release_reason,
-                    payloads=payloads, owners=owners, later=later,
-                    members=count_requesters(payloads, owners, later),
+                    payloads=payloads, owners=owners, later=group.later,
+                    members=count_requesters(payloads, owners, group.later),
                 )
             )
-            self.flushes[group.release_reason] += 1
-            self.items_coalesced += len(later)
-            group.reset()
-            if kept:
-                # the tail re-opens on a fresh window at ``now``; its
-                # deadline floor is recomputed from the remaining waiters
-                group.items, group.later = kept, kept_later
-                group.opened_at = now
-                group.deadline_min = min(
-                    member.request.deadline_at
-                    for member in chain(
-                        dict.fromkeys(kept.values()), *kept_later.values()
-                    )
-                )
-                group.retarget(now, self.config.window)
-                if group.release_at is not None:
-                    self._new_releases.append(group.release_at)
+            self.flushes += 1
+            self.items_coalesced += len(group.later)
+            group.items, group.later, group.release_at = {}, {}, None
         return wave
 
     # -- settlement ---------------------------------------------------------------
@@ -489,8 +353,8 @@ class CrossRequestBatcher:
         evenly across its requesters; token totals split across members by
         largest remainder; the call count lands on the heaviest member
         (ties to the lowest request id) so integer call accounting stays
-        conserved — at ``max_concurrent=1`` everything lands on the sole
-        member, byte-identical to the unbatched path.
+        conserved — a call with one requester charges it in full, exactly
+        as the unbatched path would.
         """
         self.formed_calls += 1
         if fill is not None:
@@ -546,7 +410,6 @@ class CrossRequestBatcher:
     def stats(self) -> dict:
         """A JSON-stable summary for BENCH_serve.json and the dashboard."""
         return {
-            "window": round(self.config.window, 6),
             "max_batch": self.config.max_batch,
             "items": self.items_enqueued,
             "coalesced_items": self.items_coalesced,
@@ -554,11 +417,7 @@ class CrossRequestBatcher:
             "paid_calls": self.paid_calls,
             "coalesced_calls": self.coalesced_calls,
             "batch_occupancy": round(self.batch_occupancy(), 6),
-            "flushes": {
-                WINDOW_EXPIRED: self.flushes[WINDOW_EXPIRED],
-                SIZE_TRIGGERED: self.flushes[SIZE_TRIGGERED],
-                DEADLINE_FORCED: self.flushes[DEADLINE_FORCED],
-            },
+            "flushes": self.flushes,
             "keys_from_store": self.keys_from_store,
             "prompts_from_cache": self.prompts_from_cache,
             "fanout_tokens_saved": int(round(self._fanout_tokens_saved)),

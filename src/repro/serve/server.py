@@ -54,7 +54,7 @@ from repro.llm.usage import UsageMeter
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.ledger import RunLedger
 from repro.obs.slo import AVAILABILITY, SLOTracker
-from repro.plan.policy import AdaptiveBatchPolicy
+from repro.plan.policy import AdaptiveBatchPolicy, FixedBatchPolicy
 from repro.serve.admission import AdmissionController, TenantPolicy
 from repro.serve.batcher import (
     BatchingConfig,
@@ -237,12 +237,17 @@ class QueryServer:
         )
         self.batcher: Optional[CrossRequestBatcher] = None
         if self.config.batching is not None:
-            self.batcher = CrossRequestBatcher(
-                self.config.batching,
-                AdaptiveBatchPolicy.for_model(
+            # one request in service at a time can share a call with no
+            # other, so the former keeps the executor's own batch size:
+            # batching on then pays exactly what batching off does
+            policy = (
+                FixedBatchPolicy(self.config.batch_size)
+                if self.config.max_concurrent == 1
+                else AdaptiveBatchPolicy.for_model(
                     self.config.model_name, self.config.shots
-                ),
+                )
             )
+            self.batcher = CrossRequestBatcher(self.config.batching, policy)
         self._timer = ServiceTimer()
         self.states = DatabaseStates(
             swan,
@@ -297,8 +302,8 @@ class QueryServer:
         while self._events:
             when, _, kind, payload = heapq.heappop(self._events)
             if kind == "flush" and not self.batcher.has_due(when):
-                # a superseded release time (the group flushed earlier or
-                # re-targeted); skipped without advancing the clock
+                # another dispatch at this instant already flushed the
+                # wave; skipped without advancing the clock
                 continue
             self.clock.advance_to(when)
             if kind == "flush":
@@ -570,16 +575,18 @@ class QueryServer:
     # outcome.  Without ``config.batching`` that happens on the spot: the
     # request rode zero waves and "lands" at its own start instant.  With
     # it, the plan's work is first pruned against the shared mapping
-    # store and prompt caches and enqueued into the CrossRequestBatcher;
-    # the server branches on the kind of work (keys or whole prompts),
-    # never on the pipeline.  Flush events fire at the batcher's release
-    # times; every group due at one instant flushes as a single *wave*
-    # whose paid calls share one ``parallel_makespan`` pool — coalesced
-    # batches are charged like the fan-out of a single request, and a
-    # whole prompt (an LLMQA, an HQDL row) like a map chunk — and map
-    # answers land in each requester's ``answers``.  When a wave lands,
-    # members with no work left are finalized from those answers (zero
-    # LLM calls in the common case).
+    # store (per key) and prompt caches (per prompt), and only what they
+    # do not cover is enqueued into the CrossRequestBatcher; the server
+    # branches on the kind of work (keys or whole prompts), never on the
+    # pipeline.  A flush event fires at the dispatch instant, and every
+    # group then holding items flushes as a single *wave* — with the
+    # work of every request dispatched at that same instant — whose paid
+    # calls share one ``parallel_makespan`` pool: coalesced batches are
+    # charged like the fan-out of a single request, and a whole prompt
+    # (an LLMQA, an HQDL row) like a map chunk.  Map answers land in each
+    # requester's ``answers``.  When a wave lands, members with no work
+    # left are finalized from those answers (zero LLM calls in the common
+    # case).
 
     def _dispatch(self, request: QueryRequest) -> None:
         """Start one request: breaker check, optional planning, finalize.
@@ -620,7 +627,11 @@ class QueryServer:
         self._push_event(outcome.finish_time, "finish", outcome)
 
     def _plan(self, member: PendingRequest) -> None:
-        """Plan one dispatched request's LLM work into the batcher."""
+        """Plan one dispatched request's LLM work into the batcher.
+
+        Each key the store holds and each prompt the cache holds is served
+        from there; the rest is enqueued and released at once.
+        """
         request, start = member.request, member.start
         batcher = self.batcher
         state = self.states.of(request)
@@ -630,27 +641,16 @@ class QueryServer:
                 continue
             call = item.call
             signature = call.signature()
-            wanted = list(dict.fromkeys(item.keys))
-            known = state.store.peek(signature, wanted)
-            # all-or-nothing, like the executor's lookup: a partly covered
-            # occurrence is regenerated whole (its chunk prompts then hit
-            # the prompt cache for free at flush time)
-            if len(known) == len(wanted):
-                member.answers.setdefault(signature, {}).update(known)
-                batcher.keys_from_store += len(known)
-                wanted = []
-            held = member.answers.get(signature, ())
-            wanted = [key for key in wanted if key not in held]
+            held = member.answers.setdefault(signature, {})
+            wanted = [key for key in dict.fromkeys(item.keys) if key not in held]
+            stored = state.store.peek(signature, wanted)
+            held.update(stored)
+            batcher.keys_from_store += len(stored)
+            wanted = [key for key in wanted if key not in stored]
             if wanted:
-                # mc=1 keeps the executor's own chunk size (the
-                # byte-identity contract); with real concurrency the
-                # former fills policy-sized batches instead
-                chunk = item.chunk_size
-                if self.config.max_concurrent != 1:
-                    chunk = batcher.chunk_size_for(call)
                 batcher.enqueue_keys(
                     request.database, call, wanted, member,
-                    chunk_size=chunk, now=start,
+                    chunk_size=batcher.chunk_size_for(call), now=start,
                 )
         for item in work:
             if item.prompt is None:
@@ -661,37 +661,20 @@ class QueryServer:
             batcher.enqueue_prompt(
                 request.database, item.label, item.prompt, member, now=start
             )
-        if member.outstanding == 0:
-            return  # everything already covered by shared state
-        if self.config.max_concurrent == 1:
-            # a second request can never be in service concurrently, so a
-            # window could never coalesce anything: release immediately
-            # (the byte-identity contract with the unbatched path)
-            batcher.expedite(start)
-            batcher.drain_releases()
+        if member.outstanding:
             self._push_event(start, "flush", None)
-            return
-        for when in batcher.drain_releases():
-            self._push_event(max(when, start), "flush", None)
 
     def _on_flush(self) -> None:
         """Flush every due group as one wave and schedule its landing."""
         now = self.clock.now()
-        wave = self.batcher.collect_due(
-            now, retain_tails=self.config.max_concurrent != 1
-        )
-        for when in self.batcher.drain_releases():
-            # retained tails re-opened on a fresh window need their own
-            # flush events
-            self._push_event(max(when, now), "flush", None)
-        if not wave:
-            return
+        wave = self.batcher.collect_due(now)
         members: Counter = Counter()
         for group in wave:
             members.update(group.members)
         # the wave's dispatch budget ends at the earliest member deadline:
-        # the batcher already guarantees no group is *released* late, and
-        # this Deadline guarantees no retry backoff overruns it either
+        # every member was dispatched before its deadline and the wave
+        # flushes at that instant, and this Deadline guarantees no retry
+        # backoff overruns it either
         wave_timer = self._timer.restart(now)
         min_deadline = min(m.request.deadline_at for m in members)
         deadline = Deadline(max(min_deadline - now, 1e-9), wave_timer)
@@ -819,8 +802,7 @@ class QueryServer:
                 settle([prompt], [owner], usage)
         self._tel.flight.record(
             now, "batch_flush",
-            label=group.label, trigger=group.trigger,
-            items=len(group.payloads), calls=calls_formed,
+            label=group.label, items=len(group.payloads), calls=calls_formed,
             requests=len(group.members),
         )
         return calls_formed

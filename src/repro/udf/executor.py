@@ -518,11 +518,12 @@ class HybridQueryExecutor:
         """Batched LLM calls answering the question for every key.
 
         Answers already held — by ``known`` when the caller passes it,
-        else by the shared mapping store — serve a fully covered
-        ingredient outright.  A store built with ``rewrite=True`` then
-        reuses, per key, what it holds for this signature or for a
-        semantically equivalent question (query rewriting, Section 4.3),
-        and only the missing keys reach the model.
+        else by the shared mapping store — are served per key, and only
+        the keys they do not cover are chunked and paid for.  A store
+        built with ``rewrite=True`` first reuses, per key, what it holds
+        for a semantically equivalent question (query rewriting,
+        Section 4.3).  The mapping comes back in key order whatever
+        served it, as a run with nothing stored would build it.
 
         All batches of one ingredient go through the dispatcher at once,
         so with ``workers > 1`` they run concurrently (Section 4.3 / 6
@@ -538,21 +539,20 @@ class HybridQueryExecutor:
         cell_column = "value" if call.kind == "LLMJoin" else "v"
         store = self.mapping_store if known is None else None
         if known is not None:
-            served = known.get(signature)
-            if served is not None and any(key not in served for key in keys):
-                served = None
+            held = known.get(signature, {})
+            served = {key: held[key] for key in keys if key in held}
+        elif store is not None:
+            served = store.lookup(signature, keys)
         else:
-            served = None if store is None else store.lookup(signature, keys)
-        mapping: dict[tuple, Optional[str]] = {}
-        if served is not None:
+            served = {}
+        if served:
             producers = (
                 store.call_ids(signature)
                 if prov.enabled and store is not None
                 else {}
             )
-            for key in keys:
-                mapping[key] = served[key]
-                if served[key] is not None:
+            for key, value in served.items():
+                if value is not None:
                     report.keys_generated += 1
                 if prov.enabled:
                     prov.record_cell(
@@ -560,21 +560,24 @@ class HybridQueryExecutor:
                         key,
                         cell_column,
                         producers.get(key, ""),
-                        null=served[key] is None,
+                        null=value is None,
                         tier=TIER_MAPPING_STORE,
                     )
-            return mapping
+        if len(served) == len(keys):
+            return served
+        missing = [key for key in keys if key not in served]
         reusable = {}
         if store is not None:
             reusable = store.rewrite_lookup(
                 signature,
-                keys,
+                missing,
                 lambda prompt, label: self._pay([prompt], label, report, deadline)[0],
             )
+        found = dict(served)
         to_generate: list[tuple] = []
-        for key in keys:
+        for key in missing:
             if key in reusable:
-                mapping[key] = reusable[key]
+                found[key] = reusable[key]
                 if prov.enabled:
                     # served by query rewriting: the producing prompt
                     # belonged to the *equivalent* question, unknown here
@@ -595,7 +598,7 @@ class HybridQueryExecutor:
                 answers = parse_map_answers(text, len(batch))
             cid = call_id_for(prompt) if prov.enabled else ""
             for key, answer in zip(batch, answers):
-                mapping[key] = answer
+                found[key] = answer
                 if answer is not None:
                     report.keys_generated += 1
                 if prov.enabled:
@@ -615,9 +618,13 @@ class HybridQueryExecutor:
                 # caused them
                 store.put(
                     signature,
-                    {k: v for k, v in mapping.items() if v is not None},
+                    {
+                        key: found[key]
+                        for key in missing
+                        if found[key] is not None
+                    },
                 )
-        return mapping
+        return {key: found[key] for key in keys}
 
     _MAP_RULE = (
         "Return one line per key in the format `index. answer`, "

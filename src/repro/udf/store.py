@@ -5,10 +5,10 @@ columns), each entry maps key tuples to generated values.  A ``pairs``
 planning pass fills it up front; an executor holding a store publishes
 what it generates, and the query server (one store per database) each
 flushed map group — real answers only, never a degraded or drifted NULL.
-Readers are all-or-nothing per occurrence: when the store covers *every*
-key an occurrence needs, it is answered with zero LLM calls; partial
-coverage regenerates the whole occurrence, since a half-served batch
-would change batching (and therefore answers).
+Readers are served per key: :meth:`MappingStore.lookup` and
+:meth:`MappingStore.peek` return the stored subset of the keys asked
+for, so an occurrence the store fully covers costs no LLM call and a
+partly covered one pays only for the keys it lacks.
 
 A store built with ``rewrite=True`` also answers the query rewriting the
 paper proposes (Sections 4.3 and 5.5): BlendSQL's prompt-keyed cache
@@ -108,7 +108,7 @@ class MappingStore:
         self.partial = 0
         self.keys_served = 0
         #: off, :meth:`rewrite_lookup` reuses nothing: a plain store serves
-        #: only the occurrences it fully covers
+        #: only the keys it holds for the signature itself
         self._rewrite = rewrite
         #: signature → embedding of its question, kept only when rewriting
         self._vectors: dict[tuple, dict[str, float]] = {}
@@ -136,20 +136,31 @@ class MappingStore:
 
     def lookup(
         self, signature: tuple, keys: Sequence[tuple]
-    ) -> Optional[dict[tuple, Optional[str]]]:
-        """All requested keys' values, or None unless fully covered."""
+    ) -> dict[tuple, Optional[str]]:
+        """The stored subset of ``keys`` (empty on a miss), counted.
+
+        A hit covers every key; any other lookup is a miss, and a
+        *partial* one when the signature is stored but lacks some key.
+        """
         with self._lock:
-            stored = self._data.get(signature)
-            if stored is None:
+            served = self._covered(signature, keys)
+            if len(served) == len(keys) and signature in self._data:
+                self.hits += 1
+            else:
                 self.misses += 1
-                return None
-            if any(key not in stored for key in keys):
-                self.partial += 1
-                self.misses += 1
-                return None
-            self.hits += 1
-            self.keys_served += len(keys)
-            return {key: stored[key] for key in keys}
+                if signature in self._data:
+                    self.partial += 1
+            self.keys_served += len(served)
+            return served
+
+    def _covered(
+        self, signature: tuple, keys: Sequence[tuple]
+    ) -> dict[tuple, Optional[str]]:
+        """The stored subset of ``keys`` under ``signature``; caller locks."""
+        stored = self._data.get(signature)
+        if not stored:
+            return {}
+        return {key: stored[key] for key in keys if key in stored}
 
     def rewrite_lookup(
         self, signature: tuple, keys: Sequence[tuple], pay: Pay
@@ -188,8 +199,7 @@ class MappingStore:
     def _reuse(
         self, signature: tuple, keys: Sequence[tuple]
     ) -> dict[tuple, Optional[str]]:
-        stored = self._data[signature]
-        reused = {key: stored[key] for key in keys if key in stored}
+        reused = self._covered(signature, keys)
         self.rewrite_stats.keys_reused += len(reused)
         return reused
 
@@ -212,14 +222,11 @@ class MappingStore:
     ) -> dict[tuple, Optional[str]]:
         """The stored subset of ``keys``, without touching hit/miss stats.
 
-        The server's planning reads it before enqueueing, and uses it
-        only when it covers every key (the rule of :meth:`lookup`).
+        The server's planning serves it before enqueueing only the rest
+        (the rule of :meth:`lookup`).
         """
         with self._lock:
-            stored = self._data.get(signature)
-            if not stored:
-                return {}
-            return {key: stored[key] for key in keys if key in stored}
+            return self._covered(signature, keys)
 
     def __len__(self) -> int:
         with self._lock:

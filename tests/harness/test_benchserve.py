@@ -88,7 +88,7 @@ class TestBatchingComparison:
 
     def test_levels_carry_the_batching_keys(self, payloads):
         on, _ = payloads
-        assert on["batch_window"] == 2.0
+        assert "batch_window" not in on
         assert on["max_batch"] is None
         for level in on["levels"]:
             assert level["tokens_per_answer"] >= 0
@@ -104,7 +104,7 @@ class TestBatchingComparison:
         on, off = payloads
         stripped = {
             k: v for k, v in on.items()
-            if k not in ("batch_window", "max_batch")
+            if k != "max_batch"
         }
         stripped["levels"] = [
             {
@@ -127,7 +127,7 @@ class TestBatchingComparison:
     def test_report_renders_the_comparison_table(self, payloads):
         on, off = payloads
         text = format_serve_report(on)
-        assert "Cross-request batching (window=2s)" in text
+        assert "Cross-request batching vs per-request dispatch:" in text
         assert "saved%" in text
         assert "Cross-request batching" not in format_serve_report(off)
 

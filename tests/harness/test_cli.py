@@ -359,17 +359,6 @@ class TestBenchCacheTarget:
 
 
 class TestBatchingFlags:
-    def test_bad_batch_window_value(self, capsys):
-        assert main(["dash", "--batch-window=soon"]) == 2
-        err = capsys.readouterr().err
-        assert "--batch-window requires a number" in err
-        assert "usage:" in err
-
-    def test_nonpositive_batch_window_rejected(self, capsys):
-        for bad in ("0", "-2"):
-            assert main(["dash", f"--batch-window={bad}"]) == 2
-            assert "--batch-window must be > 0" in capsys.readouterr().err
-
     def test_bad_max_batch_value(self, capsys):
         assert main(["dash", "--max-batch=lots"]) == 2
         assert "--max-batch requires an integer" in capsys.readouterr().err
@@ -388,15 +377,16 @@ class TestBatchingFlags:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "--batching=on|off" in out
-        assert "--batch-window=SECONDS" in out
+        assert "--batch-window" not in out
         assert "--max-batch=N" in out
 
     def test_all_serve_targets_accept_the_flags(self):
         from repro.harness.__main__ import _FLAG_TARGETS
 
         for target in ("dash",):
-            for option in ("batch_window", "max_batch", "batching"):
+            for option in ("max_batch", "batching"):
                 assert option in _FLAG_TARGETS[target]
+            assert "batch_window" not in _FLAG_TARGETS[target]
 
     def test_serve_demo_reports_batching(self, capsys):
         assert main(["dash", "--horizon=40", "--max-batch=4"]) == 0
@@ -546,7 +536,6 @@ class TestNonFiniteFloatFlags:
         [
             ("dash", "--horizon"),
             ("dash", "--window"),
-            ("dash", "--batch-window"),
             ("explain-request", "--multiplier"),
             ("regress", "--max-ex-drop"),
             ("regress", "--max-token-growth"),

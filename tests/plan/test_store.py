@@ -14,19 +14,28 @@ class TestMappingStore:
         assert store.hits == 1
         assert store.keys_served == 2
 
-    def test_partial_coverage_is_all_or_nothing(self):
+    def test_partial_coverage_served_per_key(self):
+        # the covered key is served; the caller pays only for the other
         store = MappingStore()
         store.put(SIG, {("a",): "yes"})
-        assert store.lookup(SIG, [("a",), ("b",)]) is None
+        assert store.lookup(SIG, [("a",), ("b",)]) == {("a",): "yes"}
         assert store.partial == 1
         assert store.misses == 1
-        assert store.keys_served == 0
+        assert store.hits == 0
+        assert store.keys_served == 1
 
     def test_unknown_signature_misses(self):
         store = MappingStore()
-        assert store.lookup(SIG, [("a",)]) is None
+        assert store.lookup(SIG, [("a",)]) == {}
         assert store.misses == 1
         assert store.partial == 0
+        assert store.keys_served == 0
+
+    def test_lookup_and_peek_share_one_coverage_rule(self):
+        store = MappingStore()
+        store.put(SIG, {("a",): "yes", ("c",): None})
+        for keys in ([("a",)], [("a",), ("b",), ("c",)], [("b",)], []):
+            assert store.lookup(SIG, keys) == store.peek(SIG, keys)
 
     def test_none_values_count_as_coverage(self):
         # a planned call that produced no usable answer is still an

@@ -1,6 +1,5 @@
 """Tests for the cross-request batch former (`repro.serve.batcher`)."""
 
-import math
 import random
 from itertools import chain
 from types import SimpleNamespace
@@ -8,9 +7,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.serve.batcher import (
-    DEADLINE_FORCED,
-    SIZE_TRIGGERED,
-    WINDOW_EXPIRED,
     BatchingConfig,
     CrossRequestBatcher,
     PendingRequest,
@@ -49,21 +45,15 @@ def _member(rid, *, arrival=0.0, deadline=60.0, tenant="t"):
     return PendingRequest(request, start=arrival, queue_wait=0.0)
 
 
-def _batcher(window=2.0, max_batch=None, size=8):
-    config = BatchingConfig(window=window, max_batch=max_batch)
+def _batcher(max_batch=None, size=8):
+    config = BatchingConfig(max_batch=max_batch)
     return CrossRequestBatcher(config, _FixedPolicy(size))
 
 
 class TestBatchingConfig:
     def test_defaults(self):
         config = BatchingConfig()
-        assert config.window == 2.0
         assert config.max_batch is None
-
-    def test_nonpositive_window_rejected(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                BatchingConfig(window=bad)
 
     def test_nonpositive_max_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -72,6 +62,7 @@ class TestBatchingConfig:
     def test_max_batch_overrides_policy_threshold(self):
         batcher = _batcher(max_batch=3, size=8)
         assert batcher.chunk_size_for(_Call()) == 3
+        assert _batcher(size=8).chunk_size_for(_Call()) == 8
 
 
 class TestSplitFairly:
@@ -103,16 +94,14 @@ class TestSingleFlight:
         batcher = _batcher()
         call = _Call()
         a, b = _member(0), _member(1)
+        # two requests dispatched at the same instant share its wave
         batcher.enqueue_keys("superhero", call, [("x",)], a,
-                             chunk_size=8, now=0.0)
+                             chunk_size=8, now=0.5)
         batcher.enqueue_keys("superhero", call, [("x",)], b,
                              chunk_size=8, now=0.5)
         assert batcher.items_enqueued == 1
         assert a.outstanding == 1 and b.outstanding == 1
-        batcher.expedite(1.0)
-        # expedite is the max_concurrent=1 path, which also disables
-        # tail retention — mirror the server's pairing here
-        (flushed,) = batcher.collect_due(1.0, retain_tails=False)
+        (flushed,) = batcher.collect_due(0.5)
         # one owner per key; the second requester waits beside it
         assert flushed.payloads == [("x",)]
         assert flushed.owners == [a]
@@ -141,51 +130,45 @@ class TestSingleFlight:
 
 
 class TestReleasePolicy:
-    def test_window_release_when_below_threshold(self):
-        batcher = _batcher(window=2.0, size=8)
+    def test_released_at_the_enqueue_instant(self):
+        """Whatever the group's size, its work is due when it is enqueued."""
+        batcher = _batcher(size=8)
         batcher.enqueue_keys("superhero", _Call(), [("x",)], _member(0),
                              chunk_size=8, now=1.0)
-        (release,) = batcher.drain_releases()
-        assert release == pytest.approx(3.0)
-        assert not batcher.has_due(2.9)
-        assert batcher.has_due(3.0)
+        assert not batcher.has_due(0.9)
+        assert batcher.has_due(1.0)
+        (flushed,) = batcher.collect_due(1.0)
+        assert flushed.payloads == [("x",)]
+        assert not batcher.has_due(1.0)
+        assert batcher.collect_due(1.0) == []
 
     def test_size_trigger_releases_immediately(self):
+        """A group holding whole policy-sized calls is released at once,
+        as every group is: size no longer decides when, only how the
+        flush is cut into calls."""
         batcher = _batcher(size=2)
-        member = _member(0)
-        batcher.enqueue_keys("superhero", _Call(), [("x",), ("y",)], member,
-                             chunk_size=2, now=1.0)
-        assert batcher.drain_releases()[-1] == pytest.approx(1.0)
+        batcher.enqueue_keys("superhero", _Call(), [("x",), ("y",), ("z",)],
+                             _member(0), chunk_size=2, now=1.0)
+        assert batcher.has_due(1.0)
         (flushed,) = batcher.collect_due(1.0)
-        assert flushed.trigger == SIZE_TRIGGERED
-
-    def test_deadline_clamps_release_before_window(self):
-        batcher = _batcher(window=10.0, size=8)
-        member = _member(0, arrival=0.0, deadline=3.0)
-        batcher.enqueue_keys("superhero", _Call(), [("x",)], member,
-                             chunk_size=8, now=1.0)
-        (release,) = batcher.drain_releases()
-        assert release == pytest.approx(3.0)  # deadline, not 1.0 + 10.0
-        (flushed,) = batcher.collect_due(3.0)
-        assert flushed.trigger == DEADLINE_FORCED
+        assert flushed.payloads == [("x",), ("y",), ("z",)]
+        assert flushed.chunk_size == 2
 
     def test_no_release_ever_exceeds_a_member_deadline(self):
-        """Property: release_at <= min member deadline, whatever arrives.
+        """Property: a group is due at its first enqueue, never later.
 
         Randomized enqueue sequences (arrivals move forward, deadlines
-        are always in each member's future) must never schedule a
-        group's release past the earliest waiting deadline.
+        are always in each member's future) must find every group that
+        holds items already due — so no member ever waits on a release,
+        let alone one past its deadline.
         """
         rng = random.Random(17)
         for trial in range(50):
-            batcher = _batcher(
-                window=rng.choice([0.5, 2.0, 10.0]),
-                size=rng.choice([2, 4, 8]),
-            )
+            batcher = _batcher(size=rng.choice([2, 4, 8]))
             calls = [_Call(f"sig{i}") for i in range(3)]
             now = 0.0
             for step in range(30):
-                now += rng.random() * 2.0
+                now += rng.choice([0.0, rng.random() * 2.0])
                 member = _member(
                     1000 * trial + step,
                     arrival=now,
@@ -199,7 +182,7 @@ class TestReleasePolicy:
                     chunk_size=4, now=now,
                 )
                 for group in batcher._groups.values():
-                    if not group.items or group.release_at is None:
+                    if not group.items:
                         continue
                     earliest = min(
                         m.request.deadline_at
@@ -207,50 +190,24 @@ class TestReleasePolicy:
                             group.items.values(), *group.later.values()
                         )
                     )
-                    # a release is either already due (<= now) or in the
-                    # future but never past the earliest member deadline
-                    assert (
-                        group.release_at <= now + 1e-9
-                        or group.release_at <= earliest + 1e-9
-                    )
+                    assert group.release_at <= now + 1e-9
+                    assert group.release_at <= earliest + 1e-9
                 if rng.random() < 0.3:
                     for flushed in batcher.collect_due(now):
                         assert flushed.payloads
-                batcher.drain_releases()
+                    assert not batcher.has_due(now)
 
 
 class TestTailRetention:
-    def _fill(self, batcher, count, *, deadline=60.0, now=0.0):
-        member = _member(0, deadline=deadline)
-        keys = [(f"k{i}",) for i in range(count)]
-        batcher.enqueue_keys("superhero", _Call(), keys, member,
-                             chunk_size=4, now=now)
-        return member
-
-    def test_size_flush_keeps_partial_tail(self):
-        batcher = _batcher(size=4)
-        self._fill(batcher, 6)
-        (flushed,) = batcher.collect_due(0.0)
-        assert flushed.trigger == SIZE_TRIGGERED
-        assert len(flushed.payloads) == 4  # one full chunk
-        # the tail re-opened on a fresh window and scheduled a release
-        assert batcher.has_due(2.0)
-        (tail,) = batcher.collect_due(2.0)
-        assert len(tail.payloads) == 2
-        assert tail.trigger == WINDOW_EXPIRED
-
     def test_retention_disabled_flushes_everything(self):
+        """A flush takes a group's partial tail along with its full chunks."""
         batcher = _batcher(size=4)
-        self._fill(batcher, 6)
-        (flushed,) = batcher.collect_due(0.0, retain_tails=False)
+        keys = [(f"k{i}",) for i in range(6)]
+        batcher.enqueue_keys("superhero", _Call(), keys, _member(0),
+                             chunk_size=4, now=0.0)
+        (flushed,) = batcher.collect_due(0.0)
         assert len(flushed.payloads) == 6
-
-    def test_window_flush_takes_the_tail_too(self):
-        batcher = _batcher(size=8)
-        self._fill(batcher, 6)  # below threshold: window release at 2.0
-        (flushed,) = batcher.collect_due(2.0)
-        assert flushed.trigger == WINDOW_EXPIRED
-        assert len(flushed.payloads) == 6
+        assert not batcher.has_due(0.0)
 
 
 class TestSettlement:
@@ -290,14 +247,12 @@ class TestSettlement:
         batcher = _batcher()
         stats = batcher.stats()
         assert set(stats) == {
-            "window", "max_batch", "items", "coalesced_items",
+            "max_batch", "items", "coalesced_items",
             "formed_calls", "paid_calls", "coalesced_calls",
             "batch_occupancy", "flushes", "keys_from_store",
             "prompts_from_cache", "fanout_tokens_saved",
         }
-        assert set(stats["flushes"]) == {
-            WINDOW_EXPIRED, SIZE_TRIGGERED, DEADLINE_FORCED,
-        }
+        assert stats["flushes"] == 0
 
 
 # -- differential: the columnar former vs the per-key one it replaced -------
@@ -314,75 +269,44 @@ class _RefItem:
 
 
 class _RefGroup:
-    def __init__(self, gid, chunk_size, threshold):
+    def __init__(self, gid, chunk_size):
         self.gid = gid
         self.chunk_size = chunk_size
-        self.threshold = threshold
-        self.reset()
-
-    def retarget(self, now, window):
-        if not self.items:
-            self.release_at = None
-            return
-        if len(self.items) >= self.threshold:
-            self.release_at = now
-            self.release_reason = SIZE_TRIGGERED
-            return
-        window_at = self.opened_at + window
-        if self.deadline_min < window_at - 1e-9:
-            self.release_at = max(now, self.deadline_min)
-            self.release_reason = DEADLINE_FORCED
-        else:
-            self.release_at = max(now, window_at)
-            self.release_reason = WINDOW_EXPIRED
-
-    def reset(self):
         self.items = {}
-        self.opened_at = None
-        self.deadline_min = math.inf
         self.release_at = None
-        self.release_reason = WINDOW_EXPIRED
 
 
 class _ReferenceFormer:
     """The per-key former (one ``_Item`` with a requester dict per key).
 
     A copy of the batching math the columnar groups replaced: attach,
-    release, drain with tail retention, and settlement.
+    release at the enqueue instant, drain, and settlement.
     """
 
     def __init__(self, config, policy):
         self.config = config
         self.policy = policy
         self.groups = {}
-        self.new_releases = []
         self.items_enqueued = 0
         self.items_coalesced = 0
         self.formed_calls = 0
         self.paid_calls = 0
         self.coalesced_calls = 0
-        self.flushes = {WINDOW_EXPIRED: 0, SIZE_TRIGGERED: 0,
-                        DEADLINE_FORCED: 0}
+        self.flushes = 0
         self.occupancy_sum = 0.0
         self.fanout_tokens_saved = 0.0
-        self.tails_kept = 0
-
-    def _threshold(self, call):
-        if self.config.max_batch is not None:
-            return self.config.max_batch
-        return self.policy.batch_size(call)
 
     def enqueue(self, gid, call, payloads, member, *, chunk_size, now):
         group = self.groups.get(gid)
         if group is None:
-            group = _RefGroup(gid, chunk_size, self._threshold(call))
+            group = _RefGroup(gid, chunk_size)
             self.groups[gid] = group
         attached = 0
         for payload in payloads:
             item = group.items.get(payload)
             if item is None:
                 if not group.items:
-                    group.opened_at = now
+                    group.release_at = now
                 item = _RefItem(payload)
                 group.items[payload] = item
                 self.items_enqueued += 1
@@ -391,70 +315,24 @@ class _ReferenceFormer:
             item.requesters[member] = None
             member.outstanding += 1
             attached += 1
-        if attached:
-            before = group.release_at
-            group.deadline_min = min(
-                group.deadline_min, member.request.deadline_at
-            )
-            group.retarget(now, self.config.window)
-            if group.release_at is not None and group.release_at != before:
-                self.new_releases.append(group.release_at)
         return attached
 
-    def expedite(self, now):
-        for group in self.groups.values():
-            if group.items and (
-                group.release_at is None or group.release_at > now
-            ):
-                group.release_at = now
-                group.release_reason = SIZE_TRIGGERED
-
-    def drain_releases(self):
-        releases, self.new_releases = self.new_releases, []
-        return releases
-
-    def collect_due(self, now, *, retain_tails):
+    def collect_due(self, now):
         wave = []
         for group in self.groups.values():
-            if not group.items or group.release_at is None:
-                continue
-            if group.release_at > now + 1e-9:
+            if not group.items or group.release_at > now + 1e-9:
                 continue
             items = list(group.items.values())
-            kept = []
-            if (
-                retain_tails
-                and group.release_reason == SIZE_TRIGGERED
-                and group.chunk_size > 1
-            ):
-                full = (len(items) // group.chunk_size) * group.chunk_size
-                items, kept = items[:full], items[full:]
-            if not items:
-                continue
             wave.append((
-                group.gid, group.release_reason, group.chunk_size,
+                group.gid, group.chunk_size,
                 [(item.payload, list(item.requesters)) for item in items],
             ))
-            self.flushes[group.release_reason] += 1
+            self.flushes += 1
             self.items_coalesced += sum(
                 1 for item in items if len(item.requesters) >= 2
             )
-            group.reset()
-            if kept:
-                self.tails_kept += 1
-                group.items = {item.payload: item for item in kept}
-                group.opened_at = now
-                group.deadline_min = min(
-                    (
-                        member.request.deadline_at
-                        for item in kept
-                        for member in item.requesters
-                    ),
-                    default=math.inf,
-                )
-                group.retarget(now, self.config.window)
-                if group.release_at is not None:
-                    self.new_releases.append(group.release_at)
+            group.items = {}
+            group.release_at = None
         return wave
 
     def settle_call(self, item_requesters, usage=None, *, fill=None):
@@ -506,9 +384,9 @@ def _ledger(member):
 class TestDifferentialFormer:
     """Seeded enqueue sequences: the columnar former == the per-key one.
 
-    Both formers see the same enqueues, expedites and drains, on twin
-    members (same request id and deadline); every drained group is
-    settled chunk by chunk with the same random usage on both sides.
+    Both formers see the same enqueues and drains, on twin members (same
+    request id and deadline); every drained group is settled chunk by
+    chunk with the same random usage on both sides.
     """
 
     def _usage(self, rng):
@@ -523,13 +401,13 @@ class TestDifferentialFormer:
             output_tokens=rng.randint(0, 400),
         )
 
-    def _drain(self, rng, ref, new, ref_of, now, retain_tails):
-        ref_wave = ref.collect_due(now, retain_tails=retain_tails)
-        new_wave = new.collect_due(now, retain_tails=retain_tails)
-        assert [(g.gid, g.trigger, g.chunk_size) for g in new_wave] == [
-            (gid, trigger, chunk) for gid, trigger, chunk, _ in ref_wave
+    def _drain(self, rng, ref, new, ref_of, now):
+        ref_wave = ref.collect_due(now)
+        new_wave = new.collect_due(now)
+        assert [(g.gid, g.chunk_size) for g in new_wave] == [
+            (gid, chunk) for gid, chunk, _ in ref_wave
         ]
-        for (_, _, chunk_size, items), group in zip(ref_wave, new_wave):
+        for (_, chunk_size, items), group in zip(ref_wave, new_wave):
             # flushed payload order, and requesters in attach order
             assert group.payloads == [payload for payload, _ in items]
             assert [
@@ -558,15 +436,12 @@ class TestDifferentialFormer:
 
     def _trial(self, seed, coverage):
         rng = random.Random(seed)
-        window = rng.choice([0.5, 2.0, 6.0])
         max_batch = rng.choice([None, 2, 3, 5])
         size = rng.choice([2, 4, 8])
-        config = BatchingConfig(window=window, max_batch=max_batch)
+        config = BatchingConfig(max_batch=max_batch)
         new = CrossRequestBatcher(config, _FixedPolicy(size))
         ref = _ReferenceFormer(config, _FixedPolicy(size))
         chunk_size = rng.choice([1, 3, new.chunk_size_for(None)])
-        # mc=1 pairs expedite with no tail retention, like the server
-        serial = rng.random() < 0.2
         calls = [_Call(f"sig{i}") for i in range(rng.randint(1, 3))]
         keys = [(f"k{i}",) for i in range(rng.randint(3, 16))]
         members = []  # (new member, reference twin)
@@ -608,17 +483,12 @@ class TestDifferentialFormer:
                         ("map", "superhero", call.signature()), call,
                         wanted, twin, chunk_size=chunk_size, now=now,
                     )
-                if serial:
-                    new.expedite(now)
-                    ref.expedite(now)
-                    coverage["expedite"] += 1
             else:
-                self._drain(rng, ref, new, ref_of, now, not serial)
-            assert new.drain_releases() == ref.drain_releases()
+                self._drain(rng, ref, new, ref_of, now)
             for member, twin in members:
                 assert _ledger(member) == _ledger(twin)
-        # drain everything left, past every window and deadline
-        self._drain(rng, ref, new, ref_of, now + 100.0, False)
+        # drain everything left
+        self._drain(rng, ref, new, ref_of, now)
         for member, twin in members:
             assert _ledger(member) == _ledger(twin)
         assert (new.items_enqueued, new.items_coalesced) == (
@@ -631,15 +501,13 @@ class TestDifferentialFormer:
         assert new._occupancy_sum == ref.occupancy_sum
         assert new._fanout_tokens_saved == ref.fanout_tokens_saved
         coverage["coalesced items"] += ref.items_coalesced
-        coverage["tails kept"] += ref.tails_kept
-        coverage["deadline releases"] += ref.flushes[DEADLINE_FORCED]
         coverage["fan-out tokens saved"] += ref.fanout_tokens_saved > 0
 
     def test_columnar_former_matches_the_per_key_former(self):
         coverage = dict.fromkeys(
             (
-                "same member again", "expedite", "coalesced items",
-                "tails kept", "deadline releases", "fan-out tokens saved",
+                "same member again", "coalesced items",
+                "fan-out tokens saved",
             ),
             0,
         )

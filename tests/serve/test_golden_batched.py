@@ -8,10 +8,16 @@ batcher forms, settles or fans out its groups has to reproduce the
 pinned runs bit for bit.
 
 The matrix runs two databases at loads where requests overlap in
-service, so the multi-requester path (one key wanted by several
-requests) is exercised: the serving benchmark's workloads carry only a
-few hundred such items among ~300k.  ``test_the_matrix_coalesces``
-keeps that true.
+service.  Work is released at the instant its request is dispatched, so
+only requests dispatched at the same instant share a wave; the
+``burst`` row offers the rps-1.5 traffic in same-instant bursts (every
+arrival moved back to its 10-second mark) so the multi-requester path
+(one key wanted by several requests, multi-member waves) is exercised,
+and ``test_the_matrix_coalesces`` keeps that true.
+
+The rows were re-pinned when the batching window was deleted (release
+at dispatch, partly covered ingredients served per key from the store);
+the window axis went from the row ids.
 
 Every row runs with the always-on mapping store.  The rows are the
 ``share_mappings=True`` half of the matrix the store replaced, re-pinned
@@ -21,6 +27,8 @@ from the record; the ``share_mappings=False`` half went with the knob.
 
 import hashlib
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,24 +43,30 @@ GOLDEN = Path(__file__).with_name("golden_batched.json")
 
 DATABASES = ("superhero", "formula_1")
 
-#: (window, max_batch): a long window at the policy's size, and a short
-#: window with small forced batches (many size-triggered tails)
-BATCHINGS = ((4.0, None), (1.0, 3))
+#: max_batch: the policy's size, and small forced batches (many partial
+#: tail chunks)
+MAX_BATCHES = (None, 3)
 
 MATRIX = [
-    (rps, max_concurrent, fault_rate, window, max_batch)
+    (rps, max_concurrent, fault_rate, max_batch)
     for rps in (1.5, 4.0)
     for max_concurrent in (3, 8)
     for fault_rate in (0.0, 0.2)
-    for window, max_batch in BATCHINGS
+    for max_batch in MAX_BATCHES
 ]
 
 
-def _matrix_id(rps, max_concurrent, fault_rate, window, max_batch) -> str:
-    return (
-        f"rps{rps}-mc{max_concurrent}-fault{fault_rate}"
-        f"-w{window}-mb{max_batch}"
-    )
+#: the matrix row the burst row replays in same-instant bursts
+BURST = (1.5, 8, 0.0, None)
+BURST_EVERY = 10.0
+
+
+def _matrix_id(rps, max_concurrent, fault_rate, max_batch) -> str:
+    return f"rps{rps}-mc{max_concurrent}-fault{fault_rate}-mb{max_batch}"
+
+
+def _burst_id() -> str:
+    return "burst-" + _matrix_id(*BURST)
 
 
 def _traffic(swan, rps):
@@ -62,13 +76,18 @@ def _traffic(swan, rps):
     return generate_traffic(swan, scaled, horizon=120.0, seed=7), policies
 
 
-def serve(swan, row):
-    rps, max_concurrent, fault_rate, window, max_batch = row
+def serve(swan, row, *, burst=False):
+    rps, max_concurrent, fault_rate, max_batch = row
     requests, policies = _traffic(swan, rps)
+    if burst:
+        requests = [
+            replace(r, arrival=BURST_EVERY * math.floor(r.arrival / BURST_EVERY))
+            for r in requests
+        ]
     config = ServerConfig(
         workers=4, queue_limit=24, max_concurrent=max_concurrent,
         fault_rate=fault_rate, fault_seed=3,
-        batching=BatchingConfig(window=window, max_batch=max_batch),
+        batching=BatchingConfig(max_batch=max_batch),
     )
     with QueryServer(swan, config, policies=policies) as server:
         return server.run(requests)
@@ -96,10 +115,15 @@ def load_swan():
     return load_benchmark_subset(1, list(DATABASES))
 
 
+def serve_all(swan) -> dict:
+    reports = {_matrix_id(*row): serve(swan, row) for row in MATRIX}
+    reports[_burst_id()] = serve(swan, BURST, burst=True)
+    return reports
+
+
 @pytest.fixture(scope="module")
 def reports():
-    swan = load_swan()
-    return {_matrix_id(*row): serve(swan, row) for row in MATRIX}
+    return serve_all(load_swan())
 
 
 @pytest.fixture(scope="module")
@@ -112,13 +136,18 @@ class TestGoldenBatched:
     def test_matrix_row_matches_pinned_bytes(self, reports, golden, row):
         assert digest(reports[_matrix_id(*row)]) == golden[_matrix_id(*row)]
 
+    def test_burst_matches_pinned_bytes(self, reports, golden):
+        assert digest(reports[_burst_id()]) == golden[_burst_id()]
+
     def test_the_matrix_coalesces(self, reports):
-        coalesced = [r.batching["coalesced_items"] for r in reports.values()]
-        assert max(coalesced) >= 100
+        burst = reports[_burst_id()].batching
+        assert burst["coalesced_items"] >= 100
+        assert burst["coalesced_calls"] > 0
 
 
 if __name__ == "__main__":
-    swan = load_swan()
-    digests = {_matrix_id(*row): digest(serve(swan, row)) for row in MATRIX}
+    digests = {
+        row_id: digest(report) for row_id, report in serve_all(load_swan()).items()
+    }
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")

@@ -26,6 +26,8 @@ from repro.harness.benchserve import (
 from repro.obs.export import spans_to_records, stage_summary
 from repro.obs.sampler import TailSampler
 from repro.serve.batcher import BatchingConfig
+from repro.serve.request import QueryRequest
+from repro.serve.server import QueryServer, ServerConfig
 from repro.serve.trace import (
     ServeTraceLog,
     materialize_kept,
@@ -74,6 +76,29 @@ def traced_batched_run(serve_swan, capacity):
         serve_swan, capacity, trace=log, batching=BatchingConfig()
     )
     return report, record, log
+
+
+@pytest.fixture(scope="module")
+def traced_burst_run(serve_swan):
+    """A same-instant burst: six requests over three questions arrive
+    together, are dispatched at one instant and share its wave."""
+    requests = [
+        QueryRequest(
+            request_id=index, tenant=f"t{index % 2}", database="superhero",
+            sql=serve_swan.question(qid).blend_sql, arrival=0.0, qid=qid,
+            deadline_seconds=1000.0,
+        )
+        for index, qid in enumerate(
+            ("superhero_q01", "superhero_q02", "superhero_q05") * 2
+        )
+    ]
+    log = ServeTraceLog()
+    config = ServerConfig(
+        workers=4, max_concurrent=len(requests), batching=BatchingConfig()
+    )
+    with QueryServer(serve_swan, config, trace=log) as server:
+        report = server.run(requests)
+    return report, log
 
 
 class TestTraceInvisibility:
@@ -152,12 +177,11 @@ class TestExactAttribution:
 
 
 class TestSharedBatchLinks:
-    def test_one_wave_span_linked_from_every_member(
-        self, traced_batched_run
-    ):
-        _, _, log = traced_batched_run
+    def test_one_wave_span_linked_from_every_member(self, traced_burst_run):
+        report, log = traced_burst_run
+        assert report.batching["coalesced_items"] > 0
         shared = [wave for wave in log.waves if len(wave.members) > 1]
-        assert shared, "overload with batching never shared a flush"
+        assert shared, "a same-instant burst never shared a flush"
         for wave in shared:
             for trace_id in wave.members:
                 record = log.get(trace_id)

@@ -28,8 +28,11 @@ REWRITING = {
     ("california_schools", "gpt-4-turbo"): (328, 62644, 10486, "9f98b74e909cb957"),
     ("california_schools", "gpt-3.5-turbo"): (330, 62845, 10506, "071ded8bfab86638"),
 }
+#: re-pinned when the store began serving a partly covered ingredient per
+#: key (it used to regenerate the whole ingredient): 7 fewer calls, and
+#: the rows the rewriting store already gave on the same run
 COMPLETE_GENERATIONS = {
-    ("superhero", "gpt-3.5-turbo"): (506, 109704, 14453, "1fc399e6f8440e57"),
+    ("superhero", "gpt-3.5-turbo"): (499, 108244, 14285, "0f5afab767d9eac5"),
 }
 
 
