@@ -118,7 +118,10 @@ def measure_capacity(
 
     At a trickle of offered load nothing queues, so the mean service
     time is pure per-request cost; ``max_concurrent`` of those run side
-    by side at saturation.
+    by side at saturation.  The probe's server is warm like every
+    other: its HQDL expansions are built before the first arrival, so
+    no probe request carries a build and the capacity is the steady
+    state's (the build's cost is in ``report.startup``, not here).
     """
     base = offered_rps(tenants)
     probe = [spec.scaled(0.1 / base) for spec in tenants]
@@ -660,6 +663,9 @@ def format_serve_report(payload: dict) -> str:
                 f"{arm['p99']:>8.3f}"
             )
     lines.append("")
+    if payload["levels"]:
+        # every level's server warms the same databases at the same cost
+        lines.append(format_startup(payload["levels"][0]["startup"]))
     lines.append(
         "All latencies are virtual seconds; every offered request "
         "terminated as served, degraded, or rejected."
@@ -674,6 +680,18 @@ def format_serve_report(payload: dict) -> str:
             f"(accounting {'OK' if worst['accounting_ok'] else 'BROKEN'})."
         )
     return "\n".join(lines)
+
+
+def format_startup(startup: dict) -> str:
+    """One line on what the server paid before its first arrival."""
+    if not startup["databases"]:
+        return "Startup: no HQDL database to warm."
+    return (
+        f"Startup: HQDL expanded {', '.join(startup['databases'])} before "
+        f"the first arrival: {startup['llm_calls']} calls, "
+        f"{startup['input_tokens'] + startup['output_tokens']} tokens, "
+        f"{startup['seconds']:.3f} virtual s (charged to no request)."
+    )
 
 
 def format_slo_report(payload: dict) -> str:

@@ -22,6 +22,7 @@ from repro.harness.benchserve import (
     build_observability,
     default_config,
     default_tenants,
+    format_startup,
     measure_capacity,
     run_level,
     slo_level_record,
@@ -293,6 +294,7 @@ def format_dash(payload: dict) -> str:
             f"{arm['batch_occupancy']:.2f}, {saved} fan-out tokens saved, "
             f"{arm['keys_from_store']} keys served from the shared store."
         )
+    lines.append(format_startup(serve["startup"]))
     lines.append(
         f"Run accounting: {serve['offered']} offered = {serve['served']} "
         f"served + {serve['degraded']} degraded + {serve['rejected']} "

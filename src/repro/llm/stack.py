@@ -8,13 +8,11 @@ talks to the same stack, innermost first::
                 benchmark proxy, simulated latency, faults + retry
                 (:func:`build_resilient_stack`)
     disk        PersistentClient over ``cache_dir/<database>.sqlite``
-    memory      CachingClient over a PromptCache
 
-so memory hits never touch the disk, disk hits bypass faults and the
-retry budget, and retries never re-pay a completed call.  The UDF
-executor owns its memory tier (it builds the ``CachingClient`` around
-whatever client it is given), so UDF callers leave ``memory_cache`` unset
-and hand the executor the :class:`~repro.llm.cache.PromptCache` instead.
+so disk hits bypass faults and the retry budget, and retries never
+re-pay a completed call.  The memory tier belongs to the UDF executor,
+which builds its ``CachingClient`` around whatever client it is given
+from the :class:`~repro.llm.cache.PromptCache` its caller hands it.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.llm.cache import CachingClient, PromptCache
 from repro.llm.chat import MockChatModel
 from repro.llm.client import ChatClient
 from repro.llm.diskcache import PersistentClient, PersistentPromptCache
@@ -67,11 +64,10 @@ def build_client_stack(
     meter: Optional[UsageMeter] = None,
     wrap: Optional[Callable[[ChatClient], ChatClient]] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    memory_cache: Optional[PromptCache] = None,
     telemetry: Optional[Telemetry] = None,
     provenance=None,
 ) -> ClientStack:
-    """model -> wrap -> disk -> memory for one database (see module doc)."""
+    """model -> wrap -> disk for one database (see module doc)."""
     client: ChatClient = MockChatModel(
         KnowledgeOracle(world), get_profile(model_name), meter=meter
     )
@@ -83,10 +79,6 @@ def build_client_stack(
         client = PersistentClient(
             client, disk, shots=shots, telemetry=telemetry,
             provenance=provenance,
-        )
-    if memory_cache is not None:
-        client = CachingClient(
-            client, memory_cache, telemetry=telemetry, provenance=provenance
         )
     return ClientStack(client, disk)
 

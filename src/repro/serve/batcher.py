@@ -3,9 +3,8 @@
 The batch runners amortize LLM cost across *rows of one query*; the
 :class:`CrossRequestBatcher` lets the server do the same across
 *requests*.  It collects the LLM work items of every dispatched request
-— (signature, key) pairs for LLMMap/LLMJoin, whole prompts for LLMQA and
-HQDL generation — into groups keyed by database and ingredient
-signature or label:
+— (signature, key) pairs for LLMMap/LLMJoin, whole prompts for LLMQA —
+into groups keyed by database and ingredient signature or label:
 
 - **Release at dispatch.**  A request's work is released at the instant
   the request is dispatched; nothing waits on a timer.  The server
@@ -263,7 +262,7 @@ class CrossRequestBatcher:
         *,
         now: float,
     ) -> int:
-        """Add one whole-prompt work item (LLMQA / HQDL generation)."""
+        """Add one whole-prompt work item (an LLMQA prompt)."""
         gid = ("prompt", database, label)
         group = self._groups.get(gid)
         if group is None:

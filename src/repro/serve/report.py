@@ -15,6 +15,39 @@ from repro.llm.usage import Usage
 from repro.serve.request import DEGRADED, REJECTED, SERVED, RequestOutcome
 
 
+@dataclass(frozen=True)
+class StartupRecord:
+    """What warming the server cost, before its first arrival.
+
+    HQDL generates each database's expansion tables once (paper Section
+    5.5), so the server builds them at start for every database its
+    stream routes to HQDL and charges the build here, not to a request.
+    Its calls, tokens and retries are in the run's :class:`Usage` and
+    :class:`ResilienceReport` all the same.  ``seconds`` is the virtual
+    build time: the makespan of its paid calls over the server's
+    workers, plus ``backoff_seconds`` of retry backoff.
+    """
+
+    databases: tuple[str, ...] = ()
+    calls: int = 0
+    input_tokens: int = 0
+    output_tokens: int = 0
+    retries: int = 0
+    backoff_seconds: float = 0.0
+    seconds: float = 0.0
+
+    def as_record(self) -> dict:
+        return {
+            "databases": list(self.databases),
+            "llm_calls": self.calls,
+            "input_tokens": self.input_tokens,
+            "output_tokens": self.output_tokens,
+            "retries": self.retries,
+            "backoff_seconds": round(self.backoff_seconds, 6),
+            "seconds": round(self.seconds, 6),
+        }
+
+
 @dataclass
 class ServeReport:
     """Everything one serving run produced, with the invariants to check."""
@@ -31,6 +64,8 @@ class ServeReport:
     cache_misses: int
     mapping_stats: dict
     resilience: ResilienceReport
+    #: the HQDL warm build, paid before the first arrival
+    startup: StartupRecord = StartupRecord()
     #: cross-request batching summary (None when batching is off, which
     #: keeps the unbatched record byte-identical to the pre-batching one)
     batching: Optional[dict] = None
@@ -174,6 +209,7 @@ class ServeReport:
             "input_tokens": self.usage.input_tokens,
             "output_tokens": self.usage.output_tokens,
             "accounting_ok": self.accounted(),
+            "startup": self.startup.as_record(),
         }
         if self.batching is not None:
             record["batching"] = self.batching

@@ -45,7 +45,8 @@ class QueryRequest:
     sql: str
     arrival: float
     #: "udf" executes the hybrid SQL through HybridQueryExecutor;
-    #: "hqdl" answers against the (lazily materialized) expanded schema
+    #: "hqdl" answers against the expanded schema, materialized before the
+    #: server's first arrival
     pipeline: str = "udf"
     qid: str = ""
     priority: int = 1

@@ -32,9 +32,13 @@ trips, subsequent requests skip LLM work entirely and get a cheap
 degraded answer until the cooldown half-opens the breaker — quality
 sheds before availability, and the queue drains instead of collapsing.
 
-All requests of all tenants share one client stack, prompt cache and
-:class:`~repro.udf.store.MappingStore` per database
+All requests of all tenants share one client stack per database, with a
+prompt cache and a :class:`~repro.udf.store.MappingStore` per UDF
+database and an expanded database per HQDL one
 (:mod:`repro.serve.state`), one telemetry registry, and one run ledger.
+Each HQDL database is expanded before the first arrival, its cost
+reported as the run's :class:`~repro.serve.report.StartupRecord`, so no
+request pays for it.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from repro.serve.request import (
     RequestOutcome,
 )
 from repro.serve.scheduler import AgingPriorityQueue
-from repro.serve.state import DatabaseStates
+from repro.serve.state import DatabaseStates, hqdl_databases
 from repro.serve.trace import ServeTraceLog, TraceRecord, WaveRecord
 from repro.swan.benchmark import Swan
 
@@ -290,7 +294,12 @@ class QueryServer:
     # -- the event loop -----------------------------------------------------------
 
     def run(self, requests: Sequence[QueryRequest]) -> ServeReport:
-        """Serve the whole stream; returns when the last outcome landed."""
+        """Serve the whole stream; returns when the last outcome landed.
+
+        Every database the stream routes to HQDL is expanded first
+        (:meth:`DatabaseStates.warm`), so HQDL requests pay no LLM call.
+        """
+        startup = self.states.warm(hqdl_databases(requests))
         outcomes: list[RequestOutcome] = []
         self._events = []
         self._seq = 0
@@ -345,6 +354,7 @@ class QueryServer:
             cache_misses=cache_misses,
             mapping_stats=self.states.mapping_stats(),
             resilience=self.resilience,
+            startup=startup,
         )
         if self.batcher is not None:
             stats = self.batcher.stats()
@@ -569,10 +579,10 @@ class QueryServer:
     #
     # Every dispatched request becomes a ``PendingRequest`` carrying the
     # plan its pipeline prepared at dispatch (``repro.pipeline``: UDF keys
-    # and QA prompts, or HQDL row prompts until the expanded database is
-    # resident).  It ends in ``_finalize``, which generates and runs the
-    # query under the request's remaining budget and classifies the
-    # outcome.  Without ``config.batching`` that happens on the spot: the
+    # and QA prompts; an HQDL plan is empty, its database warmed before
+    # the first arrival).  It ends in ``_finalize``, which generates and
+    # runs the query under the request's remaining budget and classifies
+    # the outcome.  Without ``config.batching`` that happens on the spot: the
     # request rode zero waves and "lands" at its own start instant.  With
     # it, the plan's work is first pruned against the shared mapping
     # store (per key) and prompt caches (per prompt), and only what they
@@ -583,7 +593,7 @@ class QueryServer:
     # work of every request dispatched at that same instant — whose paid
     # calls share one ``parallel_makespan`` pool: coalesced batches are
     # charged like the fan-out of a single request, and a whole prompt
-    # (an LLMQA, an HQDL row) like a map chunk.  Map answers land in each
+    # (an LLMQA) like a map chunk.  Map answers land in each
     # requester's ``answers``.  When a wave lands, members with no work
     # left are finalized from those answers (zero LLM calls in the common
     # case).

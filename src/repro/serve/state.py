@@ -1,23 +1,25 @@
 """Per-database pipeline state of one :class:`~repro.serve.server.QueryServer`.
 
-All requests of all tenants share one client stack, one prompt cache and
-one curated (UDF) or lazily expanded (HQDL) database per SWAN database —
-cross-request reuse is the whole economic argument for serving hybrid
-queries from a resident process.  :class:`DatabaseStates` builds each
-state on first touch (through :func:`~repro.llm.stack.build_client_stack`,
-the one place the client layering exists) and tears all of them down.
+All requests of all tenants share one client stack and one curated (UDF)
+or expanded (HQDL) database per SWAN database — cross-request reuse is
+the whole economic argument for serving hybrid queries from a resident
+process.  :class:`DatabaseStates` builds each state on first touch
+(through :func:`~repro.llm.stack.build_client_stack`, the one place the
+client layering exists), warms every HQDL state before the first
+arrival (:meth:`DatabaseStates.warm`), and tears all of them down.
 Both states expose the same face to the server: a
-:class:`~repro.pipeline.Pipeline`, the prompt cache in front of its paid
-calls, and ``query(request)``, what the pipeline prepares.
+:class:`~repro.pipeline.Pipeline` and ``query(request)``, what the
+pipeline prepares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.core.hqdl import HQDL
+from repro.llm.batching import parallel_makespan
 from repro.llm.cache import PromptCache
 from repro.llm.client import ChatClient
 from repro.llm.faults import FaultPlan
@@ -25,6 +27,7 @@ from repro.llm.resilience import Clock, ResilienceReport, RetryPolicy
 from repro.llm.stack import ClientStack, build_client_stack, build_resilient_stack
 from repro.llm.usage import UsageMeter
 from repro.obs import Telemetry
+from repro.serve.report import StartupRecord
 from repro.serve.request import QueryRequest
 from repro.sqlengine.database import Database
 from repro.swan.base import Question
@@ -89,16 +92,13 @@ class UdfState:
 class HqdlState:
     """One database's long-lived HQDL serving state.
 
-    ``pipeline`` prepares a request's question and holds the expanded
-    database its first run materializes.
+    ``pipeline`` holds the expanded database :meth:`DatabaseStates.warm`
+    materialized before the first arrival, so every request's plan is
+    empty and its run is the question's SQL alone.
     """
 
     pipeline: HQDL
     stack: ClientStack
-    #: prompt cache in front of generation, only under cross-request
-    #: batching: flushed generation prompts land here, so the first
-    #: finalize materializes from cache instead of paying twice
-    cache: Optional[PromptCache]
     swan: Swan
 
     def query(self, request: QueryRequest) -> Question:
@@ -112,7 +112,8 @@ class HqdlState:
 
 @dataclass
 class DatabaseStates:
-    """Lazily built UDF / HQDL state per database, closed together.
+    """UDF / HQDL state per database, built on first touch or by
+    :meth:`warm`, closed together.
 
     ``meter``, ``resilience`` and ``telemetry`` are the server-wide
     sinks every state reports into; ``retry_clock`` is where retry
@@ -151,11 +152,11 @@ class DatabaseStates:
         # would make which calls find the budget spent depend on scheduling.
         return 1 if self.config.fault_rate > 0 else self.config.workers
 
-    def _stack(self, world, wrap, memory_cache=None) -> ClientStack:
+    def _stack(self, world) -> ClientStack:
         config = self.config
         return build_client_stack(
             world, config.model_name, shots=config.shots, meter=self.meter,
-            wrap=wrap, cache_dir=config.cache_dir, memory_cache=memory_cache,
+            wrap=self._wrap_faults, cache_dir=config.cache_dir,
             telemetry=self.telemetry,
         )
 
@@ -164,7 +165,7 @@ class DatabaseStates:
         if state is None:
             config = self.config
             world = self.swan.world(database)
-            stack = self._stack(world, self._wrap_faults)
+            stack = self._stack(world)
             db = build_curated_database(world)
             cache = PromptCache()
             store = MappingStore()
@@ -197,9 +198,7 @@ class DatabaseStates:
         if state is None:
             config = self.config
             world = self.swan.world(database)
-            # flushed generation prompts must be reusable at finalize
-            cache = PromptCache() if config.batching is not None else None
-            stack = self._stack(world, self._wrap_faults, cache)
+            stack = self._stack(world)
             pipeline = HQDL(
                 world,
                 stack.client,
@@ -208,10 +207,40 @@ class DatabaseStates:
                 resilience=self.resilience,
                 telemetry=self.telemetry,
             )
-            state = self._hqdl[database] = HqdlState(
-                pipeline, stack, cache, self.swan
-            )
+            state = self._hqdl[database] = HqdlState(pipeline, stack, self.swan)
         return state
+
+    def warm(self, databases: Iterable[str]) -> StartupRecord:
+        """Materialize the expanded database of every HQDL database named.
+
+        Each build is ``prepare(None)`` → ``generate`` → ``expand`` through
+        the state's own client stack and dispatcher (the retry stack under
+        ``fault_rate > 0``, backoff sleeping on ``retry_clock``), with no
+        deadline: no request is waiting.  The returned record carries the
+        paid calls, tokens, retries and virtual build time, all of it
+        before the first arrival.
+        """
+        databases = tuple(sorted(set(databases)))
+        sizes: list[tuple[int, int]] = []
+        usage_before = self.meter.total
+        retries_before = self.resilience.retries
+        clock_before = self.retry_clock.now()
+        for database in databases:
+            pipeline = self.hqdl(database).pipeline
+            fillings = pipeline.generate(pipeline.prepare(None))
+            pipeline.expand(fillings.answers[0])
+            sizes += fillings.report.call_sizes
+        paid = self.meter.total - usage_before
+        backoff = self.retry_clock.now() - clock_before
+        return StartupRecord(
+            databases=databases,
+            calls=paid.calls,
+            input_tokens=paid.input_tokens,
+            output_tokens=paid.output_tokens,
+            retries=self.resilience.retries - retries_before,
+            backoff_seconds=backoff,
+            seconds=parallel_makespan(sizes, self.config.workers) + backoff,
+        )
 
     def udf_cache_totals(self) -> tuple[int, int]:
         """(hits, misses) summed over every UDF prompt cache."""
@@ -232,3 +261,8 @@ class DatabaseStates:
             state.close()
         self._udf.clear()
         self._hqdl.clear()
+
+
+def hqdl_databases(requests: Sequence[QueryRequest]) -> list[str]:
+    """The databases ``requests`` route to HQDL: what :meth:`warm` builds."""
+    return sorted({r.database for r in requests if r.pipeline == "hqdl"})

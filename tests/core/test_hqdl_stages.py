@@ -10,7 +10,7 @@ ones a pass-through client under the caches sees, faults included.
 import pytest
 
 from repro.core.hqdl import HQDL
-from repro.llm.cache import PromptCache
+from repro.llm.cache import CachingClient, PromptCache
 from repro.llm.faults import FaultPlan
 from repro.llm.resilience import ResilienceReport, RetryPolicy
 from repro.llm.stack import build_client_stack, build_resilient_stack
@@ -136,18 +136,14 @@ class TestReportedSizes:
             recorders.append(_SizeRecorder(inner))
             return recorders[-1]
 
-        stack = build_client_stack(
-            superhero_world, PROFILE, shots=0, wrap=wrap,
-            memory_cache=PromptCache(),
-        )
+        stack = build_client_stack(superhero_world, PROFILE, shots=0, wrap=wrap)
+        client = CachingClient(stack.client, PromptCache())
         (recorder,) = recorders
         question = swan.questions_for("superhero")[0]
         # the second pipeline shares the prompt cache: it pays only for
         # the rows whose calls failed the first time
         for _ in range(2):
-            pipeline = HQDL(
-                superhero_world, stack.client, resilience=resilience
-            )
+            pipeline = HQDL(superhero_world, client, resilience=resilience)
             mark = len(recorder.sizes)
             plan = pipeline.prepare(question)
             report = pipeline.generate(plan).report

@@ -17,7 +17,9 @@ and ``test_the_matrix_coalesces`` keeps that true.
 
 The rows were re-pinned when the batching window was deleted (release
 at dispatch, partly covered ingredients served per key from the store);
-the window axis went from the row ids.
+the window axis went from the row ids.  They were re-pinned again when
+the server began expanding each HQDL database before the first arrival
+(the build moved out of the first HQDL request into ``report.startup``).
 
 Every row runs with the always-on mapping store.  The rows are the
 ``share_mappings=True`` half of the matrix the store replaced, re-pinned
