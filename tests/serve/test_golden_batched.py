@@ -25,6 +25,11 @@ Every row runs with the always-on mapping store.  The rows are the
 ``share_mappings=True`` half of the matrix the store replaced, re-pinned
 at its parent with only the retired ``batching.persist`` key dropped
 from the record; the ``share_mappings=False`` half went with the knob.
+
+The ``max_batch`` axis went with ``BatchingConfig.max_batch``: the
+``-mb3`` rows were dropped, the row ids lost their ``-mbNone`` suffix,
+and the digest leaves the retired ``batching.max_batch`` key out of the
+record.  Every remaining row kept its run unchanged.
 """
 
 import hashlib
@@ -45,26 +50,21 @@ GOLDEN = Path(__file__).with_name("golden_batched.json")
 
 DATABASES = ("superhero", "formula_1")
 
-#: max_batch: the policy's size, and small forced batches (many partial
-#: tail chunks)
-MAX_BATCHES = (None, 3)
-
 MATRIX = [
-    (rps, max_concurrent, fault_rate, max_batch)
+    (rps, max_concurrent, fault_rate)
     for rps in (1.5, 4.0)
     for max_concurrent in (3, 8)
     for fault_rate in (0.0, 0.2)
-    for max_batch in MAX_BATCHES
 ]
 
 
 #: the matrix row the burst row replays in same-instant bursts
-BURST = (1.5, 8, 0.0, None)
+BURST = (1.5, 8, 0.0)
 BURST_EVERY = 10.0
 
 
-def _matrix_id(rps, max_concurrent, fault_rate, max_batch) -> str:
-    return f"rps{rps}-mc{max_concurrent}-fault{fault_rate}-mb{max_batch}"
+def _matrix_id(rps, max_concurrent, fault_rate) -> str:
+    return f"rps{rps}-mc{max_concurrent}-fault{fault_rate}"
 
 
 def _burst_id() -> str:
@@ -79,7 +79,7 @@ def _traffic(swan, rps):
 
 
 def serve(swan, row, *, burst=False):
-    rps, max_concurrent, fault_rate, max_batch = row
+    rps, max_concurrent, fault_rate = row
     requests, policies = _traffic(swan, rps)
     if burst:
         requests = [
@@ -89,13 +89,17 @@ def serve(swan, row, *, burst=False):
     config = ServerConfig(
         workers=4, queue_limit=24, max_concurrent=max_concurrent,
         fault_rate=fault_rate, fault_seed=3,
-        batching=BatchingConfig(max_batch=max_batch),
+        batching=BatchingConfig(),
     )
     with QueryServer(swan, config, policies=policies) as server:
         return server.run(requests)
 
 
 def digest(report) -> str:
+    record = report.as_record()
+    record["batching"] = {
+        k: v for k, v in record["batching"].items() if k != "max_batch"
+    }
     payload = {
         "outcomes": [
             (
@@ -106,7 +110,7 @@ def digest(report) -> str:
             )
             for o in report.outcomes
         ],
-        "record": report.as_record(),
+        "record": record,
         "resilience": report.resilience.as_dict(),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
