@@ -171,8 +171,7 @@ def _bench_scale_report(
 
 
 def _dash_report(
-    seed=None, horizon=None, window=None,
-    max_batch=None, batching="on",
+    seed=None, horizon=None, window=None, batching="on",
     tracing="off", trace_sample=None,
 ) -> tuple[list[dict], str]:
     """Console serving dashboard: one instrumented 2x-overload run."""
@@ -183,7 +182,7 @@ def _dash_report(
         seed=seed or 0,
         horizon=horizon or 120.0,
         window_seconds=window or DEFAULT_WINDOW_SECONDS,
-        batching=_batching_config(max_batch, batching),
+        batching=_batching_config(batching),
         sampler=_trace_sampler(
             tracing, trace_sample, seed=seed or 0,
             window_seconds=window or DEFAULT_WINDOW_SECONDS,
@@ -226,7 +225,7 @@ def _explain_request_command(options) -> tuple[int, str]:
             horizon=options["horizon"],
             multiplier=options["multiplier"] or 2.0,
             window_seconds=options["window"],
-            batching=_batching_config(options["max_batch"], options["batching"]),
+            batching=_batching_config(options["batching"]),
             trace_sample=options["trace_sample"],
         )
     except ReproError as exc:
@@ -272,7 +271,7 @@ _COMMANDS = {
         _explain_request_command,
         ("request",),
         ("scale", "seed", "horizon", "multiplier", "window",
-         "max_batch", "batching", "trace_sample"),
+         "batching", "trace_sample"),
     ),
     "regress": (
         _regress_command,
@@ -313,18 +312,18 @@ _FLAG_TARGETS = {
     "run-udf": ("databases", "workers", "scale", "batch_size"),
     "run-hqdl": ("databases", "workers", "scale"),
     "bench-scale": ("workers", "scale", "batch_size"),
-    "dash": ("seed", "horizon", "window", "max_batch", "batching",
-             "tracing", "trace_sample"),
+    "dash": ("seed", "horizon", "window", "batching", "tracing",
+             "trace_sample"),
 }
 
 
-def _batching_config(max_batch, batching):
+def _batching_config(batching):
     """The CLI's cross-request batching choice: a config, or None for off."""
     from repro.serve.batcher import BatchingConfig
 
     if batching == "off":
         return None
-    return BatchingConfig(max_batch=max_batch)
+    return BatchingConfig()
 
 
 def _trace_sampler(tracing, trace_sample, *, seed, window_seconds):
@@ -421,7 +420,6 @@ _FLAGS = {
     "--seed": ("int", 0, "N"),
     "--horizon": ("float", True, "SECONDS"),
     "--window": ("float", True, "SECONDS"),
-    "--max-batch": ("int", 1, "N"),
     "--batching": ("choice", ("on", "off"), None),
     "--tracing": ("choice", ("on", "off"), None),
     "--trace-sample": ("int", 0, "K"),
@@ -500,7 +498,7 @@ def _parse_args(argv: list[str]):
         "databases": None, "workers": None, "batch_size": 5,
         "scale": None,
         "seed": None, "horizon": None, "window": None,
-        "max_batch": None, "batching": "on",
+        "batching": "on",
         "tracing": "off", "trace_sample": None,
         "request": None, "multiplier": None,
         "database": None, "question": None, "pipeline": "udf",

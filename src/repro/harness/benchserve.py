@@ -574,8 +574,6 @@ def sweep_offered_load(
         "capacity_rps": round(capacity, 6),
         "levels": levels,
     }
-    if batching is not None:
-        serve_payload["max_batch"] = batching.max_batch
     trace_payload = None
     if tracing is not None:
         trace_payload = {
@@ -636,13 +634,8 @@ def format_serve_report(payload: dict) -> str:
         )
     batched = [lv for lv in payload["levels"] if "batching" in lv]
     if batched:
-        cap = payload.get("max_batch")
         lines.append("")
-        lines.append(
-            "Cross-request batching"
-            + (f" (max_batch={cap})" if cap is not None else "")
-            + " vs per-request dispatch:"
-        )
+        lines.append("Cross-request batching vs per-request dispatch:")
         lines.append(
             f"{'load':>6} {'calls':>7} {'batched':>8} {'saved%':>7} "
             f"{'tok/ans':>9} {'batched':>9} {'saved%':>7} "

@@ -19,9 +19,10 @@ into groups keyed by database and ingredient signature or label:
   answered never reaches the batcher: the server serves it per key from
   the database's :class:`~repro.udf.store.MappingStore` and per prompt
   from the prompt cache, and enqueues only what they do not cover.
-- **Policy-sized calls.**  A map group is cut into formed calls of
-  :meth:`CrossRequestBatcher.chunk_size_for` keys, the size the server's
-  batch policy picks for the ingredient (``max_batch`` when set).
+- **Plan-sized calls.**  A map group is cut into formed calls of the
+  ``chunk_size`` its members' plans carry (``Work.chunk_size``, which
+  the executor's batch policy fixes at prepare), so a key is asked in a
+  call of the same size whether batching is on or off.
 - Shared-call tokens are attributed **fairly** across the member
   requests (largest-remainder split over per-item shares, so totals are
   conserved exactly), feeding the existing per-tenant accounting.
@@ -48,22 +49,14 @@ _EPS = 1e-9
 
 @dataclass(frozen=True)
 class BatchingConfig:
-    """Knobs of one :class:`CrossRequestBatcher`.
+    """Cross-request batching, switched on by setting
+    :attr:`~repro.serve.server.ServerConfig.batching` to one.
 
-    ``max_batch`` overrides the batch policy's keys per formed call when
-    set.  Work the server's per-database
+    It has no fields: a batched call's size comes from the plans, and
+    work the server's per-database
     :class:`~repro.udf.store.MappingStore` already covers never reaches
-    the batcher: planning serves each covered key from the store, and
-    every flushed map group publishes its real answers there.
+    the batcher.
     """
-
-    max_batch: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_batch is not None and self.max_batch < 1:
-            raise ValueError(
-                f"max_batch must be >= 1 or None, got {self.max_batch}"
-            )
 
 
 class PendingRequest:
@@ -204,10 +197,7 @@ def split_fairly(
 class CrossRequestBatcher:
     """Forms shared LLM batches across every in-service request."""
 
-    def __init__(self, config: BatchingConfig, policy) -> None:
-        self.config = config
-        #: object with ``batch_size(call)`` — keys per formed call
-        self.policy = policy
+    def __init__(self) -> None:
         self._groups: dict[tuple, _Group] = {}
         # -- statistics (the BENCH/dash batching panel) -------------------
         self.items_enqueued = 0
@@ -224,13 +214,6 @@ class CrossRequestBatcher:
         self._fanout_tokens_saved = 0.0
 
     # -- enqueue ------------------------------------------------------------------
-
-    def chunk_size_for(self, call) -> int:
-        """Keys per formed call: ``max_batch`` when set, else the policy's
-        batch size for ``call``."""
-        if self.config.max_batch is not None:
-            return self.config.max_batch
-        return self.policy.batch_size(call)
 
     def enqueue_keys(
         self,
@@ -409,7 +392,6 @@ class CrossRequestBatcher:
     def stats(self) -> dict:
         """A JSON-stable summary for BENCH_serve.json and the dashboard."""
         return {
-            "max_batch": self.config.max_batch,
             "items": self.items_enqueued,
             "coalesced_items": self.items_coalesced,
             "formed_calls": self.formed_calls,

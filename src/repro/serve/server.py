@@ -58,7 +58,7 @@ from repro.llm.usage import UsageMeter
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.ledger import RunLedger
 from repro.obs.slo import AVAILABILITY, SLOTracker
-from repro.plan.policy import AdaptiveBatchPolicy, FixedBatchPolicy
+from repro.plan.policy import AdaptiveBatchPolicy
 from repro.serve.admission import AdmissionController, TenantPolicy
 from repro.serve.batcher import (
     BatchingConfig,
@@ -79,6 +79,7 @@ from repro.serve.scheduler import AgingPriorityQueue
 from repro.serve.state import DatabaseStates, hqdl_databases
 from repro.serve.trace import ServeTraceLog, TraceRecord, WaveRecord
 from repro.swan.benchmark import Swan
+from repro.udf.ingredients import parse_map_answers
 
 
 class VirtualClock:
@@ -134,9 +135,11 @@ class ServerConfig:
     model); ``max_concurrent`` is how many requests execute at once;
     ``queue_limit`` bounds the admission queue (backpressure);
     ``base_overhead`` models the non-LLM per-request cost (parse, SQL,
-    delivery).  ``fault_rate > 0`` injects upstream faults through the
-    existing FaultyClient/RetryingClient stack, with retry backoff
-    charged against each request's deadline.
+    delivery).  ``batch_size`` is the floor of the adaptive batch policy
+    that sizes every served query's LLMMap/LLMJoin calls.
+    ``fault_rate > 0`` injects upstream faults through the existing
+    FaultyClient/RetryingClient stack, with retry backoff charged against
+    each request's deadline.
     """
 
     model_name: str = "gpt-4-turbo"
@@ -241,17 +244,7 @@ class QueryServer:
         )
         self.batcher: Optional[CrossRequestBatcher] = None
         if self.config.batching is not None:
-            # one request in service at a time can share a call with no
-            # other, so the former keeps the executor's own batch size:
-            # batching on then pays exactly what batching off does
-            policy = (
-                FixedBatchPolicy(self.config.batch_size)
-                if self.config.max_concurrent == 1
-                else AdaptiveBatchPolicy.for_model(
-                    self.config.model_name, self.config.shots
-                )
-            )
-            self.batcher = CrossRequestBatcher(self.config.batching, policy)
+            self.batcher = CrossRequestBatcher()
         self._timer = ServiceTimer()
         self.states = DatabaseStates(
             swan,
@@ -260,6 +253,12 @@ class QueryServer:
             resilience=self.resilience,
             telemetry=self._tel,
             retry_clock=self._timer,
+            # keys per LLMMap/LLMJoin call: each served query's plan
+            # carries it, batched or not
+            batch_policy=AdaptiveBatchPolicy.for_model(
+                self.config.model_name, self.config.shots,
+                floor=self.config.batch_size,
+            ),
         )
         self._in_service = 0
         self._max_queue_depth = 0
@@ -660,7 +659,7 @@ class QueryServer:
             if wanted:
                 batcher.enqueue_keys(
                     request.database, call, wanted, member,
-                    chunk_size=batcher.chunk_size_for(call), now=start,
+                    chunk_size=item.chunk_size, now=start,
                 )
         for item in work:
             if item.prompt is None:
@@ -752,11 +751,7 @@ class QueryServer:
         if group.kind == "map":
             signature = group.call.signature()
             chunks = batched(group.payloads, group.chunk_size)
-            # memoized: most chunks recur, and the prompt cache will
-            # answer them — no need to assemble the prompt again first
-            prompts = [
-                state.chunk_prompt(group.call, tuple(chunk)) for chunk in chunks
-            ]
+            prompts = [pipeline.map_prompt(group.call, chunk) for chunk in chunks]
             outcomes = pipeline.dispatcher.dispatch(
                 pipeline.client, prompts, labels=group.label,
                 capture_errors=True, deadline=deadline,
@@ -778,9 +773,7 @@ class QueryServer:
                     self.resilience.record_degraded(len(chunk))
                     settle(chunk, owners, None, fill)
                     continue
-                # memoized like the prompt: a cached completion was
-                # decoded when it was paid for
-                answers += state.decode(outcome.response.text, len(chunk))
+                answers += parse_map_answers(outcome.response.text, len(chunk))
                 settle(chunk, owners, outcome.response.usage, fill)
                 if self._tel.timeseries.enabled:
                     self._tel.timeseries.observe(

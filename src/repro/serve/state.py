@@ -15,8 +15,7 @@ pipeline prepares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from repro.core.hqdl import HQDL
 from repro.llm.batching import parallel_makespan
@@ -27,6 +26,7 @@ from repro.llm.resilience import Clock, ResilienceReport, RetryPolicy
 from repro.llm.stack import ClientStack, build_client_stack, build_resilient_stack
 from repro.llm.usage import UsageMeter
 from repro.obs import Telemetry
+from repro.plan.policy import AdaptiveBatchPolicy
 from repro.serve.report import StartupRecord
 from repro.serve.request import QueryRequest
 from repro.sqlengine.database import Database
@@ -34,35 +34,15 @@ from repro.swan.base import Question
 from repro.swan.benchmark import Swan
 from repro.swan.build import build_curated_database
 from repro.udf.executor import HybridQueryExecutor
-from repro.udf.ingredients import parse_map_answers
 from repro.udf.store import MappingStore
 
 if TYPE_CHECKING:
     from repro.serve.server import ServerConfig
 
 
-def _decode(completion: str, expected: int) -> tuple[Optional[str], ...]:
-    """:func:`parse_map_answers` as an immutable (memoizable) value."""
-    return tuple(parse_map_answers(completion, expected))
-
-
-#: entries kept by each of a :class:`UdfState`'s two flush-path memos
-FLUSH_MEMO_SIZE = 4096
-
-
 @dataclass
 class UdfState:
     """One database's long-lived UDF serving state.
-
-    ``chunk_prompt`` and ``decode`` memoize the two pure steps either
-    side of a flushed map call — (ingredient call, key chunk) → prompt
-    and (completion, chunk length) → answers.  Under serving most
-    flushed chunks recur and the prompt cache answers them, so without
-    the memos the server assembles and re-decodes ten prompts for each
-    one it pays for.  The prompt still goes through the caching client:
-    every hit, miss and usage counter is unchanged.  They live here, on
-    the flush path only: a batch run repeats texts too, but a memo there
-    would be one more store of generated values, not a win.
 
     ``store`` is the executor's :class:`MappingStore`: per database,
     because an ingredient signature names no database.
@@ -73,11 +53,6 @@ class UdfState:
     cache: PromptCache
     stack: ClientStack
     store: MappingStore
-
-    def __post_init__(self) -> None:
-        memo = lru_cache(maxsize=FLUSH_MEMO_SIZE)
-        self.chunk_prompt = memo(self.pipeline.map_prompt)
-        self.decode = memo(_decode)
 
     def query(self, request: QueryRequest) -> str:
         """What the pipeline prepares for ``request``: its hybrid SQL."""
@@ -117,7 +92,8 @@ class DatabaseStates:
 
     ``meter``, ``resilience`` and ``telemetry`` are the server-wide
     sinks every state reports into; ``retry_clock`` is where retry
-    backoff sleeps under ``fault_rate > 0``.
+    backoff sleeps under ``fault_rate > 0``; ``batch_policy`` sizes the
+    LLMMap/LLMJoin calls of every UDF executor's plans.
     """
 
     swan: Swan
@@ -126,6 +102,7 @@ class DatabaseStates:
     resilience: ResilienceReport
     telemetry: Telemetry
     retry_clock: Clock
+    batch_policy: AdaptiveBatchPolicy
     _udf: dict[str, UdfState] = field(default_factory=dict, init=False)
     _hqdl: dict[str, HqdlState] = field(default_factory=dict, init=False)
 
@@ -173,7 +150,7 @@ class DatabaseStates:
                 db,
                 stack.client,
                 world,
-                batch_size=config.batch_size,
+                batch_policy=self.batch_policy,
                 pushdown=config.pushdown,
                 shots=config.shots,
                 cache=cache,

@@ -359,14 +359,6 @@ class TestBenchCacheTarget:
 
 
 class TestBatchingFlags:
-    def test_bad_max_batch_value(self, capsys):
-        assert main(["dash", "--max-batch=lots"]) == 2
-        assert "--max-batch requires an integer" in capsys.readouterr().err
-
-    def test_nonpositive_max_batch_rejected(self, capsys):
-        assert main(["dash", "--max-batch=0"]) == 2
-        assert "--max-batch must be >= 1" in capsys.readouterr().err
-
     def test_bad_batching_value(self, capsys):
         assert main(["dash", "--batching=maybe"]) == 2
         err = capsys.readouterr().err
@@ -378,18 +370,18 @@ class TestBatchingFlags:
         out = capsys.readouterr().out
         assert "--batching=on|off" in out
         assert "--batch-window" not in out
-        assert "--max-batch=N" in out
+        assert "--max-batch" not in out
 
     def test_all_serve_targets_accept_the_flags(self):
         from repro.harness.__main__ import _FLAG_TARGETS
 
         for target in ("dash",):
-            for option in ("max_batch", "batching"):
-                assert option in _FLAG_TARGETS[target]
+            assert "batching" in _FLAG_TARGETS[target]
             assert "batch_window" not in _FLAG_TARGETS[target]
+            assert "max_batch" not in _FLAG_TARGETS[target]
 
     def test_serve_demo_reports_batching(self, capsys):
-        assert main(["dash", "--horizon=40", "--max-batch=4"]) == 0
+        assert main(["dash", "--horizon=40"]) == 0
         out = capsys.readouterr().out
         assert "Cross-request batching:" in out
 

@@ -342,7 +342,7 @@ class TestStoreServesCoveredRequests:
     def test_faults_never_publish_a_null(
         self, serve_swan, monkeypatch, batching
     ):
-        from repro.serve import state as state_module
+        from repro.serve import server as server_module
         from repro.udf import executor as executor_module
 
         decoded: list = []
@@ -352,7 +352,7 @@ class TestStoreServesCoveredRequests:
             decoded.extend(answers)
             return answers
 
-        for module in (state_module, executor_module):
+        for module in (server_module, executor_module):
             monkeypatch.setattr(module, "parse_map_answers", decode)
         puts = _count_calls(monkeypatch, MappingStore, "put")
         requests, policies = _traffic(serve_swan, horizon=60.0, rps=0.4)
@@ -402,8 +402,12 @@ class TestOneStorePerDatabase:
         assert summed["keys"] == 2 * stores[0].stats()["keys"] > 0
 
 
-class TestBatchingSavesWork:
-    def test_concurrent_load_pays_fewer_calls(self, serve_swan):
+class TestBatchingPaysAsUnbatched:
+    def test_concurrent_load_pays_the_unbatched_calls(self, serve_swan):
+        """Both arms cut a query's keys at its plan's chunk size, so under
+        concurrent load batching pays the calls and tokens per-request
+        dispatch pays, and answers alike.  Coalescing is pinned by
+        ``golden_batched``'s burst row."""
         requests, policies = _traffic(serve_swan, rps=0.8)
         off = _run(
             serve_swan, requests, policies, max_concurrent=3, batching=None,
@@ -412,5 +416,11 @@ class TestBatchingSavesWork:
             serve_swan, requests, policies, max_concurrent=3,
             batching=BatchingConfig(),
         )
-        assert on.usage.calls < off.usage.calls
+        assert on.usage == off.usage
         assert on.batching["batch_occupancy"] > 0
+        assert [(o.status, o.rows) for o in on.outcomes] == [
+            (o.status, o.rows) for o in off.outcomes
+        ]
+        # the arms sum a request's virtual time in different orders
+        for a, b in zip(on.outcomes, off.outcomes):
+            assert a.finish_time == pytest.approx(b.finish_time, abs=1e-9)

@@ -1,5 +1,6 @@
 """Tests for the cross-request batch former (`repro.serve.batcher`)."""
 
+import dataclasses
 import random
 from itertools import chain
 from types import SimpleNamespace
@@ -13,16 +14,6 @@ from repro.serve.batcher import (
     split_fairly,
 )
 from repro.serve.request import QueryRequest
-
-
-class _FixedPolicy:
-    """A stand-in batch policy with one size for every call."""
-
-    def __init__(self, size):
-        self.size = size
-
-    def batch_size(self, call):
-        return self.size
 
 
 class _Call:
@@ -43,26 +34,6 @@ def _member(rid, *, arrival=0.0, deadline=60.0, tenant="t"):
         deadline_seconds=deadline,
     )
     return PendingRequest(request, start=arrival, queue_wait=0.0)
-
-
-def _batcher(max_batch=None, size=8):
-    config = BatchingConfig(max_batch=max_batch)
-    return CrossRequestBatcher(config, _FixedPolicy(size))
-
-
-class TestBatchingConfig:
-    def test_defaults(self):
-        config = BatchingConfig()
-        assert config.max_batch is None
-
-    def test_nonpositive_max_batch_rejected(self):
-        with pytest.raises(ValueError):
-            BatchingConfig(max_batch=0)
-
-    def test_max_batch_overrides_policy_threshold(self):
-        batcher = _batcher(max_batch=3, size=8)
-        assert batcher.chunk_size_for(_Call()) == 3
-        assert _batcher(size=8).chunk_size_for(_Call()) == 8
 
 
 class TestSplitFairly:
@@ -89,9 +60,32 @@ class TestSplitFairly:
         )
 
 
+class TestBatchingConfig:
+    def test_defaults(self):
+        """Batching is on or off; it has no knob of its own."""
+        assert dataclasses.fields(BatchingConfig) == ()
+        assert BatchingConfig() == BatchingConfig()
+
+
+class TestChunkSize:
+    def test_the_enqueue_sets_the_chunk_size(self):
+        """A map group is cut at the chunk size its first enqueue carries
+        (the request's plan), per signature."""
+        batcher = CrossRequestBatcher()
+        a = _member(0)
+        batcher.enqueue_keys("superhero", _Call("sig1"), [("x",)], a,
+                             chunk_size=3, now=0.0)
+        batcher.enqueue_keys("superhero", _Call("sig2"), [("x",)], a,
+                             chunk_size=8, now=0.0)
+        flushed = batcher.collect_due(0.0)
+        assert [(g.call.signature(), g.chunk_size) for g in flushed] == [
+            ("sig1", 3), ("sig2", 8),
+        ]
+
+
 class TestSingleFlight:
     def test_same_key_from_two_requests_is_one_item(self):
-        batcher = _batcher()
+        batcher = CrossRequestBatcher()
         call = _Call()
         a, b = _member(0), _member(1)
         # two requests dispatched at the same instant share its wave
@@ -110,7 +104,7 @@ class TestSingleFlight:
         assert batcher.items_coalesced == 1
 
     def test_same_request_twice_attaches_once(self):
-        batcher = _batcher()
+        batcher = CrossRequestBatcher()
         a = _member(0)
         call = _Call()
         batcher.enqueue_keys("superhero", call, [("x",)], a,
@@ -120,7 +114,7 @@ class TestSingleFlight:
         assert a.outstanding == 1
 
     def test_different_signatures_do_not_merge(self):
-        batcher = _batcher()
+        batcher = CrossRequestBatcher()
         a = _member(0)
         batcher.enqueue_keys("superhero", _Call("sig1"), [("x",)], a,
                              chunk_size=8, now=0.0)
@@ -132,7 +126,7 @@ class TestSingleFlight:
 class TestReleasePolicy:
     def test_released_at_the_enqueue_instant(self):
         """Whatever the group's size, its work is due when it is enqueued."""
-        batcher = _batcher(size=8)
+        batcher = CrossRequestBatcher()
         batcher.enqueue_keys("superhero", _Call(), [("x",)], _member(0),
                              chunk_size=8, now=1.0)
         assert not batcher.has_due(0.9)
@@ -143,10 +137,10 @@ class TestReleasePolicy:
         assert batcher.collect_due(1.0) == []
 
     def test_size_trigger_releases_immediately(self):
-        """A group holding whole policy-sized calls is released at once,
+        """A group holding whole chunk-sized calls is released at once,
         as every group is: size no longer decides when, only how the
         flush is cut into calls."""
-        batcher = _batcher(size=2)
+        batcher = CrossRequestBatcher()
         batcher.enqueue_keys("superhero", _Call(), [("x",), ("y",), ("z",)],
                              _member(0), chunk_size=2, now=1.0)
         assert batcher.has_due(1.0)
@@ -164,7 +158,8 @@ class TestReleasePolicy:
         """
         rng = random.Random(17)
         for trial in range(50):
-            batcher = _batcher(size=rng.choice([2, 4, 8]))
+            batcher = CrossRequestBatcher()
+            chunk_size = rng.choice([2, 4, 8])
             calls = [_Call(f"sig{i}") for i in range(3)]
             now = 0.0
             for step in range(30):
@@ -179,7 +174,7 @@ class TestReleasePolicy:
                 )]
                 batcher.enqueue_keys(
                     "superhero", rng.choice(calls), keys, member,
-                    chunk_size=4, now=now,
+                    chunk_size=chunk_size, now=now,
                 )
                 for group in batcher._groups.values():
                     if not group.items:
@@ -201,7 +196,7 @@ class TestReleasePolicy:
 class TestTailRetention:
     def test_retention_disabled_flushes_everything(self):
         """A flush takes a group's partial tail along with its full chunks."""
-        batcher = _batcher(size=4)
+        batcher = CrossRequestBatcher()
         keys = [(f"k{i}",) for i in range(6)]
         batcher.enqueue_keys("superhero", _Call(), keys, _member(0),
                              chunk_size=4, now=0.0)
@@ -212,7 +207,7 @@ class TestTailRetention:
 
 class TestSettlement:
     def test_tokens_split_fairly_and_conserved(self):
-        batcher = _batcher()
+        batcher = CrossRequestBatcher()
         a, b = _member(0), _member(1)
         usage = SimpleNamespace(calls=1, input_tokens=101, output_tokens=11)
         # ("x",) is wanted by a and b, ("y",) by a alone
@@ -229,7 +224,7 @@ class TestSettlement:
         assert batcher.batch_occupancy() == pytest.approx(0.5)
 
     def test_solo_member_charged_in_full(self):
-        batcher = _batcher()
+        batcher = CrossRequestBatcher()
         a = _member(0)
         usage = SimpleNamespace(calls=1, input_tokens=50, output_tokens=5)
         batcher.settle_call([("x",)], [a], {}, usage)
@@ -238,16 +233,16 @@ class TestSettlement:
         assert batcher.coalesced_calls == 0
 
     def test_free_call_counts_formed_not_paid(self):
-        batcher = _batcher()
+        batcher = CrossRequestBatcher()
         batcher.settle_call([("x",)], [_member(0)], {}, None)
         assert batcher.formed_calls == 1
         assert batcher.paid_calls == 0
 
     def test_stats_shape(self):
-        batcher = _batcher()
+        batcher = CrossRequestBatcher()
         stats = batcher.stats()
         assert set(stats) == {
-            "max_batch", "items", "coalesced_items",
+            "items", "coalesced_items",
             "formed_calls", "paid_calls", "coalesced_calls",
             "batch_occupancy", "flushes", "keys_from_store",
             "prompts_from_cache", "fanout_tokens_saved",
@@ -283,9 +278,7 @@ class _ReferenceFormer:
     release at the enqueue instant, drain, and settlement.
     """
 
-    def __init__(self, config, policy):
-        self.config = config
-        self.policy = policy
+    def __init__(self):
         self.groups = {}
         self.items_enqueued = 0
         self.items_coalesced = 0
@@ -436,12 +429,9 @@ class TestDifferentialFormer:
 
     def _trial(self, seed, coverage):
         rng = random.Random(seed)
-        max_batch = rng.choice([None, 2, 3, 5])
-        size = rng.choice([2, 4, 8])
-        config = BatchingConfig(max_batch=max_batch)
-        new = CrossRequestBatcher(config, _FixedPolicy(size))
-        ref = _ReferenceFormer(config, _FixedPolicy(size))
-        chunk_size = rng.choice([1, 3, new.chunk_size_for(None)])
+        new = CrossRequestBatcher()
+        ref = _ReferenceFormer()
+        chunk_size = rng.choice([1, 2, 3, 4, 5, 8])
         calls = [_Call(f"sig{i}") for i in range(rng.randint(1, 3))]
         keys = [(f"k{i}",) for i in range(rng.randint(3, 16))]
         members = []  # (new member, reference twin)

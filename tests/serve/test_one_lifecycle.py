@@ -23,6 +23,11 @@ the old rows could not.
 Every row was re-pinned when the server began expanding each HQDL
 database before the first arrival: the build left the first HQDL
 request's service time for the report's startup record.
+
+Every row was re-pinned again when each served executor began chunking
+with the server's adaptive batch policy: the unbatched rows pay fewer,
+larger calls, and the two batching-on disk rows changed only by the
+retired ``batching.max_batch`` key of their record.
 """
 
 import hashlib

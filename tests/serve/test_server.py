@@ -59,6 +59,15 @@ class TestServerConfig:
             with pytest.raises(ValueError):
                 ServerConfig(**kwargs)
 
+    @pytest.mark.parametrize("batch_size", [0, 21])
+    def test_batch_size_outside_the_policy_fails_at_construction(
+        self, serve_swan, batch_size
+    ):
+        """``batch_size`` floors the adaptive policy (ceiling 20)."""
+        config = ServerConfig(batch_size=batch_size)
+        with pytest.raises(ValueError):
+            QueryServer(serve_swan, config)
+
 
 class TestUnloadedServing:
     def test_sequential_requests_all_serve(self, serve_swan):

@@ -11,7 +11,10 @@ model profile:
   so no sharing, coalescing, store reuse or release order may change an
   answer;
 - after ``run`` the batcher holds no item and has no release pending:
-  every piece of enqueued work was flushed and landed.
+  every piece of enqueued work was flushed and landed;
+- every flushed map group is cut into calls of the ``Work.chunk_size``
+  its members' plans carry for that ingredient: the plan is the one
+  place a served query's keys per call is decided.
 """
 
 import math
@@ -176,3 +179,33 @@ class TestServingInvariants:
             group.items or group.later for group in batcher._groups.values()
         )
         assert not batcher.has_due(math.inf)
+
+    def test_flushed_groups_are_cut_at_the_plans_chunk_size(
+        self, serve_swan, traffic, row, monkeypatch
+    ):
+        requests, policies = traffic
+        cuts: list[tuple[int, set]] = []
+        flush_group = QueryServer._flush_group
+
+        def recording(self, group, *args):
+            if group.kind == "map":
+                signature = group.call.signature()
+                planned = {
+                    work.chunk_size
+                    for member in group.members
+                    for work in member.plan.work()
+                    if work.prompt is None
+                    and work.call.signature() == signature
+                }
+                cuts.append((group.chunk_size, planned))
+            return flush_group(self, group, *args)
+
+        monkeypatch.setattr(QueryServer, "_flush_group", recording)
+        _serve(serve_swan, requests, policies, row, monkeypatch)
+        batched, _ = row
+        if not batched:
+            assert not cuts
+            return
+        assert cuts
+        for chunk_size, planned in cuts:
+            assert planned == {chunk_size}

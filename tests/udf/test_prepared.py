@@ -387,18 +387,3 @@ class TestHazards:
             assert a.execute(kept).rows == expected
             assert b.execute(borrowed).rows == expected_borrowed
             assert a.execute(kept).rows == expected
-
-    def test_flush_memos_are_bounded(self, swan):
-        from repro.serve.server import QueryServer, ServerConfig
-        from repro.serve.state import FLUSH_MEMO_SIZE
-
-        with QueryServer(swan, ServerConfig()) as server:
-            state = server.states.udf("superhero")
-            assert state.chunk_prompt.cache_info().maxsize == FLUSH_MEMO_SIZE
-            assert state.decode.cache_info().maxsize == FLUSH_MEMO_SIZE
-            (work,) = state.pipeline.prepare(STATEMENTS[0]).work()
-            call, chunk = work.call, tuple(work.keys[:5])
-            prompt = state.chunk_prompt(call, chunk)
-            assert prompt == state.pipeline.map_prompt(call, list(chunk))
-            assert state.chunk_prompt(call, chunk) is prompt
-            assert state.decode("1. a\n3. c", 3) == ("a", None, "c")
