@@ -6,8 +6,9 @@ Three claims anchor the provenance subsystem at bench scale:
    zero LLM calls and zero tokens: Usage is identical to a run that
    never heard of provenance.
 2. **The enabled recorder is result-invisible** — same Usage, same EX,
-   and the *virtual* makespan (SimulatedClock) is bit-identical, because
-   recording happens outside the simulated latency path.
+   and the *virtual* makespan (``parallel_makespan`` of the paid calls)
+   is bit-identical, because recording happens outside the simulated
+   latency path.
 3. **Wall-clock overhead is bounded** — recording every call and cell
    of a full-database run costs a modest constant factor.  The tracked
    figure is perfbench's ``obs.provenance_ratio``, where noise is handled.
@@ -17,9 +18,9 @@ import time
 
 from repro.eval.attribution import attribute_misses, attribution_counts
 from repro.harness.runner import run_udf
-from repro.llm.batching import parallel_makespan
-from repro.llm.parallel import SimulatedClock, SimulatedLatencyClient
+from repro.llm.parallel import SimulatedLatencyClient
 from repro.obs import NULL_PROVENANCE, ProvenanceRecorder
+from repro.vtime import ServiceTimer, parallel_makespan
 
 DATABASES = ["superhero"]
 MODEL = "gpt-3.5-turbo"
@@ -98,12 +99,14 @@ def test_provenance_overhead(swan, gold, show):
 
 
 def test_virtual_clock_run_is_invisible_too(swan, gold):
-    """Recording under the simulated-latency stack changes nothing either."""
+    """Recording under the simulated-latency stack changes nothing either:
+    one-thread dispatch puts both runs on one sequential timeline, so
+    the clocks and the makespans agree exactly."""
 
     def _sim_run(provenance):
-        clock = SimulatedClock(WORKERS)
+        clock = ServiceTimer()
         run = run_udf(
-            swan, MODEL, 0, databases=DATABASES, gold=gold, workers=WORKERS,
+            swan, MODEL, 0, databases=DATABASES, gold=gold,
             wrap_client=lambda model: SimulatedLatencyClient(model, clock),
             provenance=provenance,
         )
@@ -112,7 +115,7 @@ def test_virtual_clock_run_is_invisible_too(swan, gold):
     plain, elapsed_plain = _sim_run(None)
     recorded, elapsed_recorded = _sim_run(ProvenanceRecorder())
     assert recorded.usage == plain.usage
-    # clock.now() jitters ~0.5% run-to-run from thread scheduling even
-    # without provenance; the deterministic virtual makespan (checked in
-    # test_provenance_overhead) is the exact-equality claim
-    assert abs(elapsed_recorded - elapsed_plain) / elapsed_plain < 0.02
+    assert elapsed_recorded == elapsed_plain
+    assert parallel_makespan(recorded.call_sizes, WORKERS) == parallel_makespan(
+        plain.call_sizes, WORKERS
+    )

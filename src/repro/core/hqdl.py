@@ -72,6 +72,8 @@ class GenerationResult:
     database: str
     shots: int
     tables: dict[str, TableGeneration] = field(default_factory=dict)
+    #: the paid calls of this generation (cache hits are free)
+    report: ExecutionReport = field(default_factory=ExecutionReport)
 
     def total_malformed(self) -> int:
         return sum(t.malformed for t in self.tables.values())
@@ -228,8 +230,8 @@ class HQDL:
             capture_errors="transient",
             deadline=deadline,
         )
-        report = ExecutionReport()
         result = GenerationResult(database=self.world.name, shots=self.shots)
+        report = result.report
         with self._span("hqdl:assemble"):
             offset = 0
             values: dict[str, str] = {}

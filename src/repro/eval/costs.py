@@ -5,7 +5,7 @@ throughput) are implicitly determined by the number of input and output
 tokens."  This module makes that determination explicit: a
 :class:`CostReport` turns metered usage into dollars (the paper's
 pricing table), estimated wall-clock latency (the affine per-call model
-in :mod:`repro.llm.batching`), and throughput.
+in :mod:`repro.vtime`), and throughput.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.llm.batching import LatencyModel, parallel_makespan, sequential_makespan
 from repro.llm.usage import Usage
+from repro.vtime import LatencyModel, parallel_makespan, sequential_makespan
 
 
 @dataclass(frozen=True)

@@ -161,13 +161,17 @@ def _run_report(
 def _bench_scale_report(
     workers=None, scale=None, batch_size: int = 5
 ) -> tuple[list[dict], str]:
-    """Rows-vs-makespan scaling bench (written to BENCH_scale.json)."""
-    from repro.harness.benchscale import format_scale_report, write_scale_json
-
-    path, payload = write_scale_json(
-        scale=scale, workers=workers or 4, batch_size=batch_size,
+    """Rows-vs-makespan scaling bench, printed (``artifacts scale``
+    writes the committed ladder)."""
+    from repro.harness.benchscale import (
+        format_scale_report, measure_scale, scales_up_to,
     )
-    return [payload], format_scale_report(payload, path)
+
+    payload = measure_scale(
+        workers=workers or 4, batch_size=batch_size,
+        scales=scales_up_to(scale or 100),
+    )
+    return [payload], format_scale_report(payload)
 
 
 def _dash_report(
@@ -203,7 +207,6 @@ def _explain_command(options) -> tuple[int, str]:
             options["database"],
             options["question"],
             pipeline=options["pipeline"],
-            workers=options["workers"] or 1,
         )
     except ReproError as exc:
         raise ValueError(str(exc)) from None
@@ -265,7 +268,7 @@ def _artifacts_command(names: list[str]) -> tuple[int, str]:
 #: usage error.
 _COMMANDS = {
     "explain": (
-        _explain_command, ("database", "question"), ("pipeline", "workers"),
+        _explain_command, ("database", "question"), ("pipeline",),
     ),
     "explain-request": (
         _explain_request_command,
@@ -302,7 +305,7 @@ _GENERATORS = {
 
 #: Extra targets excluded from `all` (sweep re-runs the whole grid and
 #: writes a file, run-udf/run-hqdl are parameterized single runs,
-#: bench-scale synthesizes 100x worlds and writes BENCH_scale.json, and
+#: bench-scale synthesizes 100x worlds, and
 #: dash runs an instrumented overload and renders the console dashboard;
 #: `all` should stay fast and side-effect free).
 _EXCLUDED_FROM_ALL = ("sweep", "run-udf", "run-hqdl", "bench-scale", "dash")
@@ -378,12 +381,10 @@ def _usage() -> str:
         lines.append(
             _wrap("python -m repro.harness " + " ".join(words), " " * 7, " " * 11)
         )
+    lines.append(" " * 7 + "python -m repro.harness")
     lines.append(
-        _wrap(
-            "python -m repro.harness artifacts "
-            f"[{'|'.join(artifacts.ARTIFACTS)} ...]  (no flags)",
-            " " * 7, " " * 11,
-        )
+        " " * 11
+        + f"artifacts [{'|'.join(artifacts.ARTIFACTS)} ...]  (no flags)"
     )
     lines.append(_wrap(f"targets: {', '.join(_GENERATORS)} | all", "", " " * 9))
     lines.append(

@@ -15,10 +15,12 @@ incident log keep their own exporters.
 Entry point: ``python -m repro.harness artifacts [NAME ...]`` regenerates
 the named artifacts (all by default) in place and rewrites the manifest.
 Other configurations stay reachable through each bench's Python
-functions; they are never written under a registered file name.
+functions and ``bench-scale``.
 
-``BENCH_scale.json`` is not registered: its makespans move between runs
-with thread arrival order, so it stays on ``bench-scale``.
+Wall-clock figures (``BENCH_cache.json``'s planner stages,
+``BENCH_scale.json``'s UDF wall seconds, ``BENCH_parallel.json``'s
+thread occupancy) are printed, never written: every committed number is
+a function of the call list, so a regeneration reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ class Artifact:
         return self.generate(*paths, **config)
 
 
+def _without(payload: dict, section: str, field: str) -> dict:
+    """``payload`` minus ``field`` in every entry of ``payload[section]``."""
+    return {**payload, section: {
+        name: {k: v for k, v in entry.items() if k != field}
+        for name, entry in payload[section].items()
+    }}
+
+
 def write_json(path: Union[str, Path], payload: dict) -> Path:
     """The one JSON writer: two-space indent, sorted keys, final newline."""
     path = Path(path)
@@ -71,7 +81,7 @@ def _parallel(path: Path, **config) -> str:
     )
 
     payload = measure_parallel_makespans(**config)
-    write_json(path, payload)
+    write_json(path, _without(payload, "workers", "max_in_flight"))
     return format_parallel_report(payload)
 
 
@@ -98,6 +108,14 @@ def _trace(
         traces, chrome=chrome, spans=spans, prometheus=prometheus
     )
     return format_trace_report(payload)
+
+
+def _scale(path: Path, **config) -> str:
+    from repro.harness.benchscale import format_scale_report, measure_scale
+
+    payload = measure_scale(**config)
+    write_json(path, _without(payload, "scales", "wall"))
+    return format_scale_report(payload)
 
 
 def _cache(path: Path, **config) -> str:
@@ -157,6 +175,7 @@ ARTIFACTS: dict[str, Artifact] = {
         ("BENCH_trace.json", "BENCH_trace.prom"),
         digests=("BENCH_trace_chrome.json", "BENCH_trace_spans.jsonl"),
     ),
+    "scale": Artifact(_scale, ("BENCH_scale.json",)),
     "cache": Artifact(_cache, ("BENCH_cache.json",)),
     "serve": Artifact(
         _serve,

@@ -16,7 +16,7 @@ and (virtual) wall-clock:
   calls and tokens than the baseline, small accuracy drift allowed.
 
 Virtual makespans come from the paid per-call token sizes fed through
-the affine :class:`~repro.llm.batching.LatencyModel` — no sleeping.
+the affine :class:`~repro.vtime.LatencyModel` — no sleeping.
 """
 
 from __future__ import annotations
@@ -25,17 +25,13 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.llm.batching import (
-    DEFAULT_BATCH_SIZE,
-    LatencyModel,
-    parallel_makespan,
-    sequential_makespan,
-)
+from repro.llm.batching import DEFAULT_BATCH_SIZE
 from repro.obs import Telemetry
 from repro.obs.export import stage_summary
 from repro.plan import AdaptiveBatchPolicy
 from repro.harness.runner import GoldResults, UDFRun, run_udf
 from repro.swan.benchmark import Swan, load_benchmark
+from repro.vtime import LatencyModel, parallel_makespan, sequential_makespan
 
 DEFAULT_WORKERS = 4
 

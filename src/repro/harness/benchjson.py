@@ -1,33 +1,30 @@
 """The parallel-dispatch and chaos benches (``BENCH_parallel.json``,
 ``BENCH_chaos.json``).
 
-The parallel-execution story used to be a formula printout; now that the
-dispatcher is real, this module *measures* it — driving the reference
-full-scan hybrid query through :class:`~repro.udf.executor.
-HybridQueryExecutor` under a :class:`~repro.llm.parallel.SimulatedClock`
-(virtual time, zero real sleeping) and recording the scheduler's actual
-makespan next to the analytical :func:`~repro.llm.batching.
-parallel_makespan` bound.  The JSON payload gives CI a stable,
-machine-readable trajectory of sequential-vs-parallel latency across
-PRs.
+The reference full-scan hybrid query runs sequentially, then per worker
+count on a real thread pool; each makespan is
+:func:`~repro.vtime.parallel_makespan` of the calls the run paid, so
+the JSON regenerates byte for byte.  Thread occupancy
+(``max_in_flight``) is printed, not written.
 
 Entry point: ``python -m repro.harness artifacts parallel chaos``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Sequence
 
+from repro.errors import ReproError
 from repro.eval.report import format_table
-from repro.llm.batching import LatencyModel, parallel_makespan, sequential_makespan
 from repro.llm.chat import MockChatModel
 from repro.llm.oracle import KnowledgeOracle
-from repro.llm.parallel import SimulatedClock, SimulatedLatencyClient
 from repro.llm.profiles import get_profile
 from repro.obs import MetricsRegistry, Telemetry
 from repro.swan.benchmark import Swan, load_benchmark
 from repro.swan.build import build_curated_database
 from repro.udf.executor import HybridQueryExecutor
+from repro.vtime import LatencyModel, parallel_makespan, sequential_makespan
 
 #: The reference query: a full player scan, the paper's worst-case LLM
 #: traffic (every distinct player reaches the model, batched 5 per call).
@@ -54,9 +51,8 @@ def measure_parallel_makespans(
 
     One sequential execution collects the per-call token sizes that feed
     the analytical model; then, per worker count, a fresh executor runs
-    the same query with a real dispatcher whose paid calls advance a
-    simulated clock — the measured makespan is the virtual finish time
-    of the actual schedule.
+    the same query on a real dispatcher and must pay the same calls, as
+    a multiset, or :class:`~repro.errors.ReproError` is raised.
     """
     swan = swan if swan is not None else load_benchmark()
     world = swan.world(database)
@@ -71,16 +67,18 @@ def measure_parallel_makespans(
 
     workers_payload: dict[str, dict] = {}
     for workers in worker_counts:
-        clock = SimulatedClock(workers)
         telemetry = Telemetry(metrics=MetricsRegistry())
         with build_curated_database(world) as db:
             model = MockChatModel(KnowledgeOracle(world), profile)
-            client = SimulatedLatencyClient(model, clock, latency_model)
             executor = HybridQueryExecutor(
-                db, client, world, workers=workers, telemetry=telemetry
+                db, model, world, workers=workers, telemetry=telemetry
             )
-            executor.execute(query)
-        measured = clock.makespan()
+            _, paid = executor.execute_with_report(query)
+        if Counter(paid.call_sizes) != Counter(report.call_sizes):
+            raise ReproError(
+                f"{workers} workers paid other calls than the sequential run"
+            )
+        measured = parallel_makespan(paid.call_sizes, workers, latency_model)
         analytical = parallel_makespan(report.call_sizes, workers, latency_model)
         metrics = telemetry.metrics.snapshot()
         workers_payload[str(workers)] = {
@@ -110,7 +108,10 @@ def measure_parallel_makespans(
 
 def format_parallel_report(payload: dict) -> str:
     """Console table of the measured and analytical makespans."""
-    rows = [["1 (sequential)", f"{payload['sequential_seconds']:.1f} s", "-", "1.0x"]]
+    rows = [
+        ["1 (sequential)", f"{payload['sequential_seconds']:.1f} s", "-",
+         "1.0x", "-"]
+    ]
     for workers, entry in payload["workers"].items():
         rows.append(
             [
@@ -118,10 +119,12 @@ def format_parallel_report(payload: dict) -> str:
                 f"{entry['measured_seconds']:.1f} s",
                 f"{entry['analytical_seconds']:.1f} s",
                 f"{entry['speedup_vs_sequential']:.1f}x",
+                entry["max_in_flight"],
             ]
         )
     return format_table(
-        ["Workers", "Measured", "Analytical", "Speedup"],
+        ["Workers", "Measured", "Analytical", "Speedup",
+         "Max in flight (not written)"],
         rows,
         title=f"Parallel dispatch makespans over {payload['llm_calls']} "
               f"batched calls.",

@@ -4,30 +4,32 @@ For each scale factor (1/10/100 by default) this bench:
 
 1. synthesizes the scaled world (:mod:`repro.swan.scale`) for one
    database and a small fixed question subset;
-2. runs both pipelines fully traced on a virtual clock (the PR-3
-   tracer), recording EX, virtual makespan, tokens, and the per-stage
-   self-time breakdown — the rows-vs-makespan curve;
+2. runs both pipelines traced on one thread (a sequential virtual
+   timeline), recording EX, tokens, the per-stage self-time breakdown
+   and :func:`~repro.vtime.parallel_makespan` of the paid calls — the
+   rows-vs-makespan curve;
 3. wall-clock times the UDF pipeline (timed twice, minimum kept);
 4. covers all four SWAN worlds with a traced (virtual clock) UDF+HQDL
    run per scale rung (capped at :data:`WORLD_SCALE_CAP`) over a small
    per-world question subset, so no world's operator mix is a scaling
    blind spot.
 
-Entry point: ``python -m repro.harness bench-scale [--scale=N]``.
+``python -m repro.harness artifacts scale`` writes ``BENCH_scale.json``
+without the wall seconds, which it prints; ``bench-scale [--scale=N]``
+only prints.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from repro.errors import ReproError
-from repro.llm.parallel import SimulatedClock, SimulatedLatencyClient
+from repro.llm.parallel import SimulatedLatencyClient
 from repro.obs import Telemetry
 from repro.obs.export import stage_summary
 from repro.swan.benchmark import Swan, load_benchmark_subset
+from repro.vtime import ServiceTimer, parallel_makespan
 
 #: The canonical scale ladder; ``--scale=N`` keeps the rungs <= N.
 DEFAULT_SCALES = (1, 10, 100)
@@ -92,27 +94,28 @@ def _bench_swan(
 
 def _run_traced(swan: Swan, pipeline: str, *, model_name: str, shots: int,
                 workers: int, batch_size: int) -> dict:
-    """One pipeline run on a virtual clock; returns its payload record."""
+    """One pipeline run on one thread and a virtual clock; returns its
+    payload record, the paid calls scheduled over ``workers``."""
     from repro.harness.runner import GoldResults, run_hqdl, run_udf
 
-    clock = SimulatedClock(workers)
+    clock = ServiceTimer()
     telemetry = Telemetry.on(clock)
     gold = GoldResults(swan)
     wrap = lambda model: SimulatedLatencyClient(model, clock)  # noqa: E731
     if pipeline == "udf":
         run = run_udf(
-            swan, model_name, shots, workers=workers, gold=gold,
+            swan, model_name, shots, gold=gold,
             batch_size=batch_size, wrap_client=wrap, telemetry=telemetry,
         )
     else:
         run = run_hqdl(
-            swan, model_name, shots, workers=workers, gold=gold,
+            swan, model_name, shots, gold=gold,
             wrap_client=wrap, telemetry=telemetry,
         )
     usage = run.usage
     return {
         "ex": round(run.overall_ex, 4),
-        "makespan_seconds": round(clock.makespan(), 4),
+        "makespan_seconds": round(parallel_makespan(run.call_sizes, workers), 4),
         "llm_calls": usage.calls,
         "input_tokens": usage.input_tokens,
         "output_tokens": usage.output_tokens,
@@ -232,22 +235,7 @@ def measure_scale(
     return payload
 
 
-def write_scale_json(
-    path: Union[str, Path] = "BENCH_scale.json",
-    *,
-    scale: Optional[int] = None,
-    **kwargs,
-) -> tuple[Path, dict]:
-    """Write BENCH_scale.json; ``scale`` caps the default rung ladder."""
-    if scale is not None:
-        kwargs.setdefault("scales", scales_up_to(scale))
-    payload = measure_scale(**kwargs)
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2) + "\n")
-    return target, payload
-
-
-def format_scale_report(payload: dict, path: Optional[Path] = None) -> str:
+def format_scale_report(payload: dict) -> str:
     """Console rendering: the rows-vs-makespan curve plus wall seconds."""
     from repro.eval.report import format_table
 
@@ -288,9 +276,7 @@ def format_scale_report(payload: dict, path: Optional[Path] = None) -> str:
         f"Rows vs makespan on `{payload['database']}` "
         f"({payload['model']}, {payload['shots']}-shot, "
         f"workers={payload['workers']}; virtual makespans, wall-clock "
-        "UDF seconds"
-        + (f"; also written to {path}" if path else "")
-        + ")."
+        "UDF seconds)."
     )
     text = format_table(
         [

@@ -20,10 +20,11 @@ from typing import Optional
 
 from repro.errors import ReproError
 from repro.eval.attribution import cells_for_question, classify_miss
-from repro.llm.parallel import SimulatedClock, SimulatedLatencyClient
+from repro.llm.parallel import SimulatedLatencyClient
 from repro.obs import ProvenanceRecorder, Telemetry
 from repro.swan.base import Question
 from repro.swan.benchmark import Swan, load_benchmark
+from repro.vtime import ServiceTimer
 
 #: how many cell → call chains explain prints before eliding
 _MAX_CHAINS = 8
@@ -126,11 +127,10 @@ def explain_question(
     pipeline: str = "udf",
     model_name: str = "gpt-3.5-turbo",
     shots: int = 0,
-    workers: int = 1,
     plan: Optional[str] = None,
     swan: Optional[Swan] = None,
 ) -> str:
-    """Rerun one database and explain one question's answer end to end."""
+    """Rerun one database (on one thread) and explain one question."""
     from repro.harness.runner import GoldResults, run_hqdl, run_udf
 
     if pipeline not in ("udf", "hqdl"):
@@ -142,12 +142,12 @@ def explain_question(
             f"{', '.join(swan.database_names())}"
         )
     question = _resolve_question(swan, database, question_ref)
-    clock = SimulatedClock(workers)
+    clock = ServiceTimer()
     telemetry = Telemetry.on(clock)
     provenance = ProvenanceRecorder()
     gold = GoldResults(swan)
     common = dict(
-        databases=[database], gold=gold, workers=workers,
+        databases=[database], gold=gold,
         wrap_client=lambda model: SimulatedLatencyClient(model, clock),
         telemetry=telemetry, provenance=provenance,
     )

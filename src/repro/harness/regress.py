@@ -10,12 +10,12 @@ diffs the fresh run against a committed baseline JSON:
 - **virtual-makespan growth** beyond ``--max-makespan-growth``
   (default 25%).
 
-When a fresh ``BENCH_scale.json`` (from ``bench-scale --scale=10``) sits
-next to the ledger, its scale-10 UDF virtual makespan is diffed against
+When a fresh ``BENCH_scale.json`` (from ``artifacts scale``) sits next
+to the ledger, its scale-10 UDF virtual makespan is diffed against
 the baseline's ``scale10_makespan`` under the same
 ``--max-makespan-growth`` threshold — gating the scaling hot path, not
 just the scale-1 workload.  Likewise a fresh ``BENCH_serve.json`` (from
-``loadtest``) pins serve-mode p99 latency at the lowest offered-load
+``artifacts serve``) pins serve-mode p99 latency at the lowest offered-load
 level against the baseline's ``serve_p99`` — gating the serving path's
 per-request latency — and a fresh ``BENCH_slo.json`` pins the
 availability error budget consumed at the lowest load level against the

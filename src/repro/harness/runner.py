@@ -22,11 +22,9 @@ from repro.eval.execution import (
     failed_outcome,
 )
 from repro.eval.factuality import database_factuality
-from repro.llm.batching import parallel_makespan
 from repro.llm.cache import PromptCache
 from repro.llm.client import ChatClient
 from repro.llm.faults import FaultInjector, FaultPlan
-from repro.llm.parallel import SimulatedClock
 from repro.llm.profiles import get_profile
 from repro.llm.resilience import (
     CircuitBreaker,
@@ -45,6 +43,7 @@ from repro.swan.base import Question, World
 from repro.swan.benchmark import Swan
 from repro.swan.build import build_curated_database, build_original_database
 from repro.udf.executor import HybridQueryExecutor
+from repro.vtime import ServiceTimer, parallel_makespan
 
 _T = TypeVar("_T")
 
@@ -116,6 +115,9 @@ class HQDLRun:
     generations: dict[str, GenerationResult] = field(default_factory=dict)
     #: per-database PersistentPromptCache stats when ``cache_dir`` was set
     persistent: dict[str, dict] = field(default_factory=dict)
+    #: (input, output) token sizes of every *paid* generation call, in
+    #: database order, for virtual makespans
+    call_sizes: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def overall_ex(self) -> float:
@@ -375,6 +377,7 @@ def run_hqdl(
 
     def _merge(name: str, extras) -> None:
         run.generations[name], run.f1_by_db[name] = extras
+        run.call_sizes.extend(run.generations[name].report.call_sizes)
 
     _run_pipeline(
         swan, run, "hqdl", _body, _merge,
@@ -581,7 +584,7 @@ def _chaos_pieces(
     plan = plan if plan is not None else FaultPlan.uniform(fault_rate, seed=seed)
     injector = FaultInjector(plan)
     report = ResilienceReport()
-    clock = SimulatedClock()
+    clock = ServiceTimer()
     if policy is None:
         # without retries every transient failure exhausts immediately,
         # but the attempt accounting stays identical in shape
@@ -668,7 +671,8 @@ def run_udf_chaos(
 
     At ``fault_rate=0`` the stack is a byte-exact pass-through: results,
     Usage totals, and cache statistics match :func:`run_udf` exactly.
-    Backoff waits happen on a :class:`SimulatedClock` — no real sleeping.
+    Backoff waits happen on a :class:`~repro.vtime.ServiceTimer` — no real
+    sleeping.
     """
     return _run_chaos(
         run_udf, "udf", swan, model_name, shots,

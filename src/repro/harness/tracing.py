@@ -3,11 +3,11 @@
 Runs both pipelines over SWAN with telemetry fully enabled — a
 :class:`~repro.obs.trace.Tracer` and
 :class:`~repro.obs.metrics.MetricsRegistry` per pipeline — on a
-:class:`~repro.llm.parallel.SimulatedClock`, so every span is stamped in
-*virtual* time: the clock advances only when a paid LLM call would have
-occupied a worker.  The resulting trace is exactly reproducible (same
-seed → identical span tree, timestamps included) and the per-stage
-breakdown attributes the whole makespan to named stages.
+:class:`~repro.vtime.ServiceTimer` and one dispatch thread, so every
+span lies on one sequential *virtual* timeline, exactly reproducible
+(same seed → identical span tree, timestamps included), and the
+per-stage breakdown attributes all of it to named stages.  The makespan
+is :func:`~repro.vtime.parallel_makespan` of the paid calls.
 
 Outputs (the ``trace`` artifact):
 
@@ -29,11 +29,12 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.eval.report import format_table, percent
-from repro.llm.parallel import SimulatedClock, SimulatedLatencyClient
+from repro.llm.parallel import SimulatedLatencyClient
 from repro.llm.usage import Usage
 from repro.obs import Telemetry
 from repro.obs.export import chrome_trace, spans_to_records, stage_summary
 from repro.swan.benchmark import Swan, load_benchmark
+from repro.vtime import ServiceTimer, parallel_makespan
 
 
 @dataclass
@@ -80,12 +81,10 @@ def trace_pipelines(
 ) -> dict[str, PipelineTrace]:
     """Run both pipelines traced, each on its own virtual clock.
 
-    Each pipeline gets a fresh :class:`SimulatedClock` that serves double
-    duty: it times the tracer's spans *and* absorbs the virtual latency
-    of every paid LLM call (via :class:`SimulatedLatencyClient`), so the
-    root span's duration equals the pipeline's makespan.  ``workers=1``
-    (the default) keeps the span tree fully deterministic.  ``scale``
-    traces the scaled benchmark worlds (ignored when ``swan`` is given).
+    Each pipeline's fresh timer stamps its spans and sleeps each paid
+    call's latency (:class:`SimulatedLatencyClient`); ``workers`` only
+    sets the connections the makespan schedules over.  ``scale`` traces
+    the scaled worlds (ignored when ``swan`` is given).
     """
     from repro.harness.runner import GoldResults, run_hqdl, run_udf
 
@@ -93,18 +92,18 @@ def trace_pipelines(
     gold = GoldResults(swan)
     traces: dict[str, PipelineTrace] = {}
     for pipeline, runner in (("udf", run_udf), ("hqdl", run_hqdl)):
-        clock = SimulatedClock(workers)
+        clock = ServiceTimer()
         telemetry = Telemetry.on(clock)
         run = runner(
             swan, model_name, shots,
-            databases=databases, gold=gold, workers=workers,
+            databases=databases, gold=gold,
             wrap_client=lambda model: SimulatedLatencyClient(model, clock),
             telemetry=telemetry,
         )
         traces[pipeline] = PipelineTrace(
             pipeline=pipeline,
             ex=run.overall_ex,
-            makespan=clock.makespan(),
+            makespan=parallel_makespan(run.call_sizes, workers),
             usage=run.usage,
             telemetry=telemetry,
             stages=stage_summary(telemetry.tracer.roots),

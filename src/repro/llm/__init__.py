@@ -30,21 +30,19 @@ from repro.llm.parallel import (
     DelayedClient,
     DispatchOutcome,
     ParallelDispatcher,
-    SimulatedClock,
     SimulatedLatencyClient,
 )
 from repro.llm.profiles import ModelProfile, get_profile, list_profiles
 from repro.llm.resilience import (
     CircuitBreaker,
-    Clock,
     Deadline,
-    MonotonicClock,
     ResilienceReport,
     RetryingClient,
     RetryPolicy,
 )
 from repro.llm.tokenizer import count_tokens, tokenize_text
 from repro.llm.usage import Usage, UsageMeter
+from repro.vtime import Clock, MonotonicClock, ServiceTimer
 
 __all__ = [
     "CachingClient",
@@ -69,7 +67,7 @@ __all__ = [
     "DelayedClient",
     "DispatchOutcome",
     "ParallelDispatcher",
-    "SimulatedClock",
+    "ServiceTimer",
     "SimulatedLatencyClient",
     "ModelProfile",
     "get_profile",

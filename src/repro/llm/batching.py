@@ -1,17 +1,18 @@
-"""Batching and (simulated) parallel execution of LLM calls.
+"""Batching of LLM calls.
 
 BlendSQL batches keys (default 5 per call) to cut the number of requests,
-at a small accuracy cost (Section 5.4), and "plans to support parallelized
-LLM calls in the future to further minimize query latency" (Section 4.3).
-This module provides the batching helper used by the UDF executor, and a
-latency model + parallel scheduler used by the future-work ablation bench.
+at a small accuracy cost (Section 5.4).  This module provides the
+batching helper used by the UDF executor.  The latency model and the
+makespan functions live in :mod:`repro.vtime` and are re-exported here.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
+
+from repro.vtime import (  # noqa: F401 - re-exported
+    LatencyModel, parallel_makespan, sequential_makespan,
+)
 
 T = TypeVar("T")
 
@@ -24,56 +25,3 @@ def batched(items: Sequence[T], size: int) -> list[list[T]]:
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
     return [list(items[start : start + size]) for start in range(0, len(items), size)]
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """A simple affine latency model for one LLM call (seconds).
-
-    latency = base + per_input_token * in + per_output_token * out.
-    Defaults approximate hosted GPT-class API behaviour: fixed overhead
-    plus generation dominated by output tokens.
-    """
-
-    base_seconds: float = 0.5
-    per_input_token: float = 0.00002
-    per_output_token: float = 0.02
-
-    def call_latency(self, input_tokens: int, output_tokens: int) -> float:
-        return (
-            self.base_seconds
-            + self.per_input_token * input_tokens
-            + self.per_output_token * output_tokens
-        )
-
-
-def sequential_makespan(
-    calls: Iterable[tuple[int, int]], model: LatencyModel | None = None
-) -> float:
-    """Total latency when calls run one after another."""
-    model = model or LatencyModel()
-    return sum(model.call_latency(i, o) for i, o in calls)
-
-
-def parallel_makespan(
-    calls: Iterable[tuple[int, int]],
-    workers: int,
-    model: LatencyModel | None = None,
-) -> float:
-    """Makespan under ``workers`` concurrent connections (LPT greedy).
-
-    Uses longest-processing-time-first assignment onto the least loaded
-    worker, the standard 4/3-approximation for makespan scheduling.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    model = model or LatencyModel()
-    durations = sorted(
-        (model.call_latency(i, o) for i, o in calls), reverse=True
-    )
-    loads = [0.0] * workers
-    heapq.heapify(loads)
-    for duration in durations:
-        lightest = heapq.heappop(loads)
-        heapq.heappush(loads, lightest + duration)
-    return max(loads) if loads else 0.0

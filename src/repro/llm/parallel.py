@@ -1,7 +1,7 @@
 """Real concurrent LLM dispatch (the paper's Section 4.3 / 6 future work).
 
 "BlendSQL ... plans to support parallelized LLM calls in the future to
-further minimize query latency."  :mod:`repro.llm.batching` *models* that
+further minimize query latency."  :mod:`repro.vtime` *models* that
 speedup analytically; this module makes it real:
 
 - :class:`ParallelDispatcher` fans a list of prompts out over a
@@ -10,10 +10,12 @@ speedup analytically; this module makes it real:
   siblings.  Duplicate prompts within a dispatch are issued upstream
   once (single-flight at the batch level; :class:`~repro.llm.cache.
   CachingClient` provides the cross-thread equivalent).
-- :class:`SimulatedClock` + :class:`SimulatedLatencyClient` measure the
-  makespan of the *real* scheduler under a virtual worker pool without
-  sleeping any real time, which keeps latency benches deterministic and
-  fast while still exercising the actual dispatch path.
+- :class:`SimulatedLatencyClient` sleeps each paid call's latency on a
+  virtual :class:`~repro.vtime.Clock` (a :class:`~repro.vtime.
+  ServiceTimer`), without sleeping any real time, so a traced run's
+  spans carry virtual durations.  Makespans are not read off a clock:
+  they are :func:`~repro.vtime.parallel_makespan` of the paid call
+  sizes.
 - :class:`DelayedClient` injects a real per-call delay, for wall-clock
   speedup benches.
 
@@ -23,7 +25,6 @@ so the pipelines stay oblivious to which stack they are driving.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,11 +37,11 @@ from repro.errors import (
     RetryBudgetExceededError,
     TransientLLMError,
 )
-from repro.llm.batching import LatencyModel
 from repro.llm.client import ChatClient, ChatResponse
 from repro.llm.usage import Usage
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
 from repro.obs.trace import NULL_SPAN
+from repro.vtime import Clock, LatencyModel
 
 
 @dataclass(frozen=True)
@@ -317,79 +318,18 @@ class ParallelDispatcher:
             self._g_inflight.dec()
 
 
-class SimulatedClock:
-    """Virtual time for a pool of ``workers`` concurrent connections.
-
-    Each :meth:`advance` assigns one call of the given duration to the
-    least-loaded virtual worker — exactly when that worker would be free
-    were the latency real — so :meth:`makespan` is the finish time of a
-    list schedule in true arrival order, with zero real sleeping.  The
-    real dispatcher supplies the arrival order; the clock supplies the
-    workers.  Thread-safe.
-    """
-
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self._loads = [0.0] * workers
-        self._calls = 0
-        self._lock = threading.Lock()
-
-    def advance(self, seconds: float) -> float:
-        """Schedule one call; returns its virtual completion time."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance by {seconds} seconds")
-        with self._lock:
-            start = heapq.heappop(self._loads)
-            finish = start + seconds
-            heapq.heappush(self._loads, finish)
-            self._calls += 1
-            return finish
-
-    def makespan(self) -> float:
-        """Virtual wall-clock time at which the last worker finishes."""
-        with self._lock:
-            return max(self._loads)
-
-    # -- Clock protocol (repro.llm.resilience) ------------------------------------
-
-    def now(self) -> float:
-        """The current virtual time (the makespan so far)."""
-        return self.makespan()
-
-    def sleep(self, seconds: float) -> None:
-        """Wait virtually: advances the clock, sleeps zero real time.
-
-        This is what lets :class:`~repro.llm.resilience.RetryingClient`
-        run full backoff schedules inside tests instantly — the schedule
-        is recorded on the virtual timeline instead of being slept.
-        """
-        self.advance(seconds)
-
-    @property
-    def calls(self) -> int:
-        with self._lock:
-            return self._calls
-
-    def reset(self) -> None:
-        with self._lock:
-            self._loads = [0.0] * self.workers
-            self._calls = 0
-
-
 class SimulatedLatencyClient:
-    """A ChatClient decorator that advances a :class:`SimulatedClock`.
+    """A ChatClient decorator that sleeps on a virtual clock.
 
     Every *paid* call (``usage.calls > 0``; cache hits are free in time
-    as in tokens) advances the clock by the :class:`LatencyModel` latency
-    of its token sizes.  No real time passes.
+    as in tokens) sleeps the :class:`~repro.vtime.LatencyModel` latency
+    of its token sizes on ``clock``.  No real time passes.
     """
 
     def __init__(
         self,
         inner: ChatClient,
-        clock: SimulatedClock,
+        clock: Clock,
         model: Optional[LatencyModel] = None,
     ) -> None:
         self.inner = inner
@@ -400,7 +340,7 @@ class SimulatedLatencyClient:
     def complete(self, prompt: str, *, label: str = "") -> ChatResponse:
         response = self.inner.complete(prompt, label=label)
         if response.usage.calls:
-            self.clock.advance(
+            self.clock.sleep(
                 self.latency_model.call_latency(
                     response.usage.input_tokens, response.usage.output_tokens
                 )

@@ -23,19 +23,19 @@ reality:
   retry, exhaustion, breaker trip, and degraded row, with the invariant
   ``attempts == successes + retries + exhausted`` checkable at any time.
 
-Every time source goes through the :class:`Clock` protocol.  Production
-uses :class:`MonotonicClock` (real ``time.sleep``); tests use
-:class:`~repro.llm.parallel.SimulatedClock`, whose ``sleep`` advances
-virtual time — full backoff schedules are asserted against timestamps
-without sleeping a single real millisecond.
+Every time source goes through the :class:`~repro.vtime.Clock` protocol
+of :mod:`repro.vtime`.  Production uses :class:`~repro.vtime.
+MonotonicClock` (real ``time.sleep``); tests and simulations use
+:class:`~repro.vtime.ServiceTimer`, whose ``sleep`` advances virtual
+time — full backoff schedules are asserted against timestamps without
+sleeping a single real millisecond.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional
 
 from repro.errors import (
     CircuitOpenError,
@@ -47,30 +47,7 @@ from repro.llm.client import ChatClient, ChatResponse
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
 from repro.obs.trace import NULL_SPAN
 from repro.stable import stable_uniform
-
-
-@runtime_checkable
-class Clock(Protocol):
-    """A time source the resilience layer can both read and wait on."""
-
-    def now(self) -> float:
-        """Monotonic seconds since an arbitrary origin."""
-        ...  # pragma: no cover - protocol
-
-    def sleep(self, seconds: float) -> None:
-        """Block (really or virtually) for ``seconds``."""
-        ...  # pragma: no cover - protocol
-
-
-class MonotonicClock:
-    """Real time: ``now`` is ``time.monotonic``, ``sleep`` really sleeps."""
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
+from repro.vtime import Clock, MonotonicClock
 
 
 @dataclass(frozen=True)

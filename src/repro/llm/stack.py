@@ -26,11 +26,9 @@ from repro.llm.client import ChatClient
 from repro.llm.diskcache import PersistentClient, PersistentPromptCache
 from repro.llm.faults import FaultInjector, FaultPlan, FaultyClient
 from repro.llm.oracle import KnowledgeOracle
-from repro.llm.parallel import SimulatedClock
 from repro.llm.profiles import get_profile
 from repro.llm.resilience import (
     CircuitBreaker,
-    Clock,
     ResilienceReport,
     RetryingClient,
     RetryPolicy,
@@ -38,6 +36,7 @@ from repro.llm.resilience import (
 from repro.llm.usage import UsageMeter
 from repro.obs import Telemetry
 from repro.swan.base import World
+from repro.vtime import Clock, ServiceTimer
 
 
 @dataclass
@@ -105,7 +104,7 @@ def build_resilient_stack(
     return RetryingClient(
         FaultyClient(model, injector),
         policy,
-        clock=clock if clock is not None else SimulatedClock(),
+        clock=clock if clock is not None else ServiceTimer(),
         breaker=breaker,
         report=report,
         telemetry=telemetry,

@@ -6,8 +6,8 @@ This package provides it without perturbing a single result byte:
 
 - :mod:`repro.obs.trace` — hierarchical :class:`~repro.obs.trace.Span`
   trees from a :class:`~repro.obs.trace.Tracer`, timestamped by an
-  injectable clock so traces are exactly reproducible under
-  :class:`~repro.llm.parallel.SimulatedClock`.
+  injectable clock so traces are exactly reproducible under a
+  :class:`~repro.vtime.ServiceTimer`.
 - :mod:`repro.obs.metrics` — a thread-safe
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges, and
   fixed-bucket histograms.
@@ -24,7 +24,7 @@ This package provides it without perturbing a single result byte:
   snapshotted to JSONL incidents when an alert fires.
 
 The package sits below :mod:`repro.llm` in the layer order and imports
-only :mod:`repro.stable` and itself, so every pipeline can be watched
+only :mod:`repro.stable`, :mod:`repro.vtime` and itself, so every pipeline can be watched
 without the watcher depending on what it watches.
 
 Components receive a :class:`Telemetry` handle bundling one tracer and

@@ -3,10 +3,12 @@
 The tracing half of :mod:`repro.obs`.  A :class:`Tracer` produces
 :class:`Span` trees — run → database → question → dispatch → LLM call →
 retry attempt — with timestamps read from whatever clock it was given.
-Production hands it a wall clock; tests and benches hand it the same
-:class:`~repro.llm.parallel.SimulatedClock` that drives virtual LLM
-latency, which makes whole traces *exactly reproducible*: two runs of
-the same seed produce identical span trees, timestamps included.
+Production hands it :class:`~repro.vtime.MonotonicClock`; traced runs
+hand it the :class:`~repro.vtime.ServiceTimer` their simulated LLM
+latency sleeps on, and dispatch on one thread, so spans lie on one
+sequential virtual timeline and whole traces are *exactly
+reproducible*: two runs of the same seed produce identical span trees,
+timestamps included.
 
 Span nesting is tracked per thread (a thread-local stack), with an
 explicit ``parent=`` escape hatch for work that hops threads — the
@@ -23,16 +25,9 @@ is off.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Iterator, Optional
 
-
-class WallClock:
-    """The default time source: monotonic seconds."""
-
-    def now(self) -> float:
-        return time.monotonic()
-
+from repro.vtime import MonotonicClock
 
 _UNSET = object()
 
@@ -210,7 +205,7 @@ class Tracer:
     enabled = True
 
     def __init__(self, clock=None) -> None:
-        self.clock = clock if clock is not None else WallClock()
+        self.clock = clock if clock is not None else MonotonicClock()
         self.roots: list[Span] = []
         self.spans: list[Span] = []
         self._lock = threading.Lock()

@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Protocol, Sequence, runtime_checkable
 
-from repro.llm.batching import LatencyModel, parallel_makespan, sequential_makespan
 from repro.llm.client import ChatClient
 from repro.llm.parallel import ParallelDispatcher
 from repro.llm.resilience import Deadline
 from repro.llm.usage import Usage
 from repro.sqlengine.results import ResultSet
+from repro.vtime import LatencyModel, parallel_makespan, sequential_makespan
 
 
 @dataclass
@@ -33,18 +33,24 @@ class ExecutionReport:
     keys_after_pushdown: dict[str, int] = field(default_factory=dict)
     rewritten_sql: str = ""
     #: (input_tokens, output_tokens) of each paid (non-cached) LLM call,
-    #: the input to the latency/parallelism model in repro.llm.batching.
+    #: the input to the latency/parallelism model in repro.vtime.
     call_sizes: list[tuple[int, int]] = field(default_factory=list)
     #: batches whose LLM call ultimately failed (after any retry layer
     #: gave up) and were degraded to NULL answers, and the keys they held.
     degraded_batches: int = 0
     degraded_keys: int = 0
+    #: one tuple per distinct size: an HQDL generation's report holds
+    #: thousands of row calls but only hundreds of distinct sizes
+    _sizes: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def charge(self, usage: Usage) -> None:
         """Count one completed call, if it was paid (cache hits are free)."""
         if usage.calls:
             self.llm_calls += 1
-            self.call_sizes.append((usage.input_tokens, usage.output_tokens))
+            size = (usage.input_tokens, usage.output_tokens)
+            self.call_sizes.append(self._sizes.setdefault(size, size))
 
     def estimated_latency(
         self, workers: int = 1, model: Optional[LatencyModel] = None

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.llm.batching import LatencyModel, batched
+from repro.llm.batching import batched
 from repro.llm.tokenizer import count_tokens
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.provenance import call_id_for
@@ -43,6 +43,7 @@ from repro.obs.trace import NULL_SPAN
 from repro.udf.executor import HybridQueryExecutor
 from repro.udf.ingredients import parse_map_answers
 from repro.udf.store import MappingStore
+from repro.vtime import LatencyModel
 
 #: rough output-tokens-per-answered-key, for LPT ordering only — the
 #: ordering needs relative sizes, not accurate absolutes

@@ -10,7 +10,7 @@ request goes through the same three steps — *dispatch* (breaker check),
 optional *plan / waves* (cross-request batching, see the block comment
 above ``_dispatch``), *finalize* (run the query, classify, deliver) —
 and ``batching=None`` is simply the case with zero waves.  Service times
-are *virtual*: the LLM cost model (:func:`~repro.llm.batching.
+are *virtual*: the LLM cost model (:func:`~repro.vtime.
 parallel_makespan` over the actual paid call sizes) decides when each
 answer lands, so a full overload study costs seconds of real compute and
 is bit-for-bit reproducible.
@@ -44,7 +44,6 @@ request pays for it.
 from __future__ import annotations
 
 import heapq
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
@@ -52,7 +51,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.errors import CircuitOpenError, ReproError
-from repro.llm.batching import batched, parallel_makespan
+from repro.llm.batching import batched
 from repro.llm.resilience import CircuitBreaker, Deadline, ResilienceReport
 from repro.llm.usage import UsageMeter
 from repro.obs import NULL_TELEMETRY, Telemetry
@@ -80,51 +79,7 @@ from repro.serve.state import DatabaseStates, hqdl_databases
 from repro.serve.trace import ServeTraceLog, TraceRecord, WaveRecord
 from repro.swan.benchmark import Swan
 from repro.udf.ingredients import parse_map_answers
-
-
-class VirtualClock:
-    """The server's time source: advanced by the event loop, never real."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, when: float) -> None:
-        if when > self._now:
-            self._now = when
-
-
-class ServiceTimer:
-    """Execution-local virtual time: global now + this execution's backoffs.
-
-    The clock of a request's :class:`~repro.llm.resilience.Deadline` and,
-    under fault injection, of the retry layer, so waiting consumes *that
-    request's* budget without advancing the server clock — other
-    in-flight requests are unaffected, exactly as if each ran on its own
-    thread of wall time.  The event loop runs one finalize or one wave
-    flush at a time, so the server owns a single timer and re-arms it
-    (:meth:`restart`) at the start of each.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._lock = threading.Lock()
-        self.restart(start)
-
-    def restart(self, start: float) -> "ServiceTimer":
-        with self._lock:
-            self.start = start
-            self.elapsed = 0.0
-        return self
-
-    def now(self) -> float:
-        with self._lock:
-            return self.start + self.elapsed
-
-    def sleep(self, seconds: float) -> None:
-        with self._lock:
-            self.elapsed += max(0.0, seconds)
+from repro.vtime import ServiceTimer, VirtualClock, parallel_makespan
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from repro.core.hqdl import HQDL
-from repro.llm.batching import parallel_makespan
 from repro.llm.cache import PromptCache
 from repro.llm.client import ChatClient
 from repro.llm.faults import FaultPlan
-from repro.llm.resilience import Clock, ResilienceReport, RetryPolicy
+from repro.llm.resilience import ResilienceReport, RetryPolicy
 from repro.llm.stack import ClientStack, build_client_stack, build_resilient_stack
 from repro.llm.usage import UsageMeter
 from repro.obs import Telemetry
@@ -35,6 +34,7 @@ from repro.swan.benchmark import Swan
 from repro.swan.build import build_curated_database
 from repro.udf.executor import HybridQueryExecutor
 from repro.udf.store import MappingStore
+from repro.vtime import Clock, parallel_makespan
 
 if TYPE_CHECKING:
     from repro.serve.server import ServerConfig

@@ -19,10 +19,6 @@ from repro.harness.artifacts import (
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
-#: Committed but not registered until its makespans stop moving with
-#: thread arrival order.
-UNREGISTERED = {"BENCH_scale.json"}
-
 
 def _git(*args: str) -> subprocess.CompletedProcess:
     try:
@@ -40,7 +36,7 @@ class TestRegistryCoversTheTree:
     def test_every_committed_bench_file_is_registered(self):
         tracked = set(_git("ls-files", "BENCH_*").stdout.split())
         byte_files = {f for a in ARTIFACTS.values() for f in a.files}
-        assert tracked - UNREGISTERED == byte_files | {MANIFEST}
+        assert tracked == byte_files | {MANIFEST}
 
     def test_digest_files_are_gitignored_and_in_the_manifest(self):
         manifest = json.loads((ROOT / MANIFEST).read_text())

@@ -187,7 +187,7 @@ class TestExplainCommand:
 
     def test_explains_a_question(self, capsys):
         assert main([
-            "explain", "--database=superhero", "--question=1", "--workers=4",
+            "explain", "--database=superhero", "--question=1",
         ]) == 0
         out = capsys.readouterr().out
         assert "== superhero_q01 (udf" in out

@@ -3,7 +3,7 @@
 1. **Telemetry is invisible.**  A run with full telemetry produces
    byte-identical outcomes, usage, and cache statistics to a run with
    the null handle.
-2. **Traces are reproducible.**  Under a SimulatedClock, two traced
+2. **Traces are reproducible.**  Under a ServiceTimer, two traced
    runs of the same configuration yield identical span trees —
    timestamps, ids, and attributes included.
 3. **Attribution is exhaustive.**  The per-stage summary attributes
@@ -23,8 +23,9 @@ from repro.harness.tracing import (
     measure_trace,
     trace_pipelines,
 )
-from repro.llm.parallel import SimulatedClock, SimulatedLatencyClient
+from repro.llm.parallel import SimulatedLatencyClient
 from repro.obs import Telemetry
+from repro.vtime import ServiceTimer
 
 DBS = ["superhero"]
 MODEL = "gpt-3.5-turbo"
@@ -44,7 +45,7 @@ class TestTelemetryIsInvisible:
         plain = run_udf(swan, MODEL, 0, databases=DBS, gold=gold)
         traced = run_udf(
             swan, MODEL, 0, databases=DBS, gold=gold,
-            telemetry=Telemetry.on(SimulatedClock(1)),
+            telemetry=Telemetry.on(ServiceTimer()),
         )
         assert [_outcome_key(o) for o in plain.outcomes] == [
             _outcome_key(o) for o in traced.outcomes
@@ -57,7 +58,7 @@ class TestTelemetryIsInvisible:
         plain = run_hqdl(swan, MODEL, 0, databases=DBS, gold=gold)
         traced = run_hqdl(
             swan, MODEL, 0, databases=DBS, gold=gold,
-            telemetry=Telemetry.on(SimulatedClock(1)),
+            telemetry=Telemetry.on(ServiceTimer()),
         )
         assert [_outcome_key(o) for o in plain.outcomes] == [
             _outcome_key(o) for o in traced.outcomes
@@ -68,7 +69,7 @@ class TestTelemetryIsInvisible:
 
 class TestTracesAreReproducible:
     def trace_once(self, swan, gold):
-        clock = SimulatedClock(1)
+        clock = ServiceTimer()
         telemetry = Telemetry.on(clock)
         run_udf(
             swan, MODEL, 0, databases=DBS, gold=gold,

@@ -124,7 +124,7 @@ class TestSingleFlightPoisoning:
         from concurrent.futures import ThreadPoolExecutor
 
         from repro.llm.faults import FaultInjector, FaultPlan, FaultyClient
-        from repro.llm.parallel import SimulatedClock
+        from repro.vtime import ServiceTimer
         from repro.llm.resilience import RetryingClient, RetryPolicy
 
         inner = ScriptedClient({"p": "the answer"})
@@ -134,7 +134,7 @@ class TestSingleFlightPoisoning:
         retrying = RetryingClient(
             faulty,
             RetryPolicy(max_attempts=6, base_delay=0.01, jitter=0.0),
-            clock=SimulatedClock(),
+            clock=ServiceTimer(),
         )
         client = CachingClient(retrying)
 

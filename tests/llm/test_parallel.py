@@ -7,7 +7,8 @@ The guarantees under test, per ISSUE 1:
 - UsageMeter totals are exact under contention;
 - the dispatcher preserves prompt order, captures per-call errors, and
   dedups duplicate prompts within a dispatch;
-- the simulated clock reproduces list-scheduling makespans.
+- four workers really hold four calls in flight at once;
+- the virtual clock sums what it sleeps, and only paid calls sleep.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from repro.llm.client import ChatResponse, ScriptedClient
 from repro.llm.parallel import (
     DelayedClient,
     ParallelDispatcher,
-    SimulatedClock,
     SimulatedLatencyClient,
 )
-from repro.llm.batching import LatencyModel
 from repro.llm.usage import Usage, UsageMeter
+from repro.obs import MetricsRegistry, Telemetry
+from repro.vtime import LatencyModel, ServiceTimer
 
 
 class CountingClient:
@@ -209,42 +210,42 @@ class TestParallelDispatcher:
         assert ParallelDispatcher(workers=4).dispatch(CountingClient(), []) == []
 
 
-class TestSimulatedClock:
+class TestRealOverlap:
+    def test_four_workers_hold_four_calls_at_once(self):
+        """Each call waits at a 4-party barrier: the dispatch completes
+        only if four calls are in flight together."""
+        barrier = threading.Barrier(4, timeout=5)
+
+        class BarrierClient:
+            model_name = "barrier"
+
+            def complete(self, prompt: str, *, label: str = "") -> ChatResponse:
+                barrier.wait()
+                return ChatResponse(f"ok:{prompt}", Usage(1, 1, 1))
+
+        telemetry = Telemetry(metrics=MetricsRegistry())
+        dispatcher = ParallelDispatcher(workers=4, telemetry=telemetry)
+        prompts = [f"p{i}" for i in range(4)]
+        outcomes = dispatcher.dispatch(BarrierClient(), prompts)
+        assert [o.text for o in outcomes] == [f"ok:{p}" for p in prompts]
+        assert telemetry.metrics.snapshot()["dispatch.in_flight.max"] == 4
+
+
+class TestServiceTimer:
     def test_sequential_is_sum(self):
-        clock = SimulatedClock(workers=1)
+        clock = ServiceTimer()
         for duration in (1.0, 2.0, 3.0):
-            clock.advance(duration)
-        assert clock.makespan() == pytest.approx(6.0)
-        assert clock.calls == 3
-
-    def test_parallel_balances_load(self):
-        clock = SimulatedClock(workers=2)
-        for duration in (1.0, 1.0, 1.0, 1.0):
-            clock.advance(duration)
-        assert clock.makespan() == pytest.approx(2.0)
-
-    def test_reset(self):
-        clock = SimulatedClock(workers=2)
-        clock.advance(5.0)
-        clock.reset()
-        assert clock.makespan() == 0.0
-        assert clock.calls == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimulatedClock(workers=0)
-        with pytest.raises(ValueError):
-            SimulatedClock().advance(-1.0)
+            clock.sleep(duration)
+        assert clock.now() == pytest.approx(6.0)
 
     def test_latency_client_advances_only_paid_calls(self):
-        clock = SimulatedClock(workers=1)
+        clock = ServiceTimer()
         model = LatencyModel(base_seconds=1.0, per_input_token=0, per_output_token=0)
         inner = CachingClient(CountingClient())
         client = SimulatedLatencyClient(inner, clock, model)
-        client.complete("p")   # paid: advances 1s
+        client.complete("p")   # paid: sleeps 1s
         client.complete("p")   # cache hit: free in time too
-        assert clock.makespan() == pytest.approx(1.0)
-        assert clock.calls == 1
+        assert clock.now() == pytest.approx(1.0)
 
 
 class TestDelayedClient:

@@ -1,6 +1,6 @@
 """Tests for retries, backoff, circuit breaking, and deadlines.
 
-Every waiting assertion here runs on a :class:`SimulatedClock` — the
+Every waiting assertion here runs on a :class:`ServiceTimer` — the
 backoff schedules below are *measured* as virtual timestamps, and the
 whole file sleeps zero real seconds.
 """
@@ -18,16 +18,15 @@ from repro.errors import (
 )
 from repro.llm.client import ChatResponse, ScriptedClient
 from repro.llm.oracle import stable_uniform
-from repro.llm.parallel import SimulatedClock
 from repro.llm.resilience import (
     CircuitBreaker,
     Deadline,
-    MonotonicClock,
     ResilienceReport,
     RetryingClient,
     RetryPolicy,
 )
 from repro.llm.usage import Usage
+from repro.vtime import MonotonicClock, ServiceTimer
 
 
 class FailNTimes:
@@ -86,7 +85,7 @@ class TestRetryPolicy:
 class TestRetryingClient:
     def test_measured_backoff_schedule(self):
         """The virtual timestamps of a 3-failure call are exact."""
-        clock = SimulatedClock()
+        clock = ServiceTimer()
         policy = RetryPolicy(
             max_attempts=4, base_delay=1.0, multiplier=2.0, jitter=0.0
         )
@@ -94,31 +93,31 @@ class TestRetryingClient:
         response = client.complete("p")
         assert response.text == "ok"
         # slept 1.0 + 2.0 + 4.0 virtual seconds, nothing more
-        assert clock.makespan() == pytest.approx(7.0)
+        assert clock.now() == pytest.approx(7.0)
         assert client.report.as_dict()["retries"] == 3
 
     def test_jittered_schedule_matches_policy_exactly(self):
-        clock = SimulatedClock()
+        clock = ServiceTimer()
         policy = RetryPolicy(
             max_attempts=4, base_delay=1.0, multiplier=2.0, jitter=0.2, seed=5
         )
         client = RetryingClient(FailNTimes(3), policy, clock=clock)
         client.complete("p")
         expected = sum(policy.delay_for("p", n) for n in (1, 2, 3))
-        assert clock.makespan() == pytest.approx(expected)
+        assert clock.now() == pytest.approx(expected)
 
     def test_retry_after_hint_stretches_the_wait(self):
-        clock = SimulatedClock()
+        clock = ServiceTimer()
         policy = RetryPolicy(max_attempts=2, base_delay=0.5, jitter=0.0)
         error = RateLimitError("throttled", retry_after=9.0)
         client = RetryingClient(FailNTimes(1, error), policy, clock=clock)
         client.complete("p")
-        assert clock.makespan() == pytest.approx(9.0)
+        assert clock.now() == pytest.approx(9.0)
 
     def test_budget_exhaustion_wraps_the_last_error(self):
         policy = RetryPolicy(max_attempts=3, base_delay=0.1, jitter=0.0)
         client = RetryingClient(
-            FailNTimes(99), policy, clock=SimulatedClock()
+            FailNTimes(99), policy, clock=ServiceTimer()
         )
         with pytest.raises(RetryBudgetExceededError) as excinfo:
             client.complete("p")
@@ -132,7 +131,7 @@ class TestRetryingClient:
 
     def test_non_transient_errors_never_retry(self):
         client = RetryingClient(
-            ScriptedClient({}), RetryPolicy(max_attempts=5), clock=SimulatedClock()
+            ScriptedClient({}), RetryPolicy(max_attempts=5), clock=ServiceTimer()
         )
         with pytest.raises(LLMError):
             client.complete("unscripted prompt")
@@ -141,7 +140,7 @@ class TestRetryingClient:
         assert client.report.is_accounted()
 
     def test_deadline_stops_retrying_early(self):
-        clock = SimulatedClock()
+        clock = ServiceTimer()
         policy = RetryPolicy(max_attempts=10, base_delay=5.0, jitter=0.0)
         client = RetryingClient(
             FailNTimes(99), policy, clock=clock, deadline_seconds=4.0
@@ -149,20 +148,20 @@ class TestRetryingClient:
         with pytest.raises(RetryBudgetExceededError) as excinfo:
             client.complete("p")
         assert "deadline" in str(excinfo.value)
-        assert clock.makespan() == 0.0  # gave up instead of sleeping past it
+        assert clock.now() == 0.0  # gave up instead of sleeping past it
         assert client.report.is_accounted()
 
     def test_success_costs_no_virtual_time(self):
-        clock = SimulatedClock()
+        clock = ServiceTimer()
         client = RetryingClient(FailNTimes(0), clock=clock)
         client.complete("p")
-        assert clock.makespan() == 0.0
+        assert clock.now() == 0.0
         assert client.report.as_dict()["successes"] == 1
 
 
 class TestDeadline:
     def test_remaining_counts_down_on_the_clock(self):
-        clock = SimulatedClock()
+        clock = ServiceTimer()
         deadline = Deadline(10.0, clock)
         assert deadline.remaining() == pytest.approx(10.0)
         clock.sleep(4.0)
@@ -174,12 +173,12 @@ class TestDeadline:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Deadline(0.0, SimulatedClock())
+            Deadline(0.0, ServiceTimer())
 
 
 class TestCircuitBreaker:
     def _breaker(self, **kwargs):
-        clock = SimulatedClock()
+        clock = ServiceTimer()
         defaults = dict(failure_threshold=3, cooldown=10.0, clock=clock)
         defaults.update(kwargs)
         return CircuitBreaker(**defaults), clock
@@ -253,7 +252,7 @@ class TestCircuitBreaker:
 class TestRetryingClientWithBreaker:
     def test_open_breaker_short_circuits_then_recovers(self):
         """Calls fail fast while open, then flow again through half-open."""
-        clock = SimulatedClock()
+        clock = ServiceTimer()
         breaker = CircuitBreaker(failure_threshold=2, cooldown=60.0, clock=clock)
         policy = RetryPolicy(max_attempts=1)
         upstream = FailNTimes(2)

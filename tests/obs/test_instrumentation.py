@@ -9,13 +9,14 @@ from repro.errors import (
 )
 from repro.llm.cache import CachingClient, PromptCache
 from repro.llm.client import ChatResponse, ScriptedClient
-from repro.llm.parallel import ParallelDispatcher, SimulatedClock
+from repro.llm.parallel import ParallelDispatcher
 from repro.llm.resilience import CircuitBreaker, RetryPolicy, RetryingClient
 from repro.obs import Telemetry
+from repro.vtime import ServiceTimer
 
 
 def enabled_telemetry():
-    return Telemetry.on(SimulatedClock(1))
+    return Telemetry.on(ServiceTimer())
 
 
 class FlakyClient:
@@ -75,7 +76,7 @@ class TestCachingClientTelemetry:
 class TestRetryingClientTelemetry:
     def test_attempt_spans_and_counters(self):
         tel = enabled_telemetry()
-        clock = SimulatedClock(1)
+        clock = ServiceTimer()
         client = RetryingClient(
             FlakyClient(2),
             RetryPolicy(max_attempts=4, jitter=0.0),
@@ -96,7 +97,7 @@ class TestRetryingClientTelemetry:
     def test_backoff_spans_carry_delay(self):
         # tracer and retry layer share one virtual clock, so the backoff
         # wait is visible as the backoff span's duration
-        clock = SimulatedClock(1)
+        clock = ServiceTimer()
         tel = Telemetry.on(clock)
         client = RetryingClient(
             FlakyClient(1),
@@ -119,7 +120,7 @@ class TestRetryingClientTelemetry:
         client = RetryingClient(
             FlakyClient(10),
             RetryPolicy(max_attempts=2, jitter=0.0),
-            clock=SimulatedClock(1),
+            clock=ServiceTimer(),
             telemetry=tel,
         )
         with pytest.raises(RetryBudgetExceededError):
@@ -133,7 +134,7 @@ class TestRetryingClientTelemetry:
         client = RetryingClient(
             ScriptedClient([]),  # scripting miss raises plain LLMError
             RetryPolicy(max_attempts=3),
-            clock=SimulatedClock(1),
+            clock=ServiceTimer(),
             telemetry=tel,
         )
         with pytest.raises(LLMError):
@@ -145,7 +146,7 @@ class TestRetryingClientTelemetry:
 class TestBreakerTelemetry:
     def test_state_gauge_and_transitions(self):
         tel = enabled_telemetry()
-        clock = SimulatedClock(1)
+        clock = ServiceTimer()
         breaker = CircuitBreaker(
             failure_threshold=2, cooldown=10.0, clock=clock, telemetry=tel
         )
@@ -159,7 +160,7 @@ class TestBreakerTelemetry:
             )
             == 1
         )
-        clock.advance(10.0)
+        clock.sleep(10.0)
         assert breaker.state == CircuitBreaker.HALF_OPEN
         assert tel.metrics.value("llm.breaker.state") == 1
         breaker.record_success()
@@ -177,7 +178,7 @@ class TestBreakerTelemetry:
         from repro.errors import CircuitOpenError
 
         tel = enabled_telemetry()
-        clock = SimulatedClock(1)
+        clock = ServiceTimer()
         breaker = CircuitBreaker(failure_threshold=1, clock=clock)
         breaker.record_failure()
         client = RetryingClient(

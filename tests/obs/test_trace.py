@@ -2,8 +2,8 @@
 
 import threading
 
-from repro.llm.parallel import SimulatedClock
 from repro.obs.trace import NULL_SPAN, NullTracer, Span, Tracer
+from repro.vtime import ServiceTimer
 
 
 class FakeClock:
@@ -101,12 +101,12 @@ class TestTiming:
         assert root.self_time() + child.self_time() == root.duration
 
     def test_simulated_clock_timestamps(self):
-        clock = SimulatedClock(1)
+        clock = ServiceTimer()
         tracer = Tracer(clock)
         with tracer.span("run") as run:
-            clock.advance(3.0)
+            clock.sleep(3.0)
             with tracer.span("call") as call:
-                clock.advance(2.0)
+                clock.sleep(2.0)
         assert run.start == 0.0
         assert call.start == 3.0
         assert call.end == 5.0
@@ -146,12 +146,12 @@ class TestCrossThread:
 
 class TestDeterminism:
     def run_once(self):
-        tracer = Tracer(SimulatedClock(1))
+        tracer = Tracer(ServiceTimer())
         clock = tracer.clock
         with tracer.span("run", pipeline="udf"):
             for qid in ("q1", "q2"):
                 with tracer.span("question", qid=qid) as q:
-                    clock.advance(1.5)
+                    clock.sleep(1.5)
                     q.set("correct", True)
         return tracer
 
