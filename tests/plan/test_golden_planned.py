@@ -4,10 +4,11 @@
 produces through ``run_udf(plan=...)`` in both modes
 (``PYTHONPATH=src python tests/plan/test_golden_planned.py`` rewrites
 it).  Each digest covers every question's outcome, the run's ``Usage``,
-the ordered ``call_sizes`` (planner dispatch first, then question time)
-and every per-database ``plan_stats`` record, so a change in how the
-planner collects its work — the calls, their order, their dedup, what
-the store serves afterwards — shows up here.
+the multiset of paid ``call_sizes`` (sorted: every reported makespan is
+a function of the multiset, so dispatch order is not pinned) and the
+:data:`PLAN_FIELDS` of every per-database ``plan_stats`` record, so a
+change in how the planner collects its work — the calls, their dedup,
+what the store serves afterwards — shows up here.
 """
 
 import dataclasses
@@ -31,6 +32,17 @@ DATABASES = (
 MODES = ("prompt", "pairs")
 #: (model profile, shots)
 ARMS = (("gpt-3.5-turbo", 0), ("perfect", 2))
+#: the ``plan_stats`` fields the digest covers
+PLAN_FIELDS = (
+    "questions",
+    "collected",
+    "unique",
+    "dedup_pct",
+    "signatures",
+    "planned_calls",
+    "llm_calls",
+    "keys_stored",
+)
 
 
 def config_id(database, mode, profile, shots) -> str:
@@ -45,8 +57,11 @@ def planned_digest(swan, gold, database, mode, profile, shots) -> str:
     payload = {
         "outcomes": [dataclasses.astuple(o) for o in run.outcomes],
         "usage": dataclasses.astuple(run.usage),
-        "call_sizes": run.call_sizes,
-        "plan_stats": run.plan_stats,
+        "call_sizes": sorted(run.call_sizes),
+        "plan_stats": {
+            name: {field: record[field] for field in PLAN_FIELDS}
+            for name, record in run.plan_stats.items()
+        },
         "keys_generated": run.keys_generated,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
