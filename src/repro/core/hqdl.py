@@ -81,9 +81,6 @@ class GenerationResult:
     def total_calls(self) -> int:
         return sum(t.calls for t in self.tables.values())
 
-    def total_degraded(self) -> int:
-        return sum(t.degraded for t in self.tables.values())
-
 
 class _TableWork(NamedTuple):
     """One expansion table's generation work, in key order."""

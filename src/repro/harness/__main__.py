@@ -15,6 +15,7 @@ import functools
 import math
 import sys
 import textwrap
+from typing import Optional
 
 from repro.harness import artifacts, tables
 
@@ -489,7 +490,8 @@ def _flag_value(name: str, sep: str, value: str):
 
 
 def _parse_args(argv: list[str]):
-    """(targets, options) from argv; raises ValueError with a message."""
+    """(targets, options, given) from argv, ``given`` being the option
+    names the flags set; raises ValueError with a message."""
     from repro.harness.regress import DEFAULT_BASELINE, DEFAULT_LEDGER
 
     targets: list[str] = []
@@ -507,6 +509,7 @@ def _parse_args(argv: list[str]):
         "update_baseline": False, "max_ex_drop": 0.0,
         "max_token_growth": 0.10, "max_makespan_growth": 0.25,
     }
+    given: list[str] = []
     for arg in argv:
         if not arg.startswith("-"):
             targets.append(arg)
@@ -514,8 +517,10 @@ def _parse_args(argv: list[str]):
             raise _HelpRequested()
         else:
             name, sep, value = arg.partition("=")
-            options[name[2:].replace("-", "_")] = _flag_value(name, sep, value)
-    return targets, options
+            option = name[2:].replace("-", "_")
+            options[option] = _flag_value(name, sep, value)
+            given.append(option)
+    return targets, options, given
 
 
 class _HelpRequested(Exception):
@@ -529,10 +534,19 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _unread(given: list[str], read, targets: list[str]) -> Optional[str]:
+    """The usage error for a flag none of ``targets`` reads, if any."""
+    for option in given:
+        if option not in read:
+            flag = "--" + option.replace("_", "-")
+            return f"{flag} is not read by {', '.join(targets)}"
+    return None
+
+
 def main(argv: list[str]) -> int:
     """Print the requested tables/figures; returns a process exit code."""
     try:
-        targets, options = _parse_args(argv)
+        targets, options, given = _parse_args(argv)
     except _HelpRequested:
         print(_usage())
         return 0
@@ -553,17 +567,27 @@ def main(argv: list[str]) -> int:
             return _usage_error(
                 f"{'/'.join([*_COMMANDS, 'artifacts'])} must be invoked alone"
             )
+        command, required, optional = _COMMANDS[targets[0]]
+        error = _unread(given, required + optional, targets)
+        if error:
+            return _usage_error(error)
         try:
-            code, text = _COMMANDS[targets[0]][0](options)
+            code, text = command(options)
         except ValueError as exc:
             return _usage_error(str(exc))
         print(text)
         return code
+    named = targets
     if targets == ["all"]:
         targets = [t for t in _GENERATORS if t not in _EXCLUDED_FROM_ALL]
     unknown = [t for t in targets if t not in _GENERATORS]
     if unknown:
         return _usage_error(f"unknown targets: {', '.join(unknown)}")
+    error = _unread(
+        given, {o for t in targets for o in _FLAG_TARGETS.get(t, ())}, named
+    )
+    if error:
+        return _usage_error(error)
     for index, target in enumerate(targets):
         if index:
             print()

@@ -4,16 +4,15 @@ Measures what the run-level call planner and the persistent prompt cache
 buy, in the currencies the paper's Table 4 prices — LLM calls, tokens,
 and (virtual) wall-clock:
 
-- **baseline** — the seed unplanned HQ UDFs path, cold caches;
-- **planned (prompt mode)** — same configuration behind a
-  behaviour-preserving :class:`~repro.plan.CallPlanner` pass plus a
-  :class:`~repro.llm.diskcache.PersistentPromptCache`; results and token
-  totals must be byte-identical to the baseline;
+- **baseline** — the seed unplanned HQ UDFs path, cold caches, over a
+  fresh :class:`~repro.llm.diskcache.PersistentPromptCache`;
 - **warm** — the same run again over the populated disk cache; must
-  issue **zero** new LLM calls;
-- **planned (pairs mode)** — aggressive cross-question (attribute, key)
-  dedup with :class:`~repro.plan.AdaptiveBatchPolicy` packing; fewer
-  calls and tokens than the baseline, small accuracy drift allowed.
+  issue **zero** new LLM calls and return the same answers;
+- **planned (pairs mode)** — a :class:`~repro.plan.CallPlanner` pass:
+  cross-question (attribute, key) dedup with
+  :class:`~repro.plan.AdaptiveBatchPolicy` packing; fewer calls and
+  tokens than the baseline, small accuracy drift allowed.  Its trace
+  gives the planner's stage spans.
 
 Virtual makespans come from the paid per-call token sizes fed through
 the affine :class:`~repro.vtime.LatencyModel` — no sleeping.
@@ -22,8 +21,7 @@ the affine :class:`~repro.vtime.LatencyModel` — no sleeping.
 from __future__ import annotations
 
 import tempfile
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.llm.batching import DEFAULT_BATCH_SIZE
 from repro.obs import Telemetry
@@ -70,11 +68,6 @@ def _same_results(a: UDFRun, b: UDFRun) -> bool:
     )
 
 
-def _identical(a: UDFRun, b: UDFRun) -> bool:
-    """Byte-identity of two runs: results, EX, and Usage all equal."""
-    return a.usage == b.usage and _same_results(a, b)
-
-
 def measure_cache_bench(
     swan: Optional[Swan] = None,
     *,
@@ -83,14 +76,12 @@ def measure_cache_bench(
     model_name: str = "gpt-3.5-turbo",
     shots: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    cache_dir: Optional[Union[str, Path]] = None,
     latency_model: Optional[LatencyModel] = None,
 ) -> dict:
-    """The four-run cold/planned/warm/adaptive comparison payload.
+    """The three-run cold/warm/planned comparison payload.
 
-    With ``cache_dir=None`` the persistent cache lives in a temporary
-    directory (fresh cold state every invocation); pass a directory to
-    keep it across harness invocations instead.
+    The persistent cache lives in a temporary directory, so the baseline
+    starts cold on every invocation.
     """
     swan = swan if swan is not None else load_benchmark()
     gold = GoldResults(swan)
@@ -100,24 +91,17 @@ def measure_cache_bench(
         workers=workers,
     )
 
-    baseline = run_udf(swan, model_name, shots, **common)
-
-    with tempfile.TemporaryDirectory() as scratch:
-        disk_dir = Path(cache_dir) if cache_dir is not None else Path(scratch)
-        telemetry = Telemetry.on()
-        planned = run_udf(
-            swan, model_name, shots, plan="prompt", cache_dir=disk_dir,
-            telemetry=telemetry, **common,
+    with tempfile.TemporaryDirectory() as disk_dir:
+        baseline = run_udf(
+            swan, model_name, shots, cache_dir=disk_dir, **common
         )
-        warm = run_udf(
-            swan, model_name, shots, plan="prompt", cache_dir=disk_dir,
-            **common,
-        )
-        adaptive_policy = AdaptiveBatchPolicy.for_model(model_name, shots)
-        adaptive = run_udf(
-            swan, model_name, shots, plan="pairs",
-            batch_policy=adaptive_policy, **common,
-        )
+        warm = run_udf(swan, model_name, shots, cache_dir=disk_dir, **common)
+    telemetry = Telemetry.on()
+    adaptive_policy = AdaptiveBatchPolicy.for_model(model_name, shots)
+    adaptive = run_udf(
+        swan, model_name, shots, plan="pairs", batch_policy=adaptive_policy,
+        telemetry=telemetry, **common,
+    )
 
     planner_stages = [
         record
@@ -134,12 +118,9 @@ def measure_cache_bench(
         "batch_size": batch_size,
         "workers": workers,
         "databases": sorted(baseline.ex_by_db),
-        "baseline": _usage_record(baseline, workers, latency),
-        "planned_prompt": {
-            **_usage_record(planned, workers, latency),
-            "byte_identical_to_baseline": _identical(baseline, planned),
-            "plan_stats": planned.plan_stats,
-            "persistent": planned.persistent,
+        "baseline": {
+            **_usage_record(baseline, workers, latency),
+            "persistent": baseline.persistent,
         },
         "warm": {
             **_usage_record(warm, workers, latency),
@@ -147,7 +128,7 @@ def measure_cache_bench(
             "persistent": warm.persistent,
             # Usage intentionally differs (the warm run pays nothing),
             # so only the answers are compared.
-            "results_match_cold": _same_results(planned, warm),
+            "results_match_cold": _same_results(baseline, warm),
         },
         "planned_pairs": {
             **_usage_record(adaptive, workers, latency),
@@ -170,13 +151,12 @@ def measure_cache_bench(
 
 
 def format_cache_report(payload: dict) -> str:
-    """Console table of the four runs."""
+    """Console table of the three runs."""
     from repro.eval.report import format_table
 
     rows = []
     for label, key in (
         ("baseline (cold, unplanned)", "baseline"),
-        ("planned, prompt mode", "planned_prompt"),
         ("warm rerun (disk cache)", "warm"),
         ("planned, pairs + adaptive", "planned_pairs"),
     ):
@@ -192,9 +172,6 @@ def format_cache_report(payload: dict) -> str:
             ]
         )
     notes = [
-        "byte-identical planned run: "
-        + ("yes" if payload["planned_prompt"]["byte_identical_to_baseline"]
-           else "NO"),
         "warm rerun zero new calls: "
         + ("yes" if payload["warm"]["zero_new_llm_calls"] else "NO"),
         f"pairs-mode savings: {payload['planned_pairs']['calls_saved_pct']}% "

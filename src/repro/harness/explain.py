@@ -127,7 +127,6 @@ def explain_question(
     pipeline: str = "udf",
     model_name: str = "gpt-3.5-turbo",
     shots: int = 0,
-    plan: Optional[str] = None,
     swan: Optional[Swan] = None,
 ) -> str:
     """Rerun one database (on one thread) and explain one question."""
@@ -152,7 +151,7 @@ def explain_question(
         telemetry=telemetry, provenance=provenance,
     )
     if pipeline == "udf":
-        run = run_udf(swan, model_name, shots, plan=plan, **common)
+        run = run_udf(swan, model_name, shots, **common)
     else:
         run = run_hqdl(swan, model_name, shots, **common)
 
@@ -164,9 +163,7 @@ def explain_question(
 
     lines: list[str] = []
     lines.append(
-        f"== {question.qid} ({pipeline}, {model_name}, {shots}-shot"
-        + (f", plan={plan}" if plan else "")
-        + ") =="
+        f"== {question.qid} ({pipeline}, {model_name}, {shots}-shot) =="
     )
     if outcome.correct:
         lines.append("verdict: CORRECT")

@@ -143,9 +143,9 @@ class UDFRun:
     usage: Usage = field(default_factory=Usage)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: which planning mode ran before the questions, if any
+    #: ``"pairs"`` when a planning pass ran before the questions
     plan: Optional[str] = None
-    #: per-database PlanStats records (collection/dedup/dispatch accounting)
+    #: per-database PlanStats records (collection/dedup/payment accounting)
     plan_stats: dict[str, dict] = field(default_factory=dict)
     #: per-database PersistentPromptCache stats when ``cache_dir`` was set
     persistent: dict[str, dict] = field(default_factory=dict)
@@ -429,12 +429,11 @@ def run_udf(
     ``resilience`` collects the degraded-batch accounting; ``telemetry``
     records spans and metrics without perturbing any result.
 
-    ``plan`` runs a :class:`~repro.plan.CallPlanner` pass over all of a
-    database's questions before executing any of them: ``"prompt"``
-    pre-pays the exact execution prompts (results and Usage totals stay
-    byte-identical to ``plan=None``); ``"pairs"`` unions (attribute,
-    key) pairs across questions and serves executions from the shared
-    mapping store (fewest calls, answers may drift within model noise).
+    ``plan="pairs"`` runs a :class:`~repro.plan.CallPlanner` pass over
+    all of a database's questions before executing any of them: it
+    unions (attribute, key) pairs across questions and serves executions
+    from the shared mapping store (fewest calls, answers may drift
+    within model noise).  The pass's paid calls join ``call_sizes``.
     ``cache_dir`` adds a per-database :class:`PersistentPromptCache`
     under the executor's in-memory cache, so a rerun with the same
     directory issues zero new LLM calls.  ``batch_policy`` overrides the
@@ -444,10 +443,8 @@ def run_udf(
     any other value raises :class:`~repro.errors.ReproError`.  The
     keyword remains only for callers that still pass it.
     """
-    if plan not in (None, "prompt", "pairs"):
-        raise ReproError(
-            f"plan must be None, 'prompt', or 'pairs', got {plan!r}"
-        )
+    if plan not in (None, "pairs"):
+        raise ReproError(f"plan must be None or 'pairs', got {plan!r}")
     run = UDFRun(
         model=model_name, shots=shots, batch_size=batch_size,
         pushdown=pushdown, plan=plan,
@@ -475,9 +472,9 @@ def run_udf(
             )
             if plan is not None:
                 planned = CallPlanner(
-                    executor, mode=plan, telemetry=telemetry
+                    executor, telemetry=telemetry
                 ).plan_and_execute([q.blend_sql for q in questions])
-                call_sizes.extend(planned.stats.call_sizes)
+                call_sizes.extend(planned.stats.report.call_sizes)
                 plan_record = planned.stats.as_record()
             outcomes, reports = score(questions, executor, lambda q: q.blend_sql)
         for report in reports:

@@ -5,9 +5,9 @@ single query (plus the per-database prompt cache).  This package plans
 the LLM work of *all* questions over a database before the dispatcher
 sees any of it:
 
-- :class:`~repro.plan.planner.CallPlanner` collects every ingredient
-  call up front, dedups globally, orders longest-first, and pre-warms
-  the caches in one dispatch;
+- :class:`~repro.plan.planner.CallPlanner` unions every question's
+  (attribute, key) pairs per ingredient up front, packs them into
+  batches, and pays for them through the executor in one dispatch;
 - :class:`~repro.udf.store.MappingStore` (re-exported here) holds the
   (attribute, key) → value answers planning and generation produce, so
   executors can answer questions without re-calling;

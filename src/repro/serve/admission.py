@@ -83,9 +83,6 @@ class AdmissionController:
         #: of coalesced batches, a subset of ``tokens_spent``
         self.tokens_shared: dict[str, int] = {}
 
-    def policy_for(self, tenant: str) -> Optional[TenantPolicy]:
-        return self.policies.get(tenant)
-
     def total_queued(self) -> int:
         return sum(self.queued.values())
 

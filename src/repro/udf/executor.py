@@ -274,7 +274,7 @@ class HybridQueryExecutor:
         occurrence it fully covers costs no call.  Without it, the
         mapping store (if any) plays that part and receives what is
         generated.  Map batches, QA prompts and rewrite checks are all
-        paid through :meth:`_pay`: past ``deadline`` or on a failed
+        paid through :meth:`pay`: past ``deadline`` or on a failed
         call, a batch's keys and a QA answer degrade to NULL (and are
         counted as degraded) instead of aborting the query.
         """
@@ -389,16 +389,17 @@ class HybridQueryExecutor:
 
     # -- paying for calls ------------------------------------------------------
 
-    def _pay(
+    def pay(
         self,
         prompts: Sequence[Prompt],
-        label: str,
+        labels: Union[str, Sequence[str]],
         report: ExecutionReport,
         deadline: Optional[Deadline],
     ) -> list[Optional[str]]:
         """Each prompt's completion text, or None where its call failed.
 
-        The one way :meth:`generate` reaches the model: the dispatcher
+        The one way the executor (and a :class:`~repro.plan.CallPlanner`
+        pre-paying for it) reaches the model: the dispatcher
         (provenance, spans, token metrics, the deadline) and a charge
         to ``report`` for every paid call.  Only degradable failures
         (transient errors, spent retry budgets, expired deadlines) come
@@ -406,7 +407,7 @@ class HybridQueryExecutor:
         broken client and aborts the query, as it does in HQDL.
         """
         outcomes = self.dispatcher.dispatch(
-            self.client, prompts, labels=label, capture_errors="transient",
+            self.client, prompts, labels=labels, capture_errors="transient",
             deadline=deadline,
         )
         texts: list[Optional[str]] = []
@@ -433,7 +434,7 @@ class HybridQueryExecutor:
         self, work: Work, report: ExecutionReport, deadline: Optional[Deadline]
     ) -> Optional[str]:
         """The scalar answer that replaces an LLMQA (None renders NULL)."""
-        (text,) = self._pay([work.prompt], work.label, report, deadline)
+        (text,) = self.pay([work.prompt], work.label, report, deadline)
         if text is None:
             self._degrade(report, 1)
             return None
@@ -571,7 +572,7 @@ class HybridQueryExecutor:
             reusable = store.rewrite_lookup(
                 signature,
                 missing,
-                lambda prompt, label: self._pay([prompt], label, report, deadline)[0],
+                lambda prompt, label: self.pay([prompt], label, report, deadline)[0],
             )
         found = dict(served)
         to_generate: list[tuple] = []
@@ -588,7 +589,7 @@ class HybridQueryExecutor:
                 to_generate.append(key)
         batches = batched(to_generate, work.chunk_size)
         prompts = [self.map_prompt(call, batch) for batch in batches]
-        texts = self._pay(prompts, work.label, report, deadline)
+        texts = self.pay(prompts, work.label, report, deadline)
         for batch, prompt, text in zip(batches, prompts, texts):
             degraded = text is None
             if degraded:

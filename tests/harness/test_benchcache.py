@@ -1,6 +1,6 @@
 """Tests for the cache bench payload and report formatting.
 
-The end-to-end path (four real runs + BENCH_cache.json on disk) is
+The end-to-end path (three real runs + BENCH_cache.json on disk) is
 exercised through the artifact registry in the CLI tests; these tests
 cover the pure pieces cheaply.
 """
@@ -36,13 +36,7 @@ def _payload():
     return {
         "model": "gpt-3.5-turbo", "shots": 0, "batch_size": 5, "workers": 4,
         "databases": ["superhero"],
-        "baseline": _entry(100, 1000),
-        "planned_prompt": {
-            **_entry(100, 1000),
-            "byte_identical_to_baseline": True,
-            "plan_stats": {"superhero": {"dedup_pct": 37.5}},
-            "persistent": {},
-        },
+        "baseline": {**_entry(100, 1000), "persistent": {}},
         "warm": {
             **_entry(0, 0), "zero_new_llm_calls": True,
             "persistent": {}, "results_match_cold": True,
@@ -71,19 +65,16 @@ class TestSameResults:
 
 
 class TestFormatCacheReport:
-    def test_report_names_all_four_runs(self):
+    def test_report_names_all_three_runs(self):
         text = format_cache_report(_payload())
-        for label in ("baseline", "prompt mode", "warm rerun", "pairs"):
+        for label in ("baseline", "warm rerun", "pairs"):
             assert label in text
-        assert "byte-identical planned run: yes" in text
         assert "warm rerun zero new calls: yes" in text
         assert "20.0% calls" in text
         assert "superhero: 42.9%" in text
 
     def test_report_flags_violations_loudly(self):
         payload = _payload()
-        payload["planned_prompt"]["byte_identical_to_baseline"] = False
         payload["warm"]["zero_new_llm_calls"] = False
         text = format_cache_report(payload)
-        assert "byte-identical planned run: NO" in text
         assert "warm rerun zero new calls: NO" in text

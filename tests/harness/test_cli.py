@@ -75,6 +75,35 @@ class TestCLIHardening:
         assert main(["table1", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table1", "--seed=3"], "--seed is not read by table1"),
+            (["--seed=3"], "--seed is not read by all"),
+            (
+                ["explain", "--database=superhero", "--question=1",
+                 "--scale=10", "--batch-size=3"],
+                "--scale is not read by explain",
+            ),
+            (["regress", "--workers=2"], "--workers is not read by regress"),
+            (
+                ["run-hqdl", "table1", "--batch-size=3"],
+                "--batch-size is not read by run-hqdl, table1",
+            ),
+        ],
+        ids=["target", "all", "command", "regress", "no-target-reads-it"],
+    )
+    def test_unread_flag_exits_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "usage:" in captured.err
+
+    def test_a_flag_one_of_several_targets_reads_is_accepted(self, capsys):
+        assert main(["table1", "bench-scale", "--scale=1", "--workers=2"]) == 0
+        assert "Table 1" in capsys.readouterr().out
+
 
 class TestTraceTarget:
     def test_trace_writes_artifacts(self, tmp_path):
@@ -342,12 +371,11 @@ class TestBenchCacheTarget:
     def test_bench_cache_writes_artifact(self, tmp_path):
         out = ARTIFACTS["cache"].write(tmp_path, databases=["superhero"])
         assert "Call planning & persistent cache" in out
-        assert "byte-identical planned run: yes" in out
         assert "warm rerun zero new calls: yes" in out
         assert "plan:dispatch" in out  # wall-clock stage table, text only
         payload = json.loads((tmp_path / "BENCH_cache.json").read_text())
         stages = payload["planner_stages"]
-        assert {s["stage"] for s in stages} >= {"plan:collect", "plan:dedup"}
+        assert {s["stage"] for s in stages} == {"plan:collect", "plan:dispatch"}
         assert not any(field in s for s in stages for field in WALL_FIELDS)
 
     def test_bench_cache_excluded_from_all(self):

@@ -18,6 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.harness.runner import run_hqdl, run_udf
+from repro.plan import CallPlanner
 from repro.serve.batcher import BatchingConfig
 from repro.serve.request import QueryRequest
 from repro.serve.server import QueryServer, ServerConfig
@@ -88,13 +89,31 @@ def test_executor_reports_every_paid_call(swan, database, store, workers):
     assert Counter(reported) == Counter(counter.sizes)
 
 
-@pytest.mark.parametrize("plan", [None, "prompt", "pairs"])
+@pytest.mark.parametrize("plan", [None, "pairs"])
 def test_run_udf_reports_every_paid_call(swan, plan):
     wrap, counters = _counting_wrap()
     run = run_udf(swan, PROFILE, 0, plan=plan, wrap_client=wrap)
     paid = [size for counter in counters for size in counter.sizes]
     assert run.usage.calls == len(run.call_sizes) == len(paid)
     assert Counter(run.call_sizes) == Counter(paid)
+
+
+@pytest.mark.parametrize("database", DATABASES)
+def test_planner_charges_every_paid_call(swan, database):
+    """A ``pairs`` pass's report holds exactly the calls paid below it."""
+    world = swan.world(database)
+    counter = CountingClient(make_model(world, PROFILE))
+    with build_curated_database(world) as db:
+        executor = HybridQueryExecutor(
+            db, counter, world, mapping_store=MappingStore()
+        )
+        plan = CallPlanner(executor).plan_and_execute(
+            [question.blend_sql for question in swan.questions_for(database)]
+        )
+    report = plan.stats.report
+    assert counter.sizes, "the planner paid nothing"
+    assert report.llm_calls == len(counter.sizes)
+    assert Counter(report.call_sizes) == Counter(counter.sizes)
 
 
 def test_run_hqdl_reports_every_paid_call(swan):

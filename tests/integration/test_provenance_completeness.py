@@ -60,7 +60,7 @@ def _outcome_key(outcome):
 
 class TestUDFCompleteness:
     @pytest.mark.parametrize("workers", [1, 8])
-    @pytest.mark.parametrize("plan", [None, "prompt"])
+    @pytest.mark.parametrize("plan", [None, "pairs"])
     def test_full_swan_every_cell_accounted(self, swan, gold, workers, plan):
         prov = ProvenanceRecorder()
         run = run_udf(
@@ -77,7 +77,7 @@ class TestUDFCompleteness:
         # no faults were injected, so nothing may be flagged degraded
         assert all(not cell.degraded for cell in cells)
         # planned runs mark planner-issued calls as planned
-        if plan == "prompt":
+        if plan == "pairs":
             assert any(call.planned for call in prov.calls())
 
     def test_qa_calls_recorded(self, swan, gold):

@@ -1,14 +1,14 @@
 """Golden bytes of planned UDF runs, one sha256 per configuration.
 
 ``golden_planned.json`` pins what :class:`~repro.plan.CallPlanner`
-produces through ``run_udf(plan=...)`` in both modes
+produces through ``run_udf(plan="pairs")``
 (``PYTHONPATH=src python tests/plan/test_golden_planned.py`` rewrites
 it).  Each digest covers every question's outcome, the run's ``Usage``,
 the multiset of paid ``call_sizes`` (sorted: every reported makespan is
-a function of the multiset, so dispatch order is not pinned) and the
-:data:`PLAN_FIELDS` of every per-database ``plan_stats`` record, so a
-change in how the planner collects its work — the calls, their dedup,
-what the store serves afterwards — shows up here.
+a function of the multiset, so dispatch order is not pinned) and every
+per-database ``plan_stats`` record, so a change in how the planner
+collects its work — the calls, their dedup, what the store serves
+afterwards — shows up here.
 """
 
 import dataclasses
@@ -29,39 +29,24 @@ DATABASES = (
     "formula_1",
     "superhero",
 )
-MODES = ("prompt", "pairs")
 #: (model profile, shots)
 ARMS = (("gpt-3.5-turbo", 0), ("perfect", 2))
-#: the ``plan_stats`` fields the digest covers
-PLAN_FIELDS = (
-    "questions",
-    "collected",
-    "unique",
-    "dedup_pct",
-    "signatures",
-    "planned_calls",
-    "llm_calls",
-    "keys_stored",
-)
 
 
-def config_id(database, mode, profile, shots) -> str:
-    return f"{database}@1/{mode}/{profile}/s{shots}"
+def config_id(database, profile, shots) -> str:
+    return f"{database}@1/pairs/{profile}/s{shots}"
 
 
-def planned_digest(swan, gold, database, mode, profile, shots) -> str:
+def planned_digest(swan, gold, database, profile, shots) -> str:
     """sha256 over one planned run's outcomes, usage, calls and plan stats."""
     run = run_udf(
-        swan, profile, shots, databases=[database], gold=gold, plan=mode
+        swan, profile, shots, databases=[database], gold=gold, plan="pairs"
     )
     payload = {
         "outcomes": [dataclasses.astuple(o) for o in run.outcomes],
         "usage": dataclasses.astuple(run.usage),
         "call_sizes": sorted(run.call_sizes),
-        "plan_stats": {
-            name: {field: record[field] for field in PLAN_FIELDS}
-            for name, record in run.plan_stats.items()
-        },
+        "plan_stats": run.plan_stats,
         "keys_generated": run.keys_generated,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -69,9 +54,8 @@ def planned_digest(swan, gold, database, mode, profile, shots) -> str:
 
 
 CONFIGS = [
-    (database, mode, profile, shots)
+    (database, profile, shots)
     for database in DATABASES
-    for mode in MODES
     for profile, shots in ARMS
 ]
 

@@ -47,31 +47,17 @@ def harness(superhero_world):
 
 
 class TestPlanning:
-    def test_mode_validated(self, harness):
+    def test_qa_prompts_dedup_across_questions(self, harness):
         executor, _ = harness
-        with pytest.raises(ValueError):
-            CallPlanner(executor, mode="eager")
-
-    def test_prompt_mode_dedups_shared_signatures(self, harness):
-        executor, _ = harness
-        plan = CallPlanner(executor, mode="prompt").plan([MAP_Q, MAP_Q2, QA_Q])
+        plan = CallPlanner(executor).plan([QA_Q, QA_Q])
         stats = plan.stats
-        # the two map questions collect identical prompts: half drop out
-        assert stats.questions == 3
-        assert stats.collected > stats.unique
-        assert stats.dedup_pct > 0
-        assert len(plan.calls) == stats.unique
-
-    def test_calls_ordered_longest_first(self, harness):
-        executor, _ = harness
-        planner = CallPlanner(executor, mode="prompt")
-        plan = planner.plan([MAP_Q, QA_Q])
-        seconds = [planner._estimate_seconds(c) for c in plan.calls]
-        assert seconds == sorted(seconds, reverse=True)
+        assert stats.questions == 2
+        assert (stats.collected, stats.unique) == (2, 1)
+        assert [c.label for c in plan.calls] == ["udf:qa"]
 
     def test_pairs_mode_unions_keys_across_questions(self, harness):
         executor, _ = harness
-        plan = CallPlanner(executor, mode="pairs").plan([MAP_Q, MAP_Q2])
+        plan = CallPlanner(executor).plan([MAP_Q, MAP_Q2])
         stats = plan.stats
         assert stats.signatures == 1
         # both questions need every hero key, so dedup halves the pairs
@@ -79,36 +65,14 @@ class TestPlanning:
 
 
 class TestExecution:
-    def test_prompt_mode_prewarms_the_cache(self, harness):
+    def test_qa_answers_prewarm_the_cache(self, harness):
         executor, model = harness
-        CallPlanner(executor, mode="prompt").plan_and_execute([MAP_Q, QA_Q])
+        CallPlanner(executor).plan_and_execute([QA_Q])
         paid_before = model.meter.total.calls
-        assert paid_before > 0
-        result = executor.execute(MAP_Q)
-        assert result.rows  # real answers, served from the warm cache
+        assert paid_before == 1
+        result = executor.execute(QA_Q)
+        assert result.rows  # the answer, served from the warm cache
         assert model.meter.total.calls == paid_before
-
-    def test_prompt_mode_results_identical_to_unplanned(self, superhero_world):
-        def _run(planned: bool):
-            db = build_curated_database(superhero_world)
-            try:
-                model = make_model(superhero_world)
-                ex = HybridQueryExecutor(
-                    db, model, superhero_world, cache=PromptCache()
-                )
-                if planned:
-                    CallPlanner(ex, mode="prompt").plan_and_execute(
-                        [MAP_Q, MAP_Q2, QA_Q]
-                    )
-                rows = [ex.execute(q).rows for q in (MAP_Q, MAP_Q2, QA_Q)]
-                return rows, model.meter.total
-            finally:
-                db.close()
-
-        plain_rows, plain_usage = _run(planned=False)
-        planned_rows, planned_usage = _run(planned=True)
-        assert planned_rows == plain_rows
-        assert planned_usage == plain_usage
 
     def test_pairs_mode_fills_the_store_and_serves_executions(
         self, superhero_world
@@ -120,9 +84,7 @@ class TestExecution:
                 db, model, superhero_world, cache=PromptCache(),
                 mapping_store=store,
             )
-            plan = CallPlanner(executor, mode="pairs").plan_and_execute(
-                [MAP_Q, MAP_Q2]
-            )
+            plan = CallPlanner(executor).plan_and_execute([MAP_Q, MAP_Q2])
             assert plan.stats.keys_stored > 0
             assert store.total_keys() == plan.stats.keys_stored
             paid_before = model.meter.total.calls
@@ -133,19 +95,18 @@ class TestExecution:
         assert store.hits == 2
 
     def test_stats_accounting_balances(self, harness):
-        executor, _ = harness
-        plan = CallPlanner(executor, mode="prompt").plan_and_execute(
-            [MAP_Q, QA_Q]
-        )
+        executor, model = harness
+        plan = CallPlanner(executor).plan_and_execute([MAP_Q, QA_Q])
         stats = plan.stats
-        assert (
-            stats.llm_calls + stats.cached_calls + stats.failed_calls
-            == stats.planned_calls
-        )
-        assert len(stats.call_sizes) == stats.llm_calls
-        record = stats.as_record()
-        assert record["mode"] == "prompt"
-        assert record["llm_calls"] == stats.llm_calls
+        # a cold cache, no failures: every planned call is paid once,
+        # and charged once to the plan's report
+        assert stats.report.llm_calls == stats.planned_calls
+        assert stats.report.llm_calls == model.meter.total.calls
+        assert len(stats.report.call_sizes) == stats.report.llm_calls
+        assert stats.as_record()["llm_calls"] == stats.report.llm_calls
+        # repeated: the prompt cache answers, nothing is charged
+        again = CallPlanner(executor).plan_and_execute([MAP_Q, QA_Q])
+        assert again.stats.report.llm_calls == 0
 
 
 
