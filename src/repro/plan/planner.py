@@ -98,13 +98,11 @@ class CallPlanner:
         self,
         executor: HybridQueryExecutor,
         *,
-        store: Optional[MappingStore] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.executor = executor
-        # the executor's store, so execution serves from it; an
-        # explicitly passed store wins for standalone use
-        self.store = store if store is not None else executor.mapping_store
+        # the executor's store, so execution serves from it
+        self.store = executor.mapping_store
         if self.store is None:
             self.store = MappingStore()
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
