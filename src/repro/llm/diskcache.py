@@ -13,14 +13,19 @@ Design points:
   ``(SCHEMA_VERSION, model, shots, prompt)``.  Bumping
   :data:`SCHEMA_VERSION` invalidates every old entry at once, and two
   configurations never collide even inside one shared file.
-- **corruption tolerance** — a cache file that SQLite refuses to open
-  (truncated write, garbage bytes) is discarded and recreated instead of
-  taking the run down; a cache is an accelerator, never a dependency.
+- **one versioned open** — the file is opened by
+  :func:`~repro.obs.ledger.open_versioned`, as the run ledger is: a
+  file SQLite refuses to open (truncated write, garbage bytes) is
+  discarded and recreated instead of taking the run down, and a file
+  stamped by another :data:`SCHEMA_VERSION` has its table dropped and
+  recreated.  A cache is an accelerator, never a dependency.
+- **reads write nothing** — a hit is one ``SELECT``; each ``put``
+  commits before it returns, so a stored completion survives a crash.
 - **statistics** — hits, misses, stores, and evictions are counted,
   feeding the ``artifacts cache`` harness target.
-- **bounded size** — an optional ``max_entries`` cap evicts the least
-  recently used entries (tracked by a monotonic use sequence, so
-  eviction order is deterministic — no wall-clock involved).
+- **bounded size** — an optional ``max_entries`` cap evicts the oldest
+  insertions first (``rowid`` order, so eviction is deterministic and
+  no read has to record anything).
 
 :class:`PersistentClient` is the :class:`~repro.llm.client.ChatClient`
 decorator over the cache.  It composes *under*
@@ -41,12 +46,18 @@ from typing import Optional, Union
 from repro.llm.client import ChatClient, ChatResponse
 from repro.llm.usage import Usage
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
+from repro.obs.ledger import open_versioned
 from repro.obs.provenance import TIER_DISK, TIER_FRESH
 from repro.obs.trace import NULL_SPAN
 
-#: Bump to invalidate every persisted completion (key format, prompt
-#: protocol, or oracle changes all warrant a bump).
-SCHEMA_VERSION = 1
+#: Bump to invalidate every persisted completion (key format, columns,
+#: prompt protocol, or oracle changes all warrant a bump).
+SCHEMA_VERSION = 2
+
+_ENTRIES_COLUMNS = (
+    "key TEXT PRIMARY KEY, completion TEXT NOT NULL, model TEXT NOT NULL,"
+    " shots INTEGER NOT NULL"
+)
 
 
 def cache_key(model: str, shots: int, prompt: str) -> str:
@@ -60,6 +71,7 @@ def cache_key(model: str, shots: int, prompt: str) -> str:
 class PersistentPromptCache:
     """A prompt → completion cache persisted to one SQLite file.
 
+    ``recovered`` is True when a corrupt file was discarded on open.
     Thread-safe: one connection guarded by one lock (the workload is
     tiny key-value operations, so a single writer is never the
     bottleneck — the LLM is).  Usable as a context manager.
@@ -79,55 +91,12 @@ class PersistentPromptCache:
         self.misses = 0
         self.stores = 0
         self.evictions = 0
-        #: True when a corrupt file was discarded during open.
-        self.recovered = False
         self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = self._open()
+        self._conn, self.recovered, _ = open_versioned(
+            self.path, SCHEMA_VERSION, {"entries": _ENTRIES_COLUMNS}
+        )
 
     # -- lifecycle -----------------------------------------------------------
-
-    def _open(self) -> sqlite3.Connection:
-        """Open (or recreate) the cache file, tolerating corruption."""
-        try:
-            return self._connect()
-        except sqlite3.Error:
-            # A cache that cannot be opened is worth less than no cache:
-            # discard it and start fresh rather than fail the run.
-            self.recovered = True
-            self.path.unlink(missing_ok=True)
-            return self._connect()
-
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, check_same_thread=False)
-        try:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS entries ("
-                "  key TEXT PRIMARY KEY,"
-                "  completion TEXT NOT NULL,"
-                "  model TEXT NOT NULL,"
-                "  shots INTEGER NOT NULL,"
-                "  last_used INTEGER NOT NULL,"
-                "  uses INTEGER NOT NULL DEFAULT 0"
-                ")"
-            )
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta (version INTEGER NOT NULL)"
-            )
-            row = conn.execute("SELECT version FROM meta").fetchone()
-            if row is None:
-                conn.execute(
-                    "INSERT INTO meta (version) VALUES (?)", (SCHEMA_VERSION,)
-                )
-            elif row[0] != SCHEMA_VERSION:
-                # stale generation: wipe entries, keep the file
-                conn.execute("DELETE FROM entries")
-                conn.execute("UPDATE meta SET version = ?", (SCHEMA_VERSION,))
-            conn.commit()
-        except sqlite3.Error:
-            conn.close()
-            raise
-        return conn
 
     def close(self) -> None:
         with self._lock:
@@ -146,49 +115,35 @@ class PersistentPromptCache:
         key = cache_key(model, shots, prompt)
         with self._lock:
             row = self._conn.execute(
-                "SELECT completion, uses FROM entries WHERE key = ?", (key,)
+                "SELECT completion FROM entries WHERE key = ?", (key,)
             ).fetchone()
             if row is None:
                 self.misses += 1
                 return None
             self.hits += 1
-            self._conn.execute(
-                "UPDATE entries SET last_used = ?, uses = ? WHERE key = ?",
-                (self._next_seq(), row[1] + 1, key),
-            )
-            self._conn.commit()
             return row[0]
 
     def put(self, model: str, shots: int, prompt: str, completion: str) -> None:
-        """Store one completion, evicting LRU entries past ``max_entries``."""
+        """Store one completion, evicting the oldest past ``max_entries``."""
         key = cache_key(model, shots, prompt)
         with self._lock:
             self._conn.execute(
-                "INSERT OR REPLACE INTO entries "
-                "(key, completion, model, shots, last_used, uses) "
-                "VALUES (?, ?, ?, ?, ?, 0)",
-                (key, completion, model, shots, self._next_seq()),
+                "INSERT OR REPLACE INTO entries (key, completion, model, shots)"
+                " VALUES (?, ?, ?, ?)",
+                (key, completion, model, shots),
             )
             self.stores += 1
             if self.max_entries is not None:
                 over = self._count() - self.max_entries
                 if over > 0:
                     cursor = self._conn.execute(
-                        "DELETE FROM entries WHERE key IN ("
-                        "  SELECT key FROM entries "
-                        "  ORDER BY last_used ASC, key ASC LIMIT ?"
+                        "DELETE FROM entries WHERE rowid IN ("
+                        "  SELECT rowid FROM entries ORDER BY rowid LIMIT ?"
                         ")",
                         (over,),
                     )
                     self.evictions += cursor.rowcount
             self._conn.commit()
-
-    def _next_seq(self) -> int:
-        """A monotonic use-order stamp (deterministic, no wall clock)."""
-        row = self._conn.execute(
-            "SELECT COALESCE(MAX(last_used), 0) FROM entries"
-        ).fetchone()
-        return int(row[0]) + 1
 
     def _count(self) -> int:
         row = self._conn.execute("SELECT COUNT(*) FROM entries").fetchone()

@@ -89,12 +89,11 @@ class ParallelDispatcher:
       same completion at zero token cost (mirroring a cache hit);
     - with ``capture_errors=True`` an :class:`LLMError` in one call is
       captured into its :class:`DispatchOutcome` instead of aborting the
-      dispatch; with ``capture_errors=False`` the first failing prompt
-      (in prompt order) re-raises after all calls settle; with
-      ``capture_errors="transient"`` only *degradable* failures
-      (transient errors and exhausted retry budgets — see
-      :attr:`DispatchOutcome.degradable`) are captured, while unexpected
-      :class:`LLMError`\\ s still re-raise.
+      dispatch; with ``capture_errors="transient"`` only *degradable*
+      failures (transient errors and exhausted retry budgets — see
+      :attr:`DispatchOutcome.degradable`) are captured, while the first
+      other :class:`LLMError` (in prompt order) re-raises after all
+      calls settle.
 
     ``workers=1`` runs inline on the calling thread — no pool, identical
     semantics — which is what makes worker-count sweeps byte-comparable.
@@ -138,6 +137,11 @@ class ParallelDispatcher:
         outcome (degradable, so pipelines turn it into NULLs) instead
         of being sent upstream.
         """
+        if capture_errors not in (True, "transient"):
+            raise ValueError(
+                f"capture_errors must be True or 'transient', "
+                f"got {capture_errors!r}"
+            )
         if isinstance(labels, str):
             label_list = [labels] * len(prompts)
         else:
@@ -209,18 +213,10 @@ class ParallelDispatcher:
                 )
             seen.add(prompt)
             outcomes.append(outcome)
-        if capture_errors is not True:
-            if capture_errors not in (False, "transient"):
-                raise ValueError(
-                    f"capture_errors must be True, False, or 'transient', "
-                    f"got {capture_errors!r}"
-                )
+        if capture_errors == "transient":
             for outcome in outcomes:
-                if outcome.error is None:
-                    continue
-                if capture_errors == "transient" and outcome.degradable:
-                    continue
-                raise outcome.error
+                if outcome.error is not None and not outcome.degradable:
+                    raise outcome.error
         return outcomes
 
     def _call_batched(

@@ -6,15 +6,15 @@ configuration produced on each run — so a regression (an accuracy drop,
 a token blow-up, a scheduling slowdown) is caught by diffing the ledger
 instead of by eyeballing BENCH JSON files.
 
-Design, mirroring :class:`~repro.llm.diskcache.PersistentPromptCache`:
+Design:
 
-- **corruption tolerance** — a ledger file SQLite refuses to open is
-  discarded and recreated (``recovered`` records that it happened); the
-  ledger is an accelerator for regression detection, never a dependency.
-- **versioned schema** — a ``meta`` table carries
-  :data:`LEDGER_SCHEMA_VERSION`; opening a ledger written by another
-  generation wipes the rows and stamps the new version, so readers never
-  parse rows with a stale shape.
+- **one versioned open** — :func:`open_versioned` opens this ledger and
+  the persistent prompt cache alike: a file SQLite refuses to open is
+  discarded and recreated (``recovered``), and a file stamped by
+  another :data:`LEDGER_SCHEMA_VERSION` has its tables dropped and
+  recreated (``wiped``), so a version bump may change the columns and
+  readers never parse rows with a stale shape.  The ledger is an
+  accelerator for regression detection, never a dependency.
 - **config fingerprints** — each run is stamped with a SHA-256 of its
   canonical configuration JSON, so "the same configuration" is an exact
   equality test, not a guess from CLI flags.
@@ -36,6 +36,15 @@ from typing import Optional, Union
 #: Bump when the row shape changes; old ledgers are wiped on open.
 LEDGER_SCHEMA_VERSION = 1
 
+_RUNS_COLUMNS = (
+    "id INTEGER PRIMARY KEY AUTOINCREMENT, label TEXT NOT NULL,"
+    " pipeline TEXT NOT NULL, fingerprint TEXT NOT NULL, ex REAL, f1 REAL,"
+    " llm_calls INTEGER NOT NULL DEFAULT 0,"
+    " input_tokens INTEGER NOT NULL DEFAULT 0,"
+    " output_tokens INTEGER NOT NULL DEFAULT 0, makespan REAL,"
+    " payload TEXT NOT NULL"
+)
+
 
 def config_fingerprint(config: dict) -> str:
     """A stable 12-hex fingerprint of one run configuration.
@@ -47,76 +56,68 @@ def config_fingerprint(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-class RunLedger:
-    """An append-only SQLite ledger of harness runs.
+def open_versioned(
+    path: Union[str, Path], version: int, tables: dict[str, str]
+) -> tuple[sqlite3.Connection, bool, bool]:
+    """Open a versioned SQLite store: ``(connection, recovered, wiped)``.
 
-    Thread-safe: one connection guarded by one lock, like the persistent
-    prompt cache.  Usable as a context manager.
+    ``tables`` maps each table name to its column definitions.  A file
+    SQLite rejects is discarded and recreated (``recovered``).  A file
+    whose ``meta`` table carries another ``version`` has those tables
+    dropped and recreated with today's columns (``wiped``).  Every
+    statement before the final commit is idempotent, so a crash part way
+    through a wipe leaves a file the next open wipes again.
     """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        #: True when a corrupt ledger file was discarded during open.
-        self.recovered = False
-        #: True when a previous-generation ledger was wiped on open.
-        self.wiped = False
-        self.appends = 0
-        self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = self._open()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def _open(self) -> sqlite3.Connection:
-        """Open (or recreate) the ledger file, tolerating corruption."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    recovered = False
+    while True:
+        conn = sqlite3.connect(path, check_same_thread=False)
         try:
-            return self._connect()
-        except sqlite3.Error:
-            # history that cannot be read is worth less than no history:
-            # discard it and start a fresh ledger rather than fail the run
-            self.recovered = True
-            self.path.unlink(missing_ok=True)
-            return self._connect()
-
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, check_same_thread=False)
-        try:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS runs ("
-                "  id INTEGER PRIMARY KEY AUTOINCREMENT,"
-                "  label TEXT NOT NULL,"
-                "  pipeline TEXT NOT NULL,"
-                "  fingerprint TEXT NOT NULL,"
-                "  ex REAL,"
-                "  f1 REAL,"
-                "  llm_calls INTEGER NOT NULL DEFAULT 0,"
-                "  input_tokens INTEGER NOT NULL DEFAULT 0,"
-                "  output_tokens INTEGER NOT NULL DEFAULT 0,"
-                "  makespan REAL,"
-                "  payload TEXT NOT NULL"
-                ")"
-            )
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS meta (version INTEGER NOT NULL)"
             )
             row = conn.execute("SELECT version FROM meta").fetchone()
-            if row is None:
-                conn.execute(
-                    "INSERT INTO meta (version) VALUES (?)",
-                    (LEDGER_SCHEMA_VERSION,),
-                )
-            elif row[0] != LEDGER_SCHEMA_VERSION:
-                # stale generation: wipe the rows, keep the file
-                conn.execute("DELETE FROM runs")
-                conn.execute(
-                    "UPDATE meta SET version = ?", (LEDGER_SCHEMA_VERSION,)
-                )
-                self.wiped = True
+            wiped = row is not None and row[0] != version
+            if wiped:
+                for name in tables:
+                    conn.execute(f"DROP TABLE IF EXISTS {name}")
+                conn.execute("DELETE FROM meta")
+            for name, columns in tables.items():
+                conn.execute(f"CREATE TABLE IF NOT EXISTS {name} ({columns})")
+            if row is None or wiped:
+                conn.execute("INSERT INTO meta (version) VALUES (?)", (version,))
             conn.commit()
+            return conn, recovered, wiped
         except sqlite3.Error:
             conn.close()
-            raise
-        return conn
+            if recovered:
+                raise
+            # a store that cannot be read is worth less than no store:
+            # discard the file and start fresh rather than fail the run
+            recovered = True
+            path.unlink(missing_ok=True)
+
+
+class RunLedger:
+    """An append-only SQLite ledger of harness runs.
+
+    Opened by :func:`open_versioned`: ``recovered`` is True when a
+    corrupt file was discarded, ``wiped`` when a previous-generation
+    ledger was dropped.  Every append commits before it returns.
+    Thread-safe: one connection guarded by one lock.  Usable as a
+    context manager.
+    """
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = Path(path)
+        self.appends = 0
+        self._lock = threading.Lock()
+        self._conn, self.recovered, self.wiped = open_versioned(
+            self.path, LEDGER_SCHEMA_VERSION, {"runs": _RUNS_COLUMNS}
+        )
+
+    # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         with self._lock:

@@ -16,18 +16,13 @@ sees any of it:
 """
 
 from repro.plan.planner import CallPlanner, Plan, PlannedCall, PlanStats
-from repro.plan.policy import (
-    DEFAULT_MAX_BATCH_SIZE,
-    AdaptiveBatchPolicy,
-    FixedBatchPolicy,
-)
+from repro.plan.policy import DEFAULT_MAX_BATCH_SIZE, AdaptiveBatchPolicy
 from repro.udf.store import MappingStore
 
 __all__ = [
     "AdaptiveBatchPolicy",
     "CallPlanner",
     "DEFAULT_MAX_BATCH_SIZE",
-    "FixedBatchPolicy",
     "MappingStore",
     "Plan",
     "PlannedCall",

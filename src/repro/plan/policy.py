@@ -20,7 +20,6 @@ paper's Table 4 bills per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.llm.batching import DEFAULT_BATCH_SIZE
@@ -28,20 +27,6 @@ from repro.llm.profiles import ModelProfile, get_profile
 
 #: Past ~20 keys the prompt outgrows the scaffolding it amortizes.
 DEFAULT_MAX_BATCH_SIZE = 20
-
-
-@dataclass(frozen=True)
-class FixedBatchPolicy:
-    """Always the same batch size — BlendSQL's behaviour as a policy."""
-
-    size: int = DEFAULT_BATCH_SIZE
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-
-    def batch_size(self, call: Optional[object] = None) -> int:
-        return self.size
 
 
 class AdaptiveBatchPolicy:

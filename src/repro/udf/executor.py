@@ -153,7 +153,6 @@ class HybridQueryExecutor:
         pushdown: bool = True,
         shots: int = 0,
         cache: Optional[PromptCache] = None,
-        selector: Optional[FewShotSelector] = None,
         workers: int = 1,
         resilience: Optional[ResilienceReport] = None,
         telemetry: Optional[Telemetry] = None,
@@ -189,9 +188,7 @@ class HybridQueryExecutor:
             "pipeline.degraded_batches"
         )
         self._m_degraded_keys = self._tel.metrics.counter("pipeline.degraded_keys")
-        if selector is None and shots > 0:
-            selector = FewShotSelector(_demo_pool(world))
-        self.selector = selector
+        self.selector = FewShotSelector(_demo_pool(world)) if shots > 0 else None
         self.resilience = resilience
         #: any object with ``batch_size(call) -> int`` (repro.plan.policy);
         #: None keeps the fixed ``batch_size`` — BlendSQL's behaviour.
@@ -699,7 +696,7 @@ class HybridQueryExecutor:
         return [f"The possible answers are [{rendered}{ellipsis}]."]
 
     def _demo_lines(self, question: str) -> list[str]:
-        if self.selector is None or self.shots == 0:
+        if self.selector is None:
             return []
         demos = self.selector.select(question, self.shots)
         return [

@@ -5,9 +5,10 @@ answers, the same Usage and the same multiset of paid call sizes on the
 full SWAN benchmark at eight workers as at one, and on a second
 one-worker run in the same process.  A cold run over the persistent
 prompt cache is byte-identical to a plain run, and a warm rerun pays
-nothing.
+nothing and leaves the cache files' bytes as they were.
 """
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -19,6 +20,14 @@ from repro.plan import AdaptiveBatchPolicy
 @pytest.fixture(scope="module")
 def gold(swan):
     return GoldResults(swan)
+
+
+def _digests(directory):
+    """sha256 of every cache file under ``directory``, by name."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.glob("*.sqlite"))
+    }
 
 
 def _assert_same_run(a, b, *, compare_usage=True):
@@ -85,6 +94,17 @@ class TestPersistentCacheRuns:
         assert warm.persistent["superhero"]["stores"] == 0
         assert warm.persistent["superhero"]["hits"] > 0
         assert cold.persistent["superhero"]["hits"] == 0
+
+    def test_warm_rerun_writes_nothing_to_disk(self, swan, gold, tmp_path):
+        run_udf(
+            swan, "gpt-3.5-turbo", 0, databases=["superhero"], cache_dir=tmp_path
+        )
+        before = _digests(tmp_path)
+        warm = run_udf(
+            swan, "gpt-3.5-turbo", 0, databases=["superhero"], cache_dir=tmp_path
+        )
+        assert warm.usage.calls == 0
+        assert before and _digests(tmp_path) == before
 
     def test_cold_cached_run_identical_to_plain(self, swan, gold, tmp_path):
         plain = run_udf(

@@ -1,5 +1,6 @@
 """Tests for the SQLite-backed persistent prompt cache."""
 
+import hashlib
 import sqlite3
 
 import pytest
@@ -75,16 +76,42 @@ class TestPersistentPromptCache:
             assert cache.get("m", 0, "p") is None
             assert not cache.recovered  # wiped, not recreated
 
-    def test_lru_eviction_is_deterministic(self, tmp_path):
+    def test_version_one_layout_is_dropped_not_half_read(self, tmp_path):
+        # the layout SCHEMA_VERSION 1 wrote: recency columns without a
+        # default, so a wipe that only deleted rows would fail the put
+        path = tmp_path / "c.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE entries (key TEXT PRIMARY KEY,"
+            " completion TEXT NOT NULL, model TEXT NOT NULL,"
+            " shots INTEGER NOT NULL, last_used INTEGER NOT NULL,"
+            " uses INTEGER NOT NULL DEFAULT 0)"
+        )
+        conn.execute("CREATE TABLE meta (version INTEGER NOT NULL)")
+        conn.execute("INSERT INTO meta (version) VALUES (1)")
+        v1_key = hashlib.sha256("v1\x1fm\x1f0\x1fp".encode()).hexdigest()
+        conn.execute(
+            "INSERT INTO entries VALUES (?, 'stale', 'm', 0, 1, 0)", (v1_key,)
+        )
+        conn.commit()
+        conn.close()
+        with PersistentPromptCache(path) as cache:
+            assert not cache.recovered
+            assert len(cache) == 0
+            assert cache.get("m", 0, "p") is None
+            cache.put("m", 0, "p", "fresh")
+            assert cache.get("m", 0, "p") == "fresh"
+
+    def test_eviction_follows_insertion_order(self, tmp_path):
         with PersistentPromptCache(
             tmp_path / "c.sqlite", max_entries=2
         ) as cache:
             cache.put("m", 0, "a", "1")
             cache.put("m", 0, "b", "2")
-            cache.get("m", 0, "a")  # refresh a: b becomes the LRU entry
+            cache.get("m", 0, "a")  # a read does not refresh a
             cache.put("m", 0, "c", "3")
-            assert cache.get("m", 0, "b") is None
-            assert cache.get("m", 0, "a") == "1"
+            assert cache.get("m", 0, "a") is None
+            assert cache.get("m", 0, "b") == "2"
             assert cache.get("m", 0, "c") == "3"
             assert cache.evictions == 1
             assert len(cache) == 2

@@ -163,14 +163,23 @@ class TestParallelDispatcher:
         assert isinstance(outcomes[1].error, LLMError)
         assert outcomes[1].text is None
 
-    def test_propagate_mode_raises_first_error_in_prompt_order(self):
+    def test_transient_mode_raises_first_plain_error(self):
         dispatcher = ParallelDispatcher(workers=4)
         with pytest.raises(LLMError, match="bad early"):
             dispatcher.dispatch(
                 FailingClient(),
                 ["ok", "bad early", "bad late"],
-                capture_errors=False,
+                capture_errors="transient",
             )
+
+    @pytest.mark.parametrize("mode", [False, "all"])
+    def test_unknown_capture_mode_rejected_before_any_call(self, mode):
+        client = CountingClient()
+        with pytest.raises(ValueError, match="capture_errors"):
+            ParallelDispatcher(workers=1).dispatch(
+                client, ["p"], capture_errors=mode
+            )
+        assert client.calls_by_prompt == {}
 
     def test_duplicate_prompts_dispatched_once(self):
         client = CountingClient()

@@ -128,6 +128,27 @@ class TestSchemaVersioning:
             row = ledger.latest()
         assert row["label"] == "b"
 
+    def test_version_bump_drops_an_older_column_set(self, tmp_path):
+        # an older generation without today's columns: a wipe that only
+        # deleted rows would leave ``append`` without a pipeline column
+        path = tmp_path / "ledger.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE runs (id INTEGER PRIMARY KEY, label TEXT, score REAL)"
+        )
+        conn.execute("INSERT INTO runs (label, score) VALUES ('old', 0.5)")
+        conn.execute("CREATE TABLE meta (version INTEGER NOT NULL)")
+        conn.execute(
+            "INSERT INTO meta (version) VALUES (?)", (LEDGER_SCHEMA_VERSION - 1,)
+        )
+        conn.commit()
+        conn.close()
+        with RunLedger(path) as ledger:
+            assert ledger.wiped and not ledger.recovered
+            assert len(ledger) == 0
+            ledger.append(label="new", pipeline="udf", ex=0.25)
+            assert ledger.latest()["ex"] == pytest.approx(0.25)
+
     def test_current_version_stamped(self, tmp_path):
         path = tmp_path / "ledger.sqlite"
         RunLedger(path).close()

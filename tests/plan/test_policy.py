@@ -5,20 +5,7 @@ import pytest
 from repro.plan.policy import (
     DEFAULT_MAX_BATCH_SIZE,
     AdaptiveBatchPolicy,
-    FixedBatchPolicy,
 )
-
-
-class TestFixedBatchPolicy:
-    def test_default_is_blendsql_five(self):
-        assert FixedBatchPolicy().batch_size() == 5
-
-    def test_any_size(self):
-        assert FixedBatchPolicy(3).batch_size() == 3
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            FixedBatchPolicy(0)
 
 
 class TestAdaptiveBatchPolicy:
