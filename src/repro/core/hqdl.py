@@ -78,9 +78,6 @@ class GenerationResult:
     def total_malformed(self) -> int:
         return sum(t.malformed for t in self.tables.values())
 
-    def total_calls(self) -> int:
-        return sum(t.calls for t in self.tables.values())
-
 
 class _TableWork(NamedTuple):
     """One expansion table's generation work, in key order."""
@@ -145,12 +142,16 @@ class HQDL:
             self._retriever = RowContextRetriever(world)
         #: the resident expanded database (see :meth:`expand`)
         self.db: Optional[Database] = None
+        #: the generation :meth:`expand` materialized into ``db``: its
+        #: extracted cells, as the model wrote them
+        self.generation: Optional[GenerationResult] = None
 
     def close(self) -> None:
         """Release the resident expanded database, if any."""
         if self.db is not None:
             self.db.close()
             self.db = None
+            self.generation = None
 
     def _span(self, name: str, **attributes):
         tel = self._tel
@@ -328,9 +329,11 @@ class HQDL:
 
     def expand(self, generation: GenerationResult) -> Database:
         """Make ``generation`` the resident expanded database, once: later
-        plans find every table resident.  :meth:`close` releases it."""
+        plans find every table resident, and ``self.generation`` keeps
+        the cells.  :meth:`close` releases both."""
         if self.db is None:
             self.db = self.build_expanded_database(generation)
+            self.generation = generation
         return self.db
 
     def build_expanded_database(

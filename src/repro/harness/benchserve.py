@@ -683,7 +683,18 @@ def format_startup(startup: dict) -> str:
         f"Startup: HQDL expanded {', '.join(startup['databases'])} before "
         f"the first arrival: {startup['llm_calls']} calls, "
         f"{startup['input_tokens'] + startup['output_tokens']} tokens, "
-        f"{startup['seconds']:.3f} virtual s (charged to no request)."
+        f"{startup['seconds']:.3f} virtual s (charged to no request), "
+        f"{startup['degraded_rows']} degraded and "
+        f"{startup['malformed_rows']} malformed rows left NULL."
+    )
+
+
+def format_expansion(mapping: dict) -> str:
+    """One line on the UDF maps the resident HQDL cells served."""
+    return (
+        f"Expansion face: {mapping['expansion_keys']} map keys served from "
+        f"HQDL cells, {mapping['expansion_matched']} signatures matched in "
+        f"{mapping['expansion_calls']} equivalence checks."
     )
 
 

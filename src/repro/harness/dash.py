@@ -22,6 +22,7 @@ from repro.harness.benchserve import (
     build_observability,
     default_config,
     default_tenants,
+    format_expansion,
     format_startup,
     measure_capacity,
     run_level,
@@ -295,6 +296,7 @@ def format_dash(payload: dict) -> str:
             f"{arm['keys_from_store']} keys served from the shared store."
         )
     lines.append(format_startup(serve["startup"]))
+    lines.append(format_expansion(serve["mapping"]))
     lines.append(
         f"Run accounting: {serve['offered']} offered = {serve['served']} "
         f"served + {serve['degraded']} degraded + {serve['rejected']} "

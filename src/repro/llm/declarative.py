@@ -129,28 +129,3 @@ class PromptSpec:
                 f"prompt spec is missing required sections: {missing}"
             )
 
-
-def budgeted(spec: PromptSpec, max_tokens: int) -> PromptSpec:
-    """Trim demonstrations until the spec fits a token budget.
-
-    Demonstrations are removed from the *end* (the least similar ones,
-    by the selection convention); every other section is preserved.
-    Raises :class:`PromptSpecError` when the spec cannot fit even with
-    zero demonstrations.
-    """
-    if spec.token_estimate() <= max_tokens:
-        return spec
-    trimmed = PromptSpec(sections=list(spec.sections))
-    demonstration_indexes = [
-        index
-        for index, section in enumerate(trimmed.sections)
-        if section.kind == "demonstration"
-    ]
-    for index in reversed(demonstration_indexes):
-        del trimmed.sections[index]
-        if trimmed.token_estimate() <= max_tokens:
-            return trimmed
-    raise PromptSpecError(
-        f"prompt needs {trimmed.token_estimate()} tokens even without "
-        f"demonstrations; budget is {max_tokens}"
-    )

@@ -15,7 +15,8 @@ needed to answer that, without perturbing a single result byte:
   (``fresh`` / ``memory`` / ``disk`` / ``mapping-store``), retry count,
   fault history, and whether the call ultimately failed;
 - every **cell record** names one materialized value — an LLMMap/LLMJoin
-  mapping cell, an LLMQA answer, or an HQDL expansion-table cell — and
+  mapping cell (``expansion`` tier when a resident HQDL expansion's
+  cell served it), an LLMQA answer, or an HQDL expansion-table cell — and
   points at the call that produced it, flagged when the cell is NULL and
   whether the NULL came from degradation (call failed) or format drift
   (call returned, parse failed).
@@ -39,6 +40,7 @@ TIER_MEMORY = "memory"
 TIER_DISK = "disk"
 TIER_MAPPING_STORE = "mapping-store"
 TIER_SEMANTIC = "semantic"
+TIER_EXPANSION = "expansion"
 TIER_FRESH = "fresh"
 
 

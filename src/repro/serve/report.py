@@ -26,6 +26,10 @@ class StartupRecord:
     :class:`ResilienceReport` all the same.  ``seconds`` is the virtual
     build time: the makespan of its paid calls over the server's
     workers, plus ``backoff_seconds`` of retry backoff.
+    ``degraded_rows`` (the call failed past its retries) and
+    ``malformed_rows`` (the completion resisted extraction) are rows the
+    build left NULL: HQDL answers read NULL there, and a UDF map on
+    their keys pays for them.
     """
 
     databases: tuple[str, ...] = ()
@@ -35,6 +39,8 @@ class StartupRecord:
     retries: int = 0
     backoff_seconds: float = 0.0
     seconds: float = 0.0
+    degraded_rows: int = 0
+    malformed_rows: int = 0
 
     def as_record(self) -> dict:
         return {
@@ -45,6 +51,8 @@ class StartupRecord:
             "retries": self.retries,
             "backoff_seconds": round(self.backoff_seconds, 6),
             "seconds": round(self.seconds, 6),
+            "degraded_rows": self.degraded_rows,
+            "malformed_rows": self.malformed_rows,
         }
 
 

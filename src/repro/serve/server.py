@@ -539,18 +539,18 @@ class QueryServer:
     # the outcome.  Without ``config.batching`` that happens on the spot: the
     # request rode zero waves and "lands" at its own start instant.  With
     # it, the plan's work is first pruned against the shared mapping
-    # store (per key) and prompt caches (per prompt), and only what they
-    # do not cover is enqueued into the CrossRequestBatcher; the server
-    # branches on the kind of work (keys or whole prompts), never on the
-    # pipeline.  A flush event fires at the dispatch instant, and every
-    # group then holding items flushes as a single *wave* — with the
-    # work of every request dispatched at that same instant — whose paid
-    # calls share one ``parallel_makespan`` pool: coalesced batches are
-    # charged like the fan-out of a single request, and a whole prompt
-    # (an LLMQA) like a map chunk.  Map answers land in each
-    # requester's ``answers``.  When a wave lands, members with no work
-    # left are finalized from those answers (zero LLM calls in the common
-    # case).
+    # store (per key, its expansion face included) and prompt caches
+    # (per prompt), and only what they do not cover is enqueued into the
+    # CrossRequestBatcher; the server branches on the kind of work (keys
+    # or whole prompts), never on the pipeline.  A flush event fires at
+    # the dispatch instant, and every group then holding items flushes
+    # as a single *wave* — with the work of every request dispatched at
+    # that same instant — whose paid calls share one
+    # ``parallel_makespan`` pool: coalesced batches are charged like the
+    # fan-out of a single request, and a whole prompt (an LLMQA) like a
+    # map chunk.  Map answers land in each requester's ``answers``.  When
+    # a wave lands, members with no work left are finalized from those
+    # answers (zero LLM calls in the common case).
 
     def _dispatch(self, request: QueryRequest) -> None:
         """Start one request: breaker check, optional planning, finalize.
@@ -593,8 +593,11 @@ class QueryServer:
     def _plan(self, member: PendingRequest) -> None:
         """Plan one dispatched request's LLM work into the batcher.
 
-        Each key the store holds and each prompt the cache holds is served
-        from there; the rest is enqueued and released at once.
+        Each key the store holds (or its expansion face serves) and each
+        prompt the cache holds is served from there; the rest is enqueued
+        and released at once.  An LLMMap the face has yet to judge keeps
+        its other keys out of the batcher: finalize pays the equivalence
+        check, then the keys the judged column does not serve.
         """
         request, start = member.request, member.start
         batcher = self.batcher
@@ -611,6 +614,14 @@ class QueryServer:
             held.update(stored)
             batcher.keys_from_store += len(stored)
             wanted = [key for key in wanted if key not in stored]
+            if wanted:
+                cells = state.store.expansion_cells(
+                    signature, wanted, state.pipeline.option_values(call)
+                )
+                if cells is None:
+                    continue
+                held.update(cells)
+                wanted = [key for key in wanted if key not in cells]
             if wanted:
                 batcher.enqueue_keys(
                     request.database, call, wanted, member,

@@ -7,6 +7,10 @@ process.  :class:`DatabaseStates` builds each state on first touch
 (through :func:`~repro.llm.stack.build_client_stack`, the one place the
 client layering exists), warms every HQDL state before the first
 arrival (:meth:`DatabaseStates.warm`), and tears all of them down.
+A database served by both pipelines keeps one generation: the UDF
+state's mapping store faces the cells its warm HQDL build extracted
+(:meth:`~repro.udf.store.MappingStore.attach_expansion`), so an LLMMap
+there pays an equivalence check instead of map calls.
 Both states expose the same face to the server: a
 :class:`~repro.pipeline.Pipeline` and ``query(request)``, what the
 pipeline prepares.
@@ -45,7 +49,8 @@ class UdfState:
     """One database's long-lived UDF serving state.
 
     ``store`` is the executor's :class:`MappingStore`: per database,
-    because an ingredient signature names no database.
+    because an ingredient signature names no database.  It faces the
+    database's resident HQDL expansion, if the server holds one.
     """
 
     db: Database
@@ -162,7 +167,20 @@ class DatabaseStates:
             state = self._udf[database] = UdfState(
                 db, executor, cache, stack, store
             )
+            self._attach_expansion(database)
         return state
+
+    def _attach_expansion(self, database: str) -> None:
+        """Face ``database``'s UDF store at its resident HQDL cells, when
+        both states exist and the expansion has been built."""
+        udf, hqdl = self._udf.get(database), self._hqdl.get(database)
+        if udf is None or hqdl is None or hqdl.pipeline.generation is None:
+            return
+        generation = hqdl.pipeline.generation
+        udf.store.attach_expansion(
+            hqdl.pipeline.world.expansions,
+            {name: table.rows for name, table in generation.tables.items()},
+        )
 
     def of(self, request: QueryRequest) -> Union[UdfState, HqdlState]:
         """The state serving ``request``: its pipeline over its database."""
@@ -194,18 +212,25 @@ class DatabaseStates:
         the state's own client stack and dispatcher (the retry stack under
         ``fault_rate > 0``, backoff sleeping on ``retry_clock``), with no
         deadline: no request is waiting.  The returned record carries the
-        paid calls, tokens, retries and virtual build time, all of it
-        before the first arrival.
+        paid calls, tokens, retries, virtual build time and the rows left
+        NULL, all of it before the first arrival.  Each build's cells
+        become the face of that database's UDF store.
         """
         databases = tuple(sorted(set(databases)))
         sizes: list[tuple[int, int]] = []
+        degraded = malformed = 0
         usage_before = self.meter.total
         retries_before = self.resilience.retries
         clock_before = self.retry_clock.now()
         for database in databases:
             pipeline = self.hqdl(database).pipeline
             fillings = pipeline.generate(pipeline.prepare(None))
-            pipeline.expand(fillings.answers[0])
+            if fillings.answers:  # empty when an earlier run built it
+                generation = fillings.answers[0]
+                pipeline.expand(generation)
+                degraded += sum(t.degraded for t in generation.tables.values())
+                malformed += generation.total_malformed()
+                self._attach_expansion(database)
             sizes += fillings.report.call_sizes
         paid = self.meter.total - usage_before
         backoff = self.retry_clock.now() - clock_before
@@ -217,6 +242,8 @@ class DatabaseStates:
             retries=self.resilience.retries - retries_before,
             backoff_seconds=backoff,
             seconds=parallel_makespan(sizes, self.config.workers) + backoff,
+            degraded_rows=degraded,
+            malformed_rows=malformed,
         )
 
     def udf_cache_totals(self) -> tuple[int, int]:

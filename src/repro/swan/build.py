@@ -5,8 +5,8 @@ Two databases exist per world:
 - the **original** database (full schema) — gold queries run here;
 - the **curated** database (after drops) — hybrid pipelines run here.
 
-Both can be built in memory (the default for tests and benches) or saved
-to files for inspection.
+Both are built in memory; ``Database.save_to`` writes either to a file
+for inspection.
 
 Each world's curated database is built from rows once per process and
 kept as a *template*; every later :func:`build_curated_database` call
@@ -20,8 +20,6 @@ import os
 import sqlite3
 import threading
 from collections.abc import Mapping, Sequence
-from pathlib import Path
-from typing import Union
 
 from repro.errors import ReproError
 from repro.sqlengine.database import Database
@@ -141,20 +139,3 @@ def build_curated_database(world: World, scale: int = 1) -> Database:
         _TEMPLATES[key] = (world, template)
         return db
 
-
-def save_databases(
-    world: World, directory: Union[str, Path], scale: int = 1
-) -> tuple[Path, Path]:
-    """Write both databases to ``<dir>/<name>_original.db`` / ``_curated.db``."""
-    world = _at_scale(world, scale)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    original_path = directory / f"{world.name}_original.db"
-    curated_path = directory / f"{world.name}_curated.db"
-    with build_original_database(world) as original:
-        original_path.unlink(missing_ok=True)
-        original.save_to(original_path)
-    with build_curated_database(world) as curated:
-        curated_path.unlink(missing_ok=True)
-        curated.save_to(curated_path)
-    return original_path, curated_path

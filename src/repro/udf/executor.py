@@ -11,10 +11,10 @@
    batches (default 5 per call, Section 5.4), one call per LLMQA — and
    is the one place the model and the mapping store are consulted.
    Every call it makes (map batches, QA prompts, the store's rewrite
-   equivalence checks) goes through the one dispatcher under the
-   caller's deadline, degrades to NULL on failure and is charged to the
-   :class:`~repro.pipeline.ExecutionReport`, so the report counts every
-   paid call of the query.
+   and expansion-face equivalence checks) goes through the one
+   dispatcher under the caller's deadline, degrades to NULL on failure
+   and is charged to the :class:`~repro.pipeline.ExecutionReport`, so
+   the report counts every paid call of the query.
 3. :meth:`~HybridQueryExecutor.run` binds each LLMMap mapping to a
    lookup function on the connection, fills each LLMJoin's TEMP table,
    rewrites the AST (``CAST(lookup(keys) AS TEXT)`` for maps, literals
@@ -74,7 +74,12 @@ from repro.llm.intent import (
 from repro.llm.parallel import ParallelDispatcher
 from repro.llm.resilience import Deadline, ResilienceReport
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
-from repro.obs.provenance import TIER_MAPPING_STORE, TIER_SEMANTIC, call_id_for
+from repro.obs.provenance import (
+    TIER_EXPANSION,
+    TIER_MAPPING_STORE,
+    TIER_SEMANTIC,
+    call_id_for,
+)
 from repro.obs.trace import NULL_SPAN
 from repro.pipeline import ExecutionReport, Fillings, Work
 from repro.sqlparser import ast, parse, render
@@ -270,7 +275,8 @@ class HybridQueryExecutor:
         ``known`` maps a signature to answers the caller holds: an
         occurrence it fully covers costs no call.  Without it, the
         mapping store (if any) plays that part and receives what is
-        generated.  Map batches, QA prompts and rewrite checks are all
+        generated; its expansion face serves LLMMap keys either way.
+        Map batches, QA prompts, rewrite and expansion checks are all
         paid through :meth:`pay`: past ``deadline`` or on a failed
         call, a batch's keys and a QA answer degrade to NULL (and are
         counted as degraded) instead of aborting the query.
@@ -516,12 +522,14 @@ class HybridQueryExecutor:
         """Batched LLM calls answering the question for every key.
 
         Answers already held — by ``known`` when the caller passes it,
-        else by the shared mapping store — are served per key, and only
-        the keys they do not cover are chunked and paid for.  A store
-        built with ``rewrite=True`` first reuses, per key, what it holds
-        for a semantically equivalent question (query rewriting,
-        Section 4.3).  The mapping comes back in key order whatever
-        served it, as a run with nothing stored would build it.
+        else by the shared mapping store — are served per key, then the
+        cells of a resident HQDL expansion the store's face holds (see
+        :meth:`MappingStore.expansion_lookup`), and only the keys none
+        of them covers are chunked and paid for.  A store built with
+        ``rewrite=True`` first reuses, per key, what it holds for a
+        semantically equivalent question (query rewriting, Section 4.3).
+        The mapping comes back in key order whatever served it, as a run
+        with nothing stored would build it.
 
         All batches of one ingredient go through the dispatcher at once,
         so with ``workers > 1`` they run concurrently (Section 4.3 / 6
@@ -535,7 +543,10 @@ class HybridQueryExecutor:
         prov = self.provenance
         cell_table = signature
         cell_column = "value" if call.kind == "LLMJoin" else "v"
-        store = self.mapping_store if known is None else None
+        # ``known`` stands in for the store (its caller consulted it); the
+        # store's expansion face serves either way
+        face = self.mapping_store
+        store = face if known is None else None
         if known is not None:
             held = known.get(signature, {})
             served = {key: held[key] for key in keys if key in held}
@@ -564,14 +575,30 @@ class HybridQueryExecutor:
         if len(served) == len(keys):
             return served
         missing = [key for key in keys if key not in served]
+        found = dict(served)
+
+        def pay_one(prompt: Prompt, label: str) -> Optional[str]:
+            return self.pay([prompt], label, report, deadline)[0]
+
+        if face is not None:
+            cells = face.expansion_lookup(
+                signature, missing, pay_one, self.option_values(call)
+            )
+            if cells:
+                for key, value in cells.items():
+                    found[key] = value
+                    report.keys_generated += 1
+                    if prov.enabled:
+                        # the producing row prompt is the HQDL build's
+                        prov.record_cell(
+                            cell_table, key, cell_column, "", tier=TIER_EXPANSION
+                        )
+                missing = [key for key in missing if key not in cells]
+                if not missing:
+                    return {key: found[key] for key in keys}
         reusable = {}
         if store is not None:
-            reusable = store.rewrite_lookup(
-                signature,
-                missing,
-                lambda prompt, label: self.pay([prompt], label, report, deadline)[0],
-            )
-        found = dict(served)
+            reusable = store.rewrite_lookup(signature, missing, pay_one)
         to_generate: list[tuple] = []
         for key in missing:
             if key in reusable:
@@ -674,21 +701,25 @@ class HybridQueryExecutor:
             return Prompt(text)
         return Prompt(text, MapIntent(header, batch))
 
-    def _options_lines(self, call: IngredientCall) -> list[str]:
-        """The retained value list, when the query passes options=...
+    def option_values(self, call: IngredientCall) -> Optional[list[str]]:
+        """The values an ingredient's ``options=`` argument allows, if any.
 
         SWAN keeps the distinct values of dropped categorical columns so
         the model selects rather than free-forms (Section 3.3); BlendSQL
-        surfaces them through the LLMMap ``options`` argument.
+        surfaces them through the LLMMap ``options`` argument, naming a
+        retained value list or listing the values.
         """
         options = dict(call.options).get("options")
-        if options is None:
-            return []
         if isinstance(options, str):
-            values = self.world.value_lists.get(options, [options])
-        elif isinstance(options, list):
-            values = [str(v) for v in options]
-        else:
+            return self.world.value_lists.get(options, [options])
+        if isinstance(options, list):
+            return [str(v) for v in options]
+        return None
+
+    def _options_lines(self, call: IngredientCall) -> list[str]:
+        """The retained value list, when the query passes options=..."""
+        values = self.option_values(call)
+        if values is None:
             return []
         shown = values[:40]
         rendered = ", ".join(f"'{v}'" for v in shown)

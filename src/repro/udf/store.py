@@ -23,13 +23,27 @@ caller's paying function, so it is dispatched, deadlined and counted like
 any other call of the query.  The equivalence calls cost tokens, so the
 net saving is an empirical question, which
 ``benchmarks/bench_future_semantic_cache.py`` measures.
+
+A store may also hold an *expansion face*
+(:meth:`MappingStore.attach_expansion`): the cells a resident HQDL
+expansion of the same database already generated, one generation serving
+both pipelines (Section 5.5's reuse, which UDFs otherwise lack).  An
+LLMMap whose source table and key columns are an expansion table's is
+served from the column its question asks for.  Which column that is, is
+judged once per signature: the candidate columns, ranked by embedding
+cosine between the map question and each column's description, are put
+to the same equivalence check in that order through the caller's paying
+function, under the label ``udf:expansion``, until one answers yes (a
+skipped or failed check decides nothing).  A NULL cell (a malformed or
+degraded row) or one outside the ingredient's ``options=`` list is not
+served: that key is paid for as before.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Mapping, Optional, Sequence
 
 from repro.llm.intent import (
     EQUIVALENCE_MARKER,
@@ -39,11 +53,15 @@ from repro.llm.intent import (
     Prompt,
     inert,
 )
+from repro.swan.base import ExpansionTable
 from repro.udf.fewshot import cosine_similarity, embed
 
 #: Stored questions at or below this cosine similarity are not even worth
 #: an equivalence check.
 SHORTLIST_THRESHOLD = 0.3
+
+#: the label of the expansion face's equivalence checks
+EXPANSION_LABEL = "udf:expansion"
 
 #: pays for one prompt under a label; the completion text, or None when
 #: the call was skipped or failed
@@ -72,6 +90,30 @@ def _shape(signature: tuple) -> tuple:
     """A signature without its question: kind, source table, key columns."""
     kind, _question, *source = signature
     return (kind, *source)
+
+
+@dataclass(frozen=True, eq=False)
+class _FaceColumn:
+    """One generated column of a resident expansion, as the face serves it."""
+
+    description: str
+    vector: dict[str, float]
+    #: key (every part a string) -> the extracted cell, None for a
+    #: malformed or degraded row
+    cells: dict[tuple, Optional[str]]
+
+    def serve(
+        self, keys: Sequence[tuple], options: Optional[Collection[str]]
+    ) -> dict[tuple, Optional[str]]:
+        """The non-NULL cells of ``keys`` inside ``options`` (if given)."""
+        served: dict[tuple, Optional[str]] = {}
+        cells = self.cells
+        allowed = None if options is None else set(options)
+        for key in keys:
+            value = cells.get(key)
+            if value is not None and (allowed is None or value in allowed):
+                served[key] = value
+        return served
 
 
 @dataclass
@@ -113,6 +155,18 @@ class MappingStore:
         #: signature → embedding of its question, kept only when rewriting
         self._vectors: dict[tuple, dict[str, float]] = {}
         self.rewrite_stats = RewriteStats()
+        #: the expansion face: (source table, key columns) -> its columns
+        self._face: dict[tuple, tuple[_FaceColumn, ...]] = {}
+        #: LLMMap signature -> the column judged to answer it (None: none)
+        self._verdicts: dict[tuple, Optional[_FaceColumn]] = {}
+        #: LLMMap signature -> candidate columns not yet judged, best first
+        self._unjudged: dict[tuple, list[_FaceColumn]] = {}
+        #: equivalence checks the face made through its callers' ``pay``
+        self.expansion_calls = 0
+        #: signatures a check matched to a column
+        self.expansion_matched = 0
+        #: keys served from expansion cells
+        self.expansion_keys = 0
 
     def put(
         self,
@@ -217,6 +271,137 @@ class MappingStore:
                 best = other
         return best
 
+    # -- the expansion face ------------------------------------------------------
+
+    def attach_expansion(
+        self,
+        expansions: Sequence[ExpansionTable],
+        rows: Mapping[str, Mapping[tuple, Optional[Sequence[str]]]],
+    ) -> None:
+        """Serve LLMMap ingredients from a resident expansion's cells.
+
+        ``rows`` maps each expansion table's name to its generated rows
+        (key -> values in expansion column order, None for a malformed
+        or degraded row), as the HQDL build extracted them: the text a
+        map answer carries, not the typed values SQLite reformats.
+        """
+        face: dict[tuple, tuple[_FaceColumn, ...]] = {}
+        for expansion in expansions:
+            table_rows = rows[expansion.name]
+            keys = [tuple(str(part) for part in key) for key in table_rows]
+            columns = []
+            for index, column in enumerate(expansion.columns):
+                cells = {
+                    key: None if row is None else row[index]
+                    for key, row in zip(keys, table_rows.values())
+                }
+                columns.append(
+                    _FaceColumn(column.description, embed(column.description), cells)
+                )
+            shape = (expansion.source_table, tuple(expansion.key_columns))
+            face[shape] = face.get(shape, ()) + tuple(columns)
+        with self._lock:
+            self._face = face
+            self._verdicts.clear()
+            self._unjudged.clear()
+
+    def _judged(self, signature: tuple) -> bool:
+        """Whether the face has ruled on ``signature``; caller locks.
+
+        A signature no expansion table shares a shape with is ruled on
+        at once (no column); otherwise its candidates are queued for the
+        equivalence check, best embedding match first.
+        """
+        if signature in self._verdicts:
+            return True
+        if signature in self._unjudged:
+            return False
+        kind, question, source_table, key_columns = signature
+        columns = self._face.get((source_table, key_columns), ())
+        if kind != "LLMMap" or not columns:
+            self._verdicts[signature] = None
+            return True
+        vector = embed(question)
+        self._unjudged[signature] = sorted(
+            columns, key=lambda c: -cosine_similarity(vector, c.vector)
+        )
+        return False
+
+    def _serve_cells(
+        self,
+        signature: tuple,
+        keys: Sequence[tuple],
+        options: Optional[Collection[str]],
+    ) -> dict[tuple, Optional[str]]:
+        """The judged column's servable cells of ``keys``; caller locks."""
+        column = self._verdicts[signature]
+        if column is None:
+            return {}
+        served = column.serve(keys, options)
+        self.expansion_keys += len(served)
+        return served
+
+    def expansion_cells(
+        self,
+        signature: tuple,
+        keys: Sequence[tuple],
+        options: Optional[Collection[str]] = None,
+    ) -> Optional[dict[tuple, Optional[str]]]:
+        """The expansion cells serving ``keys``, without any LLM call.
+
+        None while the signature awaits its equivalence check (only
+        :meth:`expansion_lookup` pays for that); otherwise the judged
+        column's servable cells, empty when no column answers it.
+        """
+        with self._lock:
+            if not self._face:
+                return {}
+            if not self._judged(signature):
+                return None
+            return self._serve_cells(signature, keys, options)
+
+    def expansion_lookup(
+        self,
+        signature: tuple,
+        keys: Sequence[tuple],
+        pay: Pay,
+        options: Optional[Collection[str]] = None,
+    ) -> dict[tuple, Optional[str]]:
+        """The expansion cells serving ``keys``, judging the signature first.
+
+        Each unjudged candidate column costs one ``udf:expansion`` check
+        paid through ``pay``, best embedding match first, until one says
+        yes; a check that says no rules its column out for good, and a
+        skipped or failed one decides nothing (this lookup serves
+        nothing, a later one asks again).
+        """
+        while True:
+            with self._lock:
+                if not self._face:
+                    return {}
+                if self._judged(signature):
+                    return self._serve_cells(signature, keys, options)
+                column = self._unjudged[signature][0]
+                self.expansion_calls += 1
+            answer = pay(
+                equivalence_prompt(signature[1], column.description),
+                EXPANSION_LABEL,
+            )
+            if answer is None:
+                return {}
+            with self._lock:
+                unjudged = self._unjudged.get(signature, [])
+                if column not in unjudged:
+                    continue  # another caller ruled meanwhile
+                unjudged.remove(column)
+                if answer.strip().lower().startswith("yes"):
+                    self._verdicts[signature] = column
+                    self.expansion_matched += 1
+                elif not unjudged:
+                    self._verdicts[signature] = None
+                if signature in self._verdicts:
+                    del self._unjudged[signature]
+
     def peek(
         self, signature: tuple, keys: Sequence[tuple]
     ) -> dict[tuple, Optional[str]]:
@@ -245,4 +430,7 @@ class MappingStore:
                 "misses": self.misses,
                 "partial": self.partial,
                 "keys_served": self.keys_served,
+                "expansion_calls": self.expansion_calls,
+                "expansion_matched": self.expansion_matched,
+                "expansion_keys": self.expansion_keys,
             }

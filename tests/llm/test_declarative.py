@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.llm.declarative import PromptSpec, PromptSpecError, Section, budgeted
+from repro.llm.declarative import PromptSpec, PromptSpecError, Section
 
 
 class TestSection:
@@ -46,31 +46,6 @@ class TestPromptSpec:
 
         spec = PromptSpec().add_task("count these tokens precisely")
         assert spec.token_estimate() == count_tokens(spec.render())
-
-
-class TestBudgeting:
-    def _spec(self, demos):
-        spec = PromptSpec().add_task("task statement here")
-        for index in range(demos):
-            spec.add_demonstration(f"demonstration number {index} with words")
-        spec.add_target("the target entry")
-        return spec
-
-    def test_within_budget_untouched(self):
-        spec = self._spec(3)
-        assert budgeted(spec, 10_000) is spec
-
-    def test_trims_later_demonstrations_first(self):
-        spec = self._spec(5)
-        smaller = budgeted(spec, spec.token_estimate() - 1)
-        assert smaller.demonstration_count() < 5
-        # earlier (most relevant) demos survive
-        assert "number 0" in smaller.render()
-        assert smaller.by_kind("task") and smaller.by_kind("target")
-
-    def test_impossible_budget_raises(self):
-        with pytest.raises(PromptSpecError):
-            budgeted(self._spec(1), 1)
 
 
 class TestHQDLIntegration:

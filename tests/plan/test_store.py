@@ -64,7 +64,8 @@ class TestMappingStore:
         store.lookup(SIG, [("a",)])
         assert store.stats() == {
             "signatures": 1, "keys": 1, "hits": 1, "misses": 0,
-            "partial": 0, "keys_served": 1,
+            "partial": 0, "keys_served": 1, "expansion_calls": 0,
+            "expansion_matched": 0, "expansion_keys": 0,
         }
         assert len(store) == 1
         assert store.total_keys() == 1

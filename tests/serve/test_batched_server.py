@@ -26,8 +26,10 @@ def serve_swan():
     return load_benchmark_subset(1, ["superhero"])
 
 
-def _traffic(swan, *, horizon=40.0, rps=0.3, seed=0):
+def _traffic(swan, *, horizon=40.0, rps=0.3, seed=0, hqdl=True):
     tenants = default_tenants(("superhero",))
+    if not hqdl:
+        tenants = [replace(t, hqdl_share=0.0) for t in tenants]
     scaled = [t.scaled(rps / offered_rps(tenants)) for t in tenants]
     policies = {t.name: t.policy() for t in scaled}
     return generate_traffic(swan, scaled, horizon=horizon, seed=seed), policies
@@ -73,11 +75,16 @@ class TestSerialByteIdentity:
     has drained, so the second pass is answered from a warm mapping store
     in both arms: the store is always on, and identity must hold whether
     it is cold or already covers the work.
+
+    The stream is UDF-only: with an HQDL expansion resident, the arms
+    part on purpose (the batched one pays a signature's equivalence
+    check in finalize, after its request's waves; see
+    ``test_expansion_face.py``).
     """
 
     @pytest.mark.parametrize("replay", [True, False])
     def test_outcomes_and_usage_identical(self, serve_swan, replay):
-        requests, policies = _traffic(serve_swan)
+        requests, policies = _traffic(serve_swan, hqdl=False)
         if replay:
             offset = max(r.deadline_at for r in requests) + 1.0
             requests = requests + [
@@ -407,8 +414,9 @@ class TestBatchingPaysAsUnbatched:
         """Both arms cut a query's keys at its plan's chunk size, so under
         concurrent load batching pays the calls and tokens per-request
         dispatch pays, and answers alike.  Coalescing is pinned by
-        ``golden_batched``'s burst row."""
-        requests, policies = _traffic(serve_swan, rps=0.8)
+        ``golden_batched``'s burst row.  UDF-only, as in
+        ``TestSerialByteIdentity``."""
+        requests, policies = _traffic(serve_swan, rps=0.8, hqdl=False)
         off = _run(
             serve_swan, requests, policies, max_concurrent=3, batching=None,
         )

@@ -13,7 +13,9 @@ only requests dispatched at the same instant share a wave; the
 ``burst`` row offers the rps-1.5 traffic in same-instant bursts (every
 arrival moved back to its 10-second mark) so the multi-requester path
 (one key wanted by several requests, multi-member waves) is exercised,
-and ``test_the_matrix_coalesces`` keeps that true.
+and ``test_the_matrix_coalesces`` keeps that true.  The burst stream is
+UDF-only: with an HQDL expansion resident, its cells answer most map
+keys and few waves would form.
 
 The rows were re-pinned when the batching window was deleted (release
 at dispatch, partly covered ingredients served per key from the store);
@@ -30,6 +32,12 @@ The ``max_batch`` axis went with ``BatchingConfig.max_batch``: the
 ``-mb3`` rows were dropped, the row ids lost their ``-mbNone`` suffix,
 and the digest leaves the retired ``batching.max_batch`` key out of the
 record.  Every remaining row kept its run unchanged.
+
+Every row was re-pinned when each UDF store began facing the resident
+HQDL cells (the matrix rows pay equivalence checks for most map calls;
+every record gained the store's ``expansion_*`` counters and the
+startup record's ``degraded_rows``/``malformed_rows``), and the burst
+row then became UDF-only.
 """
 
 import hashlib
@@ -71,8 +79,10 @@ def _burst_id() -> str:
     return "burst-" + _matrix_id(*BURST)
 
 
-def _traffic(swan, rps):
+def _traffic(swan, rps, *, hqdl=True):
     tenants = default_tenants(DATABASES)
+    if not hqdl:
+        tenants = [replace(t, hqdl_share=0.0) for t in tenants]
     scaled = [t.scaled(rps / offered_rps(tenants)) for t in tenants]
     policies = {t.name: t.policy() for t in scaled}
     return generate_traffic(swan, scaled, horizon=120.0, seed=7), policies
@@ -80,7 +90,7 @@ def _traffic(swan, rps):
 
 def serve(swan, row, *, burst=False):
     rps, max_concurrent, fault_rate = row
-    requests, policies = _traffic(swan, rps)
+    requests, policies = _traffic(swan, rps, hqdl=not burst)
     if burst:
         requests = [
             replace(r, arrival=BURST_EVERY * math.floor(r.arrival / BURST_EVERY))

@@ -8,11 +8,7 @@ import pytest
 
 from repro.swan import build
 from repro.swan.benchmark import load_benchmark
-from repro.swan.build import (
-    build_curated_database,
-    build_original_database,
-    save_databases,
-)
+from repro.swan.build import build_curated_database, build_original_database
 from repro.swan.worlds import WORLD_BUILDERS
 
 #: byte range of the SQLite header's schema cookie, which the backup API
@@ -54,11 +50,12 @@ class TestBuild:
             assert count == len(world.original_rows["superhero"])
 
     def test_save_databases(self, world, tmp_path):
-        original, curated = save_databases(world, tmp_path)
-        assert original.exists() and curated.exists()
-        # files round-trip
         from repro.sqlengine.database import Database
 
+        curated = tmp_path / "superhero_curated.db"
+        with build_curated_database(world) as db:
+            db.save_to(curated)
+        # the file round-trips
         with Database.open(curated) as db:
             assert db.row_count("superhero") == len(world.curated_rows["superhero"])
 
