@@ -71,7 +71,7 @@ class PendingRequest:
     __slots__ = (
         "request", "start", "queue_wait", "plan", "answers", "outstanding",
         "llm_calls", "input_tokens", "output_tokens", "shared_tokens",
-        "degraded_keys", "waves",
+        "degraded_keys", "waves", "call_sizes", "backoff",
     )
 
     def __init__(
@@ -93,6 +93,11 @@ class PendingRequest:
         #: ids of the batch waves this request's items rode on (trace
         #: bookkeeping only — never read by the batching math)
         self.waves: list[str] = []
+        #: sizes and retry backoff of the calls planning paid on its own
+        #: (the store's expansion checks), until a wave or finalize
+        #: charges them to virtual time
+        self.call_sizes: list[tuple[int, int]] = []
+        self.backoff = 0.0
 
 
 class _Group:

@@ -57,6 +57,7 @@ from repro.llm.usage import UsageMeter
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.ledger import RunLedger
 from repro.obs.slo import AVAILABILITY, SLOTracker
+from repro.pipeline import ExecutionReport
 from repro.plan.policy import AdaptiveBatchPolicy
 from repro.serve.admission import AdmissionController, TenantPolicy
 from repro.serve.batcher import (
@@ -79,6 +80,7 @@ from repro.serve.state import DatabaseStates, hqdl_databases
 from repro.serve.trace import ServeTraceLog, TraceRecord, WaveRecord
 from repro.swan.benchmark import Swan
 from repro.udf.ingredients import parse_map_answers
+from repro.udf.store import Pay
 from repro.vtime import ServiceTimer, VirtualClock, parallel_makespan
 
 
@@ -595,14 +597,15 @@ class QueryServer:
 
         Each key the store holds (or its expansion face serves) and each
         prompt the cache holds is served from there; the rest is enqueued
-        and released at once.  An LLMMap the face has yet to judge keeps
-        its other keys out of the batcher: finalize pays the equivalence
-        check, then the keys the judged column does not serve.
+        and released at once.  A signature the face has yet to judge is
+        judged here, its checks paid on the spot (see :meth:`_pay_now`),
+        so the keys its column cannot serve ride the wave like any other.
         """
         request, start = member.request, member.start
         batcher = self.batcher
         state = self.states.of(request)
         work = member.plan.work()
+        pay = self._pay_now(member, state.pipeline)
         for item in work:
             if item.prompt is not None:
                 continue
@@ -615,11 +618,12 @@ class QueryServer:
             batcher.keys_from_store += len(stored)
             wanted = [key for key in wanted if key not in stored]
             if wanted:
-                cells = state.store.expansion_cells(
-                    signature, wanted, state.pipeline.option_values(call)
-                )
-                if cells is None:
-                    continue
+                try:
+                    cells = state.store.expansion_lookup(
+                        signature, wanted, pay, state.pipeline.option_values(call)
+                    )
+                except ReproError:
+                    continue  # a broken client: finalize meets it again
                 held.update(cells)
                 wanted = [key for key in wanted if key not in cells]
             if wanted:
@@ -639,6 +643,35 @@ class QueryServer:
         if member.outstanding:
             self._push_event(start, "flush", None)
 
+    def _pay_now(self, member: PendingRequest, pipeline) -> Pay:
+        """A paying function for calls planning makes on its own.
+
+        Each call goes through the pipeline under the request's deadline
+        and is charged to ``member``; its size and any retry backoff wait
+        in ``member.call_sizes``/``backoff`` for the request's wave (or,
+        with nothing enqueued, its finalize), whose makespan pools them
+        with the rest of the request's calls, as an unbatched finalize
+        pools every call it pays.
+        """
+        timer = self._timer.restart(member.start)
+        remaining = max(member.request.deadline_at - member.start, 1e-9)
+        deadline = Deadline(remaining, timer)
+        report = ExecutionReport()
+
+        def pay(prompt, label: str) -> Optional[str]:
+            """Pay one prompt for ``member``; its text, or None."""
+            paid = len(report.call_sizes)
+            text = pipeline.pay([prompt], label, report, deadline)[0]
+            for size in report.call_sizes[paid:]:
+                member.llm_calls += 1
+                member.input_tokens += size[0]
+                member.output_tokens += size[1]
+                member.call_sizes.append(size)
+            member.backoff = timer.elapsed
+            return text
+
+        return pay
+
     def _on_flush(self) -> None:
         """Flush every due group as one wave and schedule its landing."""
         now = self.clock.now()
@@ -657,10 +690,17 @@ class QueryServer:
         wave_calls = 0
         for group in wave:
             wave_calls += self._flush_group(group, deadline, wave_sizes, now)
+        # the calls planning paid for the members join the wave's pool
+        backoff = 0.0
+        for member in members:
+            wave_sizes += member.call_sizes
+            backoff = max(backoff, member.backoff)
+            member.call_sizes, member.backoff = [], 0.0
         land = (
             now
             + parallel_makespan(wave_sizes, self.config.workers)
             + wave_timer.elapsed
+            + backoff
         )
         if self._trace is not None:
             # one shared dispatch record, linked from every member trace
@@ -819,8 +859,11 @@ class QueryServer:
         except ReproError as exc:
             error = exc
         usage_delta = self.meter.total - usage_before
+        # with no wave to ride, the calls planning paid pool with these
+        call_sizes += member.call_sizes
+        backoff = timer.elapsed + member.backoff
         tail_llm = parallel_makespan(call_sizes, self.config.workers)
-        tail = self.config.base_overhead + tail_llm + timer.elapsed
+        tail = self.config.base_overhead + tail_llm + backoff
         service = (land - member.start) + tail
         self._service_ewma = (
             service
@@ -869,7 +912,7 @@ class QueryServer:
             land=land if batched else None,
             overhead_seconds=self.config.base_overhead,
             llm_seconds=tail_llm,
-            backoff_seconds=timer.elapsed,
+            backoff_seconds=backoff,
             retries=self.resilience.retries - retries_before,
             waves=tuple(member.waves),
         )

@@ -34,9 +34,10 @@ judged once per signature: the candidate columns, ranked by embedding
 cosine between the map question and each column's description, are put
 to the same equivalence check in that order through the caller's paying
 function, under the label ``udf:expansion``, until one answers yes (a
-skipped or failed check decides nothing).  A NULL cell (a malformed or
-degraded row) or one outside the ingredient's ``options=`` list is not
-served: that key is paid for as before.
+skipped or failed check, or an answer that is neither yes nor no,
+decides nothing).  A NULL cell (a malformed or degraded row) or one
+outside the ingredient's ``options=`` list is not served: that key is
+paid for as before.
 """
 
 from __future__ import annotations
@@ -341,25 +342,6 @@ class MappingStore:
         self.expansion_keys += len(served)
         return served
 
-    def expansion_cells(
-        self,
-        signature: tuple,
-        keys: Sequence[tuple],
-        options: Optional[Collection[str]] = None,
-    ) -> Optional[dict[tuple, Optional[str]]]:
-        """The expansion cells serving ``keys``, without any LLM call.
-
-        None while the signature awaits its equivalence check (only
-        :meth:`expansion_lookup` pays for that); otherwise the judged
-        column's servable cells, empty when no column answers it.
-        """
-        with self._lock:
-            if not self._face:
-                return {}
-            if not self._judged(signature):
-                return None
-            return self._serve_cells(signature, keys, options)
-
     def expansion_lookup(
         self,
         signature: tuple,
@@ -372,8 +354,11 @@ class MappingStore:
         Each unjudged candidate column costs one ``udf:expansion`` check
         paid through ``pay``, best embedding match first, until one says
         yes; a check that says no rules its column out for good, and a
-        skipped or failed one decides nothing (this lookup serves
-        nothing, a later one asks again).
+        skipped or failed one, or one answering neither yes nor no (a
+        corrupted completion), decides nothing (this lookup serves
+        nothing, a later one asks again).  Once judged, the column's
+        servable cells of ``keys`` are returned at no call; none when
+        no column answers the signature.
         """
         while True:
             with self._lock:
@@ -387,14 +372,15 @@ class MappingStore:
                 equivalence_prompt(signature[1], column.description),
                 EXPANSION_LABEL,
             )
-            if answer is None:
-                return {}
+            verdict = "" if answer is None else answer.strip().lower()
+            if not verdict.startswith(("yes", "no")):
+                return {}  # failed, skipped or garbled: no ruling
             with self._lock:
                 unjudged = self._unjudged.get(signature, [])
                 if column not in unjudged:
                     continue  # another caller ruled meanwhile
                 unjudged.remove(column)
-                if answer.strip().lower().startswith("yes"):
+                if verdict.startswith("yes"):
                     self._verdicts[signature] = column
                     self.expansion_matched += 1
                 elif not unjudged:

@@ -75,16 +75,11 @@ class TestSerialByteIdentity:
     has drained, so the second pass is answered from a warm mapping store
     in both arms: the store is always on, and identity must hold whether
     it is cold or already covers the work.
-
-    The stream is UDF-only: with an HQDL expansion resident, the arms
-    part on purpose (the batched one pays a signature's equivalence
-    check in finalize, after its request's waves; see
-    ``test_expansion_face.py``).
     """
 
     @pytest.mark.parametrize("replay", [True, False])
     def test_outcomes_and_usage_identical(self, serve_swan, replay):
-        requests, policies = _traffic(serve_swan, hqdl=False)
+        requests, policies = _traffic(serve_swan)
         if replay:
             offset = max(r.deadline_at for r in requests) + 1.0
             requests = requests + [
@@ -112,8 +107,11 @@ class TestSerialByteIdentity:
         assert off.batching is None
         assert on.batching["coalesced_calls"] == 0
         if replay:  # the second pass really was answered from the store
-            assert off.as_record()["mapping"]["hits"] > 0
+            # (per key: the expansion face answers the rest of each map)
+            assert off.as_record()["mapping"]["keys_served"] > 0
             assert on.batching["keys_from_store"] > 0
+            second = off.outcomes[len(off.outcomes) // 2:]
+            assert all(o.llm_calls == 0 for o in second)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -414,21 +412,29 @@ class TestBatchingPaysAsUnbatched:
         """Both arms cut a query's keys at its plan's chunk size, so under
         concurrent load batching pays the calls and tokens per-request
         dispatch pays, and answers alike.  Coalescing is pinned by
-        ``golden_batched``'s burst row.  UDF-only, as in
-        ``TestSerialByteIdentity``."""
-        requests, policies = _traffic(serve_swan, rps=0.8, hqdl=False)
-        off = _run(
-            serve_swan, requests, policies, max_concurrent=3, batching=None,
-        )
-        on = _run(
-            serve_swan, requests, policies, max_concurrent=3,
-            batching=BatchingConfig(),
-        )
-        assert on.usage == off.usage
-        assert on.batching["batch_occupancy"] > 0
-        assert [(o.status, o.rows) for o in on.outcomes] == [
-            (o.status, o.rows) for o in off.outcomes
-        ]
-        # the arms sum a request's virtual time in different orders
-        for a, b in zip(on.outcomes, off.outcomes):
-            assert a.finish_time == pytest.approx(b.finish_time, abs=1e-9)
+        ``golden_batched``'s burst row.
+
+        On the mixed stream the resident HQDL expansion answers every map
+        key the store lacks, so no wave forms; the UDF-only stream (no
+        expansion) is where the batched arm dispatches waves."""
+        for hqdl in (True, False):
+            requests, policies = _traffic(serve_swan, rps=0.8, hqdl=hqdl)
+            off = _run(
+                serve_swan, requests, policies, max_concurrent=3,
+                batching=None,
+            )
+            on = _run(
+                serve_swan, requests, policies, max_concurrent=3,
+                batching=BatchingConfig(),
+            )
+            assert on.usage == off.usage
+            if hqdl:
+                assert on.as_record()["mapping"]["expansion_keys"] > 0
+            else:
+                assert on.batching["batch_occupancy"] > 0
+            assert [(o.status, o.rows) for o in on.outcomes] == [
+                (o.status, o.rows) for o in off.outcomes
+            ]
+            # the arms sum a request's virtual time in different orders
+            for a, b in zip(on.outcomes, off.outcomes):
+                assert a.finish_time == pytest.approx(b.finish_time, abs=1e-9)

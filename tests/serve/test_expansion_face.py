@@ -20,12 +20,14 @@ from dataclasses import replace
 import pytest
 
 from repro.core.hqdl import HQDL
+from repro.errors import LLMError
 from repro.harness.benchserve import default_config, default_tenants, offered_rps
 from repro.llm.chat import MockChatModel
+from repro.llm.faults import GARBAGE_COMPLETION
 from repro.llm.oracle import KnowledgeOracle
 from repro.llm.profiles import get_profile
 from repro.serve.batcher import BatchingConfig
-from repro.serve.request import SERVED, QueryRequest
+from repro.serve.request import DEGRADED, SERVED, QueryRequest
 from repro.serve.server import QueryServer
 from repro.serve.traffic import generate_traffic
 from repro.swan.benchmark import load_benchmark_subset
@@ -72,6 +74,10 @@ def _signature(question: str) -> tuple:
     return ("LLMMap", question, "superhero", ("superhero_name", "full_name"))
 
 
+def _never(prompt, label):
+    raise AssertionError(f"paid a {label} call for a judged signature")
+
+
 def _judge(model, asked: list):
     """A paying function that records each prompt and asks the model."""
 
@@ -116,7 +122,9 @@ class TestStoreFace:
             ) == {}
         columns = len(world.expansion("superhero_info").columns)
         assert len(asked) == len(set(asked)) == columns
-        assert store.expansion_cells(signature, [("Thor", "Thor Odinson")]) == {}
+        assert store.expansion_lookup(
+            signature, [("Thor", "Thor Odinson")], _never
+        ) == {}
         assert store.stats()["expansion_matched"] == 0
 
     def test_null_and_out_of_options_cells_are_not_served(self, superhero):
@@ -138,21 +146,27 @@ class TestStoreFace:
         )
         assert set(served) == {kept}
         # without an options list the off-list value is a cell like any other
-        assert set(store.expansion_cells(
-            _signature(self.EYES), [nulled, off_list, kept]
+        assert set(store.expansion_lookup(
+            _signature(self.EYES), [nulled, off_list, kept], _never
         )) == {off_list, kept}
 
     def test_a_failed_check_decides_nothing(self, superhero):
+        """A skipped or failed check (None) and a corrupted completion (a
+        truncated ``yes``, the fault injector's garbage) rule nothing out."""
         world, model, generation = superhero
-        store = MappingStore()
-        store.attach_expansion(world.expansions, _rows(generation))
-        signature = _signature(self.EYES)
         keys = [("Thor", "Thor Odinson")]
-        assert store.expansion_lookup(signature, keys, lambda p, l: None) == {}
-        assert store.expansion_cells(signature, keys) is None  # unjudged
-        served = store.expansion_lookup(signature, keys, _judge(model, []))
-        assert served != {}
-        assert store.expansion_cells(signature, keys) == served
+        signature = _signature(self.EYES)
+        for answer in (None, "y", GARBAGE_COMPLETION):
+            store = MappingStore()
+            store.attach_expansion(world.expansions, _rows(generation))
+            assert store.expansion_lookup(
+                signature, keys, lambda p, l: answer
+            ) == {}
+            asked: list = []
+            served = store.expansion_lookup(signature, keys, _judge(model, asked))
+            assert served != {}
+            assert len(asked) == 1  # the best-ranked column, asked again
+            assert store.expansion_lookup(signature, keys, _never) == served
 
     def test_a_store_without_a_face_never_calls(self):
         store = MappingStore()
@@ -163,7 +177,6 @@ class TestStoreFace:
         signature = _signature(self.EYES)
         keys = [("Thor", "Thor Odinson")]
         assert store.expansion_lookup(signature, keys, pay) == {}
-        assert store.expansion_cells(signature, keys) == {}
 
 
 class TestExecutorFace:
@@ -245,13 +258,13 @@ class TestServedFace:
         assert stats["expansion_keys"] > 0
         assert report.as_record()["mapping"] == stats
 
-    @ARMS
-    def test_a_judged_signature_pays_no_map_call(self, swan, batching):
-        """Under ``perfect`` every eye-colour cell is servable: the first
-        request pays its check, the next pays nothing."""
-        question = swan.question("superhero_q04")
+    @staticmethod
+    def _twice(swan, qid):
+        """An HQDL request on superhero (so it is warmed), then ``qid``
+        as a UDF request twice, far apart."""
+        question = swan.question(qid)
         warmer = swan.questions_for("superhero")[0]
-        requests = [
+        return [
             QueryRequest(
                 request_id=0, tenant="t", database="superhero",
                 sql=warmer.blend_sql, qid=warmer.qid, arrival=0.0,
@@ -266,6 +279,12 @@ class TestServedFace:
                 for i in (1, 2)
             ),
         ]
+
+    @ARMS
+    def test_a_judged_signature_pays_no_map_call(self, swan, batching):
+        """Under ``perfect`` every eye-colour cell is servable: the first
+        request pays its check, the next pays nothing."""
+        requests = self._twice(swan, "superhero_q04")
         config = replace(
             default_config(), model_name="perfect", batching=batching
         )
@@ -279,6 +298,51 @@ class TestServedFace:
         assert second.llm_calls == 0
         assert second.input_tokens == second.output_tokens == 0
         assert "udf:map" not in by_label
+
+    @ARMS
+    def test_the_first_requests_misses_are_stored(self, swan, batching):
+        """superhero_q17's first request pays its check and one map chunk
+        for the keys the face cannot serve, and the store keeps those
+        answers on both arms (the batched one pays them in finalize,
+        holding ``known``), so a later request finds them there."""
+        requests = self._twice(swan, "superhero_q17")
+        config = replace(default_config(), batching=batching)
+        with QueryServer(swan, config) as server:
+            first = server.run(requests[:2]).outcomes[1]
+            stats = server.states.mapping_stats()
+            by_label = dict(server.meter.by_label)
+        assert first.llm_calls == 2
+        assert by_label["udf:map"].calls == by_label[EXPANSION_LABEL].calls == 1
+        assert stats["signatures"] == 1 and stats["keys"] > 0
+        with QueryServer(swan, config) as server:
+            second = server.run(requests).outcomes[2]
+        assert second.llm_calls == 0
+
+    @ARMS
+    def test_a_broken_client_degrades_the_request(
+        self, swan, monkeypatch, batching
+    ):
+        """A non-degradable LLMError on the check (a broken client)
+        degrades each request that meets it, reason ``error``, and the
+        server goes on; batched, the check is met at dispatch."""
+        complete = MockChatModel.complete
+
+        def broken(self, prompt, *, label=""):
+            if label == EXPANSION_LABEL:
+                raise LLMError("broken client")
+            return complete(self, prompt, label=label)
+
+        monkeypatch.setattr(MockChatModel, "complete", broken)
+        requests = self._twice(swan, "superhero_q04")
+        config = replace(
+            default_config(), model_name="perfect", batching=batching
+        )
+        with QueryServer(swan, config) as server:
+            report = server.run(requests)
+        warm, first, second = report.outcomes
+        assert warm.status == SERVED
+        for outcome in (first, second):
+            assert (outcome.status, outcome.reason) == (DEGRADED, "error")
 
     @pytest.mark.parametrize("fault_rate", [0.0, 0.2])
     @pytest.mark.parametrize("arm", ["off", "on"])
