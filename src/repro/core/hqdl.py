@@ -174,8 +174,9 @@ class HQDL:
         known: Optional[dict] = None,
     ) -> Fillings:
         """Stage two: pay for the plan's row calls, unless a run made the
-        tables resident since it was prepared.  ``known`` is unused:
-        prompts paid ahead reach generation through the prompt cache."""
+        tables resident since it was prepared.  ``known`` is unused: no
+        caller pays row prompts ahead (the server expands every HQDL
+        database before its first arrival, so its plans are empty)."""
         if self.db is not None:
             return Fillings((), ExecutionReport())
         with self._span("hqdl:generate", database=self.world.name):

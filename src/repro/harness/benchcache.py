@@ -10,7 +10,7 @@ and (virtual) wall-clock:
   issue **zero** new LLM calls and return the same answers;
 - **planned (pairs mode)** — a :class:`~repro.plan.CallPlanner` pass:
   cross-question (attribute, key) dedup with
-  :class:`~repro.plan.AdaptiveBatchPolicy` packing; fewer calls and
+  :func:`~repro.plan.adaptive_batch_size` packing; fewer calls and
   tokens than the baseline, small accuracy drift allowed.  Its trace
   gives the planner's stage spans.
 
@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from repro.llm.batching import DEFAULT_BATCH_SIZE
 from repro.obs import Telemetry
 from repro.obs.export import stage_summary
-from repro.plan import AdaptiveBatchPolicy
+from repro.plan import explain_batch_size
 from repro.harness.runner import GoldResults, UDFRun, run_udf
 from repro.swan.benchmark import Swan, load_benchmark
 from repro.vtime import LatencyModel, parallel_makespan, sequential_makespan
@@ -86,21 +86,22 @@ def measure_cache_bench(
     swan = swan if swan is not None else load_benchmark()
     gold = GoldResults(swan)
     latency = latency_model if latency_model is not None else LatencyModel()
-    common = dict(
-        batch_size=batch_size, databases=databases, gold=gold,
-        workers=workers,
-    )
+    common = dict(databases=databases, gold=gold, workers=workers)
 
     with tempfile.TemporaryDirectory() as disk_dir:
         baseline = run_udf(
-            swan, model_name, shots, cache_dir=disk_dir, **common
+            swan, model_name, shots, batch_size=batch_size,
+            cache_dir=disk_dir, **common,
         )
-        warm = run_udf(swan, model_name, shots, cache_dir=disk_dir, **common)
+        warm = run_udf(
+            swan, model_name, shots, batch_size=batch_size,
+            cache_dir=disk_dir, **common,
+        )
     telemetry = Telemetry.on()
-    adaptive_policy = AdaptiveBatchPolicy.for_model(model_name, shots)
+    adaptive_batch = explain_batch_size(model_name, shots)
     adaptive = run_udf(
-        swan, model_name, shots, plan="pairs", batch_policy=adaptive_policy,
-        telemetry=telemetry, **common,
+        swan, model_name, shots, plan="pairs",
+        batch_size=adaptive_batch["batch_size"], telemetry=telemetry, **common,
     )
 
     planner_stages = [
@@ -132,7 +133,7 @@ def measure_cache_bench(
         },
         "planned_pairs": {
             **_usage_record(adaptive, workers, latency),
-            "adaptive_batch": adaptive_policy.explain(),
+            "adaptive_batch": adaptive_batch,
             "plan_stats": adaptive.plan_stats,
             "calls_saved_pct": _saved(
                 baseline.usage.calls, adaptive.usage.calls

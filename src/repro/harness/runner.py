@@ -407,7 +407,6 @@ def run_udf(
     telemetry: Optional[Telemetry] = None,
     plan: Optional[str] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    batch_policy: Optional[object] = None,
     parallelism: str = "threads",
     provenance=None,
     ledger: Optional[RunLedger] = None,
@@ -436,8 +435,9 @@ def run_udf(
     within model noise).  The pass's paid calls join ``call_sizes``.
     ``cache_dir`` adds a per-database :class:`PersistentPromptCache`
     under the executor's in-memory cache, so a rerun with the same
-    directory issues zero new LLM calls.  ``batch_policy`` overrides the
-    fixed ``batch_size`` (see :mod:`repro.plan.policy`).
+    directory issues zero new LLM calls.  ``batch_size`` is the keys per
+    LLMMap/LLMJoin call (:func:`~repro.plan.adaptive_batch_size` picks
+    one from the model profile).
 
     ``parallelism`` accepts only ``"threads"``, the in-process dispatch;
     any other value raises :class:`~repro.errors.ReproError`.  The
@@ -466,7 +466,6 @@ def run_udf(
                 workers=workers,
                 resilience=resilience,
                 telemetry=telemetry,
-                batch_policy=batch_policy,
                 mapping_store=MappingStore() if plan == "pairs" else None,
                 provenance=provenance,
             )

@@ -28,7 +28,6 @@ from repro.vtime import LatencyModel, parallel_makespan, sequential_makespan
 class ExecutionReport:
     """Diagnostics for one hybrid query execution."""
 
-    llm_calls: int = 0
     keys_generated: int = 0
     keys_after_pushdown: dict[str, int] = field(default_factory=dict)
     rewritten_sql: str = ""
@@ -45,10 +44,14 @@ class ExecutionReport:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    @property
+    def llm_calls(self) -> int:
+        """Paid calls: one per entry of ``call_sizes``."""
+        return len(self.call_sizes)
+
     def charge(self, usage: Usage) -> None:
         """Count one completed call, if it was paid (cache hits are free)."""
         if usage.calls:
-            self.llm_calls += 1
             size = (usage.input_tokens, usage.output_tokens)
             self.call_sizes.append(self._sizes.setdefault(size, size))
 

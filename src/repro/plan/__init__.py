@@ -11,20 +11,25 @@ sees any of it:
 - :class:`~repro.udf.store.MappingStore` (re-exported here) holds the
   (attribute, key) → value answers planning and generation produce, so
   executors can answer questions without re-calling;
-- :mod:`~repro.plan.policy` chooses per-attribute batch sizes from the
-  calibrated model profiles instead of BlendSQL's fixed default of 5.
+- :mod:`~repro.plan.policy` chooses the batch size from the calibrated
+  model profile instead of BlendSQL's fixed default of 5.
 """
 
 from repro.plan.planner import CallPlanner, Plan, PlannedCall, PlanStats
-from repro.plan.policy import DEFAULT_MAX_BATCH_SIZE, AdaptiveBatchPolicy
+from repro.plan.policy import (
+    DEFAULT_MAX_BATCH_SIZE,
+    adaptive_batch_size,
+    explain_batch_size,
+)
 from repro.udf.store import MappingStore
 
 __all__ = [
-    "AdaptiveBatchPolicy",
     "CallPlanner",
     "DEFAULT_MAX_BATCH_SIZE",
     "MappingStore",
     "Plan",
     "PlannedCall",
     "PlanStats",
+    "adaptive_batch_size",
+    "explain_batch_size",
 ]

@@ -32,10 +32,11 @@ trips, subsequent requests skip LLM work entirely and get a cheap
 degraded answer until the cooldown half-opens the breaker — quality
 sheds before availability, and the queue drains instead of collapsing.
 
-All requests of all tenants share one client stack per database, with a
-prompt cache and a :class:`~repro.udf.store.MappingStore` per UDF
-database and an expanded database per HQDL one
-(:mod:`repro.serve.state`), one telemetry registry, and one run ledger.
+All requests of all tenants share one state per database
+(:mod:`repro.serve.state`): one client stack, one
+:class:`~repro.udf.store.MappingStore`, and the pipelines over them — a
+UDF executor with its prompt cache, an expanded database for HQDL — plus
+one telemetry registry and one run ledger.
 Each HQDL database is expanded before the first arrival, its cost
 reported as the run's :class:`~repro.serve.report.StartupRecord`, so no
 request pays for it.
@@ -58,7 +59,6 @@ from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.ledger import RunLedger
 from repro.obs.slo import AVAILABILITY, SLOTracker
 from repro.pipeline import ExecutionReport
-from repro.plan.policy import AdaptiveBatchPolicy
 from repro.serve.admission import AdmissionController, TenantPolicy
 from repro.serve.batcher import (
     BatchingConfig,
@@ -92,8 +92,9 @@ class ServerConfig:
     model); ``max_concurrent`` is how many requests execute at once;
     ``queue_limit`` bounds the admission queue (backpressure);
     ``base_overhead`` models the non-LLM per-request cost (parse, SQL,
-    delivery).  ``batch_size`` is the floor of the adaptive batch policy
-    that sizes every served query's LLMMap/LLMJoin calls.
+    delivery).  ``batch_size`` is the floor of the adaptive batch size
+    (:func:`~repro.plan.adaptive_batch_size`) of every served query's
+    LLMMap/LLMJoin calls.
     ``fault_rate > 0`` injects upstream faults through the existing
     FaultyClient/RetryingClient stack, with retry backoff charged against
     each request's deadline.
@@ -210,12 +211,6 @@ class QueryServer:
             resilience=self.resilience,
             telemetry=self._tel,
             retry_clock=self._timer,
-            # keys per LLMMap/LLMJoin call: each served query's plan
-            # carries it, batched or not
-            batch_policy=AdaptiveBatchPolicy.for_model(
-                self.config.model_name, self.config.shots,
-                floor=self.config.batch_size,
-            ),
         )
         self._in_service = 0
         self._max_queue_depth = 0
@@ -583,8 +578,8 @@ class QueryServer:
             member = PendingRequest(request, start=start, queue_wait=queue_wait)
             # a malformed query's plan carries its error: finalize raises
             # it and the request degrades like any failed one
-            state = self.states.of(request)
-            member.plan = state.pipeline.prepare(state.query(request))
+            pipeline, query = self.states.of(request)
+            member.plan = pipeline.prepare(query)
             if self.batcher is not None:
                 self._plan(member)
             if member.outstanding:
@@ -603,9 +598,9 @@ class QueryServer:
         """
         request, start = member.request, member.start
         batcher = self.batcher
-        state = self.states.of(request)
+        pipeline, _ = self.states.of(request)
         work = member.plan.work()
-        pay = self._pay_now(member, state.pipeline)
+        pay = self._pay_now(member, pipeline)
         for item in work:
             if item.prompt is not None:
                 continue
@@ -613,14 +608,15 @@ class QueryServer:
             signature = call.signature()
             held = member.answers.setdefault(signature, {})
             wanted = [key for key in dict.fromkeys(item.keys) if key not in held]
-            stored = state.store.peek(signature, wanted)
+            store = pipeline.mapping_store
+            stored = store.peek(signature, wanted)
             held.update(stored)
             batcher.keys_from_store += len(stored)
             wanted = [key for key in wanted if key not in stored]
             if wanted:
                 try:
-                    cells = state.store.expansion_lookup(
-                        signature, wanted, pay, state.pipeline.option_values(call)
+                    cells = store.expansion_lookup(
+                        signature, wanted, pay, pipeline.option_values(call)
                     )
                 except ReproError:
                     continue  # a broken client: finalize meets it again
@@ -634,7 +630,7 @@ class QueryServer:
         for item in work:
             if item.prompt is None:
                 continue
-            if state.cache.peek(item.prompt) is not None:
+            if pipeline.cache.peek(item.prompt) is not None:
                 batcher.prompts_from_cache += 1
                 continue
             batcher.enqueue_prompt(
@@ -752,8 +748,7 @@ class QueryServer:
             batcher.settle_call(payloads, owners, later, usage, fill=fill)
 
         # every member of a group shares its database and pipeline
-        state = self.states.of(group.owners[0].request)
-        pipeline = state.pipeline
+        pipeline, _ = self.states.of(group.owners[0].request)
         if group.kind == "map":
             signature = group.call.signature()
             chunks = batched(group.payloads, group.chunk_size)
@@ -788,7 +783,7 @@ class QueryServer:
             _fan_out(signature, group, answers)
             # only real answers, like the executor: degraded or drifted
             # NULLs must not pin other requests to NULL
-            state.store.put(
+            pipeline.mapping_store.put(
                 signature,
                 {k: v for k, v in zip(group.payloads, answers) if v is not None},
             )
@@ -845,7 +840,7 @@ class QueryServer:
         rows: Optional[int] = None
         degraded_keys = 0
         call_sizes: list[tuple[int, int]] = []
-        pipeline = self.states.of(request).pipeline
+        pipeline, _ = self.states.of(request)
         # batched: the answers stand in for the store planning consulted
         known = member.answers if batched else None
         try:

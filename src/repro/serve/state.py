@@ -1,39 +1,40 @@
-"""Per-database pipeline state of one :class:`~repro.serve.server.QueryServer`.
+"""Per-database serving state of one :class:`~repro.serve.server.QueryServer`.
 
-All requests of all tenants share one client stack and one curated (UDF)
-or expanded (HQDL) database per SWAN database — cross-request reuse is
-the whole economic argument for serving hybrid queries from a resident
-process.  :class:`DatabaseStates` builds each state on first touch
-(through :func:`~repro.llm.stack.build_client_stack`, the one place the
-client layering exists), warms every HQDL state before the first
-arrival (:meth:`DatabaseStates.warm`), and tears all of them down.
-A database served by both pipelines keeps one generation: the UDF
-state's mapping store faces the cells its warm HQDL build extracted
+All requests of all tenants share one :class:`DatabaseState` per SWAN
+database — cross-request reuse is the whole economic argument for
+serving hybrid queries from a resident process.  A state owns one client
+stack (through :func:`~repro.llm.stack.build_client_stack`, the one
+place the client layering exists), one
+:class:`~repro.udf.store.MappingStore`, and the UDF executor and HQDL
+pipeline built over them on first use.  Each pipeline keeps its own
+SQLite database: UDF SQL must not see the expansion tables, or a hybrid
+query naming one would read generated cells without paying for them.
+:class:`DatabaseStates` builds each state on first touch, warms every
+HQDL database before the first arrival (:meth:`DatabaseStates.warm`),
+and tears all of them down.  Warming faces the state's store at the
+cells the build extracted
 (:meth:`~repro.udf.store.MappingStore.attach_expansion`), so an LLMMap
-there pays an equivalence check instead of map calls.
-Both states expose the same face to the server: a
-:class:`~repro.pipeline.Pipeline` and ``query(request)``, what the
-pipeline prepares.
+there pays an equivalence check instead of map calls: one generation
+per database.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.core.hqdl import HQDL
-from repro.llm.cache import PromptCache
 from repro.llm.client import ChatClient
 from repro.llm.faults import FaultPlan
 from repro.llm.resilience import ResilienceReport, RetryPolicy
 from repro.llm.stack import ClientStack, build_client_stack, build_resilient_stack
 from repro.llm.usage import UsageMeter
 from repro.obs import Telemetry
-from repro.plan.policy import AdaptiveBatchPolicy
+from repro.plan.policy import adaptive_batch_size
 from repro.serve.report import StartupRecord
 from repro.serve.request import QueryRequest
-from repro.sqlengine.database import Database
-from repro.swan.base import Question
+from repro.swan.base import Question, World
 from repro.swan.benchmark import Swan
 from repro.swan.build import build_curated_database
 from repro.udf.executor import HybridQueryExecutor
@@ -45,60 +46,76 @@ if TYPE_CHECKING:
 
 
 @dataclass
-class UdfState:
-    """One database's long-lived UDF serving state.
+class DatabaseState:
+    """One served database: its client stack and mapping store, and the
+    pipelines over them, each built on first use.
 
-    ``store`` is the executor's :class:`MappingStore`: per database,
-    because an ingredient signature names no database.  It faces the
-    database's resident HQDL expansion, if the server holds one.
+    ``store`` is per database, because an ingredient signature names no
+    database; it is the UDF executor's store, and :meth:`DatabaseStates.
+    warm` faces it at the database's resident HQDL expansion.
     """
 
-    db: Database
-    pipeline: HybridQueryExecutor
-    cache: PromptCache
+    world: World
     stack: ClientStack
-    store: MappingStore
+    states: "DatabaseStates" = field(repr=False)
+    store: MappingStore = field(default_factory=MappingStore, init=False)
+    _udf: Optional[HybridQueryExecutor] = field(default=None, init=False)
+    _hqdl: Optional[HQDL] = field(default=None, init=False)
 
-    def query(self, request: QueryRequest) -> str:
-        """What the pipeline prepares for ``request``: its hybrid SQL."""
-        return request.sql
+    @property
+    def udf(self) -> HybridQueryExecutor:
+        """The UDF executor, over a curated database of its own."""
+        if self._udf is None:
+            states = self.states
+            config = states.config
+            self._udf = HybridQueryExecutor(
+                build_curated_database(self.world),
+                self.stack.client,
+                self.world,
+                batch_size=states.chunk_size,
+                pushdown=config.pushdown,
+                shots=config.shots,
+                workers=states._dispatch_threads,
+                resilience=states.resilience,
+                telemetry=states.telemetry,
+                mapping_store=self.store,
+            )
+        return self._udf
+
+    @property
+    def hqdl(self) -> HQDL:
+        """The HQDL pipeline; :meth:`DatabaseStates.warm` expands it."""
+        if self._hqdl is None:
+            states = self.states
+            self._hqdl = HQDL(
+                self.world,
+                self.stack.client,
+                shots=states.config.shots,
+                workers=states._dispatch_threads,
+                resilience=states.resilience,
+                telemetry=states.telemetry,
+            )
+        return self._hqdl
 
     def close(self) -> None:
-        self.db.close()
-        self.stack.close()
-
-
-@dataclass
-class HqdlState:
-    """One database's long-lived HQDL serving state.
-
-    ``pipeline`` holds the expanded database :meth:`DatabaseStates.warm`
-    materialized before the first arrival, so every request's plan is
-    empty and its run is the question's SQL alone.
-    """
-
-    pipeline: HQDL
-    stack: ClientStack
-    swan: Swan
-
-    def query(self, request: QueryRequest) -> Question:
-        """What the pipeline prepares for ``request``: its question."""
-        return self.swan.question(request.qid)
-
-    def close(self) -> None:
-        self.pipeline.close()
+        if self._udf is not None:
+            self._udf.db.close()
+        if self._hqdl is not None:
+            self._hqdl.close()
         self.stack.close()
 
 
 @dataclass
 class DatabaseStates:
-    """UDF / HQDL state per database, built on first touch or by
-    :meth:`warm`, closed together.
+    """One :class:`DatabaseState` per database, built on first touch or
+    by :meth:`warm`, closed together.
 
     ``meter``, ``resilience`` and ``telemetry`` are the server-wide
     sinks every state reports into; ``retry_clock`` is where retry
-    backoff sleeps under ``fault_rate > 0``; ``batch_policy`` sizes the
-    LLMMap/LLMJoin calls of every UDF executor's plans.
+    backoff sleeps under ``fault_rate > 0``.  ``chunk_size``, the keys
+    per LLMMap/LLMJoin call of every served plan, batched or not, is
+    decided once from the model profile, floored at
+    ``config.batch_size``.
     """
 
     swan: Swan
@@ -107,9 +124,14 @@ class DatabaseStates:
     resilience: ResilienceReport
     telemetry: Telemetry
     retry_clock: Clock
-    batch_policy: AdaptiveBatchPolicy
-    _udf: dict[str, UdfState] = field(default_factory=dict, init=False)
-    _hqdl: dict[str, HqdlState] = field(default_factory=dict, init=False)
+    chunk_size: int = field(init=False)
+    _states: dict[str, DatabaseState] = field(default_factory=dict, init=False)
+
+    def __post_init__(self) -> None:
+        config = self.config
+        self.chunk_size = adaptive_batch_size(
+            config.model_name, config.shots, floor=config.batch_size
+        )
 
     def _wrap_faults(self, model: ChatClient) -> ChatClient:
         """The chaos-mode wrap; a pass-through when fault_rate is 0."""
@@ -134,87 +156,40 @@ class DatabaseStates:
         # would make which calls find the budget spent depend on scheduling.
         return 1 if self.config.fault_rate > 0 else self.config.workers
 
-    def _stack(self, world) -> ClientStack:
-        config = self.config
-        return build_client_stack(
-            world, config.model_name, shots=config.shots, meter=self.meter,
-            wrap=self._wrap_faults, cache_dir=config.cache_dir,
-            telemetry=self.telemetry,
-        )
-
-    def udf(self, database: str) -> UdfState:
-        state = self._udf.get(database)
+    def __getitem__(self, database: str) -> DatabaseState:
+        """``database``'s state, with its client stack built on first touch."""
+        state = self._states.get(database)
         if state is None:
             config = self.config
             world = self.swan.world(database)
-            stack = self._stack(world)
-            db = build_curated_database(world)
-            cache = PromptCache()
-            store = MappingStore()
-            executor = HybridQueryExecutor(
-                db,
-                stack.client,
-                world,
-                batch_policy=self.batch_policy,
-                pushdown=config.pushdown,
-                shots=config.shots,
-                cache=cache,
-                workers=self._dispatch_threads,
-                resilience=self.resilience,
+            stack = build_client_stack(
+                world, config.model_name, shots=config.shots, meter=self.meter,
+                wrap=self._wrap_faults, cache_dir=config.cache_dir,
                 telemetry=self.telemetry,
-                mapping_store=store,
             )
-            state = self._udf[database] = UdfState(
-                db, executor, cache, stack, store
-            )
-            self._attach_expansion(database)
+            state = self._states[database] = DatabaseState(world, stack, self)
         return state
 
-    def _attach_expansion(self, database: str) -> None:
-        """Face ``database``'s UDF store at its resident HQDL cells, when
-        both states exist and the expansion has been built."""
-        udf, hqdl = self._udf.get(database), self._hqdl.get(database)
-        if udf is None or hqdl is None or hqdl.pipeline.generation is None:
-            return
-        generation = hqdl.pipeline.generation
-        udf.store.attach_expansion(
-            hqdl.pipeline.world.expansions,
-            {name: table.rows for name, table in generation.tables.items()},
-        )
-
-    def of(self, request: QueryRequest) -> Union[UdfState, HqdlState]:
-        """The state serving ``request``: its pipeline over its database."""
+    def of(
+        self, request: QueryRequest
+    ) -> tuple[Union[HybridQueryExecutor, HQDL], Union[str, Question]]:
+        """The pipeline serving ``request`` and what it prepares: the
+        hybrid SQL for UDF, the question for HQDL."""
+        state = self[request.database]
         if request.pipeline == "udf":
-            return self.udf(request.database)
-        return self.hqdl(request.database)
-
-    def hqdl(self, database: str) -> HqdlState:
-        state = self._hqdl.get(database)
-        if state is None:
-            config = self.config
-            world = self.swan.world(database)
-            stack = self._stack(world)
-            pipeline = HQDL(
-                world,
-                stack.client,
-                shots=config.shots,
-                workers=self._dispatch_threads,
-                resilience=self.resilience,
-                telemetry=self.telemetry,
-            )
-            state = self._hqdl[database] = HqdlState(pipeline, stack, self.swan)
-        return state
+            return state.udf, request.sql
+        return state.hqdl, self.swan.question(request.qid)
 
     def warm(self, databases: Iterable[str]) -> StartupRecord:
         """Materialize the expanded database of every HQDL database named.
 
         Each build is ``prepare(None)`` → ``generate`` → ``expand`` through
-        the state's own client stack and dispatcher (the retry stack under
+        the state's client stack and dispatcher (the retry stack under
         ``fault_rate > 0``, backoff sleeping on ``retry_clock``), with no
         deadline: no request is waiting.  The returned record carries the
         paid calls, tokens, retries, virtual build time and the rows left
         NULL, all of it before the first arrival.  Each build's cells
-        become the face of that database's UDF store.
+        become the face of that database's mapping store.
         """
         databases = tuple(sorted(set(databases)))
         sizes: list[tuple[int, int]] = []
@@ -223,14 +198,18 @@ class DatabaseStates:
         retries_before = self.resilience.retries
         clock_before = self.retry_clock.now()
         for database in databases:
-            pipeline = self.hqdl(database).pipeline
+            state = self[database]
+            pipeline = state.hqdl
             fillings = pipeline.generate(pipeline.prepare(None))
             if fillings.answers:  # empty when an earlier run built it
                 generation = fillings.answers[0]
                 pipeline.expand(generation)
+                state.store.attach_expansion(
+                    state.world.expansions,
+                    {name: table.rows for name, table in generation.tables.items()},
+                )
                 degraded += sum(t.degraded for t in generation.tables.values())
                 malformed += generation.total_malformed()
-                self._attach_expansion(database)
             sizes += fillings.report.call_sizes
         paid = self.meter.total - usage_before
         backoff = self.retry_clock.now() - clock_before
@@ -247,24 +226,26 @@ class DatabaseStates:
         )
 
     def udf_cache_totals(self) -> tuple[int, int]:
-        """(hits, misses) summed over every UDF prompt cache."""
-        caches = [state.cache for state in self._udf.values()]
+        """(hits, misses) summed over every UDF executor's prompt cache."""
+        caches = [
+            state._udf.cache
+            for state in self._states.values()
+            if state._udf is not None
+        ]
         return sum(c.hits for c in caches), sum(c.misses for c in caches)
 
     def mapping_stats(self) -> dict:
-        """:meth:`MappingStore.stats` summed over every UDF state's store."""
-        totals = MappingStore().stats()
-        for state in self._udf.values():
-            for name, value in state.store.stats().items():
-                totals[name] += value
-        return totals
+        """:meth:`MappingStore.stats` summed over every database's store."""
+        totals: Counter = Counter()
+        for state in self._states.values():
+            totals.update(state.store.stats())
+        return dict(totals)
 
     def close(self) -> None:
         """Release every database connection and disk cache."""
-        for state in (*self._udf.values(), *self._hqdl.values()):
+        for state in self._states.values():
             state.close()
-        self._udf.clear()
-        self._hqdl.clear()
+        self._states.clear()
 
 
 def hqdl_databases(requests: Sequence[QueryRequest]) -> list[str]:

@@ -161,7 +161,6 @@ class HybridQueryExecutor:
         workers: int = 1,
         resilience: Optional[ResilienceReport] = None,
         telemetry: Optional[Telemetry] = None,
-        batch_policy: Optional[object] = None,
         mapping_store: Optional[MappingStore] = None,
         provenance=None,
     ) -> None:
@@ -195,9 +194,6 @@ class HybridQueryExecutor:
         self._m_degraded_keys = self._tel.metrics.counter("pipeline.degraded_keys")
         self.selector = FewShotSelector(_demo_pool(world)) if shots > 0 else None
         self.resilience = resilience
-        #: any object with ``batch_size(call) -> int`` (repro.plan.policy);
-        #: None keeps the fixed ``batch_size`` — BlendSQL's behaviour.
-        self.batch_policy = batch_policy
         #: :meth:`generate` answers fully-covered ingredients from it
         #: with zero LLM calls, and publishes into it what it generates.
         self.mapping_store = mapping_store
@@ -257,9 +253,7 @@ class HybridQueryExecutor:
                 except ReproError as exc:
                     error = exc
                     break
-                policy = self.batch_policy
-                chunk = self.batch_size if policy is None else policy.batch_size(call)
-                work = Work(call, keys, chunk, label="udf:map")
+                work = Work(call, keys, self.batch_size, label="udf:map")
             steps.append((occurrence, work))
         return QueryPlan(prepared, tuple(steps), error)
 

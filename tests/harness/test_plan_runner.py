@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.harness.runner import GoldResults, run_hqdl, run_udf
-from repro.plan import AdaptiveBatchPolicy
+from repro.plan import adaptive_batch_size
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,7 @@ class TestPairsModeSavings:
         pairs = run_udf(
             swan, "gpt-3.5-turbo", 0, databases=["superhero"], gold=gold,
             plan="pairs",
-            batch_policy=AdaptiveBatchPolicy.for_model("gpt-3.5-turbo", 0),
+            batch_size=adaptive_batch_size("gpt-3.5-turbo", 0),
         )
         assert pairs.usage.calls < plain.usage.calls
         assert pairs.usage.input_tokens < plain.usage.input_tokens

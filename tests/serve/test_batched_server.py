@@ -396,7 +396,7 @@ class TestOneStorePerDatabase:
         with QueryServer(swan, config) as server:
             report = server.run(requests)
             stores = [
-                server.states.udf(name).store for name in ("superhero", "twin")
+                server.states[name].store for name in ("superhero", "twin")
             ]
             summed = server.states.mapping_stats()
         first, second = report.outcomes

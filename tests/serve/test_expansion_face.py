@@ -389,7 +389,7 @@ class TestFailedRows:
         _, server, startup = faulty
         assert startup.degraded_rows == 3
         assert startup.malformed_rows > 0
-        generation = server.states.hqdl("superhero").pipeline.generation
+        generation = server.states["superhero"].hqdl.generation
         nulls = sum(
             row is None for row in generation.tables["superhero_info"].rows.values()
         )
@@ -400,10 +400,10 @@ class TestFailedRows:
     ):
         swan, server, _ = faulty
         world = swan.world("superhero")
-        state = server.states.udf("superhero")
-        generation = server.states.hqdl("superhero").pipeline.generation
+        state = server.states["superhero"]
+        generation = state.hqdl.generation
         question = swan.question("superhero_q04")
-        plan = state.pipeline.prepare(question.blend_sql)
+        plan = state.udf.prepare(question.blend_sql)
         (work,) = plan.work()
         eye = world.expansion("superhero_info").generated_column_names().index(
             "eye_color"
@@ -423,5 +423,5 @@ class TestFailedRows:
             return map_prompt(self, call, batch)
 
         monkeypatch.setattr(HybridQueryExecutor, "map_prompt", spy)
-        state.pipeline.generate(plan)
+        state.udf.generate(plan)
         assert sorted(mapped) == sorted(unservable)

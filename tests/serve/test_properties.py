@@ -9,7 +9,7 @@ database's does — serving adds scheduling, never answer drift.
 
 import pytest
 
-from repro.plan import AdaptiveBatchPolicy, MappingStore
+from repro.plan import MappingStore, adaptive_batch_size
 from repro.serve.request import QueryRequest, SERVED
 from repro.serve.server import QueryServer, ServerConfig
 from repro.swan.benchmark import load_benchmark_subset
@@ -87,13 +87,11 @@ class TestZeroLoadByteIdentity:
         shots, batch_size, workers = 2, 5, 2
 
         def run_udf():
-            # the server sizes its calls with this policy
-            policy = AdaptiveBatchPolicy.for_model(
-                "gpt-3.5-turbo", shots, floor=batch_size
-            )
+            # the server sizes its calls the same way
+            chunk = adaptive_batch_size("gpt-3.5-turbo", shots, floor=batch_size)
             return runner.run_udf(
                 serve_swan, "gpt-3.5-turbo", shots,
-                batch_size=batch_size, workers=workers, batch_policy=policy,
+                batch_size=chunk, workers=workers,
             )
 
         plain = run_udf()

@@ -63,7 +63,7 @@ class TestServerConfig:
     def test_batch_size_outside_the_policy_fails_at_construction(
         self, serve_swan, batch_size
     ):
-        """``batch_size`` floors the adaptive policy (ceiling 20)."""
+        """``batch_size`` floors the adaptive chunk size (ceiling 20)."""
         config = ServerConfig(batch_size=batch_size)
         with pytest.raises(ValueError):
             QueryServer(serve_swan, config)

@@ -15,7 +15,7 @@ from repro.harness.benchserve import default_config, default_tenants, offered_rp
 from repro.serve.batcher import BatchingConfig
 from repro.serve.report import StartupRecord
 from repro.serve.server import QueryServer
-from repro.serve.state import DatabaseStates, hqdl_databases
+from repro.serve.state import DatabaseState, hqdl_databases
 from repro.serve.traffic import generate_traffic
 from repro.swan.benchmark import load_benchmark_subset
 
@@ -91,10 +91,10 @@ class TestWarmStart:
 
 @pytest.mark.parametrize("arm", [ARMS[0], ARMS[2]], ids=_arm_id)
 def test_udf_only_stream_warms_nothing(warm_swan, monkeypatch, arm):
-    def no_hqdl_state(self, database):
-        raise AssertionError(f"built an HQDL state for {database!r}")
+    def no_hqdl_pipeline(self):
+        raise AssertionError(f"built an HQDL pipeline for {self.world.name!r}")
 
-    monkeypatch.setattr(DatabaseStates, "hqdl", no_hqdl_state)
+    monkeypatch.setattr(DatabaseState, "hqdl", property(no_hqdl_pipeline))
     requests, report = _serve(warm_swan, arm, hqdl=False)
     assert hqdl_databases(requests) == []
     assert report.answered > 0
