@@ -7,7 +7,8 @@ Flow, per database:
 2. **Data generation** — one LLM row-completion call per key, with the
    configured number of static few-shot demonstrations.
 3. **Data extraction** — completions parsed via the csv module; malformed
-   rows are dropped and counted.
+   rows are dropped and counted (a server asks each one once more, see
+   :meth:`HQDL.repair`).
 4. **Materialization** — extracted rows inserted into the expansion
    tables of a (copy of the) curated database.
 5. **Query execution** — each question's ``hqdl_sql`` runs as plain SQL.
@@ -28,7 +29,7 @@ from typing import NamedTuple, Optional
 
 from repro.core.extraction import extract_row
 from repro.core.materialize import materialize_expansion
-from repro.core.prompts import RowPromptBuilder
+from repro.core.prompts import RowPromptBuilder, repair_prompt
 from repro.errors import ExtractionError, ReproError
 from repro.llm.client import ChatClient
 from repro.llm.intent import Prompt
@@ -54,12 +55,19 @@ class TableGeneration:
 
     expansion_name: str
     rows: dict[tuple, Optional[list[str]]] = field(default_factory=dict)
-    malformed: int = 0
+    #: key -> the extraction error of each malformed row (the call
+    #: returned, but the completion resisted extraction)
+    parse_errors: dict[tuple, str] = field(default_factory=dict)
     calls: int = 0
     #: rows whose LLM call failed outright (transient error that survived
-    #: the retry layer) and degraded to NULLs, distinct from ``malformed``
-    #: (the call returned, but the completion resisted extraction).
+    #: the retry layer) and degraded to NULLs, distinct from ``malformed``.
     degraded: int = 0
+    #: malformed rows a repair prompt (:meth:`HQDL.repair`) made parse
+    repaired: int = 0
+
+    @property
+    def malformed(self) -> int:
+        return len(self.parse_errors)
 
     def generated_cells(self) -> int:
         return sum(len(v) for v in self.rows.values() if v is not None)
@@ -77,6 +85,9 @@ class GenerationResult:
 
     def total_malformed(self) -> int:
         return sum(t.malformed for t in self.tables.values())
+
+    def total_repaired(self) -> int:
+        return sum(t.repaired for t in self.tables.values())
 
 
 class _TableWork(NamedTuple):
@@ -287,8 +298,8 @@ class HQDL:
                 report.charge(outcome.response.usage)
                 try:
                     fields = extract_row(outcome.response.text, field_count)
-                except ExtractionError:
-                    generation.malformed += 1
+                except ExtractionError as exc:
+                    generation.parse_errors[key] = str(exc)
                     self._m_malformed.inc()
                 else:
                     row = [
@@ -304,6 +315,67 @@ class HQDL:
                         null=row is None, degraded=degraded,
                     )
         return generation
+
+    def repair(
+        self, plan: HqdlPlan, generation: GenerationResult
+    ) -> ExecutionReport:
+        """Ask each malformed row of ``generation`` once more, in place.
+
+        The repair loop of a self-healing pipeline, applied to build
+        rows: the retry is the row prompt with its parse error stated
+        (:func:`~repro.core.prompts.repair_prompt`), so the model
+        completes the same row and draws its format afresh.  A row whose
+        retry parses gets its cells and counts as ``repaired``; one whose
+        retry does not parse, or fails, stays malformed.  ``plan`` is the
+        plan ``generation`` was paid for.  Only a server's warm build
+        repairs (its rows answer every later question, from both
+        pipelines); a batch run keeps the paper's one call per row.
+        Returns the paid retries.
+        """
+        report = ExecutionReport()
+        todo = []
+        for table in plan.tables:
+            built = generation.tables[table.name]
+            if built.parse_errors:
+                prompts = dict(zip(table.keys, table.prompts))
+                todo += [
+                    (table, built, key, repair_prompt(prompts[key], error))
+                    for key, error in built.parse_errors.items()
+                ]
+        if not todo:
+            return report
+        with self._span("hqdl:repair", rows=len(todo)):
+            outcomes = self.dispatcher.dispatch(
+                self.client,
+                [prompt for *_, prompt in todo],
+                labels="hqdl:repair",
+                capture_errors="transient",
+            )
+        # registered here, not at construction: a run that repairs
+        # nothing exports no counter for it
+        repaired = self._tel.metrics.counter("pipeline.repaired_rows")
+        prov = self._prov
+        for (table, built, key, prompt), outcome in zip(todo, outcomes):
+            if outcome.error is not None:
+                continue
+            report.charge(outcome.response.usage)
+            expansion = self.world.expansion(table.name)
+            try:
+                fields = extract_row(
+                    outcome.response.text, table.builder.expected_field_count()
+                )
+            except ExtractionError as exc:
+                built.parse_errors[key] = str(exc)
+                continue
+            built.rows[key] = fields[len(expansion.key_columns):]
+            del built.parse_errors[key]
+            built.repaired += 1
+            repaired.inc()
+            if prov.enabled:
+                cid = call_id_for(prompt)
+                for column in expansion.generated_column_names():
+                    prov.record_cell(table.name, key, column, cid)
+        return report
 
     def generate_all(
         self, deadline: Optional[Deadline] = None

@@ -216,3 +216,23 @@ class RowPromptBuilder:
 
     def expected_field_count(self) -> int:
         return len(self.expansion.all_column_names())
+
+
+def repair_prompt(prompt: Prompt, error: str) -> Prompt:
+    """``prompt`` asked again after its completion failed extraction.
+
+    The same text with the parse error stated before the answer cue,
+    carrying the same intent: the model completes the same row, and the
+    new text draws its format afresh.  An error that would not stay on
+    its line, or names a protocol marker, is stated generically, so the
+    text still reads back as the row's intent.
+    """
+    if not prompt.endswith(ANSWER_MARKER):
+        raise ValueError("a row prompt ends with its answer cue")
+    reason = error if inert(error) else "the row could not be parsed"
+    text = (
+        f"{prompt[: -len(ANSWER_MARKER)]}"
+        f"The previous answer was rejected ({reason}); return the row again.\n"
+        f"{ANSWER_MARKER}"
+    )
+    return Prompt(text, prompt.intent)

@@ -180,19 +180,23 @@ def _dash_report(
     tracing="off", trace_sample=None,
 ) -> tuple[list[dict], str]:
     """Console serving dashboard: one instrumented 2x-overload run."""
+    from repro.errors import ReproError
     from repro.harness.dash import run_dash
     from repro.obs.timeseries import DEFAULT_WINDOW_SECONDS
 
-    payload, text = run_dash(
-        seed=seed or 0,
-        horizon=horizon or 120.0,
-        window_seconds=window or DEFAULT_WINDOW_SECONDS,
-        batching=_batching_config(batching),
-        sampler=_trace_sampler(
-            tracing, trace_sample, seed=seed or 0,
+    try:
+        payload, text = run_dash(
+            seed=seed or 0,
+            horizon=horizon or 120.0,
             window_seconds=window or DEFAULT_WINDOW_SECONDS,
-        ),
-    )
+            batching=_batching_config(batching),
+            sampler=_trace_sampler(
+                tracing, trace_sample, seed=seed or 0,
+                window_seconds=window or DEFAULT_WINDOW_SECONDS,
+            ),
+        )
+    except ReproError as exc:  # e.g. a horizon too short to probe
+        raise ValueError(f"dash: {exc}") from None
     return [payload], text
 
 
@@ -596,7 +600,10 @@ def main(argv: list[str]) -> int:
             kwargs = {
                 option: options[option] for option in _FLAG_TARGETS[target]
             }
-            _, text = generator(**kwargs)
+            try:
+                _, text = generator(**kwargs)
+            except ValueError as exc:  # a flag value the run cannot use
+                return _usage_error(str(exc))
         else:
             _, text = generator()
         print(text)

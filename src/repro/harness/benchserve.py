@@ -684,6 +684,7 @@ def format_startup(startup: dict) -> str:
         f"the first arrival: {startup['llm_calls']} calls, "
         f"{startup['input_tokens'] + startup['output_tokens']} tokens, "
         f"{startup['seconds']:.3f} virtual s (charged to no request), "
+        f"{startup['repaired_rows']} malformed rows repaired, "
         f"{startup['degraded_rows']} degraded and "
         f"{startup['malformed_rows']} malformed rows left NULL."
     )

@@ -26,10 +26,12 @@ class StartupRecord:
     :class:`ResilienceReport` all the same.  ``seconds`` is the virtual
     build time: the makespan of its paid calls over the server's
     workers, plus ``backoff_seconds`` of retry backoff.
+    ``repaired_rows`` are malformed rows whose repair prompt parsed.
     ``degraded_rows`` (the call failed past its retries) and
-    ``malformed_rows`` (the completion resisted extraction) are rows the
-    build left NULL: HQDL answers read NULL there, and a UDF map on
-    their keys pays for them.
+    ``malformed_rows`` (the completion resisted extraction, its repair
+    included) are rows the build left NULL.  HQDL answers read NULL in
+    both; a UDF map reads a malformed row's cells as NULL from the
+    store's expansion face, and pays for a degraded row's keys.
     """
 
     databases: tuple[str, ...] = ()
@@ -41,6 +43,7 @@ class StartupRecord:
     seconds: float = 0.0
     degraded_rows: int = 0
     malformed_rows: int = 0
+    repaired_rows: int = 0
 
     def as_record(self) -> dict:
         return {
@@ -53,6 +56,7 @@ class StartupRecord:
             "seconds": round(self.seconds, 6),
             "degraded_rows": self.degraded_rows,
             "malformed_rows": self.malformed_rows,
+            "repaired_rows": self.repaired_rows,
         }
 
 

@@ -183,36 +183,50 @@ class DatabaseStates:
     def warm(self, databases: Iterable[str]) -> StartupRecord:
         """Materialize the expanded database of every HQDL database named.
 
-        Each build is ``prepare(None)`` → ``generate`` → ``expand`` through
-        the state's client stack and dispatcher (the retry stack under
-        ``fault_rate > 0``, backoff sleeping on ``retry_clock``), with no
-        deadline: no request is waiting.  The returned record carries the
-        paid calls, tokens, retries, virtual build time and the rows left
+        Each build is ``prepare(None)`` → ``generate`` → ``repair`` →
+        ``expand`` through the state's client stack and dispatcher (the
+        retry stack under ``fault_rate > 0``, backoff sleeping on
+        ``retry_clock``), with no deadline: no request is waiting.  The
+        repair asks each malformed row once more (:meth:`HQDL.repair`),
+        so the build is the one producer of every cell both pipelines
+        read.  The returned record carries the paid calls, tokens,
+        retries, virtual build time, the rows repaired and the rows left
         NULL, all of it before the first arrival.  Each build's cells
-        become the face of that database's mapping store.
+        become the face of that database's mapping store, a row still
+        malformed among them (served as NULL, as HQDL reads it).
         """
         databases = tuple(sorted(set(databases)))
-        sizes: list[tuple[int, int]] = []
-        degraded = malformed = 0
+        row_sizes: list[tuple[int, int]] = []
+        repair_sizes: list[tuple[int, int]] = []
+        degraded = malformed = repaired = 0
         usage_before = self.meter.total
         retries_before = self.resilience.retries
         clock_before = self.retry_clock.now()
         for database in databases:
             state = self[database]
             pipeline = state.hqdl
-            fillings = pipeline.generate(pipeline.prepare(None))
+            plan = pipeline.prepare(None)
+            fillings = pipeline.generate(plan)
             if fillings.answers:  # empty when an earlier run built it
                 generation = fillings.answers[0]
+                repair_sizes += pipeline.repair(plan, generation).call_sizes
                 pipeline.expand(generation)
+                tables = generation.tables
                 state.store.attach_expansion(
                     state.world.expansions,
-                    {name: table.rows for name, table in generation.tables.items()},
+                    {name: table.rows for name, table in tables.items()},
+                    malformed={
+                        name: table.parse_errors for name, table in tables.items()
+                    },
+                    value_lists=state.world.value_lists,
                 )
-                degraded += sum(t.degraded for t in generation.tables.values())
+                degraded += sum(t.degraded for t in tables.values())
                 malformed += generation.total_malformed()
-            sizes += fillings.report.call_sizes
+                repaired += generation.total_repaired()
+            row_sizes += fillings.report.call_sizes
         paid = self.meter.total - usage_before
         backoff = self.retry_clock.now() - clock_before
+        workers = self.config.workers
         return StartupRecord(
             databases=databases,
             calls=paid.calls,
@@ -220,9 +234,15 @@ class DatabaseStates:
             output_tokens=paid.output_tokens,
             retries=self.resilience.retries - retries_before,
             backoff_seconds=backoff,
-            seconds=parallel_makespan(sizes, self.config.workers) + backoff,
+            # a repair waits on its row's first answer: two stages
+            seconds=(
+                parallel_makespan(row_sizes, workers)
+                + parallel_makespan(repair_sizes, workers)
+                + backoff
+            ),
             degraded_rows=degraded,
             malformed_rows=malformed,
+            repaired_rows=repaired,
         )
 
     def udf_cache_totals(self) -> tuple[int, int]:

@@ -581,11 +581,13 @@ class HybridQueryExecutor:
             if cells:
                 for key, value in cells.items():
                     found[key] = value
-                    report.keys_generated += 1
+                    if value is not None:
+                        report.keys_generated += 1
                     if prov.enabled:
                         # the producing row prompt is the HQDL build's
                         prov.record_cell(
-                            cell_table, key, cell_column, "", tier=TIER_EXPANSION
+                            cell_table, key, cell_column, "",
+                            null=value is None, tier=TIER_EXPANSION,
                         )
                 missing = [key for key in missing if key not in cells]
                 if not missing:

@@ -30,14 +30,18 @@ expansion of the same database already generated, one generation serving
 both pipelines (Section 5.5's reuse, which UDFs otherwise lack).  An
 LLMMap whose source table and key columns are an expansion table's is
 served from the column its question asks for.  Which column that is, is
-judged once per signature: the candidate columns, ranked by embedding
-cosine between the map question and each column's description, are put
-to the same equivalence check in that order through the caller's paying
+judged once per signature: the candidate columns, those whose value list
+is the ingredient's ``options=`` list first and then by embedding cosine
+between the map question and each column's description, are put to the
+same equivalence check in that order through the caller's paying
 function, under the label ``udf:expansion``, until one answers yes (a
 skipped or failed check, or an answer that is neither yes nor no,
-decides nothing).  A NULL cell (a malformed or degraded row) or one
-outside the ingredient's ``options=`` list is not served: that key is
-paid for as before.
+decides nothing).  The build is the one producer of the cells it
+holds: a malformed row (its completion resisted extraction, repair
+included) is served as NULL, as HQDL reads it.  A degraded row (its call
+failed) or a cell outside the ingredient's ``options=`` list is not
+served, and that key is paid for as before; a multi-valued cell is
+inside the list when each of its comma-separated parts is.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from repro.llm.intent import (
     Prompt,
     inert,
 )
-from repro.swan.base import ExpansionTable
+from repro.swan.base import KIND_MULTI, ExpansionTable
 from repro.udf.fewshot import cosine_similarity, embed
 
 #: Stored questions at or below this cosine similarity are not even worth
@@ -100,19 +104,31 @@ class _FaceColumn:
     description: str
     vector: dict[str, float]
     #: key (every part a string) -> the extracted cell, None for a
-    #: malformed or degraded row
+    #: malformed row; a degraded row's key is absent
     cells: dict[tuple, Optional[str]]
+    #: the values of the column's retained value list (None: no list)
+    values: Optional[frozenset[str]] = None
+    #: a comma-joined list of values (``KIND_MULTI``)
+    multi: bool = False
 
     def serve(
         self, keys: Sequence[tuple], options: Optional[Collection[str]]
     ) -> dict[tuple, Optional[str]]:
-        """The non-NULL cells of ``keys`` inside ``options`` (if given)."""
+        """The cells of ``keys`` the column holds, a malformed row's as
+        NULL, and every other one only inside ``options`` (if given)."""
         served: dict[tuple, Optional[str]] = {}
         cells = self.cells
         allowed = None if options is None else set(options)
         for key in keys:
-            value = cells.get(key)
-            if value is not None and (allowed is None or value in allowed):
+            if key not in cells:
+                continue
+            value = cells[key]
+            if value is None or allowed is None:
+                served[key] = value
+            elif self.multi:
+                if all(part.strip() in allowed for part in value.split(",")):
+                    served[key] = value
+            elif value in allowed:
                 served[key] = value
         return served
 
@@ -278,6 +294,9 @@ class MappingStore:
         self,
         expansions: Sequence[ExpansionTable],
         rows: Mapping[str, Mapping[tuple, Optional[Sequence[str]]]],
+        *,
+        malformed: Optional[Mapping[str, Collection[tuple]]] = None,
+        value_lists: Optional[Mapping[str, Sequence[str]]] = None,
     ) -> None:
         """Serve LLMMap ingredients from a resident expansion's cells.
 
@@ -285,19 +304,37 @@ class MappingStore:
         (key -> values in expansion column order, None for a malformed
         or degraded row), as the HQDL build extracted them: the text a
         map answer carries, not the typed values SQLite reformats.
+        ``malformed`` names, per table, the None rows to serve as NULL;
+        any other None row is degraded and not served.  ``value_lists``
+        are the world's retained lists, which rank a column whose list an
+        ingredient's ``options=`` names ahead of the others.
         """
+        malformed = malformed or {}
+        value_lists = value_lists or {}
         face: dict[tuple, tuple[_FaceColumn, ...]] = {}
         for expansion in expansions:
             table_rows = rows[expansion.name]
-            keys = [tuple(str(part) for part in key) for key in table_rows]
+            nulls = malformed.get(expansion.name, ())
+            present = [
+                (tuple(str(part) for part in key), row)
+                for key, row in table_rows.items()
+                if row is not None or key in nulls
+            ]
             columns = []
             for index, column in enumerate(expansion.columns):
                 cells = {
                     key: None if row is None else row[index]
-                    for key, row in zip(keys, table_rows.values())
+                    for key, row in present
                 }
+                values = value_lists.get(column.value_list or "")
                 columns.append(
-                    _FaceColumn(column.description, embed(column.description), cells)
+                    _FaceColumn(
+                        column.description,
+                        embed(column.description),
+                        cells,
+                        None if values is None else frozenset(values),
+                        column.kind == KIND_MULTI,
+                    )
                 )
             shape = (expansion.source_table, tuple(expansion.key_columns))
             face[shape] = face.get(shape, ()) + tuple(columns)
@@ -306,12 +343,15 @@ class MappingStore:
             self._verdicts.clear()
             self._unjudged.clear()
 
-    def _judged(self, signature: tuple) -> bool:
+    def _judged(
+        self, signature: tuple, options: Optional[Collection[str]]
+    ) -> bool:
         """Whether the face has ruled on ``signature``; caller locks.
 
         A signature no expansion table shares a shape with is ruled on
         at once (no column); otherwise its candidates are queued for the
-        equivalence check, best embedding match first.
+        equivalence check: the columns whose value list is ``options``
+        first, then the best embedding match.
         """
         if signature in self._verdicts:
             return True
@@ -323,8 +363,13 @@ class MappingStore:
             self._verdicts[signature] = None
             return True
         vector = embed(question)
+        listed = None if options is None else frozenset(options)
         self._unjudged[signature] = sorted(
-            columns, key=lambda c: -cosine_similarity(vector, c.vector)
+            columns,
+            key=lambda c: (
+                listed is None or c.values != listed,
+                -cosine_similarity(vector, c.vector),
+            ),
         )
         return False
 
@@ -352,11 +397,11 @@ class MappingStore:
         """The expansion cells serving ``keys``, judging the signature first.
 
         Each unjudged candidate column costs one ``udf:expansion`` check
-        paid through ``pay``, best embedding match first, until one says
-        yes; a check that says no rules its column out for good, and a
-        skipped or failed one, or one answering neither yes nor no (a
-        corrupted completion), decides nothing (this lookup serves
-        nothing, a later one asks again).  Once judged, the column's
+        paid through ``pay``, a column listing ``options`` first, then
+        the best embedding match, until one says yes; a check that says
+        no rules its column out for good, and a skipped or failed one, or
+        one answering neither yes nor no (a corrupted completion), decides
+        nothing (this lookup serves nothing, a later one asks again).  Once judged, the column's
         servable cells of ``keys`` are returned at no call; none when
         no column answers the signature.
         """
@@ -364,7 +409,7 @@ class MappingStore:
             with self._lock:
                 if not self._face:
                     return {}
-                if self._judged(signature):
+                if self._judged(signature, options):
                     return self._serve_cells(signature, keys, options)
                 column = self._unjudged[signature][0]
                 self.expansion_calls += 1

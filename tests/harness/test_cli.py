@@ -567,3 +567,13 @@ class TestNonFiniteFloatFlags:
         err = capsys.readouterr().err
         assert f"{flag} requires a finite number" in err
         assert "usage:" in err
+
+    def test_a_horizon_too_short_to_probe_is_a_usage_error(self, capsys):
+        """Half a second draws no probe request: exit 2 with the usage,
+        not a ``ReproError`` traceback."""
+        assert main(["dash", "--horizon=0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "capacity probe generated no traffic" in captured.err
+        assert "usage:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

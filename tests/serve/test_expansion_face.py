@@ -5,11 +5,14 @@ mapping store at the cells the build extracted
 (``MappingStore.attach_expansion``).  An LLMMap there pays one
 ``udf:expansion`` equivalence check per (signature, candidate column) at
 most, ruling which column its question asks for, and then no map call
-for any key the column holds a servable cell for.  A NULL cell (a
-degraded or malformed row) or one outside the ingredient's ``options=``
-list is paid for through a map chunk as before.  Without a resident
-expansion nothing changes: a UDF-only stream keeps the outcomes, calls
-and finish times of the server before the face existed.
+for any key the column holds a servable cell for.  The warm build is
+the one producer of those cells: it asks each malformed row once more
+(``HQDL.repair``), and a row still malformed is served as NULL, as HQDL
+reads it.  A degraded row's key (its call failed) or a cell outside the
+ingredient's ``options=`` list (for a multi-valued cell: any part
+outside it) is paid for through a map chunk as before.  Without a
+resident expansion nothing changes: a UDF-only stream keeps the
+outcomes, calls and finish times of the server before the face existed.
 """
 
 import hashlib
@@ -20,7 +23,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.hqdl import HQDL
-from repro.errors import LLMError
+from repro.errors import LLMError, TransientLLMError
 from repro.harness.benchserve import default_config, default_tenants, offered_rps
 from repro.llm.chat import MockChatModel
 from repro.llm.faults import GARBAGE_COMPLETION
@@ -300,11 +303,26 @@ class TestServedFace:
         assert "udf:map" not in by_label
 
     @ARMS
-    def test_the_first_requests_misses_are_stored(self, swan, batching):
+    def test_the_first_requests_misses_are_stored(
+        self, swan, monkeypatch, batching
+    ):
         """superhero_q17's first request pays its check and one map chunk
-        for the keys the face cannot serve, and the store keeps those
-        answers on both arms (the batched one pays them in finalize,
-        holding ``known``), so a later request finds them there."""
+        for the keys the face cannot serve (three rows whose build call
+        failed), and the store keeps those answers on both arms (the
+        batched one pays them in finalize, holding ``known``), so a later
+        request finds them there."""
+        keys = swan.world("superhero").keys_for("superhero_info")
+        failing = set(list(keys)[:3])
+        complete = MockChatModel.complete
+
+        def flaky(self, prompt, *, label=""):
+            if label == "hqdl:superhero_info" and prompt.intent.key in failing:
+                raise TransientLLMError("row call failed")
+            return complete(self, prompt, label=label)
+
+        # per-call dispatch, so one failed row call fails only its row
+        monkeypatch.setattr(MockChatModel, "prefers_batch_dispatch", False)
+        monkeypatch.setattr(MockChatModel, "complete", flaky)
         requests = self._twice(swan, "superhero_q17")
         config = replace(default_config(), batching=batching)
         with QueryServer(swan, config) as server:
@@ -375,7 +393,8 @@ class TestServedFace:
 
 
 class TestFailedRows:
-    """Rows the warm build left NULL are counted and never served."""
+    """Rows the warm build left NULL are counted; a degraded one is
+    never served, a malformed one is served as NULL."""
 
     @pytest.fixture(scope="class")
     def faulty(self):
@@ -409,10 +428,13 @@ class TestFailedRows:
             "eye_color"
         )
         colours = set(world.value_lists["colours"])
-        rows = generation.tables["superhero_info"].rows
+        table = generation.tables["superhero_info"]
+        rows = table.rows
+        # a malformed row is served as NULL: only a degraded one is a miss
         unservable = {
             key for key in work.keys
-            if rows[key] is None or rows[key][eye] not in colours
+            if (rows[key] is None and key not in table.parse_errors)
+            or (rows[key] is not None and rows[key][eye] not in colours)
         }
         assert any(rows[key] is None for key in unservable)
         mapped: list = []
@@ -425,3 +447,146 @@ class TestFailedRows:
         monkeypatch.setattr(HybridQueryExecutor, "map_prompt", spy)
         state.udf.generate(plan)
         assert sorted(mapped) == sorted(unservable)
+
+
+POWERS = "What are the superpowers of this superhero?"
+
+
+class TestMultiValuedCells:
+    def test_a_cell_with_one_part_off_the_list_is_not_served(self, superhero):
+        """A ``powers`` cell is served when every comma-separated part is
+        in ``options=``, and not when one part is outside it."""
+        world, model, generation = superhero
+        rows = _rows(generation)
+        table = rows["superhero_info"]
+        listed, off_list = [
+            key for key, row in table.items() if "," in row[-1]
+        ][:2]
+        table[off_list] = [*table[off_list][:-1], table[off_list][-1] + ", Plaid"]
+        store = MappingStore()
+        store.attach_expansion(
+            world.expansions, rows, value_lists=world.value_lists
+        )
+        served = store.expansion_lookup(
+            _signature(POWERS), [listed, off_list], _judge(model, []),
+            world.value_lists["powers"],
+        )
+        assert served == {listed: table[listed][-1]}
+
+    def test_a_powers_signature_pays_one_check(self, superhero):
+        """The column whose value list is the ingredient's ``options=``
+        is checked first (cosine alone ranks it last of seven)."""
+        world, model, generation = superhero
+        store = MappingStore()
+        store.attach_expansion(
+            world.expansions, _rows(generation), value_lists=world.value_lists
+        )
+        keys = [tuple(map(str, k)) for k in world.keys_for("superhero_info")]
+        asked: list = []
+        served = store.expansion_lookup(
+            _signature(POWERS), keys, _judge(model, asked),
+            world.value_lists["powers"],
+        )
+        assert len(asked) == 1
+        assert len(served) == len(keys)
+
+
+class TestOneProducer:
+    """On a server the warm build produces every cell both pipelines read.
+
+    One superhero row is broken, under ``perfect`` so that no other row
+    is: a malformed one gets a garbage completion on its first ``times``
+    row calls (the repair prompt is the second), a degraded one a
+    transient error on its row call.
+    """
+
+    EYES = "What is the eye color of this superhero?"
+
+    @pytest.fixture
+    def key(self, swan):
+        return next(iter(swan.world("superhero").keys_for("superhero_info")))
+
+    @staticmethod
+    def _garble(monkeypatch, key, times):
+        asked: Counter = Counter()
+        complete_row = MockChatModel._complete_row
+
+        def garbling(self, intent, prompt):
+            asked[intent.key] += 1
+            if intent.key == key and asked[intent.key] <= times:
+                return GARBAGE_COMPLETION
+            return complete_row(self, intent, prompt)
+
+        monkeypatch.setattr(MockChatModel, "_complete_row", garbling)
+
+    def _serve(self, swan, monkeypatch, key):
+        """The warm build's record; HQDL's and UDF's eye colour of
+        ``key``; the key batches UDF paid map chunks for.
+
+        HQDL materializes no row for a NULL row's key, so its query
+        reads the hero through the curated table, as a UDF map does.
+        """
+        config = replace(default_config(), model_name="perfect")
+        with QueryServer(swan, config) as server:
+            startup = server.states.warm(["superhero"])
+            state = server.states["superhero"]
+            name, full = key
+            where = (
+                f"WHERE s.superhero_name = '{name}' AND s.full_name = '{full}'"
+            )
+            hqdl = state.hqdl.db.query(
+                "SELECT i.eye_color FROM superhero s LEFT JOIN superhero_info i "
+                "ON i.superhero_name = s.superhero_name "
+                f"AND i.full_name = s.full_name {where}"
+            )
+            mapped: list = []
+            map_prompt = HybridQueryExecutor.map_prompt
+
+            def spy(self, call, batch):
+                mapped.append(batch)
+                return map_prompt(self, call, batch)
+
+            monkeypatch.setattr(HybridQueryExecutor, "map_prompt", spy)
+            udf = state.udf.execute(
+                f"SELECT {{{{LLMMap('{self.EYES}', 'superhero::superhero_name', "
+                f"'superhero::full_name', options='colours')}}}} "
+                f"FROM superhero s {where}"
+            )
+        return startup, hqdl.rows, udf.rows, mapped
+
+    def test_a_repaired_row_is_resident_and_pays_no_map_call(
+        self, swan, monkeypatch, key
+    ):
+        self._garble(monkeypatch, key, times=1)
+        startup, hqdl, udf, mapped = self._serve(swan, monkeypatch, key)
+        assert (startup.repaired_rows, startup.malformed_rows) == (1, 0)
+        assert hqdl == udf and hqdl[0][0] is not None
+        assert mapped == []
+
+    def test_a_row_still_malformed_reads_null_in_both_pipelines(
+        self, swan, monkeypatch, key
+    ):
+        self._garble(monkeypatch, key, times=2)
+        startup, hqdl, udf, mapped = self._serve(swan, monkeypatch, key)
+        assert (startup.repaired_rows, startup.malformed_rows) == (0, 1)
+        assert hqdl == udf == [(None,)]
+        assert mapped == []
+
+    def test_a_degraded_row_is_still_paid_through_a_chunk(
+        self, swan, monkeypatch, key
+    ):
+        complete = MockChatModel.complete
+
+        def failing(self, prompt, *, label=""):
+            if label == "hqdl:superhero_info" and prompt.intent.key == key:
+                raise TransientLLMError("row call failed")
+            return complete(self, prompt, label=label)
+
+        # per-call dispatch, so the failed row call fails only its row
+        monkeypatch.setattr(MockChatModel, "prefers_batch_dispatch", False)
+        monkeypatch.setattr(MockChatModel, "complete", failing)
+        startup, hqdl, udf, mapped = self._serve(swan, monkeypatch, key)
+        assert (startup.degraded_rows, startup.repaired_rows) == (1, 0)
+        assert hqdl == [(None,)]
+        assert udf[0][0] is not None  # the map chunk answered it
+        assert mapped == [[key]]

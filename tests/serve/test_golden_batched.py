@@ -38,6 +38,12 @@ HQDL cells (the matrix rows pay equivalence checks for most map calls;
 every record gained the store's ``expansion_*`` counters and the
 startup record's ``degraded_rows``/``malformed_rows``), and the burst
 row then became UDF-only.
+
+Every row was re-pinned when the warm build began repairing malformed
+rows and the face began serving multi-valued cells and a still-malformed
+row's NULLs: the matrix rows' requests pay 35-62 calls where they paid
+123-163, and fewer requests are shed.  The burst row changed only by the
+startup record's new ``repaired_rows`` key.
 """
 
 import hashlib

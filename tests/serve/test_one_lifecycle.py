@@ -28,6 +28,13 @@ Every row was re-pinned again when each served executor began chunking
 with the server's adaptive batch policy: the unbatched rows pay fewer,
 larger calls, and the two batching-on disk rows changed only by the
 retired ``batching.max_batch`` key of their record.
+
+Every row was re-pinned when the warm build began repairing malformed
+rows and the store's expansion face began serving multi-valued cells and
+a still-malformed row's NULLs: the fault-free rows' requests pay 12 calls
+where they paid 30, at ``fault_rate=0.5`` 23 of 26 requests are served
+where 4 were, and every record gained the startup record's
+``repaired_rows``.
 """
 
 import hashlib

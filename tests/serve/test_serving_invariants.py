@@ -14,10 +14,14 @@ model profile:
   every piece of enqueued work was flushed and landed;
 - every flushed map group is cut into calls of the ``Work.chunk_size``
   its members' plans carry for that ingredient: the plan is the one
-  place a served query's keys per call is decided.
+  place a served query's keys per call is decided.  This one is checked
+  on the same tenants routed to UDF alone, whose maps reach the batcher
+  (a warmed database's expansion face serves every key under
+  ``perfect``).
 """
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -57,13 +61,27 @@ def serve_swan():
     return load_benchmark_subset(1, list(DATABASES))
 
 
-@pytest.fixture(scope="module")
-def traffic(serve_swan):
+def _traffic(swan, *, hqdl_share=None):
     tenants = default_tenants(DATABASES)
+    if hqdl_share is not None:
+        tenants = [replace(t, hqdl_share=hqdl_share) for t in tenants]
     scaled = [t.scaled(0.8 / offered_rps(tenants)) for t in tenants]
     policies = {t.name: t.policy() for t in scaled}
-    requests = generate_traffic(serve_swan, scaled, horizon=90.0, seed=5)
+    requests = generate_traffic(swan, scaled, horizon=90.0, seed=5)
     return requests, policies
+
+
+@pytest.fixture(scope="module")
+def traffic(serve_swan):
+    return _traffic(serve_swan)
+
+
+@pytest.fixture(scope="module")
+def udf_traffic(serve_swan):
+    """The same tenants routing every request to UDF: no database is
+    warmed, so every map key flows through the batcher (on a warmed one
+    the expansion face serves them all under ``perfect``)."""
+    return _traffic(serve_swan, hqdl_share=0.0)
 
 
 def _serve(swan, requests, policies, row, monkeypatch):
@@ -181,9 +199,9 @@ class TestServingInvariants:
         assert not batcher.has_due(math.inf)
 
     def test_flushed_groups_are_cut_at_the_plans_chunk_size(
-        self, serve_swan, traffic, row, monkeypatch
+        self, serve_swan, udf_traffic, row, monkeypatch
     ):
-        requests, policies = traffic
+        requests, policies = udf_traffic
         cuts: list[tuple[int, set]] = []
         flush_group = QueryServer._flush_group
 
