@@ -126,3 +126,38 @@ def test_workers_validation(swan):
     with build_curated_database(world) as db:
         with pytest.raises(ValueError):
             HybridQueryExecutor(db, model, world, workers=0)
+
+
+def test_one_failed_chunk_degrades_alone_traced_or_not(swan, monkeypatch):
+    """On the plain stack (the model under the executor's prompt cache)
+    a transient error in one map chunk degrades that chunk only, and a
+    traced run degrades the same chunk and returns the same rows."""
+    from repro.errors import TransientLLMError
+    from repro.obs import Telemetry
+
+    world = swan.world("superhero")
+    query = (
+        "SELECT superhero_name FROM superhero WHERE "
+        "{{LLMMap('Which comic book publisher published this superhero?', "
+        "'superhero::superhero_name', 'superhero::full_name')}} "
+        "= 'Marvel Comics' ORDER BY superhero_name"
+    )
+    complete = MockChatModel.complete
+
+    def flaky(self, prompt, *, label=""):
+        if label == "udf:map" and "'Spider-Man'" in prompt:
+            raise TransientLLMError("injected chunk failure")
+        return complete(self, prompt, label=label)
+
+    monkeypatch.setattr(MockChatModel, "complete", flaky)
+    runs = []
+    for telemetry in (None, Telemetry.on()):
+        model = MockChatModel(KnowledgeOracle(world), get_profile("perfect"))
+        with build_curated_database(world) as db:
+            executor = HybridQueryExecutor(db, model, world, telemetry=telemetry)
+            result, report = executor.execute_with_report(query)
+        runs.append((result.rows, report.degraded_batches, report.llm_calls))
+    (rows, degraded, calls), traced = runs
+    assert degraded == 1
+    assert calls >= 2 and rows  # the other chunks answered
+    assert traced == runs[0]
