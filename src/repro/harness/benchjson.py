@@ -89,9 +89,6 @@ def measure_parallel_makespans(
             ),
             "cache_hits": metrics.get("llm.cache.hits", 0),
             "cache_misses": metrics.get("llm.cache.misses", 0),
-            "single_flight_joins": metrics.get(
-                "llm.cache.single_flight_joins", 0
-            ),
             "max_in_flight": metrics.get("dispatch.in_flight.max", 0),
         }
 

@@ -552,9 +552,6 @@ class ChaosRun:
         if self.metrics is not None:
             record["cache_hits"] = self.metrics.get("llm.cache.hits", 0)
             record["cache_misses"] = self.metrics.get("llm.cache.misses", 0)
-            record["single_flight_joins"] = self.metrics.get(
-                "llm.cache.single_flight_joins", 0
-            )
             record["max_in_flight"] = self.metrics.get("dispatch.in_flight.max", 0)
             record["backoff_seconds_total"] = round(
                 float(self.metrics.get("llm.retry.backoff_seconds_total", 0)), 4
@@ -728,7 +725,7 @@ def chaos_sweep(
     points are independent; gold results are computed once and shared.
     With ``with_metrics=True`` every point also runs with its own
     :class:`~repro.obs.MetricsRegistry` and carries the snapshot in
-    :attr:`ChaosRun.metrics` (cache, single-flight, occupancy, backoff).
+    :attr:`ChaosRun.metrics` (cache, occupancy, backoff).
     """
     gold = gold or GoldResults(swan)
 

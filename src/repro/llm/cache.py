@@ -7,11 +7,10 @@ brittle — two prompts with the same meaning but different text miss.
 :class:`CachingClient` wraps any :class:`~repro.llm.client.ChatClient`
 with it.  Hit/miss statistics feed the caching ablation bench.
 
-Both are thread-safe, and :class:`CachingClient` adds **single-flight
-deduplication**: when several workers miss on the same prompt at once,
-one of them (the *leader*) performs the upstream call while the others
-wait and reuse its completion at zero token cost — exactly one upstream
-call per unique prompt, no matter how many threads race past the cache.
+Both are thread-safe: every cache read and write takes
+:class:`PromptCache`'s lock.  Neither deduplicates concurrent misses;
+the dispatcher sends each unique prompt of a dispatch once
+(:mod:`repro.llm.parallel`).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.llm.client import ChatClient, ChatResponse
 from repro.llm.usage import Usage
 from repro.obs import NULL_PROVENANCE, NULL_TELEMETRY, Telemetry
 from repro.obs.provenance import TIER_MEMORY
-from repro.obs.trace import NULL_SPAN
 
 
 @dataclass
@@ -69,11 +67,6 @@ class PromptCache:
         with self._lock:
             return self.entries.get(prompt)
 
-    def count_hit(self) -> None:
-        """Count a reuse that bypassed :meth:`get` (a single-flight join)."""
-        with self._lock:
-            self.hits += 1
-
     def __len__(self) -> int:
         with self._lock:
             return len(self.entries)
@@ -90,33 +83,20 @@ class PromptCache:
             return self.hits / total if total else 0.0
 
 
-class _Flight:
-    """One in-progress upstream call that followers can wait on."""
-
-    __slots__ = ("event", "response", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.response: ChatResponse | None = None
-        self.error: BaseException | None = None
-
-
 class CachingClient:
     """A ChatClient decorator that short-circuits repeated prompts.
 
     Cache hits cost zero tokens (nothing reaches the model), which is how
-    the paper accounts for reuse.  Under concurrency, an in-flight prompt
-    is *joined* rather than re-sent (single-flight): followers block
-    until the leader's completion lands, then reuse it for free.  A
-    join counts as a cache hit — the same accounting a sequential run
-    would produce — so hit/miss totals are worker-count independent.
+    the paper accounts for reuse.  A miss calls through and stores the
+    completion; a failed call stores nothing, so the next call of the
+    prompt goes upstream again and only a caller's *own* failure ever
+    propagates out of :meth:`complete`.
 
-    A leader that *fails* must not poison its followers: each follower
-    re-enters the loop instead of inheriting the leader's exception, so
-    it either finds a by-then-populated cache, joins a newer flight, or
-    becomes the new leader and gets its own upstream attempt (with its
-    own retry budget, when the inner client retries).  Only a thread's
-    *own* upstream failure ever propagates out of :meth:`complete`.
+    Deduplication is the dispatcher's job, not this client's:
+    :class:`~repro.llm.parallel.ParallelDispatcher` sends each unique
+    prompt of a dispatch once, and no pipeline shares one client across
+    concurrent dispatches.  Two threads that miss on one prompt at once
+    both pay for it.
     """
 
     def __init__(
@@ -132,118 +112,36 @@ class CachingClient:
         # (PromptCache defines __len__), so compare against None explicitly.
         self.cache = cache if cache is not None else PromptCache()
         self.model_name = inner.model_name
-        # batch dispatch is only worth advertising when the inner client
-        # completes whole batches itself (MockChatModel does so inline)
-        self.prefers_batch_dispatch = bool(
-            getattr(inner, "prefers_batch_dispatch", False)
-        )
-        self._lock = threading.Lock()
-        self._flights: dict[str, _Flight] = {}
-        #: how many calls joined another thread's in-flight request
-        self.single_flight_waits = 0
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._prov = provenance if provenance is not None else NULL_PROVENANCE
         metrics = self._tel.metrics
         self._m_hits = metrics.counter("llm.cache.hits")
         self._m_misses = metrics.counter("llm.cache.misses")
-        self._m_joins = metrics.counter("llm.cache.single_flight_joins")
 
     def complete(self, prompt: str, *, label: str = "") -> ChatResponse:
         """Serve from cache when possible; otherwise call through and store."""
         if not self._tel.enabled:
-            return self._complete(prompt, label, NULL_SPAN)
+            response = self._lookup(prompt)
+            return response if response is not None else self._fetch(prompt, label)
         with self._tel.tracer.span("llm:cache", label=label) as span:
-            return self._complete(prompt, label, span)
+            response = self._lookup(prompt)
+            if response is not None:
+                span.set("outcome", "hit")
+                return response
+            span.set("outcome", "miss")
+            return self._fetch(prompt, label)
 
-    def _complete(self, prompt: str, label: str, span) -> ChatResponse:
-        while True:
-            with self._lock:
-                flight = self._flights.get(prompt)
-                if flight is None:
-                    cached = self.cache.get(prompt)
-                    if cached is not None:
-                        self._m_hits.inc()
-                        if self._prov.enabled:
-                            self._prov.record_tier(prompt, TIER_MEMORY)
-                        span.set("outcome", "hit")
-                        return ChatResponse(cached, Usage())
-                    flight = _Flight()
-                    self._flights[prompt] = flight
-                    leader = True
-                else:
-                    leader = False
-            if leader:
-                self._m_misses.inc()
-                span.set("outcome", "miss")
-                return self._lead(flight, prompt, label)
-            flight.event.wait()
-            if flight.error is not None:
-                # the leader failed; re-attempt rather than inherit its
-                # exception (the flight entry is already gone, so this
-                # thread will lead — or join a newer, healthier flight)
-                continue
-            assert flight.response is not None
-            with self._lock:
-                self.cache.count_hit()
-                self.single_flight_waits += 1
-            self._m_hits.inc()
-            self._m_joins.inc()
-            if self._prov.enabled:
-                # a single-flight join is a memory-tier reuse: the
-                # follower never reached the model
-                self._prov.record_tier(prompt, TIER_MEMORY)
-            span.set("outcome", "join")
-            return ChatResponse(flight.response.text, Usage())
+    def _lookup(self, prompt: str) -> ChatResponse | None:
+        cached = self.cache.get(prompt)
+        if cached is None:
+            self._m_misses.inc()
+            return None
+        self._m_hits.inc()
+        if self._prov.enabled:
+            self._prov.record_tier(prompt, TIER_MEMORY)
+        return ChatResponse(cached, Usage())
 
-    def complete_many(self, prompts, labels, *, deadline=None) -> list[ChatResponse]:
-        """Batched :meth:`complete` for batch-dispatching inner clients.
-
-        Expects ``prompts`` already deduplicated (the dispatcher's
-        single-flight guarantees it), so hit/miss accounting per unique
-        prompt is identical to the per-call path: one :meth:`PromptCache.
-        get` each, one upstream completion per miss, every miss stored.
-        ``deadline`` passes through to the inner batch client — cache
-        hits are served regardless (they cost no upstream time).
-        """
-        responses: list[ChatResponse | None] = [None] * len(prompts)
-        missing_indexes: list[int] = []
-        for index, prompt in enumerate(prompts):
-            cached = self.cache.get(prompt)
-            if cached is not None:
-                self._m_hits.inc()
-                if self._prov.enabled:
-                    self._prov.record_tier(prompt, TIER_MEMORY)
-                responses[index] = ChatResponse(cached, Usage())
-            else:
-                self._m_misses.inc()
-                missing_indexes.append(index)
-        if missing_indexes:
-            missing_prompts = [prompts[i] for i in missing_indexes]
-            missing_labels = [labels[i] for i in missing_indexes]
-            if deadline is not None:
-                fresh = self.inner.complete_many(
-                    missing_prompts, missing_labels, deadline=deadline
-                )
-            else:
-                fresh = self.inner.complete_many(missing_prompts, missing_labels)
-            for index, response in zip(missing_indexes, fresh):
-                self.cache.put(prompts[index], response.text)
-                responses[index] = response
-        return responses  # type: ignore[return-value]
-
-    def _lead(self, flight: _Flight, prompt: str, label: str) -> ChatResponse:
-        """Perform the upstream call on behalf of every waiter."""
-        try:
-            response = self.inner.complete(prompt, label=label)
-        except BaseException as exc:
-            flight.error = exc
-            with self._lock:
-                del self._flights[prompt]
-            flight.event.set()
-            raise
-        flight.response = response
+    def _fetch(self, prompt: str, label: str) -> ChatResponse:
+        response = self.inner.complete(prompt, label=label)
         self.cache.put(prompt, response.text)
-        with self._lock:
-            del self._flights[prompt]
-        flight.event.set()
         return response

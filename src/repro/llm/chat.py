@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from repro.errors import DeadlineExceededError, LLMError
+from repro.errors import LLMError
 from repro.llm.client import ChatResponse
 from repro.llm.intent import (  # noqa: F401 - the protocol, re-exported
     ANSWER_MARKER,
@@ -60,10 +60,6 @@ _QUOTED_RE = re.compile(r"'((?:[^']|'')+)'")
 
 class MockChatModel:
     """A deterministic simulated LLM bound to one world's oracle."""
-
-    #: see complete_many: batching beats threads for a zero-latency
-    #: CPU-bound client
-    prefers_batch_dispatch = True
 
     def __init__(
         self,
@@ -99,27 +95,6 @@ class MockChatModel:
             text = self._complete_equivalence(intent)
         usage = self.meter.record(count_tokens(prompt), count_tokens(text), label)
         return ChatResponse(text, usage)
-
-    def complete_many(self, prompts, labels, *, deadline=None) -> list[ChatResponse]:
-        """Complete a prompt list inline, in order.
-
-        The model is pure CPU with zero latency, so fanning its calls
-        over dispatcher threads only buys GIL contention and per-future
-        overhead; batch dispatch (advertised via
-        ``prefers_batch_dispatch``) completes the list in
-        one loop with identical results and accounting.  Latency-
-        injecting wrappers hide the flag, so stacks where thread overlap
-        matters keep the per-call path.  An already-expired ``deadline``
-        skips the whole batch with a typed error before any completion.
-        """
-        if deadline is not None and deadline.expired:
-            raise DeadlineExceededError(
-                "deadline expired before batch completion"
-            )
-        return [
-            self.complete(prompt, label=label)
-            for prompt, label in zip(prompts, labels)
-        ]
 
     # -- HQDL row completion ---------------------------------------------------
 

@@ -29,10 +29,9 @@ Design points:
 
 :class:`PersistentClient` is the :class:`~repro.llm.client.ChatClient`
 decorator over the cache.  It composes *under*
-:class:`~repro.llm.cache.CachingClient`: the in-memory single-flight
-layer sits in front, so concurrent workers collapse onto one disk probe
-per unique prompt and disk hits cost zero tokens, exactly like memory
-hits.
+:class:`~repro.llm.cache.CachingClient`: the in-memory layer sits in
+front, so a prompt already served this run never reaches the disk, and
+disk hits cost zero tokens, exactly like memory hits.
 """
 
 from __future__ import annotations
@@ -186,10 +185,10 @@ class PersistentClient:
     run (or the next database sharing a prompt) is warm.
 
     Layering: put :class:`~repro.llm.cache.CachingClient` *in front* of
-    this client (the executor does that automatically) so the in-memory
-    single-flight layer absorbs concurrent duplicates before they reach
-    the disk, and put retry/fault layers *behind* it so disk hits bypass
-    both the faults and the retry budget.
+    this client (the executor does that automatically) so repeated
+    prompts are served from memory before they reach the disk, and put
+    retry/fault layers *behind* it so disk hits bypass both the faults
+    and the retry budget.
     """
 
     def __init__(

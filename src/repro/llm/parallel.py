@@ -4,12 +4,15 @@
 further minimize query latency."  :mod:`repro.vtime` *models* that
 speedup analytically; this module makes it real:
 
-- :class:`ParallelDispatcher` fans a list of prompts out over a
-  ``ThreadPoolExecutor`` worker pool, returning results in prompt order
-  with per-call error capture, so one failing batch cannot abort its
-  siblings.  Duplicate prompts within a dispatch are issued upstream
-  once (single-flight at the batch level; :class:`~repro.llm.cache.
-  CachingClient` provides the cross-thread equivalent).
+- :class:`ParallelDispatcher` is the one dispatch path: every LLM call
+  of every pipeline is one ``client.complete`` in
+  :meth:`ParallelDispatcher._call`, inline when ``workers == 1`` or the
+  dispatch holds one unique prompt, on a ``ThreadPoolExecutor`` worker
+  pool otherwise.  Nothing else picks the path: not telemetry, not the
+  client.  Results come back in prompt order with per-call error
+  capture, so one failing batch cannot abort its siblings.  Duplicate
+  prompts within a dispatch are issued upstream once; that is the only
+  deduplication (:class:`~repro.llm.cache.CachingClient` does none).
 - :class:`SimulatedLatencyClient` sleeps each paid call's latency on a
   virtual :class:`~repro.vtime.Clock` (a :class:`~repro.vtime.
   ServiceTimer`), without sleeping any real time, so a traced run's
@@ -58,11 +61,6 @@ class DispatchOutcome:
     @property
     def text(self) -> Optional[str]:
         return self.response.text if self.response is not None else None
-
-    @property
-    def retryable(self) -> bool:
-        """True when the error is transient — a later re-dispatch may succeed."""
-        return isinstance(self.error, TransientLLMError)
 
     @property
     def degradable(self) -> bool:
@@ -150,7 +148,7 @@ class ParallelDispatcher:
                 raise ValueError(
                     f"got {len(label_list)} labels for {len(prompts)} prompts"
                 )
-        # single-flight within the dispatch: issue each unique prompt once
+        # issue each unique prompt of the dispatch once
         unique: list[tuple[str, str]] = []
         first_index: dict[str, int] = {}
         for index, prompt in enumerate(prompts):
@@ -177,17 +175,7 @@ class ParallelDispatcher:
             else NULL_SPAN
         ) as dispatch_span:
             parent = dispatch_span if tel.enabled else None
-            if (
-                not tel.enabled
-                and len(unique) > 1
-                and getattr(client, "prefers_batch_dispatch", False)
-            ):
-                # batch dispatch: the client completes the whole
-                # unique-prompt list in one inline loop (see
-                # MockChatModel.complete_many); per-call spans need
-                # threads, so traced runs keep the per-call path
-                primary = self._call_batched(client, unique, deadline)
-            elif self.workers == 1 or len(unique) <= 1:
+            if self.workers == 1 or len(unique) <= 1:
                 primary = [
                     self._call(client, p, label, parent, deadline)
                     for p, label in unique
@@ -217,36 +205,6 @@ class ParallelDispatcher:
             for outcome in outcomes:
                 if outcome.error is not None and not outcome.degradable:
                     raise outcome.error
-        return outcomes
-
-    def _call_batched(
-        self, client: ChatClient, unique: Sequence[tuple[str, str]], deadline=None
-    ) -> list[DispatchOutcome]:
-        """Complete the unique-prompt list via ``client.complete_many``.
-
-        Error granularity is the batch: a failure inside the batched
-        client (e.g. an expired deadline) fails
-        every prompt of this dispatch with the same captured error — the
-        per-prompt outcome shape downstream degradation expects.
-        """
-        prompts = [prompt for prompt, _ in unique]
-        labels = [label for _, label in unique]
-        prov = self._prov
-        try:
-            if deadline is not None:
-                responses = client.complete_many(prompts, labels, deadline=deadline)
-            else:
-                responses = client.complete_many(prompts, labels)
-        except LLMError as exc:
-            if prov.enabled:
-                for prompt in prompts:
-                    prov.record_failure(prompt, type(exc).__name__)
-            return [DispatchOutcome(error=exc) for _ in unique]
-        outcomes = []
-        for prompt, response in zip(prompts, responses):
-            if prov.enabled:
-                prov.record_outcome(prompt, usage=response.usage)
-            outcomes.append(DispatchOutcome(response=response))
         return outcomes
 
     def _call(

@@ -88,8 +88,9 @@ from repro.vtime import ServiceTimer, VirtualClock, parallel_makespan
 class ServerConfig:
     """Knobs of one :class:`QueryServer`.
 
-    ``workers`` is the per-request LLM fan-out (feeds the makespan
-    model); ``max_concurrent`` is how many requests execute at once;
+    ``workers`` is the per-request LLM fan-out of the makespan model
+    only: every served dispatch runs on the event loop's thread;
+    ``max_concurrent`` is how many requests execute at once;
     ``queue_limit`` bounds the admission queue (backpressure);
     ``base_overhead`` models the non-LLM per-request cost (parse, SQL,
     delivery).  ``batch_size`` is the floor of the adaptive batch size

@@ -52,7 +52,9 @@ class DatabaseState:
 
     ``store`` is per database, because an ingredient signature names no
     database; it is the UDF executor's store, and :meth:`DatabaseStates.
-    warm` faces it at the database's resident HQDL expansion.
+    warm` faces it at the database's resident HQDL expansion.  Both
+    pipelines dispatch at ``workers=1``, on the event loop's thread:
+    ``ServerConfig.workers`` only sizes the makespan model.
     """
 
     world: World
@@ -75,7 +77,6 @@ class DatabaseState:
                 batch_size=states.chunk_size,
                 pushdown=config.pushdown,
                 shots=config.shots,
-                workers=states._dispatch_threads,
                 resilience=states.resilience,
                 telemetry=states.telemetry,
                 mapping_store=self.store,
@@ -91,7 +92,6 @@ class DatabaseState:
                 self.world,
                 self.stack.client,
                 shots=states.config.shots,
-                workers=states._dispatch_threads,
                 resilience=states.resilience,
                 telemetry=states.telemetry,
             )
@@ -146,15 +146,6 @@ class DatabaseStates:
             report=self.resilience,
             telemetry=self.telemetry,
         )
-
-    @property
-    def _dispatch_threads(self) -> int:
-        # Real threads per request (the cost model always fans out
-        # ``config.workers`` ways).  Under fault injection a request's
-        # virtual time is a running sum of backoffs that its Deadline
-        # reads between calls, so its calls run in prompt order: threads
-        # would make which calls find the budget spent depend on scheduling.
-        return 1 if self.config.fault_rate > 0 else self.config.workers
 
     def __getitem__(self, database: str) -> DatabaseState:
         """``database``'s state, with its client stack built on first touch."""

@@ -33,8 +33,9 @@ different prompts are not (Section 5.5).
 With ``workers > 1`` the batches of each LLMMap/LLMJoin are dispatched
 concurrently over a worker pool (:mod:`repro.llm.parallel`) — the
 parallelized LLM calls the paper lists as future work.  Results are
-deterministic: the cache's single-flight guarantee plus ordered dispatch
-make ``workers=8`` byte-identical to ``workers=1``.
+deterministic: the dispatcher sends each unique prompt once and returns
+outcomes in prompt order, which makes ``workers=8`` byte-identical to
+``workers=1``.
 
 **Prepare once, execute many.**  Everything that is a pure function of
 (SQL text, schema, executor configuration) lives in a bounded

@@ -94,9 +94,6 @@ class _SizeRecorder:
     def __init__(self, inner):
         self.inner = inner
         self.model_name = inner.model_name
-        self.prefers_batch_dispatch = getattr(
-            inner, "prefers_batch_dispatch", False
-        )
         self.sizes = []
 
     def _record(self, response):
@@ -107,13 +104,6 @@ class _SizeRecorder:
 
     def complete(self, prompt, *, label=""):
         return self._record(self.inner.complete(prompt, label=label))
-
-    def complete_many(self, prompts, labels, *, deadline=None):
-        if deadline is not None:
-            responses = self.inner.complete_many(prompts, labels, deadline=deadline)
-        else:
-            responses = self.inner.complete_many(prompts, labels)
-        return [self._record(response) for response in responses]
 
 
 class TestReportedSizes:

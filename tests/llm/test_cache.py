@@ -65,30 +65,23 @@ class TestCachingClient:
         assert second.complete("p").text == "x"
 
 
-class TestSingleFlightPoisoning:
-    """A failing leader must not poison the followers waiting on it."""
+class TestFailedCalls:
+    """A failed call raises its own error and caches nothing, so the
+    next call of the prompt goes upstream again."""
 
     def _faulty(self, plan, answer="the answer"):
-        from repro.llm.faults import FaultInjector, FaultPlan, FaultyClient
+        from repro.llm.faults import FaultInjector, FaultyClient
 
         inner = ScriptedClient({"p": answer})
         return CachingClient(FaultyClient(inner, FaultInjector(plan))), inner
 
-    def test_followers_reattempt_after_leader_failure(self):
-        """Leader's injected fault stays its own; followers still succeed.
-
-        The fault plan faults attempt 1 of the prompt and passes attempt 2
-        (seed chosen so the draws land that way), so whichever thread leads
-        first fails — and every other thread must recover on its own
-        rather than inherit that exception.
-        """
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
+    def test_the_call_after_a_failed_one_pays_and_is_cached(self):
+        """Attempt 1 of the prompt faults and attempt 2 passes (a seed
+        chosen so the draws land that way): the first call raises, the
+        second pays, the third is a hit."""
         from repro.errors import TransientLLMError
         from repro.llm.faults import FaultInjector, FaultPlan
 
-        # find a seed where attempt 1 faults and attempt 2 is clean
         seed = next(
             s
             for s in range(100)
@@ -96,36 +89,22 @@ class TestSingleFlightPoisoning:
             and FaultInjector(plan).draw("p", 2) is None
         )
         client, inner = self._faulty(FaultPlan(transient=0.5, seed=seed))
-
-        threads = 8
-        barrier = threading.Barrier(threads)
-
-        def call(_):
-            barrier.wait()
-            try:
-                return client.complete("p").text
-            except TransientLLMError:
-                return None
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(call, range(threads)))
-
-        failures = results.count(None)
-        assert failures >= 1  # somebody led attempt 1 and ate the fault
-        # every non-leading thread recovered with the real completion
-        assert all(text == "the answer" for text in results if text is not None)
-        # the model itself was called exactly once (attempt 2, the clean one)
-        assert inner.prompts == ["p"]
+        with pytest.raises(TransientLLMError):
+            client.complete("p")
+        assert len(client.cache) == 0
+        paid = client.complete("p")
+        hit = client.complete("p")
+        assert (paid.text, hit.text) == ("the answer", "the answer")
+        assert (paid.usage.calls, hit.usage.calls) == (1, 0)
+        assert inner.prompts == ["p"]  # the model answered once
         assert client.cache.entries == {"p": "the answer"}
+        assert (client.cache.hits, client.cache.misses) == (1, 2)
 
-    def test_retrying_leader_shields_all_followers(self):
+    def test_a_retry_below_the_cache_hides_the_fault(self):
         """With retries below the cache, no caller ever sees the fault."""
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
         from repro.llm.faults import FaultInjector, FaultPlan, FaultyClient
-        from repro.vtime import ServiceTimer
         from repro.llm.resilience import RetryingClient, RetryPolicy
+        from repro.vtime import ServiceTimer
 
         inner = ScriptedClient({"p": "the answer"})
         faulty = FaultyClient(
@@ -137,57 +116,24 @@ class TestSingleFlightPoisoning:
             clock=ServiceTimer(),
         )
         client = CachingClient(retrying)
+        results = [client.complete("p").text for _ in range(8)]
+        assert results == ["the answer"] * 8
+        assert inner.prompts == ["p"]  # exactly one real completion
 
-        threads = 8
-        barrier = threading.Barrier(threads)
-
-        def call(_):
-            barrier.wait()
-            return client.complete("p").text
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(call, range(threads)))
-
-        assert results == ["the answer"] * threads
-        assert inner.prompts == ["p"]  # still exactly one real completion
-
-    def test_all_attempts_failing_gives_each_thread_its_own_error(self):
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
+    def test_every_failing_call_raises_its_own_error(self):
         from repro.errors import TransientLLMError
         from repro.llm.faults import FaultPlan
 
         client, inner = self._faulty(FaultPlan(transient=1.0))
-        threads = 6
-        barrier = threading.Barrier(threads)
-
-        def call(_):
-            barrier.wait()
-            try:
+        errors = []
+        for _ in range(3):
+            with pytest.raises(TransientLLMError) as caught:
                 client.complete("p")
-                return "ok"
-            except TransientLLMError:
-                return "error"
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(call, range(threads)))
-
-        assert results == ["error"] * threads
+            errors.append(caught.value)
+        assert len({id(error) for error in errors}) == 3
         assert inner.prompts == []  # faults fire before the model
         assert len(client.cache) == 0  # nothing bogus was cached
-
-    def test_join_accounting_still_counts_hits(self):
-        """Single-flight joins count as cache hits even after a failure."""
-        from repro.errors import TransientLLMError
-        from repro.llm.faults import FaultPlan
-
-        client, _ = self._faulty(FaultPlan(transient=1.0))
-        with pytest.raises(TransientLLMError):
-            client.complete("p")
-        assert client.cache.misses == 1
-        assert client.cache.hits == 0
-        assert client.single_flight_waits == 0
+        assert (client.cache.hits, client.cache.misses) == (0, 3)
 
 
 class TestPeek:

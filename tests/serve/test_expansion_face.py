@@ -320,8 +320,6 @@ class TestServedFace:
                 raise TransientLLMError("row call failed")
             return complete(self, prompt, label=label)
 
-        # per-call dispatch, so one failed row call fails only its row
-        monkeypatch.setattr(MockChatModel, "prefers_batch_dispatch", False)
         monkeypatch.setattr(MockChatModel, "complete", flaky)
         requests = self._twice(swan, "superhero_q17")
         config = replace(default_config(), batching=batching)
@@ -582,8 +580,6 @@ class TestOneProducer:
                 raise TransientLLMError("row call failed")
             return complete(self, prompt, label=label)
 
-        # per-call dispatch, so the failed row call fails only its row
-        monkeypatch.setattr(MockChatModel, "prefers_batch_dispatch", False)
         monkeypatch.setattr(MockChatModel, "complete", failing)
         startup, hqdl, udf, mapped = self._serve(swan, monkeypatch, key)
         assert (startup.degraded_rows, startup.repaired_rows) == (1, 0)

@@ -64,7 +64,7 @@ def test_workers_8_identical_to_workers_1(swan, name):
     # identical aggregate token totals
     assert seq_usage == par_usage
 
-    # at most one upstream call per unique prompt (single-flight + cache)
+    # at most one upstream call per unique prompt (dispatch dedup + cache)
     assert all(count == 1 for count in par_calls.values())
     assert par_calls == seq_calls
 
