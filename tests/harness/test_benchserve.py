@@ -13,6 +13,7 @@ from repro.harness.benchserve import (
     offered_rps,
     sweep_offered_load,
 )
+from repro.harness.regress import serve_tokens_per_answer
 from repro.swan.benchmark import load_benchmark_subset
 
 
@@ -77,6 +78,30 @@ class TestLoadtest:
         text = format_serve_report(payload)
         assert "Serving load test" in text
         assert "2.00x" in text
+
+
+class TestTokensPerAnswer:
+    """Every level carries its own tokens per answer, which the regress
+    gate's ``serve_tokens_per_answer`` check reads at the 1x level."""
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        return sweep_offered_load(
+            horizon=40.0, multipliers=(1.0, 2.0), databases=("superhero",),
+            window_seconds=None,
+        ).serve
+
+    def test_every_level_carries_it(self, payload):
+        for level in payload["levels"]:
+            answered = level["served"] + level["degraded"]
+            tokens = level["input_tokens"] + level["output_tokens"]
+            assert answered > 0
+            assert level["tokens_per_answer"] == round(tokens / answered, 6)
+
+    def test_regress_reads_the_1x_level(self, payload, tmp_path):
+        path = write_json(tmp_path / "BENCH_serve.json", payload)
+        (one_x,) = [lv for lv in payload["levels"] if lv["multiplier"] == 1.0]
+        assert serve_tokens_per_answer(path) == one_x["tokens_per_answer"]
 
 
 class TestBatchingComparison:
