@@ -176,8 +176,7 @@ def _bench_scale_report(
 
 
 def _dash_report(
-    seed=None, horizon=None, window=None, batching="on",
-    tracing="off", trace_sample=None,
+    seed=None, horizon=None, window=None, tracing="off", trace_sample=None,
 ) -> tuple[list[dict], str]:
     """Console serving dashboard: one instrumented 2x-overload run."""
     from repro.errors import ReproError
@@ -189,7 +188,6 @@ def _dash_report(
             seed=seed or 0,
             horizon=horizon or 120.0,
             window_seconds=window or DEFAULT_WINDOW_SECONDS,
-            batching=_batching_config(batching),
             sampler=_trace_sampler(
                 tracing, trace_sample, seed=seed or 0,
                 window_seconds=window or DEFAULT_WINDOW_SECONDS,
@@ -233,7 +231,6 @@ def _explain_request_command(options) -> tuple[int, str]:
             horizon=options["horizon"],
             multiplier=options["multiplier"] or 2.0,
             window_seconds=options["window"],
-            batching=_batching_config(options["batching"]),
             trace_sample=options["trace_sample"],
         )
     except ReproError as exc:
@@ -279,7 +276,7 @@ _COMMANDS = {
         _explain_request_command,
         ("request",),
         ("scale", "seed", "horizon", "multiplier", "window",
-         "batching", "trace_sample"),
+         "trace_sample"),
     ),
     "regress": (
         _regress_command,
@@ -320,18 +317,8 @@ _FLAG_TARGETS = {
     "run-udf": ("databases", "workers", "scale", "batch_size"),
     "run-hqdl": ("databases", "workers", "scale"),
     "bench-scale": ("workers", "scale", "batch_size"),
-    "dash": ("seed", "horizon", "window", "batching", "tracing",
-             "trace_sample"),
+    "dash": ("seed", "horizon", "window", "tracing", "trace_sample"),
 }
-
-
-def _batching_config(batching):
-    """The CLI's cross-request batching choice: a config, or None for off."""
-    from repro.serve.batcher import BatchingConfig
-
-    if batching == "off":
-        return None
-    return BatchingConfig()
 
 
 def _trace_sampler(tracing, trace_sample, *, seed, window_seconds):
@@ -426,7 +413,6 @@ _FLAGS = {
     "--seed": ("int", 0, "N"),
     "--horizon": ("float", True, "SECONDS"),
     "--window": ("float", True, "SECONDS"),
-    "--batching": ("choice", ("on", "off"), None),
     "--tracing": ("choice", ("on", "off"), None),
     "--trace-sample": ("int", 0, "K"),
     "--request": ("int", 0, "N"),
@@ -505,7 +491,6 @@ def _parse_args(argv: list[str]):
         "databases": None, "workers": None, "batch_size": 5,
         "scale": None,
         "seed": None, "horizon": None, "window": None,
-        "batching": "on",
         "tracing": "off", "trace_sample": None,
         "request": None, "multiplier": None,
         "database": None, "question": None, "pipeline": "udf",

@@ -148,11 +148,9 @@ def _serve(
     )
     from repro.obs.export import write_chrome_trace, write_spans_jsonl
     from repro.obs.sampler import TailSampler
-    from repro.serve.batcher import BatchingConfig
 
     sweep = sweep_offered_load(
-        incident_sink=incidents, batching=BatchingConfig(),
-        tracing=TailSampler(), **config,
+        incident_sink=incidents, tracing=TailSampler(), **config
     )
     write_json(serve, sweep.serve)
     write_json(slo, sweep.slo)

@@ -18,7 +18,6 @@ terminate as exactly one of served / degraded / rejected.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -29,7 +28,6 @@ from repro.obs.sampler import TailSampler
 from repro.obs.slo import SLOAlert, SLOTracker, default_serving_slos
 from repro.obs.timeseries import DEFAULT_RETENTION, DEFAULT_WINDOW_SECONDS
 from repro.obs.trace import Span
-from repro.serve.batcher import BatchingConfig
 from repro.serve.server import QueryServer, ServeReport, ServerConfig
 from repro.serve.trace import (
     ServeTraceLog,
@@ -151,24 +149,20 @@ def run_level(
     horizon: float = DEFAULT_HORIZON,
     telemetry: Optional[Telemetry] = None,
     slo_tracker: Optional[SLOTracker] = None,
-    batching: Optional[BatchingConfig] = None,
     trace: Optional[ServeTraceLog] = None,
 ) -> tuple[ServeReport, dict]:
     """One sweep point: a fresh server at ``multiplier × capacity``.
 
-    ``batching`` turns on cross-request continuous batching for this
-    level's server; ``None`` keeps the per-request dispatch path (and
-    its byte-identical record).  ``trace`` attaches a passive per-request
-    trace log (tracing on); the report and record are byte-identical
-    with or without it.
+    ``trace`` attaches a passive per-request trace log (tracing on); the
+    report and record are byte-identical with or without it.  The
+    record carries the level's ``tokens_per_answer``, which the regress
+    gate pins at 1x.
     """
     base = offered_rps(tenants)
     target = multiplier * capacity
     scaled = [spec.scaled(target / base) for spec in tenants]
     requests = generate_traffic(swan, scaled, horizon=horizon, seed=seed)
     policies = {spec.name: spec.policy() for spec in scaled}
-    if batching is not None:
-        config = replace(config, batching=batching)
     with QueryServer(
         swan, config, policies=policies,
         telemetry=telemetry, slo_tracker=slo_tracker, trace=trace,
@@ -177,6 +171,7 @@ def run_level(
     record = report.as_record()
     record["multiplier"] = round(multiplier, 6)
     record["offered_rps"] = round(target, 6)
+    record["tokens_per_answer"] = _tokens_per_answer(record)
     return report, record
 
 
@@ -188,43 +183,6 @@ def _tokens_per_answer(record: dict) -> float:
     return round(
         (record["input_tokens"] + record["output_tokens"]) / answered, 6
     )
-
-
-def _saved_pct(off: float, on: float) -> float:
-    """Percent of ``off`` saved by ``on`` (negative = a regression)."""
-    if off <= 0:
-        return 0.0
-    return round(100.0 * (off - on) / off, 6)
-
-
-def _batching_summary(off_record: dict, on_record: dict) -> dict:
-    """The batched arm's summary, diffed against the unbatched record.
-
-    Starts from the batched run's own ``batching`` stats (occupancy,
-    coalesced/paid calls, flush reasons, fair-share token attribution)
-    and grafts on the outcome/latency/spend scalars plus the two
-    headline savings percentages the acceptance gate reads.
-    """
-    summary = dict(on_record["batching"])
-    summary.update({
-        "llm_calls": on_record["llm_calls"],
-        "input_tokens": on_record["input_tokens"],
-        "output_tokens": on_record["output_tokens"],
-        "served": on_record["served"],
-        "degraded": on_record["degraded"],
-        "rejected": on_record["rejected"],
-        "p50": on_record["p50"],
-        "p95": on_record["p95"],
-        "p99": on_record["p99"],
-        "accounting_ok": on_record["accounting_ok"],
-        "calls_saved_pct": _saved_pct(
-            off_record["llm_calls"], on_record["llm_calls"]
-        ),
-        "tokens_per_answer_saved_pct": _saved_pct(
-            _tokens_per_answer(off_record), _tokens_per_answer(on_record)
-        ),
-    })
-    return summary
 
 
 def jain_fairness(shares: Sequence[float]) -> float:
@@ -405,14 +363,13 @@ def trace_level_record(
     gate pins it at 0.0 (the reconstruction tiles exactly).
     """
     kept = sampler.decide(log.records)
-    waves = {wave.wave_id: wave for wave in log.waves}
     max_unaccounted = 0.0
     traces = []
     for record in sorted(log.records, key=lambda r: r.trace_id):
         reason = kept.get(record.trace_id)
         if reason is None:
             continue
-        root = materialize_request(record, waves)
+        root = materialize_request(record)
         rows = stage_summary([root])
         unaccounted = sum(
             row["self_s"] for row in rows if row["stage"] == "(unaccounted)"
@@ -430,7 +387,6 @@ def trace_level_record(
     return {
         "multiplier": round(multiplier, 6),
         "requests": len(log.records),
-        "waves": len(log.waves),
         "sampler": sampler.stats(kept, len(log.records)),
         "max_unaccounted_share": round(max_unaccounted, 6),
         "traces": traces,
@@ -468,7 +424,6 @@ def sweep_offered_load(
     window_seconds: Optional[float] = DEFAULT_WINDOW_SECONDS,
     retention: int = DEFAULT_RETENTION,
     incident_sink: Optional[Union[str, Path]] = None,
-    batching: Optional[BatchingConfig] = None,
     tracing: Optional[TailSampler] = None,
 ) -> LoadSweep:
     """Sweep the server across offered-load levels.
@@ -478,20 +433,10 @@ def sweep_offered_load(
     is set, and is entirely absent when it is None; it is passive, so
     the serve payload is the same either way.
 
-    With ``batching`` set, every level runs twice: the unbatched arm
-    first (carrying the telemetry, so the SLO artifacts stay
-    byte-identical to a batching-off sweep), then the batched arm,
-    whose comparison grafts ``tokens_per_answer`` / ``batch_occupancy``
-    / ``coalesced_calls`` / ``batching`` onto the level record.  The
-    capacity probe always runs unbatched — capacity is a property of
-    the per-request service path, and keeping it fixed makes the two
-    arms face identical traffic.
-
-    With ``tracing`` set, a fresh :class:`ServeTraceLog` also rides the
-    unbatched arm of every level; the sampler's kept set becomes one
-    trace-payload level, and the returned forest holds the *last*
-    (highest-load) level's kept span trees plus their linked wave
-    spans, ready for the JSONL/Chrome exporters."""
+    With ``tracing`` set, a fresh :class:`ServeTraceLog` also rides
+    every level; the sampler's kept set becomes one trace-payload level,
+    and the returned forest holds the *last* (highest-load) level's kept
+    span trees, ready for the JSONL/Chrome exporters."""
     swan = load_benchmark_subset(scale, list(databases))
     config = config if config is not None else default_config()
     tenants = default_tenants(databases)
@@ -515,30 +460,11 @@ def sweep_offered_load(
                 incident_sink=incident_sink,
             )
         trace_log = ServeTraceLog() if tracing is not None else None
-        batched_log = (
-            ServeTraceLog()
-            if tracing is not None and batching is not None
-            else None
-        )
         _, record = run_level(
             swan, config, tenants, multiplier, capacity,
             seed=seed, horizon=horizon,
             telemetry=telemetry, slo_tracker=tracker, trace=trace_log,
         )
-        if batching is not None:
-            _, on_record = run_level(
-                swan, config, tenants, multiplier, capacity,
-                seed=seed, horizon=horizon, batching=batching,
-                trace=batched_log,
-            )
-            record["tokens_per_answer"] = _tokens_per_answer(record)
-            record["batch_occupancy"] = (
-                on_record["batching"]["batch_occupancy"]
-            )
-            record["coalesced_calls"] = (
-                on_record["batching"]["coalesced_calls"]
-            )
-            record["batching"] = _batching_summary(record, on_record)
         levels.append(record)
         if telemetry is not None and tracker is not None:
             slo_levels.append(
@@ -547,20 +473,13 @@ def sweep_offered_load(
                 )
             )
         if tracing is not None and trace_log is not None:
-            level_trace = trace_level_record(multiplier, trace_log, tracing)
-            if batched_log is not None:
-                # the batched arm's traces carry the shared-wave link
-                # spans; keep its sampler verdicts alongside
-                level_trace["batched"] = trace_level_record(
-                    multiplier, batched_log, tracing
-                )
-            trace_levels.append(level_trace)
+            trace_levels.append(
+                trace_level_record(multiplier, trace_log, tracing)
+            )
             # the highest-load level is the one worth opening in a
-            # trace viewer; export its kept forest (the batched arm's
-            # when both arms ran — that one has the wave spans)
-            export_log = batched_log if batched_log is not None else trace_log
+            # trace viewer; export its kept forest
             forest = materialize_kept(
-                export_log, tracing.decide(export_log.records)
+                trace_log, tracing.decide(trace_log.records)
             )
     serve_payload = {
         "scale": scale,
@@ -587,7 +506,6 @@ def sweep_offered_load(
                 "window_seconds": round(tracing.window_seconds, 6),
             },
             "export_multiplier": round(multipliers[-1], 6),
-            "export_arm": "batched" if batching is not None else "unbatched",
             "levels": trace_levels,
         }
     if window_seconds is None:
@@ -632,29 +550,6 @@ def format_serve_report(payload: dict) -> str:
             f"{level['fairness']:>6.3f} "
             f"{level['breaker_trips']:>6}"
         )
-    batched = [lv for lv in payload["levels"] if "batching" in lv]
-    if batched:
-        lines.append("")
-        lines.append("Cross-request batching vs per-request dispatch:")
-        lines.append(
-            f"{'load':>6} {'calls':>7} {'batched':>8} {'saved%':>7} "
-            f"{'tok/ans':>9} {'batched':>9} {'saved%':>7} "
-            f"{'occup':>6} {'coal':>6} {'p99':>8}"
-        )
-        for level in batched:
-            arm = level["batching"]
-            lines.append(
-                f"{level['multiplier']:>5.2f}x "
-                f"{level['llm_calls']:>7} "
-                f"{arm['llm_calls']:>8} "
-                f"{arm['calls_saved_pct']:>6.1f}% "
-                f"{level['tokens_per_answer']:>9.1f} "
-                f"{arm['tokens_per_answer']:>9.1f} "
-                f"{arm['tokens_per_answer_saved_pct']:>6.1f}% "
-                f"{arm['batch_occupancy']:>6.2f} "
-                f"{arm['coalesced_calls']:>6} "
-                f"{arm['p99']:>8.3f}"
-            )
     lines.append("")
     if payload["levels"]:
         # every level's server warms the same databases at the same cost
@@ -756,40 +651,21 @@ def format_trace_report(payload: dict) -> str:
         f"window={sampler['window_seconds']:g}s)",
         "",
         f"{'load':>6} {'requests':>9} {'kept':>6} {'outcome':>8} "
-        f"{'slowest':>8} {'hash':>6} {'waves':>6} {'unacct':>8}",
+        f"{'slowest':>8} {'hash':>6} {'unacct':>8}",
     ]
-
-    def row(level: dict) -> str:
+    for level in payload["levels"]:
         stats = level["sampler"]
         reasons = stats["kept_by_reason"]
-        return (
+        lines.append(
             f"{level['multiplier']:>5.2f}x "
             f"{stats['total']:>9} "
             f"{stats['kept']:>6} "
             f"{reasons['outcome']:>8} "
             f"{reasons['slowest']:>8} "
             f"{reasons['hash']:>6} "
-            f"{level['waves']:>6} "
             f"{100 * level['max_unaccounted_share']:>7.2f}%"
         )
-
-    for level in payload["levels"]:
-        lines.append(row(level))
-    batched = [lv["batched"] for lv in payload["levels"] if "batched" in lv]
-    if batched:
-        lines.append("")
-        lines.append(
-            "Batched arm (exported spans carry the shared-wave links):"
-        )
-        for level in batched:
-            lines.append(row(level))
-    worst = max(
-        max(
-            lv["max_unaccounted_share"],
-            lv.get("batched", {}).get("max_unaccounted_share", 0.0),
-        )
-        for lv in payload["levels"]
-    )
+    worst = max(lv["max_unaccounted_share"] for lv in payload["levels"])
     lines.append("")
     lines.append(
         "Every kept trace attributes 100% of offer-to-finish time to "

@@ -31,7 +31,6 @@ from repro.harness.benchserve import (
 )
 from repro.obs.sampler import TailSampler
 from repro.obs.timeseries import DEFAULT_WINDOW_SECONDS
-from repro.serve.batcher import BatchingConfig
 from repro.serve.trace import ServeTraceLog
 from repro.swan.benchmark import load_benchmark_subset
 
@@ -47,7 +46,6 @@ MAX_TRACE_ROWS = 5
 #: one glyph per stage in the per-trace self-time bar
 _STAGE_GLYPHS = (
     ("serve:queue", "q"),
-    ("serve:batch.wait", "w"),
     ("serve:settle", "s"),
     ("serve:service", "v"),
     ("serve:overhead", "o"),
@@ -63,8 +61,8 @@ _TRACE_BAR_WIDTH = 24
 def trace_bar(stages: dict, total: float, width: int = _TRACE_BAR_WIDTH) -> str:
     """Proportional per-stage self-time bar for one trace.
 
-    Stages render in rough chronological order (queue, batch wait,
-    settle/service overhead, llm, backoff) with cumulative rounding, so
+    Stages render in rough chronological order (queue, settle/service
+    overhead, llm, backoff) with cumulative rounding, so
     the bar is always exactly ``width`` glyphs and every visible stage
     gets at least its proportional share.
     """
@@ -106,14 +104,10 @@ def run_dash(
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     multiplier: float = 2.0,
     databases: Sequence[str] = SERVE_DATABASES,
-    batching: Optional[BatchingConfig] = None,
     sampler: Optional[TailSampler] = None,
 ) -> tuple[dict, str]:
     """One instrumented serving run; returns (payload, rendered text).
 
-    With ``batching`` set, the run itself batches across requests and
-    the dashboard gains a per-window batch-occupancy sparkline plus a
-    coalescing summary; ``None`` renders the classic unbatched view.
     With ``sampler`` set, a trace log rides the run and the dashboard
     gains a "slowest traces" panel with per-stage self-time bars.
     """
@@ -128,8 +122,7 @@ def run_dash(
     report, record = run_level(
         swan, config, tenants, multiplier, capacity,
         seed=seed, horizon=horizon,
-        telemetry=telemetry, slo_tracker=tracker, batching=batching,
-        trace=trace_log,
+        telemetry=telemetry, slo_tracker=tracker, trace=trace_log,
     )
     payload = slo_level_record(multiplier, multiplier * capacity, telemetry, tracker)
     payload["window_seconds"] = round(window_seconds, 6)
@@ -139,14 +132,6 @@ def run_dash(
     payload["serve"] = record
     if sampler is not None and trace_log is not None:
         payload["traces"] = _trace_panel(multiplier, trace_log, sampler)
-    if batching is not None:
-        occupancy = {
-            row.window: round(row.mean, 6)
-            for row in telemetry.timeseries.rows("serve.batch_occupancy")
-        }
-        payload["batch_occupancy_windows"] = [
-            occupancy.get(row["window"], 0.0) for row in payload["windows"]
-        ]
     return payload, format_dash(payload)
 
 
@@ -199,8 +184,6 @@ def format_dash(payload: dict) -> str:
         ("p99 latency", [w["p99"] for w in windows]),
         ("queue p95", [w["queue_depth_p95"] for w in windows]),
     ]
-    if "batch_occupancy_windows" in payload:
-        series.append(("batch occ", payload["batch_occupancy_windows"]))
     for label, values in series:
         peak = max(values, default=0.0)
         lines.append(f"{label:>12} {sparkline(values)}  peak {peak:g}")
@@ -285,16 +268,6 @@ def format_dash(payload: dict) -> str:
         f"({payload['flight_dropped']} dropped), "
         f"{payload['incidents']} incident(s) captured."
     )
-    if "batching" in serve:
-        arm = serve["batching"]
-        saved = arm["fanout_tokens_saved"]
-        lines.append(
-            f"Cross-request batching: {arm['paid_calls']} paid of "
-            f"{arm['formed_calls']} formed calls "
-            f"({arm['coalesced_calls']} coalesced), mean occupancy "
-            f"{arm['batch_occupancy']:.2f}, {saved} fan-out tokens saved, "
-            f"{arm['keys_from_store']} keys served from the shared store."
-        )
     lines.append(format_startup(serve["startup"]))
     lines.append(format_expansion(serve["mapping"]))
     lines.append(

@@ -213,7 +213,6 @@ def explain_request(
     horizon: Optional[float] = None,
     multiplier: float = 2.0,
     window_seconds: Optional[float] = None,
-    batching=None,
     trace_sample: Optional[int] = None,
 ) -> str:
     """Rerun one serving level and explain one request end to end.
@@ -222,9 +221,8 @@ def explain_request(
     load test runs, with a passive trace log attached, so the output is
     stable run over run: the request's terminal outcome, its span tree
     (attribution tiles exactly — zero unaccounted), the per-stage
-    self-time table, its batch waves and co-members, shared-token
-    apportionment, the tail sampler's verdict, and any SLO alert that
-    carries this trace as its exemplar.
+    self-time table, its LLM spend, the tail sampler's verdict, and any
+    SLO alert that carries this trace as its exemplar.
     """
     from repro.harness.benchserve import (
         DEFAULT_HORIZON, DEFAULT_TRACE_SAMPLE, SERVE_DATABASES,
@@ -256,8 +254,7 @@ def explain_request(
     run_level(
         swan, config, tenants, multiplier, capacity,
         seed=seed, horizon=horizon,
-        telemetry=telemetry, slo_tracker=tracker,
-        batching=batching, trace=log,
+        telemetry=telemetry, slo_tracker=tracker, trace=log,
     )
     record = log.by_request_id(request_id)
     if record is None:
@@ -303,8 +300,7 @@ def explain_request(
             f"{sampler.slowest_k}; explain rebuilds it on demand anyway)"
         )
 
-    waves = {wave.wave_id: wave for wave in log.waves}
-    root = materialize_request(record, waves)
+    root = materialize_request(record)
     lines.append("")
     lines.append("span tree (virtual time):")
     lines.extend("  " + line for line in _render_span(root))
@@ -320,27 +316,7 @@ def explain_request(
         f"offer-to-finish ({unaccounted:.6f}s unaccounted).",
     ))
 
-    if record.waves:
-        lines.append("")
-        lines.append(f"batch waves ({len(record.waves)}):")
-        for wave_id in record.waves:
-            wave = waves.get(wave_id)
-            if wave is None:
-                lines.append(f"  {wave_id}: (no wave record)")
-                continue
-            others = [m for m in wave.members if m != record.trace_id]
-            lines.append(
-                f"  {wave_id}: flush {wave.flush:.3f}s -> land "
-                f"{wave.land:.3f}s, {wave.calls} call(s) over "
-                f"{wave.items} item(s), shared with "
-                + (", ".join(others) if others else "nobody (solo batch)")
-            )
-        lines.append(
-            f"token apportionment: {record.input_tokens} in / "
-            f"{record.output_tokens} out over {record.llm_calls} call(s); "
-            f"{record.shared_tokens} fan-out token(s) saved by sharing"
-        )
-    elif record.llm_calls:
+    if record.llm_calls:
         lines.append("")
         lines.append(
             f"llm spend: {record.llm_calls} call(s), "

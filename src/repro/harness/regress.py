@@ -22,9 +22,8 @@ availability error budget consumed at the lowest load level against the
 baseline's ``slo_budget`` (an *absolute* increase bound: at a trickle
 of load the server should shed nothing, so the budget burned there is
 ~0 and relative growth would be meaningless).  The same BENCH_serve.json
-also pins tokens-per-answer at the 1x level (batched arm preferred)
-against the baseline's ``serve_tokens_per_answer`` under the
-token-growth threshold.  A missing bench file or baseline key only
+also pins tokens-per-answer at the 1x level against the baseline's
+``serve_tokens_per_answer`` under the token-growth threshold.  A missing bench file or baseline key only
 notes the omission; it never fails the gate.
 
 Exit code 1 on any breach, 0 when clean — so CI can gate on it.
@@ -172,11 +171,8 @@ def serve_p99(path: Union[str, Path]) -> Optional[float]:
 def serve_tokens_per_answer(path: Union[str, Path]) -> Optional[float]:
     """Tokens-per-answer at the 1x load level from a BENCH_serve.json.
 
-    Prefers the cross-request-batched arm's ``tokens_per_answer`` (the
-    serving economy the batcher exists to improve); falls back to the
-    unbatched level figure when the sweep ran with batching off.  None
-    when the file, the 1x level, or both keys are missing — the gate
-    notes the omission rather than failing.
+    None when the file, the 1x level or its ``tokens_per_answer`` is
+    missing — the gate notes the omission rather than failing.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -189,11 +185,7 @@ def serve_tokens_per_answer(path: Union[str, Path]) -> Optional[float]:
         )
     except (KeyError, TypeError, StopIteration):
         return None
-    batching = level.get("batching") if isinstance(level, dict) else None
-    if isinstance(batching, dict):
-        value = batching.get("tokens_per_answer")
-    else:
-        value = level.get("tokens_per_answer")
+    value = level.get("tokens_per_answer") if isinstance(level, dict) else None
     return float(value) if isinstance(value, (int, float)) else None
 
 
@@ -246,9 +238,8 @@ def diff_against_baseline(
     ``fresh_slo_budget`` (lowest-load availability budget consumed from
     a fresh BENCH_slo.json) against ``slo_budget`` as an absolute
     increase bound, and ``fresh_serve_tpa`` (tokens-per-answer at the
-    1x level, batched arm preferred) against ``serve_tokens_per_answer``
-    under the token-growth threshold — pinning the serving economy the
-    cross-request batcher buys.
+    1x level) against ``serve_tokens_per_answer`` under the token-growth
+    threshold — pinning the serving economy.
     """
     fresh = _baseline_from_row(row)
     lines: list[str] = []

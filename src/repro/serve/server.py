@@ -126,6 +126,8 @@ class ServerConfig:
             raise ValueError(
                 f"max_concurrent must be >= 1, got {self.max_concurrent}"
             )
+        if self.shots < 0:
+            raise ValueError(f"shots must be >= 0, got {self.shots}")
         if self.base_overhead < 0:
             raise ValueError(
                 f"base_overhead must be >= 0, got {self.base_overhead}"

@@ -5,10 +5,10 @@ wrapper used by the benchmark builder, HQDL materialization, and the hybrid
 query executor:
 
 - :class:`~repro.sqlengine.database.Database` — connection lifecycle,
-  queries, bulk inserts, temp tables.
+  queries, bulk inserts.
 - :class:`~repro.sqlengine.database.LookupFunction` — a scalar SQL
   function over a swappable mapping; the hybrid executor binds each
-  LLMMap's answers to one.
+  LLMMap's and LLMJoin's answers to one.
 - :class:`~repro.sqlengine.schema.TableSchema` — declarative schema objects
   with DDL generation and introspection.
 - :class:`~repro.sqlengine.results.ResultSet` — normalised query results

@@ -3,9 +3,9 @@
 One :class:`Database` owns one SQLite connection (file-backed or
 in-memory).  It is deliberately small: execute/query/insert plus the
 handful of conveniences the rest of the library needs — schema creation
-from :class:`~repro.sqlengine.schema.TableSchema`, bulk inserts, temp
-tables, lookup functions and memoized key fetches for the hybrid
-executor, cloning (for per-experiment isolation), and introspection.
+from :class:`~repro.sqlengine.schema.TableSchema`, bulk inserts, lookup
+functions and memoized key fetches for the hybrid executor, cloning
+(for per-experiment isolation), and introspection.
 """
 
 from __future__ import annotations
@@ -108,9 +108,8 @@ class Database:
         self.path = str(path)
         self.connection = sqlite3.connect(self.path)
         self.connection.execute("PRAGMA foreign_keys = OFF")
-        #: numbers the executor's temp tables and lookup functions; one
-        #: counter per connection, so two executors sharing it never
-        #: pick the same name
+        #: numbers the executor's lookup functions; one counter per
+        #: connection, so two executors sharing it never pick the same name
         self._names = itertools.count()
         #: every lookup function registered on the connection, and the
         #: released ones by width, ready for reuse
@@ -213,9 +212,8 @@ class Database:
         """What changes whenever a key fetch could read different rows.
 
         ``total_changes`` counts every row this connection inserted,
-        updated or deleted, committed or not — temp tables included, so
-        an LLMJoin refill clears the memo too; ``schema_version`` moves
-        on DDL (a table dropped and recreated empty); ``data_version`` on
+        updated or deleted, committed or not (the hybrid executor writes
+        none); ``schema_version`` moves on DDL (a table dropped and recreated empty); ``data_version`` on
         commits by other connections to the same file.
         """
         connection = self.connection
@@ -307,75 +305,6 @@ class Database:
             raise ExecutionError(f"{exc} while inserting into {table}") from exc
         return inserted
 
-    def create_temp_table(
-        self,
-        name: str,
-        columns: Sequence[str],
-        rows: Iterable[Sequence[object]] = (),
-        *,
-        chunk_size: int = INSERT_CHUNK_SIZE,
-    ) -> None:
-        """Create (or replace) a TEMP table and fill it in streamed chunks.
-
-        Temp tables shadow base tables in queries on this connection, which
-        is exactly what the hybrid executor wants for ingredient results.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.drop_temp_table(name)
-        body = ", ".join(f"{_quote(c)} TEXT" for c in columns)
-        self.execute(f"CREATE TEMP TABLE {_quote(name)} ({body})")
-        self._fill_temp_table(name, len(columns), rows, chunk_size)
-
-    def refill_temp_table(
-        self,
-        name: str,
-        columns: Sequence[str],
-        rows: Iterable[Sequence[object]] = (),
-        *,
-        chunk_size: int = INSERT_CHUNK_SIZE,
-    ) -> None:
-        """Replace every row of an existing TEMP table; issues no DDL.
-
-        The steady-state path of the hybrid executor's LLMJoin tables: a
-        ``DELETE`` and the streamed inserts in one transaction, so the
-        schema (and with it every statement SQLite has compiled on this
-        connection) is left alone, and a failed refill leaves the old
-        rows in place.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        try:
-            self.connection.execute(f"DELETE FROM temp.{_quote(name)}")
-        except sqlite3.Error as exc:
-            raise ExecutionError(f"{exc} while emptying temp table {name}") from exc
-        self._fill_temp_table(name, len(columns), rows, chunk_size)
-
-    def _fill_temp_table(
-        self,
-        name: str,
-        width: int,
-        rows: Iterable[Sequence[object]],
-        chunk_size: int,
-    ) -> None:
-        placeholders = ", ".join("?" for _ in range(width))
-        sql = f"INSERT INTO temp.{_quote(name)} VALUES ({placeholders})"
-        try:
-            for chunk in _chunked(rows, chunk_size):
-                self.connection.executemany(sql, chunk)
-            self.connection.commit()
-        except sqlite3.Error as exc:
-            self.connection.rollback()
-            raise ExecutionError(f"{exc} while filling temp table {name}") from exc
-
-    def drop_temp_table(self, name: str) -> None:
-        """Drop a TEMP table (and its indexes) if it exists."""
-        self.execute(f"DROP TABLE IF EXISTS temp.{_quote(name)}")
-
-    def temp_name(self, prefix: str) -> str:
-        """A ``prefix_N`` name no earlier call on this connection returned."""
-        return f"{prefix}_{next(self._names)}"
-
     # -- lookup functions ----------------------------------------------------
 
     def acquire_lookup(self, width: int) -> LookupFunction:
@@ -388,7 +317,7 @@ class Database:
         idle = self._idle_lookups.get(width)
         if idle:
             return idle.pop()
-        lookup = LookupFunction(self.temp_name("__llm_map"), width)
+        lookup = LookupFunction(f"__llm_map_{next(self._names)}", width)
         self.connection.create_function(
             lookup.name,
             width,
@@ -408,8 +337,7 @@ class Database:
     ) -> str:
         """CREATE INDEX IF NOT EXISTS on ``table(columns)``; returns its name.
 
-        Used for FK/join-key indexes at world build time and for the
-        key columns of the executor's LLMJoin tables.
+        Used for FK/join-key indexes at world build time.
         """
         if not columns:
             raise ValueError("create_index requires at least one column")

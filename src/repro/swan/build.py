@@ -66,7 +66,7 @@ def _at_scale(world: World, scale: int) -> World:
     return scale_world(world, scale)
 
 
-def _materialize(
+def _build_from_rows(
     schema: DatabaseSchema, rows: Mapping[str, Sequence[tuple]]
 ) -> Database:
     db = Database.in_memory()
@@ -108,7 +108,7 @@ def build_original_database(world: World, scale: int = 1) -> Database:
     (a no-op when ``world`` was already built at that scale).
     """
     world = _at_scale(world, scale)
-    return _materialize(world.original_schema, world.original_rows)
+    return _build_from_rows(world.original_schema, world.original_rows)
 
 
 def build_curated_database(world: World, scale: int = 1) -> Database:
@@ -117,8 +117,8 @@ def build_curated_database(world: World, scale: int = 1) -> Database:
     The first call for a world object builds it from rows and keeps a
     backup of the result as the world's template; every later call gets
     a page-for-page copy of that template.  Callers may write anything
-    into their copy (HQDL materializes expansion tables into ``main``,
-    the UDF executor fills TEMP tables) without another copy seeing it.
+    into their copy (HQDL materializes expansion tables into ``main``)
+    without another copy seeing it.
     Identity (not equality) guards the template, so a new world object
     of the same name and scale gets its own build.
     """
@@ -130,7 +130,7 @@ def build_curated_database(world: World, scale: int = 1) -> Database:
             db = Database.in_memory()
             cached[1].backup(db.connection)
             return db
-        db = _materialize(world.curated_schema, world.curated_rows)
+        db = _build_from_rows(world.curated_schema, world.curated_rows)
         _index_expansion_keys(db, world)
         template = sqlite3.connect(
             ":memory:", check_same_thread=False, cached_statements=0

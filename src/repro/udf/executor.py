@@ -15,11 +15,12 @@
    dispatcher under the caller's deadline, degrades to NULL on failure
    and is charged to the :class:`~repro.pipeline.ExecutionReport`, so
    the report counts every paid call of the query.
-3. :meth:`~HybridQueryExecutor.run` binds each LLMMap mapping to a
-   lookup function on the connection, fills each LLMJoin's TEMP table,
-   rewrites the AST (``CAST(lookup(keys) AS TEXT)`` for maps, literals
-   for QA), renders plain SQLite SQL, executes and unbinds.  It fetches
-   no keys and consults no store.
+3. :meth:`~HybridQueryExecutor.run` binds each LLMMap and LLMJoin
+   mapping to a lookup function on the connection, rewrites the AST
+   (``CAST(lookup(keys) AS TEXT)`` for a map, a derived table over the
+   source table for a join, literals for QA), renders plain SQLite SQL,
+   executes and unbinds.  It fetches no keys, consults no store and
+   writes nothing.
 
 ``execute_with_report`` is the three in a row; the call planner
 (:mod:`repro.plan`) and the serving layer drive them one by one, paying
@@ -42,10 +43,10 @@ outcomes in prompt order, which makes ``workers=8`` byte-identical to
 per-executor cache of :class:`PreparedStatement` entries: the parsed
 tree (owned by the entry), each distinct ingredient occurrence with its
 validated call and resolved alias, its key-fetch SQL (pushdown analysis
-done once), and a fixed *slot* per occurrence — a lookup function for
-LLMMap, a temp table for LLMJoin, acquired on first use and reused — so
-a repeated text costs no parse and no AST walk, an LLMMap-only one no
-DDL and no table write, and its rewritten SQL is a constant string.
+done once), and a fixed *slot* per LLMMap or LLMJoin occurrence — a
+lookup function, acquired on first use and reused — so a repeated text
+costs no parse and no AST walk, no query writes to the connection, and
+its rewritten SQL is a constant string.
 """
 
 from __future__ import annotations
@@ -167,6 +168,8 @@ class HybridQueryExecutor:
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if shots < 0:
+            raise ValueError(f"shots must be >= 0, got {shots}")
         self.db = db
         self.world = world
         self.batch_size = batch_size
@@ -209,14 +212,9 @@ class HybridQueryExecutor:
         return result
 
     def execute_with_report(
-        self, hybrid_sql: Union[str, ast.Select]
+        self, hybrid_sql: str
     ) -> tuple[ResultSet, ExecutionReport]:
-        """Prepare, generate and run; the result and its diagnostics.
-
-        ``hybrid_sql`` may be an already parsed statement; execution
-        never mutates it (and, not owning it, prepares it for this call
-        only).
-        """
+        """Prepare, generate and run; the result and its diagnostics."""
         tel = self._tel
         with (tel.tracer.span("udf:query") if tel.enabled else NULL_SPAN) as span:
             plan = self.prepare(hybrid_sql)
@@ -225,7 +223,7 @@ class HybridQueryExecutor:
             span.set("keys_generated", report.keys_generated)
         return result, report
 
-    def prepare(self, hybrid_sql: Union[str, ast.Select]) -> "QueryPlan":
+    def prepare(self, hybrid_sql: str) -> "QueryPlan":
         """Stage one: the statement and, per occurrence in walk order, its work.
 
         The walk stops at the first malformed occurrence or failing key
@@ -307,11 +305,8 @@ class HybridQueryExecutor:
         try:
             slots: list[Optional[str]] = []
             for (occurrence, _), answer in zip(plan.steps, fillings.answers):
-                kind = occurrence.call.kind
-                if kind == "LLMJoin":
-                    answer = self._materialize(occurrence, answer)
-                elif kind == "LLMMap":
-                    # acquired on first use and kept: a repeat writes nothing
+                if occurrence.call.kind != "LLMQA":
+                    # acquired on first use and kept for the next run
                     if occurrence.lookup is None:
                         occurrence.lookup = self.db.acquire_lookup(
                             len(occurrence.call.key_columns)
@@ -348,17 +343,14 @@ class HybridQueryExecutor:
 
     # -- prepared statements -----------------------------------------------------
 
-    def _statement(self, hybrid_sql: Union[str, ast.Select]) -> "PreparedStatement":
+    def _statement(self, hybrid_sql: str) -> "PreparedStatement":
         """The prepared statement for a query text, parsed at most once.
 
         The cache is per executor because what it holds depends on this
         executor's schema and ``pushdown`` setting, and its entries own
         their trees: nothing is remembered about a node the cache does
-        not keep alive.  A caller's pre-parsed statement is prepared
-        afresh and never cached — the tree is theirs.
+        not keep alive.
         """
-        if isinstance(hybrid_sql, ast.Select):
-            return PreparedStatement(hybrid_sql, cached=False)
         prepared = self._prepared.get(hybrid_sql)
         if prepared is not None:
             self._prepared.move_to_end(hybrid_sql)
@@ -372,18 +364,11 @@ class HybridQueryExecutor:
         return prepared
 
     def _release_slots(self, prepared: "PreparedStatement") -> None:
-        """Give back the slots of a statement leaving the executor.
-
-        Lookup functions return to the connection for reuse; LLMJoin
-        tables are dropped.
-        """
+        """Give back a leaving statement's lookup functions for reuse."""
         for occurrence in prepared.occurrences:
             if occurrence.lookup is not None:
                 self.db.release_lookup(occurrence.lookup)
                 occurrence.lookup = None
-            if occurrence.table is not None:
-                self.db.drop_temp_table(occurrence.table)
-                occurrence.table = None
 
     # -- paying for calls ------------------------------------------------------
 
@@ -733,34 +718,6 @@ class HybridQueryExecutor:
             for demo in demos
         ]
 
-    def _materialize(
-        self, occurrence: "_Occurrence", mapping: dict[tuple, Optional[str]]
-    ) -> str:
-        """Fill an LLMJoin occurrence's temp-table slot; its name.
-
-        Columns: the key columns under their original names plus
-        ``value``.  The slot (table + key index) is created the first
-        time the occurrence is materialized, under a name from the
-        connection, and refilled ever after, so a repeated statement
-        issues no DDL, leaks no tables, and always reads only the rows of
-        the current execution.
-        """
-        columns = list(occurrence.call.key_columns) + ["value"]
-        # a generator keeps at most one insert chunk of rows in memory;
-        # both fills stream it in fixed-size chunks
-        rows = (
-            key + (value,) for key, value in mapping.items() if value is not None
-        )
-        if occurrence.table is not None:
-            self.db.refill_temp_table(occurrence.table, columns, rows)
-            return occurrence.table
-        name = self.db.temp_name("__llm_join")
-        self.db.create_temp_table(name, columns, rows)
-        # the query joins this table on its key columns
-        self.db.create_index(name, columns[:-1])
-        occurrence.table = name
-        return name
-
 
 # -- prepared statements ----------------------------------------------------------
 
@@ -776,9 +733,9 @@ class _Occurrence:
     source table) and ``alias`` the name the source table is visible
     under there.  ``error`` is what the walk raises on reaching a
     malformed occurrence; nothing after it is prepared, because
-    execution never gets that far.  The slot — ``lookup`` for LLMMap,
-    ``table`` for LLMJoin — and ``key_sql`` with ``key_reusable`` are
-    filled by the executor on first use.
+    execution never gets that far.  The slot (``lookup``, for LLMMap and
+    LLMJoin) and ``key_sql`` with ``key_reusable`` are filled by the
+    executor on first use.
     """
 
     nodes: list[ast.Ingredient]
@@ -790,7 +747,6 @@ class _Occurrence:
     key_sql: Optional[str] = None
     key_reusable: bool = True
     lookup: Optional[LookupFunction] = None
-    table: Optional[str] = None
 
     def replacement(self, filling: Optional[str]) -> ast.Node:
         """The plain-SQL node standing in for this ingredient."""
@@ -799,22 +755,32 @@ class _Occurrence:
             if filling is None:
                 return ast.Literal.null()
             return ast.Literal.string(filling)
-        if call.kind == "LLMJoin":
-            return ast.TableName(filling, alias=self.source_alias)
         # CAST(lookup(alias.col0, alias.col1) AS TEXT).  The cast is
         # load-bearing: a bare function result has no affinity, so
         # lookup(...) > 5 would hold for '10', where the TEXT value it
         # stands for compares with 5 as text — and does not.
         keys = [ast.ColumnRef(column, self.alias) for column in call.key_columns]
-        return ast.Cast(ast.FuncCall(filling, keys), "TEXT")
+        value = ast.FuncCall(filling, keys)
+        if call.kind == "LLMMap":
+            return ast.Cast(value, "TEXT")
+        # LLMJoin: (SELECT DISTINCT keys, CAST(lookup(keys) AS TEXT) AS
+        # value FROM source WHERE lookup(keys) IS NOT NULL) AS alias
+        return ast.SubquerySource(
+            ast.Select(
+                items=[ast.SelectItem(key) for key in keys]
+                + [ast.SelectItem(ast.Cast(value, "TEXT"), "value")],
+                distinct=True,
+                from_=ast.TableName(call.source_table),
+                where=ast.IsNull(value, negated=True),
+            ),
+            alias=self.source_alias,
+        )
 
 
 class PreparedStatement:
     """A parsed hybrid statement and everything derivable from it alone.
 
-    Holds the tree (``cached`` entries own it; a caller's pre-parsed
-    statement is only borrowed for one call and never mutated), the
-    ingredient occurrences in walk order, and a small memo of rendered
+    Holds the tree (never mutated), the ingredient occurrences in walk order, and a small memo of rendered
     final SQL: with fixed slots the rewrite of a statement depends only
     on what its LLMQA ingredients answered, so a repeat skips both the
     tree rewrite and the render.  An evicted entry stops being

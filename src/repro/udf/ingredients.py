@@ -34,7 +34,7 @@ class IngredientCall:
     options: tuple[tuple[str, object], ...] = ()
 
     def signature(self) -> tuple:
-        """Identity for caching/temp-table sharing within one query."""
+        """Identity for caching and for sharing one generation within a query."""
         return (self.kind, self.question, self.source_table, self.key_columns)
 
 

@@ -102,63 +102,3 @@ class TestTokensPerAnswer:
         path = write_json(tmp_path / "BENCH_serve.json", payload)
         (one_x,) = [lv for lv in payload["levels"] if lv["multiplier"] == 1.0]
         assert serve_tokens_per_answer(path) == one_x["tokens_per_answer"]
-
-
-class TestBatchingComparison:
-    @pytest.fixture(scope="class")
-    def payloads(self):
-        from repro.serve.batcher import BatchingConfig
-
-        return _serve_payload(batching=BatchingConfig()), _serve_payload()
-
-    def test_levels_carry_the_batching_keys(self, payloads):
-        on, _ = payloads
-        assert "batch_window" not in on
-        assert "max_batch" not in on
-        for level in on["levels"]:
-            assert level["tokens_per_answer"] >= 0
-            assert 0.0 <= level["batch_occupancy"] <= 1.0
-            assert level["coalesced_calls"] >= 0
-            arm = level["batching"]
-            assert arm["accounting_ok"] is True
-            assert arm["paid_calls"] <= arm["formed_calls"]
-            assert arm["llm_calls"] <= level["llm_calls"]
-
-    def test_off_payload_is_the_on_payload_minus_batching(self, payloads):
-        """The unbatched arm is untouched by running the batched one."""
-        on, off = payloads
-        stripped = dict(on)
-        stripped["levels"] = [
-            {
-                k: v for k, v in level.items()
-                if k not in (
-                    "tokens_per_answer", "batch_occupancy",
-                    "coalesced_calls", "batching",
-                )
-            }
-            for level in on["levels"]
-        ]
-        assert stripped == off
-
-    def test_batched_arm_stays_inside_deadlines(self, payloads):
-        on, _ = payloads
-        limit = max(t.deadline_seconds for t in default_tenants())
-        for level in on["levels"]:
-            assert level["batching"]["p99"] <= limit + 1e-6
-
-    def test_report_renders_the_comparison_table(self, payloads):
-        on, off = payloads
-        text = format_serve_report(on)
-        assert "Cross-request batching vs per-request dispatch:" in text
-        assert "saved%" in text
-        assert "Cross-request batching" not in format_serve_report(off)
-
-    def test_slo_payload_unchanged_by_batching(self):
-        from repro.serve.batcher import BatchingConfig
-
-        common = dict(
-            horizon=30.0, multipliers=(2.0,), databases=("superhero",)
-        )
-        slo_on = sweep_offered_load(batching=BatchingConfig(), **common).slo
-        slo_off = sweep_offered_load(**common).slo
-        assert slo_on == slo_off

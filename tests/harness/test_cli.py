@@ -355,7 +355,7 @@ class TestObservabilityCLI:
         assert "Flight recorder" in out
 
     def test_serve_reports_slo_budgets(self, capsys):
-        assert main(["dash", "--horizon=40", "--batching=off"]) == 0
+        assert main(["dash", "--horizon=40"]) == 0
         out = capsys.readouterr().out
         assert "SLO error budgets" in out
         assert "availability" in out
@@ -387,38 +387,20 @@ class TestBenchCacheTarget:
 
 
 class TestBatchingFlags:
+    """The harness runs the per-request server only, so every batching
+    flag is an unknown flag: exit 2 with the usage, before anything runs."""
+
     def test_bad_batching_value(self, capsys):
-        assert main(["dash", "--batching=maybe"]) == 2
-        err = capsys.readouterr().err
-        assert "--batching must be 'on' or 'off'" in err
-        assert "usage:" in err
-
-    def test_flags_documented_in_usage(self, capsys):
-        assert main(["--help"]) == 0
-        out = capsys.readouterr().out
-        assert "--batching=on|off" in out
-        assert "--batch-window" not in out
-        assert "--max-batch" not in out
-
-    def test_all_serve_targets_accept_the_flags(self):
-        from repro.harness.__main__ import _FLAG_TARGETS
-
-        for target in ("dash",):
-            assert "batching" in _FLAG_TARGETS[target]
-            assert "batch_window" not in _FLAG_TARGETS[target]
-            assert "max_batch" not in _FLAG_TARGETS[target]
-
-    def test_serve_demo_reports_batching(self, capsys):
-        assert main(["dash", "--horizon=40"]) == 0
-        out = capsys.readouterr().out
-        assert "Cross-request batching:" in out
-
-    def test_batching_off_restores_the_classic_demo(self, capsys):
-        assert main(["dash", "--horizon=40", "--batching=off"]) == 0
-        out = capsys.readouterr().out
-        assert "Serving dashboard" in out
-        assert "Cross-request batching" not in out
-        assert "batch occ" not in out
+        for argv in (
+            ["dash", "--batching=on"],
+            ["dash", "--batching=maybe"],
+            ["explain-request", "--request=3", "--batching=on"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"unknown flag: {argv[-1]}" in err
+            assert "usage:" in err
+            assert "--batching" not in err.split("usage:", 1)[1]
 
 
 class TestTracingFlags:
@@ -460,7 +442,7 @@ class TestTracingFlags:
         assert "worst unaccounted share 0.00%" in out
 
     def test_tracing_off_by_default(self, capsys):
-        assert main(["dash", "--horizon=40", "--batching=off"]) == 0
+        assert main(["dash", "--horizon=40"]) == 0
         assert "unaccounted share" not in capsys.readouterr().out
 
     def test_loadtest_tracing_writes_trace_artifacts(self, serve_artifact):
@@ -521,7 +503,6 @@ class TestExplainRequestCommand:
     def test_explains_a_request_end_to_end(self, capsys):
         assert main([
             "explain-request", "--request=3", "--horizon=40",
-            "--batching=off",
         ]) == 0
         out = capsys.readouterr().out
         assert "== request 3 (trace t000003)" in out
@@ -531,14 +512,15 @@ class TestExplainRequestCommand:
         assert "0.000000s unaccounted" in out
         assert "tail sampler:" in out
 
-    def test_explains_a_batched_request_with_waves(self, capsys):
+    def test_explains_an_overloaded_request(self, capsys):
         assert main([
             "explain-request", "--request=3", "--horizon=40",
             "--multiplier=4",
         ]) == 0
         out = capsys.readouterr().out
-        assert "serve:batch.wait" in out or "serve:service" in out
+        assert "serve:service" in out
         assert "Stage attribution" in out
+        assert "batch waves" not in out
 
     def test_documented_in_usage(self, capsys):
         assert main(["--help"]) == 0

@@ -61,27 +61,7 @@ class TestRunDash:
 
 
 class TestBatchedDash:
-    @pytest.fixture(scope="class")
-    def dash(self):
-        from repro.serve.batcher import BatchingConfig
-
-        return run_dash(
-            horizon=40.0, databases=("superhero",),
-            batching=BatchingConfig(),
-        )
-
-    def test_occupancy_series_aligns_with_windows(self, dash):
-        payload, _ = dash
-        assert len(payload["batch_occupancy_windows"]) == len(
-            payload["windows"]
-        )
-        assert all(v >= 0 for v in payload["batch_occupancy_windows"])
-
-    def test_panel_renders(self, dash):
-        _, text = dash
-        assert "batch occ" in text
-        assert "Cross-request batching:" in text
-        assert "fan-out tokens saved" in text
+    """The dashboard runs the per-request server only: no batching panel."""
 
     def test_unbatched_dash_has_no_panel(self):
         payload, text = run_dash(horizon=40.0, databases=("superhero",))

@@ -369,13 +369,6 @@ class TestServeTokensPerAnswer:
         }), encoding="utf-8")
         return serve_tokens_per_answer(path)
 
-    def test_prefers_the_batched_arm(self, tmp_path):
-        value = self._bench(tmp_path, level_extra={
-            "tokens_per_answer": 100.0,
-            "batching": {"tokens_per_answer": 80.0},
-        })
-        assert value == 80.0
-
     def test_falls_back_to_the_level_figure(self, tmp_path):
         value = self._bench(
             tmp_path, level_extra={"tokens_per_answer": 100.0}

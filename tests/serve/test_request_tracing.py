@@ -10,6 +10,7 @@ be byte-reproducible run over run.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -56,9 +57,9 @@ def capacity(serve_swan):
 
 def _run(serve_swan, capacity, *, trace=None, batching=None):
     return run_level(
-        serve_swan, default_config(), default_tenants(("superhero",)),
-        OVERLOAD, capacity, seed=0, horizon=HORIZON,
-        trace=trace, batching=batching,
+        serve_swan, replace(default_config(), batching=batching),
+        default_tenants(("superhero",)), OVERLOAD, capacity, seed=0,
+        horizon=HORIZON, trace=trace,
     )
 
 

@@ -59,6 +59,11 @@ class TestServerConfig:
             with pytest.raises(ValueError):
                 ServerConfig(**kwargs)
 
+    def test_negative_shots_rejected(self):
+        # a -1 ran as 0-shot UDF and failed only at the HQDL warm build
+        with pytest.raises(ValueError, match="shots must be >= 0"):
+            ServerConfig(shots=-1)
+
     @pytest.mark.parametrize("batch_size", [0, 21])
     def test_batch_size_outside_the_policy_fails_at_construction(
         self, serve_swan, batch_size

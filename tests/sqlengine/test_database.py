@@ -72,21 +72,6 @@ class TestSchemaOperations:
         assert db.row_count("t") == 3
 
 
-class TestTempTables:
-    def test_temp_table_shadows_base(self, db):
-        db.create_temp_table("t", ["a", "b"], [("9", "temp")])
-        assert db.query_scalar("SELECT COUNT(*) FROM t") == 1
-
-    def test_temp_table_replaced_on_recreate(self, db):
-        db.create_temp_table("m", ["k", "v"], [("1", "a")])
-        db.create_temp_table("m", ["k", "v"], [("1", "b"), ("2", "c")])
-        assert db.query_scalar("SELECT COUNT(*) FROM m") == 2
-
-    def test_empty_temp_table(self, db):
-        db.create_temp_table("empty", ["k"])
-        assert db.query_scalar("SELECT COUNT(*) FROM empty") == 0
-
-
 class TestCloneAndSave:
     def test_clone_is_independent(self, db):
         clone = db.clone_in_memory()
@@ -129,12 +114,6 @@ class TestChunkedInserts:
             db.insert_rows("t", ["a", "b"], rows, chunk_size=2)
         assert db.query_scalar("SELECT COUNT(*) FROM t") == 3
 
-    def test_temp_table_streams_chunks(self, db):
-        db.create_temp_table(
-            "tmp", ["n"], ((i,) for i in range(57)), chunk_size=10
-        )
-        assert db.query_scalar("SELECT COUNT(*) FROM tmp") == 57
-
 
 class TestCreateIndex:
     def test_auto_named_index(self, db):
@@ -152,11 +131,3 @@ class TestCreateIndex:
     def test_empty_columns_rejected(self, db):
         with pytest.raises(ValueError):
             db.create_index("t", [])
-
-    def test_temp_table_index_lands_in_temp_schema(self, db):
-        db.create_temp_table("tmp", ["n"], [(1,), (2,)])
-        db.create_index("tmp", ["n"])
-        names = db.query_column(
-            "SELECT name FROM temp.sqlite_master WHERE type = 'index'"
-        )
-        assert "idx_tmp_n" in names

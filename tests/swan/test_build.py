@@ -141,7 +141,8 @@ class TestTemplates:
             pristine = _image(db)
             db.execute("INSERT INTO colour (id, colour) VALUES (999999, 'Plaid')")
             db.execute("CREATE TABLE hqdl_expansion (k TEXT, v TEXT)")
-            db.create_temp_table("__llm_ing_0", ["k", "v"], [("a", "b")])
+            db.execute("CREATE TEMP TABLE __llm_ing_0 (k TEXT, v TEXT)")
+            db.insert_rows("__llm_ing_0", ["k", "v"], [("a", "b")])
         with build_curated_database(superhero_world) as db:
             assert _image(db) == pristine
             assert "hqdl_expansion" not in db.table_names()

@@ -162,6 +162,14 @@ class TestBatching:
             )
         db.close()
 
+    def test_negative_shots_rejected(self, superhero_world):
+        # a -1 ran as 0-shot under its own ledger and disk-cache key
+        with build_curated_database(superhero_world) as db:
+            with pytest.raises(ValueError, match="shots must be >= 0"):
+                HybridQueryExecutor(
+                    db, make_model(superhero_world), superhero_world, shots=-1
+                )
+
 
 class TestCaching:
     def test_repeated_query_hits_cache(self, superhero_world):

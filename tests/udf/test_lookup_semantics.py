@@ -78,7 +78,11 @@ class _Sides:
         mapping = _mapping(db, columns)
         self.table = "old_" + "_".join(columns)
         keys = [f"k{n}" for n in range(len(columns))]
-        db.create_temp_table(
+        db.execute(
+            f"CREATE TEMP TABLE {self.table} "
+            f"({', '.join(f'{name} TEXT' for name in keys + ['v'])})"
+        )
+        db.insert_rows(
             self.table,
             keys + ["v"],
             [key + (value,) for key, value in mapping.items() if value is not None],

@@ -4,11 +4,10 @@ Three groups.  *Equivalence*: an executor that has seen a text before
 answers exactly like a fresh one (the standing metamorphic property,
 over every SWAN question).  *Slots*: an LLMMap reaches SQLite through a
 lookup function — no table, no write, no mapping left bound after the
-query, slots recycled on eviction.  *Hazards*: the ways a statement
+query, slots recycled on eviction (an LLMJoin does too:
+``test_join_lookup.py``).  *Hazards*: the ways a statement
 cache goes wrong, each pinned by the test that would have caught it.
 """
-
-import copy
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.llm.chat import MockChatModel
 from repro.llm.oracle import KnowledgeOracle
 from repro.llm.profiles import get_profile
 from repro.llm.usage import UsageMeter
-from repro.sqlparser import parse
 from repro.swan.build import build_curated_database
 from repro.udf import HybridQueryExecutor
 from repro.udf import executor as executor_module
@@ -139,28 +137,6 @@ def test_prepared_equals_fresh(swan, database, profile, pushdown):
         )
 
 
-class TestPreparsedStatement:
-    def test_executes_like_its_text_and_is_not_mutated(self, executor, db):
-        for sql in STATEMENTS:
-            statement = parse(sql)
-            snapshot = copy.deepcopy(statement)
-            from_tree, tree_report = executor.execute_with_report(statement)
-            assert statement == snapshot
-            from_text, text_report = executor.execute_with_report(sql)
-            assert from_tree.rows == from_text.rows
-            assert tree_report.keys_after_pushdown == text_report.keys_after_pushdown
-            assert executor.prepare(statement).work() == (
-                executor.prepare(sql).work()
-            )
-            assert statement == snapshot
-
-    def test_is_borrowed_not_cached(self, executor, db):
-        """The tree is the caller's: no cache entry, no table left behind."""
-        executor.execute_with_report(parse(STATEMENTS[1]))
-        assert len(executor._prepared) == 0
-        assert temp_objects(db) == 0
-
-
 # -- slots --------------------------------------------------------------------------
 
 
@@ -277,27 +253,26 @@ class TestSlots:
 
 
 class TestHazards:
-    def test_nothing_is_keyed_on_a_dead_tree(self, executor, db, superhero_world):
+    def test_nothing_is_keyed_on_a_dead_tree(self, executor, db, monkeypatch):
         """(a) Query B must get B's keys even if its nodes reuse A's addresses.
 
         Same LLMMap call, different WHERE, each statement planned and
-        dropped before the next: an ``id(owner)``-keyed memo that does
+        evicted before the next: an ``id(owner)``-keyed memo that does
         not keep the tree alive hands B the key SQL of a dead A.
         """
+        monkeypatch.setattr(executor_module, "PREPARED_CACHE_SIZE", 0)
         for height in range(150, 230, 2):
             sql = (
                 f"SELECT superhero_name FROM superhero WHERE {PUB_MAP} = "
                 f"'DC Comics' AND height_cm > {height}"
             )
-            statement = parse(sql)
-            (work,) = executor.prepare(statement).work()
-            del statement
+            (work,) = executor.prepare(sql).work()
+            assert not executor._prepared
             expected = db.query_rows(
                 "SELECT DISTINCT superhero_name, full_name FROM superhero "
                 f"NOT INDEXED WHERE height_cm > {height}"
             )
             assert work.keys == [tuple(map(str, row)) for row in expected]
-            assert executor.prepare(sql).work() == (work,)
 
     def test_the_cache_is_per_executor(self, superhero_world):
         """(b) Executors differing in ``pushdown`` share no preparation.
@@ -366,9 +341,9 @@ class TestHazards:
     ):
         """(d) Slot names come from the connection, not the executor.
 
-        With per-executor counters, B's borrowed statement took the name
-        of A's cached slot and dropped it on return, and A's next
-        execution of the same text failed on a missing table.
+        With per-executor counters, B's statement would take the name of
+        A's slot and register its own function over it, so A's next
+        execution of its text would read B's mapping.
         """
         model = make_model(superhero_world)
 
@@ -382,8 +357,7 @@ class TestHazards:
             a = HybridQueryExecutor(db, model, superhero_world)
             b = HybridQueryExecutor(db, model, superhero_world)
             assert a.execute(kept).rows == expected
-            result, _ = b.execute_with_report(parse(borrowed))
-            assert result.rows == expected_borrowed
+            assert b.execute(borrowed).rows == expected_borrowed
             assert a.execute(kept).rows == expected
             assert b.execute(borrowed).rows == expected_borrowed
             assert a.execute(kept).rows == expected
