@@ -46,7 +46,6 @@ MAX_TRACE_ROWS = 5
 #: one glyph per stage in the per-trace self-time bar
 _STAGE_GLYPHS = (
     ("serve:queue", "q"),
-    ("serve:settle", "s"),
     ("serve:service", "v"),
     ("serve:overhead", "o"),
     ("serve:llm", "#"),
@@ -61,8 +60,8 @@ _TRACE_BAR_WIDTH = 24
 def trace_bar(stages: dict, total: float, width: int = _TRACE_BAR_WIDTH) -> str:
     """Proportional per-stage self-time bar for one trace.
 
-    Stages render in rough chronological order (queue, settle/service
-    overhead, llm, backoff) with cumulative rounding, so
+    Stages render in rough chronological order (queue, service overhead,
+    llm, backoff) with cumulative rounding, so
     the bar is always exactly ``width`` glyphs and every visible stage
     gets at least its proportional share.
     """

@@ -23,8 +23,9 @@ baseline's ``slo_budget`` (an *absolute* increase bound: at a trickle
 of load the server should shed nothing, so the budget burned there is
 ~0 and relative growth would be meaningless).  The same BENCH_serve.json
 also pins tokens-per-answer at the 1x level against the baseline's
-``serve_tokens_per_answer`` under the token-growth threshold.  A missing bench file or baseline key only
-notes the omission; it never fails the gate.
+``serve_tokens_per_answer`` under the token-growth threshold.  A
+missing bench file or baseline key only notes the omission; it never
+fails the gate.
 
 Exit code 1 on any breach, 0 when clean — so CI can gate on it.
 ``--update-baseline`` rewrites the baseline from the fresh run instead

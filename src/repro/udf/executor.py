@@ -780,11 +780,12 @@ class _Occurrence:
 class PreparedStatement:
     """A parsed hybrid statement and everything derivable from it alone.
 
-    Holds the tree (never mutated), the ingredient occurrences in walk order, and a small memo of rendered
-    final SQL: with fixed slots the rewrite of a statement depends only
-    on what its LLMQA ingredients answered, so a repeat skips both the
-    tree rewrite and the render.  An evicted entry stops being
-    ``cached``, so a plan still holding it releases what its run acquires.
+    Holds the tree (never mutated), the ingredient occurrences in walk
+    order, and a small memo of rendered final SQL: with fixed slots the
+    rewrite of a statement depends only on what its LLMQA ingredients
+    answered, so a repeat skips both the tree rewrite and the render.
+    An evicted entry stops being ``cached``, so a plan still holding it
+    releases what its run acquires.
     """
 
     def __init__(self, statement: ast.Select, *, cached: bool) -> None:

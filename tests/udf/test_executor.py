@@ -163,7 +163,7 @@ class TestBatching:
         db.close()
 
     def test_negative_shots_rejected(self, superhero_world):
-        # a -1 ran as 0-shot under its own ledger and disk-cache key
+        # else it would run 0-shot under a ledger and disk-cache key of -1
         with build_curated_database(superhero_world) as db:
             with pytest.raises(ValueError, match="shots must be >= 0"):
                 HybridQueryExecutor(

@@ -76,7 +76,7 @@ def test_a_repeated_join_writes_nothing_and_returns_the_same_rows(
 
 
 def test_key_columns_keep_the_source_values(executor):
-    # a TEXT copy of the key would sort '1', '10', ...
+    # the source's INTEGER values, so ORDER BY sorts them as numbers
     assert executor.execute(ID_JOIN).rows == [(1,), (2,)]
 
 
@@ -84,5 +84,5 @@ def test_a_null_key_yields_no_row(executor, db):
     db.execute("UPDATE superhero SET height_cm = NULL WHERE id = 1")
     rows = executor.execute(HEIGHT_JOIN).rows
     assert rows
-    # the TEXT copy held a row keyed by the string 'None'
+    # a NULL key's lookup is NULL, although its key was fetched as 'None'
     assert all(height not in (None, "None") for (height,) in rows)
